@@ -60,9 +60,18 @@ class InputError(Exception):
     pass
 
 
+def _at_least_one(value: Optional[int], flag: str, default: int) -> int:
+    """The value of an optional count flag, or its default when it is absent."""
+    if value is None:
+        return default
+    if value < 1:
+        raise InputError("%s must be at least 1" % flag)
+    return value
+
+
 def _field_from_args(args) -> FieldSpec:
     kind = getattr(args, "field", "ratfunc") or "ratfunc"
-    order = getattr(args, "order", 1) or 1
+    order = _at_least_one(getattr(args, "order", None), "--order", 1)
     qexpr = getattr(args, "q", None)
     if kind == "ratfunc":
         if qexpr not in (None, "q"):
@@ -91,7 +100,7 @@ def _load_symmetry(args, validate: bool) -> tuple:
         raise InputError("give either an input file or --builtin, not both")
     if getattr(args, "builtin", None):
         name = args.builtin
-        dim = args.dim or (3 if name == "dj" else 2)
+        dim = _at_least_one(args.dim, "--dim", 3 if name == "dj" else 2)
         if name == "dj":
             field = _field_from_args(args)
             sym = dj_standard(dim, field)
@@ -187,7 +196,7 @@ def cmd_analyze(args) -> int:
         payload, _ = _wrap(args, digest, report)
         _emit(args, payload)
         return CHECK_FAILURE
-    n_max = args.max_degree or (2 * sym.N + 1)
+    n_max = _at_least_one(args.max_degree, "--max-degree", 2 * sym.N + 1)
     try:
         profile = analyze(sym, n_max)
     except NoTopComponent as exc:
@@ -415,7 +424,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
-    except (PoleError, ExprError) as exc:
+    except (PoleError, ExprError, SymmetryError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
     if getattr(args, "timings", False):

@@ -9,7 +9,8 @@ Grammar (whitespace insignificant):
 
 `q` is the field parameter (formal in ratfunc_q fields, otherwise the bound
 value) and `e` is the primitive root of unity of the field's declared
-cyclotomic order.  Exponents are nonnegative integer literals.
+cyclotomic order.  Exponents are nonnegative integer literals of at most
+MAX_EXPONENT, so that a short input cannot ask for an enormous power.
 
 format_scalar emits strings inside the same grammar, so every scalar
 round-trips through parse_scalar exactly.
@@ -22,7 +23,9 @@ from typing import List, Tuple
 
 from .exactnum import FieldSpec, Scalar
 
-__all__ = ["parse_scalar", "format_scalar", "ExprError"]
+__all__ = ["parse_scalar", "format_scalar", "ExprError", "MAX_EXPONENT"]
+
+MAX_EXPONENT = 1000
 
 
 class ExprError(ValueError):
@@ -109,6 +112,8 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             tok = self.take("int")
+            if tok[1] > MAX_EXPONENT:
+                raise ExprError("exponent %d exceeds %d" % (tok[1], MAX_EXPONENT), tok[2])
             value = value ** tok[1]
         return value
 

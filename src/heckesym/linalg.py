@@ -473,6 +473,10 @@ class Subspace:
             return None
         return tuple(coords)
 
+    def annihilator(self) -> "Subspace":
+        """Covectors a with a . v = 0 for every v in the subspace."""
+        return MatrixF(self.dim, self.ambient, [x for row in self.basis for x in row], self.domain).kernel()
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient, self.domain)

@@ -12,6 +12,18 @@ subspaces
 the star product a * b = y_(k+l/k,l)(a (x) b), duals/opposites/conjugates,
 and a small built-in catalog.
 
+No N^n x N^n matrix is formed for the graded subspaces.  T_i acts only on
+slots (i, i+1), so Im(T_i - q) = V^(x)(i-1) (x) upsilon(2) (x) V^(x)(n-i-1)
+and, for n >= 3,
+
+    upsilon(n) = (upsilon(n-1) (x) V) cap (V^(x)(n-2) (x) upsilon(2)),
+
+a kernel in dim upsilon(n-1) * N unknowns; it uses no eigenspace splitting,
+so it holds for every q, q = -1 included.  By duality, (ker A)^perp =
+Im(A^t), so ideal_component(n) is the annihilator of upsilon(n) of the
+transpose symmetry R^t and lambda_dim(n) = dim V^(x)n - dim ideal_component(n)
+is that upsilon's dimension.
+
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
 """
@@ -25,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exactnum import FieldSpec, GENERIC_Q, Scalar
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, partial_y
-from .linalg import MatrixF, Subspace
+from .linalg import MatrixF, Subspace, vec_is_zero
 from .permgroup import Composition, Perm, identity, transposition
 
 __all__ = [
@@ -117,7 +129,7 @@ def check_braid(R: MatrixF) -> Tuple[bool, str]:
 class HeckeSymmetry:
     """A validated Hecke symmetry with cached tensor-power machinery."""
 
-    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_ideal", "_reps", "name")
+    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_dual", "_reps", "name")
 
     def __init__(self, N: int, q: Scalar, R: MatrixF, name: str = "", validate: bool = True):
         if N < 1:
@@ -133,7 +145,7 @@ class HeckeSymmetry:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_upsilon", {})
-        object.__setattr__(self, "_ideal", {})
+        object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_reps", {})
         if validate:
             ok, witness = check_hecke(R, q)
@@ -265,52 +277,97 @@ class HeckeSymmetry:
             raise SymmetryError("tensor dimension %d exceeds the cap" % dim)
 
     def upsilon(self, n: int, cap: Optional[int] = None) -> Subspace:
-        """Intersection of the images of (T_i - q) on V^(x)n."""
+        """Intersection of the images of (T_i - q) on V^(x)n.
+
+        upsilon(2) is Im(R - q); for n >= 3 the slot-local form of T_i gives
+        upsilon(n) = (upsilon(n-1) (x) V) cap (V^(x)(n-2) (x) upsilon(2)).
+        """
         if n < 0:
             raise ValueError("degree must be nonnegative")
         got = self._upsilon.get(n)
         if got is not None:
             return got
         self._bound(n, cap)
-        N = self.N
-        if n == 0:
-            out = Subspace.full(1, self.field)
-        elif n == 1:
-            out = Subspace.full(N, self.field)
+        if n <= 1:
+            out = Subspace.full(self.N ** n, self.field)
+        elif n == 2:
+            out = (self.R - MatrixF.identity(self.N ** 2, self.field).scale(self.q)).image()
         else:
-            out = None
-            for i in range(1, n):
-                M = self.generator_matrix(i, n) - MatrixF.identity(N ** n, self.field).scale(self.q)
-                img = M.image()
-                out = img if out is None else out.intersect(img)
-                if out.is_zero():
-                    break
+            out = self._extend(self.upsilon(n - 1, cap), n)
         self._upsilon[n] = out
         return out
 
+    def _extend(self, prev: Subspace, n: int) -> Subspace:
+        """(prev (x) V) cap (V^(x)(n-2) (x) upsilon(2)) inside V^(x)n.
+
+        An element x = sum c_(j,k) b_j (x) e_k over the basis b_j of prev lies
+        in the second space iff a . x[w, :, :] = 0 for every prefix w of
+        length n-2 and every covector a annihilating upsilon(2); the c_(j,k)
+        solving these equations form a kernel with dim(prev) * N columns.
+        """
+        N, field = self.N, self.field
+        if prev.is_zero():
+            return Subspace.zero(N ** n, field)
+        zero = field.zero()
+        ann = self.upsilon(2).annihilator().basis  # cached: the recursion passed degree 2
+        width = prev.dim * N
+        rows = []
+        for w in range(N ** (n - 2)):
+            slices = [b[w * N : (w + 1) * N] for b in prev.basis]
+            if all(vec_is_zero(sl) for sl in slices):
+                continue
+            for a in ann:
+                row = [zero] * width
+                for j, sl in enumerate(slices):
+                    for s, x in enumerate(sl):
+                        if x.is_zero():
+                            continue
+                        for k in range(N):
+                            c = a[s * N + k]
+                            if not c.is_zero():
+                                row[j * N + k] = row[j * N + k] + c * x
+                if not vec_is_zero(row):
+                    rows.extend(row)
+        combos = MatrixF(len(rows) // width, width, rows, field).kernel()
+        vectors = []
+        for c in combos.basis:
+            x = [zero] * N ** n
+            for j, b in enumerate(prev.basis):
+                for m, y in enumerate(b):
+                    if y.is_zero():
+                        continue
+                    for k in range(N):
+                        cjk = c[j * N + k]
+                        if not cjk.is_zero():
+                            x[m * N + k] = x[m * N + k] + cjk * y
+            vectors.append(x)
+        return Subspace.from_vectors(vectors, N ** n, field)
+
+    def _transpose(self) -> "HeckeSymmetry":
+        """The symmetry R^t, cached and unvalidated (R^t satisfies whatever R does)."""
+        got = self._dual
+        if got is None:
+            got = self.dual(validate=False)
+            object.__setattr__(self, "_dual", got)
+        return got
+
     def ideal_component(self, n: int, cap: Optional[int] = None) -> Subspace:
-        """Sum of the kernels of (T_i - q) on V^(x)n (n >= 2)."""
+        """Sum of the kernels of (T_i - q) on V^(x)n (n >= 2).
+
+        Since (ker A)^perp = Im(A^t), this is the annihilator of upsilon(n) of
+        the transpose symmetry R^t.
+        """
         if n < 2:
             raise ValueError("ideal components start at degree 2")
-        got = self._ideal.get(n)
-        if got is not None:
-            return got
-        self._bound(n, cap)
-        N = self.N
-        out = Subspace.zero(N ** n, self.field)
-        for i in range(1, n):
-            M = self.generator_matrix(i, n) - MatrixF.identity(N ** n, self.field).scale(self.q)
-            out = out.sum(M.kernel())
-        self._ideal[n] = out
-        return out
+        return self._transpose().upsilon(n, cap).annihilator()
 
     def lambda_dim(self, n: int) -> int:
-        """dim of degree n of the quotient by the q-eigenspace relations."""
-        if n == 0:
-            return 1
-        if n == 1:
-            return self.N
-        return self.N ** n - self.ideal_component(n).dim
+        """dim of degree n of the quotient by the q-eigenspace relations.
+
+        The relations span ideal_component(n), whose codimension is the
+        dimension of upsilon(n) of the transpose symmetry R^t.
+        """
+        return self._transpose().upsilon(n).dim
 
     # -- star product
 
@@ -334,9 +391,9 @@ class HeckeSymmetry:
 
     # -- derived symmetries
 
-    def dual(self) -> "HeckeSymmetry":
+    def dual(self, validate: bool = True) -> "HeckeSymmetry":
         """The transpose, a Hecke symmetry on the dual space."""
-        return HeckeSymmetry(self.N, self.q, self.R.transpose(), name=self.name + ".dual")
+        return HeckeSymmetry(self.N, self.q, self.R.transpose(), name=self.name + ".dual", validate=validate)
 
     def opposite(self) -> "HeckeSymmetry":
         """Conjugate by the flip of tensorands."""
@@ -399,14 +456,21 @@ class HeckeSymmetry:
 # built-in catalog
 
 
+def _check_catalog_dim(N: int):
+    if N < 1:
+        raise SymmetryError("dimension must be >= 1")
+    if N * N > TENSOR_DIM_CAP:
+        raise SymmetryError("dimension %d exceeds the cap: N^2 must be at most %d" % (N, TENSOR_DIM_CAP))
+
+
 def dj_standard(N: int, field: FieldSpec = GENERIC_Q) -> HeckeSymmetry:
     """The standard one-parameter deformation of the flip on k^N.
 
     e_i (x) e_i maps to q e_i (x) e_i; for i < j, e_i (x) e_j maps to
     q e_j (x) e_i + (q-1) e_i (x) e_j and e_j (x) e_i to e_i (x) e_j.
+    Needs 1 <= N and N^2 <= TENSOR_DIM_CAP, checked before any allocation.
     """
-    if N < 1:
-        raise SymmetryError("dimension must be >= 1")
+    _check_catalog_dim(N)
     q = field.q()
     zero = field.zero()
     dim = N * N
@@ -429,7 +493,11 @@ def dj_standard(N: int, field: FieldSpec = GENERIC_Q) -> HeckeSymmetry:
 
 
 def flip(N: int) -> HeckeSymmetry:
-    """The plain flip of tensorands, an involutive symmetry with q = 1."""
+    """The plain flip of tensorands, an involutive symmetry with q = 1.
+
+    Needs 1 <= N and N^2 <= TENSOR_DIM_CAP, checked before any allocation.
+    """
+    _check_catalog_dim(N)
     field = FieldSpec("rational", qval=(Fraction(1),))
     zero, one = field.zero(), field.one()
     dim = N * N

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from heckesym.cli import main
 
 
@@ -78,6 +80,31 @@ def test_analyze_no_top_component(capsys):
     code, doc = run_cli(capsys, "analyze", "--builtin", "dj", "--dim", "2", "--max-degree", "1")
     assert code == 0
     assert any(c["status"] == "skip" and c["name"] == "profile" for c in doc["checks"])
+
+
+def test_analyze_over_cap_exits_2(capsys):
+    # dj(4) has its top component in degree 4; upsilon(5) exceeds the tensor cap
+    code = main(["analyze", "--builtin", "dj", "--dim", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--builtin", "dj", "--dim", "0"],
+        ["verify", "--builtin", "dj", "--field", "cyclotomic", "--order", "0"],
+        ["analyze", "--builtin", "dj", "--dim", "2", "--max-degree", "0"],
+    ],
+)
+def test_zero_counts_are_rejected(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s must be at least 1" % argv[-2])
 
 
 def test_builtin_roundtrip(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field
-from heckesym.exprio import ExprError, format_scalar, parse_scalar
+from heckesym.exprio import MAX_EXPONENT, ExprError, format_scalar, parse_scalar
 
 F = GENERIC_Q
 
@@ -55,6 +55,14 @@ def test_errors_carry_positions():
         parse_scalar("1/0", F)
     with pytest.raises(ExprError):
         parse_scalar("zz", F)
+
+
+def test_exponent_bound():
+    # only a value just above the bound: an extreme one would be evaluated at the parent
+    text = "q^%d" % (MAX_EXPONENT + 1)
+    with pytest.raises(ExprError) as exc:
+        parse_scalar(text, F)
+    assert exc.value.pos == 2
 
 
 def _random_scalar(field, rng):

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from heckesym.exactnum import GENERIC_Q, cyclotomic_field
+from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
 from heckesym.linalg import MatrixF, Subspace, vec_scale
 from heckesym.permgroup import Composition, enumerate_perms, longest_rho
 from heckesym.symmetry import (
+    TENSOR_DIM_CAP,
     HeckeSymmetry,
     SymmetryError,
     check_braid,
@@ -268,10 +269,92 @@ def test_json_errors():
         HeckeSymmetry.from_json_dict(doc)
 
 
+# -- dense reference for the graded subspaces, on full N^n x N^n matrices
+
+
+def dense_upsilon(sym, n):
+    """Intersection of the images of (T_i - q) on V^(x)n, n >= 2."""
+    shift = MatrixF.identity(sym.N ** n, sym.field).scale(sym.q)
+    out = None
+    for i in range(1, n):
+        img = (sym.generator_matrix(i, n) - shift).image()
+        out = img if out is None else out.intersect(img)
+    return out
+
+
+def dense_ideal(sym, n):
+    """Sum of the kernels of (T_i - q) on V^(x)n, n >= 2."""
+    shift = MatrixF.identity(sym.N ** n, sym.field).scale(sym.q)
+    out = Subspace.zero(sym.N ** n, sym.field)
+    for i in range(1, n):
+        out = out.sum((sym.generator_matrix(i, n) - shift).kernel())
+    return out
+
+
+def _rational_q(value):
+    base = FieldSpec("rational")
+    return base.with_q(base.scalar(value))
+
+
+def _unimodular(rng, N, field):
+    """A dense N x N matrix with entries in {-2, -1, 1, 2} and det +-1."""
+    while True:
+        rows = [[field.scalar(rng.choice((-2, -1, 1, 2))) for _ in range(N)] for _ in range(N)]
+        tau = MatrixF.from_rows(rows, field)
+        if tau.det() in (field.one(), -field.one()):
+            return tau
+
+
+def _conjugate(N, field, seed):
+    sym = dj_standard(N, field)
+    return sym.conjugate(_unimodular(random.Random(seed), N, field))
+
+
+AGREEMENT_CASES = {
+    "dj2": lambda: dj_standard(2),
+    "dj3": lambda: dj_standard(3),
+    "dj4": lambda: dj_standard(4),
+    "flip2": lambda: flip(2),
+    "flip3": lambda: flip(3),
+    "dj3-q=-1": lambda: dj_standard(3, _rational_q(-1)),
+    "dj3-q=2": lambda: dj_standard(3, _rational_q(2)),
+    "dj3-cyc3": lambda: dj_standard(3, cyclotomic_field(3, q_power=1)),
+    "dj3-cyc4": lambda: dj_standard(3, cyclotomic_field(4, q_power=1)),
+    "dj2-conj-generic": lambda: _conjugate(2, GENERIC_Q, 11),
+    "dj2-conj-cyc3": lambda: _conjugate(2, cyclotomic_field(3, q_power=1), 12),
+    "dj3-conj-q=2": lambda: _conjugate(3, _rational_q(2), 13),
+    "dj3-conj-cyc3": lambda: _conjugate(3, cyclotomic_field(3, q_power=1), 14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_graded_subspaces_match_dense_reference(case):
+    # degrees 2..N+1 reach the top component of each case and the first zero past it
+    sym = AGREEMENT_CASES[case]()
+    for n in range(2, sym.N + 2):
+        if sym.N ** n > TENSOR_DIM_CAP:
+            break
+        ideal = dense_ideal(sym, n)
+        assert sym.upsilon(n) == dense_upsilon(sym, n), (case, n)
+        assert sym.ideal_component(n) == ideal, (case, n)
+        assert sym.lambda_dim(n) == sym.N ** n - ideal.dim, (case, n)
+
+
 def test_dimension_caps():
     sym = dj_standard(2)
     with pytest.raises(SymmetryError):
         sym.upsilon(9)
+
+
+def test_catalog_size_checked_before_allocation():
+    # N^2 > TENSOR_DIM_CAP is refused before the N^4 operator is built
+    for build in (dj_standard, flip):
+        with pytest.raises(SymmetryError):
+            build(17)
+        with pytest.raises(SymmetryError):
+            build(10 ** 9)
+        with pytest.raises(SymmetryError):
+            build(0)
 
 
 def test_root_of_unity_construction():
