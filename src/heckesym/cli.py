@@ -41,7 +41,6 @@ from .obstruction import verify_case1, verify_case2, verify_case3, verify_case4
 from .regular3 import (
     SklParameters,
     conjugacy_report,
-    generators_permute_inflections,
     is_regular,
     is_type_A,
     skl_relations,
@@ -70,9 +69,11 @@ def _at_least_one(value: Optional[int], flag: str, default: int) -> int:
 
 
 def _field_from_args(args) -> FieldSpec:
-    kind = getattr(args, "field", "ratfunc") or "ratfunc"
-    order = _at_least_one(getattr(args, "order", None), "--order", 1)
-    qexpr = getattr(args, "q", None)
+    kind = args.field or "ratfunc"
+    if kind == "rational" and args.order is not None:
+        raise InputError("--order does not apply to --field rational")
+    order = _at_least_one(args.order, "--order", 1)
+    qexpr = args.q
     if kind == "ratfunc":
         if qexpr not in (None, "q"):
             raise InputError("q is the formal variable of the generic field")
@@ -98,8 +99,11 @@ def _load_symmetry(args, validate: bool) -> tuple:
     """Returns (symmetry, digest, source) from --builtin or a JSON path."""
     if getattr(args, "input", None) and getattr(args, "builtin", None):
         raise InputError("give either an input file or --builtin, not both")
+    field_flags = [flag for flag in ("field", "order", "q") if getattr(args, flag) is not None]
     if getattr(args, "builtin", None):
         name = args.builtin
+        if name == "flip" and field_flags:
+            raise InputError("--%s does not apply to --builtin flip" % field_flags[0])
         dim = _at_least_one(args.dim, "--dim", 3 if name == "dj" else 2)
         if name == "dj":
             field = _field_from_args(args)
@@ -119,6 +123,10 @@ def _load_symmetry(args, validate: bool) -> tuple:
         return sym, digest, src
     if not getattr(args, "input", None):
         raise InputError("need an input file or --builtin NAME")
+    if args.dim is not None:
+        raise InputError("--dim does not apply to an input file")
+    if field_flags:
+        raise InputError("--%s does not apply to an input file, which names its own field" % field_flags[0])
     try:
         raw = open(args.input, "rb").read()
     except OSError as exc:
@@ -234,11 +242,6 @@ def cmd_identities(args) -> int:
 
 def cmd_hessian(args) -> int:
     report, data = conjugacy_report()
-    report.record(
-        "inflections-permuted",
-        "each generator permutes the nine base points of the pencil",
-        generators_permute_inflections(),
-    )
     digest = hashlib.sha256(b"hessian").hexdigest()
     payload, code = _wrap(args, digest, report, data if args.report else {"group_order": data["group_order"]})
     _emit(args, payload)
@@ -359,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", help="operator JSON document")
         p.add_argument("--builtin", choices=("dj", "flip"), help="use a built-in operator")
         p.add_argument("--dim", type=int, help="dimension for the built-in")
-        p.add_argument("--field", choices=("ratfunc", "rational", "cyclotomic"), default="ratfunc")
-        p.add_argument("--order", type=int, default=1, help="cyclotomic order of the coefficients")
+        p.add_argument("--field", choices=("ratfunc", "rational", "cyclotomic"), help="coefficient field of the built-in (default ratfunc)")
+        p.add_argument("--order", type=int, help="cyclotomic order of the coefficients (default 1)")
         p.add_argument("--q", help="value bound to q in non-generic fields (expression)")
         p.add_argument("--pretty", action="store_true", help="indented output")
         p.add_argument("--timings", action="store_true", help="append wall-clock fields")
@@ -416,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # no reference to the parser outlives parsing, so the young-generation
+    # collector frees its reference cycles before the report runs
+    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
         code = args.handler(args)

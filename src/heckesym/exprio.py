@@ -10,7 +10,12 @@ Grammar (whitespace insignificant):
 `q` is the field parameter (formal in ratfunc_q fields, otherwise the bound
 value) and `e` is the primitive root of unity of the field's declared
 cyclotomic order.  Exponents are nonnegative integer literals of at most
-MAX_EXPONENT, so that a short input cannot ask for an enormous power.
+MAX_EXPONENT, so that a short input cannot ask for an enormous power.  The
+size of the power is bounded too, before it is computed, so that nested
+powers such as (2^1000)^1000 cannot multiply it up: the degree in q of
+x^k may not exceed MAX_EXPONENT, and its coefficients, estimated at
+k (b + log2 m) bits for a base with m nonzero coefficients of at most b bits
+each, may not exceed MAX_POWER_BITS.
 
 format_scalar emits strings inside the same grammar, so every scalar
 round-trips through parse_scalar exactly.
@@ -23,9 +28,10 @@ from typing import List, Tuple
 
 from .exactnum import FieldSpec, Scalar
 
-__all__ = ["parse_scalar", "format_scalar", "ExprError", "MAX_EXPONENT"]
+__all__ = ["parse_scalar", "format_scalar", "ExprError", "MAX_EXPONENT", "MAX_POWER_BITS"]
 
 MAX_EXPONENT = 1000
+MAX_POWER_BITS = 1 << 16
 
 
 class ExprError(ValueError):
@@ -65,6 +71,20 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
         raise ExprError("unexpected character %r" % ch, i)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _check_power_size(value: Scalar, k: int, pos: int) -> None:
+    """Refuses value^k when its degree or estimated coefficient size is over the bounds."""
+    entries = [c for poly in (value.num, value.den) for vec in poly for c in vec if c]
+    if not entries or not k:
+        return
+    degree = k * (max(len(value.num), len(value.den)) - 1)
+    if degree > MAX_EXPONENT:
+        raise ExprError("power of degree %d in q exceeds %d" % (degree, MAX_EXPONENT), pos)
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in entries)
+    estimate = k * (bits + len(entries).bit_length())
+    if estimate > MAX_POWER_BITS:
+        raise ExprError("power with about %d-bit coefficients exceeds %d bits" % (estimate, MAX_POWER_BITS), pos)
 
 
 class _Parser:
@@ -114,6 +134,7 @@ class _Parser:
             tok = self.take("int")
             if tok[1] > MAX_EXPONENT:
                 raise ExprError("exponent %d exceeds %d" % (tok[1], MAX_EXPONENT), tok[2])
+            _check_power_size(value, tok[1], tok[2])
             value = value ** tok[1]
         return value
 

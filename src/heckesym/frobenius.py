@@ -27,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
-from .heckealg import HeckeElement, antisymmetrizer, partial_y, shift_element
+from .heckealg import antisymmetrizer, coset_y, shift_element
 from .linalg import MatrixF, Subspace, vec_is_zero, vec_scale, vec_sub
-from .permgroup import Composition, cycle, longest_rho
+from .permgroup import cycle, longest_rho
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, kron_vec
 
@@ -111,7 +111,7 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
             "dim upsilon(%d) = %d != %d = dim upsilon(%d)" % (k, len(left), len(right), n - k)
         )
     piv = _pivot(t)
-    y = _coset_y_element(n, k, sym.field)
+    y = coset_y(n, k, n - k, sym.field)
     rows = []
     for u in left:
         row = []
@@ -123,14 +123,6 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
     if B.det().is_zero():
         raise DegeneratePairing("beta_%d is singular" % k)
     return B
-
-
-def _coset_y_element(n: int, k: int, field: FieldSpec) -> HeckeElement:
-    if k in (0, n):
-        from .heckealg import unit
-
-        return unit(n, field)
-    return partial_y(n, Composition((k, n - k)), "left", field)
 
 
 def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
@@ -445,7 +437,7 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             witness,
         )
         # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k)
-        y_shift = shift_element(_coset_y_element(n, n - k, field), k)
+        y_shift = shift_element(coset_y(n, n - k, k, field), k)
         sign = -1 if (k * n - k) % 2 else 1
         coeff = field.scalar(sign) * q ** (-(k * (k + 1) // 2))
         rho_inv_word = rho.inverse().reduced_word()

@@ -11,9 +11,14 @@ are not all equal; elliptic type A additionally needs abc != 0 and
 = sum t_i x_i spans the intersection of the two shifts of the relation
 space, and its symmetric image is 3(a+b) x1 x2 x3 + c (x1^3+x2^3+x3^3).
 
-The Hessian group is realized over Q(zeta_3) as the projective closure of
-five explicit transformations; the closure order 216 and the subgroup and
-conjugacy facts are asserted at runtime rather than assumed.
+The Hessian group is generated over Q(zeta_3) by five explicit projective
+transformations.  It acts faithfully on the nine inflection points of the
+pencil, as ASL(2,3) on the affine plane over F_3 (Artebani-Dolgachev, "The
+Hesse pencil of plane cubic curves", 2009), so the closure, element orders,
+subgroups and conjugacy classes are computed on permutations of the nine
+points; 3x3 matrices are multiplied only for the elements that are returned
+or printed.  The closure order 216 and the subgroup and conjugacy facts are
+asserted at runtime rather than assumed.
 """
 
 from __future__ import annotations
@@ -284,58 +289,155 @@ def hessian_generators(field: Optional[FieldSpec] = None) -> Dict[str, Projectiv
     return {name: ProjectiveElement(M) for name, M in gens.items()}
 
 
-def _closure(generators: Sequence[ProjectiveElement], bound: int) -> List[ProjectiveElement]:
-    seen = {g: None for g in generators}
-    ident = None
-    for g in generators:
-        ident = ProjectiveElement(MatrixF.identity(3, g.matrix.domain))
-        break
-    if ident is not None:
-        seen.setdefault(ident, None)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in generators:
-                prod = g * h
-                if prod not in seen:
-                    seen[prod] = None
-                    new.append(prod)
-        frontier = new
-        if len(seen) > bound:
-            raise RuntimeError("closure exceeded the expected bound %d" % bound)
-    return list(seen)
+# -- the action on the nine inflection points
+#
+# The nine points contain four in general position, e.g. (0:1:-1), (1:0:-1),
+# (0:1:-eps) and (1:0:-eps^2), and the only projective transformation fixing
+# four points in general position is the identity.  So an element of the
+# group is determined by the permutation it induces on the nine points, and
+# g * h acts as g after h.  Closure, orders, subgroups and classes run on
+# these permutations, in the same discovery order as on the matrices; a
+# matrix is built only for an element that is returned or printed.
+
+_Perm9 = Tuple[int, ...]
+_IDENTITY9: _Perm9 = tuple(range(9))
 
 
-def hessian_group(field: Optional[FieldSpec] = None) -> List[ProjectiveElement]:
-    """Closure of the five generators; fails loudly unless the order is 216."""
-    gens = hessian_generators(field)
-    group = _closure(list(gens.values()), 216)
-    if len(group) != 216:
+def _compose(g: _Perm9, h: _Perm9) -> _Perm9:
+    """g * h, acting as g after h."""
+    return tuple([g[k] for k in h])
+
+
+def _perm_inverse(g: _Perm9) -> _Perm9:
+    out = [0] * len(g)
+    for j, k in enumerate(g):
+        out[k] = j
+    return tuple(out)
+
+
+def _perm_order(g: _Perm9) -> int:
+    acc, k = g, 1
+    while acc != _IDENTITY9:
+        acc, k = _compose(acc, g), k + 1
+    return k
+
+
+class _PointAction:
+    """Generators over one field, as matrices and as permutations of the nine points."""
+
+    def __init__(self, field: FieldSpec):
+        self.points = inflection_points(field)
+        self.where = {p: j for j, p in enumerate(self.points)}
+        self.generators = hessian_generators(field)
+        self.perms = {name: self.perm(g) for name, g in self.generators.items()}
+
+    def perm(self, g: ProjectiveElement) -> Optional[_Perm9]:
+        """Image indices of the points under g, or None if g does not permute them."""
+        out = []
+        for p in self.points:
+            j = self.where.get(transform_point(g, p))
+            if j is None:
+                return None
+            out.append(j)
+        return tuple(out)
+
+    def permuted(self) -> bool:
+        return all(p is not None for p in self.perms.values())
+
+    def closure(self, names: Sequence[str], bound: int) -> "_Closure":
+        if not self.permuted():
+            raise RuntimeError("a generator does not permute the nine inflection points")
+        return _Closure([self.perms[n] for n in names], [self.generators[n].matrix for n in names], bound)
+
+
+class _Closure:
+    """Breadth-first closure of permutations under right multiplication by the generators.
+
+    parent[e] is (index of g, generator index h) for e found as g * h, (-1, h)
+    for the generator h itself and None for the identity.
+    """
+
+    def __init__(self, gens: List[_Perm9], matrices: List[MatrixF], bound: int):
+        self.matrices = matrices
+        self.index: Dict[_Perm9, int] = {}
+        self.parent: List[Optional[Tuple[int, int]]] = []
+        for h, g in enumerate(gens):
+            self._add(g, (-1, h))
+        if gens:
+            self._add(_IDENTITY9, None)
+        frontier = list(self.index)
+        while frontier:
+            new = []
+            for g in frontier:
+                gi = self.index[g]
+                for h, hp in enumerate(gens):
+                    prod = _compose(g, hp)
+                    if self._add(prod, (gi, h)):
+                        new.append(prod)
+            frontier = new
+            if len(self.index) > bound:
+                raise RuntimeError("closure exceeded the expected bound %d" % bound)
+        self.elements = list(self.index)
+        self._unnormalized: Dict[int, MatrixF] = {}
+
+    def _add(self, g: _Perm9, parent) -> bool:
+        if g in self.index:
+            return False
+        self.index[g] = len(self.parent)
+        self.parent.append(parent)
+        return True
+
+    def _matrix(self, i: int) -> MatrixF:
+        """Product of generator matrices along the parent pointers, not normalized."""
+        got = self._unnormalized.get(i)
+        if got is None:
+            link = self.parent[i]
+            if link is None:
+                got = MatrixF.identity(3, self.matrices[0].domain)
+            elif link[0] < 0:
+                got = self.matrices[link[1]]
+            else:
+                got = self._matrix(link[0]) * self.matrices[link[1]]
+            self._unnormalized[i] = got
+        return got
+
+    def projective(self, g: _Perm9) -> ProjectiveElement:
+        return ProjectiveElement(self._matrix(self.index[g]))
+
+    def projective_elements(self) -> List[ProjectiveElement]:
+        return [self.projective(g) for g in self.elements]
+
+
+_ALL_GENERATORS = ("cycle", "diag", "scale1", "swap", "fourier")
+
+
+def _hessian_closure(action: _PointAction) -> _Closure:
+    group = action.closure(_ALL_GENERATORS, 216)
+    if len(group.elements) != 216:
         raise RuntimeError(
             "generator closure has order %d, not 216; the generating set "
             "assumption is violated (fallback: add a transformation permuting "
-            "the nine inflection points found by search)" % len(group)
+            "the nine inflection points found by search)" % len(group.elements)
         )
     return group
 
 
+def hessian_group(field: Optional[FieldSpec] = None) -> List[ProjectiveElement]:
+    """Closure of the five generators; fails loudly unless the order is 216."""
+    return _hessian_closure(_PointAction(field or hessian_field())).projective_elements()
+
+
 def translation_subgroup(field: Optional[FieldSpec] = None) -> List[ProjectiveElement]:
-    gens = hessian_generators(field)
-    return _closure([gens["cycle"], gens["diag"]], 9)
+    return _PointAction(field or hessian_field()).closure(("cycle", "diag"), 9).projective_elements()
 
 
 def center_extension(field: Optional[FieldSpec] = None) -> List[ProjectiveElement]:
-    gens = hessian_generators(field)
-    return _closure([gens["cycle"], gens["diag"], gens["swap"]], 18)
+    return _PointAction(field or hessian_field()).closure(("cycle", "diag", "swap"), 18).projective_elements()
 
 
-def conjugacy_classes(group: List[ProjectiveElement], generators: Optional[Sequence[ProjectiveElement]] = None) -> List[List[ProjectiveElement]]:
-    """Partition into conjugacy classes (orbits under generator conjugation)."""
-    if generators is None:
-        field = group[0].matrix.domain if group else hessian_field()
-        generators = list(hessian_generators(field).values())
-    gen_pairs = [(g, g.inverse()) for g in generators]
+def _perm_classes(group: Sequence[_Perm9], generators: Sequence[_Perm9]) -> List[List[_Perm9]]:
+    """Orbits under generator conjugation, sorted by (element order, size)."""
+    gen_pairs = [(h, _perm_inverse(h)) for h in generators]
     unassigned = dict.fromkeys(group)
     classes = []
     while unassigned:
@@ -345,39 +447,61 @@ def conjugacy_classes(group: List[ProjectiveElement], generators: Optional[Seque
         while stack:
             g = stack.pop()
             for h, hinv in gen_pairs:
-                cand = h * g * hinv
+                cand = _compose(_compose(h, g), hinv)
                 if cand not in orbit:
                     orbit[cand] = None
                     stack.append(cand)
         for g in orbit:
             unassigned.pop(g, None)
         classes.append(list(orbit))
-    classes.sort(key=lambda cls: (cls[0].order(), len(cls)))
+    classes.sort(key=lambda cls: (_perm_order(cls[0]), len(cls)))
     return classes
+
+
+def conjugacy_classes(group: List[ProjectiveElement], generators: Optional[Sequence[ProjectiveElement]] = None) -> List[List[ProjectiveElement]]:
+    """Partition into conjugacy classes (orbits under generator conjugation).
+
+    The group and the generators must permute the nine inflection points,
+    and the group must be closed under conjugation by the generators.
+    """
+    action = _PointAction(group[0].matrix.domain if group else hessian_field())
+    if generators is None:
+        generators = list(action.generators.values())
+    members = [action.perm(g) for g in group]
+    gen_perms = [action.perm(h) for h in generators]
+    if None in members or None in gen_perms:
+        raise ValueError("every element must permute the nine inflection points")
+    by_perm: Dict[_Perm9, ProjectiveElement] = {}
+    for p, g in zip(members, group):
+        by_perm.setdefault(p, g)
+    classes = _perm_classes(members, gen_perms)
+    if sum(len(cls) for cls in classes) != len(by_perm):
+        raise ValueError("the group is not closed under conjugation by the generators")
+    return [[by_perm[p] for p in cls] for cls in classes]
 
 
 def conjugacy_report(field: Optional[FieldSpec] = None) -> Tuple[CheckReport, dict]:
     """Class structure of the Hessian group, with the facts asserted."""
     field = field or hessian_field()
     report = CheckReport("hessian-group")
-    group = hessian_group(field)
-    T = translation_subgroup(field)
-    Z = center_extension(field)
+    action = _PointAction(field)
+    closure = _hessian_closure(action)
+    group = closure.elements
+    T = action.closure(("cycle", "diag"), 9).elements
+    Z = action.closure(("cycle", "diag", "swap"), 18).elements
     report.record("order", "|G| = 216", len(group) == 216, "got %d" % len(group))
     report.record("translations", "|T| = 9", len(T) == 9, "got %d" % len(T))
     report.record("center-extension", "|Z| = 18", len(Z) == 18, "got %d" % len(Z))
     report.record("quotient", "|G/Z| = 12", len(group) // len(Z) == 12 and len(group) % len(Z) == 0)
+    gens = list(action.perms.values())
     t_set = set(T)
-    normal = all((g * t * g.inverse()) in t_set for g in hessian_generators(field).values() for t in T)
+    normal = all(_compose(_compose(g, t), _perm_inverse(g)) in t_set for g in gens for t in T)
     report.record("translations-normal", "T normal in G, |G/T| = 24", normal and len(group) // len(T) == 24)
 
-    gens = list(hessian_generators(field).values())
-    classes = conjugacy_classes(group, gens)
-    orders = {}
-    for g in group:
-        orders[g] = g.order()
+    classes = _perm_classes(group, gens)
+    orders = {g: _perm_order(g) for g in group}
     census: Dict[int, int] = {}
-    for g, o in orders.items():
+    for o in orders.values():
         census[o] = census.get(o, 0) + 1
 
     def classes_of_order(k):
@@ -397,7 +521,7 @@ def conjugacy_report(field: Optional[FieldSpec] = None) -> Tuple[CheckReport, di
         len(four_classes) == 1 and len(four_classes[0]) == census.get(4, 0),
         "classes: %s" % [len(c) for c in four_classes],
     )
-    nonident_T = [t for t in T if not t.is_identity()]
+    nonident_T = [t for t in T if t != _IDENTITY9]
     in_one = None
     for cls in classes:
         if nonident_T[0] in set(cls):
@@ -415,6 +539,11 @@ def conjugacy_report(field: Optional[FieldSpec] = None) -> Tuple[CheckReport, di
         all(o in allowed for o in census),
         "census %s" % census,
     )
+    report.record(
+        "inflections-permuted",
+        "each generator permutes the nine base points of the pencil",
+        action.permuted(),
+    )
     data = {
         "group_order": len(group),
         "translation_order": len(T),
@@ -425,7 +554,7 @@ def conjugacy_report(field: Optional[FieldSpec] = None) -> Tuple[CheckReport, di
             {
                 "size": len(cls),
                 "element_order": orders[cls[0]],
-                "representative": cls[0].to_rows(),
+                "representative": closure.projective(cls[0]).to_rows(),
             }
             for cls in classes
         ],
@@ -576,9 +705,4 @@ def transform_point(g: ProjectiveElement, p: tuple) -> tuple:
 
 
 def generators_permute_inflections(field: Optional[FieldSpec] = None) -> bool:
-    field = field or hessian_field()
-    pts = set(inflection_points(field))
-    for g in hessian_generators(field).values():
-        if {transform_point(g, p) for p in pts} != pts:
-            return False
-    return True
+    return _PointAction(field or hessian_field()).permuted()

@@ -33,7 +33,7 @@ class CheckReport:
     checks: List[Check] = field(default_factory=list)
 
     def record(self, name: str, rule: str, ok: bool, detail: str = "") -> Check:
-        check = Check(name, rule, PASS if ok else FAIL, detail if not ok else detail)
+        check = Check(name, rule, PASS if ok else FAIL, detail)
         self.checks.append(check)
         return check
 

@@ -36,9 +36,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar
 from .exprio import format_scalar, parse_scalar
-from .heckealg import HeckeElement, partial_y
+from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Subspace, vec_is_zero
-from .permgroup import Composition, Perm, identity, transposition
+from .permgroup import Perm, transposition
 
 __all__ = [
     "HeckeSymmetry",
@@ -214,8 +214,8 @@ class HeckeSymmetry:
             raise ValueError("mixed fields")
         zero = self.field.zero()
         out = [zero] * len(vec)
-        for p, c in h.terms.items():
-            piece = self.apply_perm_word(p.reduced_word(), n, vec)
+        for _p, word, c in h.field_terms():
+            piece = self.apply_perm_word(word, n, vec)
             for k, y in enumerate(piece):
                 if not y.is_zero():
                     out[k] = out[k] + c * y
@@ -264,7 +264,7 @@ class HeckeSymmetry:
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
         out = MatrixF.zeros(dim, dim, self.field)
-        for p, c in h.terms.items():
+        for p, _word, c in h.field_terms():
             padded = Perm(p.word + tuple(range(p.degree + 1, n + 1)))
             out = out + self.perm_matrix(padded, n).scale(c)
         return out
@@ -383,8 +383,7 @@ class HeckeSymmetry:
         ab = kron_vec(a, b, self.field)
         if k == 0 or l == 0:
             return ab
-        y = partial_y(k + l, Composition((k, l)), "left", self.field)
-        out = self.apply_hecke(y, k + l, ab)
+        out = self.apply_hecke(coset_y(k + l, k, l, self.field), k + l, ab)
         if check_membership and not self.upsilon(k + l).contains(out):
             raise ValueError("star product left upsilon(%d)" % (k + l))
         return out

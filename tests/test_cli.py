@@ -191,3 +191,42 @@ def test_pretty_flag(capsys):
     code = main(["verify", "--builtin", "dj", "--dim", "2", "--pretty"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("{\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--builtin", "flip", "--dim", "2", "--order", "0"], "--order"),
+        (["verify", "--builtin", "flip", "--field", "rational"], "--field"),
+        (["analyze", "--builtin", "flip", "--q", "2"], "--q"),
+        (["verify", "--builtin", "dj", "--field", "rational", "--order", "3"], "--order"),
+    ],
+)
+def test_flags_that_do_not_apply_are_rejected(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s does not apply" % flag)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra, flag", [(["--dim", "3"], "--dim"), (["--field", "rational"], "--field"), (["--order", "1"], "--order")])
+def test_input_file_rejects_builtin_flags(tmp_path, capsys, extra, flag):
+    code, doc = run_cli(capsys, "builtin", "--builtin", "dj", "--dim", "2")
+    assert code == 0
+    path = tmp_path / "dj2.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s does not apply to an input file" % flag)
+
+
+def test_nested_power_in_q_exits_2(capsys):
+    code = main(["verify", "--builtin", "dj", "--field", "rational", "--q", "(2^1000)^1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --q expression: power with about")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field
+from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field
 from heckesym.exprio import MAX_EXPONENT, ExprError, format_scalar, parse_scalar
 
 F = GENERIC_Q
@@ -87,3 +87,29 @@ def test_roundtrip(field):
         assert parse_scalar(format_scalar(x), field) == x
     assert parse_scalar(format_scalar(field.zero()), field).is_zero()
     assert parse_scalar(format_scalar(field.one()), field).is_one()
+
+
+def test_nested_power_refused_before_evaluation(monkeypatch):
+    calls = []
+    pow_ = Scalar.__pow__
+
+    def spy(self, k):
+        calls.append(k)
+        return pow_(self, k)
+
+    monkeypatch.setattr(Scalar, "__pow__", spy)
+    with pytest.raises(ExprError) as exc:
+        parse_scalar("(2^1000)^1000", F)
+    assert exc.value.pos == 9
+    assert calls == [1000]  # only the inner power ran
+
+
+@pytest.mark.parametrize("text", ["(q^2)^501", "(q^1000)^2", "((2^100)^100)^100", "(3^1000)^100"])
+def test_power_size_bound(text):
+    with pytest.raises(ExprError):
+        parse_scalar(text, F)
+
+
+@pytest.mark.parametrize("text", ["q^1000", "(1+q)^50", "(q^2)^500", "1000^1000", "((2^10)^10)^10"])
+def test_powers_within_the_bound(text):
+    parse_scalar(text, F)

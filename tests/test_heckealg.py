@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from heckesym.exactnum import GENERIC_Q, cyclotomic_field, qfact
 from heckesym.heckealg import (
+    HeckeElement,
     antisymmetrizer,
     basis_element,
     embed,
@@ -159,3 +164,114 @@ def test_identity_suite_small():
 def test_identity_suite_at_root_of_unity():
     report = verify_identities(3, cyclotomic_field(3, q_power=1))
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# reference: the generator-rule product on Perm keys with field scalars,
+# as HeckeElement computed it before the integer tables
+
+
+def _oracle_gen_mul(terms, i, n, field):
+    q = field.q()
+    tau = transposition(i, n)
+    out = {}
+
+    def bump(p, c):
+        out[p] = out[p] + c if p in out else c
+
+    for p, c in terms.items():
+        tp = tau * p
+        if p.word.index(i) < p.word.index(i + 1):
+            bump(tp, c)
+        else:
+            bump(p, (q - 1) * c)
+            bump(tp, q * c)
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def _oracle_mul(a, b, n, field):
+    out = {}
+    for p, c in a.items():
+        piece = b
+        for i in reversed(p.reduced_word()):
+            piece = _oracle_gen_mul(piece, i, n, field)
+        for r, v in piece.items():
+            out[r] = out[r] + c * v if r in out else c * v
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def _random_zq(rng):
+    """A nonzero polynomial in Z[q] as a GENERIC_Q scalar."""
+    while True:
+        poly = sum((F.scalar(rng.randint(-3, 3)) * q ** k for k in range(rng.randint(1, 4))), F.zero())
+        if not poly.is_zero():
+            return poly
+
+
+def _at(field, poly):
+    """A Z[q] scalar of GENERIC_Q evaluated at field.q()."""
+    out = field.zero()
+    for vec in reversed(poly.num):
+        out = out * field.q() + field.scalar(vec[0])
+    return out
+
+
+ROOT3 = cyclotomic_field(3, q_power=1)
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_product_matches_generator_rule_oracle(field):
+    rng = random.Random(2024)
+    for n in range(1, 6):
+        perms = list(enumerate_perms(n))
+        for _ in range(4):
+            raw = []
+            for size in (rng.randint(1, 4), rng.randint(1, 4)):
+                raw.append({p: _random_zq(rng) for p in rng.sample(perms, min(size, len(perms)))})
+            a, b = (HeckeElement(n, field, r) for r in raw)
+            want = _oracle_mul(*({p: _at(field, c) for p, c in r.items()} for r in raw), n, field)
+            got = {p: c for p, _word, c in (a * b).field_terms()}
+            assert got == want
+            for p in perms:
+                assert (a * b).coefficient(p) == want.get(p, field.zero())
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_antisymmetrizer_square_matches_oracle(field):
+    for n in (3, 4):
+        y = antisymmetrizer(n, field)
+        terms = {p: c for p, _word, c in y.field_terms()}
+        assert {p: c for p, _w, c in (y * y).field_terms()} == _oracle_mul(terms, terms, n, field)
+
+
+def test_coefficients_must_lie_in_zq():
+    p = Perm((2, 1))
+    for bad in (Fraction(1, 2), F.scalar(Fraction(1, 3)), q.inverse(), (1 + q).inverse(), cyclotomic_field(3).e(), "q"):
+        with pytest.raises(ValueError):
+            generator(1, 2).scale(bad)
+        with pytest.raises(ValueError):
+            HeckeElement(2, F, {p: bad})
+    assert generator(1, 2).scale(q * q - 2) == HeckeElement(2, F, {p: q * q - 2})
+    assert generator(1, 2, ROOT3).scale(ROOT3.scalar(3)) == generator(1, 2, ROOT3).scale(3)
+
+
+def test_equality_is_decided_in_the_field():
+    # [3]_q = 1 + q + q^2 is nonzero in Z[q] and vanishes at q = zeta_3
+    three = 1 + q + q * q
+    h = basis_element(Perm((2, 1, 3)), ROOT3).scale(three)
+    assert h.terms and h.is_zero() and h.support_size() == 0
+    assert h == unit(3, ROOT3).scale(0)
+    assert hash(h) == hash(unit(3, ROOT3).scale(0))
+    assert not basis_element(Perm((2, 1, 3))).scale(three).is_zero()
+    assert h.coefficient(Perm((2, 1, 3))).is_zero()
+
+
+def test_tables_are_built_on_first_use():
+    code = (
+        "import heckesym.cli, heckesym.heckealg as h\n"
+        "assert not h._DEGREES, sorted(h._DEGREES)\n"
+        "h.antisymmetrizer(3)\n"
+        "assert sorted(h._DEGREES) == [3], sorted(h._DEGREES)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -7,6 +7,8 @@ from heckesym.linalg import MatrixF
 from heckesym.multipoly import PolyRing
 from heckesym.regular3 import (
     ProjectiveElement,
+    _perm_order,
+    _PointAction,
     SklParameters,
     action_on_parameters,
     center_extension,
@@ -242,3 +244,90 @@ def test_inflection_points(group):
     pset = set(pts)
     for g in group[:20]:
         assert {transform_point(g, p) for p in pset} == pset
+
+
+# ---------------------------------------------------------------------------
+# reference: closure and classes on normalized projective matrices, as the
+# Hessian report computed them before it moved to the nine-point action
+
+
+def _oracle_closure(generators, bound):
+    seen = {g: None for g in generators}
+    if generators:
+        seen.setdefault(ProjectiveElement(MatrixF.identity(3, generators[0].matrix.domain)), None)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in generators:
+                prod = g * h
+                if prod not in seen:
+                    seen[prod] = None
+                    new.append(prod)
+        frontier = new
+        assert len(seen) <= bound
+    return list(seen)
+
+
+def _oracle_classes(group, generators):
+    gen_pairs = [(g, g.inverse()) for g in generators]
+    unassigned = dict.fromkeys(group)
+    classes = []
+    while unassigned:
+        seed = next(iter(unassigned))
+        orbit = {seed: None}
+        stack = [seed]
+        while stack:
+            g = stack.pop()
+            for h, hinv in gen_pairs:
+                cand = h * g * hinv
+                if cand not in orbit:
+                    orbit[cand] = None
+                    stack.append(cand)
+        for g in orbit:
+            unassigned.pop(g, None)
+        classes.append(list(orbit))
+    classes.sort(key=lambda cls: (cls[0].order(), len(cls)))
+    return classes
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    gens = list(hessian_generators().values())
+    group = _oracle_closure(gens, 216)
+    return group, _oracle_classes(group, gens)
+
+
+def test_point_action_matches_matrix_oracle(group, oracle, hessian_data):
+    ref_group, ref_classes = oracle
+    assert group == ref_group
+    gens = hessian_generators()
+    assert translation_subgroup() == _oracle_closure([gens["cycle"], gens["diag"]], 9)
+    assert center_extension() == _oracle_closure([gens["cycle"], gens["diag"], gens["swap"]], 18)
+    assert conjugacy_classes(group) == ref_classes
+    action = _PointAction(hessian_field())
+    for g in ref_group:
+        assert _perm_order(action.perm(g)) == g.order()
+    _report, data = hessian_data
+    assert [(c["size"], c["element_order"], c["representative"]) for c in data["classes"]] == [
+        (len(cls), cls[0].order(), cls[0].to_rows()) for cls in ref_classes
+    ]
+
+
+def test_point_action_is_faithful(group):
+    action = _PointAction(hessian_field())
+    assert len({action.perm(g) for g in group}) == 216
+    # (0:1:-1), (1:0:-1), (0:1:-eps), (1:0:-eps^2) are in general position,
+    # so only the identity fixes all nine points
+    pts = inflection_points()
+    quad = [pts[0], pts[1], pts[3], pts[4]]
+    eps = primitive_root(3, hessian_field())
+    assert quad[3][2] == -eps * eps
+    for skip in range(4):
+        rows = [list(p) for k, p in enumerate(quad) if k != skip]
+        assert not MatrixF.from_rows(rows, hessian_field()).det().is_zero()
+
+
+def test_classes_need_a_group_closed_under_conjugation(group):
+    with pytest.raises(ValueError):
+        conjugacy_classes(group[:5])
