@@ -53,6 +53,10 @@ from .symmetry import HeckeSymmetry, SymmetryError, check_braid, check_hecke, dj
 
 INPUT_ERROR = 2
 CHECK_FAILURE = 1
+# digits allowed in one parameter component, counting a decimal exponent as
+# that many digits; the degree-24 case-1 resultant of such a triple stays
+# well below the 4300 digits that str() of an int accepts
+MAX_PARAM_DIGITS = 64
 
 
 class InputError(Exception):
@@ -268,32 +272,44 @@ def cmd_resultant(args) -> int:
     return code
 
 
-def _parse_triple(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError("--params expects three comma-separated rationals")
-    try:
-        return tuple(Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad --params: %s" % exc) from None
+def _parse_triple(texts, flags) -> tuple:
+    """The rationals (a, b, c), refused before any arithmetic when a component
+    is malformed or longer than MAX_PARAM_DIGITS, and when all three are zero."""
+    triple = []
+    for text, flag in zip(texts, flags):
+        mantissa, _, exponent = text.strip().lower().partition("e")
+        try:
+            digits = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent or 0))
+            if digits > MAX_PARAM_DIGITS:
+                raise InputError("%s has more than %d digits" % (flag, MAX_PARAM_DIGITS))
+            triple.append(Fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError("bad %s: %s" % (flag, exc)) from None
+    if not any(triple):
+        raise InputError("(a, b, c) must not be identically zero")
+    return tuple(triple)
 
 
 def cmd_obstruct(args) -> int:
     fns = {1: verify_case1, 2: verify_case2, 3: verify_case3, 4: verify_case4}
     if args.case not in fns:
         raise InputError("--case must be 1, 2, 3 or 4")
+    if args.params:
+        parts = args.params.split(",")
+        if len(parts) != 3:
+            raise InputError("--params expects three comma-separated rationals")
+        a, b, c = _parse_triple(parts, ("--params",) * 3)
+        if args.case in (3, 4) and a != b:
+            raise InputError("cases 3 and 4 assume a = b")
     rep = fns[args.case]()
     sample = {}
     if args.params:
-        a, b, c = _parse_triple(args.params)
         pt = SklParameters.numeric(a, b, c)
         sample = {
             "params": [str(a), str(b), str(c)],
             "regular": is_regular(pt),
             "type_A": is_type_A(pt),
         }
-        if args.case in (3, 4) and a != b:
-            raise InputError("cases 3 and 4 assume a = b")
         if args.case == 1:
             from .obstruction import case1_system, sylvester_resultant
 
@@ -321,8 +337,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_skl3(args) -> int:
-    field = FieldSpec("rational")
-    p = SklParameters.numeric(Fraction(args.a), Fraction(args.b), Fraction(args.c), field)
+    p = SklParameters.numeric(*_parse_triple((args.a, args.b, args.c), ("--a", "--b", "--c")))
     digest = hashlib.sha256(
         ("skl3:%s,%s,%s:%s" % (args.a, args.b, args.c, args.check)).encode()
     ).hexdigest()
@@ -356,6 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="heckesym " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--pretty", action="store_true", help="indented output")
+    output.add_argument("--timings", action="store_true", help="append wall-clock fields")
 
     def add_io(p, with_input=True):
         if with_input:
@@ -365,54 +383,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", choices=("ratfunc", "rational", "cyclotomic"), help="coefficient field of the built-in (default ratfunc)")
         p.add_argument("--order", type=int, help="cyclotomic order of the coefficients (default 1)")
         p.add_argument("--q", help="value bound to q in non-generic fields (expression)")
-        p.add_argument("--pretty", action="store_true", help="indented output")
-        p.add_argument("--timings", action="store_true", help="append wall-clock fields")
 
-    p = sub.add_parser("verify", help="relation checks for an operator")
+    p = sub.add_parser("verify", parents=[output], help="relation checks for an operator")
     add_io(p)
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("analyze", help="full Frobenius profile and identity suites")
+    p = sub.add_parser("analyze", parents=[output], help="full Frobenius profile and identity suites")
     add_io(p)
     p.add_argument("--max-degree", type=int, help="top-degree search bound (default 2*dim+1)")
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("builtin", help="emit a built-in operator as JSON")
+    p = sub.add_parser("builtin", parents=[output], help="emit a built-in operator as JSON")
     add_io(p, with_input=False)
     p.set_defaults(handler=cmd_builtin)
 
-    p = sub.add_parser("identities", help="antisymmetrizer identity suite")
+    p = sub.add_parser("identities", parents=[output], help="antisymmetrizer identity suite")
     p.add_argument("--n", type=int, default=5, help="largest degree (up to 6)")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(handler=cmd_identities)
 
-    p = sub.add_parser("hessian", help="Hessian group facts")
+    p = sub.add_parser("hessian", parents=[output], help="Hessian group facts")
     p.add_argument("--report", action="store_true", help="full class table")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(handler=cmd_hessian)
 
-    p = sub.add_parser("resultant", help="the six-by-six resultant identity")
+    p = sub.add_parser("resultant", parents=[output], help="the six-by-six resultant identity")
     p.add_argument("--case1", action="store_true", help="the scalar-braiding system")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(handler=cmd_resultant)
 
-    p = sub.add_parser("obstruct", help="one case of the obstruction argument")
+    p = sub.add_parser("obstruct", parents=[output], help="one case of the obstruction argument")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--params", help="a,b,c sample triple")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(handler=cmd_obstruct)
 
-    p = sub.add_parser("skl3", help="parameter-triple predicates and tensors")
+    p = sub.add_parser("skl3", parents=[output], help="parameter-triple predicates and tensors")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--check", default="typeA")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(handler=cmd_skl3)
 
     return parser

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exactnum import FieldSpec, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import antisymmetrizer, coset_y, shift_element
-from .linalg import MatrixF, Subspace, vec_is_zero, vec_scale, vec_sub
+from .linalg import MatrixF, Subspace, vec_combination, vec_is_zero, vec_scale, vec_sub
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, kron_vec
@@ -47,6 +47,7 @@ __all__ = [
     "analyze",
     "trace_table",
     "verify_operator_identities",
+    "projection_from_dual",
     "reconstruct_from_f",
     "profile_json_dict",
 ]
@@ -540,6 +541,23 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
 # reconstruction
 
 
+def projection_from_dual(f: Sequence, relations: Sequence, C: MatrixF) -> MatrixF:
+    """P(w) = sum_j f(x~_j (x) w) t_j, where x~_j = sum_i C[j, i] x_i.
+
+    relations holds the vectors t_j of V (x) V and f is a covector on
+    V^(x)(1+2); when the rows of C give the basis of V dual to the t_j under
+    (v, t) -> f(v (x) t), P is the projection onto the span of the t_j.  The
+    entries lie in C.domain, a field or a PolyRing.
+    """
+    block = len(relations[0])
+    zero = C.domain.zero()
+    cols = [
+        vec_combination(C.apply([f[i * block + w] for i in range(C.cols)]), relations, zero)
+        for w in range(block)
+    ]
+    return MatrixF.from_rows(cols, C.domain).transpose()
+
+
 def reconstruct_from_f(
     f: Sequence, relations: Subspace, q: Scalar
 ) -> Tuple[MatrixF, MatrixF]:
@@ -561,11 +579,10 @@ def reconstruct_from_f(
         raise ValueError("need N relations inside V (x) V")
     t_rows = relations.basis
     # Gram matrix G[i][j] = f(e_i (x) t_j)
-    block = N2
     G = MatrixF.from_rows(
         [
             [
-                sum((t_rows[j][w] * f[i * block + w] for w in range(block) if not t_rows[j][w].is_zero()), field.zero())
+                sum((t_rows[j][w] * f[i * N2 + w] for w in range(N2) if not t_rows[j][w].is_zero()), field.zero())
                 for j in range(d)
             ]
             for i in range(N)
@@ -576,24 +593,8 @@ def reconstruct_from_f(
         C = G.inverse()
     except ZeroDivisionError:
         raise ValueError("the pairing of V with the relations via f is degenerate") from None
-    # dual vectors x~_j = sum_i C[j][i]... rows of C give coordinates
-    dual = [tuple(C[j, i] for i in range(N)) for j in range(d)]
-    cols = []
-    for w in range(N2):
-        col = [field.zero()] * N2
-        for jdx in range(d):
-            val = field.zero()
-            for i in range(N):
-                c = dual[jdx][i]
-                if not c.is_zero():
-                    val = val + c * f[i * block + w]
-            if not val.is_zero():
-                for r in range(N2):
-                    x = t_rows[jdx][r]
-                    if not x.is_zero():
-                        col[r] = col[r] + val * x
-        cols.append(col)
-    P = MatrixF.from_rows(cols, field).transpose()
+    # row j of C holds the coordinates of the dual vector x~_j
+    P = projection_from_dual(f, t_rows, C)
     if P * P != P:
         raise ValueError("reconstructed projection is not idempotent")
     if P.image() != Subspace.from_vectors(t_rows, N2, field):

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .exactnum import FieldSpec
 from .multipoly import MultiPoly, PolyRing
 
-__all__ = ["MatrixF", "Subspace", "vec_add", "vec_sub", "vec_scale", "vec_is_zero"]
+__all__ = ["MatrixF", "Subspace", "vec_add", "vec_sub", "vec_scale", "vec_is_zero", "vec_combination"]
 
 Domain = Union[FieldSpec, PolyRing]
 
@@ -43,6 +43,17 @@ def vec_scale(c, u: Sequence):
 
 def vec_is_zero(u: Sequence) -> bool:
     return all(x.is_zero() for x in u)
+
+
+def vec_combination(coeffs: Sequence, vectors: Sequence[Sequence], zero) -> tuple:
+    """sum_i c_i v_i, skipping zero coefficients and zero entries."""
+    out = [zero] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero():
+            for r, x in enumerate(v):
+                if not x.is_zero():
+                    out[r] = out[r] + c * x
+    return tuple(out)
 
 
 class MatrixF:
@@ -444,16 +455,7 @@ class Subspace:
         return tuple(out)
 
     def contains(self, vector: Sequence) -> bool:
-        v = list(vector)
-        if len(v) != self.ambient:
-            raise ValueError("ambient mismatch")
-        for row, pc in zip(self.basis, self.pivots()):
-            c = v[pc]
-            if not c.is_zero():
-                for j, x in enumerate(row):
-                    if not x.is_zero():
-                        v[j] = v[j] - c * x
-        return all(x.is_zero() for x in v)
+        return self.coordinates(vector) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -461,6 +463,8 @@ class Subspace:
     def coordinates(self, vector: Sequence) -> Optional[tuple]:
         """Coefficients of the vector in the canonical basis, or None."""
         v = list(vector)
+        if len(v) != self.ambient:
+            raise ValueError("ambient mismatch")
         coords = []
         for row, pc in zip(self.basis, self.pivots()):
             c = v[pc]

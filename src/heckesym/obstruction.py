@@ -18,6 +18,14 @@ generators) each terminate in an exact contradiction:
   case 4 -- order-4 braiding (a = b): trace gates force (1+2k)l = -q^2 while
             (1+2k)^2 = 3, so the top scaling would need q^6 = -q^6.
 
+The cases share one pipeline.  Each writes its functional as a table of
+values on cubic monomials (`slot`), reads the values f(x_j (x) t_i) off it
+(`_x_t_values`), builds P through `frobenius.projection_from_dual` with the
+dual basis the case dictates, compares P with a table of combinations of the
+t_i (`_table_ok`), cuts the restricted maps of Id (x) P and P (x) Id down to
+a pair of 3-dimensional subspaces (`_pair_minors`) and finishes its report
+with `_finish`; only the case-specific algebra is written per case.
+
 Everything here is exact: symbolic steps are polynomial identities, numeric
 steps run over cyclotomic fields.
 """
@@ -30,16 +38,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
-from .linalg import MatrixF
+from .frobenius import projection_from_dual, reconstruct_from_f
+from .linalg import MatrixF, Subspace, vec_combination
 from .multipoly import MultiPoly, PolyRing
 from .regular3 import (
     SklParameters,
-    _apply_tensor_cube_poly,
+    apply_tensor_cube,
+    cyclic_slots,
     is_type_A,
     skl_relations,
     skl_tensor,
+    slot,
 )
 from .report import CheckReport
+from .symmetry import braid_defect, check_braid, check_hecke
 
 __all__ = [
     "TernaryQuadratic",
@@ -48,15 +60,12 @@ __all__ = [
     "sylvester_resultant",
     "case1_system",
     "case1_f",
-    "projection_from_f",
-    "braid_defect",
     "braid_residual",
     "restricted_maps",
     "verify_case1",
     "verify_case2",
     "verify_case3",
     "verify_case4",
-    "verify_all_cases",
 ]
 
 # coefficient order used throughout: X^2, Y^2, Z^2, YZ, ZX, XY
@@ -183,68 +192,118 @@ def sylvester_resultant(
 
 
 # ---------------------------------------------------------------------------
-# projections built from a functional on cubic tensors
+# the shared case pipeline
+#
+# Letters are 1-based in slot and _pair_index and 0-based elsewhere; rows of
+# the restricted maps are numbered by _xt_index and columns by _tx_index.
 
 
-def projection_from_f(f: Sequence, relations: Sequence, field: FieldSpec) -> MatrixF:
-    """P(w) = sum_i f(x~_i (x) w) t_i over the dual basis x~_i of the t_j.
+def _pair_index(i: int, j: int) -> int:
+    """Position of x_i x_j in V (x) V."""
+    return (i - 1) * 3 + (j - 1)
 
-    f is a covector on V^(x)3 (27 entries), relations the three 9-vectors
-    t_1, t_2, t_3; the pairing (v, t) -> f(v (x) t) must be perfect.
-    """
-    G = MatrixF.from_rows(
-        [
-            [
-                sum((t[w] * f[i * 9 + w] for w in range(9) if not t[w].is_zero()), field.zero())
-                for t in relations
-            ]
-            for i in range(3)
-        ],
-        field,
+
+def _xt_index(j: int, i: int) -> int:
+    """Row of x_j (x) t_i in the restricted maps."""
+    return j * 3 + i
+
+
+def _tx_index(alpha: int, beta: int) -> int:
+    """Column of t_alpha (x) x_beta in the restricted maps."""
+    return beta * 3 + alpha
+
+
+def _x_tensor(j: int, t: Sequence, zero) -> list:
+    """x_j (x) t as a 27-vector."""
+    vec = [zero] * 27
+    for pair, v in enumerate(t):
+        if not v.is_zero():
+            vec[j * 9 + pair] = v
+    return vec
+
+
+def _pairing(f: Sequence, vec: Sequence, zero):
+    """f(vec) for a covector f on V^(x)3."""
+    out = zero
+    for idx, v in enumerate(vec):
+        if not v.is_zero():
+            out = out + v * f[idx]
+    return out
+
+
+def _x_t_values(f: Sequence, relations: Sequence, zero) -> dict:
+    """f(x_j (x) t_i), keyed by (j, i)."""
+    return {(j, i): _pairing(f, _x_tensor(j, relations[i], zero), zero) for j in range(3) for i in range(3)}
+
+
+def _off_diagonal_zero(values: dict) -> bool:
+    return all(v.is_zero() for (j, i), v in values.items() if i != j)
+
+
+def _is_cyclic(f: Sequence, twist=1) -> bool:
+    """f(x_i x_j x_k) = twist^k f(x_k x_i x_j) on every cubic monomial."""
+    return all(
+        f[slot(i, j, k)] == twist ** k * f[slot(k, i, j)]
+        for i in (1, 2, 3)
+        for j in (1, 2, 3)
+        for k in (1, 2, 3)
     )
-    try:
-        C = G.inverse()
-    except ZeroDivisionError:
-        raise ValueError("the pairing of V with the relations via f is degenerate") from None
-    cols = []
-    for w in range(9):
-        col = [field.zero()] * 9
-        for jdx, t in enumerate(relations):
-            val = field.zero()
-            for i in range(3):
-                c = C[jdx, i]
-                if not c.is_zero():
-                    val = val + c * f[i * 9 + w]
-            if not val.is_zero():
-                for r in range(9):
-                    if not t[r].is_zero():
-                        col[r] = col[r] + val * t[r]
-        cols.append(col)
-    P = MatrixF.from_rows(cols, field).transpose()
-    if P * P != P:
-        raise ValueError("built operator is not idempotent")
-    return P
 
 
-def braid_defect(R: MatrixF) -> MatrixF:
-    """(R (x) I)(I (x) R)(R (x) I) - (I (x) R)(R (x) I)(I (x) R) on V^(x)3."""
-    import math
+def _cyclic_functional(ap, bp, cp, zero) -> list:
+    """The functional taking ap / bp / cp on the ascending / descending / cubic monomials."""
+    f = [zero] * 27
+    for slots, value in zip(cyclic_slots(), (ap, bp, cp)):
+        for s in slots:
+            f[s] = value
+    return f
 
-    N = math.isqrt(R.rows)
-    I = MatrixF.identity(N, R.domain)
-    R12 = R.kronecker(I)
-    R23 = I.kronecker(R)
-    return R12 * R23 * R12 - R23 * R12 * R23
+
+def _projection(f: Sequence, relations: Sequence, domain, weights=None, order=(0, 1, 2)) -> MatrixF:
+    """P(w) = sum_i w_i f(x_(order[i]) (x) w) t_i (every w_i = 1 when weights is None)."""
+    zero, one = domain.zero(), domain.one()
+    dual = [
+        [(one if weights is None else weights[i]) if k == order[i] else zero for k in range(3)]
+        for i in range(3)
+    ]
+    return projection_from_dual(f, relations, MatrixF.from_rows(dual, domain))
+
+
+def _table_ok(P: MatrixF, table: dict, relations: Sequence, zero) -> bool:
+    """P(x_i x_j) = sum_k c_k t_k for every entry (i, j): (c_1, c_2, c_3) of the table."""
+    return all(
+        P.col(_pair_index(i, j)) == vec_combination(coeffs, relations, zero)
+        for (i, j), coeffs in table.items()
+    )
+
+
+def _pair_minors(M: MatrixF, N: MatrixF, tx_pairs, xt_pairs, domain) -> Tuple[MatrixF, MatrixF]:
+    """M and N cut down to the spans of the t_a x_b in tx_pairs and the x_j t_i in xt_pairs."""
+    cols = [_tx_index(a, b) for a, b in tx_pairs]
+    rows = [_xt_index(j, i) for j, i in xt_pairs]
+    return (
+        MatrixF.from_rows([[M[r, c] for c in cols] for r in rows], domain),
+        MatrixF.from_rows([[N[c, r] for r in rows] for c in cols], domain),
+    )
+
+
+def _circulant(row: Sequence, domain) -> MatrixF:
+    """The matrix with rows (x, y, z), (z, x, y), (y, z, x)."""
+    x, y, z = row
+    return MatrixF.from_rows([[x, y, z], [z, x, y], [y, z, x]], domain)
+
+
+# the three pairs of 3-dimensional subspaces: (t_a x_b columns, x_j t_i rows)
+_PAIRS = {
+    1: ([(2, 0), (0, 1), (1, 2)], [(0, 2), (1, 0), (2, 1)]),
+    2: ([(1, 0), (2, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)]),
+    3: ([(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]),
+}
 
 
 def braid_residual(f: Sequence, p: SklParameters, q: Scalar) -> MatrixF:
     """Braid-equation defect of R = q Id - (1+q) P for the f-built projection."""
-    if (q + 1).is_zero():
-        raise ValueError("q = -1 admits no eigenspace splitting")
-    field = q.field
-    rels = skl_relations(p)
-    P = projection_from_f(f, rels, field)
-    R = MatrixF.identity(9, field).scale(q) - P.scale(q + 1)
+    _P, R = reconstruct_from_f(f, Subspace.from_vectors(skl_relations(p), 9, q.field), q)
     return braid_defect(R)
 
 
@@ -267,46 +326,18 @@ def restricted_maps(P: MatrixF, relations: Sequence) -> Tuple[MatrixF, MatrixF]:
                 vec[pair * 3 + beta] = v
         return vec
 
-    def tensor_x_t(j: int, i: int) -> list:
-        vec = [zero] * 27
-        for pair in range(9):
-            v = t_rows[i][pair]
-            if not v.is_zero():
-                vec[j * 9 + pair] = v
-        return vec
-
     def apply_id_P(vec: Sequence) -> list:
-        out = [zero] * 27
-        for j in range(3):
-            block = vec[j * 9 : (j + 1) * 9]
-            img = P.apply(block)
-            for r, v in enumerate(img):
-                out[j * 9 + r] = v
-        return out
+        return [x for j in range(3) for x in P.apply(vec[j * 9 : (j + 1) * 9])]
 
     def apply_P_id(vec: Sequence) -> list:
-        out = [zero] * 27
-        for k in range(3):
-            block = [vec[pair * 3 + k] for pair in range(9)]
-            img = P.apply(block)
-            for pair, v in enumerate(img):
-                out[pair * 3 + k] = v
-        return out
+        images = [P.apply(vec[k::3]) for k in range(3)]
+        return [images[k][pair] for pair in range(9) for k in range(3)]
 
-    xt_basis = [tensor_x_t(j, i) for j in range(3) for i in range(3)]
+    xt_basis = [_x_tensor(j, t_rows[i], zero) for j in range(3) for i in range(3)]
     tx_basis = [tensor_t_x(a, b) for b in range(3) for a in range(3)]
-
-    m_cols = []
-    for beta in range(3):
-        for alpha in range(3):
-            m_cols.append(_solve_in_basis(apply_id_P(tensor_t_x(alpha, beta)), xt_basis, t_rows, "xt", domain))
-    n_cols = []
-    for j in range(3):
-        for i in range(3):
-            n_cols.append(_solve_in_basis(apply_P_id(tensor_x_t(j, i)), tx_basis, t_rows, "tx", domain))
-    M = MatrixF.from_rows(m_cols, domain).transpose()
-    N = MatrixF.from_rows(n_cols, domain).transpose()
-    return M, N
+    m_cols = [_solve_in_basis(apply_id_P(v), xt_basis, t_rows, "xt", domain) for v in tx_basis]
+    n_cols = [_solve_in_basis(apply_P_id(v), tx_basis, t_rows, "tx", domain) for v in xt_basis]
+    return MatrixF.from_rows(m_cols, domain).transpose(), MatrixF.from_rows(n_cols, domain).transpose()
 
 
 def _solve_in_basis(vec: Sequence, basis: List[list], t_rows, layout: str, domain) -> list:
@@ -323,26 +354,19 @@ def _solve_in_basis(vec: Sequence, basis: List[list], t_rows, layout: str, domai
             raise ValueError("vector left the expected subspace")
         return list(sol)
     coords = []
-    for m, bas in enumerate(basis):
+    for m in range(len(basis)):
         if layout == "xt":
-            j, i = divmod(m, 3)
-            probe = j * 9 + (i * 3 + i)
+            j, i_rel = divmod(m, 3)
+            probe = j * 9 + (i_rel * 3 + i_rel)
         else:
-            b, a = divmod(m, 3)
-            probe = (a * 3 + a) * 3 + b
-        i_rel = i if layout == "xt" else a
+            b, i_rel = divmod(m, 3)
+            probe = (i_rel * 3 + i_rel) * 3 + b
         square = t_rows[i_rel][i_rel * 3 + i_rel]
         if square.is_zero():
             raise ValueError("relation tensor has no square term; cannot extract")
         val = vec[probe]
         coords.append(val.exact_div(square) if not val.is_zero() else domain.zero())
-    recon = [domain.zero()] * 27
-    for c, bas in zip(coords, basis):
-        if not c.is_zero():
-            for r, x in enumerate(bas):
-                if not x.is_zero():
-                    recon[r] = recon[r] + c * x
-    if any(recon[r] != vec[r] for r in range(27)):
+    if vec_combination(coords, basis, domain.zero()) != tuple(vec):
         raise ValueError("vector left the expected subspace")
     return coords
 
@@ -377,6 +401,11 @@ class CaseReport:
         }
 
 
+def _finish(case_id: int, description: str, parameters, equations, checks: CheckReport, verdict: str) -> CaseReport:
+    """The report of one case; its verdict stands only if every check passed."""
+    return CaseReport(case_id, description, parameters, equations, checks, verdict if checks.ok else "NOT reproduced")
+
+
 def _sub_rational(poly: MultiPoly, name: str, num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """den^m * poly with the variable replaced by num/den (m its degree)."""
     ring = poly.ring
@@ -389,19 +418,6 @@ def _sub_rational(poly: MultiPoly, name: str, num: MultiPoly, den: MultiPoly) ->
         term = MultiPoly(ring, {rest: vec})
         out = out + term * num ** k * den ** (m - k)
     return out
-
-
-def _cyclic_monomial_slots() -> Tuple[List[int], List[int], List[int]]:
-    def slot(i, j, k):
-        return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
-
-    def m3(i):
-        return (i - 1) % 3 + 1
-
-    ascending = [slot(m3(i - 1), i, m3(i + 1)) for i in (1, 2, 3)]
-    descending = [slot(m3(i + 1), i, m3(i - 1)) for i in (1, 2, 3)]
-    cubes = [slot(i, i, i) for i in (1, 2, 3)]
-    return ascending, descending, cubes
 
 
 def case1_system(ring: Optional[PolyRing] = None) -> Tuple[TernaryQuadratic, TernaryQuadratic, TernaryQuadratic]:
@@ -426,15 +442,7 @@ def case1_f(p: SklParameters, ap: Scalar, bp: Scalar, cp: Scalar) -> tuple:
     field = ap.field
     if p.a * ap + p.b * bp + p.c * cp != field.one():
         raise ValueError("normalization a a' + b b' + c c' = 1 violated")
-    asc, desc, cubes = _cyclic_monomial_slots()
-    f = [field.zero()] * 27
-    for s in asc:
-        f[s] = ap
-    for s in desc:
-        f[s] = bp
-    for s in cubes:
-        f[s] = cp
-    return tuple(f)
+    return tuple(_cyclic_functional(ap, bp, cp, field.zero()))
 
 
 def _resultant_display(ring: PolyRing) -> MultiPoly:
@@ -465,22 +473,17 @@ def verify_case1() -> CaseReport:
     equations: List[Dict[str, str]] = []
 
     # gate: 3 lam = q(1+q+q^2) with lam = q^2 forces q = 1
-    F = GENERIC_Q
-    q = F.q()
-    gate = 3 * q ** 2 - q * (1 + q + q ** 2)
+    q = GENERIC_Q.q()
     checks.record(
         "braiding-gate",
         "3 q^2 - q(1+q+q^2) = -q(q-1)^2, so q = 1 is the only nonzero root",
-        gate == -q * (q - 1) ** 2,
+        3 * q ** 2 - q * (1 + q + q ** 2) == -q * (q - 1) ** 2,
     )
 
     # the circulant determinant that forces the six zero values of f
     ring3 = PolyRing(("a", "b", "c"))
     a, b, c = ring3.vars()
-    circulant = MatrixF.from_rows(
-        [[a + b, c, ring3.zero()], [ring3.zero(), a + b, c], [c, ring3.zero(), a + b]], ring3
-    )
-    circ_det = circulant.det()
+    circ_det = _circulant((a + b, c, ring3.zero()), ring3).det()
     checks.record("circulant", "det = (a+b)^3 + c^3", circ_det == (a + b) ** 3 + c ** 3)
     type_a_poly = (a ** 3 + b ** 3 + c ** 3) ** 3 - 27 * (a * b * c) ** 3
     checks.record(
@@ -491,146 +494,55 @@ def verify_case1() -> CaseReport:
 
     # symbolic functional and projection over Q[a,b,c,ap,bp,cp], q = 1
     ring = PolyRing(("a", "b", "c", "ap", "bp", "cp"))
-    av, bv, cv = ring.var("a"), ring.var("b"), ring.var("c")
-    apv, bpv, cpv = ring.var("ap"), ring.var("bp"), ring.var("cp")
-    p_sym = SklParameters(av, bv, cv, ring)
-    rels = skl_relations(p_sym)
-    asc, desc, cubes = _cyclic_monomial_slots()
-    f = [ring.zero()] * 27
-    for s in asc:
-        f[s] = apv
-    for s in desc:
-        f[s] = bpv
-    for s in cubes:
-        f[s] = cpv
-
-    # cyclic invariance of f on every cubic monomial
-    ok = all(f[(i * 9 + j * 3 + k)] == f[(k * 9 + i * 3 + j)] for i in range(3) for j in range(3) for k in range(3))
-    checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2)", ok)
+    av, bv, cv, apv, bpv, cpv = ring.vars()
+    zero = ring.zero()
+    rels = skl_relations(SklParameters(av, bv, cv, ring))
+    f = _cyclic_functional(apv, bpv, cpv, zero)
+    checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2)", _is_cyclic(f))
 
     # f annihilates x_j t_i off the diagonal and is a a'+b b'+c c' on it
-    def f_of(vec27) -> MultiPoly:
-        out = ring.zero()
-        for idx, v in enumerate(vec27):
-            if not v.is_zero():
-                out = out + v * f[idx]
-        return out
-
+    vals = _x_t_values(f, rels, zero)
     diag = av * apv + bv * bpv + cv * cpv
-    ok_offdiag = True
-    ok_diag = True
-    for j in range(3):
-        for i in range(3):
-            vec = [ring.zero()] * 27
-            for pair in range(9):
-                v = rels[i][pair]
-                if not v.is_zero():
-                    vec[j * 9 + pair] = v
-            val = f_of(vec)
-            if i == j:
-                ok_diag = ok_diag and val == diag
-            else:
-                ok_offdiag = ok_offdiag and val.is_zero()
-    checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", ok_offdiag)
+    checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", _off_diagonal_zero(vals))
     checks.record(
         "f-diagonal",
         "f(x_i t_i) = a a' + b b' + c c' (normalized to 1)",
-        ok_diag,
+        all(vals[i, i] == diag for i in range(3)),
     )
 
     # projection table P(x_(i+1) x_(i-1)) = a' t_i, etc.
-    P_cols = []
-    for w in range(9):
-        col = [ring.zero()] * 9
-        for i in range(3):
-            vec = [ring.zero()] * 27
-            vec[i * 9 + w] = ring.one()
-            val = f_of(vec)
-            if not val.is_zero():
-                for r in range(9):
-                    if not rels[i][r].is_zero():
-                        col[r] = col[r] + val * rels[i][r]
-        P_cols.append(col)
-    P = MatrixF.from_rows(P_cols, ring).transpose()
-
-    def pair_index(i, j):
-        return (i - 1) * 3 + (j - 1)
-
-    table_ok = True
+    P = _projection(f, rels, ring)
+    table = {}
     for i in (1, 2, 3):
         up = i % 3 + 1
         dn = (i + 1) % 3 + 1
-        for w, coeff in (
-            (pair_index(up, dn), apv),
-            (pair_index(dn, up), bpv),
-            (pair_index(i, i), cpv),
-        ):
-            expect = tuple(coeff * rels[i - 1][r] for r in range(9))
-            got = tuple(P[r, w] for r in range(9))
-            table_ok = table_ok and got == expect
+        for pair, coeff in (((up, dn), apv), ((dn, up), bpv), ((i, i), cpv)):
+            table[pair] = tuple(coeff if k == i else zero for k in (1, 2, 3))
     checks.record(
         "projection-table",
         "P(x_(i+1) x_(i-1)) = a' t_i, P(x_(i-1) x_(i+1)) = b' t_i, P(x_i^2) = c' t_i",
-        table_ok,
+        _table_ok(P, table, rels, zero),
     )
 
     # the three pairs of 3-dimensional subspaces and their composite maps
     M_full, N_full = restricted_maps(P, rels)
-    pairs = {
-        1: ([(2, 0), (0, 1), (1, 2)], [(0, 2), (1, 0), (2, 1)]),
-        2: ([(1, 0), (2, 1), (0, 2)], [(0, 1), (1, 2), (2, 0)]),
-        3: ([(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]),
-    }
-
-    def minor(M_big: MatrixF, rows_idx, cols_idx) -> MatrixF:
-        return MatrixF.from_rows(
-            [[M_big[r, cidx] for cidx in cols_idx] for r in rows_idx], ring
-        )
-
-    def xt_index(j, i):
-        return j * 3 + i
-
-    def tx_index(alpha, beta):
-        return beta * 3 + alpha
-
     composites = {}
-    for pid, (tx_basis, xt_basis) in pairs.items():
-        cols_idx = [tx_index(a_, b_) for (a_, b_) in tx_basis]
-        rows_idx = [xt_index(j, i) for (j, i) in xt_basis]
-        Mp = minor(M_full, rows_idx, cols_idx)
-        Np = minor(N_full, cols_idx, rows_idx)
+    for pid, (tx_pairs, xt_pairs) in _PAIRS.items():
+        Mp, Np = _pair_minors(M_full, N_full, tx_pairs, xt_pairs, ring)
         composites[pid] = Mp * Np
         if pid == 1:
-            disp_M = [
-                [av * bpv, cv * apv, bv * cpv],
-                [bv * cpv, av * bpv, cv * apv],
-                [cv * apv, bv * cpv, av * bpv],
-            ]
-            disp_N = [
-                [bv * apv, cv * bpv, av * cpv],
-                [av * cpv, bv * apv, cv * bpv],
-                [cv * bpv, av * cpv, bv * apv],
-            ]
             checks.record(
                 "pair1-matrices",
                 "restricted maps match the circulant displays",
-                Mp == MatrixF.from_rows(disp_M, ring) and Np == MatrixF.from_rows(disp_N, ring),
+                Mp == _circulant((av * bpv, cv * apv, bv * cpv), ring)
+                and Np == _circulant((bv * apv, cv * bpv, av * cpv), ring),
             )
         if pid == 3:
-            disp_M3 = [
-                [cv * cpv, bv * bpv, av * apv],
-                [av * apv, cv * cpv, bv * bpv],
-                [bv * bpv, av * apv, cv * cpv],
-            ]
-            disp_N3 = [
-                [cv * cpv, av * apv, bv * bpv],
-                [bv * bpv, cv * cpv, av * apv],
-                [av * apv, bv * bpv, cv * cpv],
-            ]
             checks.record(
                 "pair3-matrices",
                 "diagonal-pair maps match the displays",
-                Mp == MatrixF.from_rows(disp_M3, ring) and Np == MatrixF.from_rows(disp_N3, ring),
+                Mp == _circulant((cv * cpv, bv * bpv, av * apv), ring)
+                and Np == _circulant((cv * cpv, av * apv, bv * bpv), ring),
             )
 
     C1 = composites[1]
@@ -749,19 +661,14 @@ def verify_case1() -> CaseReport:
             "value %s" % format_scalar(val),
         )
 
-    verdict = (
-        "contradiction reproduced: the system has no nonzero solution for any "
-        "smooth-elliptic triple, so no braiding with scalar character exists"
-        if checks.ok
-        else "NOT reproduced"
-    )
-    return CaseReport(
+    return _finish(
         1,
         "scalar braiding character, q = 1",
         {"q": "1", "lam": "q^2"},
         equations,
         checks,
-        verdict,
+        "contradiction reproduced: the system has no nonzero solution for any "
+        "smooth-elliptic triple, so no braiding with scalar character exists",
     )
 
 
@@ -779,16 +686,15 @@ def _extract_quadrics(F1p: MultiPoly, F2p: MultiPoly, F3p: MultiPoly, ring3: Pol
         (1, 1, 0): 5,
     }
     out = []
-    field = ring3.coeff_field()
     for poly in (F1p, F2p, F3p):
         coeffs = [ring3.zero()] * 6
         for e, vec in poly.terms.items():
-            quad = (e[idx["ap"]], e[idx["bp"]], e[idx["cp"]])
-            slot = quad_expos[quad]
+            pos = quad_expos[(e[idx["ap"]], e[idx["bp"]], e[idx["cp"]])]
             base_expo = tuple(e[i] for i in base_idx)
-            coeffs[slot] = coeffs[slot] + MultiPoly(ring3, {base_expo: vec})
+            coeffs[pos] = coeffs[pos] + MultiPoly(ring3, {base_expo: vec})
         out.append(TernaryQuadratic(tuple(coeffs), ring3))
     return out
+
 
 
 def verify_case2() -> CaseReport:
@@ -823,119 +729,53 @@ def verify_case2() -> CaseReport:
     )
 
     ring = PolyRing(("a", "b", "c", "ap", "bp", "cp"), order=3)
-    av, bv, cv = ring.var("a"), ring.var("b"), ring.var("c")
-    apv, bpv, cpv = ring.var("ap"), ring.var("bp"), ring.var("cp")
-    p_sym = SklParameters(av, bv, cv, ring)
-    rels = skl_relations(p_sym)
-
-    def slot(i, j, k):
-        return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
+    av, bv, cv, apv, bpv, cpv = ring.vars()
+    zero = ring.zero()
+    rels = skl_relations(SklParameters(av, bv, cv, ring))
 
     # g = q^(-1) f; only degree classes with letter sum 0 mod 3 survive
-    g = [ring.zero()] * 27
-    g[slot(1, 2, 3)] = apv
-    g[slot(3, 1, 2)] = apv
-    g[slot(2, 3, 1)] = eps * apv
-    g[slot(2, 1, 3)] = bpv
-    g[slot(3, 2, 1)] = bpv
-    g[slot(1, 3, 2)] = eps ** 2 * bpv
-    g[slot(3, 3, 3)] = cpv
+    g = [zero] * 27
+    for letters, value in (
+        ((1, 2, 3), apv),
+        ((3, 1, 2), apv),
+        ((2, 3, 1), eps * apv),
+        ((2, 1, 3), bpv),
+        ((3, 2, 1), bpv),
+        ((1, 3, 2), eps ** 2 * bpv),
+        ((3, 3, 3), cpv),
+    ):
+        g[slot(*letters)] = value
+    checks.record("cyclicity", "f(v1 v2 v3) = eps^k f(x_k v1 v2)", _is_cyclic(g, eps))
 
-    ok_cyc = all(
-        g[slot(i, j, k)] == eps ** k * g[slot(k, i, j)]
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-        for k in (1, 2, 3)
-    )
-    checks.record("cyclicity", "f(v1 v2 v3) = eps^k f(x_k v1 v2)", ok_cyc)
-
-    def g_of(vec27):
-        out = ring.zero()
-        for idx, v in enumerate(vec27):
-            if not v.is_zero():
-                out = out + v * g[idx]
-        return out
-
-    offdiag_ok = True
-    diag_vals = []
-    for i in range(3):
-        for j in range(3):
-            vec = [ring.zero()] * 27
-            for pair in range(9):
-                v = rels[i][pair]
-                if not v.is_zero():
-                    vec[j * 9 + pair] = v
-            val = g_of(vec)
-            if i == j:
-                diag_vals.append(val)
-            elif not val.is_zero():
-                offdiag_ok = False
-    checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", offdiag_ok)
-    for i, val in enumerate(diag_vals, start=1):
+    vals = _x_t_values(g, rels, zero)
+    checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", _off_diagonal_zero(vals))
+    for i in (1, 2, 3):
         equations.append(
-            {"name": "normalization-%d" % i, "expression": val.to_text() + " = e^%d" % i}
+            {"name": "normalization-%d" % i, "expression": vals[i - 1, i - 1].to_text() + " = e^%d" % i}
         )
 
     # projection P(w) = sum eps^(-i) g(x_i w) t_i and its table
-    P_cols = []
-    for w in range(9):
-        col = [ring.zero()] * 9
-        for i in range(3):
-            vec = [ring.zero()] * 27
-            vec[i * 9 + w] = ring.one()
-            val = eps ** (-(i + 1)) * g_of(vec)
-            if not val.is_zero():
-                for r in range(9):
-                    if not rels[i][r].is_zero():
-                        col[r] = col[r] + val * rels[i][r]
-        P_cols.append(col)
-    P = MatrixF.from_rows(P_cols, ring).transpose()
-
-    def pair_index(i, j):
-        return (i - 1) * 3 + (j - 1)
-
+    P = _projection(g, rels, ring, [ring.const(eps ** -i) for i in (1, 2, 3)])
     table = {
-        pair_index(1, 1): None,
-        pair_index(2, 2): None,
-        pair_index(3, 3): (cpv, 3),
-        pair_index(2, 3): (eps ** 2 * apv, 1),
-        pair_index(3, 2): (eps * bpv, 1),
-        pair_index(3, 1): (eps ** 2 * apv, 2),
-        pair_index(1, 3): (eps * bpv, 2),
-        pair_index(1, 2): (apv, 3),
-        pair_index(2, 1): (bpv, 3),
+        (1, 1): (zero, zero, zero),
+        (2, 2): (zero, zero, zero),
+        (3, 3): (zero, zero, cpv),
+        (2, 3): (eps ** 2 * apv, zero, zero),
+        (3, 2): (eps * bpv, zero, zero),
+        (3, 1): (zero, eps ** 2 * apv, zero),
+        (1, 3): (zero, eps * bpv, zero),
+        (1, 2): (zero, zero, apv),
+        (2, 1): (zero, zero, bpv),
     }
-    table_ok = True
-    for w, spec_entry in table.items():
-        got = tuple(P[r, w] for r in range(9))
-        if spec_entry is None:
-            expect = tuple(ring.zero() for _ in range(9))
-        else:
-            coeff, i = spec_entry
-            expect = tuple(coeff * rels[i - 1][r] for r in range(9))
-        table_ok = table_ok and got == expect
     checks.record(
         "projection-table",
         "P kills x_1^2, x_2^2 and scales the mixed pairs by eps-twisted a', b', c'",
-        table_ok,
+        _table_ok(P, table, rels, zero),
     )
 
     # restricted maps on the first pair of 3-dimensional subspaces
     M_full, N_full = restricted_maps(P, rels)
-
-    def xt_index(j, i):
-        return j * 3 + i
-
-    def tx_index(alpha, beta):
-        return beta * 3 + alpha
-
-    tx_basis = [(2, 0), (0, 1), (1, 2)]
-    xt_basis = [(0, 2), (1, 0), (2, 1)]
-    cols_idx = [tx_index(a_, b_) for (a_, b_) in tx_basis]
-    rows_idx = [xt_index(j, i) for (j, i) in xt_basis]
-    Mp = MatrixF.from_rows([[M_full[r, cc] for cc in cols_idx] for r in rows_idx], ring)
-    Np = MatrixF.from_rows([[N_full[r, cc] for cc in rows_idx] for r in cols_idx], ring)
-    zero = ring.zero()
+    Mp, Np = _pair_minors(M_full, N_full, *_PAIRS[1], ring)
     disp_M = [
         [av * bpv, cv * apv, bv * cpv],
         [zero, eps * av * bpv, eps ** 2 * cv * apv],
@@ -961,7 +801,7 @@ def verify_case2() -> CaseReport:
     checks.record(
         "composite-witness",
         "(Id x P)(P x Id)(x_1 t_3) has the displayed three components",
-        tuple(C[r, 0] for r in range(3)) == witness_col,
+        C.col(0) == witness_col,
     )
     eq1 = bv * cv * apv ** 2 + cv * av * bpv ** 2
     eq2 = cv ** 2 * apv * bpv
@@ -976,11 +816,10 @@ def verify_case2() -> CaseReport:
         "c^2 a'b' = 0 makes one of a', b' vanish; then bc a'^2 + ca b'^2 = 0 kills the other",
         branch_a and branch_b,
     )
-    col_zeroed = [C[r, 0].substitute({"ap": 0, "bp": 0}) for r in range(3)]
     checks.record(
         "collapsed-column",
         "with a' = b' = 0 the composite annihilates x_1 t_3",
-        all(v.is_zero() for v in col_zeroed),
+        all(v.substitute({"ap": 0, "bp": 0}).is_zero() for v in C.col(0)),
     )
     kappa = q / (1 + q) ** 2
     checks.record(
@@ -994,54 +833,29 @@ def verify_case2() -> CaseReport:
     qn = C3q.q()
     pt = SklParameters.numeric(1, 1, 2, C3q)
     checks.record("sample-smooth", "(1,1,2) is a smooth-elliptic triple", is_type_A(pt))
-    rels_n = skl_relations(pt)
     gn = [C3q.zero()] * 27
     gn[slot(3, 3, 3)] = C3q.scalar(Fraction(1, 2))
     epsn = primitive_root(3, C3q)
-    Pn_cols = []
-    for w in range(9):
-        col = [C3q.zero()] * 9
-        for i in range(3):
-            val = epsn ** (-(i + 1)) * gn[i * 9 + w]
-            if not val.is_zero():
-                for r in range(9):
-                    if not rels_n[i][r].is_zero():
-                        col[r] = col[r] + val * rels_n[i][r]
-        Pn_cols.append(col)
-    Pn = MatrixF.from_rows(Pn_cols, C3q).transpose()
+    Pn = _projection(gn, skl_relations(pt), C3q, [epsn ** -i for i in (1, 2, 3)])
     Rn = MatrixF.identity(9, C3q).scale(qn) - Pn.scale(qn + 1)
-    hecke_ok = (Rn - MatrixF.identity(9, C3q).scale(qn)) * (Rn + MatrixF.identity(9, C3q)) == MatrixF.zeros(9, 9, C3q)
-    defect = braid_defect(Rn)
-    nonzero = not defect.is_zero()
-    witness = ""
-    if nonzero:
-        for i in range(27):
-            for j in range(27):
-                if not defect[i, j].is_zero():
-                    witness = "defect entry (%d,%d) = %s" % (i, j, format_scalar(defect[i, j]))
-                    break
-            if witness:
-                break
+    hecke_ok, _ = check_hecke(Rn, qn)
+    braid_ok, witness = check_braid(Rn)
     checks.record(
         "braid-residual",
         "the forced family satisfies the quadratic relation but not the braid equation",
-        hecke_ok and nonzero,
-        witness,
+        hecke_ok and not braid_ok,
+        "defect " + witness if witness else "",
     )
-    verdict = (
-        "contradiction reproduced: the braid constraints force a' = b' = 0, and the "
-        "resulting operator violates the braid equation"
-        if checks.ok
-        else "NOT reproduced"
-    )
-    return CaseReport(
+    return _finish(
         2,
         "order-3 braiding character, q a primitive cube root of unity",
         {"q": "e", "lam": "e^2"},
         equations,
         checks,
-        verdict,
+        "contradiction reproduced: the braid constraints force a' = b' = 0, and the "
+        "resulting operator violates the braid equation",
     )
+
 
 
 def verify_case3() -> CaseReport:
@@ -1050,8 +864,7 @@ def verify_case3() -> CaseReport:
     equations: List[Dict[str, str]] = []
 
     # trace gates pin lam = q^2 and q^2 = -1
-    Fq = GENERIC_Q
-    q = Fq.q()
+    q = GENERIC_Q.q()
     checks.record(
         "gate-identity",
         "q^2(1+q+q^2)^2 - q^3(1+q+q^2) = q^2 (1+q+q^2)(1+q^2): nonzero lam needs q^2 = -1",
@@ -1074,47 +887,26 @@ def verify_case3() -> CaseReport:
     # the swap braiding exchanges t_1 and t_2
     ring_swap = PolyRing(("a", "c", "lam"))
     a_s, c_s, lam_s = ring_swap.vars()
-    p_swap = SklParameters(a_s, a_s, c_s, ring_swap)
-    rels_s = skl_relations(p_swap)
-    theta_rows = [
-        [ring_swap.zero(), lam_s, ring_swap.zero()],
-        [lam_s, ring_swap.zero(), ring_swap.zero()],
-        [ring_swap.zero(), ring_swap.zero(), lam_s],
-    ]
-    theta_s = MatrixF.from_rows(theta_rows, ring_swap)
-
-    def apply_sq(vec9):
-        out = [ring_swap.zero()] * 9
-        for idx, v in enumerate(vec9):
-            if v.is_zero():
-                continue
-            i, j = divmod(idx, 3)
-            for r in range(3):
-                tr = theta_s[r, i]
-                if tr.is_zero():
-                    continue
-                for s in range(3):
-                    ts = theta_s[s, j]
-                    if not ts.is_zero():
-                        out[r * 3 + s] = out[r * 3 + s] + tr * ts * v
-        return tuple(out)
-
+    zs = ring_swap.zero()
+    rels_s = skl_relations(SklParameters(a_s, a_s, c_s, ring_swap))
+    theta_s = MatrixF.from_rows([[zs, lam_s, zs], [lam_s, zs, zs], [zs, zs, lam_s]], ring_swap)
+    theta_sq = theta_s.kronecker(theta_s)
     lam2 = lam_s * lam_s
-    swap_ok = (
-        apply_sq(rels_s[0]) == tuple(lam2 * x for x in rels_s[1])
-        and apply_sq(rels_s[1]) == tuple(lam2 * x for x in rels_s[0])
-        and apply_sq(rels_s[2]) == tuple(lam2 * x for x in rels_s[2])
+    swap_ok = all(
+        theta_sq.apply(rels_s[i]) == tuple(lam2 * x for x in rels_s[j]) for i, j in ((0, 1), (1, 0), (2, 2))
     )
     checks.record("relation-swap", "theta^(x)2 sends t_1, t_2, t_3 to lam^2 t_2, lam^2 t_1, lam^2 t_3", swap_ok)
 
     # the two linear systems and their solutions over d = 8a^3 + c^3
     ring = PolyRing(("a", "c", "ap", "bp", "cp", "cpp"))
     a, c, ap, bp, cp, cpp = ring.vars()
+    zero = ring.zero()
     d = 8 * a ** 3 + c ** 3
-    circ = MatrixF.from_rows(
-        [[2 * a, c, ring.zero()], [ring.zero(), 2 * a, c], [c, ring.zero(), 2 * a]], ring
+    checks.record(
+        "system-determinant",
+        "det = 8a^3 + c^3 = (a+b)^3 + c^3 at a = b",
+        _circulant((2 * a, c, zero), ring).det() == d,
     )
-    checks.record("system-determinant", "det = 8a^3 + c^3 = (a+b)^3 + c^3 at a = b", circ.det() == d)
     # solved values, cleared by d: f = (q/d) * gt on each class
     sol_ok = (
         2 * a * (4 * a ** 2) + c * c ** 2 == d
@@ -1127,76 +919,39 @@ def verify_case3() -> CaseReport:
         sol_ok,
     )
 
-    def slot(i, j, k):
-        return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
+    # gt = (d/q) f on all 27 monomials, constant on each cyclic orbit
+    gt = [zero] * 27
+    for (i, j, k), value in (
+        ((2, 3, 3), -2 * a * c),
+        ((1, 3, 3), -2 * a * c),
+        ((3, 1, 1), 4 * a ** 2),
+        ((3, 2, 2), 4 * a ** 2),
+        ((1, 2, 2), c ** 2),
+        ((2, 1, 1), c ** 2),
+        ((1, 2, 3), d * ap),
+        ((2, 1, 3), d * bp),
+        ((1, 1, 1), d * cp),
+        ((2, 2, 2), d * cp),
+        ((3, 3, 3), d * cpp),
+    ):
+        for s in (slot(i, j, k), slot(k, i, j), slot(j, k, i)):
+            gt[s] = value
+    checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2) (phi = Id)", _is_cyclic(gt))
 
-    def orbit(i, j, k):
-        return [slot(i, j, k), slot(k, i, j), slot(j, k, i)]
-
-    # gt = (d/q) f on all 27 monomials
-    gt = [ring.zero()] * 27
-    for s in orbit(2, 3, 3):
-        gt[s] = -2 * a * c
-    for s in orbit(1, 3, 3):
-        gt[s] = -2 * a * c
-    for s in orbit(3, 1, 1):
-        gt[s] = 4 * a ** 2
-    for s in orbit(3, 2, 2):
-        gt[s] = 4 * a ** 2
-    for s in orbit(1, 2, 2):
-        gt[s] = c ** 2
-    for s in orbit(2, 1, 1):
-        gt[s] = c ** 2
-    for s in orbit(1, 2, 3):
-        gt[s] = d * ap
-    for s in orbit(2, 1, 3):
-        gt[s] = d * bp
-    gt[slot(1, 1, 1)] = d * cp
-    gt[slot(2, 2, 2)] = d * cp
-    gt[slot(3, 3, 3)] = d * cpp
-
-    ok_cyc = all(
-        gt[slot(i, j, k)] == gt[slot(k, i, j)]
-        for i in (1, 2, 3)
-        for j in (1, 2, 3)
-        for k in (1, 2, 3)
-    )
-    checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2) (phi = Id)", ok_cyc)
-
-    p_sym = SklParameters(a, a, c, ring)
-    rels = skl_relations(p_sym)
-
-    def gt_of(vec27):
-        out = ring.zero()
-        for idx, v in enumerate(vec27):
-            if not v.is_zero():
-                out = out + v * gt[idx]
-        return out
-
-    def xt_vec(j, i):
-        vec = [ring.zero()] * 27
-        for pair in range(9):
-            v = rels[i][pair]
-            if not v.is_zero():
-                vec[j * 9 + pair] = v
-        return vec
-
+    rels = skl_relations(SklParameters(a, a, c, ring))
     rel1 = a * (ap + bp) + c * cp
     rel2 = c * cpp - c * cp - 1
-    vals = {}
-    for j in range(3):
-        for i in range(3):
-            vals[(j, i)] = gt_of(xt_vec(j, i))
+    vals = _x_t_values(gt, rels, zero)
     norm_ok = (
-        vals[(0, 1)] == d
-        and vals[(1, 0)] == d
-        and vals[(0, 2)].is_zero()
-        and vals[(2, 0)].is_zero()
-        and vals[(1, 2)].is_zero()
-        and vals[(2, 1)].is_zero()
-        and vals[(0, 0)] == d * rel1
-        and vals[(1, 1)] == d * rel1
-        and vals[(2, 2)] == d * (rel1 + (c * cpp - c * cp))
+        vals[0, 1] == d
+        and vals[1, 0] == d
+        and vals[0, 2].is_zero()
+        and vals[2, 0].is_zero()
+        and vals[1, 2].is_zero()
+        and vals[2, 1].is_zero()
+        and vals[0, 0] == d * rel1
+        and vals[1, 1] == d * rel1
+        and vals[2, 2] == d * (rel1 + (c * cpp - c * cp))
     )
     checks.record(
         "braiding-normalization",
@@ -1207,46 +962,19 @@ def verify_case3() -> CaseReport:
     equations.append({"name": "side-relation-2", "expression": rel2.to_text() + " = 0"})
 
     # P scaled by d: P(w) = gt(x_2 w) t_1 + gt(x_1 w) t_2 + gt(x_3 w) t_3
-    P_cols = []
-    dual_order = (1, 0, 2)
-    for w in range(9):
-        col = [ring.zero()] * 9
-        for i in range(3):
-            vec = [ring.zero()] * 27
-            vec[dual_order[i] * 9 + w] = ring.one()
-            val = gt_of(vec)
-            if not val.is_zero():
-                for r in range(9):
-                    if not rels[i][r].is_zero():
-                        col[r] = col[r] + val * rels[i][r]
-        P_cols.append(col)
-    P = MatrixF.from_rows(P_cols, ring).transpose()
-
-    def pair_index(i, j):
-        return (i - 1) * 3 + (j - 1)
-
+    P = _projection(gt, rels, ring, order=(1, 0, 2))
     table = {
-        pair_index(1, 1): (c ** 2, d * cp, 4 * a ** 2),
-        pair_index(2, 2): (d * cp, c ** 2, 4 * a ** 2),
-        pair_index(3, 3): (-2 * a * c, -2 * a * c, d * cpp),
-        pair_index(2, 3): (4 * a ** 2, d * ap, -2 * a * c),
-        pair_index(3, 2): (4 * a ** 2, d * bp, -2 * a * c),
-        pair_index(3, 1): (d * ap, 4 * a ** 2, -2 * a * c),
-        pair_index(1, 3): (d * bp, 4 * a ** 2, -2 * a * c),
-        pair_index(1, 2): (c ** 2, c ** 2, d * ap),
-        pair_index(2, 1): (c ** 2, c ** 2, d * bp),
+        (1, 1): (c ** 2, d * cp, 4 * a ** 2),
+        (2, 2): (d * cp, c ** 2, 4 * a ** 2),
+        (3, 3): (-2 * a * c, -2 * a * c, d * cpp),
+        (2, 3): (4 * a ** 2, d * ap, -2 * a * c),
+        (3, 2): (4 * a ** 2, d * bp, -2 * a * c),
+        (3, 1): (d * ap, 4 * a ** 2, -2 * a * c),
+        (1, 3): (d * bp, 4 * a ** 2, -2 * a * c),
+        (1, 2): (c ** 2, c ** 2, d * ap),
+        (2, 1): (c ** 2, c ** 2, d * bp),
     }
-    table_ok = True
-    for w, combo in table.items():
-        expect = [ring.zero()] * 9
-        for i in range(3):
-            if not combo[i].is_zero():
-                for r in range(9):
-                    if not rels[i][r].is_zero():
-                        expect[r] = expect[r] + combo[i] * rels[i][r]
-        got = [P[r, w] for r in range(9)]
-        table_ok = table_ok and got == expect
-    checks.record("projection-table", "the nine scaled projection values match the display", table_ok)
+    checks.record("projection-table", "the nine scaled projection values match the display", _table_ok(P, table, rels, zero))
 
     # restricted maps; N is M with a' and b' interchanged
     M, N = restricted_maps(P, rels)
@@ -1270,12 +998,7 @@ def verify_case3() -> CaseReport:
         "first entry is c^3 scaled by d^(-1)",
     )
     swap_sub = {"ap": bp, "bp": ap}
-    swapped = MatrixF(
-        9,
-        9,
-        [M[i, j].substitute(swap_sub) for i in range(9) for j in range(9)],
-        ring,
-    )
+    swapped = MatrixF(9, 9, [x.substitute(swap_sub) for x in M.entries], ring)
     checks.record("swap-relation", "N = M with a' and b' interchanged", N == swapped)
 
     MN = M * N
@@ -1287,31 +1010,28 @@ def verify_case3() -> CaseReport:
         (6, 0): a * c ** 5 + a * c ** 2 * d * (c * cp + 2 * a * ap + a * bp) + d ** 2 * a ** 2 * cp * bp,
         (7, 0): a * c ** 5 + d ** 2 * a * c * cp ** 2 + 24 * a ** 4 * c ** 2 + a * c ** 2 * (-(d * a * bp) - d * a * ap),
     }
-    disp_ok = all(MN[pos] == poly for pos, poly in eq_disp.items())
     checks.record(
         "equations-1-to-4",
         "the (2,1), (4,1), (7,1), (8,1) entries of MN match the four displayed equations",
-        disp_ok,
+        all(MN[pos] == poly for pos, poly in eq_disp.items()),
     )
-    for idx, pos in enumerate(((1, 0), (3, 0), (6, 0), (7, 0)), start=1):
-        equations.append({"name": "equation-%d" % idx, "expression": eq_disp[pos].to_text() + " = 0"})
+    for idx, poly in enumerate(eq_disp.values(), start=1):
+        equations.append({"name": "equation-%d" % idx, "expression": poly.to_text() + " = 0"})
 
     # factorizations after substituting the side relation c cp = -a(ap+bp)
     eq1p, eq2p = eq_disp[(1, 0)], eq_disp[(3, 0)]
     num_cp = -a * (ap + bp)
     fact1 = (daa - c ** 3) * (daa - 4 * a ** 3)
     fact2 = (daa - c ** 3) * (dab - 4 * a ** 3)
-    sub1 = _sub_rational(eq1p, "cp", num_cp, c)
-    sub2 = _sub_rational(eq2p, "cp", num_cp, c)
     checks.record(
         "factorization-1",
         "(1) becomes (d a a' - c^3)(d a a' - 4a^3) = 0",
-        sub1 == c ** eq1p.degree_in("cp") * fact1,
+        _sub_rational(eq1p, "cp", num_cp, c) == c ** eq1p.degree_in("cp") * fact1,
     )
     checks.record(
         "factorization-2",
         "(2) becomes (d a a' - c^3)(d a b' - 4a^3) = 0",
-        sub2 == c ** eq2p.degree_in("cp") * fact2,
+        _sub_rational(eq2p, "cp", num_cp, c) == c ** eq2p.degree_in("cp") * fact2,
     )
     # the companion relations with a' and b' interchanged
     sub1s = _sub_rational(eq1p.substitute(swap_sub), "cp", num_cp, c)
@@ -1326,12 +1046,10 @@ def verify_case3() -> CaseReport:
 
     # equation (3) under b' = a', c cp = -2 a ap
     eq3_sym = eq_disp[(6, 0)].substitute({"bp": ap})
-    sub3 = _sub_rational(eq3_sym, "cp", -2 * a * ap, c)
-    target3 = (c ** 3 - daa) * (c ** 3 + 2 * daa)
     checks.record(
         "branch-quadric",
         "c/a times (3) becomes (c^3 - d a a')(c^3 + 2 d a a') = 0",
-        sub3 == a * target3,
+        _sub_rational(eq3_sym, "cp", -2 * a * ap, c) == a * (c ** 3 - daa) * (c ** 3 + 2 * daa),
     )
     checks.record(
         "branch-exclusion",
@@ -1343,37 +1061,29 @@ def verify_case3() -> CaseReport:
     eq4_sym = eq_disp[(7, 0)].substitute({"bp": ap})
     step = _sub_rational(eq4_sym, "ap", c ** 3, d * a)
     step = _sub_rational(step, "cp", -2 * c ** 2, d)
-    target4 = 3 * a * c ** 2 * d
     checks.record(
         "terminal",
         "(4) collapses to 3 a c^2 d = 0, contradicting ac != 0 and d != 0",
-        step == (d * a) ** eq4_sym.degree_in("ap") * d ** (2 * 1) * target4
-        if eq4_sym.degree_in("cp") == 1
-        else step == (d * a) ** eq4_sym.degree_in("ap") * d ** eq4_sym.degree_in("cp") * target4,
+        step == (d * a) ** eq4_sym.degree_in("ap") * d ** eq4_sym.degree_in("cp") * (3 * a * c ** 2 * d),
     )
     val = (3 * a * c ** 2 * d).evaluate({"a": 1, "c": 2, "ap": 0, "bp": 0, "cp": 0, "cpp": 0})
-    pt = SklParameters.numeric(1, 1, 2)
     checks.record(
         "sample-nonzero",
         "3 a c^2 d != 0 at the smooth-elliptic sample a = b = 1, c = 2",
-        is_type_A(pt) and not val.is_zero(),
+        is_type_A(SklParameters.numeric(1, 1, 2)) and not val.is_zero(),
         "value %s" % format_scalar(val),
     )
     equations.append({"name": "terminal", "expression": "3*a*c^2*d = 0 (contradiction)"})
 
-    verdict = (
-        "contradiction reproduced: every branch of the factorizations ends in 3ac^2 d = 0"
-        if checks.ok
-        else "NOT reproduced"
-    )
-    return CaseReport(
+    return _finish(
         3,
         "order-2 braiding character with a = b; q^2 = -1",
         {"lam": "-1", "q^2": "-1", "d": "8*a^3 + c^3"},
         equations,
         checks,
-        verdict,
+        "contradiction reproduced: every branch of the factorizations ends in 3ac^2 d = 0",
     )
+
 
 
 def verify_case4() -> CaseReport:
@@ -1411,34 +1121,17 @@ def verify_case4() -> CaseReport:
     )
     p_sym = SklParameters(a_v, a_v, c_v, ringc)
     rels = skl_relations(p_sym)
-
-    def apply_sq(vec9):
-        out = [ringc.zero()] * 9
-        for idx, v in enumerate(vec9):
-            if v.is_zero():
-                continue
-            i, j = divmod(idx, 3)
-            for r in range(3):
-                tr = theta[r, i]
-                for s in range(3):
-                    ts = theta[s, j]
-                    out[r * 3 + s] = out[r * 3 + s] + tr * ts * v
-        return tuple(out)
-
+    theta_sq = theta.kronecker(theta)
     factor = lam_v ** 2 * (1 + 2 * kap_v)
     krel_c = 2 * kap_v ** 2 + 2 * kap_v - 1
-    sq_ok = True
-    for j in (1, 2, 3):
-        got = apply_sq(rels[j - 1])
-        expect = [ringc.zero()] * 9
-        for i in (1, 2, 3):
-            coeff = factor * ringc.const(eps ** ((2 * i * j) % 3))
-            for r in range(9):
-                if not rels[i - 1][r].is_zero():
-                    expect[r] = expect[r] + coeff * rels[i - 1][r]
-        sq_ok = sq_ok and all(
-            (g - e).reduce_mod(krel_c, "kap").is_zero() for g, e in zip(got, expect)
+    sq_ok = all(
+        (g - e).reduce_mod(krel_c, "kap").is_zero()
+        for j in (1, 2, 3)
+        for g, e in zip(
+            theta_sq.apply(rels[j - 1]),
+            vec_combination([factor * ringc.const(eps ** ((2 * i * j) % 3)) for i in (1, 2, 3)], rels, ringc.zero()),
         )
+    )
     checks.record(
         "relation-action",
         "theta^(x)2 (t_j) = lam^2 (1+2k) sum_i eps^(2ij) t_i modulo 2k^2+2k-1",
@@ -1489,7 +1182,7 @@ def verify_case4() -> CaseReport:
 
     # theta^(x)3 (t) = (3+6k) lam^3 t modulo the kappa relation
     t_vec = skl_tensor(p_sym)
-    theta_cube = _apply_tensor_cube_poly(theta, t_vec, ringc)
+    theta_cube = apply_tensor_cube(theta, t_vec)
     scale = (3 + 6 * kap_v) * lam_v ** 3
     cube_ok = all(
         (theta_cube[r] - scale * t_vec[r]).reduce_mod(krel_c, "kap").is_zero() for r in range(27)
@@ -1533,20 +1226,11 @@ def verify_case4() -> CaseReport:
         "(3+6k)lam^3 would equal both q^6 and -q^6; 2q^6 != 0 for q != 0",
         final == 2 * qv ** 6 and not final.is_zero(),
     )
-    verdict = (
-        "contradiction reproduced: the top scaling forces q^6 = -q^6"
-        if checks.ok
-        else "NOT reproduced"
-    )
-    return CaseReport(
+    return _finish(
         4,
         "order-4 braiding character with a = b",
         {"(1+2k)^2": "3", "(1+2k)*lam": "-q^2"},
         equations,
         checks,
-        verdict,
+        "contradiction reproduced: the top scaling forces q^6 = -q^6",
     )
-
-
-def verify_all_cases() -> List[CaseReport]:
-    return [verify_case1(), verify_case2(), verify_case3(), verify_case4()]

@@ -35,6 +35,9 @@ from .report import CheckReport
 __all__ = [
     "SklParameters",
     "ProjectiveElement",
+    "slot",
+    "cyclic_slots",
+    "apply_tensor_cube",
     "symbolic_parameters",
     "skl_relations",
     "skl_tensor",
@@ -91,6 +94,11 @@ def _mod3(i: int) -> int:
     return (i - 1) % 3 + 1
 
 
+def slot(i: int, j: int, k: int) -> int:
+    """Position of the cubic monomial x_i x_j x_k in V^(x)3 (1-based letters)."""
+    return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
+
+
 def skl_relations(p: SklParameters) -> List[tuple]:
     """The degree-2 relation tensors t_1, t_2, t_3 as 9-vectors."""
     zero = p.domain.zero()
@@ -109,10 +117,6 @@ def skl_tensor(p: SklParameters) -> tuple:
     """t = sum_i (a x_(i-1) x_i x_(i+1) + b x_(i+1) x_i x_(i-1) + c x_i^3)."""
     zero = p.domain.zero()
     vec = [zero] * 27
-
-    def slot(i, j, k):
-        return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
-
     for i in (1, 2, 3):
         up, dn = _mod3(i + 1), _mod3(i - 1)
         vec[slot(dn, i, up)] = vec[slot(dn, i, up)] + p.a
@@ -566,20 +570,19 @@ def conjugacy_report(field: Optional[FieldSpec] = None) -> Tuple[CheckReport, di
 # the action on parameters and the invariant data
 
 
-def _w_basis_slots() -> List[List[int]]:
-    def slot(i, j, k):
-        return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
-
+def cyclic_slots() -> List[List[int]]:
+    """Slots of the ascending x_(i-1) x_i x_(i+1), descending x_(i+1) x_i x_(i-1)
+    and cubic x_i^3 monomials, one list each."""
     w1 = [slot(_mod3(i - 1), i, _mod3(i + 1)) for i in (1, 2, 3)]
     w2 = [slot(_mod3(i + 1), i, _mod3(i - 1)) for i in (1, 2, 3)]
     w3 = [slot(i, i, i) for i in (1, 2, 3)]
     return [w1, w2, w3]
 
 
-def _apply_tensor_cube(tau: MatrixF, vec: Sequence) -> list:
-    """tau^(x)3 applied to a 27-vector over the same field."""
-    field_zero = tau.domain.zero()
-    out = [field_zero] * 27
+def apply_tensor_cube(tau: MatrixF, vec: Sequence, zero=None) -> list:
+    """tau^(x)3 applied to a 27-vector; zero is that of the vector's domain
+    (by default the domain of tau)."""
+    out = [tau.domain.zero() if zero is None else zero] * 27
     cols = [[(i, tau[i, j]) for i in range(3) if not tau[i, j].is_zero()] for j in range(3)]
     for idx, x in enumerate(vec):
         if _entry_is_zero(x):
@@ -603,13 +606,13 @@ def action_on_parameters(tau: ProjectiveElement) -> MatrixF:
     """
     field = tau.matrix.domain
     zero, one = field.zero(), field.one()
-    slots = _w_basis_slots()
+    slots = cyclic_slots()
     cols = []
     for w_slots in slots:
         vec = [zero] * 27
         for s in w_slots:
             vec[s] = one
-        img = _apply_tensor_cube(tau.matrix, vec)
+        img = apply_tensor_cube(tau.matrix, vec)
         # read off the (w1, w2, w3) coordinates and verify stability
         coords = [img[slots[r][0]] for r in range(3)]
         recon = [zero] * 27
@@ -632,7 +635,7 @@ def preserves_relations(theta: MatrixF, p: SklParameters) -> Tuple[bool, Optiona
     it is None when a = b.
     """
     t = skl_tensor(p)
-    img = _apply_tensor_cube(theta, t) if isinstance(p.domain, FieldSpec) else _apply_tensor_cube_poly(theta, t, p.domain)
+    img = apply_tensor_cube(theta, t, p.domain.zero())
     line_stable = _proportional(img, t)
     det_twisted: Optional[bool] = None
     if p.a != p.b:
@@ -651,23 +654,6 @@ def preserves_relations(theta: MatrixF, p: SklParameters) -> Tuple[bool, Optiona
             sub[name] = acc
         det_twisted = ts.substitute(sub) == ring.const(theta.det()) * ts
     return line_stable, det_twisted
-
-
-def _apply_tensor_cube_poly(tau: MatrixF, vec: Sequence, ring: PolyRing) -> list:
-    out = [ring.zero()] * 27
-    cols = [[(i, tau[i, j]) for i in range(3) if not tau[i, j].is_zero()] for j in range(3)]
-    for idx, x in enumerate(vec):
-        if _entry_is_zero(x):
-            continue
-        i, rest = divmod(idx, 9)
-        j, k = divmod(rest, 3)
-        for a, ca in cols[i]:
-            for b, cb in cols[j]:
-                cab = ca * cb
-                for c, cc in cols[k]:
-                    tgt = a * 9 + b * 3 + c
-                    out[tgt] = out[tgt] + (cab * cc) * x
-    return out
 
 
 def _proportional(u: Sequence, v: Sequence) -> bool:

@@ -31,6 +31,7 @@ sits at position sum (i_k - 1) N^(n-k).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,6 +46,7 @@ __all__ = [
     "SymmetryError",
     "check_hecke",
     "check_braid",
+    "braid_defect",
     "dj_standard",
     "flip",
     "tensor_index",
@@ -93,37 +95,35 @@ def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
     return tuple(out)
 
 
-def check_hecke(R: MatrixF, q: Scalar) -> Tuple[bool, str]:
-    """Exact test of (R - q Id)(R + Id) = 0; witness entry on failure."""
-    n = R.rows
-    I = MatrixF.identity(n, R.domain)
-    M = (R - I.scale(q)) * (R + I)
-    for i in range(n):
-        for j in range(n):
+def _vanishes(M: MatrixF) -> Tuple[bool, str]:
+    """Whether M is zero, with its first nonzero entry as the witness if not."""
+    for i in range(M.rows):
+        for j in range(M.cols):
             if not M[i, j].is_zero():
                 return False, "entry (%d,%d) = %s" % (i, j, format_scalar(M[i, j]))
     return True, ""
 
 
-def check_braid(R: MatrixF) -> Tuple[bool, str]:
-    """Exact test of the braid equation on V^(x)3; witness on failure."""
-    import math
+def check_hecke(R: MatrixF, q: Scalar) -> Tuple[bool, str]:
+    """Exact test of (R - q Id)(R + Id) = 0; witness entry on failure."""
+    I = MatrixF.identity(R.rows, R.domain)
+    return _vanishes((R - I.scale(q)) * (R + I))
 
-    N2 = R.rows
-    N = math.isqrt(N2)
-    if N * N != N2:
+
+def braid_defect(R: MatrixF) -> MatrixF:
+    """(R (x) I)(I (x) R)(R (x) I) - (I (x) R)(R (x) I)(I (x) R) on V^(x)3."""
+    N = math.isqrt(R.rows)
+    if N * N != R.rows:
         raise ValueError("operator size is not a perfect square")
     I = MatrixF.identity(N, R.domain)
     R12 = R.kronecker(I)
     R23 = I.kronecker(R)
-    lhs = R12 * R23 * R12
-    rhs = R23 * R12 * R23
-    D = lhs - rhs
-    for i in range(D.rows):
-        for j in range(D.cols):
-            if not D[i, j].is_zero():
-                return False, "entry (%d,%d) = %s" % (i, j, format_scalar(D[i, j]))
-    return True, ""
+    return R12 * R23 * R12 - R23 * R12 * R23
+
+
+def check_braid(R: MatrixF) -> Tuple[bool, str]:
+    """Exact test of the braid equation on V^(x)3; witness on failure."""
+    return _vanishes(braid_defect(R))
 
 
 class HeckeSymmetry:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from heckesym.cli import main
+from heckesym import cli
+from heckesym.cli import MAX_PARAM_DIGITS, main
 
 
 def run_cli(capsys, *argv):
@@ -230,3 +231,46 @@ def test_nested_power_in_q_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: bad --q expression: power with about")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["skl3", "--a", "foo", "--b", "1", "--c", "2"], "bad --a: "),
+        (["skl3", "--a", "1", "--b", "1/0", "--c", "2"], "bad --b: "),
+        (["skl3", "--a", "0", "--b", "0", "--c", "0"], "(a, b, c) must not be identically zero"),
+        (["skl3", "--a", "1", "--b", "1", "--c", "1e2000"], "--c has more than %d digits" % MAX_PARAM_DIGITS),
+        (["obstruct", "--case", "1", "--params", "0,0,0"], "(a, b, c) must not be identically zero"),
+        (["obstruct", "--case", "1", "--params", "1e2000,1,2"], "--params has more than %d digits" % MAX_PARAM_DIGITS),
+        (["obstruct", "--case", "1", "--params", "1,2,3" + "0" * MAX_PARAM_DIGITS], "--params has more than"),
+        (["obstruct", "--case", "1", "--params", "1,2"], "--params expects three comma-separated rationals"),
+    ],
+)
+def test_bad_triples_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1
+
+
+def test_largest_admitted_triple_prints(capsys):
+    # the resultant of the largest admitted components still fits str()
+    big = "9" * MAX_PARAM_DIGITS
+    small = "1/" + "7" * (MAX_PARAM_DIGITS - 1)
+    code, doc = run_cli(capsys, "obstruct", "--case", "1", "--params", ",".join((big, small, small)))
+    assert code == 0 and doc["ok"]
+    assert doc["sample"]["resultant"] != "0"
+
+
+@pytest.mark.parametrize("case", ["3", "4"])
+def test_a_equals_b_is_checked_before_the_case_runs(capsys, monkeypatch, case):
+    def not_called():
+        raise AssertionError("the case ran before its parameters were checked")
+
+    monkeypatch.setattr(cli, "verify_case" + case, not_called)
+    code = main(["obstruct", "--case", case, "--params", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: cases 3 and 4 assume a = b\n"

@@ -282,6 +282,28 @@ def test_reconstruction_roundtrip(prof3):
     assert P.kernel() == sym.ideal_component(2)
 
 
+def test_reconstruction_from_a_generic_functional():
+    # a seeded functional whose Gram matrix is not symmetric, so that the
+    # rows and columns of the dual basis cannot be confused
+    import random
+
+    from heckesym.linalg import Subspace
+    from heckesym.regular3 import SklParameters, skl_relations
+
+    field = FieldSpec("rational", qval=(Fraction(2),))
+    rng = random.Random(7)
+    f = tuple(field.scalar(rng.randint(-3, 3)) for _ in range(27))
+    rels = Subspace.from_vectors(skl_relations(SklParameters.numeric(1, 2, 3, field)), 9, field)
+    P, R = reconstruct_from_f(f, rels, field.q())
+    assert P * P == P
+    assert P.image() == rels
+    # f(v (x) P(w)) = f(v (x) w) for every v in V and w in V (x) V
+    for v in range(3):
+        for w in range(9):
+            image = P.col(w)
+            assert sum((image[r] * f[v * 9 + r] for r in range(9)), field.zero()) == f[v * 9 + w]
+
+
 def test_reconstruction_rejects_q_minus_one():
     Fneg = FieldSpec("rational", qval=(Fraction(-1),))
     sym = dj_standard(2, Fneg)

@@ -121,3 +121,10 @@ def test_shape_errors():
         B.trace()
     with pytest.raises(ValueError):
         B.det()
+    # a line in k^3 refuses vectors of any other length
+    line = Subspace.from_vectors([(F.one(), F.zero(), F.zero())], 3, F)
+    for vec in ((F.one(), F.zero(), F.zero(), F.zero()), (F.one(),)):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            line.coordinates(vec)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            line.contains(vec)

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from heckesym.exactnum import FieldSpec
+from heckesym.frobenius import reconstruct_from_f
+from heckesym.linalg import Subspace
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import (
     TernaryQuadratic,
-    braid_defect,
     braid_residual,
     case1_f,
     case1_system,
-    projection_from_f,
     restricted_maps,
     sylvester_dets,
     sylvester_resultant,
@@ -20,6 +20,7 @@ from heckesym.obstruction import (
     verify_case4,
 )
 from heckesym.regular3 import SklParameters, is_type_A, skl_relations
+from heckesym.symmetry import braid_defect
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,13 @@ def test_case1_functional_and_projection():
         for j in range(3):
             for k in range(3):
                 assert f[i * 9 + j * 3 + k] == f[k * 9 + i * 3 + j]
-    rels = skl_relations(p)
-    P = projection_from_f(f, rels, field)
+    rels = Subspace.from_vectors(skl_relations(p), 9, field)
+    P, _R = reconstruct_from_f(f, rels, field.q())
     assert P * P == P
     with pytest.raises(ValueError):
         case1_f(p, ap, bp, field.scalar(1))
+    with pytest.raises(ValueError, match="degenerate"):
+        reconstruct_from_f((field.zero(),) * 27, rels, field.q())
 
 
 def test_braid_residual_rescale_invariance():
@@ -102,7 +105,7 @@ def test_braid_residual_rescale_invariance():
 
 
 def test_braid_defect_zero_for_genuine_symmetry():
-    from heckesym.frobenius import analyze, reconstruct_from_f
+    from heckesym.frobenius import analyze
     from heckesym.symmetry import dj_standard
 
     sym = dj_standard(3)
@@ -117,7 +120,7 @@ def test_restricted_maps_field_path():
     cp = field.scalar(Fraction(1, 2))
     f = case1_f(p, field.scalar(0), field.scalar(0), cp)
     rels = skl_relations(p)
-    P = projection_from_f(f, rels, field)
+    P, _R = reconstruct_from_f(f, Subspace.from_vectors(rels, 9, field), field.q())
     M, N = restricted_maps(P, rels)
     assert M.rows == 9 and N.rows == 9
     # composite on the x t side matches (Id x P)(P x Id) coordinates
