@@ -34,7 +34,27 @@ STDOUT_SHA256 = {
     ("obstruct", "--case", "1", "--params", "1,2,3"): "e8e170abbe80f8e11dbbb5c9544158651109726b46e00bf769f8813ee9ab194a",
     ("obstruct", "--case", "3", "--params", "1,1,2"): "fdb72d1436536eeee974b5d06a29c73073dee0f354397ff9d4b43017456b8d5a",
     ("skl3", "--a", "1", "--b", "2", "--c", "3", "--check", "tensors"): "44ee640815b473be4dd1c80e94bf9e9714248617f420a379af2e84ceae92fa7f",
+    ("analyze", "--builtin", "dj", "--dim", "2"): "aa8aa8d2aa284d789b5dad05735886bdcc9b298491419670960d76f69291eeb1",
+    ("analyze", "--builtin", "dj", "--dim", "3"): "5dd46b5a39f88d102723c3ee760765f3776354bde79cc9afb3f9d1385a981df9",
+    ("analyze", "--builtin", "flip", "--dim", "2"): "06115bfe7785a7ab61d710fe90e57ca38c1ecf45d36ac90cadd0aebbe33f3f74",
+    ("analyze", "--builtin", "flip", "--dim", "3"): "cdd3d037edc289bd2fc4de8352191a51050ecc35a438636265449e1cf567b2d9",
+    ("analyze", "--builtin", "dj", "--dim", "2", "--field", "cyclotomic", "--order", "3", "--q", "e"): "b3296a161a80bd124c92cd6065f802cfc0ad2f073b7982c0267e5658d225f584",
+    ("analyze", "--builtin", "dj", "--dim", "3", "--field", "rational", "--q", "2"): "762a0b82aae2fb875ec520674236f4802a78be482796de2b01e8b3cf3c7191e9",
 }
+
+# dj(2) conjugated by tau = [[2, 1], [1, 1]], as `builtin` and `conjugate` emit it
+DENSE_CONJUGATE = {
+    "dim": 2,
+    "field": {"kind": "ratfunc_q", "order": 1},
+    "q": "q",
+    "matrix": [
+        ["q", "2*q - 2", "(-2)*q + 2", "0"],
+        ["0", "2*q - 2", "-q + 2", "0"],
+        ["0", "2*q - 1", "-q + 1", "0"],
+        ["0", "q - 1", "-q + 1", "q"],
+    ],
+}
+DENSE_CONJUGATE_SHA256 = "87af05bc49217d5a1e75e07ef3d40867280669018497dcc08bb81226a546c60c"
 
 # sha256 of json.dumps([g.to_rows() for g in hessian_group()])
 GROUP_ROWS_SHA256 = "9f1d8b9b46a5aa35da39efa5066b53e18d111ccf17aef003e222042f10cb4ff0"
@@ -53,6 +73,14 @@ def test_stdout_digest(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == STDOUT_SHA256[argv]
+
+
+def test_analyze_dense_conjugate_digest(capsys, tmp_path):
+    path = tmp_path / "conj.json"
+    path.write_text(json.dumps(DENSE_CONJUGATE))
+    code = main(["analyze", str(path)])
+    assert code == 0
+    assert _sha256(capsys.readouterr().out) == DENSE_CONJUGATE_SHA256
 
 
 def test_group_elements_and_class_order():
