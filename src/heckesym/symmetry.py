@@ -52,6 +52,9 @@ __all__ = [
     "tensor_index",
     "index_word",
     "kron_vec",
+    "column_table",
+    "apply_slots",
+    "apply_power",
     "TENSOR_DIM_CAP",
     "REP_DIM_CAP",
 ]
@@ -93,6 +96,51 @@ def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
                 if not y.is_zero():
                     out[base + j] = x * y
     return tuple(out)
+
+
+def column_table(A: MatrixF) -> List[List[tuple]]:
+    """Column j of A as the list of its nonzero entries (i, A[i, j])."""
+    return [[(i, A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]
+
+
+def apply_slots(cols: Sequence, first: int, N: int, vec: Sequence, zero) -> tuple:
+    """Id (x) A (x) Id on a vector of V^(x)n, with A on the slots from first on.
+
+    A is an N^w x N^w operator on w consecutive slots, the first of them at
+    1-based position first, given by its column table (see column_table).
+    Only the nonzero coordinates of vec are visited; zero is that of the
+    vector's domain.
+    """
+    if first < 1:
+        raise ValueError("slots out of range")
+    width = len(cols)
+    tail, rest = divmod(len(vec), N ** (first - 1) * width)
+    if rest or not tail:
+        raise ValueError("slots out of range")
+    out = [zero] * len(vec)
+    for idx, x in enumerate(vec):
+        if x.is_zero():
+            continue
+        local = (idx // tail) % width
+        base = idx - local * tail
+        for row, coeff in cols[local]:
+            tgt = base + row * tail
+            out[tgt] = out[tgt] + coeff * x
+    return tuple(out)
+
+
+def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
+    """A^(x)k on a vector of V^(x)k, applied one slot at a time.
+
+    zero is that of the vector's domain (by default the domain of A).
+    """
+    if A.rows != A.cols or len(vec) != A.rows ** k:
+        raise ValueError("vector length mismatch")
+    cols = column_table(A)
+    zero = A.domain.zero() if zero is None else zero
+    for s in range(1, k + 1):
+        vec = apply_slots(cols, s, A.rows, vec, zero)
+    return tuple(vec)
 
 
 def _vanishes(M: MatrixF) -> Tuple[bool, str]:

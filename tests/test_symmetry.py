@@ -1,18 +1,23 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
 from heckesym.linalg import MatrixF, Subspace, vec_scale
+from heckesym.multipoly import PolyRing
 from heckesym.permgroup import Composition, enumerate_perms, longest_rho
 from heckesym.symmetry import (
     TENSOR_DIM_CAP,
     HeckeSymmetry,
     SymmetryError,
+    apply_power,
+    apply_slots,
     check_braid,
     check_hecke,
+    column_table,
     dj_standard,
     flip,
     index_word,
@@ -361,3 +366,76 @@ def test_root_of_unity_construction():
     C3q = cyclotomic_field(3, q_power=1)
     sym = dj_standard(3, C3q)
     assert [sym.upsilon(k).dim for k in range(4)] == [1, 3, 3, 1]
+
+
+# ---------------------------------------------------------------------------
+# slot-local actions against dense Kronecker references
+
+
+def kron_power(A, k):
+    """A^(x)k as a dense matrix (the reference for apply_power)."""
+    out = MatrixF.identity(1, A.domain)
+    for _ in range(k):
+        out = out.kronecker(A)
+    return out
+
+
+def _dense_apply(M, vec, zero):
+    out = []
+    for i in range(M.rows):
+        acc = zero
+        for j, x in enumerate(vec):
+            acc = acc + M[i, j] * x
+        out.append(acc)
+    return tuple(out)
+
+
+def _domains():
+    """(name, operator domain, random operator entry, zero of the vectors, random vector entry)."""
+    ring = PolyRing(("a", "b"), order=3)
+    a, b = ring.vars()
+    C3 = cyclotomic_field(3)
+    rat = FieldSpec("rational")
+    small = lambda rng: rng.choice((0, 0, 1, -1, 2, 3))
+    rational = lambda rng: rat.scalar(Fraction(small(rng), rng.choice((1, 2))))
+    cyclotomic = lambda rng: small(rng) * C3.one() + small(rng) * C3.e()
+    ratfunc = lambda rng: small(rng) * q + small(rng)
+    poly = lambda rng: small(rng) * a + small(rng) * b * b + small(rng) * ring.one()
+    return [
+        ("rational", rat, rational, rat.zero(), rational),
+        ("cyclotomic3", C3, cyclotomic, C3.zero(), cyclotomic),
+        ("ratfunc_q", F, ratfunc, F.zero(), ratfunc),
+        ("polyring", ring, poly, ring.zero(), poly),
+        # a Scalar operator on MultiPoly vectors, as preserves_relations uses it
+        ("scalar-on-poly", C3, cyclotomic, ring.zero(), poly),
+    ]
+
+
+@pytest.mark.parametrize("case", _domains(), ids=lambda c: c[0])
+def test_slot_actions_match_kronecker_reference(case):
+    name, domain, entry, zero, vec_entry = case
+    rng = random.Random("slots:" + name)
+    for N in (1, 2, 3):
+        A = MatrixF(N, N, [entry(rng) for _ in range(N * N)], domain)
+        for k in range(4):
+            vec = tuple(vec_entry(rng) for _ in range(N ** k))
+            assert apply_power(A, k, vec, zero) == _dense_apply(kron_power(A, k), vec, zero)
+    # Id^a (x) A (x) Id^b with A on w slots
+    for N, w, a, b in ((2, 1, 1, 1), (2, 2, 0, 1), (2, 2, 1, 0), (3, 1, 0, 2), (3, 2, 1, 0), (2, 1, 2, 0), (2, 3, 0, 0)):
+        m = N ** w
+        A = MatrixF(m, m, [entry(rng) for _ in range(m * m)], domain)
+        I = MatrixF.identity(N, domain)
+        dense = kron_power(I, a).kronecker(A).kronecker(kron_power(I, b))
+        vec = tuple(vec_entry(rng) for _ in range(dense.cols))
+        assert apply_slots(column_table(A), a + 1, N, vec, zero) == _dense_apply(dense, vec, zero)
+
+
+def test_slot_action_range_errors():
+    A = MatrixF.identity(4, F)
+    vec = (F.one(),) * 8
+    apply_slots(column_table(A), 2, 2, vec, F.zero())
+    for first in (0, 3):
+        with pytest.raises(ValueError):
+            apply_slots(column_table(A), first, 2, vec, F.zero())
+    with pytest.raises(ValueError):
+        apply_power(MatrixF.identity(2, F), 2, vec)
