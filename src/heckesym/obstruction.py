@@ -19,12 +19,14 @@ generators) each terminate in an exact contradiction:
             (1+2k)^2 = 3, so the top scaling would need q^6 = -q^6.
 
 The cases share one pipeline.  Each writes its functional as a table of
-values on cubic monomials (`slot`), reads the values f(x_j (x) t_i) off it
-(`_x_t_values`), builds P through `frobenius.projection_from_dual` with the
-dual basis the case dictates, compares P with a table of combinations of the
-t_i (`_table_ok`), cuts the restricted maps of Id (x) P and P (x) Id down to
-a pair of 3-dimensional subspaces (`_pair_minors`) and finishes its report
-with `_finish`; only the case-specific algebra is written per case.
+values on cubic monomials (indexed by `symmetry.tensor_index`), reads the
+values f(x_j (x) t_i) off it (`_x_t_values`), builds P through
+`frobenius.projection_from_dual` with the dual basis the case dictates,
+compares P with a table of combinations of the t_i (`_table_ok`), applies
+Id (x) P and P (x) Id as slot actions (`symmetry.apply_slots`), cuts the
+restricted maps down to a pair of 3-dimensional subspaces (`_pair_minors`)
+and finishes its report with `_finish`; only the case-specific algebra is
+written per case.
 
 Everything here is exact: symbolic steps are polynomial identities, numeric
 steps run over cyclotomic fields.
@@ -41,17 +43,18 @@ from .exprio import format_scalar
 from .frobenius import projection_from_dual, reconstruct_from_f
 from .linalg import MatrixF, Subspace, vec_combination
 from .multipoly import MultiPoly, PolyRing
-from .regular3 import (
-    SklParameters,
-    apply_tensor_cube,
-    cyclic_slots,
-    is_type_A,
-    skl_relations,
-    skl_tensor,
-    slot,
-)
+from .regular3 import SklParameters, cyclic_slots, is_type_A, skl_relations, skl_tensor
 from .report import CheckReport
-from .symmetry import braid_defect, check_braid, check_hecke
+from .symmetry import (
+    apply_power,
+    apply_slots,
+    braid_defect,
+    check_braid,
+    check_hecke,
+    column_table,
+    kron_vec,
+    tensor_index,
+)
 
 __all__ = [
     "TernaryQuadratic",
@@ -194,13 +197,8 @@ def sylvester_resultant(
 # ---------------------------------------------------------------------------
 # the shared case pipeline
 #
-# Letters are 1-based in slot and _pair_index and 0-based elsewhere; rows of
-# the restricted maps are numbered by _xt_index and columns by _tx_index.
-
-
-def _pair_index(i: int, j: int) -> int:
-    """Position of x_i x_j in V (x) V."""
-    return (i - 1) * 3 + (j - 1)
+# Letters are 1-based in tensor_index and 0-based elsewhere; rows of the
+# restricted maps are numbered by _xt_index and columns by _tx_index.
 
 
 def _xt_index(j: int, i: int) -> int:
@@ -213,15 +211,6 @@ def _tx_index(alpha: int, beta: int) -> int:
     return beta * 3 + alpha
 
 
-def _x_tensor(j: int, t: Sequence, zero) -> list:
-    """x_j (x) t as a 27-vector."""
-    vec = [zero] * 27
-    for pair, v in enumerate(t):
-        if not v.is_zero():
-            vec[j * 9 + pair] = v
-    return vec
-
-
 def _pairing(f: Sequence, vec: Sequence, zero):
     """f(vec) for a covector f on V^(x)3."""
     out = zero
@@ -231,9 +220,12 @@ def _pairing(f: Sequence, vec: Sequence, zero):
     return out
 
 
-def _x_t_values(f: Sequence, relations: Sequence, zero) -> dict:
+def _x_t_values(f: Sequence, relations: Sequence, domain) -> dict:
     """f(x_j (x) t_i), keyed by (j, i)."""
-    return {(j, i): _pairing(f, _x_tensor(j, relations[i], zero), zero) for j in range(3) for i in range(3)}
+    x = MatrixF.identity(3, domain).row_list()
+    return {
+        (j, i): _pairing(f, kron_vec(x[j], relations[i], domain), domain.zero()) for j in range(3) for i in range(3)
+    }
 
 
 def _off_diagonal_zero(values: dict) -> bool:
@@ -243,7 +235,7 @@ def _off_diagonal_zero(values: dict) -> bool:
 def _is_cyclic(f: Sequence, twist=1) -> bool:
     """f(x_i x_j x_k) = twist^k f(x_k x_i x_j) on every cubic monomial."""
     return all(
-        f[slot(i, j, k)] == twist ** k * f[slot(k, i, j)]
+        f[tensor_index((i, j, k), 3)] == twist ** k * f[tensor_index((k, i, j), 3)]
         for i in (1, 2, 3)
         for j in (1, 2, 3)
         for k in (1, 2, 3)
@@ -272,7 +264,7 @@ def _projection(f: Sequence, relations: Sequence, domain, weights=None, order=(0
 def _table_ok(P: MatrixF, table: dict, relations: Sequence, zero) -> bool:
     """P(x_i x_j) = sum_k c_k t_k for every entry (i, j): (c_1, c_2, c_3) of the table."""
     return all(
-        P.col(_pair_index(i, j)) == vec_combination(coeffs, relations, zero)
+        P.col(tensor_index((i, j), 3)) == vec_combination(coeffs, relations, zero)
         for (i, j), coeffs in table.items()
     )
 
@@ -317,30 +309,17 @@ def restricted_maps(P: MatrixF, relations: Sequence) -> Tuple[MatrixF, MatrixF]:
     domain = P.domain
     zero = domain.zero()
     t_rows = [tuple(t) for t in relations]
-
-    def tensor_t_x(alpha: int, beta: int) -> list:
-        vec = [zero] * 27
-        for pair in range(9):
-            v = t_rows[alpha][pair]
-            if not v.is_zero():
-                vec[pair * 3 + beta] = v
-        return vec
-
-    def apply_id_P(vec: Sequence) -> list:
-        return [x for j in range(3) for x in P.apply(vec[j * 9 : (j + 1) * 9])]
-
-    def apply_P_id(vec: Sequence) -> list:
-        images = [P.apply(vec[k::3]) for k in range(3)]
-        return [images[k][pair] for pair in range(9) for k in range(3)]
-
-    xt_basis = [_x_tensor(j, t_rows[i], zero) for j in range(3) for i in range(3)]
-    tx_basis = [tensor_t_x(a, b) for b in range(3) for a in range(3)]
-    m_cols = [_solve_in_basis(apply_id_P(v), xt_basis, t_rows, "xt", domain) for v in tx_basis]
-    n_cols = [_solve_in_basis(apply_P_id(v), tx_basis, t_rows, "tx", domain) for v in xt_basis]
+    x = MatrixF.identity(3, domain).row_list()
+    cols = column_table(P)
+    xt_basis = [kron_vec(x[j], t_rows[i], domain) for j in range(3) for i in range(3)]
+    tx_basis = [kron_vec(t_rows[a], x[b], domain) for b in range(3) for a in range(3)]
+    # Id (x) P acts on slots (2, 3), P (x) Id on slots (1, 2)
+    m_cols = [_solve_in_basis(apply_slots(cols, 2, 3, v, zero), xt_basis, t_rows, "xt", domain) for v in tx_basis]
+    n_cols = [_solve_in_basis(apply_slots(cols, 1, 3, v, zero), tx_basis, t_rows, "tx", domain) for v in xt_basis]
     return MatrixF.from_rows(m_cols, domain).transpose(), MatrixF.from_rows(n_cols, domain).transpose()
 
 
-def _solve_in_basis(vec: Sequence, basis: List[list], t_rows, layout: str, domain) -> list:
+def _solve_in_basis(vec: Sequence, basis: List[tuple], t_rows, layout: str, domain) -> list:
     """Coordinates of vec in the given mixed-tensor basis.
 
     Over a field this is a linear solve.  Over a polynomial ring the square
@@ -355,13 +334,11 @@ def _solve_in_basis(vec: Sequence, basis: List[list], t_rows, layout: str, domai
         return list(sol)
     coords = []
     for m in range(len(basis)):
-        if layout == "xt":
-            j, i_rel = divmod(m, 3)
-            probe = j * 9 + (i_rel * 3 + i_rel)
-        else:
-            b, i_rel = divmod(m, 3)
-            probe = (i_rel * 3 + i_rel) * 3 + b
-        square = t_rows[i_rel][i_rel * 3 + i_rel]
+        outer, i_rel = divmod(m, 3)
+        square_word = (i_rel + 1, i_rel + 1)
+        word = (outer + 1,) + square_word if layout == "xt" else square_word + (outer + 1,)
+        probe = tensor_index(word, 3)
+        square = t_rows[i_rel][tensor_index(square_word, 3)]
         if square.is_zero():
             raise ValueError("relation tensor has no square term; cannot extract")
         val = vec[probe]
@@ -501,7 +478,7 @@ def verify_case1() -> CaseReport:
     checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2)", _is_cyclic(f))
 
     # f annihilates x_j t_i off the diagonal and is a a'+b b'+c c' on it
-    vals = _x_t_values(f, rels, zero)
+    vals = _x_t_values(f, rels, ring)
     diag = av * apv + bv * bpv + cv * cpv
     checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", _off_diagonal_zero(vals))
     checks.record(
@@ -744,10 +721,10 @@ def verify_case2() -> CaseReport:
         ((1, 3, 2), eps ** 2 * bpv),
         ((3, 3, 3), cpv),
     ):
-        g[slot(*letters)] = value
+        g[tensor_index(letters, 3)] = value
     checks.record("cyclicity", "f(v1 v2 v3) = eps^k f(x_k v1 v2)", _is_cyclic(g, eps))
 
-    vals = _x_t_values(g, rels, zero)
+    vals = _x_t_values(g, rels, ring)
     checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", _off_diagonal_zero(vals))
     for i in (1, 2, 3):
         equations.append(
@@ -834,7 +811,7 @@ def verify_case2() -> CaseReport:
     pt = SklParameters.numeric(1, 1, 2, C3q)
     checks.record("sample-smooth", "(1,1,2) is a smooth-elliptic triple", is_type_A(pt))
     gn = [C3q.zero()] * 27
-    gn[slot(3, 3, 3)] = C3q.scalar(Fraction(1, 2))
+    gn[tensor_index((3, 3, 3), 3)] = C3q.scalar(Fraction(1, 2))
     epsn = primitive_root(3, C3q)
     Pn = _projection(gn, skl_relations(pt), C3q, [epsn ** -i for i in (1, 2, 3)])
     Rn = MatrixF.identity(9, C3q).scale(qn) - Pn.scale(qn + 1)
@@ -890,10 +867,9 @@ def verify_case3() -> CaseReport:
     zs = ring_swap.zero()
     rels_s = skl_relations(SklParameters(a_s, a_s, c_s, ring_swap))
     theta_s = MatrixF.from_rows([[zs, lam_s, zs], [lam_s, zs, zs], [zs, zs, lam_s]], ring_swap)
-    theta_sq = theta_s.kronecker(theta_s)
     lam2 = lam_s * lam_s
     swap_ok = all(
-        theta_sq.apply(rels_s[i]) == tuple(lam2 * x for x in rels_s[j]) for i, j in ((0, 1), (1, 0), (2, 2))
+        apply_power(theta_s, 2, rels_s[i]) == tuple(lam2 * x for x in rels_s[j]) for i, j in ((0, 1), (1, 0), (2, 2))
     )
     checks.record("relation-swap", "theta^(x)2 sends t_1, t_2, t_3 to lam^2 t_2, lam^2 t_1, lam^2 t_3", swap_ok)
 
@@ -934,14 +910,14 @@ def verify_case3() -> CaseReport:
         ((2, 2, 2), d * cp),
         ((3, 3, 3), d * cpp),
     ):
-        for s in (slot(i, j, k), slot(k, i, j), slot(j, k, i)):
-            gt[s] = value
+        for word in ((i, j, k), (k, i, j), (j, k, i)):
+            gt[tensor_index(word, 3)] = value
     checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2) (phi = Id)", _is_cyclic(gt))
 
     rels = skl_relations(SklParameters(a, a, c, ring))
     rel1 = a * (ap + bp) + c * cp
     rel2 = c * cpp - c * cp - 1
-    vals = _x_t_values(gt, rels, zero)
+    vals = _x_t_values(gt, rels, ring)
     norm_ok = (
         vals[0, 1] == d
         and vals[1, 0] == d
@@ -1121,14 +1097,13 @@ def verify_case4() -> CaseReport:
     )
     p_sym = SklParameters(a_v, a_v, c_v, ringc)
     rels = skl_relations(p_sym)
-    theta_sq = theta.kronecker(theta)
     factor = lam_v ** 2 * (1 + 2 * kap_v)
     krel_c = 2 * kap_v ** 2 + 2 * kap_v - 1
     sq_ok = all(
         (g - e).reduce_mod(krel_c, "kap").is_zero()
         for j in (1, 2, 3)
         for g, e in zip(
-            theta_sq.apply(rels[j - 1]),
+            apply_power(theta, 2, rels[j - 1]),
             vec_combination([factor * ringc.const(eps ** ((2 * i * j) % 3)) for i in (1, 2, 3)], rels, ringc.zero()),
         )
     )
@@ -1182,7 +1157,7 @@ def verify_case4() -> CaseReport:
 
     # theta^(x)3 (t) = (3+6k) lam^3 t modulo the kappa relation
     t_vec = skl_tensor(p_sym)
-    theta_cube = apply_tensor_cube(theta, t_vec)
+    theta_cube = apply_power(theta, 3, t_vec)
     scale = (3 + 6 * kap_v) * lam_v ** 3
     cube_ok = all(
         (theta_cube[r] - scale * t_vec[r]).reduce_mod(krel_c, "kap").is_zero() for r in range(27)

@@ -31,13 +31,12 @@ from .exprio import format_scalar
 from .linalg import MatrixF
 from .multipoly import MultiPoly, PolyRing
 from .report import CheckReport
+from .symmetry import apply_power, tensor_index
 
 __all__ = [
     "SklParameters",
     "ProjectiveElement",
-    "slot",
     "cyclic_slots",
-    "apply_tensor_cube",
     "symbolic_parameters",
     "skl_relations",
     "skl_tensor",
@@ -94,11 +93,6 @@ def _mod3(i: int) -> int:
     return (i - 1) % 3 + 1
 
 
-def slot(i: int, j: int, k: int) -> int:
-    """Position of the cubic monomial x_i x_j x_k in V^(x)3 (1-based letters)."""
-    return (i - 1) * 9 + (j - 1) * 3 + (k - 1)
-
-
 def skl_relations(p: SklParameters) -> List[tuple]:
     """The degree-2 relation tensors t_1, t_2, t_3 as 9-vectors."""
     zero = p.domain.zero()
@@ -106,9 +100,8 @@ def skl_relations(p: SklParameters) -> List[tuple]:
     for i in (1, 2, 3):
         up, dn = _mod3(i + 1), _mod3(i - 1)
         vec = [zero] * 9
-        vec[(up - 1) * 3 + (dn - 1)] = vec[(up - 1) * 3 + (dn - 1)] + p.a
-        vec[(dn - 1) * 3 + (up - 1)] = vec[(dn - 1) * 3 + (up - 1)] + p.b
-        vec[(i - 1) * 3 + (i - 1)] = vec[(i - 1) * 3 + (i - 1)] + p.c
+        for word, coeff in (((up, dn), p.a), ((dn, up), p.b), ((i, i), p.c)):
+            vec[tensor_index(word, 3)] = vec[tensor_index(word, 3)] + coeff
         out.append(tuple(vec))
     return out
 
@@ -119,9 +112,8 @@ def skl_tensor(p: SklParameters) -> tuple:
     vec = [zero] * 27
     for i in (1, 2, 3):
         up, dn = _mod3(i + 1), _mod3(i - 1)
-        vec[slot(dn, i, up)] = vec[slot(dn, i, up)] + p.a
-        vec[slot(up, i, dn)] = vec[slot(up, i, dn)] + p.b
-        vec[slot(i, i, i)] = vec[slot(i, i, i)] + p.c
+        for word, coeff in (((dn, i, up), p.a), ((up, i, dn), p.b), ((i, i, i), p.c)):
+            vec[tensor_index(word, 3)] = vec[tensor_index(word, 3)] + coeff
     return tuple(vec)
 
 
@@ -573,29 +565,10 @@ def conjugacy_report(field: Optional[FieldSpec] = None) -> Tuple[CheckReport, di
 def cyclic_slots() -> List[List[int]]:
     """Slots of the ascending x_(i-1) x_i x_(i+1), descending x_(i+1) x_i x_(i-1)
     and cubic x_i^3 monomials, one list each."""
-    w1 = [slot(_mod3(i - 1), i, _mod3(i + 1)) for i in (1, 2, 3)]
-    w2 = [slot(_mod3(i + 1), i, _mod3(i - 1)) for i in (1, 2, 3)]
-    w3 = [slot(i, i, i) for i in (1, 2, 3)]
+    w1 = [tensor_index((_mod3(i - 1), i, _mod3(i + 1)), 3) for i in (1, 2, 3)]
+    w2 = [tensor_index((_mod3(i + 1), i, _mod3(i - 1)), 3) for i in (1, 2, 3)]
+    w3 = [tensor_index((i, i, i), 3) for i in (1, 2, 3)]
     return [w1, w2, w3]
-
-
-def apply_tensor_cube(tau: MatrixF, vec: Sequence, zero=None) -> list:
-    """tau^(x)3 applied to a 27-vector; zero is that of the vector's domain
-    (by default the domain of tau)."""
-    out = [tau.domain.zero() if zero is None else zero] * 27
-    cols = [[(i, tau[i, j]) for i in range(3) if not tau[i, j].is_zero()] for j in range(3)]
-    for idx, x in enumerate(vec):
-        if _entry_is_zero(x):
-            continue
-        i, rest = divmod(idx, 9)
-        j, k = divmod(rest, 3)
-        for a, ca in cols[i]:
-            for b, cb in cols[j]:
-                cab = ca * cb
-                for c, cc in cols[k]:
-                    tgt = a * 9 + b * 3 + c
-                    out[tgt] = out[tgt] + (cab * cc) * x
-    return out
 
 
 def action_on_parameters(tau: ProjectiveElement) -> MatrixF:
@@ -612,7 +585,7 @@ def action_on_parameters(tau: ProjectiveElement) -> MatrixF:
         vec = [zero] * 27
         for s in w_slots:
             vec[s] = one
-        img = apply_tensor_cube(tau.matrix, vec)
+        img = apply_power(tau.matrix, 3, vec)
         # read off the (w1, w2, w3) coordinates and verify stability
         coords = [img[slots[r][0]] for r in range(3)]
         recon = [zero] * 27
@@ -635,7 +608,7 @@ def preserves_relations(theta: MatrixF, p: SklParameters) -> Tuple[bool, Optiona
     it is None when a = b.
     """
     t = skl_tensor(p)
-    img = apply_tensor_cube(theta, t, p.domain.zero())
+    img = apply_power(theta, 3, t, p.domain.zero())
     line_stable = _proportional(img, t)
     det_twisted: Optional[bool] = None
     if p.a != p.b:

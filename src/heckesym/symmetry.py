@@ -209,19 +209,11 @@ class HeckeSymmetry:
     def __repr__(self):
         return "HeckeSymmetry(N=%d%s)" % (self.N, ", " + self.name if self.name else "")
 
-    # -- sparse column structure of R, for fast vector application
-
     def _column_table(self) -> List[List[Tuple[int, Scalar]]]:
+        """The nonzero entries of each column of R, cached."""
         cols = self._cols
         if cols is None:
-            cols = []
-            for j in range(self.N * self.N):
-                col = []
-                for i in range(self.N * self.N):
-                    x = self.R[i, j]
-                    if not x.is_zero():
-                        col.append((i, x))
-                cols.append(col)
+            cols = column_table(self.R)
             object.__setattr__(self, "_cols", cols)
         return cols
 
@@ -231,22 +223,9 @@ class HeckeSymmetry:
         """T_i acting on a vector of V^(x)n."""
         if not 1 <= i < n:
             raise ValueError("generator index out of range")
-        N = self.N
-        if len(vec) != N ** n:
+        if len(vec) != self.N ** n:
             raise ValueError("vector length mismatch")
-        cols = self._column_table()
-        stride = N ** (n - i - 1)
-        zero = self.field.zero()
-        out = [zero] * len(vec)
-        for idx, x in enumerate(vec):
-            if x.is_zero():
-                continue
-            pair = (idx // stride) % (N * N)
-            base = idx - pair * stride
-            for tgt_pair, coeff in cols[pair]:
-                tgt = base + tgt_pair * stride
-                out[tgt] = out[tgt] + coeff * x
-        return tuple(out)
+        return apply_slots(self._column_table(), i, self.N, vec, self.field.zero())
 
     def apply_perm_word(self, word: Sequence[int], n: int, vec: Sequence) -> tuple:
         """T_sigma acting on a vector, sigma given by a reduced word."""
@@ -271,20 +250,15 @@ class HeckeSymmetry:
 
     def generator_matrix(self, i: int, n: int) -> MatrixF:
         """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""
+        if not 1 <= i < n:
+            raise ValueError("generator index out of range")
         N = self.N
         dim = N ** n
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        stride = N ** (n - i - 1)
-        zero = self.field.zero()
-        out = [zero] * (dim * dim)
-        cols = self._column_table()
-        for idx in range(dim):
-            pair = (idx // stride) % (N * N)
-            base = idx - pair * stride
-            for tgt_pair, coeff in cols[pair]:
-                out[(base + tgt_pair * stride) * dim + idx] = coeff
-        return MatrixF(dim, dim, out, self.field)
+        head = MatrixF.identity(N ** (i - 1), self.field)
+        tail = MatrixF.identity(N ** (n - i - 1), self.field)
+        return head.kronecker(self.R).kronecker(tail)
 
     def perm_matrix(self, p: Perm, n: int) -> MatrixF:
         """Matrix of T_sigma on V^(x)n, memoized along the weak order."""
@@ -460,10 +434,11 @@ class HeckeSymmetry:
         """(tau (x) tau) R (tau^-1 (x) tau^-1)."""
         if tau.rows != self.N or tau.cols != self.N:
             raise ValueError("conjugating operator must be N x N")
-        tinv = tau.inverse()
-        T2 = tau.kronecker(tau)
-        T2inv = tinv.kronecker(tinv)
-        return HeckeSymmetry(self.N, self.q, T2 * self.R * T2inv, name=self.name + ".conj")
+        # the columns of (tau (x) tau) R, then the rows of that times tau^-1 (x) tau^-1
+        left = [apply_power(tau, 2, self.R.col(j)) for j in range(self.N ** 2)]
+        tinv_t = tau.inverse().transpose()
+        rows = [apply_power(tinv_t, 2, row) for row in zip(*left)]
+        return HeckeSymmetry(self.N, self.q, MatrixF.from_rows(rows, self.field), name=self.name + ".conj")
 
     # -- JSON document
 

@@ -14,7 +14,6 @@ from heckesym.exactnum import GENERIC_Q, cyclotomic_field, qbinom, qfact
 from heckesym.frobenius import (
     analyze,
     reconstruct_from_f,
-    tensor_power,
     trace_table,
     verify_operator_identities,
 )
@@ -35,6 +34,7 @@ from heckesym.regular3 import (
     is_regular,
 )
 from heckesym.symmetry import check_braid, check_hecke, dj_standard
+from test_symmetry import kron_power
 
 F = GENERIC_Q
 q = F.q()
@@ -135,7 +135,7 @@ def test_criterion_4_frobenius_suite(N):
     assert prof.theta * prof.psi == prof.psi * prof.theta
     assert prof.phi * prof.psi == prof.psi * prof.phi
     assert prof.psi == (prof.phi * prof.theta * prof.theta).scale(q ** (-(n + 1)))
-    assert tuple(tensor_power(prof.theta, n).apply(prof.t)) == vec_scale(
+    assert tuple(kron_power(prof.theta, n).apply(prof.t)) == vec_scale(
         q ** (n * (n + 1) // 2), prof.t
     )
     traces, table = trace_table(prof)

@@ -13,7 +13,6 @@ from heckesym.frobenius import (
     profile_json_dict,
     reconstruct_from_f,
     restrict_to_subspace,
-    tensor_power,
     top_component,
     trace_table,
     verify_operator_identities,
@@ -22,6 +21,7 @@ from heckesym.heckealg import antisymmetrizer, partial_y
 from heckesym.linalg import MatrixF, vec_scale
 from heckesym.permgroup import Composition
 from heckesym.symmetry import dj_standard, flip, kron_vec
+from test_symmetry import kron_power
 
 F = GENERIC_Q
 q = F.q()
@@ -246,7 +246,7 @@ def test_braiding_closed_forms(prof2, prof3):
                 for idx, val in enumerate(kron_vec(u, w, field)):
                     recon[idx] = recon[idx] + val
             assert tuple(recon) == prof.t
-            psi_k = tensor_power(prof.psi, k)
+            psi_k = kron_power(prof.psi, k)
             recon2 = [field.zero()] * len(prof.t)
             for u, w in zip(u_basis, tilde_w):
                 for idx, val in enumerate(kron_vec(w, psi_k.apply(u), field)):
@@ -257,7 +257,7 @@ def test_braiding_closed_forms(prof2, prof3):
             piv = next(i for i, x in enumerate(prof.t) if not x.is_zero())
             sign = -1 if (k * n - k) % 2 else 1
             coeff = field.scalar(sign) * sym.q ** (k * (k + 1) // 2)
-            theta_k = tensor_power(prof.theta, k)
+            theta_k = kron_power(prof.theta, k)
             for u in u_basis:
                 acc = [field.zero()] * len(u)
                 for i, w in enumerate(tilde_w):
@@ -333,9 +333,12 @@ def test_pairing_rejects_wrong_top_tensor(prof2):
 
 def test_restriction_helper(prof2):
     U = prof2.sym.upsilon(2)
-    A = tensor_power(prof2.theta, 2)
+    A = kron_power(prof2.theta, 2)
     C = restrict_to_subspace(A, U)
     assert C.rows == 1 and C[0, 0] == q ** 3
+    assert restrict_to_subspace(prof2.theta, U, 2) == C
     bad = MatrixF.from_rows([[F.one(), F.one()], [F.zero(), F.one()]], F)
     with pytest.raises(ValueError):
-        restrict_to_subspace(tensor_power(bad, 2), U)
+        restrict_to_subspace(kron_power(bad, 2), U)
+    with pytest.raises(ValueError):
+        restrict_to_subspace(bad, U, 2)
