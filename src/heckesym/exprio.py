@@ -11,11 +11,13 @@ Grammar (whitespace insignificant):
 value) and `e` is the primitive root of unity of the field's declared
 cyclotomic order.  Exponents are nonnegative integer literals of at most
 MAX_EXPONENT, so that a short input cannot ask for an enormous power.  The
-size of the power is bounded too, before it is computed, so that nested
-powers such as (2^1000)^1000 cannot multiply it up: the degree in q of
-x^k may not exceed MAX_EXPONENT, and its coefficients, estimated at
-k (b + log2 m) bits for a base with m nonzero coefficients of at most b bits
-each, may not exceed MAX_POWER_BITS.
+size of every power, product and quotient is bounded too, before it is
+computed, so that nested powers such as (2^1000)^1000 or long products of
+admitted powers cannot multiply it up: its degree in q (numerator and
+denominator degrees add up over the factors) may not exceed MAX_EXPONENT,
+and its coefficients may not exceed MAX_POWER_BITS, estimated at
+k (b + log2 m) bits for a factor x^k whose m nonzero coefficients have at
+most b bits each, summed over the factors.
 
 format_scalar emits strings inside the same grammar, so every scalar
 round-trips through parse_scalar exactly.
@@ -73,18 +75,30 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
     return tokens
 
 
-def _check_power_size(value: Scalar, k: int, pos: int) -> None:
-    """Refuses value^k when its degree or estimated coefficient size is over the bounds."""
-    entries = [c for poly in (value.num, value.den) for vec in poly for c in vec if c]
-    if not entries or not k:
-        return
-    degree = k * (max(len(value.num), len(value.den)) - 1)
+def _check_size(what: str, factors, pos: int) -> None:
+    """Refuses the product of value^k over the (value, k) factors, before it is
+    computed, when its degree or estimated coefficient size is over the bounds.
+
+    k = -1 stands for a divisor.  Numerator and denominator degrees add up
+    over the factors; a factor with m nonzero coefficients of at most b bits
+    adds |k| (b + log2 m) bits to the estimate.
+    """
+    num_deg = den_deg = bits = 0
+    for value, k in factors:
+        entries = [c for poly in (value.num, value.den) for vec in poly for c in vec if c]
+        if not entries:
+            continue
+        num, den = (value.num, value.den) if k >= 0 else (value.den, value.num)
+        k = abs(k)
+        num_deg += k * (len(num) - 1)
+        den_deg += k * (len(den) - 1)
+        b = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in entries)
+        bits += k * (b + len(entries).bit_length())
+    degree = max(num_deg, den_deg)
     if degree > MAX_EXPONENT:
-        raise ExprError("power of degree %d in q exceeds %d" % (degree, MAX_EXPONENT), pos)
-    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in entries)
-    estimate = k * (bits + len(entries).bit_length())
-    if estimate > MAX_POWER_BITS:
-        raise ExprError("power with about %d-bit coefficients exceeds %d bits" % (estimate, MAX_POWER_BITS), pos)
+        raise ExprError("%s of degree %d in q exceeds %d" % (what, degree, MAX_EXPONENT), pos)
+    if bits > MAX_POWER_BITS:
+        raise ExprError("%s with about %d-bit coefficients exceeds %d bits" % (what, bits, MAX_POWER_BITS), pos)
 
 
 class _Parser:
@@ -117,10 +131,12 @@ class _Parser:
             op, _, pos = self.take()
             rhs = self.factor()
             if op == "*":
+                _check_size("product", ((value, 1), (rhs, 1)), pos)
                 value = value * rhs
             else:
                 if rhs.is_zero():
                     raise ExprError("division by zero", pos)
+                _check_size("quotient", ((value, 1), (rhs, -1)), pos)
                 value = value / rhs
         return value
 
@@ -134,7 +150,7 @@ class _Parser:
             tok = self.take("int")
             if tok[1] > MAX_EXPONENT:
                 raise ExprError("exponent %d exceeds %d" % (tok[1], MAX_EXPONENT), tok[2])
-            _check_power_size(value, tok[1], tok[2])
+            _check_size("power", ((value, tok[1]),), tok[2])
             value = value ** tok[1]
         return value
 

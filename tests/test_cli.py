@@ -233,6 +233,21 @@ def test_nested_power_in_q_exits_2(capsys):
     assert captured.err.startswith("error: bad --q expression: power with about")
 
 
+@pytest.mark.parametrize("entry", ["*".join(["(2^1000)^65"] * 20), "*".join(["q^1000"] * 30)])
+def test_oversize_product_in_document_exits_2(tmp_path, capsys, entry):
+    code, doc = run_cli(capsys, "builtin", "--builtin", "dj", "--dim", "2")
+    assert code == 0
+    doc["matrix"][0][1] = entry
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad operator document: product ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

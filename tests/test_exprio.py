@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field
-from heckesym.exprio import MAX_EXPONENT, ExprError, format_scalar, parse_scalar
+from heckesym.exprio import MAX_EXPONENT, MAX_POWER_BITS, ExprError, format_scalar, parse_scalar
 
 F = GENERIC_Q
 
@@ -113,3 +113,49 @@ def test_power_size_bound(text):
 @pytest.mark.parametrize("text", ["q^1000", "(1+q)^50", "(q^2)^500", "1000^1000", "((2^10)^10)^10"])
 def test_powers_within_the_bound(text):
     parse_scalar(text, F)
+
+
+# (2^1000)^65 is admitted as a power: about 65003 bits of the 65536 allowed
+BIG = "(2^1000)^65"
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("*".join([BIG] * 20), len(BIG)),
+        ("*".join(["q^1000"] * 30), 6),
+        ("q^600*q^401", 5),
+        ("q^600/(1/q^401)", 5),
+        ("1/q^600/q^401", 7),
+        (BIG + "*2^600", len(BIG)),
+        (BIG + "/2^600", len(BIG)),
+        ("(1+q)*q^1000", 5),
+    ],
+)
+def test_product_size_bound(monkeypatch, text, pos):
+    calls = []
+    mul, div = Scalar.__mul__, Scalar.__truediv__
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: calls.append(x) or mul(x, y))
+    monkeypatch.setattr(Scalar, "__truediv__", lambda x, y: calls.append(x) or div(x, y))
+    with pytest.raises(ExprError) as exc:
+        parse_scalar(text, F)
+    assert exc.value.pos == pos
+    # the refused product or quotient was not computed
+    assert all(len(x.num) - 1 <= MAX_EXPONENT for x in calls)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["q^600*q^400", "q^600/q^400", "q^1000/q", "(1+q)*q^999", BIG + "*2^400", BIG + "/2^400", "0*" + BIG],
+)
+def test_products_within_the_bound(text):
+    parse_scalar(text, F)
+
+
+def test_product_bounds_in_bound_fields():
+    # with q bound to 2, q^1000 is a constant of 1001 bits
+    two = FieldSpec("rational").with_q(FieldSpec("rational").scalar(2))
+    parse_scalar("*".join(["q^1000"] * 60), two)
+    with pytest.raises(ExprError):
+        parse_scalar("*".join(["q^1000"] * 66), two)
+    assert 65 * 1003 <= MAX_POWER_BITS < 66 * 1003
