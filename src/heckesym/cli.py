@@ -311,11 +311,7 @@ def cmd_obstruct(args) -> int:
             "type_A": is_type_A(pt),
         }
         if args.case == 1:
-            from .obstruction import case1_system, sylvester_resultant
-
-            F1, F2, F3 = case1_system()
-            res = sylvester_resultant(F1, F2, F3)
-            val = res.evaluate({"a": a, "b": b, "c": c})
+            val = rep.resultant.evaluate({"a": a, "b": b, "c": c})
             sample["resultant"] = format_scalar(val)
             rep.checks.record(
                 "sample-resultant",

@@ -362,6 +362,8 @@ class CaseReport:
     equations: List[Dict[str, str]]
     checks: CheckReport
     verdict: str = ""
+    # the case-1 resultant in Q[a, b, c], for evaluation at a sample; not serialized
+    resultant: Optional[MultiPoly] = None
 
     @property
     def ok(self) -> bool:
@@ -638,7 +640,7 @@ def verify_case1() -> CaseReport:
             "value %s" % format_scalar(val),
         )
 
-    return _finish(
+    report = _finish(
         1,
         "scalar braiding character, q = 1",
         {"q": "1", "lam": "q^2"},
@@ -647,6 +649,8 @@ def verify_case1() -> CaseReport:
         "contradiction reproduced: the system has no nonzero solution for any "
         "smooth-elliptic triple, so no braiding with scalar character exists",
     )
+    report.resultant = res
+    return report
 
 
 def _extract_quadrics(F1p: MultiPoly, F2p: MultiPoly, F3p: MultiPoly, ring3: PolyRing):

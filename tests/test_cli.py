@@ -155,6 +155,18 @@ def test_obstruct_with_params(capsys):
     capsys.readouterr()
 
 
+def test_case1_sample_evaluates_the_computed_resultant(capsys, monkeypatch):
+    from heckesym import obstruction
+
+    calls = []
+    resultant = obstruction.sylvester_resultant
+    monkeypatch.setattr(obstruction, "sylvester_resultant", lambda *fs: calls.append(fs) or resultant(*fs))
+    code, doc = run_cli(capsys, "obstruct", "--case", "1", "--params", "1,2,3")
+    assert code == 0
+    assert len(calls) == 1
+    assert "resultant" not in doc and "resultant" in doc["sample"]
+
+
 def test_skl3(capsys):
     code, doc = run_cli(capsys, "skl3", "--a", "1", "--b", "1", "--c", "2", "--check", "typeA")
     assert code == 0 and doc["result"] is True
