@@ -167,6 +167,23 @@ def test_case1_sample_evaluates_the_computed_resultant(capsys, monkeypatch):
     assert "resultant" not in doc and "resultant" in doc["sample"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--builtin", "dj", "--dim", "2"], ["analyze", "--builtin", "dj", "--dim", "2"], ["hessian"]],
+)
+def test_timings_leave_stdout_unchanged(capsys, argv):
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    lines = timed.err.splitlines()
+    assert lines and all(line.startswith("wall: ") for line in lines)
+    if argv[0] == "verify":
+        assert [line.split()[1] for line in lines[:-1]] == ["hecke-relation", "braid-relation"]
+
+
 def test_skl3(capsys):
     code, doc = run_cli(capsys, "skl3", "--a", "1", "--b", "1", "--c", "2", "--check", "typeA")
     assert code == 0 and doc["result"] is True

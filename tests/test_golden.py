@@ -5,9 +5,10 @@ The identity and Hessian digests were captured from the Perm/Scalar
 generator-rule product and the projective-matrix closure, before both
 kernels moved to integer tables; the obstruction, resultant and skl3
 digests were captured from the four hand-written case functions, before
-they moved onto one shared case pipeline.  Every refactor must keep these
-bytes.  `--timings` output
-is excluded because it carries wall-clock fields.
+they moved onto one shared case pipeline; the analyze digests were
+captured before every tensor slot action moved onto one slot-local action.
+Every refactor must keep these bytes.  `--timings` writes only to stderr,
+so stdout keeps them with it too.
 """
 
 import hashlib
