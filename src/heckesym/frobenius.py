@@ -31,7 +31,7 @@ from .heckealg import antisymmetrizer, coset_y, shift_element
 from .linalg import MatrixF, Subspace, vec_combination, vec_is_zero, vec_scale, vec_sub
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, apply_power, kron_vec
+from .symmetry import HeckeSymmetry, _vanishes, apply_power, kron_vec
 
 __all__ = [
     "FrobeniusProfile",
@@ -326,8 +326,10 @@ def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     return report, table
 
 
-def _commutes(A: MatrixF, B: MatrixF) -> bool:
-    return A * B == B * A
+def _record_equal(report: CheckReport, name: str, rule: str, lhs: MatrixF, rhs: MatrixF) -> None:
+    """Records lhs == rhs; a failure names the first nonzero entry of lhs - rhs."""
+    ok = lhs == rhs
+    report.record(name, rule, ok, "" if ok else _vanishes(lhs - rhs)[1])
 
 
 def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
@@ -340,30 +342,23 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     report = CheckReport("operator-identities")
     theta, theta_bar, phi, psi = profile.theta, profile.theta_bar, profile.phi, profile.psi
 
-    report.record("commute.theta-phi", "theta phi = phi theta", _commutes(theta, phi))
-    report.record("commute.theta-psi", "theta psi = psi theta", _commutes(theta, psi))
-    report.record("commute.phi-psi", "phi psi = psi phi", _commutes(phi, psi))
-    report.record(
-        "twist-relation",
-        "psi = q^(-n-1) phi theta^2",
-        psi == (phi * theta * theta).scale(q ** (-(n + 1))),
-    )
-    report.record(
-        "theta-bar-inverse",
-        "theta_bar = q^(n+1) theta^(-1)",
-        theta_bar == theta.inverse().scale(q ** (n + 1)),
-    )
+    _record_equal(report, "commute.theta-phi", "theta phi = phi theta", theta * phi, phi * theta)
+    _record_equal(report, "commute.theta-psi", "theta psi = psi theta", theta * psi, psi * theta)
+    _record_equal(report, "commute.phi-psi", "phi psi = psi phi", phi * psi, psi * phi)
+    twisted = (phi * theta * theta).scale(q ** (-(n + 1)))
+    _record_equal(report, "twist-relation", "psi = q^(-n-1) phi theta^2", psi, twisted)
+    inverse = theta.inverse().scale(q ** (n + 1))
+    _record_equal(report, "theta-bar-inverse", "theta_bar = q^(n+1) theta^(-1)", theta_bar, inverse)
     for name, op in (("theta", theta), ("phi", phi), ("psi", psi)):
-        report.record(
-            "square-commutes.%s" % name,
-            "%s (x) %s commutes with R" % (name, name),
-            _commutes(op.kronecker(op), sym.R),
-        )
-    top_image = apply_power(theta, n, profile.t)
-    report.record(
+        square = op.kronecker(op)
+        rule = "%s (x) %s commutes with R" % (name, name)
+        _record_equal(report, "square-commutes.%s" % name, rule, square * sym.R, sym.R * square)
+    _record_equal(
+        report,
         "top-scaling",
         "theta^((x)n)(t) = q^(n(n+1)/2) t",
-        top_image == vec_scale(q ** (n * (n + 1) // 2), profile.t),
+        MatrixF.from_rows([apply_power(theta, n, profile.t)], field),
+        MatrixF.from_rows([vec_scale(q ** (n * (n + 1) // 2), profile.t)], field),
     )
 
     # the Nakayama map in each degree matches the twisted braiding
@@ -372,17 +367,18 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         try:
             lhs = restrict_to_subspace(theta * phi, U, k)
             rhs = restrict_to_subspace(psi * theta_bar, U, k)
-            report.record(
-                "nakayama-braiding.k%d" % k,
-                "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)",
-                lhs == rhs,
-            )
+            rule = "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)"
+            _record_equal(report, "nakayama-braiding.k%d" % k, rule, lhs, rhs)
         except ValueError as exc:
             report.record("nakayama-braiding.k%d" % k, "subspace stability", False, str(exc))
 
     # pairing twist: beta_(n-k)(b, a) = beta_k(nu(a), b)
     for k in range(0, n + 1):
-        nu_k = profile.nu_restricted(k)
+        try:
+            nu_k = profile.nu_restricted(k)
+        except ValueError as exc:
+            report.record("pairing-twist.k%d" % k, "subspace stability", False, str(exc))
+            continue
         bk = profile.betas[k]
         bnk = profile.betas[n - k]
         d = bk.rows
@@ -474,7 +470,8 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         f = profile.f
         t = profile.t
         f_of = lambda v: sum((c * x for c, x in zip(f, v) if not x.is_zero()), field.zero())
-        report.record("functional.top-value", "f(t) = [n]_q", f_of(t) == qint(n, field))
+        top_value, expected = (MatrixF(1, 1, [x], field) for x in (f_of(t), qint(n, field)))
+        _record_equal(report, "functional.top-value", "f(t) = [n]_q", top_value, expected)
         # twisted cyclicity f(w v) = f(phi(v) w) on basis tensors
         ok = True
         witness = ""
@@ -497,9 +494,8 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         # theta reproduced from f, psi and the slices of t
         slices = _front_slices(t, N, n)
         sign = -1 if (n - 1) % 2 else 1
-        ok = True
-        for j in range(N):
-            e = tuple(field.one() if m == j else field.zero() for m in range(N))
+        cols = []
+        for e in MatrixF.identity(N, field).row_list():
             acc = [field.zero()] * N
             for i in range(N):
                 val = f_of(kron_vec(e, slices[i], field))
@@ -507,23 +503,23 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
                     psi_col = psi.col(i)
                     for r in range(N):
                         acc[r] = acc[r] + val * psi_col[r]
-            want = theta.col(j)
-            if tuple(vec_scale(field.scalar(sign) * q, acc)) != tuple(want):
-                ok = False
-                break
-        report.record(
+            cols.append(vec_scale(field.scalar(sign) * q, acc))
+        _record_equal(
+            report,
             "functional.braiding-formula",
             "theta(v) = (-1)^(n-1) q sum f(v t_i) psi(x_i)",
-            ok,
+            MatrixF.from_rows(cols, field).transpose(),
+            theta,
         )
         # kernel of f is the kernel of the antisymmetrizer action
-        Fmat = MatrixF.from_rows([f], field)
-        Y = sym.rep_matrix(antisymmetrizer(n, field), n)
-        report.record(
-            "functional.kernel",
-            "ker f = ker rep(y_n)",
-            Fmat.kernel() == Y.kernel(),
-        )
+        ker_f = MatrixF.from_rows([f], field).kernel()
+        ker_y = sym.rep_matrix(antisymmetrizer(n, field), n).kernel()
+        ok = ker_f == ker_y
+        if ok or ker_f.dim != ker_y.dim:
+            witness = "" if ok else "dimensions %d vs %d" % (ker_f.dim, ker_y.dim)
+        else:
+            witness = _vanishes(MatrixF.from_rows(ker_f.basis, field) - MatrixF.from_rows(ker_y.basis, field))[1]
+        report.record("functional.kernel", "ker f = ker rep(y_n)", ok, witness)
     return report
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -342,3 +343,43 @@ def test_restriction_helper(prof2):
         restrict_to_subspace(kron_power(bad, 2), U)
     with pytest.raises(ValueError):
         restrict_to_subspace(bad, U, 2)
+
+
+def _bump(M, i, j):
+    """M with one added to entry (i, j)."""
+    entries = list(M.entries)
+    entries[i * M.cols + j] = entries[i * M.cols + j] + M.domain.one()
+    return MatrixF(M.rows, M.cols, entries, M.domain)
+
+
+# checks whose failure detail is the first nonzero entry of lhs - rhs
+ENTRY_WITNESS_CHECKS = (
+    "commute.",
+    "twist-relation",
+    "theta-bar-inverse",
+    "square-commutes.",
+    "top-scaling",
+    "nakayama-braiding.k",
+    "functional.top-value",
+    "functional.braiding-formula",
+    "functional.kernel",
+)
+
+
+def test_failing_identities_name_an_entry(prof2):
+    f = list(prof2.f)
+    f[1] = f[1] + F.one()
+    failed = set()
+    for change in ({"theta": _bump(prof2.theta, 0, 0)}, {"phi": _bump(prof2.phi, 0, 1)}, {"f": tuple(f)}):
+        report = verify_operator_identities(dataclasses.replace(prof2, **change))
+        for c in report.checks:
+            if c.status == "fail" and c.rule == "subspace stability":
+                assert c.detail == "subspace is not stable under the operator"
+            elif c.status == "fail" and c.name.startswith(ENTRY_WITNESS_CHECKS):
+                assert c.detail.startswith("entry ("), (c.name, c.detail)
+                failed.add(c.name)
+    assert {"commute.theta-phi", "commute.phi-psi", "twist-relation", "theta-bar-inverse", "square-commutes.phi",
+            "top-scaling", "nakayama-braiding.k1", "functional.top-value", "functional.braiding-formula",
+            "functional.kernel"} <= failed
+    # passing reports keep an empty detail
+    assert all(c.detail == "" for c in verify_operator_identities(prof2).checks if c.status == "pass")
