@@ -241,7 +241,7 @@ class FrobeniusProfile:
         return restrict_to_subspace(self.phi, self.sym.upsilon(k), k)
 
 
-def restrict_to_subspace(A: MatrixF, U: Subspace, k: int = 1) -> MatrixF:
+def restrict_to_subspace(A: MatrixF, U: Subspace, k: int) -> MatrixF:
     """Matrix of A^(x)k on U's canonical basis; raises if U is not stable."""
     cols = []
     for row in U.basis:

@@ -419,16 +419,9 @@ class HeckeSymmetry:
     def opposite(self) -> "HeckeSymmetry":
         """Conjugate by the flip of tensorands."""
         N = self.N
-        entries = []
-        for i in range(N * N):
-            a, b = divmod(i, N)
-            fi = b * N + a
-            row = []
-            for j in range(N * N):
-                c, d = divmod(j, N)
-                row.append(self.R[fi, d * N + c])
-            entries.append(row)
-        return HeckeSymmetry(N, self.q, MatrixF.from_rows(entries, self.field), name=self.name + ".op")
+        swap = _swapped_pairs(N)
+        entries = [self.R[swap[i], swap[j]] for i in range(N * N) for j in range(N * N)]
+        return HeckeSymmetry(N, self.q, MatrixF(N * N, N * N, entries, self.field), name=self.name + ".op")
 
     def conjugate(self, tau: MatrixF) -> "HeckeSymmetry":
         """(tau (x) tau) R (tau^-1 (x) tau^-1)."""
@@ -478,6 +471,11 @@ class HeckeSymmetry:
 # built-in catalog
 
 
+def _swapped_pairs(N: int) -> List[int]:
+    """Position of e_b (x) e_a, for each position of e_a (x) e_b in V (x) V."""
+    return [tensor_index(index_word(i, 2, N)[::-1], N) for i in range(N * N)]
+
+
 def _check_catalog_dim(N: int):
     if N < 1:
         raise SymmetryError("dimension must be >= 1")
@@ -499,8 +497,8 @@ def dj_standard(N: int, field: FieldSpec = GENERIC_Q) -> HeckeSymmetry:
     entries = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            col = (i - 1) * N + (j - 1)
-            swapped = (j - 1) * N + (i - 1)
+            col = tensor_index((i, j), N)
+            swapped = tensor_index((j, i), N)
             if i == j:
                 entries[(col, col)] = q
             elif i < j:
@@ -524,7 +522,6 @@ def flip(N: int) -> HeckeSymmetry:
     zero, one = field.zero(), field.one()
     dim = N * N
     flat = [zero] * (dim * dim)
-    for a in range(N):
-        for b in range(N):
-            flat[(b * N + a) * dim + (a * N + b)] = one
+    for col, row in enumerate(_swapped_pairs(N)):
+        flat[row * dim + col] = one
     return HeckeSymmetry(N, field.q(), MatrixF(dim, dim, flat, field), name="flip(%d)" % N)

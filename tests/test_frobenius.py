@@ -335,12 +335,12 @@ def test_pairing_rejects_wrong_top_tensor(prof2):
 def test_restriction_helper(prof2):
     U = prof2.sym.upsilon(2)
     A = kron_power(prof2.theta, 2)
-    C = restrict_to_subspace(A, U)
+    C = restrict_to_subspace(A, U, 1)
     assert C.rows == 1 and C[0, 0] == q ** 3
     assert restrict_to_subspace(prof2.theta, U, 2) == C
     bad = MatrixF.from_rows([[F.one(), F.one()], [F.zero(), F.one()]], F)
     with pytest.raises(ValueError):
-        restrict_to_subspace(kron_power(bad, 2), U)
+        restrict_to_subspace(kron_power(bad, 2), U, 1)
     with pytest.raises(ValueError):
         restrict_to_subspace(bad, U, 2)
 
