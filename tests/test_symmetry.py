@@ -249,6 +249,8 @@ def test_derived_symmetries(dj2):
     tau = MatrixF.from_rows([[F.zero(), F.one()], [F.one(), F.zero()]], F)
     conj = dj2.conjugate(tau)
     assert check_hecke(conj.R, q)[0] and check_braid(conj.R)[0]
+    dense = MatrixF.from_rows([[F.scalar(2), F.one()], [F.scalar(3), F.scalar(2)]], F)
+    assert dj2.conjugate(dense).R == kron_power(dense, 2) * dj2.R * kron_power(dense.inverse(), 2)
     singular = MatrixF.from_rows([[F.one(), F.one()], [F.one(), F.one()]], F)
     with pytest.raises(ZeroDivisionError):
         dj2.conjugate(singular)
