@@ -57,6 +57,9 @@ CHECK_FAILURE = 1
 # that many digits; the degree-24 case-1 resultant of such a triple stays
 # well below the 4300 digits that str() of an int accepts
 MAX_PARAM_DIGITS = 64
+# options whose value may begin with "-" (-3,5,2 or -1/2), which argparse
+# would otherwise take for an unknown flag
+SIGNED_VALUE_FLAGS = ("--params", "--a", "--b", "--c", "--q")
 
 
 class InputError(Exception):
@@ -412,10 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: List[str]) -> List[str]:
+    """argv with each SIGNED_VALUE_FLAGS option joined to its value as --flag=value."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in SIGNED_VALUE_FLAGS else None
+        out.append(tok if value is None else tok + "=" + value)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     # no reference to the parser outlives parsing, so the young-generation
     # collector frees its reference cycles before the report runs
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     t0 = time.monotonic()
     try:
         code = args.handler(args)

@@ -15,9 +15,16 @@ canonical spanning tensor t of the top component, this module computes
   - the functional f with y_n u = [n-1]!_q f(u) t (when [n-1]!_q is nonzero),
 
 verifies the full operator identity suite (commutations, the relation
-psi = q^(-n-1) phi theta^2, tensor-square commutation with R, trace
-formulas with q-binomial values), and reconstructs R from f and the
+psi = q^(-n-1) phi theta^2, tensor-square commutation with R, the pairing
+twist, the braiding through the top and its mirror, twisted cyclicity of f,
+trace formulas with q-binomial values), and reconstructs R from f and the
 degree-2 relations via the projection P with R = q Id - (1+q) P.
+
+Every operator identity is stated as one matrix equality lhs = rhs and
+recorded by `_record_equal`; a failing one names the first nonzero entry of
+lhs - rhs as "entry (i,j) = ...".  The rank-one action y_n u = [n-1]!_q f(u) t
+is the matrix equality rep(y_n) = [n-1]!_q t f^T, and f itself is read off
+the row of rep(y_n) at the first nonzero coordinate of t.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ __all__ = [
     "analyze",
     "trace_table",
     "verify_operator_identities",
+    "covector_value",
+    "front_pairing",
     "projection_from_dual",
     "reconstruct_from_f",
     "profile_json_dict",
@@ -199,15 +208,9 @@ def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
     if norm.is_zero():
         raise QFactorialVanishes("[%d]!_q = 0 in this field" % (n - 1))
     Y = sym.rep_matrix(antisymmetrizer(n, field), n)
-    piv = _pivot(t)
-    inv = norm.inverse()
-    dim = sym.N ** n
-    f = tuple(Y[piv, b] * inv for b in range(dim))
-    for a in range(dim):
-        ta = t[a]
-        for b in range(dim):
-            if Y[a, b] != norm * ta * f[b]:
-                raise DegeneratePairing("y_n action is not rank one onto the top line")
+    f = vec_scale(norm.inverse(), Y.row(_pivot(t)))
+    if Y != MatrixF(len(t), 1, t, field) * MatrixF(1, len(f), f, field).scale(norm):
+        raise DegeneratePairing("y_n action is not rank one onto the top line")
     return f
 
 
@@ -372,77 +375,40 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         except ValueError as exc:
             report.record("nakayama-braiding.k%d" % k, "subspace stability", False, str(exc))
 
-    # pairing twist: beta_(n-k)(b, a) = beta_k(nu(a), b)
+    # pairing twist: beta_(n-k)(b, a) = beta_k(nu(a), b), that is beta_(n-k) = beta_k^T nu_k
     for k in range(0, n + 1):
         try:
             nu_k = profile.nu_restricted(k)
         except ValueError as exc:
             report.record("pairing-twist.k%d" % k, "subspace stability", False, str(exc))
             continue
-        bk = profile.betas[k]
-        bnk = profile.betas[n - k]
-        d = bk.rows
-        ok = True
-        witness = ""
-        for i in range(d):
-            for j in range(bnk.rows):
-                lhs = bnk[j, i]
-                rhs = field.zero()
-                for s in range(d):
-                    rhs = rhs + nu_k[s, i] * bk[s, j]
-                if lhs != rhs:
-                    ok = False
-                    witness = "indices (%d,%d): %s vs %s" % (j, i, format_scalar(lhs), format_scalar(rhs))
-                    break
-            if not ok:
-                break
-        report.record(
-            "pairing-twist.k%d" % k,
-            "beta_(n-k)(b,a) = beta_k(nu(a), b)",
-            ok,
-            witness,
-        )
+        bk, bnk = profile.betas[k], profile.betas[n - k]
+        _record_equal(report, "pairing-twist.k%d" % k, "beta_(n-k)(b,a) = beta_k(nu(a), b)", bnk, bk.transpose() * nu_k)
 
-    # braiding through the top component, degree up to 2
+    # braiding through the top component, degree up to 2; one row per basis vector
     for k in range(1, min(2, n) + 1):
         rho = longest_rho(k, n)
         word = rho.reduced_word()
-        ok = True
-        witness = ""
-        for idx in range(N ** k):
-            u = tuple(field.one() if m == idx else field.zero() for m in range(N ** k))
-            img = sym.apply_perm_word(word, k + n, kron_vec(u, profile.t, field))
-            want = kron_vec(profile.t, apply_power(theta, k, u), field)
-            if not vec_is_zero(vec_sub(img, want)):
-                ok = False
-                witness = "basis word %d" % idx
-                break
-        report.record(
+        units = MatrixF.identity(N ** k, field).row_list()
+        _record_equal(
+            report,
             "braid-top.k%d" % k,
             "T_rho(u t) = t theta^((x)k)(u)",
-            ok,
-            witness,
+            MatrixF.from_rows([sym.apply_perm_word(word, k + n, kron_vec(u, profile.t, field)) for u in units], field),
+            MatrixF.from_rows([kron_vec(profile.t, apply_power(theta, k, u), field) for u in units], field),
         )
         # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k)
         y_shift = shift_element(coset_y(n, n - k, k, field), k)
         sign = -1 if (k * n - k) % 2 else 1
         coeff = field.scalar(sign) * q ** (-(k * (k + 1) // 2))
         rho_inv_word = rho.inverse().reduced_word()
-        ok = True
-        witness = ""
-        for v in sym.upsilon(k).basis:
-            u = kron_vec(profile.t, v, field)
-            lhs = sym.apply_hecke(y_shift, k + n, u)
-            rhs = vec_scale(coeff, sym.apply_perm_word(rho_inv_word, k + n, u))
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                ok = False
-                witness = "a basis vector of upsilon(n) (x) upsilon(%d)" % k
-                break
-        report.record(
+        tensors = [kron_vec(profile.t, v, field) for v in sym.upsilon(k).basis]
+        _record_equal(
+            report,
             "mirror-top.k%d" % k,
             "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u",
-            ok,
-            witness,
+            MatrixF.from_rows([sym.apply_hecke(y_shift, k + n, u) for u in tensors], field),
+            MatrixF.from_rows([sym.apply_perm_word(rho_inv_word, k + n, u) for u in tensors], field).scale(coeff),
         )
 
     # scalar-braiding degree gate (odd top degree, theta a multiple of psi)
@@ -469,46 +435,27 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     else:
         f = profile.f
         t = profile.t
-        f_of = lambda v: sum((c * x for c, x in zip(f, v) if not x.is_zero()), field.zero())
-        top_value, expected = (MatrixF(1, 1, [x], field) for x in (f_of(t), qint(n, field)))
+        top_value, expected = (MatrixF(1, 1, [x], field) for x in (covector_value(f, t, field.zero()), qint(n, field)))
         _record_equal(report, "functional.top-value", "f(t) = [n]_q", top_value, expected)
-        # twisted cyclicity f(w v) = f(phi(v) w) on basis tensors
-        ok = True
-        witness = ""
+        # twisted cyclicity f(w v) = f(phi(v) w): entry (w, j) is f(w (x) e_j) on the left
+        # and sum_i f(e_i (x) w) phi[i, j] on the right
         block = N ** (n - 1)
-        for w in range(block):
-            for j in range(N):
-                lhs = f[w * N + j]
-                rhs = field.zero()
-                for i in range(N):
-                    c = phi[i, j]
-                    if not c.is_zero():
-                        rhs = rhs + c * f[i * block + w]
-                if lhs != rhs:
-                    ok = False
-                    witness = "basis tensor (%d,%d)" % (w, j)
-                    break
-            if not ok:
-                break
-        report.record("functional.twisted-cyclicity", "f(w v) = f(phi(v) w)", ok, witness)
-        # theta reproduced from f, psi and the slices of t
-        slices = _front_slices(t, N, n)
+        _record_equal(
+            report,
+            "functional.twisted-cyclicity",
+            "f(w v) = f(phi(v) w)",
+            MatrixF(block, N, f, field),
+            MatrixF(N, block, f, field).transpose() * phi,
+        )
+        # theta reproduced from f, psi and the slices of t: column v is
+        # (-1)^(n-1) q sum_i f(v (x) t_i) psi(x_i)
         sign = -1 if (n - 1) % 2 else 1
-        cols = []
-        for e in MatrixF.identity(N, field).row_list():
-            acc = [field.zero()] * N
-            for i in range(N):
-                val = f_of(kron_vec(e, slices[i], field))
-                if not val.is_zero():
-                    psi_col = psi.col(i)
-                    for r in range(N):
-                        acc[r] = acc[r] + val * psi_col[r]
-            cols.append(vec_scale(field.scalar(sign) * q, acc))
+        values = front_pairing(f, _front_slices(t, N, n), field)
         _record_equal(
             report,
             "functional.braiding-formula",
             "theta(v) = (-1)^(n-1) q sum f(v t_i) psi(x_i)",
-            MatrixF.from_rows(cols, field).transpose(),
+            (psi * values.transpose()).scale(field.scalar(sign) * q),
             theta,
         )
         # kernel of f is the kernel of the antisymmetrizer action
@@ -525,6 +472,29 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # reconstruction
+
+
+def covector_value(f: Sequence, v: Sequence, zero):
+    """f(v) = sum_w f[w] v[w], skipping the zero coordinates of v."""
+    out = zero
+    for c, x in zip(f, v):
+        if not x.is_zero():
+            out = out + c * x
+    return out
+
+
+def front_pairing(f: Sequence, vectors: Sequence, domain) -> MatrixF:
+    """The matrix with entry (j, i) = f(x_j (x) t_i), for the vectors t_i.
+
+    x_j runs over the standard basis of V; f is a covector on V (x) W and
+    each t_i lies in W.  The entries lie in domain, a field or a PolyRing.
+    """
+    block = len(vectors[0])
+    zero = domain.zero()
+    return MatrixF.from_rows(
+        [[covector_value(f[j * block : (j + 1) * block], t, zero) for t in vectors] for j in range(len(f) // block)],
+        domain,
+    )
 
 
 def projection_from_dual(f: Sequence, relations: Sequence, C: MatrixF) -> MatrixF:
@@ -558,25 +528,11 @@ def reconstruct_from_f(
         raise ValueError("q = -1 cannot be split into eigenspaces")
     d = relations.dim
     N2 = relations.ambient
-    import math
-
-    N = math.isqrt(N2)
-    if N * N != N2 or d != N:
+    if d * d != N2:
         raise ValueError("need N relations inside V (x) V")
     t_rows = relations.basis
-    # Gram matrix G[i][j] = f(e_i (x) t_j)
-    G = MatrixF.from_rows(
-        [
-            [
-                sum((t_rows[j][w] * f[i * N2 + w] for w in range(N2) if not t_rows[j][w].is_zero()), field.zero())
-                for j in range(d)
-            ]
-            for i in range(N)
-        ],
-        field,
-    )
     try:
-        C = G.inverse()
+        C = front_pairing(f, t_rows, field).inverse()
     except ZeroDivisionError:
         raise ValueError("the pairing of V with the relations via f is degenerate") from None
     # row j of C holds the coordinates of the dual vector x~_j

@@ -2,9 +2,8 @@
 
 MatrixF carries its domain (a FieldSpec for field scalars, a PolyRing for
 polynomial entries).  Row reduction, kernels, images, subspace sums and
-intersections need a field; determinants also work over polynomial rings
-(memoized cofactor expansion for small orders, Bareiss elimination with
-exact division otherwise).
+intersections need a field; determinants also work over polynomial rings,
+by a cofactor expansion memoized over column subsets.
 
 Subspaces of k^D are stored as the nonzero rows of a reduced row echelon
 form, so equal subspaces have identical bases and == is structural.
@@ -15,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .exactnum import FieldSpec
-from .multipoly import MultiPoly, PolyRing
+from .multipoly import PolyRing
 
 __all__ = ["MatrixF", "Subspace", "vec_add", "vec_sub", "vec_scale", "vec_is_zero", "vec_combination"]
 
@@ -319,9 +318,7 @@ class MatrixF:
             return self.domain.one()
         if _is_field(self.domain):
             return self._det_field()
-        if n <= 6:
-            return self._det_cofactor()
-        return self._det_bareiss()
+        return self._det_cofactor()
 
     def _det_field(self):
         rows = [list(r) for r in self.row_list()]
@@ -374,38 +371,6 @@ class MatrixF:
             return acc
 
         return minor(0, tuple(range(n)))
-
-    def _det_bareiss(self):
-        rows = [list(r) for r in self.row_list()]
-        n = self.rows
-        sign = 1
-        prev = self.domain.one()
-        for k in range(n - 1):
-            if rows[k][k].is_zero():
-                swap = None
-                for i in range(k + 1, n):
-                    if not rows[i][k].is_zero():
-                        swap = i
-                        break
-                if swap is None:
-                    return self.domain.zero()
-                rows[k], rows[swap] = rows[swap], rows[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                    rows[i][j] = _ring_exact_div(num, prev)
-            prev = rows[k][k]
-        out = rows[n - 1][n - 1]
-        return out if sign > 0 else -out
-
-
-def _ring_exact_div(num, den):
-    if isinstance(num, MultiPoly):
-        if num.is_zero():
-            return num
-        return num.exact_div(den)
-    return num / den
 
 
 class Subspace:

@@ -20,7 +20,7 @@ generators) each terminate in an exact contradiction:
 
 The cases share one pipeline.  Each writes its functional as a table of
 values on cubic monomials (indexed by `symmetry.tensor_index`), reads the
-values f(x_j (x) t_i) off it (`_x_t_values`), builds P through
+values f(x_j (x) t_i) off it (`frobenius.front_pairing`), builds P through
 `frobenius.projection_from_dual` with the dual basis the case dictates,
 compares P with a table of combinations of the t_i (`_table_ok`), applies
 Id (x) P and P (x) Id as slot actions (`symmetry.apply_slots`), cuts the
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
-from .frobenius import projection_from_dual, reconstruct_from_f
+from .frobenius import front_pairing, projection_from_dual, reconstruct_from_f
 from .linalg import MatrixF, Subspace, vec_combination
 from .multipoly import MultiPoly, PolyRing
 from .regular3 import SklParameters, cyclic_slots, is_type_A, skl_relations, skl_tensor
@@ -211,25 +211,8 @@ def _tx_index(alpha: int, beta: int) -> int:
     return beta * 3 + alpha
 
 
-def _pairing(f: Sequence, vec: Sequence, zero):
-    """f(vec) for a covector f on V^(x)3."""
-    out = zero
-    for idx, v in enumerate(vec):
-        if not v.is_zero():
-            out = out + v * f[idx]
-    return out
-
-
-def _x_t_values(f: Sequence, relations: Sequence, domain) -> dict:
-    """f(x_j (x) t_i), keyed by (j, i)."""
-    x = MatrixF.identity(3, domain).row_list()
-    return {
-        (j, i): _pairing(f, kron_vec(x[j], relations[i], domain), domain.zero()) for j in range(3) for i in range(3)
-    }
-
-
-def _off_diagonal_zero(values: dict) -> bool:
-    return all(v.is_zero() for (j, i), v in values.items() if i != j)
+def _off_diagonal_zero(values: MatrixF) -> bool:
+    return all(values[j, i].is_zero() for j in range(3) for i in range(3) if i != j)
 
 
 def _is_cyclic(f: Sequence, twist=1) -> bool:
@@ -480,7 +463,7 @@ def verify_case1() -> CaseReport:
     checks.record("cyclicity", "f(v1 v2 v3) = f(v3 v1 v2)", _is_cyclic(f))
 
     # f annihilates x_j t_i off the diagonal and is a a'+b b'+c c' on it
-    vals = _x_t_values(f, rels, ring)
+    vals = front_pairing(f, rels, ring)
     diag = av * apv + bv * bpv + cv * cpv
     checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", _off_diagonal_zero(vals))
     checks.record(
@@ -728,7 +711,7 @@ def verify_case2() -> CaseReport:
         g[tensor_index(letters, 3)] = value
     checks.record("cyclicity", "f(v1 v2 v3) = eps^k f(x_k v1 v2)", _is_cyclic(g, eps))
 
-    vals = _x_t_values(g, rels, ring)
+    vals = front_pairing(g, rels, ring)
     checks.record("f-off-diagonal", "f(x_j t_i) = 0 for i != j", _off_diagonal_zero(vals))
     for i in (1, 2, 3):
         equations.append(
@@ -921,7 +904,7 @@ def verify_case3() -> CaseReport:
     rels = skl_relations(SklParameters(a, a, c, ring))
     rel1 = a * (ap + bp) + c * cp
     rel2 = c * cpp - c * cp - 1
-    vals = _x_t_values(gt, rels, ring)
+    vals = front_pairing(gt, rels, ring)
     norm_ok = (
         vals[0, 1] == d
         and vals[1, 0] == d

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar
 from .exprio import format_scalar, parse_scalar
@@ -293,12 +293,12 @@ class HeckeSymmetry:
 
     # -- graded subspaces
 
-    def _bound(self, n: int, cap: Optional[int]):
+    def _bound(self, n: int):
         dim = self.N ** n
-        if dim > (cap if cap is not None else TENSOR_DIM_CAP):
+        if dim > TENSOR_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap" % dim)
 
-    def upsilon(self, n: int, cap: Optional[int] = None) -> Subspace:
+    def upsilon(self, n: int) -> Subspace:
         """Intersection of the images of (T_i - q) on V^(x)n.
 
         upsilon(2) is Im(R - q); for n >= 3 the slot-local form of T_i gives
@@ -309,13 +309,13 @@ class HeckeSymmetry:
         got = self._upsilon.get(n)
         if got is not None:
             return got
-        self._bound(n, cap)
+        self._bound(n)
         if n <= 1:
             out = Subspace.full(self.N ** n, self.field)
         elif n == 2:
             out = (self.R - MatrixF.identity(self.N ** 2, self.field).scale(self.q)).image()
         else:
-            out = self._extend(self.upsilon(n - 1, cap), n)
+            out = self._extend(self.upsilon(n - 1), n)
         self._upsilon[n] = out
         return out
 
@@ -373,7 +373,7 @@ class HeckeSymmetry:
             object.__setattr__(self, "_dual", got)
         return got
 
-    def ideal_component(self, n: int, cap: Optional[int] = None) -> Subspace:
+    def ideal_component(self, n: int) -> Subspace:
         """Sum of the kernels of (T_i - q) on V^(x)n (n >= 2).
 
         Since (ker A)^perp = Im(A^t), this is the annihilator of upsilon(n) of
@@ -381,7 +381,7 @@ class HeckeSymmetry:
         """
         if n < 2:
             raise ValueError("ideal components start at degree 2")
-        return self._transpose().upsilon(n, cap).annihilator()
+        return self._transpose().upsilon(n).annihilator()
 
     def lambda_dim(self, n: int) -> int:
         """dim of degree n of the quotient by the q-eigenspace relations.

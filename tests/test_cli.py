@@ -318,3 +318,25 @@ def test_a_equals_b_is_checked_before_the_case_runs(capsys, monkeypatch, case):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: cases 3 and 4 assume a = b\n"
+
+
+@pytest.mark.parametrize(
+    "head, flags, values",
+    [
+        (["obstruct", "--case", "1"], ["--params"], ["-3,5,2"]),
+        (["obstruct", "--case", "3"], ["--params"], ["-1,-1,3"]),
+        (["skl3", "--check", "tensors"], ["--a", "--b", "--c"], ["-1/2", "1", "1"]),
+        (["verify", "--builtin", "dj", "--dim", "2", "--field", "rational"], ["--q"], ["-1/2"]),
+    ],
+    ids=["case1", "case3", "skl3", "q"],
+)
+def test_values_with_a_leading_minus(capsys, head, flags, values):
+    # "--flag value" and "--flag=value" give the same report
+    outputs = []
+    for argv in (
+        [tok for flag, value in zip(flags, values) for tok in (flag, value)],
+        ["%s=%s" % pair for pair in zip(flags, values)],
+    ):
+        assert main(head + argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""

@@ -21,7 +21,7 @@ from heckesym.frobenius import (
 from heckesym.heckealg import antisymmetrizer, partial_y
 from heckesym.linalg import MatrixF, vec_scale
 from heckesym.permgroup import Composition
-from heckesym.symmetry import dj_standard, flip, kron_vec
+from heckesym.symmetry import HeckeSymmetry, dj_standard, flip, kron_vec
 from test_symmetry import kron_power
 
 F = GENERIC_Q
@@ -183,6 +183,30 @@ def test_root_of_unity_profile():
     assert prof.theta == diag(C3q, eps ** 2, eps)
 
 
+def _multiparameter_dj2(field, p):
+    """dj(2) with e_1 (x) e_2 -> p e_2 (x) e_1 + (q-1) e_1 (x) e_2 and e_2 (x) e_1 -> (q/p) e_1 (x) e_2."""
+    q, zero = field.q(), field.zero()
+    entries = [
+        [q, zero, zero, zero],
+        [zero, q - 1, q * p.inverse(), zero],
+        [zero, p, zero, zero],
+        [zero, zero, zero, q],
+    ]
+    return HeckeSymmetry(2, q, MatrixF.from_rows(entries, field))
+
+
+def test_operator_suite_with_a_non_symmetric_phi():
+    # a second parameter makes phi non-scalar, and a non-symmetric tau makes
+    # it non-symmetric, so a transposed pairing twist or twisted cyclicity fails
+    field = FieldSpec("rational", qval=(Fraction(2),))
+    tau = MatrixF.from_rows([[field.scalar(2), field.one()], [field.one(), field.one()]], field)
+    prof = analyze(_multiparameter_dj2(field, field.scalar(3)).conjugate(tau))
+    assert prof.phi != prof.phi.transpose()
+    report = verify_operator_identities(prof)
+    assert report.ok, [c for c in report.checks if c.status == "fail"]
+    assert trace_table(prof)[0].ok
+
+
 def test_opposite_swaps_operators(prof3):
     prof_op = analyze(prof3.sym.opposite())
     assert prof_op.theta == prof3.theta_bar
@@ -330,6 +354,9 @@ def test_pairing_rejects_wrong_top_tensor(prof2):
     bogus_t = (F.one(), F.zero(), F.zero(), F.zero())  # not the top tensor
     with pytest.raises(DegeneratePairing):
         pairing(sym, 1, 2, bogus_t)
+    # y_2 is not rank one onto the line of bogus_t
+    with pytest.raises(DegeneratePairing):
+        f_functional(sym, 2, bogus_t)
 
 
 def test_restriction_helper(prof2):
@@ -360,7 +387,11 @@ ENTRY_WITNESS_CHECKS = (
     "square-commutes.",
     "top-scaling",
     "nakayama-braiding.k",
+    "pairing-twist.",
+    "braid-top.",
+    "mirror-top.",
     "functional.top-value",
+    "functional.twisted-cyclicity",
     "functional.braiding-formula",
     "functional.kernel",
 )
@@ -369,8 +400,16 @@ ENTRY_WITNESS_CHECKS = (
 def test_failing_identities_name_an_entry(prof2):
     f = list(prof2.f)
     f[1] = f[1] + F.one()
+    t = list(prof2.t)
+    t[0] = t[0] + F.one()
     failed = set()
-    for change in ({"theta": _bump(prof2.theta, 0, 0)}, {"phi": _bump(prof2.phi, 0, 1)}, {"f": tuple(f)}):
+    changes = (
+        {"theta": _bump(prof2.theta, 0, 0)},
+        {"phi": _bump(prof2.phi, 0, 1)},
+        {"f": tuple(f)},
+        {"t": tuple(t)},
+    )
+    for change in changes:
         report = verify_operator_identities(dataclasses.replace(prof2, **change))
         for c in report.checks:
             if c.status == "fail" and c.rule == "subspace stability":
@@ -379,7 +418,8 @@ def test_failing_identities_name_an_entry(prof2):
                 assert c.detail.startswith("entry ("), (c.name, c.detail)
                 failed.add(c.name)
     assert {"commute.theta-phi", "commute.phi-psi", "twist-relation", "theta-bar-inverse", "square-commutes.phi",
-            "top-scaling", "nakayama-braiding.k1", "functional.top-value", "functional.braiding-formula",
+            "top-scaling", "nakayama-braiding.k1", "pairing-twist.k1", "braid-top.k1", "mirror-top.k1",
+            "functional.top-value", "functional.twisted-cyclicity", "functional.braiding-formula",
             "functional.kernel"} <= failed
     # passing reports keep an empty detail
     assert all(c.detail == "" for c in verify_operator_identities(prof2).checks if c.status == "pass")

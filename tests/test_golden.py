@@ -6,9 +6,11 @@ generator-rule product and the projective-matrix closure, before both
 kernels moved to integer tables; the obstruction, resultant and skl3
 digests were captured from the four hand-written case functions, before
 they moved onto one shared case pipeline; the analyze digests were
-captured before every tensor slot action moved onto one slot-local action.
-Every refactor must keep these bytes.  `--timings` writes only to stderr,
-so stdout keeps them with it too.
+captured before every tensor slot action moved onto one slot-local action;
+the verify, builtin and conjugated dj(3) digests were captured before the
+Frobenius identities became one matrix equality each.  Every refactor must
+keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
+with it too.
 """
 
 import hashlib
@@ -41,6 +43,8 @@ STDOUT_SHA256 = {
     ("analyze", "--builtin", "flip", "--dim", "3"): "cdd3d037edc289bd2fc4de8352191a51050ecc35a438636265449e1cf567b2d9",
     ("analyze", "--builtin", "dj", "--dim", "2", "--field", "cyclotomic", "--order", "3", "--q", "e"): "b3296a161a80bd124c92cd6065f802cfc0ad2f073b7982c0267e5658d225f584",
     ("analyze", "--builtin", "dj", "--dim", "3", "--field", "rational", "--q", "2"): "762a0b82aae2fb875ec520674236f4802a78be482796de2b01e8b3cf3c7191e9",
+    ("verify", "--builtin", "dj", "--dim", "3"): "05d6505c2a7e33607922fd878c6fa5b647bf3242bfda9cf8b22a1456f988e9bc",
+    ("builtin", "--builtin", "dj", "--dim", "2"): "fe577a9bc6a7d5eeec53a3ad105fbb21b694026f684033bbf4ba071557de43f4",
 }
 
 # dj(2) conjugated by tau = [[2, 1], [1, 1]], as `builtin` and `conjugate` emit it
@@ -56,6 +60,27 @@ DENSE_CONJUGATE = {
     ],
 }
 DENSE_CONJUGATE_SHA256 = "87af05bc49217d5a1e75e07ef3d40867280669018497dcc08bb81226a546c60c"
+DENSE_CONJUGATE_VERIFY_SHA256 = "513aaf6bf402a321014084f94b8d05c2f3a199a8dccb1e60237068c0e5f3e4fa"
+
+# dj(3) over Q with q = 2, conjugated by the non-symmetric unimodular
+# tau = [[1, 2, 0], [0, 1, 1], [1, 0, -1]], as `conjugate` and `to_json_dict` emit it
+DJ3_CONJUGATE = {
+    "dim": 3,
+    "field": {"kind": "rational", "order": 1},
+    "q": "2",
+    "matrix": [
+        ["2", "-2", "-2", "2", "0", "0", "2", "0", "0"],
+        ["0", "1", "0", "1", "0", "0", "0", "0", "0"],
+        ["0", "-2", "-1", "2", "0", "0", "3", "0", "0"],
+        ["0", "2", "0", "0", "0", "0", "0", "0", "0"],
+        ["0", "1", "0", "-1", "2", "1", "0", "-1", "0"],
+        ["0", "-1", "0", "1", "0", "-1", "0", "3", "0"],
+        ["0", "-2", "0", "2", "0", "0", "2", "0", "0"],
+        ["0", "-1", "0", "1", "0", "0", "0", "2", "0"],
+        ["0", "0", "-1", "0", "0", "2", "1", "-2", "2"],
+    ],
+}
+DJ3_CONJUGATE_SHA256 = "cffc49716c0365e4f709e2ca7a79280268262254112b07b5af1d26fd0659c14a"
 
 # sha256 of json.dumps([g.to_rows() for g in hessian_group()])
 GROUP_ROWS_SHA256 = "9f1d8b9b46a5aa35da39efa5066b53e18d111ccf17aef003e222042f10cb4ff0"
@@ -76,12 +101,25 @@ def test_stdout_digest(capsys, argv):
     assert _sha256(out) == STDOUT_SHA256[argv]
 
 
-def test_analyze_dense_conjugate_digest(capsys, tmp_path):
+def _document_stdout(capsys, tmp_path, command, doc):
     path = tmp_path / "conj.json"
-    path.write_text(json.dumps(DENSE_CONJUGATE))
-    code = main(["analyze", str(path)])
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
     assert code == 0
-    assert _sha256(capsys.readouterr().out) == DENSE_CONJUGATE_SHA256
+    return capsys.readouterr().out
+
+
+def test_analyze_dense_conjugate_digest(capsys, tmp_path):
+    assert _sha256(_document_stdout(capsys, tmp_path, "analyze", DENSE_CONJUGATE)) == DENSE_CONJUGATE_SHA256
+
+
+def test_verify_dense_conjugate_digest(capsys, tmp_path):
+    assert _sha256(_document_stdout(capsys, tmp_path, "verify", DENSE_CONJUGATE)) == DENSE_CONJUGATE_VERIFY_SHA256
+
+
+def test_analyze_dj3_conjugate_digest(capsys, tmp_path):
+    # the Frobenius suite with a non-diagonal theta and psi and constant scalars
+    assert _sha256(_document_stdout(capsys, tmp_path, "analyze", DJ3_CONJUGATE)) == DJ3_CONJUGATE_SHA256
 
 
 def test_group_elements_and_class_order():
