@@ -15,13 +15,18 @@ All values are immutable; operations are pure.
 
 Cyclotomic coefficient vectors are dense tuples of Fraction of length
 deg Phi_m.  Polynomials in q are tuples of such vectors, low degree first,
-with no trailing zeros (the zero polynomial is the empty tuple).
+with no trailing zeros (the zero polynomial is the empty tuple).  Constants
+of the rational and cyclotomic kinds skip the polynomial layer: their
+arithmetic runs on the coefficient vector, and a cyclotomic product on
+integer numerators over one denominator, reduced by x^j mod Phi_m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Optional, Tuple, Union
 
 __all__ = [
@@ -79,26 +84,25 @@ def _zpoly_exact_div(num: list, den: list) -> list:
 class _CycCtx:
     """Reduction tables for arithmetic modulo Phi_m."""
 
-    __slots__ = ("m", "deg", "zero", "one", "reductions")
+    __slots__ = ("m", "deg", "phi", "zero", "one", "reductions")
 
     def __init__(self, m: int):
         phi = cyclotomic_polynomial(m)
         d = len(phi) - 1
         self.m = m
         self.deg = d
+        self.phi = phi
         self.zero = (_ZERO,) * d
         self.one = (_ONE,) + (_ZERO,) * (d - 1)
-        # x^j mod Phi_m for j = d .. 2d-2, as coefficient tuples
+        # x^j mod Phi_m for j = d .. 2d-2; integral because Phi_m is monic
         reds = []
-        cur = [Fraction(-phi[i], phi[d]) for i in range(d)]
+        cur = [-c for c in phi[:d]]
         reds.append(tuple(cur))
         for _ in range(d - 2):
-            nxt = [_ZERO] + cur[: d - 1]
             top = cur[d - 1]
-            if top:
-                for i in range(d):
-                    nxt[i] += top * reds[0][i]
-            cur = nxt
+            cur = [top * r for r in reds[0]]
+            for i in range(1, d):
+                cur[i] += reds[-1][i - 1]
             reds.append(tuple(cur))
         self.reductions = tuple(reds)
 
@@ -115,20 +119,26 @@ class _CycCtx:
         d = self.deg
         if d == 1:
             return (a[0] * b[0],)
-        prod = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        # integer numerators over one common denominator per factor
+        da = lcm(*[x.denominator for x in a])
+        db = lcm(*[x.denominator for x in b])
+        ia = [x.numerator * (da // x.denominator) for x in a]
+        ib = [x.numerator * (db // x.denominator) for x in b]
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(ia):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(ib):
                     if bj:
                         prod[i + j] += ai * bj
         out = prod[:d]
         for j in range(d, 2 * d - 1):
             c = prod[j]
             if c:
-                red = self.reductions[j - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return tuple(out)
+                for i, r in enumerate(self.reductions[j - d]):
+                    if r:
+                        out[i] += c * r
+        den = da * db
+        return tuple([Fraction(c, den) if c else _ZERO for c in out])
 
     def inv(self, a: Cyc) -> Cyc:
         if not any(a):
@@ -136,8 +146,7 @@ class _CycCtx:
         if self.deg == 1:
             return (1 / a[0],)
         # extended Euclid in Q[x] against Phi_m
-        phi = cyclotomic_polynomial(self.m)
-        r0 = [Fraction(c) for c in phi]
+        r0 = [Fraction(c) for c in self.phi]
         r1 = list(a)
         s0: list = [_ZERO]
         s1: list = [_ONE]
@@ -439,7 +448,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed fields: %r vs %r" % (self.field, other.field))
             return other
         if isinstance(other, (int, Fraction)):
@@ -476,12 +485,23 @@ class Scalar:
             raise ValueError("scalar is not rational")
         return vec[0]
 
-    # -- arithmetic
+    # -- arithmetic; constants of the rational and cyclotomic kinds skip
+    # the polynomial layer and work on their coefficient vector
+
+    def _const_sum(self, b: QPoly, op) -> "Scalar":
+        """self op b for a constant b of this field; op is operator.add or sub."""
+        if not b:
+            return self
+        va = self.num[0] if self.num else self.field._ctx().zero
+        vec = tuple(map(op, va, b[0]))
+        return Scalar(self.field, (vec,) if any(vec) else (), self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.field.kind != "ratfunc_q":
+            return self._const_sum(other.num, add)
         ctx = self.field._ctx()
         if self.den == other.den:
             num = _padd(ctx, self.num, other.num)
@@ -501,6 +521,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.field.kind != "ratfunc_q":
+            return self._const_sum(other.num, sub)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -510,7 +532,17 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ctx = self.field._ctx()
+        field = self.field
+        if field.kind != "ratfunc_q":
+            a, b = self.num, other.num
+            if not a:
+                return self
+            if not b:
+                return other
+            va, vb = a[0], b[0]
+            vec = (va[0] * vb[0],) if len(va) == 1 else field._ctx().mul(va, vb)
+            return Scalar(field, (vec,), self.den)
+        ctx = field._ctx()
         num = _pmul(ctx, self.num, other.num)
         if not num:
             return self.field.zero()
@@ -524,6 +556,8 @@ class Scalar:
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.field._ctx()
+        if self.field.kind != "ratfunc_q":
+            return Scalar(self.field, (ctx.inv(self.num[0]),), self.den)
         num, den = _pmonic_scale(ctx, self.den, self.num)
         return Scalar(self.field, num, den)
 
@@ -558,7 +592,9 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.num == other.num and self.den == other.den
+        if other.field is not self.field and other.field != self.field:
+            return False
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         h = self._hash

@@ -202,7 +202,8 @@ def phi_op(sym: HeckeSymmetry, n: int, beta1: MatrixF, beta_n1: MatrixF) -> Matr
 
 
 def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
-    """Covector f with rep(y_n) u = [n-1]!_q f(u) t; needs [n-1]!_q != 0."""
+    """(f, rep(y_n)): the covector f with rep(y_n) u = [n-1]!_q f(u) t, and
+    the matrix it is read from; needs [n-1]!_q != 0."""
     field = sym.field
     norm = qfact(n - 1, field)
     if norm.is_zero():
@@ -211,7 +212,7 @@ def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
     f = vec_scale(norm.inverse(), Y.row(_pivot(t)))
     if Y != MatrixF(len(t), 1, t, field) * MatrixF(1, len(f), f, field).scale(norm):
         raise DegeneratePairing("y_n action is not rank one onto the top line")
-    return f
+    return f, Y
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,7 @@ class FrobeniusProfile:
     phi: MatrixF
     psi: MatrixF
     f: Optional[tuple]
+    y_rep: Optional[MatrixF]  # rep(y_n), built once by f_functional; None when f is
     f_reason: str = ""
 
     @property
@@ -268,12 +270,12 @@ def analyze(sym: HeckeSymmetry, n_max: Optional[int] = None) -> FrobeniusProfile
     psi = psi_op(sym, n, t)
     phi = phi_op(sym, n, betas[1], betas[n - 1]) if n >= 1 else MatrixF.identity(sym.N, sym.field)
     try:
-        f = f_functional(sym, n, t)
+        f, y_rep = f_functional(sym, n, t)
         f_reason = ""
     except QFactorialVanishes as exc:
-        f = None
+        f = y_rep = None
         f_reason = str(exc)
-    return FrobeniusProfile(sym, n, t, dims, lambda_dims, betas, theta, theta_bar, phi, psi, f, f_reason)
+    return FrobeniusProfile(sym, n, t, dims, lambda_dims, betas, theta, theta_bar, phi, psi, f, y_rep, f_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +462,7 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         )
         # kernel of f is the kernel of the antisymmetrizer action
         ker_f = MatrixF.from_rows([f], field).kernel()
-        ker_y = sym.rep_matrix(antisymmetrizer(n, field), n).kernel()
+        ker_y = profile.y_rep.kernel()
         ok = ker_f == ker_y
         if ok or ker_f.dim != ker_y.dim:
             witness = "" if ok else "dimensions %d vs %d" % (ker_f.dim, ker_y.dim)

@@ -188,3 +188,196 @@ def test_field_spec_validation():
         FieldSpec("rational", 3)
     with pytest.raises(ValueError):
         FieldSpec("ratfunc_q", 1, (Fraction(1),))
+
+
+# ---------------------------------------------------------------------------
+# the constant fast path against the polynomial-fraction path it replaced
+
+from heckesym import exactnum  # noqa: E402
+from heckesym.exactnum import (  # noqa: E402
+    Scalar,
+    _cycctx,
+    _padd,
+    _pmonic_scale,
+    _pmul,
+    _pneg,
+    cyclotomic_polynomial,
+)
+
+
+class _FractionLoopCtx:
+    """Arithmetic modulo Phi_m with the Fraction-loop product (reference only)."""
+
+    def __init__(self, m):
+        ctx = _cycctx(m)
+        self.deg, self.zero, self.one, self.inv = ctx.deg, ctx.zero, ctx.one, ctx.inv
+        phi = cyclotomic_polynomial(m)
+        d = self.deg
+        # x^j mod Phi_m for j = d .. 2d-2, built over Fraction
+        reds = []
+        cur = [Fraction(-phi[i], phi[d]) for i in range(d)]
+        reds.append(tuple(cur))
+        for _ in range(d - 2):
+            nxt = [Fraction(0)] + cur[: d - 1]
+            top = cur[d - 1]
+            if top:
+                for i in range(d):
+                    nxt[i] += top * reds[0][i]
+            cur = nxt
+            reds.append(tuple(cur))
+        self.reductions = tuple(reds)
+
+    def mul(self, a, b):
+        d = self.deg
+        if d == 1:
+            return (a[0] * b[0],)
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] += ai * bj
+        out = prod[:d]
+        for j in range(d, 2 * d - 1):
+            c = prod[j]
+            if c:
+                red = self.reductions[j - d]
+                for i in range(d):
+                    out[i] += c * red[i]
+        return tuple(out)
+
+
+class _Reference:
+    """The Scalar operations as num/den pairs through _padd, _pmul and _pmonic_scale."""
+
+    def __init__(self, field):
+        self.ctx = _FractionLoopCtx(field.order)
+
+    def add(self, x, y):
+        c = self.ctx
+        if x[1] == y[1]:
+            num, den = _padd(c, x[0], y[0]), x[1]
+        else:
+            num = _padd(c, _pmul(c, x[0], y[1]), _pmul(c, y[0], x[1]))
+            den = _pmul(c, x[1], y[1])
+        return _pmonic_scale(c, num, den)
+
+    def neg(self, x):
+        return _pneg(x[0]), x[1]
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def mul(self, x, y):
+        c = self.ctx
+        num = _pmul(c, x[0], y[0])
+        if not num:
+            return (), (c.one,)
+        return _pmonic_scale(c, num, _pmul(c, x[1], y[1]))
+
+    def inverse(self, x):
+        return _pmonic_scale(self.ctx, x[1], x[0])
+
+    def div(self, x, y):
+        return self.mul(x, self.inverse(y))
+
+    def pow(self, x, k):
+        if k < 0:
+            x, k = self.inverse(x), -k
+        out = ((self.ctx.one,), (self.ctx.one,))
+        for _ in range(k):
+            out = self.mul(out, x)
+        return out
+
+
+def _random_constant(field, rng):
+    deg = field._ctx().deg
+    vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else Fraction(0) for _ in range(deg)]
+    return field.from_cyc(vec)
+
+
+CONSTANT_FIELDS = [FieldSpec("rational")] + [cyclotomic_field(m) for m in (3, 4, 5, 8, 12)]
+
+
+@pytest.mark.parametrize("field", CONSTANT_FIELDS, ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_constant_fast_path_matches_fraction_reference(field):
+    rng = random.Random("fast-path:%d" % field.order)
+    ref = _Reference(field)
+    # an equal field that is not the same object takes the == branch of the field check
+    twin = FieldSpec(field.kind, field.order, field.qval)
+    assert twin is not field
+    for _ in range(60):
+        x, y = _random_constant(field, rng), _random_constant(field, rng)
+        xp, yp = (x.num, x.den), (y.num, y.den)
+        cases = [
+            (x + y, ref.add(xp, yp)),
+            (x - y, ref.sub(xp, yp)),
+            (-x, ref.neg(xp)),
+            (x * y, ref.mul(xp, yp)),
+            (x + (-x), ref.add(xp, ref.neg(xp))),
+            (x - x, ref.sub(xp, xp)),
+            (x ** 3, ref.pow(xp, 3)),
+            (x + 2, ref.add(xp, (field.scalar(2).num, field.scalar(2).den))),
+            (Scalar(twin, x.num, x.den) * y, ref.mul(xp, yp)),
+        ]
+        if y:
+            cases += [(x / y, ref.div(xp, yp)), (y.inverse(), ref.inverse(yp)), (y ** -2, ref.pow(yp, -2))]
+        for got, (num, den) in cases:
+            assert (got.num, got.den) == (num, den)
+            expected = Scalar(field, num, den)
+            assert got == expected and hash(got) == hash(expected)
+        assert (x - x).is_zero() and (x + (-x)).is_zero()
+        assert (x == y) == (xp == yp)
+        assert Scalar(twin, x.num, x.den) == x and hash(Scalar(twin, x.num, x.den)) == hash(x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
+def test_integer_product_matches_fraction_loop(m):
+    rng = random.Random("cyc-mul:%d" % m)
+    ctx, old = _cycctx(m), _FractionLoopCtx(m)
+    for _ in range(40):
+        a, b = (
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.8 else Fraction(0) for _ in range(ctx.deg))
+            for _ in range(2)
+        )
+        assert ctx.mul(a, b) == old.mul(a, b)
+        assert all(type(c) is Fraction for c in ctx.mul(a, b))
+        if any(a):
+            assert ctx.mul(a, ctx.inv(a)) == ctx.one
+
+
+def test_cyclotomic_inverse_reuses_phi(monkeypatch):
+    ctx = _cycctx(12)
+    assert ctx.phi == cyclotomic_polynomial(12)
+
+    def refuse(m):
+        raise AssertionError("Phi_%d recomputed" % m)
+
+    monkeypatch.setattr(exactnum, "cyclotomic_polynomial", refuse)
+    a = (Fraction(1), Fraction(2, 3), Fraction(0), Fraction(-1))
+    assert ctx.mul(a, ctx.inv(a)) == ctx.one
+
+
+def test_mixed_constant_fields_rejected():
+    C3, C3q = cyclotomic_field(3), cyclotomic_field(3, 1)
+    x, y = C3.e(), C3q.e()
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(ValueError):
+            op(x, y)
+    assert x != y
+    with pytest.raises(ValueError):
+        FieldSpec("rational").one() + cyclotomic_field(1).one()
+
+
+def test_tracer_can_wrap_every_scalar_op():
+    # perfbench/tracer.py replaces Scalar.__dict__[op] for each op of SCALAR_OPS
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert "__radd__" in tracer.SCALAR_OPS and "__rmul__" in tracer.SCALAR_OPS
+    for op in tracer.SCALAR_OPS:
+        assert callable(Scalar.__dict__.get(op)), op

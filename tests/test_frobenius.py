@@ -130,6 +130,24 @@ def test_functional_normalization(prof3):
     assert prof3.f[piv] * norm == Y[piv, piv]
 
 
+def test_rep_of_y_n_is_built_once_per_analyze(monkeypatch):
+    calls = []
+    rep_matrix = HeckeSymmetry.rep_matrix
+
+    def counted(self, h, n):
+        calls.append(n)
+        return rep_matrix(self, h, n)
+
+    monkeypatch.setattr(HeckeSymmetry, "rep_matrix", counted)
+    prof = analyze(dj_standard(3))
+    ops = verify_operator_identities(prof)
+    trace_table(prof)
+    assert calls == [3]
+    kernel = next(c for c in ops.checks if c.name == "functional.kernel")
+    assert kernel.status == "pass" and kernel.rule == "ker f = ker rep(y_n)"
+    assert prof.y_rep == rep_matrix(prof.sym, antisymmetrizer(3), 3)
+
+
 def test_functional_unavailable_at_minus_one():
     Fneg = FieldSpec("rational", qval=(Fraction(-1),))
     prof = analyze(dj_standard(3, Fneg))
@@ -333,7 +351,7 @@ def test_reconstruction_rejects_q_minus_one():
     Fneg = FieldSpec("rational", qval=(Fraction(-1),))
     sym = dj_standard(2, Fneg)
     n, t = top_component(sym)
-    f = f_functional(sym, n, t)
+    f, _ = f_functional(sym, n, t)
     with pytest.raises(ValueError):
         reconstruct_from_f(f, sym.upsilon(2), sym.q)
 
