@@ -18,7 +18,9 @@ deg Phi_m.  Polynomials in q are tuples of such vectors, low degree first,
 with no trailing zeros (the zero polynomial is the empty tuple).  Constants
 of the rational and cyclotomic kinds skip the polynomial layer: their
 arithmetic runs on the coefficient vector, and a cyclotomic product on
-integer numerators over one denominator, reduced by x^j mod Phi_m.
+integer numerators over one denominator, reduced by x^j mod Phi_m.  pack
+and unpack move vectors of such constants to and from that integer layout,
+and an inverse solves with the integer multiplication matrix of a constant.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = [
     "qbinom",
     "specialize",
     "primitive_root",
+    "pack",
+    "unpack",
+    "mul_matrices",
 ]
 
 Cyc = Tuple[Fraction, ...]
@@ -140,27 +145,37 @@ class _CycCtx:
         den = da * db
         return tuple([Fraction(c, den) if c else _ZERO for c in out])
 
+    def mul_matrix(self, ints) -> list:
+        """Rows of the integer matrix of multiplication by sum ints[j] x^j mod Phi_m."""
+        col, cols = list(ints), []
+        for _ in range(self.deg):
+            cols.append(col)
+            top = col[-1]
+            col = [c + top * r for c, r in zip([0] + col[:-1], self.reductions[0])]
+        return [list(row) for row in zip(*cols)]
+
     def inv(self, a: Cyc) -> Cyc:
         if not any(a):
             raise ZeroDivisionError("division by zero")
-        if self.deg == 1:
+        d = self.deg
+        if d == 1:
             return (1 / a[0],)
-        # extended Euclid in Q[x] against Phi_m
-        r0 = [Fraction(c) for c in self.phi]
-        r1 = list(a)
-        s0: list = [_ZERO]
-        s1: list = [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = 1 / r1[0]
-                out = [x * c for x in s1]
-                out += [_ZERO] * (self.deg - len(out))
-                return tuple(out[: self.deg])
-            q, r = _qpoly_divmod_frac(r0, r1)
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1 = r1, r
+        # M x = den e_0 for the integer matrix M of den * a, by fraction-free
+        # Gauss-Jordan: every diagonal entry ends as the last pivot
+        den = lcm(*[x.denominator for x in a])
+        rows = self.mul_matrix([x.numerator * (den // x.denominator) for x in a])
+        aug = [row + [den if i == 0 else 0] for i, row in enumerate(rows)]
+        prev = 1
+        for k in range(d):
+            p = next(i for i in range(k, d) if aug[i][k])
+            aug[k], aug[p] = aug[p], aug[k]
+            piv = aug[k]
+            for i in range(d):
+                if i != k:
+                    f = aug[i][k]
+                    aug[i] = [(piv[k] * x - f * y) // prev for x, y in zip(aug[i], piv)]
+            prev = piv[k]
+        return tuple(Fraction(row[d], prev) for row in aug)
 
     def embed(self, a: Cyc, target: "_CycCtx") -> Cyc:
         """Image of a under zeta_m -> zeta_M^(M/m); requires m | M."""
@@ -179,43 +194,6 @@ class _CycCtx:
                 out = tuple(u + v for u, v in zip(out, term))
             pw = target.mul(pw, gen_step)
         return out
-
-
-def _frac_poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _qpoly_divmod_frac(num: list, den: list) -> tuple:
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] * inv_lead
-        if c:
-            q[k] = c
-            for j, dj in enumerate(den):
-                if dj:
-                    num[k + j] -= c * dj
-    rem = num[: len(den) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return q, rem
 
 
 _CYC_CACHE: dict = {}
@@ -610,6 +588,38 @@ class Scalar:
 
     def __bool__(self):
         return bool(self.num)
+
+
+# ---------------------------------------------------------------------------
+# packed vectors: integer numerators over one common denominator
+
+
+def pack(field: FieldSpec, xs) -> tuple:
+    """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den; rational or cyclotomic xs."""
+    zero = field._ctx().zero
+    vecs = []
+    for x in xs:
+        if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
+            raise ValueError("mixed fields")
+        vecs.append(x.num[0] if x.num else zero)
+    den = lcm(*[c.denominator for v in vecs for c in v])
+    return den, [[c.numerator * (den // c.denominator) for c in comp] for comp in zip(*vecs)]
+
+
+def unpack(field: FieldSpec, comps, den: int) -> tuple:
+    """The scalars sum_j comps[j][k] zeta^j / den; the inverse of pack."""
+    zero, one = field.zero(), field._ctx().one
+    return tuple(
+        Scalar(field, (tuple([Fraction(c, den) if c else _ZERO for c in ints]),), (one,)) if any(ints) else zero
+        for ints in zip(*comps)
+    )
+
+
+def mul_matrices(field: FieldSpec, xs) -> tuple:
+    """(den, mats): mats[k] is the integer matrix of multiplication by den * xs[k] mod Phi_m."""
+    den, comps = pack(field, xs)
+    ctx = field._ctx()
+    return den, [ctx.mul_matrix(ints) for ints in zip(*comps)]
 
 
 # ---------------------------------------------------------------------------

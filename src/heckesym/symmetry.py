@@ -24,6 +24,13 @@ Im(A^t), so ideal_component(n) is the annihilator of upsilon(n) of the
 transpose symmetry R^t and lambda_dim(n) = dim V^(x)n - dim ideal_component(n)
 is that upsilon's dimension.
 
+Every action on V^(x)n -- T_i, Hecke words and elements, rep_matrix and
+braid_defect column by column, A^(x)k -- is one sum of c * A_word(v) over
+slot-local steps (_act).  Over Q and Q(zeta_m) it packs v once into integer
+numerators over one denominator, steps on Python ints with the integer
+multiplication matrices of R's entries (packed once per symmetry) and
+unpacks once; ratfunc_q and MultiPoly vectors step on their own arithmetic.
+
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
 """
@@ -35,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, mul_matrices, pack, unpack
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Subspace, vec_is_zero
@@ -98,25 +105,37 @@ def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
     return tuple(out)
 
 
-def column_table(A: MatrixF) -> List[List[tuple]]:
-    """Column j of A as the list of its nonzero entries (i, A[i, j])."""
-    return [[(i, A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]
+def column_table(A: MatrixF) -> tuple:
+    """The nonzero entries of each column of A, as (generic, packed) tables.
 
-
-def apply_slots(cols: Sequence, first: int, N: int, vec: Sequence, zero) -> tuple:
-    """Id (x) A (x) Id on a vector of V^(x)n, with A on the slots from first on.
-
-    A is an N^w x N^w operator on w consecutive slots, the first of them at
-    1-based position first, given by its column table (see column_table).
-    Only the nonzero coordinates of vec are visited; zero is that of the
-    vector's domain.
+    generic[j] lists (i, A[i, j]), with None for an entry equal to one.
+    packed is None unless A is over a rational or cyclotomic field, else
+    (field, D, cols): cols[b][j] lists (a, i, M[a][b]) over the nonzero
+    entries of the integer multiplication matrix M of D * A[i, j].
     """
-    if first < 1:
+    one = A.domain.one()
+    generic = [[(i, None if A[i, j] == one else A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]
+    field = A.domain
+    if not isinstance(field, FieldSpec) or field.kind == "ratfunc_q":
+        return generic, None
+    den, mats = mul_matrices(field, A.entries)
+    d = len(mats[0])
+    cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in range(d) if M[a][b]] for j in range(A.cols)] for b in range(d)]
+    return generic, (field, den, cols)
+
+
+def _tail(first: int, width: int, N: int, length: int) -> int:
+    """Coordinates spanned by the slots after an operator of width columns acting from slot first on."""
+    tail, rest = divmod(length, N ** max(first - 1, 0) * width)
+    if first < 1 or rest or not tail:
         raise ValueError("slots out of range")
+    return tail
+
+
+def _step(cols: Sequence, first: int, N: int, vec: Sequence, zero) -> list:
+    """One generic operator step, visiting only the nonzero coordinates of vec."""
     width = len(cols)
-    tail, rest = divmod(len(vec), N ** (first - 1) * width)
-    if rest or not tail:
-        raise ValueError("slots out of range")
+    tail = _tail(first, width, N, len(vec))
     out = [zero] * len(vec)
     for idx, x in enumerate(vec):
         if x.is_zero():
@@ -125,8 +144,69 @@ def apply_slots(cols: Sequence, first: int, N: int, vec: Sequence, zero) -> tupl
         base = idx - local * tail
         for row, coeff in cols[local]:
             tgt = base + row * tail
-            out[tgt] = out[tgt] + coeff * x
-    return tuple(out)
+            out[tgt] = out[tgt] + (x if coeff is None else coeff * x)
+    return out
+
+
+def _int_step(cols: Sequence, first: int, N: int, comps: list) -> list:
+    """One packed operator step on the integer components of a packed vector."""
+    width, length = len(cols[0]), len(comps[0])
+    tail = _tail(first, width, N, length)
+    outs = [[0] * length for _ in comps]
+    for xs, table in zip(comps, cols):
+        for idx, x in enumerate(xs):
+            if x:
+                local = (idx // tail) % width
+                base = idx - local * tail
+                for a, row, coeff in table[local]:
+                    outs[a][base + row * tail] += coeff * x
+    return outs
+
+
+def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
+    """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1.
+
+    A is the operator of table (see column_table) on consecutive slots of
+    V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
+    word[-2] on, and so on.  A rational or cyclotomic action packs vec once
+    (exactnum.pack), steps every word on integers, brings the terms to one
+    denominator and unpacks once; any other steps on its own arithmetic.
+    zero is that of the vector's domain.
+    """
+    generic, packed = table
+    if packed is None or not isinstance(zero, Scalar):
+        out = None
+        for word, c in terms:
+            y = vec
+            for first in reversed(word):
+                y = _step(generic, first, N, y, zero)
+            if c is not None:
+                y = [x if x.is_zero() else c * x for x in y]
+            out = y if out is None else [a if b.is_zero() else a + b for a, b in zip(out, y)]
+        return (zero,) * len(vec) if out is None else tuple(out)
+    field, D, cols = packed
+    den, comps = pack(field, vec)
+    cden, mats = mul_matrices(field, [field.one() if c is None else c for _w, c in terms])
+    top = max([len(word) for word, _c in terms], default=0)
+    out = [[0] * len(vec) for _ in comps]
+    for (word, _c), M in zip(terms, mats):
+        y = comps
+        for first in reversed(word):
+            y = _int_step(cols, first, N, y)
+        scale = D ** (top - len(word))
+        for acc, row in zip(out, M):
+            for m, ys in zip(row, y):
+                if m:
+                    m *= scale
+                    for k, x in enumerate(ys):
+                        if x:
+                            acc[k] += m * x
+    return unpack(field, out, den * cden * D ** top)
+
+
+def apply_slots(table: tuple, first: int, N: int, vec: Sequence, zero) -> tuple:
+    """Id (x) A (x) Id on V^(x)n: the N^w x N^w operator A of table on the w slots from first on."""
+    return _act(table, N, [((first,), None)], vec, zero)
 
 
 def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
@@ -136,11 +216,8 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
     """
     if A.rows != A.cols or len(vec) != A.rows ** k:
         raise ValueError("vector length mismatch")
-    cols = column_table(A)
     zero = A.domain.zero() if zero is None else zero
-    for s in range(1, k + 1):
-        vec = apply_slots(cols, s, A.rows, vec, zero)
-    return tuple(vec)
+    return _act(column_table(A), A.rows, [(range(1, k + 1), None)], vec, zero)
 
 
 def _vanishes(M: MatrixF) -> Tuple[bool, str]:
@@ -163,10 +240,16 @@ def braid_defect(R: MatrixF) -> MatrixF:
     N = math.isqrt(R.rows)
     if N * N != R.rows:
         raise ValueError("operator size is not a perfect square")
-    I = MatrixF.identity(N, R.domain)
-    R12 = R.kronecker(I)
-    R23 = I.kronecker(R)
-    return R12 * R23 * R12 - R23 * R12 * R23
+    return _braid_defect(column_table(R), N, R.domain)
+
+
+def _braid_defect(table: tuple, N: int, domain) -> MatrixF:
+    """The braid defect column by column: T_1 T_2 T_1 - T_2 T_1 T_2 on each unit vector."""
+    zero, one = domain.zero(), domain.one()
+    terms = [((1, 2, 1), None), ((2, 1, 2), -one)]
+    dim = N ** 3
+    cols = [_act(table, N, terms, [one if k == j else zero for k in range(dim)], zero) for j in range(dim)]
+    return MatrixF.from_rows(cols, domain).transpose()
 
 
 def check_braid(R: MatrixF) -> Tuple[bool, str]:
@@ -177,7 +260,7 @@ def check_braid(R: MatrixF) -> Tuple[bool, str]:
 class HeckeSymmetry:
     """A validated Hecke symmetry with cached tensor-power machinery."""
 
-    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_dual", "_reps", "name")
+    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_dual", "_reps", "name", "__weakref__")
 
     def __init__(self, N: int, q: Scalar, R: MatrixF, name: str = "", validate: bool = True):
         if N < 1:
@@ -199,7 +282,7 @@ class HeckeSymmetry:
             ok, witness = check_hecke(R, q)
             if not ok:
                 raise SymmetryError("quadratic relation fails: " + witness)
-            ok, witness = check_braid(R)
+            ok, witness = _vanishes(_braid_defect(self._column_table(), N, self.field))
             if not ok:
                 raise SymmetryError("braid equation fails: " + witness)
 
@@ -209,8 +292,8 @@ class HeckeSymmetry:
     def __repr__(self):
         return "HeckeSymmetry(N=%d%s)" % (self.N, ", " + self.name if self.name else "")
 
-    def _column_table(self) -> List[List[Tuple[int, Scalar]]]:
-        """The nonzero entries of each column of R, cached."""
+    def _column_table(self) -> tuple:
+        """column_table(R), built once per symmetry."""
         cols = self._cols
         if cols is None:
             cols = column_table(self.R)
@@ -219,19 +302,21 @@ class HeckeSymmetry:
 
     # -- actions
 
-    def apply_generator(self, i: int, n: int, vec: Sequence) -> tuple:
-        """T_i acting on a vector of V^(x)n."""
-        if not 1 <= i < n:
-            raise ValueError("generator index out of range")
+    def _combine(self, terms: Sequence, n: int, vec: Sequence) -> tuple:
+        """Sum of c * T_word(vec) over the (word, c) terms on V^(x)n, c None meaning 1."""
         if len(vec) != self.N ** n:
             raise ValueError("vector length mismatch")
-        return apply_slots(self._column_table(), i, self.N, vec, self.field.zero())
+        if any(not 1 <= i < n for word, _c in terms for i in word):
+            raise ValueError("generator index out of range")
+        return _act(self._column_table(), self.N, terms, vec, self.field.zero())
+
+    def apply_generator(self, i: int, n: int, vec: Sequence) -> tuple:
+        """T_i acting on a vector of V^(x)n."""
+        return self._combine([((i,), None)], n, vec)
 
     def apply_perm_word(self, word: Sequence[int], n: int, vec: Sequence) -> tuple:
         """T_sigma acting on a vector, sigma given by a reduced word."""
-        for i in reversed(list(word)):
-            vec = self.apply_generator(i, n, vec)
-        return tuple(vec)
+        return self._combine([(tuple(word), None)], n, vec)
 
     def apply_hecke(self, h: HeckeElement, n: int, vec: Sequence) -> tuple:
         """A Hecke algebra element acting on a vector of V^(x)n."""
@@ -239,14 +324,7 @@ class HeckeSymmetry:
             raise ValueError("element degree exceeds tensor degree")
         if h.field != self.field:
             raise ValueError("mixed fields")
-        zero = self.field.zero()
-        out = [zero] * len(vec)
-        for _p, word, c in h.field_terms():
-            piece = self.apply_perm_word(word, n, vec)
-            for k, y in enumerate(piece):
-                if not y.is_zero():
-                    out[k] = out[k] + c * y
-        return tuple(out)
+        return self._combine([(word, c) for _p, word, c in h.field_terms()], n, vec)
 
     def generator_matrix(self, i: int, n: int) -> MatrixF:
         """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""
@@ -277,7 +355,7 @@ class HeckeSymmetry:
         return out
 
     def rep_matrix(self, h: HeckeElement, n: int) -> MatrixF:
-        """Matrix of a Hecke algebra element acting on V^(x)n."""
+        """Matrix of a Hecke algebra element acting on V^(x)n, column by column."""
         if h.n > n:
             raise ValueError("element degree exceeds tensor degree")
         if h.field != self.field:
@@ -285,11 +363,10 @@ class HeckeSymmetry:
         dim = self.N ** n
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        out = MatrixF.zeros(dim, dim, self.field)
-        for p, _word, c in h.field_terms():
-            padded = Perm(p.word + tuple(range(p.degree + 1, n + 1)))
-            out = out + self.perm_matrix(padded, n).scale(c)
-        return out
+        terms = [(word, c) for _p, word, c in h.field_terms()]
+        zero, one = self.field.zero(), self.field.one()
+        cols = [self._combine(terms, n, [one if k == j else zero for k in range(dim)]) for j in range(dim)]
+        return MatrixF.from_rows(cols, self.field).transpose()
 
     # -- graded subspaces
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import heckesym
 from heckesym import cli
 from heckesym.cli import MAX_PARAM_DIGITS, main
 
@@ -208,10 +210,15 @@ def test_reports_are_byte_identical(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same heckesym package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckesym.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     r = subprocess.run(
         [sys.executable, "-m", "heckesym", "skl3", "--a", "1", "--b", "1", "--c", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r.returncode == 0
     assert json.loads(r.stdout)["result"] is True

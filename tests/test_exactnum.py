@@ -352,6 +352,53 @@ def test_integer_product_matches_fraction_loop(m):
             assert ctx.mul(a, ctx.inv(a)) == ctx.one
 
 
+def _euclid_inverse(m, a):
+    """Inverse modulo Phi_m by the extended Euclid over Fraction polynomials (reference only)."""
+    d = _cycctx(m).deg
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(m)], list(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            out = [x / r1[0] for x in s1] + [Fraction(0)] * d
+            return tuple(out[:d])
+        # r0 = quo * r1 + r0 mod r1
+        quo = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + len(r1) - 1] / r1[-1]
+            quo[k] = c
+            for j, rj in enumerate(r1):
+                rem[k + j] -= c * rj
+        rem = rem[: len(r1) - 1]
+        prod = [Fraction(0)] * (len(quo) + len(s1) - 1)
+        for i, x in enumerate(quo):
+            for j, y in enumerate(s1):
+                prod[i + j] += x * y
+        width = max(len(s0), len(prod))
+        s0, s1 = s1, [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(width)]
+        r0, r1 = r1, rem
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15])
+def test_integer_inverse_matches_euclid(m):
+    rng = random.Random("cyc-inv:%d" % m)
+    ctx = _cycctx(m)
+    for trial in range(40):
+        # sparse vectors too, so that the elimination has to swap rows
+        density = 0.8 if trial % 2 else 0.3
+        a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < density else Fraction(0) for _ in range(ctx.deg))
+        if not any(a):
+            continue
+        got = ctx.inv(a)
+        assert got == _euclid_inverse(m, a)
+        assert all(type(c) is Fraction for c in got)
+    assert ctx.inv(ctx.root()) == _euclid_inverse(m, ctx.root())
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(ctx.zero)
+
+
 def test_cyclotomic_inverse_reuses_phi(monkeypatch):
     ctx = _cycctx(12)
     assert ctx.phi == cyclotomic_polynomial(12)

@@ -8,7 +8,9 @@ digests were captured from the four hand-written case functions, before
 they moved onto one shared case pipeline; the analyze digests were
 captured before every tensor slot action moved onto one slot-local action;
 the verify, builtin and conjugated dj(3) digests were captured before the
-Frobenius identities became one matrix equality each.  Every refactor must
+Frobenius identities became one matrix equality each; the dense cyclotomic
+dj(3) and non-integral dj(2) conjugate digests were captured before the
+constant-field slot actions moved onto packed integers.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -82,6 +84,44 @@ DJ3_CONJUGATE = {
 }
 DJ3_CONJUGATE_SHA256 = "cffc49716c0365e4f709e2ca7a79280268262254112b07b5af1d26fd0659c14a"
 
+# dj(3) over Q(zeta_3) with q = e, conjugated by the dense tau =
+# [[1, e, 1 + e], [-1, 1, e], [e, -1, 1]] (det 4 + 3e), as `to_json_dict` emits it
+DJ3_CYC3_CONJUGATE = {
+    "dim": 3,
+    "field": {"kind": "cyclotomic", "order": 3},
+    "q": "e",
+    "matrix": [
+        ["e", "-5/13 + 2/13*e", "-12/13 - 3/13*e", "5/13 - 2/13*e", "0", "-2/13 - 7/13*e", "12/13 + 3/13*e", "2/13 + 7/13*e", "0"],
+        ["0", "-3/13 + 9/13*e", "5/13 - 2/13*e", "3/13 + 4/13*e", "0", "-5/13 + 2/13*e", "-5/13 + 2/13*e", "5/13 - 2/13*e", "0"],
+        ["0", "5/13 - 2/13*e", "-12/13 - 3/13*e", "-5/13 + 2/13*e", "0", "5/13 - 2/13*e", "12/13 + 16/13*e", "-5/13 + 2/13*e", "0"],
+        ["0", "10/13 + 9/13*e", "5/13 - 2/13*e", "-10/13 + 4/13*e", "0", "-5/13 + 2/13*e", "-5/13 + 2/13*e", "5/13 - 2/13*e", "0"],
+        ["0", "10/13 - 4/13*e", "-7/13 - 5/13*e", "-10/13 + 4/13*e", "e", "3/13 - 9/13*e", "7/13 + 5/13*e", "-3/13 + 9/13*e", "0"],
+        ["0", "-7/13 - 5/13*e", "7/13 + 5/13*e", "7/13 + 5/13*e", "0", "-10/13 + 4/13*e", "-7/13 - 5/13*e", "10/13 + 9/13*e", "0"],
+        ["0", "5/13 - 2/13*e", "1/13 - 3/13*e", "-5/13 + 2/13*e", "0", "5/13 - 2/13*e", "-1/13 + 16/13*e", "-5/13 + 2/13*e", "0"],
+        ["0", "-7/13 - 5/13*e", "7/13 + 5/13*e", "7/13 + 5/13*e", "0", "3/13 + 4/13*e", "-7/13 - 5/13*e", "-3/13 + 9/13*e", "0"],
+        ["0", "7/13 + 5/13*e", "-4/13 - 14/13*e", "-7/13 - 5/13*e", "0", "-5/13 + 2/13*e", "4/13 + 14/13*e", "5/13 - 2/13*e", "e"],
+    ],
+}
+DJ3_CYC3_CONJUGATE_ANALYZE_SHA256 = "2b172ef4997367ad0647562ee10d99179d98f67c0fd5688b63c884437ab9b93a"
+
+# dj(2) over Q with q = 2, conjugated by tau = [[2, 1], [1, 3/2]] (det 2), so that
+# R has non-integral entries
+DJ2_HALF_CONJUGATE = {
+    "dim": 2,
+    "field": {"kind": "rational", "order": 1},
+    "q": "2",
+    "matrix": [
+        ["2", "1", "-1", "0"],
+        ["0", "3/2", "1/2", "0"],
+        ["0", "5/2", "-1/2", "0"],
+        ["0", "3/4", "-3/4", "2"],
+    ],
+}
+DJ2_HALF_CONJUGATE_SHA256 = {
+    "verify": "c1dae4cefbee34e5e3cb1fd515c4933cbc08359d89f210dd7993daa2b78e8118",
+    "analyze": "ca87c1c563d2df4a7a8a830f09efb93b79ff3b1053666d7166d711d244d8a870",
+}
+
 # sha256 of json.dumps([g.to_rows() for g in hessian_group()])
 GROUP_ROWS_SHA256 = "9f1d8b9b46a5aa35da39efa5066b53e18d111ccf17aef003e222042f10cb4ff0"
 # sha256 of json.dumps of the classes as lists of indices into hessian_group()
@@ -120,6 +160,17 @@ def test_verify_dense_conjugate_digest(capsys, tmp_path):
 def test_analyze_dj3_conjugate_digest(capsys, tmp_path):
     # the Frobenius suite with a non-diagonal theta and psi and constant scalars
     assert _sha256(_document_stdout(capsys, tmp_path, "analyze", DJ3_CONJUGATE)) == DJ3_CONJUGATE_SHA256
+
+
+def test_analyze_dense_cyclotomic_conjugate_digest(capsys, tmp_path):
+    out = _document_stdout(capsys, tmp_path, "analyze", DJ3_CYC3_CONJUGATE)
+    assert _sha256(out) == DJ3_CYC3_CONJUGATE_ANALYZE_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(DJ2_HALF_CONJUGATE_SHA256))
+def test_non_integral_conjugate_digest(capsys, tmp_path, command):
+    out = _document_stdout(capsys, tmp_path, command, DJ2_HALF_CONJUGATE)
+    assert _sha256(out) == DJ2_HALF_CONJUGATE_SHA256[command]
 
 
 def test_group_elements_and_class_order():

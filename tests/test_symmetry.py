@@ -1,18 +1,27 @@
+import gc
 import json
+import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field
+from heckesym import symmetry
+from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field, primitive_root
+from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
 from heckesym.linalg import MatrixF, Subspace, vec_scale
 from heckesym.multipoly import PolyRing
-from heckesym.permgroup import Composition, enumerate_perms, longest_rho
+from heckesym.obstruction import SklParameters, _projection, skl_relations
+from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_rho
 from heckesym.symmetry import (
     TENSOR_DIM_CAP,
     HeckeSymmetry,
     SymmetryError,
+    _act,
+    _vanishes,
+    braid_defect,
     apply_power,
     apply_slots,
     check_braid,
@@ -441,3 +450,163 @@ def test_slot_action_range_errors():
             apply_slots(column_table(A), first, 2, vec, F.zero())
     with pytest.raises(ValueError):
         apply_power(MatrixF.identity(2, F), 2, vec)
+
+
+# ---------------------------------------------------------------------------
+# the packed integer action against the generic Scalar action and the dense
+# Kronecker and permutation-matrix references
+
+
+ORACLE_FIELDS = [FieldSpec("rational")] + [cyclotomic_field(m) for m in (1, 3, 4, 5, 8, 12)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_packed_action_matches_generic_branch(field):
+    rng = random.Random("packed:%s:%d" % (field.kind, field.order))
+    deg = len(field.one().num[0])
+    zero = field.zero()
+
+    def entry(p_zero):
+        if rng.random() < p_zero:
+            return zero
+        # non-integral entries make the denominator grow along a word
+        return field.from_cyc([Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7))) for _ in range(deg)])
+
+    for N, w, n in ((2, 1, 3), (3, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 3)):
+        m = N ** w
+        table = column_table(MatrixF(m, m, [entry(0.3) for _ in range(m * m)], field))
+        generic = (table[0], None)
+        assert table[1] is not None
+        slots = range(1, n - w + 2)
+        for trial in range(4):
+            vec = [zero] * N ** n if trial == 0 else [entry(0.4) for _ in range(N ** n)]
+            words = [tuple(rng.choice(slots) for _ in range(rng.randint(0, 3))) for _ in range(3)]
+            c = entry(0)
+            terms = list(zip(words, (None, entry(0), entry(0.5)))) + [(words[1], c), (words[1], -c)]
+            for ts in (terms, terms[:1], terms[-2:], []):
+                got = _act(table, N, ts, vec, zero)
+                assert got == _act(generic, N, ts, vec, zero), (N, w, n, ts)
+                assert len(got) == N ** n and all(x.field is field for x in got)
+            # the last two terms cancel
+            assert all(x.is_zero() for x in _act(table, N, terms[-2:], vec, zero))
+
+
+def test_packed_action_keeps_the_validations():
+    rat = _rational_q(2)
+    A = column_table(MatrixF.identity(4, rat))
+    vec = (rat.one(),) * 8
+    for first in (0, 3):
+        with pytest.raises(ValueError):
+            apply_slots(A, first, 2, vec, rat.zero())
+    C3 = cyclotomic_field(3)
+    with pytest.raises(ValueError):
+        apply_slots(A, 1, 2, (C3.one(),) * 8, rat.zero())
+    with pytest.raises(ValueError):
+        apply_power(MatrixF.identity(2, rat), 3, (C3.one(),) * 8)
+    sym = dj_standard(2, rat)
+    for call in (
+        lambda: sym.apply_generator(2, 2, (rat.one(),) * 4),
+        lambda: sym.apply_generator(1, 3, (rat.one(),) * 4),
+        lambda: sym.apply_perm_word((1, 3), 3, (rat.one(),) * 8),
+        lambda: sym.apply_generator(1, 2, (C3.one(),) * 4),
+        lambda: sym.apply_hecke(generator(1, 2), 2, (rat.one(),) * 4),
+        lambda: sym.rep_matrix(generator(1, 3, rat), 2),
+        # with N = 1 every slot range fits, so only the generator range check catches these
+        lambda: dj_standard(1, rat).apply_generator(3, 3, (rat.one(),)),
+        lambda: dj_standard(1, rat).apply_perm_word((1, 0), 3, (rat.one(),)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def kron_braid_defect(R):
+    """(R (x) I)(I (x) R)(R (x) I) - (I (x) R)(R (x) I)(I (x) R) from Kronecker products."""
+    I = MatrixF.identity(math.isqrt(R.rows), R.domain)
+    R12, R23 = R.kronecker(I), I.kronecker(R)
+    return R12 * R23 * R12 - R23 * R12 * R23
+
+
+def _obstruction_rn():
+    """The case-2 operator of the obstruction, which fails the braid equation."""
+    C3q = cyclotomic_field(3, q_power=1)
+    qn = C3q.q()
+    gn = [C3q.zero()] * 27
+    gn[tensor_index((3, 3, 3), 3)] = C3q.scalar(Fraction(1, 2))
+    eps = primitive_root(3, C3q)
+    Pn = _projection(gn, skl_relations(SklParameters.numeric(1, 1, 2, C3q)), C3q, [eps ** -i for i in (1, 2, 3)])
+    return MatrixF.identity(9, C3q).scale(qn) - Pn.scale(qn + 1)
+
+
+BRAID_CASES = {
+    "dj2": lambda: dj_standard(2).R,
+    "dj3": lambda: dj_standard(3).R,
+    "flip3": lambda: flip(3).R,
+    "dj2-conj-generic": lambda: _conjugate(2, GENERIC_Q, 11).R,
+    "dj3-conj-q=2": lambda: _conjugate(3, _rational_q(2), 13).R,
+    "dj3-conj-cyc3": lambda: _conjugate(3, cyclotomic_field(3, q_power=1), 14).R,
+    "obstruction-Rn": _obstruction_rn,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRAID_CASES))
+def test_braid_defect_matches_kronecker_reference(case):
+    R = BRAID_CASES[case]()
+    # a perturbed copy has a nonzero defect to compare
+    entries = list(R.entries)
+    entries[1] = entries[1] + R.domain.scalar(Fraction(2, 3))
+    for M in (R, MatrixF(R.rows, R.cols, entries, R.domain)):
+        dense = kron_braid_defect(M)
+        assert braid_defect(M) == dense
+        assert check_braid(M) == _vanishes(dense)
+    if case == "obstruction-Rn":
+        ok, witness = check_braid(R)
+        assert not ok and witness.startswith("entry (")
+    else:
+        assert braid_defect(R).is_zero()
+
+
+def perm_matrix_sum(sym, h, n):
+    """Matrix of h on V^(x)n as the sum of c * perm_matrix over its terms."""
+    out = MatrixF.zeros(sym.N ** n, sym.N ** n, sym.field)
+    for p, _word, c in h.field_terms():
+        padded = Perm(p.word + tuple(range(p.degree + 1, n + 1)))
+        out = out + sym.perm_matrix(padded, n).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(set(BRAID_CASES) - {"obstruction-Rn"}))
+def test_rep_matrix_matches_perm_matrix_sum(case):
+    R = BRAID_CASES[case]()
+    N = math.isqrt(R.rows)
+    field = R.domain
+    sym = HeckeSymmetry(N, field.q(), R, validate=False)
+    rng = random.Random("rep:" + case)
+    perms = list(enumerate_perms(3))
+    elements = [(antisymmetrizer(3, field), 3), (generator(1, 2, field), 3), (antisymmetrizer(2, field), 2)]
+    for _ in range(2):
+        h = basis_element(rng.choice(perms), field).scale(rng.choice((-3, -2, 2, 3)))
+        elements.append((h + basis_element(rng.choice(perms), field), 3))
+    for h, n in elements:
+        assert sym.rep_matrix(h, n) == perm_matrix_sum(sym, h, n), (case, n)
+
+
+def test_packed_table_built_once_per_symmetry(monkeypatch):
+    built = []
+    real = symmetry.column_table
+
+    def counting(A):
+        built.append(A)
+        return real(A)
+
+    monkeypatch.setattr(symmetry, "column_table", counting)
+    sym = _conjugate(3, cyclotomic_field(3, q_power=1), 14)
+    prof = analyze(sym)
+    verify_operator_identities(prof)
+    trace_table(prof)
+    assert sum(A is sym.R for A in built) == 1
+    assert sym._column_table()[1] is not None
+    # no module-level state keeps the symmetry, or its tables, alive
+    ref = weakref.ref(sym)
+    del sym, prof
+    gc.collect()
+    assert ref() is None
