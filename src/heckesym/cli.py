@@ -49,7 +49,7 @@ from .regular3 import (
 )
 from .multipoly import PolyRing
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, SymmetryError, check_braid, check_hecke, dj_standard, flip
+from .symmetry import HeckeSymmetry, SymmetryError, check_hecke, dj_standard, flip
 
 INPUT_ERROR = 2
 CHECK_FAILURE = 1
@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
     report = CheckReport("verify")
     for name, rule, fn in (
         ("hecke-relation", "(R - q Id)(R + Id) = 0", lambda: check_hecke(sym.R, sym.q)),
-        ("braid-relation", "(R x I)(I x R)(R x I) = (I x R)(R x I)(I x R)", lambda: check_braid(sym.R)),
+        ("braid-relation", "(R x I)(I x R)(R x I) = (I x R)(R x I)(I x R)", sym.check_braid),
     ):
         t0 = time.monotonic()
         ok, witness = fn()
@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
     report = CheckReport("analyze")
     ok, witness = check_hecke(sym.R, sym.q)
     report.record("hecke-relation", "(R - q Id)(R + Id) = 0", ok, witness)
-    ok2, witness = check_braid(sym.R)
+    ok2, witness = sym.check_braid()
     report.record("braid-relation", "braid equation on three factors", ok2, witness)
     if not (ok and ok2):
         payload, _ = _wrap(args, digest, report)

@@ -22,9 +22,10 @@ degree-2 relations via the projection P with R = q Id - (1+q) P.
 
 Every operator identity is stated as one matrix equality lhs = rhs and
 recorded by `_record_equal`; a failing one names the first nonzero entry of
-lhs - rhs as "entry (i,j) = ...".  The rank-one action y_n u = [n-1]!_q f(u) t
-is the matrix equality rep(y_n) = [n-1]!_q t f^T, and f itself is read off
-the row of rep(y_n) at the first nonzero coordinate of t.
+lhs - rhs as "entry (i,j) = ...".  f is read off the row of rep(y_n) at the
+first nonzero coordinate of t, one action of y_n under R^t; the rank-one
+action y_n u = [n-1]!_q f(u) t follows from t spanning upsilon(n)
+(`f_functional`), so f needs no N^n x N^n matrix.
 """
 
 from __future__ import annotations
@@ -202,17 +203,28 @@ def phi_op(sym: HeckeSymmetry, n: int, beta1: MatrixF, beta_n1: MatrixF) -> Matr
 
 
 def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
-    """(f, rep(y_n)): the covector f with rep(y_n) u = [n-1]!_q f(u) t, and
-    the matrix it is read from; needs [n-1]!_q != 0."""
+    """The covector f with y_n u = [n-1]!_q f(u) t; needs [n-1]!_q != 0.
+
+    y_n acts with rank one onto the line of t once t spans upsilon(n):
+    T_i y_n = -y_n puts Im y_n inside ker(T_i + 1) = Im(T_i - q) once q != -1,
+    and [n-1]!_q != 0 forces q != -1 for n >= 3 ([2]_q = 1 + q divides it);
+    y_2 = q - T_1 has image upsilon(2) at every q.  So rep(y_n) = t g^T, and
+    row piv of rep(y_n), piv the first nonzero coordinate of t, is t[piv] g.
+    That row is y_n acting on e_piv under R^t: rep(T_sigma)^t is T_(sigma^-1)
+    under R^t, and the coefficient of T_sigma in y_n depends only on the
+    length of sigma.
+    """
     field = sym.field
     norm = qfact(n - 1, field)
     if norm.is_zero():
         raise QFactorialVanishes("[%d]!_q = 0 in this field" % (n - 1))
-    Y = sym.rep_matrix(antisymmetrizer(n, field), n)
-    f = vec_scale(norm.inverse(), Y.row(_pivot(t)))
-    if Y != MatrixF(len(t), 1, t, field) * MatrixF(1, len(f), f, field).scale(norm):
+    U = sym.upsilon(n)
+    if U.dim != 1 or not U.contains(t):
         raise DegeneratePairing("y_n action is not rank one onto the top line")
-    return f, Y
+    piv = _pivot(t)
+    unit = [field.one() if k == piv else field.zero() for k in range(len(t))]
+    row = sym._transpose().apply_hecke(antisymmetrizer(n, field), n, unit)
+    return vec_scale((norm * t[piv]).inverse(), row)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +246,6 @@ class FrobeniusProfile:
     phi: MatrixF
     psi: MatrixF
     f: Optional[tuple]
-    y_rep: Optional[MatrixF]  # rep(y_n), built once by f_functional; None when f is
     f_reason: str = ""
 
     @property
@@ -270,12 +281,12 @@ def analyze(sym: HeckeSymmetry, n_max: Optional[int] = None) -> FrobeniusProfile
     psi = psi_op(sym, n, t)
     phi = phi_op(sym, n, betas[1], betas[n - 1]) if n >= 1 else MatrixF.identity(sym.N, sym.field)
     try:
-        f, y_rep = f_functional(sym, n, t)
+        f = f_functional(sym, n, t)
         f_reason = ""
     except QFactorialVanishes as exc:
-        f = y_rep = None
+        f = None
         f_reason = str(exc)
-    return FrobeniusProfile(sym, n, t, dims, lambda_dims, betas, theta, theta_bar, phi, psi, f, y_rep, f_reason)
+    return FrobeniusProfile(sym, n, t, dims, lambda_dims, betas, theta, theta_bar, phi, psi, f, f_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +471,10 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             (psi * values.transpose()).scale(field.scalar(sign) * q),
             theta,
         )
-        # kernel of f is the kernel of the antisymmetrizer action
+        # kernel of f is the kernel of the antisymmetrizer action: rep(y_n) has rank one, so
+        # that is the kernel of its row at the pivot of the canonical top tensor, read afresh
         ker_f = MatrixF.from_rows([f], field).kernel()
-        ker_y = profile.y_rep.kernel()
+        ker_y = MatrixF.from_rows([f_functional(sym, n, sym.upsilon(n).basis[0])], field).kernel()
         ok = ker_f == ker_y
         if ok or ker_f.dim != ker_y.dim:
             witness = "" if ok else "dimensions %d vs %d" % (ker_f.dim, ker_y.dim)

@@ -342,9 +342,6 @@ class HeckeElement:
     def is_zero(self) -> bool:
         return all(_vanishes(self.field, c) for c in self.terms.values())
 
-    def support_size(self) -> int:
-        return sum(1 for c in self.terms.values() if not _vanishes(self.field, c))
-
     # -- linear structure
 
     def _plus(self, other: "HeckeElement", sign: int) -> "HeckeElement":

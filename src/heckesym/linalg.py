@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .exactnum import FieldSpec
 from .multipoly import PolyRing
 
-__all__ = ["MatrixF", "Subspace", "vec_add", "vec_sub", "vec_scale", "vec_is_zero", "vec_combination"]
+__all__ = ["MatrixF", "Subspace", "vec_sub", "vec_scale", "vec_is_zero", "vec_combination"]
 
 Domain = Union[FieldSpec, PolyRing]
 
@@ -26,10 +26,6 @@ def _is_field(domain: Domain) -> bool:
 
 
 # -- free functions on plain-sequence vectors
-
-
-def vec_add(u: Sequence, v: Sequence):
-    return tuple(x + y for x, y in zip(u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence):

@@ -102,22 +102,11 @@ class MultiPoly:
             return field.zero()
         return field.from_cyc(vec)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         idx = self.ring.variables.index(name)
         if not self.terms:
             return 0
         return max(e[idx] for e in self.terms)
-
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial."""
-        if self.terms and any(any(e) for e in self.terms):
-            raise ValueError("polynomial is not constant")
-        return self.coefficient((0,) * len(self.ring.variables))
 
     # -- coercion helpers
 

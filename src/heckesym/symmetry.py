@@ -282,7 +282,7 @@ class HeckeSymmetry:
             ok, witness = check_hecke(R, q)
             if not ok:
                 raise SymmetryError("quadratic relation fails: " + witness)
-            ok, witness = _vanishes(_braid_defect(self._column_table(), N, self.field))
+            ok, witness = self.check_braid()
             if not ok:
                 raise SymmetryError("braid equation fails: " + witness)
 
@@ -299,6 +299,10 @@ class HeckeSymmetry:
             cols = column_table(self.R)
             object.__setattr__(self, "_cols", cols)
         return cols
+
+    def check_braid(self) -> Tuple[bool, str]:
+        """check_braid(R) on the symmetry's cached column table of R."""
+        return _vanishes(_braid_defect(self._column_table(), self.N, self.field))
 
     # -- actions
 

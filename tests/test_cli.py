@@ -224,6 +224,46 @@ def test_module_entry_point():
     assert json.loads(r.stdout)["result"] is True
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_operator_is_packed_once_per_run(capsys, tmp_path, monkeypatch, command):
+    # the braid check reads the symmetry's cached column table of R; the
+    # transpose symmetry packs R^t, which differs from R for this conjugate
+    from heckesym import symmetry
+    from test_golden import DJ3_CYC3_CONJUGATE
+
+    built = []
+    real = symmetry.column_table
+
+    def counting(A):
+        built.append(A)
+        return real(A)
+
+    monkeypatch.setattr(symmetry, "column_table", counting)
+    path = tmp_path / "conj.json"
+    path.write_text(json.dumps(DJ3_CYC3_CONJUGATE))
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    R = symmetry.HeckeSymmetry.from_json_dict(DJ3_CYC3_CONJUGATE, validate=False).R
+    assert R != R.transpose()
+    assert sum(A == R for A in built) == 1
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps package names (rep_matrix, perm_matrix, Subspace.intersect, ...)
+    # by lookup; a renamed or deleted one fails install() with a KeyError
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckesym.__file__)))
+    code = (
+        "from tracer import Tracer\n"
+        "Tracer().install()\n"
+        "from heckesym.cli import main\n"
+        "assert main(['analyze', '--builtin', 'dj', '--dim', '2']) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.join(root, "perfbench")]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+
+
 def test_pretty_flag(capsys):
     code = main(["verify", "--builtin", "dj", "--dim", "2", "--pretty"])
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field, qint
+from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
     NoTopComponent,
@@ -22,7 +22,7 @@ from heckesym.heckealg import antisymmetrizer, partial_y
 from heckesym.linalg import MatrixF, vec_scale
 from heckesym.permgroup import Composition
 from heckesym.symmetry import HeckeSymmetry, dj_standard, flip, kron_vec
-from test_symmetry import kron_power
+from test_symmetry import _conjugate, _rational_q, kron_power
 
 F = GENERIC_Q
 q = F.q()
@@ -142,10 +142,65 @@ def test_rep_of_y_n_is_built_once_per_analyze(monkeypatch):
     prof = analyze(dj_standard(3))
     ops = verify_operator_identities(prof)
     trace_table(prof)
-    assert calls == [3]
+    # f and functional.kernel each read a row of rep(y_n) off one action under R^t
+    assert calls == []
     kernel = next(c for c in ops.checks if c.name == "functional.kernel")
     assert kernel.status == "pass" and kernel.rule == "ker f = ker rep(y_n)"
-    assert prof.y_rep == rep_matrix(prof.sym, antisymmetrizer(3), 3)
+
+
+def _multiparameter_conjugate():
+    field = _rational_q(2)
+    tau = MatrixF.from_rows([[field.scalar(2), field.one()], [field.one(), field.one()]], field)
+    return _multiparameter_dj2(field, field.scalar(3)).conjugate(tau)
+
+
+# the dense rep(y_n) oracle; R is not symmetric on the conjugates, so acting
+# through R instead of R^t changes f there
+F_ORACLE_CASES = {
+    "dj%d-%s" % (N, name): (lambda N=N, field=field: dj_standard(N, field))
+    for N in (2, 3)
+    for name, field in (
+        ("generic", GENERIC_Q),
+        ("q=2", _rational_q(2)),
+        ("cyc3", cyclotomic_field(3, q_power=1)),
+        ("cyc4", cyclotomic_field(4, q_power=1)),
+    )
+}
+F_ORACLE_CASES.update(
+    {
+        "flip2": lambda: flip(2),
+        "flip3": lambda: flip(3),
+        "dj2-q=-1": lambda: dj_standard(2, _rational_q(-1)),
+        "dj2-conj-generic": lambda: _conjugate(2, GENERIC_Q, 11),
+        "dj2-conj-cyc3": lambda: _conjugate(2, cyclotomic_field(3, q_power=1), 12),
+        "dj3-conj-q=2": lambda: _conjugate(3, _rational_q(2), 13),
+        "dj3-conj-cyc3": lambda: _conjugate(3, cyclotomic_field(3, q_power=1), 14),
+        "multiparameter-dj2-conj": _multiparameter_conjugate,
+    }
+)
+
+
+@pytest.mark.parametrize("case", sorted(F_ORACLE_CASES))
+def test_functional_matches_dense_rep_of_y_n(case):
+    sym = F_ORACLE_CASES[case]()
+    field = sym.field
+    n, t = top_component(sym)
+    f = f_functional(sym, n, t)
+    Y = sym.rep_matrix(antisymmetrizer(n, field), n)
+    norm = qfact(n - 1, field)
+    piv = next(i for i, x in enumerate(t) if not x.is_zero())
+    assert f == vec_scale(norm.inverse(), Y.row(piv))
+    assert Y == MatrixF(len(t), 1, t, field) * MatrixF(1, len(f), f, field).scale(norm)
+    # a rescaled top tensor rescales f inversely
+    two = field.scalar(2)
+    assert f_functional(sym, n, vec_scale(two, t)) == vec_scale(two.inverse(), f)
+
+
+def test_functional_top_value_dj4():
+    sym = dj_standard(4)
+    t = sym.upsilon(4).basis[0]
+    f = f_functional(sym, 4, t)
+    assert sum((c * x for c, x in zip(f, t)), F.zero()) == qint(4)
 
 
 def test_functional_unavailable_at_minus_one():
@@ -351,7 +406,7 @@ def test_reconstruction_rejects_q_minus_one():
     Fneg = FieldSpec("rational", qval=(Fraction(-1),))
     sym = dj_standard(2, Fneg)
     n, t = top_component(sym)
-    f, _ = f_functional(sym, n, t)
+    f = f_functional(sym, n, t)
     with pytest.raises(ValueError):
         reconstruct_from_f(f, sym.upsilon(2), sym.q)
 

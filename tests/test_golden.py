@@ -10,7 +10,9 @@ captured before every tensor slot action moved onto one slot-local action;
 the verify, builtin and conjugated dj(3) digests were captured before the
 Frobenius identities became one matrix equality each; the dense cyclotomic
 dj(3) and non-integral dj(2) conjugate digests were captured before the
-constant-field slot actions moved onto packed integers.  Every refactor must
+constant-field slot actions moved onto packed integers; the dj(2) and dj(3)
+digests at q = -1 and the dj(3) digest at q = i were captured before f was
+read off one action of y_n under R^t.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -45,6 +47,9 @@ STDOUT_SHA256 = {
     ("analyze", "--builtin", "flip", "--dim", "3"): "cdd3d037edc289bd2fc4de8352191a51050ecc35a438636265449e1cf567b2d9",
     ("analyze", "--builtin", "dj", "--dim", "2", "--field", "cyclotomic", "--order", "3", "--q", "e"): "b3296a161a80bd124c92cd6065f802cfc0ad2f073b7982c0267e5658d225f584",
     ("analyze", "--builtin", "dj", "--dim", "3", "--field", "rational", "--q", "2"): "762a0b82aae2fb875ec520674236f4802a78be482796de2b01e8b3cf3c7191e9",
+    ("analyze", "--builtin", "dj", "--dim", "2", "--field", "rational", "--q", "-1"): "d6830986457e6717f318b2ce4ee5059001a849b5057a97e429242327c7c9b2f6",
+    ("analyze", "--builtin", "dj", "--dim", "3", "--field", "rational", "--q", "-1"): "c0e2f7c77923ddebc2b5369885c8294b452c0207293c8437f07d2e673e7df3c1",
+    ("analyze", "--builtin", "dj", "--dim", "3", "--field", "cyclotomic", "--order", "4", "--q", "e"): "2e0a2af75711a53f0c93d2725a5d1fa49452c62c50bfaa516b69fafc7c549b01",
     ("verify", "--builtin", "dj", "--dim", "3"): "05d6505c2a7e33607922fd878c6fa5b647bf3242bfda9cf8b22a1456f988e9bc",
     ("builtin", "--builtin", "dj", "--dim", "2"): "fe577a9bc6a7d5eeec53a3ad105fbb21b694026f684033bbf4ba071557de43f4",
 }

@@ -50,7 +50,7 @@ def test_antisymmetrizer_small():
     assert y2.coefficient(Perm((2, 1))) == -F.one()
     assert antisymmetrizer(1) == unit(1)
     y3 = antisymmetrizer(3)
-    assert y3.support_size() == 6
+    assert len(y3.field_terms()) == 6
     assert y3.coefficient(Perm((3, 2, 1))) == -F.one()
 
 
@@ -110,7 +110,7 @@ def test_shift_element():
     assert s.coefficient(Perm((1, 2, 3))) == q
     assert s.coefficient(Perm((1, 3, 2))) == -F.one()
     for p in enumerate_perms(3):
-        assert shift_element(basis_element(p), 2).support_size() == 1
+        assert len(shift_element(basis_element(p), 2).field_terms()) == 1
 
 
 def test_associativity_random_h4():
@@ -259,7 +259,7 @@ def test_equality_is_decided_in_the_field():
     # [3]_q = 1 + q + q^2 is nonzero in Z[q] and vanishes at q = zeta_3
     three = 1 + q + q * q
     h = basis_element(Perm((2, 1, 3)), ROOT3).scale(three)
-    assert h.terms and h.is_zero() and h.support_size() == 0
+    assert h.terms and h.is_zero() and h.field_terms() == []
     assert h == unit(3, ROOT3).scale(0)
     assert hash(h) == hash(unit(3, ROOT3).scale(0))
     assert not basis_element(Perm((2, 1, 3))).scale(three).is_zero()
