@@ -555,12 +555,14 @@ class Scalar:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        out = self.field.one()
-        while exponent:
-            if exponent & 1:
+        if exponent == 0:
+            return self.field.one()
+        # left to right from the top bit: one square per further bit
+        out = base
+        for bit in bin(exponent)[3:]:
+            out = out * out
+            if bit == "1":
                 out = out * base
-            base = base * base
-            exponent >>= 1
         return out
 
     # -- comparison and hashing

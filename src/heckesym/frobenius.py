@@ -342,10 +342,10 @@ def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     return report, table
 
 
-def _record_equal(report: CheckReport, name: str, rule: str, lhs: MatrixF, rhs: MatrixF) -> None:
-    """Records lhs == rhs; a failure names the first nonzero entry of lhs - rhs."""
+def _record_equal(report: CheckReport, name: str, rule: str, lhs: MatrixF, rhs: MatrixF, detail: str = "") -> None:
+    """Records lhs == rhs with detail; a failure names the first nonzero entry of lhs - rhs instead."""
     ok = lhs == rhs
-    report.record(name, rule, ok, "" if ok else _vanishes(lhs - rhs)[1])
+    report.record(name, rule, ok, detail if ok else _vanishes(lhs - rhs)[1])
 
 
 def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Tuple, Union
 
 from .exactnum import FieldSpec, Scalar, _cycctx
@@ -131,7 +132,7 @@ class MultiPoly:
             if cur is None:
                 out[e] = v
             else:
-                s = tuple(x + y for x, y in zip(cur, v))
+                s = tuple(map(add, cur, v))
                 if any(s):
                     out[e] = s
                 else:
@@ -157,16 +158,17 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         ctx = self.ring._ctx()
+        fast = ctx.deg == 1
         out: Dict[Expo, tuple] = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = ctx.mul(v1, v2)
+                e = tuple(map(add, e1, e2))
+                p = (v1[0] * v2[0],) if fast else ctx.mul(v1, v2)
                 cur = out.get(e)
                 if cur is None:
                     out[e] = p
                 else:
-                    s = tuple(x + y for x, y in zip(cur, p))
+                    s = tuple(map(add, cur, p))
                     if any(s):
                         out[e] = s
                     else:
@@ -178,14 +180,14 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = self.ring.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if exponent == 0:
+            return self.ring.one()
+        # left to right from the top bit: one square per further bit
+        out = self
+        for bit in bin(exponent)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __eq__(self, other):
@@ -270,20 +272,21 @@ class MultiPoly:
     # -- substitution and evaluation
 
     def substitute(self, assignments: Mapping[str, Union["MultiPoly", Scalar, int, Fraction]]) -> "MultiPoly":
-        """Replace variables by ring elements; unmentioned variables stay."""
-        values = []
-        for i, v in enumerate(self.ring.variables):
-            if v in assignments:
-                values.append(self._coerce(assignments[v]))
-            else:
-                values.append(self.ring.var(v))
-        out = self.ring.zero()
-        field = self.ring.coeff_field()
+        """Replace variables by ring elements, all at once; unmentioned variables stay."""
+        ring = self.ring
+        values = [(i, self._coerce(assignments[v])) for i, v in enumerate(ring.variables) if v in assignments]
+        assigned = {i for i, _ in values}
+        powers: Dict[Tuple[int, int], MultiPoly] = {}
+        out = ring.zero()
         for e, vec in self.terms.items():
-            term = self.ring.const(field.from_cyc(vec))
-            for i, k in enumerate(e):
+            term = MultiPoly(ring, {tuple(0 if i in assigned else k for i, k in enumerate(e)): vec})
+            for i, value in values:
+                k = e[i]
                 if k:
-                    term = term * values[i] ** k
+                    pw = powers.get((i, k))
+                    if pw is None:
+                        pw = powers[i, k] = value ** k
+                    term = term * pw
             out = out + term
         return out
 
@@ -305,12 +308,16 @@ class MultiPoly:
             vals.append(v if isinstance(v, Scalar) else field.scalar(v))
         src = self.ring._ctx()
         tgt = field._ctx()
+        powers: Dict[Tuple[int, int], Scalar] = {}
         out = field.zero()
         for e, vec in self.terms.items():
             term = field.from_cyc(src.embed(vec, tgt)) if field.order != self.ring.order else field.from_cyc(vec)
             for i, k in enumerate(e):
                 if k:
-                    term = term * vals[i] ** k
+                    pw = powers.get((i, k))
+                    if pw is None:
+                        pw = powers[i, k] = vals[i] ** k
+                    term = term * pw
             out = out + term
         return out
 

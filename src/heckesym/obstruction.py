@@ -22,11 +22,13 @@ The cases share one pipeline.  Each writes its functional as a table of
 values on cubic monomials (indexed by `symmetry.tensor_index`), reads the
 values f(x_j (x) t_i) off it (`frobenius.front_pairing`), builds P through
 `frobenius.projection_from_dual` with the dual basis the case dictates,
-compares P with a table of combinations of the t_i (`_table_ok`), applies
-Id (x) P and P (x) Id as slot actions (`symmetry.apply_slots`), cuts the
-restricted maps down to a pair of 3-dimensional subspaces (`_pair_minors`)
-and finishes its report with `_finish`; only the case-specific algebra is
-written per case.
+compares P with a table of combinations of the t_i (`_table_ok`), reads
+Id (x) P and P (x) Id off the t-coordinates of P's columns as contractions
+with the t_a (`restricted_maps`), cuts the restricted maps down to a pair of
+3-dimensional subspaces (`_pair_minors`) and finishes its report with
+`_finish`; only the case-specific algebra is written per case.  The checks
+on the restricted maps are matrix equalities recorded by
+`frobenius._record_equal`, so a failing one names an entry.
 
 Everything here is exact: symbolic steps are polynomial identities, numeric
 steps run over cyclotomic fields.
@@ -40,21 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
-from .frobenius import front_pairing, projection_from_dual, reconstruct_from_f
+from .frobenius import _record_equal, front_pairing, projection_from_dual, reconstruct_from_f
 from .linalg import MatrixF, Subspace, vec_combination
 from .multipoly import MultiPoly, PolyRing
 from .regular3 import SklParameters, cyclic_slots, is_type_A, skl_relations, skl_tensor
 from .report import CheckReport
-from .symmetry import (
-    apply_power,
-    apply_slots,
-    braid_defect,
-    check_braid,
-    check_hecke,
-    column_table,
-    kron_vec,
-    tensor_index,
-)
+from .symmetry import _format_entry, apply_power, braid_defect, check_braid, check_hecke, tensor_index
 
 __all__ = [
     "TernaryQuadratic",
@@ -93,12 +86,8 @@ class TernaryQuadratic:
         bits = []
         for name, c in zip(MONOMIALS, self.coeffs):
             if not c.is_zero():
-                bits.append("(%s)*%s" % (_fmt(c), name))
+                bits.append("(%s)*%s" % (_format_entry(c), name))
         return " + ".join(bits) if bits else "0"
-
-
-def _fmt(x) -> str:
-    return x.to_text() if isinstance(x, MultiPoly) else format_scalar(x)
 
 
 def _lin_mul(l1: Sequence, l2: Sequence, zero) -> tuple:
@@ -197,18 +186,8 @@ def sylvester_resultant(
 # ---------------------------------------------------------------------------
 # the shared case pipeline
 #
-# Letters are 1-based in tensor_index and 0-based elsewhere; rows of the
-# restricted maps are numbered by _xt_index and columns by _tx_index.
-
-
-def _xt_index(j: int, i: int) -> int:
-    """Row of x_j (x) t_i in the restricted maps."""
-    return j * 3 + i
-
-
-def _tx_index(alpha: int, beta: int) -> int:
-    """Column of t_alpha (x) x_beta in the restricted maps."""
-    return beta * 3 + alpha
+# Letters are 1-based in tensor_index and 0-based elsewhere; x_j (x) t_i is
+# row 3j+i of the restricted maps and t_a (x) x_b is column 3b+a.
 
 
 def _off_diagonal_zero(values: MatrixF) -> bool:
@@ -254,12 +233,17 @@ def _table_ok(P: MatrixF, table: dict, relations: Sequence, zero) -> bool:
 
 def _pair_minors(M: MatrixF, N: MatrixF, tx_pairs, xt_pairs, domain) -> Tuple[MatrixF, MatrixF]:
     """M and N cut down to the spans of the t_a x_b in tx_pairs and the x_j t_i in xt_pairs."""
-    cols = [_tx_index(a, b) for a, b in tx_pairs]
-    rows = [_xt_index(j, i) for j, i in xt_pairs]
+    cols = [b * 3 + a for a, b in tx_pairs]
+    rows = [j * 3 + i for j, i in xt_pairs]
     return (
         MatrixF.from_rows([[M[r, c] for c in cols] for r in rows], domain),
         MatrixF.from_rows([[N[c, r] for r in rows] for c in cols], domain),
     )
+
+
+def _beside(A: MatrixF, B: MatrixF) -> MatrixF:
+    """[A | B]: the two restricted maps of a pair, compared in one matrix."""
+    return MatrixF.from_rows([A.row(r) + B.row(r) for r in range(A.rows)], A.domain)
 
 
 def _circulant(row: Sequence, domain) -> MatrixF:
@@ -287,48 +271,46 @@ def restricted_maps(P: MatrixF, relations: Sequence) -> Tuple[MatrixF, MatrixF]:
 
     M sends the span of the t_a (x) x_b (columns ordered t_1 x_1, t_2 x_1,
     t_3 x_1, t_1 x_2, ..., t_3 x_3) into the span of the x_j (x) t_i (rows
-    ordered x_1 t_1, x_1 t_2, ..., x_3 t_3); N goes the other way.
+    ordered x_1 t_1, x_1 t_2, ..., x_3 t_3); N goes the other way.  With T_a
+    the 3x3 matrix of t_a and G_i that of the t_i-coordinates of P's columns
+    (`_relation_coordinates`, which checks that P maps into span(t), so that
+    both maps land in the mixed subspaces), M[(k,i),(a,b)] = (T_a G_i)[k,b]
+    and N[(a,b),(k,i)] = (G_a T_i)[k,b].
     """
     domain = P.domain
-    zero = domain.zero()
     t_rows = [tuple(t) for t in relations]
-    x = MatrixF.identity(3, domain).row_list()
-    cols = column_table(P)
-    xt_basis = [kron_vec(x[j], t_rows[i], domain) for j in range(3) for i in range(3)]
-    tx_basis = [kron_vec(t_rows[a], x[b], domain) for b in range(3) for a in range(3)]
-    # Id (x) P acts on slots (2, 3), P (x) Id on slots (1, 2)
-    m_cols = [_solve_in_basis(apply_slots(cols, 2, 3, v, zero), xt_basis, t_rows, "xt", domain) for v in tx_basis]
-    n_cols = [_solve_in_basis(apply_slots(cols, 1, 3, v, zero), tx_basis, t_rows, "tx", domain) for v in xt_basis]
-    return MatrixF.from_rows(m_cols, domain).transpose(), MatrixF.from_rows(n_cols, domain).transpose()
+    T = [MatrixF(3, 3, t, domain) for t in t_rows]
+    G = [MatrixF(3, 3, g, domain) for g in _relation_coordinates(P, t_rows)]
+    TG = [[T[a] * G[i] for i in range(3)] for a in range(3)]
+    GT = [[G[a] * T[i] for i in range(3)] for a in range(3)]
+    r3 = range(3)
+    M = MatrixF(9, 9, [TG[a][i][k, b] for k in r3 for i in r3 for b in r3 for a in r3], domain)
+    N = MatrixF(9, 9, [GT[a][i][k, b] for b in r3 for a in r3 for k in r3 for i in r3], domain)
+    return M, N
 
 
-def _solve_in_basis(vec: Sequence, basis: List[tuple], t_rows, layout: str, domain) -> list:
-    """Coordinates of vec in the given mixed-tensor basis.
+def _relation_coordinates(P: MatrixF, t_rows: List[tuple]) -> List[list]:
+    """G[i][w], the coefficient of t_i in column w of P.
 
-    Over a field this is a linear solve.  Over a polynomial ring the square
-    coefficient of each relation tensor (its (i,i) slot) is used to peel the
-    coordinates off by exact division, and the reconstruction is reverified.
+    Over a field each column is one solve against the t_i.  Over a
+    polynomial ring the square coefficient of each t_i (its (i,i) slot)
+    gives the coordinate by exact division.  Either way every column is
+    rebuilt from its coordinates, so a column outside span(t) raises.
     """
+    domain = P.domain
+    cols = [P.col(w) for w in range(9)]
     if isinstance(domain, FieldSpec):
-        A = MatrixF.from_rows(basis, domain).transpose()
-        sol = A.solve(tuple(vec))
-        if sol is None:
+        A = MatrixF.from_rows(t_rows, domain).transpose()
+        coords = [A.solve(col) for col in cols]
+        if None in coords:
             raise ValueError("vector left the expected subspace")
-        return list(sol)
-    coords = []
-    for m in range(len(basis)):
-        outer, i_rel = divmod(m, 3)
-        square_word = (i_rel + 1, i_rel + 1)
-        word = (outer + 1,) + square_word if layout == "xt" else square_word + (outer + 1,)
-        probe = tensor_index(word, 3)
-        square = t_rows[i_rel][tensor_index(square_word, 3)]
-        if square.is_zero():
+    else:
+        if any(t_rows[i][4 * i].is_zero() for i in range(3)):
             raise ValueError("relation tensor has no square term; cannot extract")
-        val = vec[probe]
-        coords.append(val.exact_div(square) if not val.is_zero() else domain.zero())
-    if vec_combination(coords, basis, domain.zero()) != tuple(vec):
+        coords = [[col[4 * i].exact_div(t_rows[i][4 * i]) for i in range(3)] for col in cols]
+    if any(vec_combination(g, t_rows, domain.zero()) != col for g, col in zip(coords, cols)):
         raise ValueError("vector left the expected subspace")
-    return coords
+    return [[g[i] for g in coords] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +355,11 @@ def _sub_rational(poly: MultiPoly, name: str, num: MultiPoly, den: MultiPoly) ->
     ring = poly.ring
     idx = ring.variables.index(name)
     m = poly.degree_in(name)
+    factors = [num ** k * den ** (m - k) for k in range(m + 1)]
     out = ring.zero()
     for e, vec in poly.terms.items():
-        k = e[idx]
         rest = tuple(0 if i == idx else x for i, x in enumerate(e))
-        term = MultiPoly(ring, {rest: vec})
-        out = out + term * num ** k * den ** (m - k)
+        out = out + MultiPoly(ring, {rest: vec}) * factors[e[idx]]
     return out
 
 
@@ -493,19 +474,15 @@ def verify_case1() -> CaseReport:
         Mp, Np = _pair_minors(M_full, N_full, tx_pairs, xt_pairs, ring)
         composites[pid] = Mp * Np
         if pid == 1:
-            checks.record(
-                "pair1-matrices",
-                "restricted maps match the circulant displays",
-                Mp == _circulant((av * bpv, cv * apv, bv * cpv), ring)
-                and Np == _circulant((bv * apv, cv * bpv, av * cpv), ring),
+            disp = _beside(
+                _circulant((av * bpv, cv * apv, bv * cpv), ring), _circulant((bv * apv, cv * bpv, av * cpv), ring)
             )
+            _record_equal(checks, "pair1-matrices", "restricted maps match the circulant displays", _beside(Mp, Np), disp)
         if pid == 3:
-            checks.record(
-                "pair3-matrices",
-                "diagonal-pair maps match the displays",
-                Mp == _circulant((cv * cpv, bv * bpv, av * apv), ring)
-                and Np == _circulant((cv * cpv, av * apv, bv * bpv), ring),
+            disp = _beside(
+                _circulant((cv * cpv, bv * bpv, av * apv), ring), _circulant((cv * cpv, av * apv, bv * bpv), ring)
             )
+            _record_equal(checks, "pair3-matrices", "diagonal-pair maps match the displays", _beside(Mp, Np), disp)
 
     C1 = composites[1]
     F1_poly = bv * cv * apv ** 2 + cv * av * bpv ** 2 + av * bv * cpv ** 2
@@ -750,11 +727,8 @@ def verify_case2() -> CaseReport:
         [zero, eps ** 2 * bv * apv, eps * cv * bpv],
         [eps * cv * bpv, zero, eps ** 2 * bv * apv],
     ]
-    checks.record(
-        "pair-matrices",
-        "the two restricted maps match their eps-twisted displays",
-        Mp == MatrixF.from_rows(disp_M, ring) and Np == MatrixF.from_rows(disp_N, ring),
-    )
+    disp = _beside(MatrixF.from_rows(disp_M, ring), MatrixF.from_rows(disp_N, ring))
+    _record_equal(checks, "pair-matrices", "the two restricted maps match their eps-twisted displays", _beside(Mp, Np), disp)
 
     C = Mp * Np
     witness_col = (
@@ -954,17 +928,14 @@ def verify_case3() -> CaseReport:
         [a*c2, d*a*cp, 4*a2*c, a*c2, a*c2, d*c*bp, d*a*ap, 4*a3, dac2],
         [d*a*bp, 4*a3, dac2, 4*a3, d*a*ap, dac2, da2c, da2c, d*c*cpp],
     ]
-    checks.record(
-        "matrix-display",
-        "the scaled matrix of Id (x) P matches the displayed nine-by-nine array",
-        M == MatrixF.from_rows(disp_M, ring),
-        "first entry is c^3 scaled by d^(-1)",
-    )
+    rule = "the scaled matrix of Id (x) P matches the displayed nine-by-nine array"
+    _record_equal(checks, "matrix-display", rule, M, MatrixF.from_rows(disp_M, ring), "first entry is c^3 scaled by d^(-1)")
     swap_sub = {"ap": bp, "bp": ap}
     swapped = MatrixF(9, 9, [x.substitute(swap_sub) for x in M.entries], ring)
-    checks.record("swap-relation", "N = M with a' and b' interchanged", N == swapped)
+    _record_equal(checks, "swap-relation", "N = M with a' and b' interchanged", N, swapped)
 
-    MN = M * N
+    # the equations read only column 0 of MN
+    mn0 = M.apply(N.col(0))
     daa = d * a * ap
     dab = d * a * bp
     eq_disp = {
@@ -973,11 +944,9 @@ def verify_case3() -> CaseReport:
         (6, 0): a * c ** 5 + a * c ** 2 * d * (c * cp + 2 * a * ap + a * bp) + d ** 2 * a ** 2 * cp * bp,
         (7, 0): a * c ** 5 + d ** 2 * a * c * cp ** 2 + 24 * a ** 4 * c ** 2 + a * c ** 2 * (-(d * a * bp) - d * a * ap),
     }
-    checks.record(
-        "equations-1-to-4",
-        "the (2,1), (4,1), (7,1), (8,1) entries of MN match the four displayed equations",
-        all(MN[pos] == poly for pos, poly in eq_disp.items()),
-    )
+    rule = "the (2,1), (4,1), (7,1), (8,1) entries of MN match the four displayed equations"
+    disp = MatrixF(9, 1, [eq_disp.get((r, 0), x) for r, x in enumerate(mn0)], ring)
+    _record_equal(checks, "equations-1-to-4", rule, MatrixF(9, 1, mn0, ring), disp)
     for idx, poly in enumerate(eq_disp.values(), start=1):
         equations.append({"name": "equation-%d" % idx, "expression": poly.to_text() + " = 0"})
 

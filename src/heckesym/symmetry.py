@@ -46,6 +46,7 @@ from .exactnum import FieldSpec, GENERIC_Q, Scalar, mul_matrices, pack, unpack
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Subspace, vec_is_zero
+from .multipoly import MultiPoly
 from .permgroup import Perm, transposition
 
 __all__ = [
@@ -220,12 +221,17 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
     return _act(column_table(A), A.rows, [(range(1, k + 1), None)], vec, zero)
 
 
+def _format_entry(x) -> str:
+    """Text of a scalar or of a polynomial entry."""
+    return x.to_text() if isinstance(x, MultiPoly) else format_scalar(x)
+
+
 def _vanishes(M: MatrixF) -> Tuple[bool, str]:
     """Whether M is zero, with its first nonzero entry as the witness if not."""
     for i in range(M.rows):
         for j in range(M.cols):
             if not M[i, j].is_zero():
-                return False, "entry (%d,%d) = %s" % (i, j, format_scalar(M[i, j]))
+                return False, "entry (%d,%d) = %s" % (i, j, _format_entry(M[i, j]))
     return True, ""
 
 

@@ -420,3 +420,37 @@ def test_tracer_can_wrap_every_scalar_op():
     assert "__radd__" in tracer.SCALAR_OPS and "__rmul__" in tracer.SCALAR_OPS
     for op in tracer.SCALAR_OPS:
         assert callable(Scalar.__dict__.get(op)), op
+
+
+def _repeated(x, k, one):
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("field", [FieldSpec("rational"), cyclotomic_field(3), GENERIC_Q])
+def test_power_matches_repeated_products(field):
+    rng = random.Random(20261018)
+    for _ in range(6):
+        x = _random_scalar(field, rng)
+        for k in range(10):
+            assert x ** k == _repeated(x, k, field.one())
+            if not x.is_zero():
+                assert x ** -k == _repeated(x.inverse(), k, field.one())
+    assert field.zero() ** 0 == field.one()
+    with pytest.raises(ZeroDivisionError):
+        field.zero() ** -1
+
+
+def test_power_squares_once_per_further_bit(monkeypatch):
+    x = cyclotomic_field(3).scalar(2) + primitive_root(3, cyclotomic_field(3))
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert x ** 8 == x * x * x * x * x * x * x * x
+    assert len(calls) == 3 + 7
+    calls.clear()
+    x ** 9
+    x ** 1
+    assert len(calls) == 4

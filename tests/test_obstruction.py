@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import FieldSpec
+from heckesym import obstruction
+from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field, primitive_root
 from heckesym.frobenius import reconstruct_from_f
-from heckesym.linalg import Subspace
+from heckesym.linalg import MatrixF, Subspace, vec_combination
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import (
     TernaryQuadratic,
+    _cyclic_functional,
+    _projection,
     braid_residual,
     case1_f,
     case1_system,
@@ -20,7 +24,7 @@ from heckesym.obstruction import (
     verify_case4,
 )
 from heckesym.regular3 import SklParameters, is_type_A, skl_relations
-from heckesym.symmetry import braid_defect
+from heckesym.symmetry import apply_slots, braid_defect, column_table, dj_standard, kron_vec, tensor_index
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +212,148 @@ def test_case4(case_reports):
 def test_case2_sample_is_smooth_elliptic():
     assert is_type_A(SklParameters.numeric(1, 1, 2))
     assert is_type_A(SklParameters.numeric(1, 2, 3))
+
+
+# -- reference for restricted_maps: apply Id (x) P and P (x) Id as slot actions
+# to the 27-long mixed basis vectors and solve each image back
+
+
+def _solve_in_basis_reference(vec, basis, t_rows, layout, domain):
+    if isinstance(domain, FieldSpec):
+        sol = MatrixF.from_rows(basis, domain).transpose().solve(tuple(vec))
+        if sol is None:
+            raise ValueError("vector left the expected subspace")
+        return list(sol)
+    coords = []
+    for m in range(len(basis)):
+        outer, i_rel = divmod(m, 3)
+        square_word = (i_rel + 1, i_rel + 1)
+        word = (outer + 1,) + square_word if layout == "xt" else square_word + (outer + 1,)
+        square = t_rows[i_rel][tensor_index(square_word, 3)]
+        if square.is_zero():
+            raise ValueError("relation tensor has no square term; cannot extract")
+        val = vec[tensor_index(word, 3)]
+        coords.append(val.exact_div(square) if not val.is_zero() else domain.zero())
+    if vec_combination(coords, basis, domain.zero()) != tuple(vec):
+        raise ValueError("vector left the expected subspace")
+    return coords
+
+
+def _restricted_maps_reference(P, relations):
+    domain = P.domain
+    zero = domain.zero()
+    t_rows = [tuple(t) for t in relations]
+    x = MatrixF.identity(3, domain).row_list()
+    cols = column_table(P)
+    xt_basis = [kron_vec(x[j], t_rows[i], domain) for j in range(3) for i in range(3)]
+    tx_basis = [kron_vec(t_rows[a], x[b], domain) for b in range(3) for a in range(3)]
+    m_cols = [_solve_in_basis_reference(apply_slots(cols, 2, 3, v, zero), xt_basis, t_rows, "xt", domain) for v in tx_basis]
+    n_cols = [_solve_in_basis_reference(apply_slots(cols, 1, 3, v, zero), tx_basis, t_rows, "tx", domain) for v in xt_basis]
+    return MatrixF.from_rows(m_cols, domain).transpose(), MatrixF.from_rows(n_cols, domain).transpose()
+
+
+def _case1_projection():
+    ring = PolyRing(("a", "b", "c", "ap", "bp", "cp"))
+    a, b, c, ap, bp, cp = ring.vars()
+    rels = skl_relations(SklParameters(a, b, c, ring))
+    return _projection(_cyclic_functional(ap, bp, cp, ring.zero()), rels, ring), rels
+
+
+def _case2_projection():
+    ring = PolyRing(("a", "b", "c", "ap", "bp", "cp"), order=3)
+    a, b, c, ap, bp, cp = ring.vars()
+    eps = primitive_root(3, cyclotomic_field(3))
+    g = [ring.zero()] * 27
+    for letters, value in (
+        ((1, 2, 3), ap), ((3, 1, 2), ap), ((2, 3, 1), eps * ap),
+        ((2, 1, 3), bp), ((3, 2, 1), bp), ((1, 3, 2), eps ** 2 * bp), ((3, 3, 3), cp),
+    ):
+        g[tensor_index(letters, 3)] = value
+    rels = skl_relations(SklParameters(a, b, c, ring))
+    return _projection(g, rels, ring, [ring.const(eps ** -i) for i in (1, 2, 3)]), rels
+
+
+def _case3_projection():
+    ring = PolyRing(("a", "c", "ap", "bp", "cp", "cpp"))
+    a, c, ap, bp, cp, cpp = ring.vars()
+    d = 8 * a ** 3 + c ** 3
+    gt = [ring.zero()] * 27
+    for (i, j, k), value in (
+        ((2, 3, 3), -2 * a * c), ((1, 3, 3), -2 * a * c), ((3, 1, 1), 4 * a ** 2), ((3, 2, 2), 4 * a ** 2),
+        ((1, 2, 2), c ** 2), ((2, 1, 1), c ** 2), ((1, 2, 3), d * ap), ((2, 1, 3), d * bp),
+        ((1, 1, 1), d * cp), ((2, 2, 2), d * cp), ((3, 3, 3), d * cpp),
+    ):
+        for word in ((i, j, k), (k, i, j), (j, k, i)):
+            gt[tensor_index(word, 3)] = value
+    rels = skl_relations(SklParameters(a, a, c, ring))
+    return _projection(gt, rels, ring, order=(1, 0, 2)), rels
+
+
+def _numeric_projections(field, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 3:
+        p = SklParameters.numeric(*(rng.randint(-4, 4) for _ in range(3)), field)
+        if not is_type_A(p):
+            continue
+        f = [field.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(27)]
+        rels = skl_relations(p)
+        out.append((_projection(f, rels, field), rels))
+    return out
+
+
+def _genuine_projection():
+    sym = dj_standard(3)
+    q = GENERIC_Q.q()
+    P = (MatrixF.identity(9, GENERIC_Q).scale(q) - sym.R).scale((1 + q).inverse())
+    return P, [list(row) for row in sym.upsilon(2).basis]
+
+
+def _all_projections():
+    return (
+        [_case1_projection(), _case2_projection(), _case3_projection(), _genuine_projection()]
+        + _numeric_projections(FieldSpec("rational"), 11)
+        + _numeric_projections(cyclotomic_field(3), 12)
+    )
+
+
+def test_restricted_maps_match_slot_action_reference():
+    for P, rels in _all_projections():
+        assert restricted_maps(P, rels) == _restricted_maps_reference(P, rels)
+
+
+def test_restricted_maps_reject_a_column_outside_span_t():
+    for P, rels in (_case3_projection(), _numeric_projections(cyclotomic_field(3), 13)[0]):
+        # e_(x_1 x_2) added to column 4: t_3 carries x_2 x_1 and x_3^2 too, so it leaves span(t)
+        entries = list(P.entries)
+        entries[tensor_index((1, 2), 3) * 9 + 4] = entries[tensor_index((1, 2), 3) * 9 + 4] + 1
+        bad = MatrixF(9, 9, entries, P.domain)
+        for maps in (restricted_maps, _restricted_maps_reference):
+            with pytest.raises(ValueError, match="left the expected subspace"):
+                maps(bad, rels)
+
+
+def test_restricted_map_checks_name_the_differing_entry(monkeypatch):
+    original = obstruction.restricted_maps
+
+    def perturbed(P, relations):
+        M, N = original(P, relations)
+        entries = list(M.entries)
+        entries[2 * 9 + 2] = entries[2 * 9 + 2] + 1
+        return MatrixF(9, 9, entries, M.domain), N
+
+    monkeypatch.setattr(obstruction, "restricted_maps", perturbed)
+    # M[2,2] is entry (0,0) of the first pair's map
+    checks = {c.name: c for c in verify_case1().checks.checks}
+    assert checks["pair1-matrices"].status == "fail"
+    assert checks["pair1-matrices"].detail.startswith("entry (0,0) = ")
+    checks = {c.name: c for c in verify_case3().checks.checks}
+    assert checks["matrix-display"].status == "fail"
+    assert checks["matrix-display"].detail.startswith("entry (2,2) = ")
+
+
+def test_passing_restricted_map_checks_keep_their_details(case_reports):
+    details = {c.name: c.detail for rep in case_reports.values() for c in rep.checks.checks}
+    assert details["matrix-display"] == "first entry is c^3 scaled by d^(-1)"
+    for name in ("swap-relation", "pair1-matrices", "pair3-matrices", "pair-matrices", "equations-1-to-4"):
+        assert details[name] == ""
