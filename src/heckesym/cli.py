@@ -37,19 +37,11 @@ from .frobenius import (
     verify_operator_identities,
 )
 from .heckealg import verify_identities
-from .obstruction import verify_case1, verify_case2, verify_case3, verify_case4
-from .regular3 import (
-    SklParameters,
-    conjugacy_report,
-    is_regular,
-    is_type_A,
-    skl_relations,
-    skl_symmetric_image,
-    skl_tensor,
-)
+# obstruction and regular3 are imported by the commands that use them, so
+# that no other command loads them
 from .multipoly import PolyRing
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, SymmetryError, check_hecke, dj_standard, flip
+from .symmetry import HeckeSymmetry, SymmetryError, dj_standard, flip
 
 INPUT_ERROR = 2
 CHECK_FAILURE = 1
@@ -60,6 +52,7 @@ MAX_PARAM_DIGITS = 64
 # options whose value may begin with "-" (-3,5,2 or -1/2), which argparse
 # would otherwise take for an unknown flag
 SIGNED_VALUE_FLAGS = ("--params", "--a", "--b", "--c", "--q")
+COMMANDS = ("verify", "analyze", "builtin", "identities", "hessian", "resultant", "obstruct", "skl3")
 
 
 class InputError(Exception):
@@ -179,7 +172,7 @@ def cmd_verify(args) -> int:
     sym, digest, _src = _load_symmetry(args, validate=False)
     report = CheckReport("verify")
     for name, rule, fn in (
-        ("hecke-relation", "(R - q Id)(R + Id) = 0", lambda: check_hecke(sym.R, sym.q)),
+        ("hecke-relation", "(R - q Id)(R + Id) = 0", sym.check_hecke),
         ("braid-relation", "(R x I)(I x R)(R x I) = (I x R)(R x I)(I x R)", sym.check_braid),
     ):
         t0 = time.monotonic()
@@ -195,7 +188,7 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     sym, digest, _src = _load_symmetry(args, validate=False)
     report = CheckReport("analyze")
-    ok, witness = check_hecke(sym.R, sym.q)
+    ok, witness = sym.check_hecke()
     report.record("hecke-relation", "(R - q Id)(R + Id) = 0", ok, witness)
     ok2, witness = sym.check_braid()
     report.record("braid-relation", "braid equation on three factors", ok2, witness)
@@ -240,6 +233,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_hessian(args) -> int:
+    from .regular3 import conjugacy_report
     report, data = conjugacy_report()
     digest = hashlib.sha256(b"hessian").hexdigest()
     payload, code = _wrap(args, digest, report, data if args.report else {"group_order": data["group_order"]})
@@ -250,6 +244,7 @@ def cmd_hessian(args) -> int:
 def cmd_resultant(args) -> int:
     if not args.case1:
         raise InputError("only --case1 is defined")
+    from .obstruction import verify_case1
     rep = verify_case1()
     digest = hashlib.sha256(b"resultant:case1").hexdigest()
     payload, code = _wrap(
@@ -286,6 +281,8 @@ def _parse_triple(texts, flags) -> tuple:
 
 
 def cmd_obstruct(args) -> int:
+    from .obstruction import verify_case1, verify_case2, verify_case3, verify_case4
+    from .regular3 import SklParameters, is_regular, is_type_A
     fns = {1: verify_case1, 2: verify_case2, 3: verify_case3, 4: verify_case4}
     if args.case not in fns:
         raise InputError("--case must be 1, 2, 3 or 4")
@@ -328,6 +325,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_skl3(args) -> int:
+    from .regular3 import SklParameters, is_regular, is_type_A, skl_relations, skl_symmetric_image, skl_tensor
     p = SklParameters.numeric(*_parse_triple((args.a, args.b, args.c), ("--a", "--b", "--c")))
     digest = hashlib.sha256(
         ("skl3:%s,%s,%s:%s" % (args.a, args.b, args.c, args.check)).encode()
@@ -355,13 +353,15 @@ def cmd_skl3(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with only that command's when only is given; the usage names every command."""
     parser = argparse.ArgumentParser(
         prog="heckesym",
         description="Exact computation with Hecke symmetries and their Frobenius structure.",
     )
     parser.add_argument("--version", action="version", version="heckesym " + __version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    usage = None if only is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--pretty", action="store_true", help="indented output")
     output.add_argument("--timings", action="store_true", help="write wall-clock times to stderr")
@@ -375,42 +375,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, help="cyclotomic order of the coefficients (default 1)")
         p.add_argument("--q", help="value bound to q in non-generic fields (expression)")
 
-    p = sub.add_parser("verify", parents=[output], help="relation checks for an operator")
-    add_io(p)
-    p.set_defaults(handler=cmd_verify)
+    def command(name, help, handler):
+        p = sub.add_parser(name, parents=[output], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("analyze", parents=[output], help="full Frobenius profile and identity suites")
-    add_io(p)
-    p.add_argument("--max-degree", type=int, help="top-degree search bound (default 2*dim+1)")
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("builtin", parents=[output], help="emit a built-in operator as JSON")
-    add_io(p, with_input=False)
-    p.set_defaults(handler=cmd_builtin)
-
-    p = sub.add_parser("identities", parents=[output], help="antisymmetrizer identity suite")
-    p.add_argument("--n", type=int, default=5, help="largest degree (up to 6)")
-    p.set_defaults(handler=cmd_identities)
-
-    p = sub.add_parser("hessian", parents=[output], help="Hessian group facts")
-    p.add_argument("--report", action="store_true", help="full class table")
-    p.set_defaults(handler=cmd_hessian)
-
-    p = sub.add_parser("resultant", parents=[output], help="the six-by-six resultant identity")
-    p.add_argument("--case1", action="store_true", help="the scalar-braiding system")
-    p.set_defaults(handler=cmd_resultant)
-
-    p = sub.add_parser("obstruct", parents=[output], help="one case of the obstruction argument")
-    p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--params", help="a,b,c sample triple")
-    p.set_defaults(handler=cmd_obstruct)
-
-    p = sub.add_parser("skl3", parents=[output], help="parameter-triple predicates and tensors")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--check", default="typeA")
-    p.set_defaults(handler=cmd_skl3)
+    if only in (None, "verify"):
+        add_io(command("verify", "relation checks for an operator", cmd_verify))
+    if only in (None, "analyze"):
+        p = command("analyze", "full Frobenius profile and identity suites", cmd_analyze)
+        add_io(p)
+        p.add_argument("--max-degree", type=int, help="top-degree search bound (default 2*dim+1)")
+    if only in (None, "builtin"):
+        add_io(command("builtin", "emit a built-in operator as JSON", cmd_builtin), with_input=False)
+    if only in (None, "identities"):
+        p = command("identities", "antisymmetrizer identity suite", cmd_identities)
+        p.add_argument("--n", type=int, default=5, help="largest degree (up to 6)")
+    if only in (None, "hessian"):
+        p = command("hessian", "Hessian group facts", cmd_hessian)
+        p.add_argument("--report", action="store_true", help="full class table")
+    if only in (None, "resultant"):
+        p = command("resultant", "the six-by-six resultant identity", cmd_resultant)
+        p.add_argument("--case1", action="store_true", help="the scalar-braiding system")
+    if only in (None, "obstruct"):
+        p = command("obstruct", "one case of the obstruction argument", cmd_obstruct)
+        p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4))
+        p.add_argument("--params", help="a,b,c sample triple")
+    if only in (None, "skl3"):
+        p = command("skl3", "parameter-triple predicates and tensors", cmd_skl3)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--c", required=True)
+        p.add_argument("--check", default="typeA")
 
     return parser
 
@@ -426,9 +422,12 @@ def _attach_signed_values(argv: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # no reference to the parser outlives parsing, so the young-generation
-    # collector frees its reference cycles before the report runs
-    args = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+    # only the named command's parser is built, and no reference to it
+    # outlives parsing, so the young-generation collector frees its
+    # reference cycles before the report runs
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(_attach_signed_values(argv))
     t0 = time.monotonic()
     try:
         code = args.handler(args)

@@ -21,12 +21,15 @@ arithmetic runs on the coefficient vector, and a cyclotomic product on
 integer numerators over one denominator, reduced by x^j mod Phi_m.  pack
 and unpack move vectors of such constants to and from that integer layout,
 and an inverse solves with the integer multiplication matrix of a constant.
+pack_q and unpack_q do the same for ratfunc_q vectors: integer polynomials
+in q over one polynomial denominator, and at most one gcd per coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
@@ -42,6 +45,9 @@ __all__ = [
     "primitive_root",
     "pack",
     "unpack",
+    "pack_q",
+    "unpack_q",
+    "at_power_of_two",
     "mul_matrices",
 ]
 
@@ -617,11 +623,90 @@ def unpack(field: FieldSpec, comps, den: int) -> tuple:
     )
 
 
-def mul_matrices(field: FieldSpec, xs) -> tuple:
-    """(den, mats): mats[k] is the integer matrix of multiplication by den * xs[k] mod Phi_m."""
-    den, comps = pack(field, xs)
+def pack_q(field: FieldSpec, xs) -> tuple:
+    """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den; ratfunc_q xs.
+
+    comps[j][k] is an integer polynomial in q (a tuple, low degree first);
+    den is the lcm of the monic denominators times the integer lcm of the
+    coefficient denominators, a QPoly, and 1 with no gcd for unit vectors.
+    """
     ctx = field._ctx()
-    return den, [ctx.mul_matrix(ints) for ints in zip(*comps)]
+    den = unit = (ctx.one,)
+    nums = []
+    for x in xs:
+        if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
+            raise ValueError("mixed fields")
+        if x.den != unit and x.den != den:
+            den = _pmul(ctx, den, _pdivmod(ctx, x.den, _pgcd(ctx, den, x.den))[0])
+        nums.append(x.num)
+    if den is not unit:
+        nums = [p if not p or x.den == den else _pmul(ctx, p, _pdivmod(ctx, den, x.den)[0]) for p, x in zip(nums, xs)]
+    c = lcm(*[f.denominator for p in nums + [den] for v in p for f in v])
+    if c != 1:
+        den = tuple(tuple(f * c for f in v) for v in den)
+    return den, [[tuple([v[j].numerator * (c // v[j].denominator) for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
+
+
+def unpack_q(field: FieldSpec, comps, dens, bits: int) -> tuple:
+    """The scalars sum_j P_jk zeta^j / den in lowest terms; the inverse of pack_q.
+
+    comps[j][k] = P_jk(2^bits) (at_power_of_two) for integer polynomials whose
+    coefficients are below 2^(bits-1) in size, and den is the product of the
+    dens, each an integer c times a monic polynomial.  Over den = c or c q^k
+    no gcd is taken; otherwise one per nonzero coordinate.
+    """
+    ctx = field._ctx()
+    den = (ctx.one,)
+    for f in dens:
+        den = _pmul(ctx, den, f)
+    zero, c = field.zero(), den[-1][0].numerator
+    k = None if any(map(any, den[:-1])) else len(den) - 1
+    out = [zero] * len(comps[0])
+    for idx, nonzero in enumerate(comps[0] if len(comps) == 1 else map(any, zip(*comps))):
+        if not nonzero:
+            continue
+        coeffs = list(zip_longest(*[_from_power_of_two(xs[idx], bits) for xs in comps], fillvalue=0))
+        if k is None:
+            out[idx] = Scalar(field, *_pmonic_scale(ctx, tuple([tuple(map(Fraction, v)) for v in coeffs]), den))
+            continue
+        low = next((i for i in range(k) if any(coeffs[i])), k)
+        num = tuple([tuple([Fraction(x, c) if x else _ZERO for x in v]) for v in coeffs[low:]])
+        out[idx] = Scalar(field, num, (ctx.zero,) * (k - low) + (ctx.one,))
+    return tuple(out)
+
+
+def at_power_of_two(p, bits: int) -> int:
+    """The integer polynomial p (low degree first) at q = 2^bits."""
+    x = 0
+    for c in reversed(p):
+        x = (x << bits) + c
+    return x
+
+
+def _from_power_of_two(x: int, bits: int) -> list:
+    """The coefficients of the integer polynomial p with x = p(2^bits), each below 2^(bits-1) in size."""
+    out, full = [], 1 << bits
+    while x:
+        c = x & (full - 1)
+        c -= full if c >= full >> 1 else 0
+        out.append(c)
+        x = (x - c) >> bits
+    return out
+
+
+def mul_matrices(field: FieldSpec, xs) -> tuple:
+    """(den, mats): mats[k] is the integer matrix of multiplication by den * xs[k] mod Phi_m.
+
+    Over ratfunc_q, den is pack_q's and the entries are integer polynomials in q.
+    """
+    ctx = field._ctx()
+    if field.kind != "ratfunc_q":
+        den, comps = pack(field, xs)
+        return den, [ctx.mul_matrix(ints) for ints in zip(*comps)]
+    den, comps = pack_q(field, xs)
+    # the matrix of each coefficient of q, its entries gathered over the powers of q
+    per_power = [[ctx.mul_matrix(v) for v in zip_longest(*ints, fillvalue=0)] for ints in zip(*comps)]
+    return den, [[[tuple([M[a][b] for M in Ms]) for b in range(ctx.deg)] for a in range(ctx.deg)] for Ms in per_power]
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,11 @@ def top_component(sym: HeckeSymmetry, n_max: Optional[int] = None) -> Tuple[int,
 
 
 def _scalar_multiple_of_t(sym: HeckeSymmetry, v: Sequence, t: Sequence, pivot: int) -> Scalar:
-    """The scalar c with v = c t; raises if v is not proportional to t."""
+    """The scalar c with v = c t, checked where v or t is nonzero; raises if v is not a multiple of t."""
     c = v[pivot]
-    if not vec_is_zero(vec_sub(v, vec_scale(c, t))):
-        raise DegeneratePairing("vector is not a multiple of the top tensor")
+    for x, y in zip(v, t):
+        if (not x.is_zero() or not y.is_zero()) and x != c * y:
+            raise DegeneratePairing("vector is not a multiple of the top tensor")
     return c
 
 

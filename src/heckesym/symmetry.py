@@ -24,12 +24,12 @@ Im(A^t), so ideal_component(n) is the annihilator of upsilon(n) of the
 transpose symmetry R^t and lambda_dim(n) = dim V^(x)n - dim ideal_component(n)
 is that upsilon's dimension.
 
-Every action on V^(x)n -- T_i, Hecke words and elements, rep_matrix and
-braid_defect column by column, A^(x)k -- is one sum of c * A_word(v) over
-slot-local steps (_act).  Over Q and Q(zeta_m) it packs v once into integer
-numerators over one denominator, steps on Python ints with the integer
-multiplication matrices of R's entries (packed once per symmetry) and
-unpacks once; ratfunc_q and MultiPoly vectors step on their own arithmetic.
+Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, rep_matrix,
+the quadratic relation and the braid defect -- is one sum of c * A_word(v)
+over slot-local steps (_act).  A Scalar v is packed once into integer
+numerators over one denominator (integer polynomials in q at q = 2^B over
+ratfunc_q), steps on Python ints with the multiplication matrices of R's
+entries (packed once per symmetry) and is unpacked once.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -42,12 +42,12 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar, mul_matrices, pack, unpack
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, at_power_of_two, mul_matrices, pack, pack_q, unpack, unpack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Subspace, vec_is_zero
 from .multipoly import MultiPoly
-from .permgroup import Perm, transposition
+from .permgroup import Perm
 
 __all__ = [
     "HeckeSymmetry",
@@ -110,19 +110,23 @@ def column_table(A: MatrixF) -> tuple:
     """The nonzero entries of each column of A, as (generic, packed) tables.
 
     generic[j] lists (i, A[i, j]), with None for an entry equal to one.
-    packed is None unless A is over a rational or cyclotomic field, else
-    (field, D, cols): cols[b][j] lists (a, i, M[a][b]) over the nonzero
-    entries of the integer multiplication matrix M of D * A[i, j].
+    packed is None unless A is over a FieldSpec, else (field, D, cols, norm):
+    cols[b][j] lists (a, i, M[a][b]) over the nonzero entries of the matrix M
+    of D * A[i, j] (exactnum.mul_matrices); over ratfunc_q, norm bounds one
+    step: the largest sum of absolute coefficients a target coordinate gathers.
     """
     one = A.domain.one()
     generic = [[(i, None if A[i, j] == one else A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]
     field = A.domain
-    if not isinstance(field, FieldSpec) or field.kind == "ratfunc_q":
+    if not isinstance(field, FieldSpec):
         return generic, None
     den, mats = mul_matrices(field, A.entries)
     d = len(mats[0])
     cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in range(d) if M[a][b]] for j in range(A.cols)] for b in range(d)]
-    return generic, (field, den, cols)
+    gathered = {}
+    for a, i, p in (e for col in cols for entries in col for e in entries if field.kind == "ratfunc_q"):
+        gathered[a, i] = gathered.get((a, i), 0) + sum(map(abs, p))
+    return generic, (field, den, cols, max(gathered.values(), default=0))
 
 
 def _tail(first: int, width: int, N: int, length: int) -> int:
@@ -169,10 +173,11 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
 
     A is the operator of table (see column_table) on consecutive slots of
     V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
-    word[-2] on, and so on.  A rational or cyclotomic action packs vec once
-    (exactnum.pack), steps every word on integers, brings the terms to one
-    denominator and unpacks once; any other steps on its own arithmetic.
-    zero is that of the vector's domain.
+    word[-2] on, and so on.  A Scalar vec is packed once (exactnum.pack or
+    pack_q), steps on integers and is unpacked once over one denominator; over
+    ratfunc_q the integers are integer polynomials at q = 2^B, B bounded by
+    vec, the c and norm so that every coefficient reads back.  MultiPoly
+    vectors step on their own arithmetic; zero is that of vec's domain.
     """
     generic, packed = table
     if packed is None or not isinstance(zero, Scalar):
@@ -185,23 +190,37 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
                 y = [x if x.is_zero() else c * x for x in y]
             out = y if out is None else [a if b.is_zero() else a + b for a, b in zip(out, y)]
         return (zero,) * len(vec) if out is None else tuple(out)
-    field, D, cols = packed
-    den, comps = pack(field, vec)
-    cden, mats = mul_matrices(field, [field.one() if c is None else c for _w, c in terms])
+    field, D, cols, norm = packed
+    ratfunc = field.kind == "ratfunc_q"
     top = max([len(word) for word, _c in terms], default=0)
+    # a word shorter than top gets D^(top - len(word)) in its coefficient
+    Ds = Scalar(field, D, (field._ctx().one,)) if ratfunc else D
+    coeffs = [field.one() if c is None else c for _w, c in terms]
+    if Ds != 1:
+        coeffs = [c * Ds ** (top - len(word)) for (word, _c), c in zip(terms, coeffs)]
+    cden, mats = mul_matrices(field, coeffs)
+    if ratfunc:
+        den, comps = pack_q(field, vec)
+        # each row of a term's matrix times norm^len(word) bounds its share of a coefficient
+        bound = sum(max(sum(sum(map(abs, p)) for p in row) for row in M) * norm ** len(word) for (word, _c), M in zip(terms, mats))
+        bits = (bound * max([abs(c) for ps in comps for p in ps for c in p], default=0)).bit_length() + 1
+        comps, *mats = [[[at_power_of_two(p, bits) if p else 0 for p in row] for row in M] for M in [comps] + mats]
+        cols = [[[(a, i, at_power_of_two(p, bits)) for a, i, p in entries] for entries in col] for col in cols]
+    else:
+        den, comps = pack(field, vec)
     out = [[0] * len(vec) for _ in comps]
     for (word, _c), M in zip(terms, mats):
         y = comps
         for first in reversed(word):
             y = _int_step(cols, first, N, y)
-        scale = D ** (top - len(word))
         for acc, row in zip(out, M):
             for m, ys in zip(row, y):
                 if m:
-                    m *= scale
                     for k, x in enumerate(ys):
                         if x:
                             acc[k] += m * x
+    if ratfunc:
+        return unpack_q(field, out, [den, cden] + [D] * top, bits)
     return unpack(field, out, den * cden * D ** top)
 
 
@@ -228,17 +247,31 @@ def _format_entry(x) -> str:
 
 def _vanishes(M: MatrixF) -> Tuple[bool, str]:
     """Whether M is zero, with its first nonzero entry as the witness if not."""
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if not M[i, j].is_zero():
-                return False, "entry (%d,%d) = %s" % (i, j, _format_entry(M[i, j]))
+    for k, x in enumerate(M.entries):
+        if not x.is_zero():
+            return False, "entry (%d,%d) = %s" % (*divmod(k, M.cols), _format_entry(x))
     return True, ""
+
+
+def _matrix_of(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> MatrixF:
+    """The dim x dim matrix of sum c * A_word; columns j..j+width-1 are read off its action on sum_k e_(j+k) (x) e_k."""
+    zero, one = domain.zero(), domain.one()
+    blocks = []
+    for j in range(0, dim, width):
+        vec = [zero] * (dim * width)
+        vec[j * width : (j + width) * width : width + 1] = [one] * width
+        blocks.append(_act(table, N, terms, vec, zero))
+    return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
+
+
+def _hecke_defect(table: tuple, dim: int, q: Scalar, domain) -> MatrixF:
+    """(R - q Id)(R + Id) = R^2 + (1 - q) R - q Id on V (x) V, from one action of R."""
+    return _matrix_of(table, dim, dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], domain)
 
 
 def check_hecke(R: MatrixF, q: Scalar) -> Tuple[bool, str]:
     """Exact test of (R - q Id)(R + Id) = 0; witness entry on failure."""
-    I = MatrixF.identity(R.rows, R.domain)
-    return _vanishes((R - I.scale(q)) * (R + I))
+    return _vanishes(_hecke_defect(column_table(R), R.rows, q, R.domain))
 
 
 def braid_defect(R: MatrixF) -> MatrixF:
@@ -250,12 +283,8 @@ def braid_defect(R: MatrixF) -> MatrixF:
 
 
 def _braid_defect(table: tuple, N: int, domain) -> MatrixF:
-    """The braid defect column by column: T_1 T_2 T_1 - T_2 T_1 T_2 on each unit vector."""
-    zero, one = domain.zero(), domain.one()
-    terms = [((1, 2, 1), None), ((2, 1, 2), -one)]
-    dim = N ** 3
-    cols = [_act(table, N, terms, [one if k == j else zero for k in range(dim)], zero) for j in range(dim)]
-    return MatrixF.from_rows(cols, domain).transpose()
+    """The braid defect T_1 T_2 T_1 - T_2 T_1 T_2 on V^(x)3, N columns per action."""
+    return _matrix_of(table, N, N ** 3, N, [((1, 2, 1), None), ((2, 1, 2), -domain.one())], domain)
 
 
 def check_braid(R: MatrixF) -> Tuple[bool, str]:
@@ -266,7 +295,7 @@ def check_braid(R: MatrixF) -> Tuple[bool, str]:
 class HeckeSymmetry:
     """A validated Hecke symmetry with cached tensor-power machinery."""
 
-    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_dual", "_reps", "name", "__weakref__")
+    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_dual", "name", "__weakref__")
 
     def __init__(self, N: int, q: Scalar, R: MatrixF, name: str = "", validate: bool = True):
         if N < 1:
@@ -283,9 +312,8 @@ class HeckeSymmetry:
         object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_upsilon", {})
         object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_reps", {})
         if validate:
-            ok, witness = check_hecke(R, q)
+            ok, witness = self.check_hecke()
             if not ok:
                 raise SymmetryError("quadratic relation fails: " + witness)
             ok, witness = self.check_braid()
@@ -305,6 +333,10 @@ class HeckeSymmetry:
             cols = column_table(self.R)
             object.__setattr__(self, "_cols", cols)
         return cols
+
+    def check_hecke(self) -> Tuple[bool, str]:
+        """check_hecke(R, q) on the symmetry's cached column table of R."""
+        return _vanishes(_hecke_defect(self._column_table(), self.N ** 2, self.q, self.field))
 
     def check_braid(self) -> Tuple[bool, str]:
         """check_braid(R) on the symmetry's cached column table of R."""
@@ -349,19 +381,10 @@ class HeckeSymmetry:
         return head.kronecker(self.R).kronecker(tail)
 
     def perm_matrix(self, p: Perm, n: int) -> MatrixF:
-        """Matrix of T_sigma on V^(x)n, memoized along the weak order."""
-        key = (n, p)
-        reps = self._reps
-        got = reps.get(key)
-        if got is not None:
-            return got
-        if p.is_identity():
-            out = MatrixF.identity(self.N ** n, self.field)
-        else:
-            i = p.descent_left()
-            rest = transposition(i, p.degree) * p
-            out = self.generator_matrix(i, n) * self.perm_matrix(rest, n)
-        reps[key] = out
+        """Matrix of T_sigma on V^(x)n, the product of generator matrices along a reduced word."""
+        out = MatrixF.identity(self.N ** n, self.field)
+        for i in p.reduced_word():
+            out = out * self.generator_matrix(i, n)
         return out
 
     def rep_matrix(self, h: HeckeElement, n: int) -> MatrixF:
@@ -373,10 +396,7 @@ class HeckeSymmetry:
         dim = self.N ** n
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        terms = [(word, c) for _p, word, c in h.field_terms()]
-        zero, one = self.field.zero(), self.field.one()
-        cols = [self._combine(terms, n, [one if k == j else zero for k in range(dim)]) for j in range(dim)]
-        return MatrixF.from_rows(cols, self.field).transpose()
+        return _matrix_of(self._column_table(), self.N, dim, 1, [(word, c) for _p, word, c in h.field_terms()], self.field)
 
     # -- graded subspaces
 

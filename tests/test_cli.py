@@ -264,6 +264,47 @@ def test_benchmark_tracer_installs():
     assert r.returncode == 0, r.stderr
 
 
+def test_importing_the_cli_leaves_obstruction_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckesym.__file__)))
+    code = "import sys, heckesym.cli\nassert {'heckesym.obstruction', 'heckesym.regular3'}.isdisjoint(sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+
+
+def _parse_outcome(capsys, parser, argv):
+    """(exit code, stdout, stderr) of parsing argv, with the SystemExit of an error or of --help."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["--version"], ["nosuch"], ["--pretty", "verify"]]
+    + [[name, "--help"] for name in cli.COMMANDS]
+    + [[name, "--bogus"] for name in cli.COMMANDS]
+    + [["obstruct", "--case", "7"], ["obstruct"], ["skl3", "--a", "1"], ["analyze", "--dim", "x"]],
+)
+def test_one_command_parser_matches_the_full_parser(capsys, argv):
+    # main builds build_parser(argv[0]) when argv[0] names a command, else the full parser
+    only = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    full = _parse_outcome(capsys, cli.build_parser(), argv)
+    assert _parse_outcome(capsys, cli.build_parser(only), argv) == full
+    assert full[0] in (0, 2)
+    if full[0] == 2 and only is not None and "unrecognized" in full[2]:
+        assert "{" + ",".join(cli.COMMANDS) + "}" in full[2]
+
+
+def test_one_command_parser_parses_like_the_full_parser():
+    for argv in (["verify", "--builtin", "dj", "--dim", "2"], ["obstruct", "--case", "3", "--params=-1,-1,3"], ["identities"]):
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
 def test_pretty_flag(capsys):
     code = main(["verify", "--builtin", "dj", "--dim", "2", "--pretty"])
     out = capsys.readouterr().out
@@ -360,7 +401,9 @@ def test_a_equals_b_is_checked_before_the_case_runs(capsys, monkeypatch, case):
     def not_called():
         raise AssertionError("the case ran before its parameters were checked")
 
-    monkeypatch.setattr(cli, "verify_case" + case, not_called)
+    from heckesym import obstruction
+
+    monkeypatch.setattr(obstruction, "verify_case" + case, not_called)
     code = main(["obstruct", "--case", case, "--params", "1,2,3"])
     captured = capsys.readouterr()
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
+    _scalar_multiple_of_t,
     NoTopComponent,
     QFactorialVanishes,
     analyze,
@@ -496,3 +497,17 @@ def test_failing_identities_name_an_entry(prof2):
             "functional.kernel"} <= failed
     # passing reports keep an empty detail
     assert all(c.detail == "" for c in verify_operator_identities(prof2).checks if c.status == "pass")
+
+
+@pytest.mark.parametrize("field", [GENERIC_Q, cyclotomic_field(3)], ids=["ratfunc_q", "cyclotomic-3"])
+def test_scalar_multiple_of_t_compares_the_nonzero_coordinates(field):
+    sym = dj_standard(2, field) if field.kind == "ratfunc_q" else dj_standard(2, field.with_q(field.e()))
+    zero, one = field.zero(), field.one()
+    c = field.scalar(3) if field.kind != "ratfunc_q" else field.q() + 1
+    t = (zero, one, field.scalar(-2), zero)
+    v = vec_scale(c, t)
+    assert _scalar_multiple_of_t(sym, v, t, 1) == c
+    # v differs from c t only where t is zero, or only where v is zero
+    for w in (v[:3] + (one,), v[:2] + (zero,) + v[3:]):
+        with pytest.raises(DegeneratePairing):
+            _scalar_multiple_of_t(sym, w, t, 1)

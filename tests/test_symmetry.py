@@ -457,7 +457,15 @@ def test_slot_action_range_errors():
 # Kronecker and permutation-matrix references
 
 
-ORACLE_FIELDS = [FieldSpec("rational")] + [cyclotomic_field(m) for m in (1, 3, 4, 5, 8, 12)]
+ORACLE_FIELDS = [FieldSpec("rational")] + [cyclotomic_field(m) for m in (1, 3, 4, 5, 8, 12)] + [GENERIC_Q, FieldSpec("ratfunc_q", 3)]
+
+
+def _ratfunc_pools(field):
+    """Denominator pools for ratfunc_q entries; the sums they give unpack by an
+    integer division, by cancelling a power of q, and by a gcd."""
+    qq = field.q()
+    general = (2, qq - 1, (qq + 1) ** 2, qq ** 3) + ((qq - field.e(),) if field.order > 1 else ())
+    return [(2,), (2, qq, qq ** 3), general]
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: "%s-%d" % (f.kind, f.order))
@@ -465,30 +473,90 @@ def test_packed_action_matches_generic_branch(field):
     rng = random.Random("packed:%s:%d" % (field.kind, field.order))
     deg = len(field.one().num[0])
     zero = field.zero()
+    ratfunc = field.kind == "ratfunc_q"
+    pools = _ratfunc_pools(field) if ratfunc else [()]
 
     def entry(p_zero):
         if rng.random() < p_zero:
             return zero
+        if ratfunc:
+            # one vector mixes the denominators of its pool
+            num = sum((field.from_cyc([rng.randint(-3, 3) for _ in range(deg)]) * field.q() ** k for k in range(rng.randint(1, 3))), zero)
+            return num / rng.choice((1,) + pool)
         # non-integral entries make the denominator grow along a word
         return field.from_cyc([Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7))) for _ in range(deg)])
 
-    for N, w, n in ((2, 1, 3), (3, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 3)):
-        m = N ** w
-        table = column_table(MatrixF(m, m, [entry(0.3) for _ in range(m * m)], field))
-        generic = (table[0], None)
-        assert table[1] is not None
-        slots = range(1, n - w + 2)
-        for trial in range(4):
-            vec = [zero] * N ** n if trial == 0 else [entry(0.4) for _ in range(N ** n)]
-            words = [tuple(rng.choice(slots) for _ in range(rng.randint(0, 3))) for _ in range(3)]
-            c = entry(0)
-            terms = list(zip(words, (None, entry(0), entry(0.5)))) + [(words[1], c), (words[1], -c)]
-            for ts in (terms, terms[:1], terms[-2:], []):
-                got = _act(table, N, ts, vec, zero)
-                assert got == _act(generic, N, ts, vec, zero), (N, w, n, ts)
-                assert len(got) == N ** n and all(x.field is field for x in got)
-            # the last two terms cancel
-            assert all(x.is_zero() for x in _act(table, N, terms[-2:], vec, zero))
+    # rational functions grow fast along a word in the generic branch, so ratfunc_q takes the smaller cases
+    shapes = ((2, 1, 3), (3, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 3))
+    if ratfunc:
+        shapes = shapes[:3] if field.order == 1 else shapes[:1]
+    for pool in pools:
+        for N, w, n in shapes:
+            m = N ** w
+            table = column_table(MatrixF(m, m, [entry(0.3) for _ in range(m * m)], field))
+            generic = (table[0], None)
+            assert table[1] is not None
+            slots = range(1, n - w + 2)
+            for trial in range(4):
+                vec = [zero] * N ** n if trial == 0 else [entry(0.4) for _ in range(N ** n)]
+                words = [tuple(rng.choice(slots) for _ in range(rng.randint(0, 3))) for _ in range(3)]
+                c = entry(0)
+                terms = list(zip(words, (None, entry(0), entry(0.5)))) + [(words[1], c), (words[1], -c)]
+                for ts in (terms, terms[:1], terms[-2:], []):
+                    got = _act(table, N, ts, vec, zero)
+                    want = _act(generic, N, ts, vec, zero)
+                    assert got == want, (N, w, n, ts)
+                    assert list(map(hash, got)) == list(map(hash, want))
+                    assert len(got) == N ** n and all(x.field is field for x in got)
+                # the last two terms cancel
+                assert all(x.is_zero() for x in _act(table, N, terms[-2:], vec, zero))
+                if ratfunc and w == 1 and trial:
+                    A = MatrixF(N, N, [entry(0.3) for _ in range(N * N)], field)
+                    power = [(range(1, n + 1), None)]
+                    assert apply_power(A, n, vec) == _act((column_table(A)[0], None), N, power, vec, zero)
+
+
+RATFUNC_SYMMETRIES = {
+    "dj2": lambda: dj_standard(2),
+    "dj3": lambda: dj_standard(3),
+    "dj4": lambda: dj_standard(4),
+    "dj2-conj-generic": lambda: _conjugate(2, GENERIC_Q, 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATFUNC_SYMMETRIES))
+def test_packed_ratfunc_action_of_hecke_elements(case):
+    sym = RATFUNC_SYMMETRIES[case]()
+    table, F = sym._column_table(), sym.field
+    generic, zero = (table[0], None), F.zero()
+    rng = random.Random("ratfunc:" + case)
+    for n, pool in zip((2, 3, 3), _ratfunc_pools(F)):
+        if sym.N ** n > 64:
+            n = 2
+        dens = (1,) + pool
+        extra = [((n - 1,), (q - 1) / (q + 1)), ((), q ** -2), ((1, n - 1), q / (q + 1) ** 2)]
+        for terms in ([(word, c) for _p, word, c in antisymmetrizer(n, F).field_terms()], extra):
+            vec = [zero if rng.random() < 0.3 else (rng.randint(-3, 3) * q + rng.randint(-3, 3)) / rng.choice(dens) for _ in range(sym.N ** n)]
+            got = _act(table, sym.N, terms, vec, zero)
+            want = _act(generic, sym.N, terms, vec, zero)
+            assert got == want and list(map(hash, got)) == list(map(hash, want)), (case, n)
+
+
+def test_unit_vectors_unpack_without_gcd(monkeypatch):
+    from heckesym import exactnum
+
+    sym = dj_standard(3)
+    F = sym.field
+    zero, one = F.zero(), F.one()
+    units = [[one if k == j else zero for k in range(27)] for j in range(27)]
+    elements = [[(word, c) for _p, word, c in antisymmetrizer(3, F).field_terms()], [((1, 2, 1), None), ((2,), q - 1), ((), -q)]]
+    calls = []
+    real = exactnum._pmonic_scale
+    monkeypatch.setattr(exactnum, "_pmonic_scale", lambda *a: calls.append(a) or real(*a))
+    for terms in elements:
+        for e in units:
+            _act(sym._column_table(), 3, terms, e, zero)
+    assert calls == []
 
 
 def test_packed_action_keeps_the_validations():
@@ -503,6 +571,12 @@ def test_packed_action_keeps_the_validations():
         apply_slots(A, 1, 2, (C3.one(),) * 8, rat.zero())
     with pytest.raises(ValueError):
         apply_power(MatrixF.identity(2, rat), 3, (C3.one(),) * 8)
+    # the same over ratfunc_q: a vector or a coefficient from another field
+    A = column_table(MatrixF.identity(4, F))
+    Fq3 = FieldSpec("ratfunc_q", 3)
+    for vec, terms in (((Fq3.one(),) * 8, [((1,), None)]), ((C3.one(),) * 8, [((1,), None)]), ((F.one(),) * 8, [((1,), Fq3.q())])):
+        with pytest.raises(ValueError):
+            _act(A, 2, terms, vec, F.zero())
     sym = dj_standard(2, rat)
     for call in (
         lambda: sym.apply_generator(2, 2, (rat.one(),) * 4),
