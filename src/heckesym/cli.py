@@ -19,6 +19,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -37,8 +38,7 @@ from .frobenius import (
     verify_operator_identities,
 )
 from .heckealg import verify_identities
-# obstruction and regular3 are imported by the commands that use them, so
-# that no other command loads them
+# obstruction and regular3 load only in the commands that use them
 from .multipoly import PolyRing
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, SymmetryError, dj_standard, flip
@@ -422,12 +422,13 @@ def _attach_signed_values(argv: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # only the named command's parser is built, and no reference to it
-    # outlives parsing, so the young-generation collector frees its
-    # reference cycles before the report runs
+    # only the named command's parser is built; no reference to it outlives
+    # parsing, and collecting the young generation frees its reference
+    # cycles before the report runs
     argv = sys.argv[1:] if argv is None else argv
     only = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(only).parse_args(_attach_signed_values(argv))
+    gc.collect(0)
     t0 = time.monotonic()
     try:
         code = args.handler(args)
