@@ -25,7 +25,8 @@ recorded by `_record_equal`; a failing one names the first nonzero entry of
 lhs - rhs as "entry (i,j) = ...".  f is read off the row of rep(y_n) at the
 first nonzero coordinate of t, one action of y_n under R^t; the rank-one
 action y_n u = [n-1]!_q f(u) t follows from t spanning upsilon(n)
-(`f_functional`), so f needs no N^n x N^n matrix.
+(`f_functional`), so f needs no N^n x N^n matrix.  Pairing values and
+`functional.kernel` are proportionality tests (`linalg.first_minor`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exactnum import FieldSpec, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import antisymmetrizer, coset_y, shift_element
-from .linalg import MatrixF, Subspace, vec_combination, vec_is_zero, vec_scale, vec_sub
+from .linalg import MatrixF, Subspace, first_minor, vec_combination, vec_is_zero, vec_pivot, vec_scale, vec_sub
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, _vanishes, apply_power, kron_vec
@@ -96,20 +97,11 @@ def top_component(sym: HeckeSymmetry, n_max: Optional[int] = None) -> Tuple[int,
     )
 
 
-def _scalar_multiple_of_t(sym: HeckeSymmetry, v: Sequence, t: Sequence, pivot: int) -> Scalar:
-    """The scalar c with v = c t, checked where v or t is nonzero; raises if v is not a multiple of t."""
-    c = v[pivot]
-    for x, y in zip(v, t):
-        if (not x.is_zero() or not y.is_zero()) and x != c * y:
-            raise DegeneratePairing("vector is not a multiple of the top tensor")
-    return c
-
-
-def _pivot(t: Sequence) -> int:
-    for i, x in enumerate(t):
-        if not x.is_zero():
-            return i
-    raise ValueError("zero top tensor")
+def _scalar_multiple_of_t(v: Sequence, t: Sequence, pivot: int) -> Scalar:
+    """The scalar c with v = c t, t nonzero at pivot; raises if v is not a multiple of t."""
+    if first_minor(v, t) is not None:
+        raise DegeneratePairing("vector is not a multiple of the top tensor")
+    return v[pivot] / t[pivot]
 
 
 def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
@@ -122,14 +114,14 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
         raise DegeneratePairing(
             "dim upsilon(%d) = %d != %d = dim upsilon(%d)" % (k, len(left), len(right), n - k)
         )
-    piv = _pivot(t)
+    piv = vec_pivot(t)
     y = coset_y(n, k, n - k, sym.field)
     rows = []
     for u in left:
         row = []
         for w in right:
             prod = sym.apply_hecke(y, n, kron_vec(u, w, sym.field)) if k not in (0, n) else kron_vec(u, w, sym.field)
-            row.append(_scalar_multiple_of_t(sym, prod, t, piv))
+            row.append(_scalar_multiple_of_t(prod, t, piv))
         rows.append(row)
     B = MatrixF.from_rows(rows, sym.field)
     if B.det().is_zero():
@@ -141,7 +133,7 @@ def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, Matrix
     """The operators theta and theta_bar, with theta_bar theta = q^(n+1) Id."""
     N = sym.N
     field = sym.field
-    piv = _pivot(t)
+    piv = vec_pivot(t)
     fwd_word = cycle(n + 1, 1, n + 1).reduced_word()
     bwd_word = cycle(1, n + 1, n + 1).reduced_word()
     theta_cols = []
@@ -222,7 +214,7 @@ def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
     U = sym.upsilon(n)
     if U.dim != 1 or not U.contains(t):
         raise DegeneratePairing("y_n action is not rank one onto the top line")
-    piv = _pivot(t)
+    piv = vec_pivot(t)
     unit = [field.one() if k == piv else field.zero() for k in range(len(t))]
     row = sym._transpose().apply_hecke(antisymmetrizer(n, field), n, unit)
     return vec_scale((norm * t[piv]).inverse(), row)
@@ -472,16 +464,17 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             (psi * values.transpose()).scale(field.scalar(sign) * q),
             theta,
         )
-        # kernel of f is the kernel of the antisymmetrizer action: rep(y_n) has rank one, so
-        # that is the kernel of its row at the pivot of the canonical top tensor, read afresh
-        ker_f = MatrixF.from_rows([f], field).kernel()
-        ker_y = MatrixF.from_rows([f_functional(sym, n, sym.upsilon(n).basis[0])], field).kernel()
-        ok = ker_f == ker_y
-        if ok or ker_f.dim != ker_y.dim:
-            witness = "" if ok else "dimensions %d vs %d" % (ker_f.dim, ker_y.dim)
+        # rep(y_n) has rank one: ker f = ker g for its row g at the pivot of t, read afresh, iff f = c g
+        # with c != 0; the witness is f[j] g[p] - f[p] g[j] at the pivot p of g, g if f[p] = 0, f if g = 0
+        g = f_functional(sym, n, sym.upsilon(n).basis[0])
+        if vec_is_zero(g):
+            witness = _vanishes(MatrixF.from_rows([f], field))[1]
+        elif f[vec_pivot(g)].is_zero():
+            witness = _vanishes(MatrixF.from_rows([g], field))[1]
         else:
-            witness = _vanishes(MatrixF.from_rows(ker_f.basis, field) - MatrixF.from_rows(ker_y.basis, field))[1]
-        report.record("functional.kernel", "ker f = ker rep(y_n)", ok, witness)
+            minor = first_minor(f, g)
+            witness = "" if minor is None else "entry (0,%d) = %s" % (minor[0], format_scalar(minor[1]))
+        report.record("functional.kernel", "ker f = ker rep(y_n)", not witness, witness)
     return report
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, qfact
 from .permgroup import (
     MAX_ENUM_DEGREE,
     Composition,
@@ -121,14 +121,6 @@ def _plus_qm1(c: ZPoly, h: ZPoly) -> ZPoly:
 def _monomial(k: int, sign: int = 1) -> ZPoly:
     """sign * q^k."""
     return (0,) * k + (sign,)
-
-
-def _qfact(n: int) -> ZPoly:
-    """[n]!_q = prod_(k=1..n) (1 + q + ... + q^(k-1))."""
-    out = (1,)
-    for k in range(1, n + 1):
-        out = _pmul(out, (1,) * k)
-    return out
 
 
 def _zq(value) -> ZPoly:
@@ -512,7 +504,7 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
         y = antisymmetrizer(n, field)
         tab = _degree(n)
 
-        eq("square.n%d" % n, "y_n^2 = [n]!_q y_n", y * y, y._times(_qfact(n)))
+        eq("square.n%d" % n, "y_n^2 = [n]!_q y_n", y * y, y.scale(qfact(n)))
 
         for i in range(1, n):
             Ti = generator(i, n, field)

@@ -6,7 +6,8 @@ intersections need a field; determinants also work over polynomial rings,
 by a cofactor expansion memoized over column subsets.
 
 Subspaces of k^D are stored as the nonzero rows of a reduced row echelon
-form, so equal subspaces have identical bases and == is structural.
+form, so equal subspaces have identical bases and == is structural.  By
+duality, U cap W is the annihilator of ann(U) + ann(W).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .exactnum import FieldSpec
 from .multipoly import PolyRing
 
-__all__ = ["MatrixF", "Subspace", "vec_sub", "vec_scale", "vec_is_zero", "vec_combination"]
+__all__ = ["MatrixF", "Subspace", "vec_sub", "vec_scale", "vec_is_zero", "vec_pivot", "vec_combination", "first_minor"]
 
 Domain = Union[FieldSpec, PolyRing]
 
@@ -38,6 +39,24 @@ def vec_scale(c, u: Sequence):
 
 def vec_is_zero(u: Sequence) -> bool:
     return all(x.is_zero() for x in u)
+
+
+def vec_pivot(u: Sequence) -> int:
+    """The first nonzero coordinate of u; raises ValueError if there is none."""
+    for i, x in enumerate(u):
+        if not x.is_zero():
+            return i
+    raise ValueError("a zero vector has no pivot")
+
+
+def first_minor(u: Sequence, v: Sequence) -> Optional[tuple]:
+    """(i, u[i] v[p] - u[p] v[i]) for the first nonzero such minor, p the pivot of v, or None
+    when u is a multiple of v; one pass, no division; ValueError for a zero v."""
+    p = vec_pivot(v)
+    for i, (x, y) in enumerate(zip(u, v)):
+        if not (x.is_zero() and y.is_zero()) and x * v[p] != u[p] * y:
+            return i, x * v[p] - u[p] * y
+    return None
 
 
 def vec_combination(coeffs: Sequence, vectors: Sequence[Sequence], zero) -> tuple:
@@ -407,13 +426,7 @@ class Subspace:
         return not self.basis
 
     def pivots(self) -> Tuple[int, ...]:
-        out = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    out.append(j)
-                    break
-        return tuple(out)
+        return tuple([vec_pivot(row) for row in self.basis])
 
     def contains(self, vector: Sequence) -> bool:
         return self.coordinates(vector) is not None
@@ -447,24 +460,9 @@ class Subspace:
         return Subspace.from_vectors(list(self.basis) + list(other.basis), self.ambient, self.domain)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The annihilator of the sum of the two annihilators."""
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient, self.domain)
-        # columns are the two bases, the second negated; kernel couples them
-        cols = [tuple(v) for v in self.basis] + [vec_scale(-self.domain.one(), v) for v in other.basis]
-        stacked = MatrixF.from_rows(cols, self.domain).transpose()
-        combos = stacked.kernel()
-        r = self.dim
-        vectors = []
-        for combo in combos.basis:
-            w = [self.domain.zero()] * self.ambient
-            for c, basis_row in zip(combo[:r], self.basis):
-                if not c.is_zero():
-                    for j, x in enumerate(basis_row):
-                        if not x.is_zero():
-                            w[j] = w[j] + c * x
-            vectors.append(tuple(w))
-        return Subspace.from_vectors(vectors, self.ambient, self.domain)
+        return self.annihilator().sum(other.annihilator()).annihilator()
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient or self.domain != other.domain:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
-from .linalg import MatrixF
+from .linalg import MatrixF, first_minor
 from .multipoly import MultiPoly, PolyRing
 from .report import CheckReport
 from .symmetry import apply_power, tensor_index
@@ -609,7 +609,7 @@ def preserves_relations(theta: MatrixF, p: SklParameters) -> Tuple[bool, Optiona
     """
     t = skl_tensor(p)
     img = apply_power(theta, 3, t, p.domain.zero())
-    line_stable = _proportional(img, t)
+    line_stable = first_minor(img, t) is None
     det_twisted: Optional[bool] = None
     if p.a != p.b:
         if isinstance(p.domain, PolyRing):
@@ -627,15 +627,6 @@ def preserves_relations(theta: MatrixF, p: SklParameters) -> Tuple[bool, Optiona
             sub[name] = acc
         det_twisted = ts.substitute(sub) == ring.const(theta.det()) * ts
     return line_stable, det_twisted
-
-
-def _proportional(u: Sequence, v: Sequence) -> bool:
-    """u and v span the same line (or u = 0)."""
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
 
 
 def inflection_points(field: Optional[FieldSpec] = None) -> List[tuple]:

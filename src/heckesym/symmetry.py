@@ -29,7 +29,8 @@ the quadratic relation and the braid defect -- is one sum of c * A_word(v)
 over slot-local steps (_act).  A Scalar v is packed once into integer
 numerators over one denominator (integer polynomials in q at q = 2^B over
 ratfunc_q), steps on Python ints with the multiplication matrices of R's
-entries (packed once per symmetry) and is unpacked once.
+entries (packed once per symmetry) and is unpacked once.  A ring vector is
+the same layout with one component over denominator 1, on R's entries.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -107,26 +108,25 @@ def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
 
 
 def column_table(A: MatrixF) -> tuple:
-    """The nonzero entries of each column of A, as (generic, packed) tables.
+    """The nonzero entries of each column of A, as (ring, packed) tables.
 
-    generic[j] lists (i, A[i, j]), with None for an entry equal to one.
-    packed is None unless A is over a FieldSpec, else (field, D, cols, norm):
-    cols[b][j] lists (a, i, M[a][b]) over the nonzero entries of the matrix M
-    of D * A[i, j] (exactnum.mul_matrices); over ratfunc_q, norm bounds one
-    step: the largest sum of absolute coefficients a target coordinate gathers.
+    In both, cols[b][j] lists (a, i, coeff): column j sends component b to
+    component a of row i, times coeff.  ring has one component, coeff A[i, j].
+    packed is None unless A is over a FieldSpec, else (field, D, cols, norm)
+    with coeff M[a][b] for the matrix M of D * A[i, j] (exactnum.mul_matrices);
+    over ratfunc_q, norm bounds the coefficient sum one step gathers per target.
     """
-    one = A.domain.one()
-    generic = [[(i, None if A[i, j] == one else A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]
+    ring = [[[(0, i, A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]]
     field = A.domain
     if not isinstance(field, FieldSpec):
-        return generic, None
+        return ring, None
     den, mats = mul_matrices(field, A.entries)
     d = len(mats[0])
     cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in range(d) if M[a][b]] for j in range(A.cols)] for b in range(d)]
     gathered = {}
     for a, i, p in (e for col in cols for entries in col for e in entries if field.kind == "ratfunc_q"):
         gathered[a, i] = gathered.get((a, i), 0) + sum(map(abs, p))
-    return generic, (field, den, cols, max(gathered.values(), default=0))
+    return ring, (field, den, cols, max(gathered.values(), default=0))
 
 
 def _tail(first: int, width: int, N: int, length: int) -> int:
@@ -137,24 +137,8 @@ def _tail(first: int, width: int, N: int, length: int) -> int:
     return tail
 
 
-def _step(cols: Sequence, first: int, N: int, vec: Sequence, zero) -> list:
-    """One generic operator step, visiting only the nonzero coordinates of vec."""
-    width = len(cols)
-    tail = _tail(first, width, N, len(vec))
-    out = [zero] * len(vec)
-    for idx, x in enumerate(vec):
-        if x.is_zero():
-            continue
-        local = (idx // tail) % width
-        base = idx - local * tail
-        for row, coeff in cols[local]:
-            tgt = base + row * tail
-            out[tgt] = out[tgt] + (x if coeff is None else coeff * x)
-    return out
-
-
 def _int_step(cols: Sequence, first: int, N: int, comps: list) -> list:
-    """One packed operator step on the integer components of a packed vector."""
+    """One operator step on the components (ints, or ring elements) of a packed vector; unreached coordinates read 0."""
     width, length = len(cols[0]), len(comps[0])
     tail = _tail(first, width, N, length)
     outs = [[0] * length for _ in comps]
@@ -176,38 +160,32 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
     word[-2] on, and so on.  A Scalar vec is packed once (exactnum.pack or
     pack_q), steps on integers and is unpacked once over one denominator; over
     ratfunc_q the integers are integer polynomials at q = 2^B, B bounded by
-    vec, the c and norm so that every coefficient reads back.  MultiPoly
-    vectors step on their own arithmetic; zero is that of vec's domain.
+    vec, the c and norm so that every coefficient reads back.  Any other vec
+    is one component over denominator 1 on the ring table; zero is its domain's.
     """
-    generic, packed = table
-    if packed is None or not isinstance(zero, Scalar):
-        out = None
-        for word, c in terms:
-            y = vec
-            for first in reversed(word):
-                y = _step(generic, first, N, y, zero)
-            if c is not None:
-                y = [x if x.is_zero() else c * x for x in y]
-            out = y if out is None else [a if b.is_zero() else a + b for a, b in zip(out, y)]
-        return (zero,) * len(vec) if out is None else tuple(out)
-    field, D, cols, norm = packed
-    ratfunc = field.kind == "ratfunc_q"
-    top = max([len(word) for word, _c in terms], default=0)
-    # a word shorter than top gets D^(top - len(word)) in its coefficient
-    Ds = Scalar(field, D, (field._ctx().one,)) if ratfunc else D
-    coeffs = [field.one() if c is None else c for _w, c in terms]
-    if Ds != 1:
-        coeffs = [c * Ds ** (top - len(word)) for (word, _c), c in zip(terms, coeffs)]
-    cden, mats = mul_matrices(field, coeffs)
-    if ratfunc:
-        den, comps = pack_q(field, vec)
-        # each row of a term's matrix times norm^len(word) bounds its share of a coefficient
-        bound = sum(max(sum(sum(map(abs, p)) for p in row) for row in M) * norm ** len(word) for (word, _c), M in zip(terms, mats))
-        bits = (bound * max([abs(c) for ps in comps for p in ps for c in p], default=0)).bit_length() + 1
-        comps, *mats = [[[at_power_of_two(p, bits) if p else 0 for p in row] for row in M] for M in [comps] + mats]
-        cols = [[[(a, i, at_power_of_two(p, bits)) for a, i, p in entries] for entries in col] for col in cols]
+    ring, packed = table
+    field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
+    if field is None:
+        cols, comps, mats = ring, [list(vec)], [[[1 if c is None else c]] for _w, c in terms]
     else:
-        den, comps = pack(field, vec)
+        _field, D, cols, norm = packed
+        ratfunc = field.kind == "ratfunc_q"
+        top = max([len(word) for word, _c in terms], default=0)
+        # a word shorter than top gets D^(top - len(word)) in its coefficient
+        Ds = Scalar(field, D, (field._ctx().one,)) if ratfunc else D
+        coeffs = [field.one() if c is None else c for _w, c in terms]
+        if Ds != 1:
+            coeffs = [c * Ds ** (top - len(word)) for (word, _c), c in zip(terms, coeffs)]
+        cden, mats = mul_matrices(field, coeffs)
+        if ratfunc:
+            den, comps = pack_q(field, vec)
+            # each row of a term's matrix times norm^len(word) bounds its share of a coefficient
+            bound = sum(max(sum(sum(map(abs, p)) for p in row) for row in M) * norm ** len(word) for (word, _c), M in zip(terms, mats))
+            bits = (bound * max([abs(c) for ps in comps for p in ps for c in p], default=0)).bit_length() + 1
+            comps, *mats = [[[at_power_of_two(p, bits) if p else 0 for p in row] for row in M] for M in [comps] + mats]
+            cols = [[[(a, i, at_power_of_two(p, bits)) for a, i, p in entries] for entries in col] for col in cols]
+        else:
+            den, comps = pack(field, vec)
     out = [[0] * len(vec) for _ in comps]
     for (word, _c), M in zip(terms, mats):
         y = comps
@@ -219,6 +197,8 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
                     for k, x in enumerate(ys):
                         if x:
                             acc[k] += m * x
+    if field is None:
+        return tuple([x if x else zero for x in out[0]])
     if ratfunc:
         return unpack_q(field, out, [den, cden] + [D] * top, bits)
     return unpack(field, out, den * cden * D ** top)

@@ -1,8 +1,11 @@
 import dataclasses
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from heckesym import frobenius
 from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
@@ -19,8 +22,9 @@ from heckesym.frobenius import (
     trace_table,
     verify_operator_identities,
 )
+from heckesym.exprio import format_scalar
 from heckesym.heckealg import antisymmetrizer, partial_y
-from heckesym.linalg import MatrixF, vec_scale
+from heckesym.linalg import MatrixF, vec_is_zero, vec_pivot, vec_scale
 from heckesym.permgroup import Composition
 from heckesym.symmetry import HeckeSymmetry, dj_standard, flip, kron_vec
 from test_symmetry import _conjugate, _rational_q, kron_power
@@ -501,13 +505,62 @@ def test_failing_identities_name_an_entry(prof2):
 
 @pytest.mark.parametrize("field", [GENERIC_Q, cyclotomic_field(3)], ids=["ratfunc_q", "cyclotomic-3"])
 def test_scalar_multiple_of_t_compares_the_nonzero_coordinates(field):
-    sym = dj_standard(2, field) if field.kind == "ratfunc_q" else dj_standard(2, field.with_q(field.e()))
     zero, one = field.zero(), field.one()
     c = field.scalar(3) if field.kind != "ratfunc_q" else field.q() + 1
     t = (zero, one, field.scalar(-2), zero)
     v = vec_scale(c, t)
-    assert _scalar_multiple_of_t(sym, v, t, 1) == c
+    assert _scalar_multiple_of_t(v, t, 1) == c
     # v differs from c t only where t is zero, or only where v is zero
     for w in (v[:3] + (one,), v[:2] + (zero,) + v[3:]):
         with pytest.raises(DegeneratePairing):
-            _scalar_multiple_of_t(sym, w, t, 1)
+            _scalar_multiple_of_t(w, t, 1)
+
+
+def _dense_kernel_check(f, g, field):
+    """ker f = ker g compared as two row-reduced kernel bases (the reference for functional.kernel)."""
+    return MatrixF.from_rows([f], field).kernel() == MatrixF.from_rows([g], field).kernel()
+
+
+KERNEL_CASES = {
+    "dj2": lambda: analyze(dj_standard(2)),
+    "dj2-conj-cyc3": lambda: analyze(_conjugate(2, cyclotomic_field(3, q_power=1), 12)),
+    "dj3": lambda: analyze(dj_standard(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_check_matches_dense_kernels(case, monkeypatch):
+    prof = KERNEL_CASES[case]()
+    field, g0 = prof.field, prof.f
+    zero = (field.zero(),) * len(g0)
+    rng = random.Random("kernel:" + case)
+    p = vec_pivot(g0)
+
+    def moved(v, k, d):
+        return tuple(x + d if i == k else x for i, x in enumerate(v))
+
+    pairs = [(g0, g0), (vec_scale(field.scalar(-3), g0), g0), (g0, vec_scale(field.scalar(2), g0)),
+             # a zero f or a zero row of rep(y_n): one kernel is everything
+             (zero, g0), (g0, zero), (zero, zero),
+             # f vanishes at the pivot of the row, and is nonzero elsewhere
+             (moved(g0, p, -g0[p]), g0), (moved(zero, len(g0) - 1, field.one()), g0)]
+    pairs += [(moved(g0, rng.randrange(len(g0)), field.scalar(rng.choice((-1, 2)))), g0) for _ in range(4)]
+    for f, g in pairs:
+        monkeypatch.setattr(frobenius, "f_functional", lambda *args: g)
+        report = verify_operator_identities(dataclasses.replace(prof, f=f))
+        check = next(c for c in report.checks if c.name == "functional.kernel")
+        assert (check.status == "pass") == _dense_kernel_check(f, g, field), (f, g)
+        if check.status == "pass":
+            assert check.detail == ""
+            continue
+        # the witness: coordinate j of a vector in one kernel and the other covector's value there
+        j, text = re.fullmatch(r"entry \(0,(\d+)\) = (.*)", check.detail).groups()
+        j = int(j)
+        if vec_is_zero(g):
+            value = f[j]
+        elif f[vec_pivot(g)].is_zero():
+            value = g[j]
+        else:
+            pg = vec_pivot(g)
+            value = f[j] * g[pg] - f[pg] * g[j]
+        assert not value.is_zero() and text == format_scalar(value), (f, g, check.detail)

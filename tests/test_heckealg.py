@@ -244,6 +244,30 @@ def test_antisymmetrizer_square_matches_oracle(field):
         assert {p: c for p, _w, c in (y * y).field_terms()} == _oracle_mul(terms, terms, n, field)
 
 
+def _qfact(n):
+    """[n]!_q as an integer tuple, low degree first: the product of the [k]_q = (1,) * k (the reference for qfact)."""
+    out = (1,)
+    for k in range(1, n + 1):
+        prod = [0] * (len(out) + k - 1)
+        for i, x in enumerate(out):
+            for j in range(i, i + k):
+                prod[j] += x
+        out = tuple(prod)
+    return out
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_square_scales_by_the_q_factorial(field):
+    for n in range(7):
+        assert qfact(n) == sum((c * q ** k for k, c in enumerate(_qfact(n))), F.zero())
+        y = antisymmetrizer(n, field)
+        assert y.scale(qfact(n)).terms == y._times(_qfact(n)).terms
+        if n <= 4:
+            assert y * y == y.scale(qfact(n))
+    report = verify_identities(4, field)
+    assert report.ok and [c.name for c in report.checks if c.name.startswith("square.")] == ["square.n%d" % n for n in range(1, 5)]
+
+
 def test_coefficients_must_lie_in_zq():
     p = Perm((2, 1))
     for bad in (Fraction(1, 2), F.scalar(Fraction(1, 3)), q.inverse(), (1 + q).inverse(), cyclotomic_field(3).e(), "q"):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import FieldSpec, GENERIC_Q
-from heckesym.linalg import MatrixF, Subspace
+from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field
+from heckesym.linalg import MatrixF, Subspace, first_minor, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
 
 F = FieldSpec("rational")
@@ -134,3 +134,65 @@ def test_shape_errors():
             line.coordinates(vec)
         with pytest.raises(ValueError, match="ambient mismatch"):
             line.contains(vec)
+
+
+def _stacked_intersect(U, V):
+    """U cap V from the kernel of the stacked bases [U; -V] (the reference for intersect)."""
+    if U.is_zero() or V.is_zero():
+        return Subspace.zero(U.ambient, U.domain)
+    cols = [tuple(v) for v in U.basis] + [vec_scale(-U.domain.one(), v) for v in V.basis]
+    combos = MatrixF.from_rows(cols, U.domain).transpose().kernel()
+    vectors = []
+    for combo in combos.basis:
+        w = [U.domain.zero()] * U.ambient
+        for c, row in zip(combo[: U.dim], U.basis):
+            for j, x in enumerate(row):
+                w[j] = w[j] + c * x
+        vectors.append(tuple(w))
+    return Subspace.from_vectors(vectors, U.ambient, U.domain)
+
+
+@pytest.mark.parametrize("field", [F, cyclotomic_field(3), GENERIC_Q], ids=["rational", "cyclotomic-3", "ratfunc_q"])
+def test_intersect_matches_stacked_kernel(field):
+    rng = random.Random("intersect:%s" % field.kind)
+    gen = field.q() if field.kind == "ratfunc_q" else field.e() if field.kind == "cyclotomic" else field.one()
+
+    def vector(amb):
+        return tuple(field.scalar(rng.choice((0, 0, 1, -1, 2))) + field.scalar(rng.randint(-1, 1)) * gen for _ in range(amb))
+
+    # rational functions in q grow fast under row reduction, so ratfunc_q takes the smaller cases
+    ratfunc = field.kind == "ratfunc_q"
+    for amb in (1, 3, 4) if ratfunc else (1, 3, 5):
+        spaces = [Subspace.zero(amb, field), Subspace.full(amb, field)]
+        spaces += [Subspace.from_vectors([vector(amb) for _ in range(rng.randint(1, amb))], amb, field) for _ in range(3)]
+        # a shared vector makes the intersection nonzero more often than chance
+        shared = vector(amb)
+        spaces += [Subspace.from_vectors([shared] + [vector(amb) for _ in range(rng.randint(0, amb - 1))], amb, field) for _ in range(2)]
+        for U in spaces:
+            for V in spaces:
+                got = U.intersect(V)
+                assert got == _stacked_intersect(U, V), (amb, U, V)
+                assert U.contains_subspace(got) and V.contains_subspace(got)
+                assert got.dim + U.sum(V).dim == U.dim + V.dim
+
+
+def test_first_minor_and_pivot():
+    one, zero, two = F.one(), F.zero(), F.scalar(2)
+    v = (zero, two, one, zero)
+    assert vec_pivot(v) == 1
+    assert first_minor(vec_scale(F.scalar(-3), v), v) is None
+    assert first_minor((zero,) * 4, v) is None
+    # u is nonzero only where v vanishes: the minor at 0 is u[0] v[1] - u[1] v[0] = 2
+    assert first_minor((one, zero, zero, zero), v) == (0, two)
+    assert first_minor((zero, zero, zero, one), v) == (3, two)
+    # the same line through another pivot value
+    assert first_minor((zero, one, two, zero), v) == (2, F.scalar(3))
+    # a zero v has no pivot: ValueError, not a leaked StopIteration
+    for call in (lambda: vec_pivot((zero, zero)), lambda: first_minor((one, zero), (zero, zero)), lambda: vec_pivot(())):
+        with pytest.raises(ValueError):
+            call()
+    # polynomial entries, with no division
+    ring = PolyRing(("a", "b"))
+    a, b = ring.vars()
+    assert first_minor((a * b, a * a, ring.zero()), (b, a, ring.zero())) is None
+    assert first_minor((a * b, a * a, ring.one()), (b, a, ring.zero())) == (2, b)

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from heckesym.exactnum import FieldSpec, PoleError, cyclotomic_field, primitive_root
-from heckesym.linalg import MatrixF
+from heckesym.linalg import MatrixF, first_minor
 from heckesym.multipoly import PolyRing
 from heckesym.regular3 import (
     ProjectiveElement,
@@ -31,6 +32,7 @@ from heckesym.regular3 import (
     transform_point,
     translation_subgroup,
 )
+from heckesym.symmetry import apply_power
 
 Q = FieldSpec("rational")
 
@@ -228,6 +230,45 @@ def test_preserves_relations_numeric():
     p_eq = SklParameters.numeric(1, 1, 2, field)
     ok, twisted = preserves_relations(gens["swap"].matrix, p_eq)
     assert ok and twisted is None
+
+
+def _proportional(u, v):
+    """u and v span the same line, or u = 0: every 2x2 minor vanishes (the reference for the line test)."""
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            if u[i] * v[j] != u[j] * v[i]:
+                return False
+    return True
+
+
+def test_line_test_matches_all_minors():
+    ring = PolyRing(("a", "b"), order=3)
+    a, b = ring.vars()
+    C3 = cyclotomic_field(3)
+    small = lambda rng: rng.choice((0, 0, 1, -1, 2, 3))
+    entries = {
+        "rational": lambda rng: Q.scalar(Fraction(small(rng), rng.choice((1, 2)))),
+        "cyclotomic3": lambda rng: small(rng) * C3.one() + small(rng) * C3.e(),
+        "polyring": lambda rng: small(rng) * a + small(rng) * b * b + small(rng) * ring.one(),
+    }
+    for name, entry in entries.items():
+        rng = random.Random("line:" + name)
+        for trial in range(80):
+            v = [entry(rng) for _ in range(rng.randint(1, 6))]
+            if all(x.is_zero() for x in v):
+                continue
+            u = [entry(rng) * x for x in v] if trial % 4 else [entry(rng) for _ in v]
+            if trial % 4 == 1:
+                k = rng.randrange(len(u))
+                u[k] = u[k] + entry(rng)
+            assert (first_minor(u, v) is None) == _proportional(u, v), (name, u, v)
+    # preserves_relations against the all-minors test on theta^(x)3 (t)
+    field = hessian_field()
+    for triple in ((1, 2, 1), (1, 1, 2), (0, 1, 3), (2, -1, 0)):
+        p = SklParameters.numeric(*triple, field)
+        t = skl_tensor(p)
+        for g in hessian_generators().values():
+            assert preserves_relations(g.matrix, p)[0] == _proportional(apply_power(g.matrix, 3, t), t), (triple, g)
 
 
 def test_inflection_points(group):

@@ -439,6 +439,13 @@ def test_slot_actions_match_kronecker_reference(case):
         dense = kron_power(I, a).kronecker(A).kronecker(kron_power(I, b))
         vec = tuple(vec_entry(rng) for _ in range(dense.cols))
         assert apply_slots(column_table(A), a + 1, N, vec, zero) == _dense_apply(dense, vec, zero)
+    # a sum of words with coefficients on V^(x)3: 2 A_2 A_1 + c A_3 + Id
+    A, I = MatrixF(2, 2, [entry(rng) for _ in range(4)], domain), MatrixF.identity(2, domain)
+    slot = [kron_power(I, i).kronecker(A).kronecker(kron_power(I, 2 - i)) for i in range(3)]
+    two, c = domain.one() + domain.one(), entry(rng)
+    dense = (slot[1] * slot[0]).scale(two) + slot[2].scale(c) + MatrixF.identity(8, domain)
+    vec = tuple(vec_entry(rng) for _ in range(8))
+    assert _act(column_table(A), 2, [((2, 1), two), ((3,), c), ((), None)], vec, zero) == _dense_apply(dense, vec, zero)
 
 
 def test_slot_action_range_errors():
