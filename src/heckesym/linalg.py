@@ -2,8 +2,9 @@
 
 MatrixF carries its domain (a FieldSpec for field scalars, a PolyRing for
 polynomial entries).  Row reduction, kernels, images, subspace sums and
-intersections need a field; determinants also work over polynomial rings,
-by a cofactor expansion memoized over column subsets.
+intersections need a field; products, Kronecker products (`kron_vec` row by
+row) and determinants also work over polynomial rings, the last by a
+cofactor expansion memoized over column subsets.
 
 Subspaces of k^D are stored as the nonzero rows of a reduced row echelon
 form, so equal subspaces have identical bases and == is structural.  By
@@ -17,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .exactnum import FieldSpec
 from .multipoly import PolyRing
 
-__all__ = ["MatrixF", "Subspace", "vec_sub", "vec_scale", "vec_is_zero", "vec_pivot", "vec_combination", "first_minor"]
+__all__ = ["MatrixF", "Subspace", "kron_vec", "vec_scale", "vec_is_zero", "vec_pivot", "vec_combination", "first_minor"]
 
 Domain = Union[FieldSpec, PolyRing]
 
@@ -29,8 +30,18 @@ def _is_field(domain: Domain) -> bool:
 # -- free functions on plain-sequence vectors
 
 
-def vec_sub(u: Sequence, v: Sequence):
-    return tuple(x - y for x, y in zip(u, v))
+def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
+    """a (x) b: entry i * len(b) + j is a[i] b[j], with no product where either is zero."""
+    zero = domain.zero()
+    out = [zero] * (len(a) * len(b))
+    lb = len(b)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            base = i * lb
+            for j, y in enumerate(b):
+                if not y.is_zero():
+                    out[base + j] = x * y
+    return tuple(out)
 
 
 def vec_scale(c, u: Sequence):
@@ -144,7 +155,8 @@ class MatrixF:
         return MatrixF(self.rows, self.cols, [-a for a in self.entries], self.domain)
 
     def scale(self, c) -> "MatrixF":
-        return MatrixF(self.rows, self.cols, [c * a for a in self.entries], self.domain)
+        """c times the matrix; zero entries are kept, with no product."""
+        return MatrixF(self.rows, self.cols, [a if a.is_zero() else c * a for a in self.entries], self.domain)
 
     def __mul__(self, other: "MatrixF") -> "MatrixF":
         self._check(other, False)
@@ -193,23 +205,10 @@ class MatrixF:
         )
 
     def kronecker(self, other: "MatrixF") -> "MatrixF":
+        """self (x) other: row (i, k) is kron_vec of row i of self and row k of other."""
         self._check(other, False)
-        n, m = self.rows, self.cols
-        p, q = other.rows, other.cols
-        zero = self.domain.zero()
-        out = [zero] * (n * p * m * q)
-        for i in range(n):
-            for j in range(m):
-                a = self.entries[i * m + j]
-                if a.is_zero():
-                    continue
-                for k in range(p):
-                    base = (i * p + k) * (m * q) + j * q
-                    for l in range(q):
-                        b = other.entries[k * q + l]
-                        if not b.is_zero():
-                            out[base + l] = a * b
-        return MatrixF(n * p, m * q, out, self.domain)
+        rows = [kron_vec(a, b, self.domain) for a in self.row_list() for b in other.row_list()]
+        return MatrixF(self.rows * other.rows, self.cols * other.cols, [x for r in rows for x in r], self.domain)
 
     def trace(self):
         if self.rows != self.cols:
@@ -315,9 +314,8 @@ class MatrixF:
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
         n = self.rows
-        aug = MatrixF.from_rows(
-            [self.row(i) + MatrixF.identity(n, self.domain).row(i) for i in range(n)], self.domain
-        )
+        unit = MatrixF.identity(n, self.domain)
+        aug = MatrixF.from_rows([self.row(i) + unit.row(i) for i in range(n)], self.domain)
         R, pivots = aug.rref()
         if tuple(pivots) != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
-from .linalg import MatrixF, first_minor
+from .linalg import MatrixF, first_minor, vec_combination, vec_pivot, vec_scale
 from .multipoly import MultiPoly, PolyRing
 from .report import CheckReport
 from .symmetry import apply_power, tensor_index
@@ -246,17 +246,10 @@ class ProjectiveElement:
 
 
 def _normalize(M: MatrixF) -> MatrixF:
+    """M scaled so that its first nonzero entry is 1."""
     if M.det().is_zero():
         raise ValueError("projective element must be invertible")
-    lead = None
-    for x in M.entries:
-        if not x.is_zero():
-            lead = x
-            break
-    inv = lead.inverse()
-    if inv.is_one():
-        return M
-    return M.scale(inv)
+    return MatrixF(3, 3, _normalize_point(M.entries), M.domain)
 
 
 def _matrix(field: FieldSpec, rows) -> MatrixF:
@@ -580,20 +573,13 @@ def action_on_parameters(tau: ProjectiveElement) -> MatrixF:
     field = tau.matrix.domain
     zero, one = field.zero(), field.one()
     slots = cyclic_slots()
+    basis = [tuple(one if k in w_slots else zero for k in range(27)) for w_slots in slots]
     cols = []
-    for w_slots in slots:
-        vec = [zero] * 27
-        for s in w_slots:
-            vec[s] = one
+    for vec in basis:
         img = apply_power(tau.matrix, 3, vec)
         # read off the (w1, w2, w3) coordinates and verify stability
         coords = [img[slots[r][0]] for r in range(3)]
-        recon = [zero] * 27
-        for r in range(3):
-            if not coords[r].is_zero():
-                for s in slots[r]:
-                    recon[s] = recon[s] + coords[r]
-        if any(img[i] != recon[i] for i in range(27)):
+        if img != vec_combination(coords, basis, zero):
             raise ValueError("the invariant 3-space is not stable under this operator")
         cols.append(coords)
     return MatrixF.from_rows(cols, field).transpose()
@@ -643,11 +629,13 @@ def inflection_points(field: Optional[FieldSpec] = None) -> List[tuple]:
 
 
 def _normalize_point(p: tuple) -> tuple:
-    for x in p:
-        if not x.is_zero():
-            inv = x.inverse()
-            return tuple(inv * y for y in p)
-    raise ValueError("zero point")
+    """p scaled so that its first nonzero coordinate is 1; p itself when that is already 1."""
+    try:
+        pivot = vec_pivot(p)
+    except ValueError:
+        raise ValueError("zero point") from None
+    inv = p[pivot].inverse()
+    return tuple(p) if inv.is_one() else vec_scale(inv, p)
 
 
 def transform_point(g: ProjectiveElement, p: tuple) -> tuple:

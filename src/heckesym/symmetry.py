@@ -46,7 +46,7 @@ from typing import List, Sequence, Tuple
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, at_power_of_two, mul_matrices, pack, pack_q, unpack, unpack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
-from .linalg import MatrixF, Subspace, vec_is_zero
+from .linalg import MatrixF, Subspace, kron_vec
 from .multipoly import MultiPoly
 from .permgroup import Perm
 
@@ -62,7 +62,6 @@ __all__ = [
     "index_word",
     "kron_vec",
     "column_table",
-    "apply_slots",
     "apply_power",
     "TENSOR_DIM_CAP",
     "REP_DIM_CAP",
@@ -92,19 +91,6 @@ def index_word(idx: int, n: int, N: int) -> Tuple[int, ...]:
         out.append(idx % N + 1)
         idx //= N
     return tuple(reversed(out))
-
-
-def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
-    zero = domain.zero()
-    out = [zero] * (len(a) * len(b))
-    lb = len(b)
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            base = i * lb
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[base + j] = x * y
-    return tuple(out)
 
 
 def column_table(A: MatrixF) -> tuple:
@@ -137,11 +123,11 @@ def _tail(first: int, width: int, N: int, length: int) -> int:
     return tail
 
 
-def _int_step(cols: Sequence, first: int, N: int, comps: list) -> list:
-    """One operator step on the components (ints, or ring elements) of a packed vector; unreached coordinates read 0."""
+def _int_step(cols: Sequence, first: int, N: int, comps: list, zero) -> list:
+    """One operator step on the components (ints, or ring elements) of a packed vector; sums start from zero."""
     width, length = len(cols[0]), len(comps[0])
     tail = _tail(first, width, N, length)
-    outs = [[0] * length for _ in comps]
+    outs = [[zero] * length for _ in comps]
     for xs, table in zip(comps, cols):
         for idx, x in enumerate(xs):
             if x:
@@ -161,13 +147,15 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
     pack_q), steps on integers and is unpacked once over one denominator; over
     ratfunc_q the integers are integer polynomials at q = 2^B, B bounded by
     vec, the c and norm so that every coefficient reads back.  Any other vec
-    is one component over denominator 1 on the ring table; zero is its domain's.
+    is one component over denominator 1 on the ring table, summed from zero,
+    its domain's, with no product for a c of None.
     """
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
     if field is None:
-        cols, comps, mats = ring, [list(vec)], [[[1 if c is None else c]] for _w, c in terms]
+        cols, comps, mats, start = ring, [list(vec)], [[[c]] for _w, c in terms], zero
     else:
+        start = 0
         _field, D, cols, norm = packed
         ratfunc = field.kind == "ratfunc_q"
         top = max([len(word) for word, _c in terms], default=0)
@@ -186,27 +174,22 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
             cols = [[[(a, i, at_power_of_two(p, bits)) for a, i, p in entries] for entries in col] for col in cols]
         else:
             den, comps = pack(field, vec)
-    out = [[0] * len(vec) for _ in comps]
+    out = [[start] * len(vec) for _ in comps]
     for (word, _c), M in zip(terms, mats):
         y = comps
         for first in reversed(word):
-            y = _int_step(cols, first, N, y)
+            y = _int_step(cols, first, N, y, start)
         for acc, row in zip(out, M):
             for m, ys in zip(row, y):
-                if m:
+                if m is None or m:
                     for k, x in enumerate(ys):
                         if x:
-                            acc[k] += m * x
+                            acc[k] += x if m is None else m * x
     if field is None:
-        return tuple([x if x else zero for x in out[0]])
+        return tuple(out[0])
     if ratfunc:
         return unpack_q(field, out, [den, cden] + [D] * top, bits)
     return unpack(field, out, den * cden * D ** top)
-
-
-def apply_slots(table: tuple, first: int, N: int, vec: Sequence, zero) -> tuple:
-    """Id (x) A (x) Id on V^(x)n: the N^w x N^w operator A of table on the w slots from first on."""
-    return _act(table, N, [((first,), None)], vec, zero)
 
 
 def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
@@ -409,47 +392,29 @@ class HeckeSymmetry:
     def _extend(self, prev: Subspace, n: int) -> Subspace:
         """(prev (x) V) cap (V^(x)(n-2) (x) upsilon(2)) inside V^(x)n.
 
-        An element x = sum c_(j,k) b_j (x) e_k over the basis b_j of prev lies
-        in the second space iff a . x[w, :, :] = 0 for every prefix w of
-        length n-2 and every covector a annihilating upsilon(2); the c_(j,k)
-        solving these equations form a kernel with dim(prev) * N columns.
+        An element x = sum c_(j,k) b_j (x) e_k over the basis b_j of prev is the
+        N^(n-1) x N matrix B^t C, with C[j, k] = c_(j,k); it lies in the second
+        space iff a . x[w, :, :] = 0 for every prefix w of length n-2 and every
+        covector a annihilating upsilon(2), that is iff the entries of S_w A
+        vanish, with S_w[j, s] = b_j[w, s] and A[s, k] = a[s N + k].  So the C
+        form a kernel with dim(prev) * N columns, one row per entry.
         """
         N, field = self.N, self.field
         if prev.is_zero():
             return Subspace.zero(N ** n, field)
-        zero = field.zero()
-        ann = self.upsilon(2).annihilator().basis  # cached: the recursion passed degree 2
+        # cached: the recursion passed degree 2
+        anns = [MatrixF(N, N, a, field) for a in self.upsilon(2).annihilator().basis]
         width = prev.dim * N
         rows = []
         for w in range(N ** (n - 2)):
-            slices = [b[w * N : (w + 1) * N] for b in prev.basis]
-            if all(vec_is_zero(sl) for sl in slices):
-                continue
-            for a in ann:
-                row = [zero] * width
-                for j, sl in enumerate(slices):
-                    for s, x in enumerate(sl):
-                        if x.is_zero():
-                            continue
-                        for k in range(N):
-                            c = a[s * N + k]
-                            if not c.is_zero():
-                                row[j * N + k] = row[j * N + k] + c * x
-                if not vec_is_zero(row):
-                    rows.extend(row)
+            S = MatrixF(prev.dim, N, [x for b in prev.basis for x in b[w * N : (w + 1) * N]], field)
+            for A in anns:
+                block = S * A
+                if not block.is_zero():
+                    rows.extend(block.entries)
         combos = MatrixF(len(rows) // width, width, rows, field).kernel()
-        vectors = []
-        for c in combos.basis:
-            x = [zero] * N ** n
-            for j, b in enumerate(prev.basis):
-                for m, y in enumerate(b):
-                    if y.is_zero():
-                        continue
-                    for k in range(N):
-                        cjk = c[j * N + k]
-                        if not cjk.is_zero():
-                            x[m * N + k] = x[m * N + k] + cjk * y
-            vectors.append(x)
+        Bt = MatrixF(prev.dim, N ** (n - 1), [x for b in prev.basis for x in b], field).transpose()
+        vectors = [(Bt * MatrixF(prev.dim, N, c, field)).entries for c in combos.basis]
         return Subspace.from_vectors(vectors, N ** n, field)
 
     def _transpose(self) -> "HeckeSymmetry":

@@ -14,8 +14,10 @@ from heckesym.frobenius import (
     QFactorialVanishes,
     analyze,
     f_functional,
+    front_pairing,
     pairing,
     profile_json_dict,
+    projection_from_dual,
     reconstruct_from_f,
     restrict_to_subspace,
     top_component,
@@ -24,10 +26,13 @@ from heckesym.frobenius import (
 )
 from heckesym.exprio import format_scalar
 from heckesym.heckealg import antisymmetrizer, partial_y
-from heckesym.linalg import MatrixF, vec_is_zero, vec_pivot, vec_scale
+from heckesym.linalg import MatrixF, vec_combination, vec_is_zero, vec_pivot, vec_scale
+from heckesym.multipoly import PolyRing
+from heckesym.obstruction import _cyclic_functional
 from heckesym.permgroup import Composition
+from heckesym.regular3 import SklParameters, skl_relations
 from heckesym.symmetry import HeckeSymmetry, dj_standard, flip, kron_vec
-from test_symmetry import _conjugate, _rational_q, kron_power
+from test_symmetry import _conjugate, _domains, _rational_q, kron_power
 
 F = GENERIC_Q
 q = F.q()
@@ -405,6 +410,68 @@ def test_reconstruction_from_a_generic_functional():
         for w in range(9):
             image = P.col(w)
             assert sum((image[r] * f[v * 9 + r] for r in range(9)), field.zero()) == f[v * 9 + w]
+
+
+def _covector_value_reference(f, v, zero):
+    """f(v) = sum_w f[w] v[w], skipping the zero coordinates of v."""
+    out = zero
+    for c, x in zip(f, v):
+        if not x.is_zero():
+            out = out + c * x
+    return out
+
+
+def _front_pairing_reference(f, vectors, domain):
+    """Entry (j, i) = f(x_j (x) t_i), one covector value at a time: the loop that front_pairing replaced."""
+    block = len(vectors[0])
+    zero = domain.zero()
+    return MatrixF.from_rows(
+        [[_covector_value_reference(f[j * block : (j + 1) * block], t, zero) for t in vectors] for j in range(len(f) // block)],
+        domain,
+    )
+
+
+def _projection_from_dual_reference(f, relations, C):
+    """P column by column, as combinations of the relations: the loop that projection_from_dual replaced."""
+    block = len(relations[0])
+    zero = C.domain.zero()
+    cols = [vec_combination(C.apply([f[i * block + w] for i in range(C.cols)]), relations, zero) for w in range(block)]
+    return MatrixF.from_rows(cols, C.domain).transpose()
+
+
+@pytest.mark.parametrize("case", [c for c in _domains() if c[0] != "scalar-on-poly"], ids=lambda c: c[0])
+def test_pairing_products_match_loops(case):
+    name, domain, entry, zero, _vec_entry = case
+    rng = random.Random("pairing:" + name)
+    for N in (1, 2, 3):
+        block = N * N
+        for _ in range(3):
+            f = [entry(rng) for _ in range(N * block)]
+            rels = [tuple(entry(rng) for _ in range(block)) for _ in range(N)]
+            rels[rng.randrange(N)] = (zero,) * block
+            C = MatrixF(N, N, [entry(rng) for _ in range(N * N)], domain)
+            assert front_pairing(f, rels, domain) == _front_pairing_reference(f, rels, domain)
+            assert projection_from_dual(f, rels, C) == _projection_from_dual_reference(f, rels, C)
+            # f(t) is the one-by-one front pairing with the whole of f as its row
+            t = tuple(entry(rng) for _ in range(N * block))
+            assert front_pairing(f, [t], domain) == MatrixF(1, 1, [_covector_value_reference(f, t, zero)], domain)
+
+
+def test_pairing_products_match_loops_on_a_profile_and_case1(prof3):
+    prof = prof3
+    t_rows = prof.sym.upsilon(2).basis
+    slices = frobenius._front_slices(prof.t, 3, prof.n)
+    for vectors in (t_rows, slices):
+        assert front_pairing(prof.f, vectors, F) == _front_pairing_reference(prof.f, vectors, F)
+    C = front_pairing(prof.f, t_rows, F).inverse()
+    assert projection_from_dual(prof.f, t_rows, C) == _projection_from_dual_reference(prof.f, t_rows, C)
+    ring = PolyRing(("a", "b", "c", "ap", "bp", "cp"))
+    a, b, c, ap, bp, cp = ring.vars()
+    rels = skl_relations(SklParameters(a, b, c, ring))
+    f = _cyclic_functional(ap, bp, cp, ring.zero())
+    assert front_pairing(f, rels, ring) == _front_pairing_reference(f, rels, ring)
+    C = MatrixF(3, 3, [ring.zero(), ring.one(), ring.zero(), a, ring.zero(), ring.zero(), b, c, ring.one()], ring)
+    assert projection_from_dual(f, rels, C) == _projection_from_dual_reference(f, rels, C)
 
 
 def test_reconstruction_rejects_q_minus_one():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field
+from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field
 from heckesym.linalg import MatrixF, Subspace, first_minor, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
+from test_symmetry import _domains
 
 F = FieldSpec("rational")
 
@@ -71,6 +72,61 @@ def test_kronecker_and_trace():
     K = A.kronecker(B)
     assert K.rows == 4 and K.trace() == 4 * q
     assert A.kronecker(B).kronecker(A) == A.kronecker(B.kronecker(A))
+
+
+def _kronecker_reference(A, B):
+    """A (x) B entry by entry: the loops that MatrixF.kronecker replaced."""
+    n, m, p, q = A.rows, A.cols, B.rows, B.cols
+    out = [A.domain.zero()] * (n * p * m * q)
+    for i in range(n):
+        for j in range(m):
+            a = A.entries[i * m + j]
+            if a.is_zero():
+                continue
+            for k in range(p):
+                base = (i * p + k) * (m * q) + j * q
+                for l in range(q):
+                    b = B.entries[k * q + l]
+                    if not b.is_zero():
+                        out[base + l] = a * b
+    return MatrixF(n * p, m * q, out, A.domain)
+
+
+@pytest.mark.parametrize("case", [c for c in _domains() if c[0] != "scalar-on-poly"], ids=lambda c: c[0])
+def test_kronecker_matches_entry_loops(case):
+    name, domain, entry, _zero, _vec_entry = case
+    rng = random.Random("kronecker:" + name)
+    shapes = [(0, 2), (1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]
+    for r1, c1 in shapes:
+        for r2, c2 in shapes:
+            A = MatrixF(r1, c1, [entry(rng) for _ in range(r1 * c1)], domain)
+            B = MatrixF(r2, c2, [entry(rng) for _ in range(r2 * c2)], domain)
+            assert A.kronecker(B) == _kronecker_reference(A, B), (r1, c1, r2, c2)
+
+
+def test_scale_multiplies_no_zero(monkeypatch):
+    C3 = cyclotomic_field(3)
+    q = GENERIC_Q.q()
+    for field, c in ((F, F.scalar(Fraction(-2, 3))), (C3, C3.e() + 2), (GENERIC_Q, q / (q + 1))):
+        zero, one = field.zero(), field.one()
+        A = MatrixF(2, 3, [zero, one, zero, c, zero, one + one], field)
+        expected = MatrixF(2, 3, [c * x for x in A.entries], field)
+        products = []
+        real = Scalar.__mul__
+        monkeypatch.setattr(Scalar, "__mul__", lambda x, y: products.append((x, y)) or real(x, y))
+        assert A.scale(c) == expected
+        monkeypatch.setattr(Scalar, "__mul__", real)
+        assert len(products) == 3 and not any(x.is_zero() or y.is_zero() for x, y in products)
+
+
+def test_inverse_builds_one_identity(monkeypatch):
+    A = MatrixF.from_rows([[F.scalar(2), F.scalar(1), F.zero()], [F.scalar(1), F.scalar(1), F.zero()], [F.zero(), F.zero(), F.scalar(3)]], F)
+    calls = []
+    real = MatrixF.identity
+    monkeypatch.setattr(MatrixF, "identity", staticmethod(lambda n, domain: calls.append(n) or real(n, domain)))
+    inverse = A.inverse()
+    assert calls == [3]
+    assert A * inverse == real(3, F)
 
 
 def test_determinants():

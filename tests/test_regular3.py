@@ -8,6 +8,8 @@ from heckesym.linalg import MatrixF, first_minor
 from heckesym.multipoly import PolyRing
 from heckesym.regular3 import (
     ProjectiveElement,
+    _normalize,
+    _normalize_point,
     _perm_order,
     _PointAction,
     SklParameters,
@@ -191,6 +193,39 @@ def test_projective_normalization():
     singular = MatrixF.zeros(3, 3, field)
     with pytest.raises(ValueError):
         ProjectiveElement(singular + MatrixF.zeros(3, 3, field))
+
+
+def _normalize_reference(M):
+    """M over its first nonzero entry, found by a loop: the code that _normalize replaced."""
+    if M.det().is_zero():
+        raise ValueError("projective element must be invertible")
+    lead = None
+    for x in M.entries:
+        if not x.is_zero():
+            lead = x
+            break
+    inv = lead.inverse()
+    if inv.is_one():
+        return M
+    return M.scale(inv)
+
+
+def test_normalize_matches_first_entry_loop():
+    rng = random.Random("normalize")
+    C3 = hessian_field()
+    eps = primitive_root(3, C3)
+    for field, unit in ((Q, Q.one()), (C3, eps)):
+        for _ in range(60):
+            # leading zeros, a leading one and singular matrices all occur
+            M = MatrixF(3, 3, [field.scalar(rng.choice((0, 0, 0, 1, -1, 2))) * unit ** rng.randint(0, 2) for _ in range(9)], field)
+            if M.det().is_zero():
+                for normalize in (_normalize, _normalize_reference):
+                    with pytest.raises(ValueError, match="invertible"):
+                        normalize(M)
+            else:
+                assert _normalize(M) == _normalize_reference(M)
+    with pytest.raises(ValueError, match="zero point"):
+        _normalize_point((Q.zero(),) * 3)
 
 
 def test_action_on_parameters():

@@ -11,7 +11,7 @@ from heckesym import symmetry
 from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
-from heckesym.linalg import MatrixF, Subspace, vec_scale
+from heckesym.linalg import MatrixF, Subspace, vec_is_zero, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import SklParameters, _projection, skl_relations
 from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_rho
@@ -23,7 +23,6 @@ from heckesym.symmetry import (
     _vanishes,
     braid_defect,
     apply_power,
-    apply_slots,
     check_braid,
     check_hecke,
     column_table,
@@ -356,6 +355,65 @@ def test_graded_subspaces_match_dense_reference(case):
         assert sym.lambda_dim(n) == sym.N ** n - ideal.dim, (case, n)
 
 
+def _extend_reference(sym, prev, n):
+    """(prev (x) V) cap (V^(x)(n-2) (x) upsilon(2)), entry by entry: the loops that _extend replaced."""
+    N, field = sym.N, sym.field
+    if prev.is_zero():
+        return Subspace.zero(N ** n, field)
+    zero = field.zero()
+    ann = sym.upsilon(2).annihilator().basis
+    width = prev.dim * N
+    rows = []
+    for w in range(N ** (n - 2)):
+        slices = [b[w * N : (w + 1) * N] for b in prev.basis]
+        if all(vec_is_zero(sl) for sl in slices):
+            continue
+        for a in ann:
+            row = [zero] * width
+            for j, sl in enumerate(slices):
+                for s, x in enumerate(sl):
+                    if x.is_zero():
+                        continue
+                    for k in range(N):
+                        c = a[s * N + k]
+                        if not c.is_zero():
+                            row[j * N + k] = row[j * N + k] + c * x
+            if not vec_is_zero(row):
+                rows.extend(row)
+    combos = MatrixF(len(rows) // width, width, rows, field).kernel()
+    vectors = []
+    for c in combos.basis:
+        x = [zero] * N ** n
+        for j, b in enumerate(prev.basis):
+            for m, y in enumerate(b):
+                if y.is_zero():
+                    continue
+                for k in range(N):
+                    cjk = c[j * N + k]
+                    if not cjk.is_zero():
+                        x[m * N + k] = x[m * N + k] + cjk * y
+        vectors.append(x)
+    return Subspace.from_vectors(vectors, N ** n, field)
+
+
+@pytest.mark.parametrize("case", ["dj2", "dj3", "dj3-q=2", "dj3-cyc3", "dj2-conj-generic", "dj3-conj-q=2", "dj3-conj-cyc3"])
+def test_extend_matches_entry_loops(case):
+    sym = AGREEMENT_CASES[case]()
+    N, field = sym.N, sym.field
+    rng = random.Random("extend:" + case)
+    for n in (3, 4):
+        ambient = N ** (n - 1)
+        prevs = [sym.upsilon(n - 1), Subspace.zero(ambient, field), Subspace.full(ambient, field)]
+        for dim in (1, 2, N + 1):
+            vectors = [[field.scalar(rng.choice((0, 0, 1, -1, 2))) for _ in range(ambient)] for _ in range(dim)]
+            # the prefix block w = 1 is zero in every vector, so its slice S_1 is all zero
+            for v in vectors:
+                v[N : 2 * N] = [field.zero()] * N
+            prevs.append(Subspace.from_vectors(vectors, ambient, field))
+        for prev in prevs:
+            assert sym._extend(prev, n) == _extend_reference(sym, prev, n), (case, n, prev)
+
+
 def test_dimension_caps():
     sym = dj_standard(2)
     with pytest.raises(SymmetryError):
@@ -438,7 +496,7 @@ def test_slot_actions_match_kronecker_reference(case):
         I = MatrixF.identity(N, domain)
         dense = kron_power(I, a).kronecker(A).kronecker(kron_power(I, b))
         vec = tuple(vec_entry(rng) for _ in range(dense.cols))
-        assert apply_slots(column_table(A), a + 1, N, vec, zero) == _dense_apply(dense, vec, zero)
+        assert _act(column_table(A), N, [((a + 1,), None)], vec, zero) == _dense_apply(dense, vec, zero)
     # a sum of words with coefficients on V^(x)3: 2 A_2 A_1 + c A_3 + Id
     A, I = MatrixF(2, 2, [entry(rng) for _ in range(4)], domain), MatrixF.identity(2, domain)
     slot = [kron_power(I, i).kronecker(A).kronecker(kron_power(I, 2 - i)) for i in range(3)]
@@ -451,12 +509,35 @@ def test_slot_actions_match_kronecker_reference(case):
 def test_slot_action_range_errors():
     A = MatrixF.identity(4, F)
     vec = (F.one(),) * 8
-    apply_slots(column_table(A), 2, 2, vec, F.zero())
+    _act(column_table(A), 2, [((2,), None)], vec, F.zero())
     for first in (0, 3):
         with pytest.raises(ValueError):
-            apply_slots(column_table(A), first, 2, vec, F.zero())
+            _act(column_table(A), 2, [((first,), None)], vec, F.zero())
     with pytest.raises(ValueError):
         apply_power(MatrixF.identity(2, F), 2, vec)
+
+
+def test_ring_action_makes_no_constants(monkeypatch):
+    # obstruction case 3's swap braiding theta on the relations over Q[a, c, lam]
+    ring = PolyRing(("a", "c", "lam"))
+    a, c, lam = ring.vars()
+    z = ring.zero()
+    rels = skl_relations(SklParameters(a, a, c, ring))
+    theta = MatrixF.from_rows([[z, lam, z], [lam, z, z], [z, z, lam]], ring)
+    # theta (x) Id + c theta (x) theta + Id on V^(x)2, a coefficient of None meaning 1
+    terms = [((1,), None), ((2, 1), c), ((), None)]
+    dense = kron_power(theta, 2)
+    expected = [_dense_apply(dense, t, z) for t in rels]
+    combined = theta.kronecker(MatrixF.identity(3, ring)) + dense.scale(c) + MatrixF.identity(9, ring)
+    expected_sum = [_dense_apply(combined, t, z) for t in rels]
+    calls = []
+    real = PolyRing.const
+    monkeypatch.setattr(PolyRing, "const", lambda self, value: calls.append(value) or real(self, value))
+    got = [apply_power(theta, 2, t) for t in rels]
+    got_sum = [_act(column_table(theta), 3, terms, t, z) for t in rels]
+    assert calls == []
+    assert got == expected and got_sum == expected_sum
+    assert got == [tuple(lam * lam * x for x in rels[j]) for j in (1, 0, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +653,10 @@ def test_packed_action_keeps_the_validations():
     vec = (rat.one(),) * 8
     for first in (0, 3):
         with pytest.raises(ValueError):
-            apply_slots(A, first, 2, vec, rat.zero())
+            _act(A, 2, [((first,), None)], vec, rat.zero())
     C3 = cyclotomic_field(3)
     with pytest.raises(ValueError):
-        apply_slots(A, 1, 2, (C3.one(),) * 8, rat.zero())
+        _act(A, 2, [((1,), None)], (C3.one(),) * 8, rat.zero())
     with pytest.raises(ValueError):
         apply_power(MatrixF.identity(2, rat), 3, (C3.one(),) * 8)
     # the same over ratfunc_q: a vector or a coefficient from another field
