@@ -152,7 +152,8 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(json.dumps(payload, separators=(",", ": ")) + "\n")
 
 
-def _wrap(args, digest: str, report: CheckReport, extra: Optional[dict] = None) -> tuple:
+def _report(args, digest: str, report: CheckReport, extra: Optional[dict] = None) -> int:
+    """Emits the report with its digest and the extra fields; the exit code of its verdict."""
     payload = {
         "tool": "heckesym",
         "version": __version__,
@@ -162,7 +163,8 @@ def _wrap(args, digest: str, report: CheckReport, extra: Optional[dict] = None) 
     }
     if extra:
         payload.update(extra)
-    return payload, (0 if report.ok else CHECK_FAILURE)
+    _emit(args, payload)
+    return 0 if report.ok else CHECK_FAILURE
 
 
 # -- subcommand handlers
@@ -180,9 +182,7 @@ def cmd_verify(args) -> int:
         report.record(name, rule, ok, witness)
         if args.timings:
             sys.stderr.write("wall: %s %.3fs\n" % (name, time.monotonic() - t0))
-    payload, code = _wrap(args, digest, report, {"dim": sym.N})
-    _emit(args, payload)
-    return code
+    return _report(args, digest, report, {"dim": sym.N})
 
 
 def cmd_analyze(args) -> int:
@@ -193,26 +193,20 @@ def cmd_analyze(args) -> int:
     ok2, witness = sym.check_braid()
     report.record("braid-relation", "braid equation on three factors", ok2, witness)
     if not (ok and ok2):
-        payload, _ = _wrap(args, digest, report)
-        _emit(args, payload)
-        return CHECK_FAILURE
+        return _report(args, digest, report)
     n_max = _at_least_one(args.max_degree, "--max-degree", 2 * sym.N + 1)
     try:
         profile = analyze(sym, n_max)
     except NoTopComponent as exc:
         report.skip("profile", "one-dimensional top component with vanishing successor", str(exc))
-        payload, code = _wrap(args, digest, report)
-        _emit(args, payload)
-        return code
+        return _report(args, digest, report)
     ops = verify_operator_identities(profile)
     report.merge(ops)
     traces, table = trace_table(profile)
     report.merge(traces)
     body = profile_json_dict(profile, report)
     body["trace_table"] = table
-    payload, code = _wrap(args, digest, report, body)
-    _emit(args, payload)
-    return code
+    return _report(args, digest, report, body)
 
 
 def cmd_builtin(args) -> int:
@@ -227,18 +221,14 @@ def cmd_identities(args) -> int:
         raise InputError("--n must be between 1 and 6")
     report = verify_identities(n, GENERIC_Q)
     digest = hashlib.sha256(("identities:%d" % n).encode()).hexdigest()
-    payload, code = _wrap(args, digest, report, {"n_max": n})
-    _emit(args, payload)
-    return code
+    return _report(args, digest, report, {"n_max": n})
 
 
 def cmd_hessian(args) -> int:
     from .regular3 import conjugacy_report
     report, data = conjugacy_report()
     digest = hashlib.sha256(b"hessian").hexdigest()
-    payload, code = _wrap(args, digest, report, data if args.report else {"group_order": data["group_order"]})
-    _emit(args, payload)
-    return code
+    return _report(args, digest, report, data if args.report else {"group_order": data["group_order"]})
 
 
 def cmd_resultant(args) -> int:
@@ -247,7 +237,7 @@ def cmd_resultant(args) -> int:
     from .obstruction import verify_case1
     rep = verify_case1()
     digest = hashlib.sha256(b"resultant:case1").hexdigest()
-    payload, code = _wrap(
+    return _report(
         args,
         digest,
         rep.checks,
@@ -258,8 +248,6 @@ def cmd_resultant(args) -> int:
             "status": "PASS" if rep.ok else "FAIL",
         },
     )
-    _emit(args, payload)
-    return code
 
 
 def _parse_triple(texts, flags) -> tuple:
@@ -319,9 +307,7 @@ def cmd_obstruct(args) -> int:
     body = rep.to_dict()
     if sample:
         body["sample"] = sample
-    payload, code = _wrap(args, digest, rep.checks, body)
-    _emit(args, payload)
-    return code
+    return _report(args, digest, rep.checks, body)
 
 
 def cmd_skl3(args) -> int:

@@ -308,10 +308,8 @@ def cyclotomic_field(order: int, q_power: Optional[int] = None) -> FieldSpec:
         return FieldSpec("cyclotomic", order)
     root = ctx.root()
     val = ctx.one
-    for _ in range(q_power % order if order > 1 else 0):
+    for _ in range(q_power % order):
         val = ctx.mul(val, root)
-    if order == 1:
-        val = ctx.one
     return FieldSpec("cyclotomic", order, val)
 
 
@@ -455,12 +453,7 @@ class Scalar:
         """Coefficient vector of a constant scalar."""
         if not self.is_constant():
             raise ValueError("scalar is not constant in q")
-        ctx = self.field._ctx()
-        if not self.num:
-            return ctx.zero
-        if self.den != (ctx.one,):
-            return ctx.mul(self.num[0], ctx.inv(self.den[0]))
-        return self.num[0]
+        return self.num[0] if self.num else self.field._ctx().zero
 
     def rational(self) -> Fraction:
         """The value as a Fraction; requires a rational constant."""

@@ -192,6 +192,18 @@ def _format_fraction(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def _join(parts, need_atom: bool = False) -> str:
+    """The sum of the term texts parts, "0" for none; a leading "-" of a later
+    term becomes " - ".  need_atom puts a sum, a negative, a product or a
+    fraction in parentheses, so that the text can stand as a factor."""
+    if not parts:
+        return "0"
+    out = parts[0] + "".join(" - " + p[1:] if p.startswith("-") else " + " + p for p in parts[1:])
+    if need_atom and (len(parts) > 1 or out.startswith("-") or "/" in out or "*" in out):
+        return "(" + out + ")"
+    return out
+
+
 def _format_cyc(vec, need_atom: bool) -> str:
     """Coefficient vector over Q(zeta_m) as a polynomial in e."""
     parts = []
@@ -208,41 +220,26 @@ def _format_cyc(vec, need_atom: bool) -> str:
                 parts.append("-" + mono)
             else:
                 parts.append("%s*%s" % (_format_fraction(coeff), mono))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    if need_atom and (len(parts) > 1 or "/" in out or "*" in out or out.startswith("-")):
-        return "(" + out + ")"
-    return out
+    return _join(parts, need_atom)
 
 
 def _format_qpoly(poly, need_atom: bool) -> str:
-    if not poly:
-        return "0"
     parts = []
     for k in range(len(poly) - 1, -1, -1):
         vec = poly[k]
         if not any(vec):
             continue
         mono = "" if k == 0 else ("q" if k == 1 else "q^%d" % k)
-        nonzero = [c for c in vec if c]
-        plain_one = len(nonzero) == 1 and not any(vec[1:])
+        plain = not any(vec[1:])
         if not mono:
             parts.append(_format_cyc(vec, need_atom=False))
-        elif plain_one and vec[0] == 1:
+        elif plain and vec[0] == 1:
             parts.append(mono)
-        elif plain_one and vec[0] == -1:
+        elif plain and vec[0] == -1:
             parts.append("-" + mono)
         else:
             parts.append("%s*%s" % (_format_cyc(vec, need_atom=True), mono))
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    if need_atom and (len(parts) > 1 or out.startswith("-") or "/" in out or "*" in out):
-        return "(" + out + ")"
-    return out
+    return _join(parts, need_atom)
 
 
 def format_scalar(x: Scalar) -> str:

@@ -328,10 +328,8 @@ class MultiPoly:
 
     def to_text(self) -> str:
         """Human-readable, deterministic (graded-lex ordered) text form."""
-        from .exprio import _format_cyc
+        from .exprio import _format_cyc, _join
 
-        if not self.terms:
-            return "0"
         parts = []
         for e in sorted(self.terms, key=lambda ex: (-sum(ex), tuple(-x for x in ex))):
             vec = self.terms[e]
@@ -352,7 +350,4 @@ class MultiPoly:
                 parts.append("%s*%s" % (head, mono))
             else:
                 parts.append("%s*%s" % (_format_cyc(vec, need_atom=True), mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _join(parts)

@@ -90,30 +90,17 @@ class TernaryQuadratic:
         return " + ".join(bits) if bits else "0"
 
 
+# _SLOT[u][v] is the coefficient index of x_u x_v, with X, Y, Z = 0, 1, 2
+_SLOT = ((0, 5, 4), (5, 1, 3), (4, 3, 2))
+
+
 def _lin_mul(l1: Sequence, l2: Sequence, zero) -> tuple:
     """Product of two linear forms (X, Y, Z coefficient triples)."""
-    u1, v1, w1 = l1
-    u2, v2, w2 = l2
-    return (
-        u1 * u2,
-        v1 * v2,
-        w1 * w2,
-        v1 * w2 + w1 * v2,
-        w1 * u2 + u1 * w2,
-        u1 * v2 + v1 * u2,
-    )
-
-
-def _quad_scale(c, q6: Sequence) -> tuple:
-    return tuple(c * x for x in q6)
-
-
-def _quad_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _quad_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    out = [zero] * 6
+    for u, x in enumerate(l1):
+        for v, y in enumerate(l2):
+            out[_SLOT[u][v]] += x * y
+    return tuple(out)
 
 
 def sylvester_dets(
@@ -131,40 +118,19 @@ def sylvester_dets(
     zero = domain.zero()
     forms = (F1, F2, F3)
 
-    def det_for(split) -> TernaryQuadratic:
-        consts = []
-        line1 = []
-        line2 = []
-        for f in forms:
-            s, l1, l2 = split(f.coeffs)
-            consts.append(s)
-            line1.append(l1)
-            line2.append(l2)
-        total = None
-        for j in range(3):
-            j1, j2 = [m for m in range(3) if m != j]
-            minor = _quad_sub(
-                _lin_mul(line1[j1], line2[j2], zero), _lin_mul(line1[j2], line2[j1], zero)
-            )
-            term = _quad_scale(consts[j], minor)
-            if j == 1:
-                term = _quad_scale(domain.zero() - domain.one(), term)
-            total = term if total is None else _quad_add(total, term)
-        return TernaryQuadratic(total, domain)
+    def det_for(lead: int, first: int, second: int) -> TernaryQuadratic:
+        # F_j = consts[j] lead^2 + line1[j] * first + line2[j] * second, the first*second term in line1
+        consts = [f.coeffs[_SLOT[lead][lead]] for f in forms]
+        line1 = [[f.coeffs[_SLOT[u][first]] for u in range(3)] for f in forms]
+        line2 = [[zero if u == first else f.coeffs[_SLOT[u][second]] for u in range(3)] for f in forms]
+        # the cofactors of the scalar row; the cyclic order of (j1, j2) gives their signs
+        minors = [
+            tuple(x - y for x, y in zip(_lin_mul(line1[j1], line2[j2], zero), _lin_mul(line1[j2], line2[j1], zero)))
+            for j1, j2 in ((1, 2), (2, 0), (0, 1))
+        ]
+        return TernaryQuadratic(vec_combination(consts, minors, zero), domain)
 
-    def split1(c):
-        cx2, cy2, cz2, cyz, czx, cxy = c
-        return cx2, (cxy, cy2, cyz), (czx, zero, cz2)
-
-    def split2(c):
-        cx2, cy2, cz2, cyz, czx, cxy = c
-        return cy2, (czx, cyz, cz2), (cx2, cxy, zero)
-
-    def split3(c):
-        cx2, cy2, cz2, cyz, czx, cxy = c
-        return cz2, (cx2, cxy, czx), (zero, cy2, cyz)
-
-    return det_for(split1), det_for(split2), det_for(split3)
+    return det_for(0, 1, 2), det_for(1, 2, 0), det_for(2, 0, 1)
 
 
 def sylvester_resultant(

@@ -42,9 +42,8 @@ class CheckReport:
         self.checks.append(check)
         return check
 
-    def merge(self, other: "CheckReport", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.rule, c.status, c.detail))
+    def merge(self, other: "CheckReport") -> None:
+        self.checks.extend(other.checks)
 
     @property
     def ok(self) -> bool:

@@ -24,13 +24,14 @@ Im(A^t), so ideal_component(n) is the annihilator of upsilon(n) of the
 transpose symmetry R^t and lambda_dim(n) = dim V^(x)n - dim ideal_component(n)
 is that upsilon's dimension.
 
-Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, rep_matrix,
-the quadratic relation and the braid defect -- is one sum of c * A_word(v)
-over slot-local steps (_act).  A Scalar v is packed once into integer
-numerators over one denominator (integer polynomials in q at q = 2^B over
-ratfunc_q), steps on Python ints with the multiplication matrices of R's
-entries (packed once per symmetry) and is unpacked once.  A ring vector is
-the same layout with one component over denominator 1, on R's entries.
+Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, the
+matrices of T_i, T_sigma and rep(h) column by column, the quadratic relation
+and the braid defect -- is one sum of c * A_word(v) over slot-local steps
+(_act).  A Scalar v is packed once into integer numerators over one
+denominator (integer polynomials in q at q = 2^B over ratfunc_q), steps on
+Python ints with the multiplication matrices of R's entries (packed once per
+symmetry) and is unpacked once.  A ring vector is the same layout with one
+component over denominator 1, on R's entries as elements of its ring.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -147,12 +148,15 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
     pack_q), steps on integers and is unpacked once over one denominator; over
     ratfunc_q the integers are integer polynomials at q = 2^B, B bounded by
     vec, the c and norm so that every coefficient reads back.  Any other vec
-    is one component over denominator 1 on the ring table, summed from zero,
-    its domain's, with no product for a c of None.
+    is one component over denominator 1 on the ring table, its entries made
+    elements of vec's domain once, summed from zero, that domain's, with no
+    product for a c of None.
     """
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
     if field is None:
+        if packed is not None:
+            ring = [[[(a, i, zero + c) for a, i, c in entries] for entries in col] for col in ring]
         cols, comps, mats, start = ring, [list(vec)], [[[c]] for _w, c in terms], zero
     else:
         start = 0
@@ -325,41 +329,36 @@ class HeckeSymmetry:
 
     def apply_hecke(self, h: HeckeElement, n: int, vec: Sequence) -> tuple:
         """A Hecke algebra element acting on a vector of V^(x)n."""
+        return self._combine(self._hecke_terms(h, n), n, vec)
+
+    def _hecke_terms(self, h: HeckeElement, n: int) -> list:
+        """The (word, c) terms of h, refused when h has a higher degree than n or another field."""
         if h.n > n:
             raise ValueError("element degree exceeds tensor degree")
         if h.field != self.field:
             raise ValueError("mixed fields")
-        return self._combine([(word, c) for _p, word, c in h.field_terms()], n, vec)
+        return [(word, c) for _p, word, c in h.field_terms()]
 
-    def generator_matrix(self, i: int, n: int) -> MatrixF:
-        """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""
-        if not 1 <= i < n:
+    def _rep(self, terms: Sequence, n: int) -> MatrixF:
+        """Matrix of sum c * T_word on V^(x)n, read off the action column by column; the cap is checked first."""
+        if any(not 1 <= i < n for word, _c in terms for i in word):
             raise ValueError("generator index out of range")
-        N = self.N
-        dim = N ** n
-        if dim > REP_DIM_CAP:
-            raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        head = MatrixF.identity(N ** (i - 1), self.field)
-        tail = MatrixF.identity(N ** (n - i - 1), self.field)
-        return head.kronecker(self.R).kronecker(tail)
-
-    def perm_matrix(self, p: Perm, n: int) -> MatrixF:
-        """Matrix of T_sigma on V^(x)n, the product of generator matrices along a reduced word."""
-        out = MatrixF.identity(self.N ** n, self.field)
-        for i in p.reduced_word():
-            out = out * self.generator_matrix(i, n)
-        return out
-
-    def rep_matrix(self, h: HeckeElement, n: int) -> MatrixF:
-        """Matrix of a Hecke algebra element acting on V^(x)n, column by column."""
-        if h.n > n:
-            raise ValueError("element degree exceeds tensor degree")
-        if h.field != self.field:
-            raise ValueError("mixed fields")
         dim = self.N ** n
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        return _matrix_of(self._column_table(), self.N, dim, 1, [(word, c) for _p, word, c in h.field_terms()], self.field)
+        return _matrix_of(self._column_table(), self.N, dim, 1, terms, self.field)
+
+    def generator_matrix(self, i: int, n: int) -> MatrixF:
+        """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""
+        return self._rep([((i,), None)], n)
+
+    def perm_matrix(self, p: Perm, n: int) -> MatrixF:
+        """Matrix of T_sigma on V^(x)n, sigma acting along a reduced word."""
+        return self._rep([(p.reduced_word(), None)], n)
+
+    def rep_matrix(self, h: HeckeElement, n: int) -> MatrixF:
+        """Matrix of a Hecke algebra element acting on V^(x)n."""
+        return self._rep(self._hecke_terms(h, n), n)
 
     # -- graded subspaces
 
@@ -445,20 +444,19 @@ class HeckeSymmetry:
 
     # -- star product
 
-    def star(self, a: Sequence, k: int, b: Sequence, l: int, check_membership: bool = True) -> tuple:
+    def star(self, a: Sequence, k: int, b: Sequence, l: int) -> tuple:
         """a * b = y_(k+l/k,l)(a (x) b) for a in upsilon(k), b in upsilon(l)."""
         if len(a) != self.N ** k or len(b) != self.N ** l:
             raise ValueError("vector length mismatch")
-        if check_membership:
-            if not self.upsilon(k).contains(a):
-                raise ValueError("left factor is not in upsilon(%d)" % k)
-            if not self.upsilon(l).contains(b):
-                raise ValueError("right factor is not in upsilon(%d)" % l)
+        if not self.upsilon(k).contains(a):
+            raise ValueError("left factor is not in upsilon(%d)" % k)
+        if not self.upsilon(l).contains(b):
+            raise ValueError("right factor is not in upsilon(%d)" % l)
         ab = kron_vec(a, b, self.field)
         if k == 0 or l == 0:
             return ab
         out = self.apply_hecke(coset_y(k + l, k, l, self.field), k + l, ab)
-        if check_membership and not self.upsilon(k + l).contains(out):
+        if not self.upsilon(k + l).contains(out):
             raise ValueError("star product left upsilon(%d)" % (k + l))
         return out
 

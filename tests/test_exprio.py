@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field
-from heckesym.exprio import MAX_EXPONENT, MAX_POWER_BITS, ExprError, format_scalar, parse_scalar
+from heckesym.exprio import MAX_EXPONENT, MAX_POWER_BITS, ExprError, _format_cyc, _format_fraction, _format_qpoly, format_scalar, parse_scalar
+from heckesym.multipoly import MultiPoly, PolyRing
 
 F = GENERIC_Q
 
@@ -159,3 +160,125 @@ def test_product_bounds_in_bound_fields():
     with pytest.raises(ExprError):
         parse_scalar("*".join(["q^1000"] * 66), two)
     assert 65 * 1003 <= MAX_POWER_BITS < 66 * 1003
+
+
+# ---------------------------------------------------------------------------
+# the formatters as they were before they shared exprio._join, kept as
+# byte-for-byte oracles
+
+
+def _format_cyc_reference(vec, need_atom):
+    parts = []
+    for k, coeff in enumerate(vec):
+        if not coeff:
+            continue
+        if k == 0:
+            parts.append(_format_fraction(coeff))
+        else:
+            mono = "e" if k == 1 else "e^%d" % k
+            if coeff == 1:
+                parts.append(mono)
+            elif coeff == -1:
+                parts.append("-" + mono)
+            else:
+                parts.append("%s*%s" % (_format_fraction(coeff), mono))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    if need_atom and (len(parts) > 1 or "/" in out or "*" in out or out.startswith("-")):
+        return "(" + out + ")"
+    return out
+
+
+def _format_qpoly_reference(poly, need_atom):
+    if not poly:
+        return "0"
+    parts = []
+    for k in range(len(poly) - 1, -1, -1):
+        vec = poly[k]
+        if not any(vec):
+            continue
+        mono = "" if k == 0 else ("q" if k == 1 else "q^%d" % k)
+        nonzero = [c for c in vec if c]
+        plain_one = len(nonzero) == 1 and not any(vec[1:])
+        if not mono:
+            parts.append(_format_cyc_reference(vec, need_atom=False))
+        elif plain_one and vec[0] == 1:
+            parts.append(mono)
+        elif plain_one and vec[0] == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append("%s*%s" % (_format_cyc_reference(vec, need_atom=True), mono))
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    if need_atom and (len(parts) > 1 or out.startswith("-") or "/" in out or "*" in out):
+        return "(" + out + ")"
+    return out
+
+
+def _format_scalar_reference(x):
+    ctx = x.field._ctx()
+    if not x.num:
+        return "0"
+    if x.den == (ctx.one,):
+        return _format_qpoly_reference(x.num, need_atom=False)
+    return "%s/%s" % (_format_qpoly_reference(x.num, need_atom=True), _format_qpoly_reference(x.den, need_atom=True))
+
+
+def _to_text_reference(p):
+    if not p.terms:
+        return "0"
+    parts = []
+    for e in sorted(p.terms, key=lambda ex: (-sum(ex), tuple(-x for x in ex))):
+        vec = p.terms[e]
+        mono = "*".join(("%s^%d" % (v, k) if k > 1 else v) for v, k in zip(p.ring.variables, e) if k)
+        plain = not any(vec[1:])
+        if not mono:
+            parts.append(_format_cyc_reference(vec, need_atom=False))
+        elif plain and vec[0] == 1:
+            parts.append(mono)
+        elif plain and vec[0] == -1:
+            parts.append("-" + mono)
+        elif plain:
+            parts.append("%s*%s" % (_format_cyc_reference(vec, need_atom=False), mono))
+        else:
+            parts.append("%s*%s" % (_format_cyc_reference(vec, need_atom=True), mono))
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
+
+
+def _random_cyc(rng, deg):
+    """A coefficient vector with zeros, ones, minus ones and fractions among its entries."""
+    return tuple(Fraction(rng.choice((0, 0, 1, -1, 2, -3)), rng.choice((1, 1, 2))) for _ in range(deg))
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 12])
+def test_formatters_match_their_references(order):
+    rng = random.Random("format:%d" % order)
+    C = cyclotomic_field(order)
+    deg = C._ctx().deg
+    rational, Fq = FieldSpec("rational"), FieldSpec("ratfunc_q", order)
+    qq = Fq.q()
+    den = qq - Fq.e() if order > 1 else qq ** 2 + 2
+    ring = PolyRing(("a", "b", "c"), order)
+    for _ in range(40):
+        vec = _random_cyc(rng, deg)
+        poly = tuple(_random_cyc(rng, deg) for _ in range(rng.randint(0, 4))) + (_random_cyc(rng, deg),)
+        for need_atom in (False, True):
+            assert _format_cyc(vec, need_atom) == _format_cyc_reference(vec, need_atom)
+            if any(poly[-1]):
+                assert _format_qpoly(poly, need_atom) == _format_qpoly_reference(poly, need_atom)
+        num = sum((Fq.from_cyc(v) * qq ** k for k, v in enumerate(poly)), Fq.zero())
+        scalars = [C.from_cyc(vec), num, num / den, _random_scalar(Fq, rng)]
+        if order == 1:
+            scalars += [rational.from_cyc(vec), _random_scalar(GENERIC_Q, rng)]
+        for x in scalars:
+            assert format_scalar(x) == _format_scalar_reference(x), x
+        terms = {tuple(rng.randint(0, 2) for _ in range(3)): _random_cyc(rng, deg) for _ in range(rng.randint(0, 5))}
+        p = MultiPoly(ring, {e: v for e, v in terms.items() if any(v)})
+        assert p.to_text() == _to_text_reference(p)

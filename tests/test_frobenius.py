@@ -32,7 +32,7 @@ from heckesym.obstruction import _cyclic_functional
 from heckesym.permgroup import Composition
 from heckesym.regular3 import SklParameters, skl_relations
 from heckesym.symmetry import HeckeSymmetry, dj_standard, flip, kron_vec
-from test_symmetry import _conjugate, _domains, _rational_q, kron_power
+from test_symmetry import _conjugate, _domains, _rational_q, kron_power, perm_matrix_sum
 
 F = GENERIC_Q
 q = F.q()
@@ -131,7 +131,7 @@ def test_functional(prof2):
 def test_functional_normalization(prof3):
     # y_n u = [n-1]!_q f(u) t as a matrix identity
     sym = prof3.sym
-    Y = sym.rep_matrix(antisymmetrizer(3), 3)
+    Y = perm_matrix_sum(sym, antisymmetrizer(3), 3)
     norm = qint(2) * qint(1)  # [2]!_q
     piv = next(i for i, x in enumerate(prof3.t) if not x.is_zero())
     for a in range(27):
@@ -196,7 +196,7 @@ def test_functional_matches_dense_rep_of_y_n(case):
     field = sym.field
     n, t = top_component(sym)
     f = f_functional(sym, n, t)
-    Y = sym.rep_matrix(antisymmetrizer(n, field), n)
+    Y = perm_matrix_sum(sym, antisymmetrizer(n, field), n)
     norm = qfact(n - 1, field)
     piv = next(i for i, x in enumerate(t) if not x.is_zero())
     assert f == vec_scale(norm.inverse(), Y.row(piv))

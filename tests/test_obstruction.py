@@ -51,6 +51,63 @@ def test_sylvester_dets_degenerate():
     assert sylvester_resultant(F1, F2, F3) == one
 
 
+def _sylvester_dets_reference(F1, F2, F3):
+    """sylvester_dets with its three splits written out, as it was before one rule served all three."""
+    domain = F1.domain
+    zero = domain.zero()
+
+    def lin_mul(l1, l2):
+        u1, v1, w1 = l1
+        u2, v2, w2 = l2
+        return (u1 * u2, v1 * v2, w1 * w2, v1 * w2 + w1 * v2, w1 * u2 + u1 * w2, u1 * v2 + v1 * u2)
+
+    def det_for(split):
+        consts, line1, line2 = zip(*(split(f.coeffs) for f in (F1, F2, F3)))
+        total = None
+        for j in range(3):
+            j1, j2 = [m for m in range(3) if m != j]
+            minor = tuple(x - y for x, y in zip(lin_mul(line1[j1], line2[j2]), lin_mul(line1[j2], line2[j1])))
+            term = tuple(consts[j] * x for x in minor)
+            if j == 1:
+                term = tuple((domain.zero() - domain.one()) * x for x in term)
+            total = term if total is None else tuple(x + y for x, y in zip(total, term))
+        return TernaryQuadratic(total, domain)
+
+    def split1(c):
+        cx2, cy2, cz2, cyz, czx, cxy = c
+        return cx2, (cxy, cy2, cyz), (czx, zero, cz2)
+
+    def split2(c):
+        cx2, cy2, cz2, cyz, czx, cxy = c
+        return cy2, (czx, cyz, cz2), (cx2, cxy, zero)
+
+    def split3(c):
+        cx2, cy2, cz2, cyz, czx, cxy = c
+        return cz2, (cx2, cxy, czx), (zero, cy2, cyz)
+
+    return det_for(split1), det_for(split2), det_for(split3)
+
+
+def test_sylvester_dets_match_the_three_split_reference():
+    ring = PolyRing(("a", "b", "c"), 3)
+    a, b, c = ring.vars()
+    C3 = cyclotomic_field(3)
+    rat = FieldSpec("rational")
+    small = lambda rng: rng.choice((0, 0, 0, 1, -1, 2, -3))
+    domains = [
+        (rat, lambda rng: rat.scalar(Fraction(small(rng), rng.choice((1, 2))))),
+        (C3, lambda rng: small(rng) * C3.one() + small(rng) * C3.e()),
+        (ring, lambda rng: small(rng) * a + small(rng) * b * c + small(rng) * C3.e() * ring.one()),
+    ]
+    rng = random.Random("sylvester")
+    for domain, entry in domains:
+        for _ in range(12):
+            forms = [TernaryQuadratic(tuple(entry(rng) for _ in range(6)), domain) for _ in range(3)]
+            assert sylvester_dets(*forms) == _sylvester_dets_reference(*forms), forms
+    F1, F2, F3 = case1_system()
+    assert sylvester_dets(F1, F2, F3) == _sylvester_dets_reference(F1, F2, F3)
+
+
 def test_resultant_vanishes_for_dependent_system():
     F1, F2, _ = case1_system()
     ring = F1.domain

@@ -14,8 +14,10 @@ from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial
 from heckesym.linalg import MatrixF, Subspace, vec_is_zero, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import SklParameters, _projection, skl_relations
-from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_rho
+from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_element, longest_rho
+from heckesym.regular3 import hessian_generators, skl_tensor
 from heckesym.symmetry import (
+    REP_DIM_CAP,
     TENSOR_DIM_CAP,
     HeckeSymmetry,
     SymmetryError,
@@ -89,7 +91,7 @@ def test_dj2_matrix_block(dj2):
 def test_rep_matrix_examples(dj2):
     assert dj2.rep_matrix(unit(2), 2) == MatrixF.identity(4, F)
     h = generator(1, 2) * generator(1, 2)
-    assert dj2.rep_matrix(h, 2) == dj2.generator_matrix(1, 2).scale(q - 1) + MatrixF.identity(4, F).scale(q)
+    assert dj2.rep_matrix(h, 2) == _generator_matrix_reference(dj2, 1, 2).scale(q - 1) + MatrixF.identity(4, F).scale(q)
     assert dj2.rep_matrix(antisymmetrizer(2), 2) == MatrixF.identity(4, F).scale(q) - dj2.R
 
 
@@ -177,10 +179,20 @@ def test_star_associativity_random(dj2):
         assert lhs == rhs
 
 
-def test_star_membership_enforced(dj2):
+def test_star_membership_enforced(dj2, monkeypatch):
     bad = (F.one(), F.zero(), F.zero(), F.zero())  # e1 e1 is not in upsilon(2)
-    with pytest.raises(ValueError):
-        dj2.star(bad, 2, (F.one(), F.zero()), 1)
+    good = dj2.upsilon(2).basis[0]
+    e1 = (F.one(), F.zero())
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        dj2.star(e1, 2, e1, 1)
+    with pytest.raises(ValueError, match="left factor is not in upsilon"):
+        dj2.star(bad, 2, e1, 1)
+    with pytest.raises(ValueError, match="right factor is not in upsilon"):
+        dj2.star(e1, 1, bad, 2)
+    # a product outside upsilon(k + l), from an action that sends everything to e1 (x) e1 (x) e1
+    monkeypatch.setattr(HeckeSymmetry, "apply_hecke", lambda self, h, n, vec: (F.one(),) + (F.zero(),) * 7)
+    with pytest.raises(ValueError, match="star product left upsilon"):
+        dj2.star(good, 2, e1, 1)
 
 
 def test_upsilon_nesting(dj2):
@@ -292,7 +304,7 @@ def dense_upsilon(sym, n):
     shift = MatrixF.identity(sym.N ** n, sym.field).scale(sym.q)
     out = None
     for i in range(1, n):
-        img = (sym.generator_matrix(i, n) - shift).image()
+        img = (_generator_matrix_reference(sym, i, n) - shift).image()
         out = img if out is None else out.intersect(img)
     return out
 
@@ -302,7 +314,7 @@ def dense_ideal(sym, n):
     shift = MatrixF.identity(sym.N ** n, sym.field).scale(sym.q)
     out = Subspace.zero(sym.N ** n, sym.field)
     for i in range(1, n):
-        out = out.sum((sym.generator_matrix(i, n) - shift).kernel())
+        out = out.sum((_generator_matrix_reference(sym, i, n) - shift).kernel())
     return out
 
 
@@ -449,6 +461,20 @@ def kron_power(A, k):
     return out
 
 
+def _generator_matrix_reference(sym, i, n):
+    """T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n, from Kronecker products."""
+    I = MatrixF.identity(sym.N, sym.field)
+    return kron_power(I, i - 1).kronecker(sym.R).kronecker(kron_power(I, n - i - 1))
+
+
+def _perm_matrix_reference(sym, p, n):
+    """T_sigma on V^(x)n, the product of the generator references along a reduced word of sigma."""
+    out = MatrixF.identity(sym.N ** n, sym.field)
+    for i in p.reduced_word():
+        out = out * _generator_matrix_reference(sym, i, n)
+    return out
+
+
 def _dense_apply(M, vec, zero):
     out = []
     for i in range(M.rows):
@@ -538,6 +564,22 @@ def test_ring_action_makes_no_constants(monkeypatch):
     assert calls == []
     assert got == expected and got_sum == expected_sum
     assert got == [tuple(lam * lam * x for x in rels[j]) for j in (1, 0, 2)]
+
+
+def test_scalar_operator_on_ring_vectors_coerces_each_entry_once(monkeypatch):
+    # theta^(x)3 on the symbolic tensor t, as regular3.preserves_relations runs it
+    gens = hessian_generators()
+    ring = PolyRing(("a", "b", "c"), order=gens["cycle"].matrix.domain.order)
+    t = skl_tensor(SklParameters(*ring.vars(), ring))
+    z = ring.zero()
+    expected = {name: _dense_apply(kron_power(g.matrix, 3), t, z) for name, g in gens.items()}
+    calls = []
+    real = PolyRing.const
+    monkeypatch.setattr(PolyRing, "const", lambda self, value: calls.append(value) or real(self, value))
+    for name, g in sorted(gens.items()):
+        calls.clear()
+        assert apply_power(g.matrix, 3, t, z) == expected[name], name
+        assert len(calls) <= sum(not x.is_zero() for x in g.matrix.entries), (name, len(calls))
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +770,11 @@ def test_braid_defect_matches_kronecker_reference(case):
 
 
 def perm_matrix_sum(sym, h, n):
-    """Matrix of h on V^(x)n as the sum of c * perm_matrix over its terms."""
+    """Matrix of h on V^(x)n as the sum of c * T_sigma over its terms, from the Kronecker references."""
     out = MatrixF.zeros(sym.N ** n, sym.N ** n, sym.field)
     for p, _word, c in h.field_terms():
         padded = Perm(p.word + tuple(range(p.degree + 1, n + 1)))
-        out = out + sym.perm_matrix(padded, n).scale(c)
+        out = out + _perm_matrix_reference(sym, padded, n).scale(c)
     return out
 
 
@@ -748,8 +790,61 @@ def test_rep_matrix_matches_perm_matrix_sum(case):
     for _ in range(2):
         h = basis_element(rng.choice(perms), field).scale(rng.choice((-3, -2, 2, 3)))
         elements.append((h + basis_element(rng.choice(perms), field), 3))
+    if N == 2:
+        perms4 = list(enumerate_perms(4))
+        h = basis_element(rng.choice(perms4), field).scale(rng.choice((-2, 3)))
+        elements.append((h + basis_element(rng.choice(perms4), field), 4))
     for h, n in elements:
         assert sym.rep_matrix(h, n) == perm_matrix_sum(sym, h, n), (case, n)
+
+
+@pytest.mark.parametrize("case", sorted(set(BRAID_CASES) - {"obstruction-Rn"}))
+def test_dense_matrices_match_kronecker_references(case, monkeypatch):
+    R = BRAID_CASES[case]()
+    N = math.isqrt(R.rows)
+    field = R.domain
+    sym = HeckeSymmetry(N, field.q(), R, validate=False)
+    rng = random.Random("dense:" + case)
+    for n in range(1, 5):
+        for i in range(1, n):
+            assert sym.generator_matrix(i, n) == _generator_matrix_reference(sym, i, n), (case, i, n)
+        # the dense reference products stay small: V^(x)n of dimension at most 27
+        if N ** n <= 27:
+            perms = list(enumerate_perms(n))
+            for p in [Perm(tuple(range(1, n + 1))), longest_element(n)] + rng.sample(perms, min(2, len(perms))):
+                assert sym.perm_matrix(p, n) == _perm_matrix_reference(sym, p, n), (case, p, n)
+    for i, n in ((0, 3), (3, 3), (1, 1)):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            sym.generator_matrix(i, n)
+    with pytest.raises(ValueError, match="generator index out of range"):
+        sym.perm_matrix(longest_element(4), 3)
+    # over the cap each one is refused before any matrix is allocated
+    monkeypatch.setattr(symmetry, "_matrix_of", lambda *args: pytest.fail("matrix built over the cap"))
+    monkeypatch.setattr(symmetry, "MatrixF", None)
+    n = next(n for n in range(2, 40) if N ** n > REP_DIM_CAP)
+    for call in (
+        lambda: sym.generator_matrix(1, n),
+        lambda: sym.perm_matrix(longest_element(3), n),
+        lambda: sym.rep_matrix(antisymmetrizer(2, field), n),
+    ):
+        with pytest.raises(SymmetryError, match="exceeds the cap %d" % REP_DIM_CAP):
+            call()
+
+
+def test_kronecker_products_only_in_square_commutes(monkeypatch):
+    # the north-star rule: every operator on V^(x)n goes through the slot action,
+    # and the only Kronecker products are theta, phi and psi squared
+    calls = []
+    real = MatrixF.kronecker
+    monkeypatch.setattr(MatrixF, "kronecker", lambda self, other: calls.append((self, other)) or real(self, other))
+    sym = dj_standard(2)
+    prof = analyze(sym)
+    verify_operator_identities(prof)
+    sym.generator_matrix(1, 3)
+    sym.perm_matrix(longest_element(3), 3)
+    sym.rep_matrix(antisymmetrizer(3), 3)
+    assert [a for a, _b in calls] == [prof.theta, prof.phi, prof.psi]
+    assert all(a is b for a, b in calls)
 
 
 def test_packed_table_built_once_per_symmetry(monkeypatch):
