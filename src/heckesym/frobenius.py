@@ -21,12 +21,18 @@ trace formulas with q-binomial values), and reconstructs R from f and the
 degree-2 relations via the projection P with R = q Id - (1+q) P.
 
 Every operator identity is stated as one matrix equality lhs = rhs and
-recorded by `_record_equal`; a failing one names the first nonzero entry of
-lhs - rhs as "entry (i,j) = ...".  f is read off the row of rep(y_n) at the
-first nonzero coordinate of t, one action of y_n under R^t; the rank-one
-action y_n u = [n-1]!_q f(u) t follows from t spanning upsilon(n)
-(`f_functional`), so f needs no N^n x N^n matrix.  Pairing values and
-`functional.kernel` are proportionality tests (`linalg.first_minor`).
+recorded by `_record_equal`, or as one action whose result must vanish;
+a failing one names the first nonzero entry of lhs - rhs as
+"entry (i,j) = ...".  No Kronecker power of a matrix is formed: the
+square-commutes identity compares (A (x) A) R with R (A (x) A) =
+((A^t (x) A^t) R^t)^t, each one slot action of A on R's row slots.  A row of
+rep(y_n) is one action of y_n under R^t (`_y_row`); f is the row at the first
+nonzero coordinate of t, scaled, and the rank-one action
+y_n u = [n-1]!_q f(u) t follows from t spanning upsilon(n) (`f_functional`),
+so f needs no N^n x N^n matrix.  `functional.kernel` compares f with the row
+at the last nonzero coordinate of t.  Pairing values and that comparison are
+proportionality tests (`linalg.first_minor`); a pairing is nonsingular when
+its rank is full.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .heckealg import antisymmetrizer, coset_y, shift_element
 from .linalg import MatrixF, Subspace, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _vanishes, apply_power
+from .symmetry import HeckeSymmetry, _square_times, _vanishes, apply_power
 
 __all__ = [
     "FrobeniusProfile",
@@ -123,7 +129,7 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
             row.append(_scalar_multiple_of_t(prod, t, piv))
         rows.append(row)
     B = MatrixF.from_rows(rows, sym.field)
-    if B.det().is_zero():
+    if B.rank() != B.rows:
         raise DegeneratePairing("beta_%d is singular" % k)
     return B
 
@@ -194,6 +200,17 @@ def phi_op(sym: HeckeSymmetry, n: int, beta1: MatrixF, beta_n1: MatrixF) -> Matr
     return beta1.transpose().inverse() * beta_n1
 
 
+def _y_row(sym: HeckeSymmetry, n: int, k: int) -> tuple:
+    """Row k of rep(y_n) on V^(x)n: y_n acting on e_k under R^t.
+
+    rep(T_sigma)^t is T_(sigma^-1) under R^t, and the coefficient of T_sigma
+    in y_n depends only on the length of sigma.
+    """
+    field = sym.field
+    unit = [field.one() if j == k else field.zero() for j in range(sym.N ** n)]
+    return sym._transpose().apply_hecke(antisymmetrizer(n, field), n, unit)
+
+
 def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
     """The covector f with y_n u = [n-1]!_q f(u) t; needs [n-1]!_q != 0.
 
@@ -202,9 +219,6 @@ def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
     and [n-1]!_q != 0 forces q != -1 for n >= 3 ([2]_q = 1 + q divides it);
     y_2 = q - T_1 has image upsilon(2) at every q.  So rep(y_n) = t g^T, and
     row piv of rep(y_n), piv the first nonzero coordinate of t, is t[piv] g.
-    That row is y_n acting on e_piv under R^t: rep(T_sigma)^t is T_(sigma^-1)
-    under R^t, and the coefficient of T_sigma in y_n depends only on the
-    length of sigma.
     """
     field = sym.field
     norm = qfact(n - 1, field)
@@ -214,9 +228,7 @@ def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
     if U.dim != 1 or not U.contains(t):
         raise DegeneratePairing("y_n action is not rank one onto the top line")
     piv = vec_pivot(t)
-    unit = [field.one() if k == piv else field.zero() for k in range(len(t))]
-    row = sym._transpose().apply_hecke(antisymmetrizer(n, field), n, unit)
-    return vec_scale((norm * t[piv]).inverse(), row)
+    return vec_scale((norm * t[piv]).inverse(), _y_row(sym, n, piv))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +369,12 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     _record_equal(report, "twist-relation", "psi = q^(-n-1) phi theta^2", psi, twisted)
     inverse = theta.inverse().scale(q ** (n + 1))
     _record_equal(report, "theta-bar-inverse", "theta_bar = q^(n+1) theta^(-1)", theta_bar, inverse)
+    # (op (x) op) R against R (op (x) op) = ((op^t (x) op^t) R^t)^t, each one action of op on two row slots
+    Rt = sym._transpose().R
     for name, op in (("theta", theta), ("phi", phi), ("psi", psi)):
-        square = op.kronecker(op)
         rule = "%s (x) %s commutes with R" % (name, name)
-        _record_equal(report, "square-commutes.%s" % name, rule, square * sym.R, sym.R * square)
+        lhs, rhs = _square_times(op, sym.R), _square_times(op.transpose(), Rt).transpose()
+        _record_equal(report, "square-commutes.%s" % name, rule, lhs, rhs)
     _record_equal(
         report,
         "top-scaling",
@@ -402,19 +416,15 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             MatrixF.from_rows([sym.apply_perm_word(word, k + n, kron_vec(u, profile.t, field)) for u in units], field),
             MatrixF.from_rows([kron_vec(profile.t, apply_power(theta, k, u), field) for u in units], field),
         )
-        # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k)
+        # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one
+        # action of y_shift - coeff T_(rho^-1) whose rows must vanish
         y_shift = shift_element(coset_y(n, n - k, k, field), k)
         sign = -1 if (k * n - k) % 2 else 1
         coeff = field.scalar(sign) * q ** (-(k * (k + 1) // 2))
-        rho_inv_word = rho.inverse().reduced_word()
-        tensors = [kron_vec(profile.t, v, field) for v in sym.upsilon(k).basis]
-        _record_equal(
-            report,
-            "mirror-top.k%d" % k,
-            "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u",
-            MatrixF.from_rows([sym.apply_hecke(y_shift, k + n, u) for u in tensors], field),
-            MatrixF.from_rows([sym.apply_perm_word(rho_inv_word, k + n, u) for u in tensors], field).scale(coeff),
-        )
+        terms = sym._hecke_terms(y_shift, k + n) + [(rho.inverse().reduced_word(), -coeff)]
+        defect = [sym._combine(terms, k + n, kron_vec(profile.t, v, field)) for v in sym.upsilon(k).basis]
+        rule = "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u"
+        report.record("mirror-top.k%d" % k, rule, *_vanishes(MatrixF.from_rows(defect, field)))
 
     # scalar-braiding degree gate (odd top degree, theta a multiple of psi)
     if n % 2 == 1 and n >= 3:
@@ -462,9 +472,10 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             (psi * values.transpose()).scale(field.scalar(sign) * q),
             theta,
         )
-        # rep(y_n) has rank one: ker f = ker g for its row g at the pivot of t, read afresh, iff f = c g
-        # with c != 0; the witness is f[j] g[p] - f[p] g[j] at the pivot p of g, g if f[p] = 0, f if g = 0
-        g = f_functional(sym, n, sym.upsilon(n).basis[0])
+        # rep(y_n) has rank one: ker f = ker g for its row g at the last nonzero coordinate of t iff
+        # f = c g with c != 0; the witness is f[j] g[p] - f[p] g[j] at the pivot p of g, g if f[p] = 0,
+        # f if g = 0
+        g = _y_row(sym, n, max(j for j, x in enumerate(t) if not x.is_zero()))
         if vec_is_zero(g):
             witness = _vanishes(MatrixF.from_rows([f], field))[1]
         elif f[vec_pivot(g)].is_zero():

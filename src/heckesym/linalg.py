@@ -2,9 +2,12 @@
 
 MatrixF carries its domain (a FieldSpec for field scalars, a PolyRing for
 polynomial entries).  Row reduction, kernels, images, subspace sums and
-intersections need a field; products, Kronecker products (`kron_vec` row by
-row) and determinants also work over polynomial rings, the last by a
-cofactor expansion memoized over column subsets.
+intersections need a field; products and determinants also work over
+polynomial rings.  No Kronecker power of a matrix is formed: `kron_vec` is
+the one Kronecker product, of two vectors.  `det` is the Laplace expansion
+memoized over column subsets on every domain, exponential in n, so it is
+for the small matrices whose determinant value is used; nonsingularity is a
+`rank` question.
 
 Subspaces of k^D are stored as the nonzero rows of a reduced row echelon
 form, so equal subspaces have identical bases and == is structural.  By
@@ -115,11 +118,6 @@ class MatrixF:
         zero, one = domain.zero(), domain.one()
         return MatrixF(n, n, [one if i == j else zero for i in range(n) for j in range(n)], domain)
 
-    @staticmethod
-    def zeros(rows: int, cols: int, domain: Domain) -> "MatrixF":
-        zero = domain.zero()
-        return MatrixF(rows, cols, [zero] * (rows * cols), domain)
-
     # -- accessors
 
     def __getitem__(self, key: Tuple[int, int]):
@@ -183,18 +181,7 @@ class MatrixF:
         """Matrix times a column vector given as a plain sequence."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = self.domain.zero()
-        out = [zero] * self.rows
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = zero
-            for j, v in enumerate(vector):
-                if not v.is_zero():
-                    a = self.entries[base + j]
-                    if not a.is_zero():
-                        acc = acc + a * v
-            out[i] = acc
-        return tuple(out)
+        return (self * MatrixF(self.cols, 1, vector, self.domain)).entries
 
     def transpose(self) -> "MatrixF":
         return MatrixF(
@@ -203,12 +190,6 @@ class MatrixF:
             [self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)],
             self.domain,
         )
-
-    def kronecker(self, other: "MatrixF") -> "MatrixF":
-        """self (x) other: row (i, k) is kron_vec of row i of self and row k of other."""
-        self._check(other, False)
-        rows = [kron_vec(a, b, self.domain) for a in self.row_list() for b in other.row_list()]
-        return MatrixF(self.rows * other.rows, self.cols * other.cols, [x for r in rows for x in r], self.domain)
 
     def trace(self):
         if self.rows != self.cols:
@@ -324,66 +305,27 @@ class MatrixF:
     # -- determinants
 
     def det(self):
+        """Laplace expansion along the rows, memoized over column subsets (sparse friendly)."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return self.domain.one()
-        if _is_field(self.domain):
-            return self._det_field()
-        return self._det_cofactor()
-
-    def _det_field(self):
-        rows = [list(r) for r in self.row_list()]
-        n = self.rows
-        det = self.domain.one()
-        for col in range(n):
-            pivot_row = None
-            for i in range(col, n):
-                if not rows[i][col].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.domain.zero()
-            if pivot_row != col:
-                rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-                det = -det
-            pivot = rows[col][col]
-            det = det * pivot
-            inv = pivot.inverse()
-            for i in range(col + 1, n):
-                factor = rows[i][col]
-                if not factor.is_zero():
-                    factor = factor * inv
-                    rows[i] = [x - factor * y if not y.is_zero() else x for x, y in zip(rows[i], rows[col])]
-        return det
-
-    def _det_cofactor(self):
-        """Laplace expansion memoized over column subsets (sparse friendly)."""
-        n = self.rows
         zero = self.domain.zero()
         memo = {(): self.domain.one()}
 
-        def minor(row: int, colmask: Tuple[int, ...]):
-            if not colmask:
-                return memo[()]
-            key = colmask
-            if (row, key) in memo:
-                return memo[(row, key)]
-            acc = zero
-            sign = 1
-            for idx, col in enumerate(colmask):
-                a = self[row, col]
-                if not a.is_zero():
-                    rest = colmask[:idx] + colmask[idx + 1 :]
-                    sub = minor(row + 1, rest)
-                    term = a * sub
-                    acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-            memo[(row, key)] = acc
-            return acc
+        def minor(cols: Tuple[int, ...]):
+            """The determinant of the last len(cols) rows on the columns cols."""
+            got = memo.get(cols)
+            if got is None:
+                row = self.rows - len(cols)
+                got = zero
+                for idx, col in enumerate(cols):
+                    a = self[row, col]
+                    if not a.is_zero():
+                        term = a * minor(cols[:idx] + cols[idx + 1 :])
+                        got = got - term if idx % 2 else got + term
+                memo[cols] = got
+            return got
 
-        return minor(0, tuple(range(n)))
+        return minor(tuple(range(self.rows)))
 
 
 class Subspace:
@@ -428,9 +370,6 @@ class Subspace:
 
     def contains(self, vector: Sequence) -> bool:
         return self.coordinates(vector) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
 
     def coordinates(self, vector: Sequence) -> Optional[tuple]:
         """Coefficients of the vector in the canonical basis, or None."""

@@ -24,14 +24,15 @@ Im(A^t), so ideal_component(n) is the annihilator of upsilon(n) of the
 transpose symmetry R^t and lambda_dim(n) = dim V^(x)n - dim ideal_component(n)
 is that upsilon's dimension.
 
-Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, the
-matrices of T_i, T_sigma and rep(h) column by column, the quadratic relation
-and the braid defect -- is one sum of c * A_word(v) over slot-local steps
-(_act).  A Scalar v is packed once into integer numerators over one
-denominator (integer polynomials in q at q = 2^B over ratfunc_q), steps on
-Python ints with the multiplication matrices of R's entries (packed once per
-symmetry) and is unpacked once.  A ring vector is the same layout with one
-component over denominator 1, on R's entries as elements of its ring.
+Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, A (x) A on
+the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
+identity), the matrices of T_i, T_sigma and rep(h) column by column, the
+quadratic relation and the braid defect -- is one sum of c * A_word(v) over
+slot-local steps (_act).  A Scalar v is packed once into integer numerators
+over one denominator (integer polynomials in q at q = 2^B over ratfunc_q),
+steps on Python ints with the multiplication matrices of R's entries (packed
+once per symmetry) and is unpacked once.  A ring vector is the same layout
+with one component over denominator 1, on R's entries as elements of its ring.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -205,6 +206,11 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
     return _act(column_table(A), A.rows, [(range(1, k + 1), None)], vec, zero)
+
+
+def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
+    """(A (x) A) M, one action of A on the two row slots of M's row-major entries."""
+    return MatrixF(M.rows, M.cols, _act(column_table(A), A.rows, [((1, 2), None)], M.entries, A.domain.zero()), A.domain)
 
 
 def _format_entry(x) -> str:
@@ -477,11 +483,10 @@ class HeckeSymmetry:
         """(tau (x) tau) R (tau^-1 (x) tau^-1)."""
         if tau.rows != self.N or tau.cols != self.N:
             raise ValueError("conjugating operator must be N x N")
-        # the columns of (tau (x) tau) R, then the rows of that times tau^-1 (x) tau^-1
-        left = [apply_power(tau, 2, self.R.col(j)) for j in range(self.N ** 2)]
-        tinv_t = tau.inverse().transpose()
-        rows = [apply_power(tinv_t, 2, row) for row in zip(*left)]
-        return HeckeSymmetry(self.N, self.q, MatrixF.from_rows(rows, self.field), name=self.name + ".conj")
+        # X (tau^-1 (x) tau^-1) = ((tau^-t (x) tau^-t) X^t)^t for X = (tau (x) tau) R
+        left = _square_times(tau, self.R)
+        R = _square_times(tau.inverse().transpose(), left.transpose()).transpose()
+        return HeckeSymmetry(self.N, self.q, R, name=self.name + ".conj")
 
     # -- JSON document
 

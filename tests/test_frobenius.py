@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym import frobenius
+from heckesym import frobenius, symmetry
 from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
@@ -25,14 +25,14 @@ from heckesym.frobenius import (
     verify_operator_identities,
 )
 from heckesym.exprio import format_scalar
-from heckesym.heckealg import antisymmetrizer, partial_y
-from heckesym.linalg import MatrixF, vec_combination, vec_is_zero, vec_pivot, vec_scale
+from heckesym.heckealg import antisymmetrizer, coset_y, partial_y, shift_element
+from heckesym.linalg import MatrixF, first_minor, vec_combination, vec_is_zero, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import _cyclic_functional
-from heckesym.permgroup import Composition
+from heckesym.permgroup import Composition, longest_rho
 from heckesym.regular3 import SklParameters, skl_relations
-from heckesym.symmetry import HeckeSymmetry, dj_standard, flip, kron_vec
-from test_symmetry import _conjugate, _domains, _rational_q, kron_power, perm_matrix_sum
+from heckesym.symmetry import HeckeSymmetry, _vanishes, dj_standard, flip, kron_vec
+from test_symmetry import _conjugate, _domains, _perm_matrix_reference, _rational_q, kron_power, kronecker, perm_matrix_sum
 
 F = GENERIC_Q
 q = F.q()
@@ -90,6 +90,18 @@ def test_pairing_dims_match(prof3):
         assert not B.det().is_zero()
 
 
+def test_pairing_refuses_a_singular_beta(prof2, monkeypatch):
+    sym, n, t = prof2.sym, prof2.n, prof2.t
+    # nonsingularity is a rank question: the suite takes no determinant
+    monkeypatch.setattr(MatrixF, "det", lambda self: pytest.fail("determinant taken"))
+    verify_operator_identities(analyze(sym))
+    # every pairing value zero, then every value one: both betas are singular
+    for value in (F.zero(), F.one()):
+        monkeypatch.setattr(frobenius, "_scalar_multiple_of_t", lambda v, t, pivot: value)
+        with pytest.raises(DegeneratePairing, match="^beta_1 is singular$"):
+            pairing(sym, 1, n, t)
+
+
 def test_operators_dj2(prof2):
     assert prof2.theta == diag(F, q ** 2, q)
     assert prof2.theta_bar == diag(F, q, q ** 2)
@@ -116,8 +128,67 @@ def test_flip_operators():
 
 
 def test_psi_square_commutes(prof2):
-    ps2 = prof2.psi.kronecker(prof2.psi)
+    ps2 = kronecker(prof2.psi, prof2.psi)
     assert ps2 * prof2.sym.R == prof2.sym.R * ps2
+
+
+SQUARE_CASES = {
+    "dj2": lambda: dj_standard(2),
+    "dj3": lambda: dj_standard(3),
+    "dj2-conj-generic": lambda: _conjugate(2, GENERIC_Q, 11),
+    "dj3-conj-q=2": lambda: _conjugate(3, _rational_q(2), 13),
+    "dj3-conj-cyc3": lambda: _conjugate(3, cyclotomic_field(3, q_power=1), 14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+def test_square_commutes_sides_match_kronecker_products(case, monkeypatch):
+    prof = analyze(SQUARE_CASES[case]())
+    R, field = prof.sym.R, prof.field
+    sides = {}
+    real = frobenius._record_equal
+
+    def recording(report, name, rule, lhs, rhs, detail=""):
+        sides[name] = lhs, rhs
+        real(report, name, rule, lhs, rhs, detail)
+
+    monkeypatch.setattr(frobenius, "_record_equal", recording)
+    assert verify_operator_identities(prof).ok
+    rng = random.Random("square:" + case)
+    dense = MatrixF(prof.sym.N, prof.sym.N, [field.scalar(rng.choice((0, 1, -1, 2, 3))) for _ in range(prof.sym.N ** 2)], field)
+    for name, op in (("theta", prof.theta), ("phi", prof.phi), ("psi", prof.psi), ("dense", dense)):
+        square = kronecker(op, op)
+        lhs, rhs = symmetry._square_times(op, R), symmetry._square_times(op.transpose(), R.transpose()).transpose()
+        assert (lhs, rhs) == (square * R, R * square), (case, name)
+        if name != "dense":
+            assert sides["square-commutes.%s" % name] == (lhs, rhs), (case, name)
+
+
+@pytest.mark.parametrize("case", ["dj2", "dj2-conj-generic"])
+def test_square_commutes_and_mirror_witnesses_match_dense_differences(case):
+    prof = analyze(SQUARE_CASES[case]())
+    sym, n, field = prof.sym, prof.n, prof.field
+    R = sym.R
+    for name in ("theta", "phi"):
+        bumped = dataclasses.replace(prof, **{name: _bump(getattr(prof, name), 0, 1)})
+        square = kronecker(getattr(bumped, name), getattr(bumped, name))
+        check = next(c for c in verify_operator_identities(bumped).checks if c.name == "square-commutes.%s" % name)
+        assert check.status == "fail" and check.detail == _vanishes(square * R - R * square)[1], (case, name)
+    # a moved top tensor fails the mirror: the detail is the first nonzero entry of the dense lhs - rhs
+    t = list(prof.t)
+    t[0] = t[0] + field.one()
+    report = verify_operator_identities(dataclasses.replace(prof, t=tuple(t)))
+    for k in range(1, min(2, n) + 1):
+        y_shift = shift_element(coset_y(n, n - k, k, field), k)
+        sign = -1 if (k * n - k) % 2 else 1
+        coeff = field.scalar(sign) * sym.q ** (-(k * (k + 1) // 2))
+        Y = perm_matrix_sum(sym, y_shift, k + n)
+        P = _perm_matrix_reference(sym, longest_rho(k, n).inverse(), k + n)
+        tensors = [kron_vec(t, v, field) for v in sym.upsilon(k).basis]
+        lhs = MatrixF.from_rows([Y.apply(u) for u in tensors], field)
+        rhs = MatrixF.from_rows([P.apply(u) for u in tensors], field).scale(coeff)
+        check = next(c for c in report.checks if c.name == "mirror-top.k%d" % k)
+        assert check.status == "fail" and check.detail == _vanishes(lhs - rhs)[1], (case, k)
 
 
 def test_functional(prof2):
@@ -200,6 +271,8 @@ def test_functional_matches_dense_rep_of_y_n(case):
     norm = qfact(n - 1, field)
     piv = next(i for i, x in enumerate(t) if not x.is_zero())
     assert f == vec_scale(norm.inverse(), Y.row(piv))
+    for k in {0, piv, len(t) - 1} | {j for j, x in enumerate(t) if not x.is_zero()}:
+        assert frobenius._y_row(sym, n, k) == Y.row(k), (case, k)
     assert Y == MatrixF(len(t), 1, t, field) * MatrixF(1, len(f), f, field).scale(norm)
     # a rescaled top tensor rescales f inversely
     two = field.scalar(2)
@@ -613,7 +686,7 @@ def test_kernel_check_matches_dense_kernels(case, monkeypatch):
              (moved(g0, p, -g0[p]), g0), (moved(zero, len(g0) - 1, field.one()), g0)]
     pairs += [(moved(g0, rng.randrange(len(g0)), field.scalar(rng.choice((-1, 2)))), g0) for _ in range(4)]
     for f, g in pairs:
-        monkeypatch.setattr(frobenius, "f_functional", lambda *args: g)
+        monkeypatch.setattr(frobenius, "_y_row", lambda *args: g)
         report = verify_operator_identities(dataclasses.replace(prof, f=f))
         check = next(c for c in report.checks if c.name == "functional.kernel")
         assert (check.status == "pass") == _dense_kernel_check(f, g, field), (f, g)
@@ -631,3 +704,26 @@ def test_kernel_check_matches_dense_kernels(case, monkeypatch):
             pg = vec_pivot(g)
             value = f[j] * g[pg] - f[pg] * g[j]
         assert not value.is_zero() and text == format_scalar(value), (f, g, check.detail)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_check_reads_the_row_at_the_last_coordinate_of_t(case, monkeypatch):
+    prof = KERNEL_CASES[case]()
+    t, f, field = prof.t, prof.f, prof.field
+    piv, last = vec_pivot(t), max(j for j, x in enumerate(t) if not x.is_zero())
+    assert piv != last
+    real = frobenius._y_row
+    asked = []
+    monkeypatch.setattr(frobenius, "_y_row", lambda sym, n, k: asked.append(k) or real(sym, n, k))
+    check = next(c for c in verify_operator_identities(prof).checks if c.name == "functional.kernel")
+    assert asked == [last] and check.status == "pass"
+    # the row at piv stays f's own; a row at last != piv that is not proportional to f fails on its minor
+    row = real(prof.sym, prof.n, last)
+    for j in range(len(f)):
+        g = row[:j] + (row[j] + field.one(),) + row[j + 1 :]
+        minor = first_minor(f, g)
+        if minor is None or f[vec_pivot(g)].is_zero():
+            continue
+        monkeypatch.setattr(frobenius, "_y_row", lambda sym, n, k: real(sym, n, k) if k == piv else g)
+        check = next(c for c in verify_operator_identities(prof).checks if c.name == "functional.kernel")
+        assert check.status == "fail" and check.detail == "entry (0,%d) = %s" % (minor[0], format_scalar(minor[1])), (case, j)

@@ -12,7 +12,9 @@ Frobenius identities became one matrix equality each; the dense cyclotomic
 dj(3) and non-integral dj(2) conjugate digests were captured before the
 constant-field slot actions moved onto packed integers; the dj(2) and dj(3)
 digests at q = -1 and the dj(3) digest at q = i were captured before f was
-read off one action of y_n under R^t.  Every refactor must
+read off one action of y_n under R^t; the failing verify report of a
+perturbed dj(2), with its witnesses and exit code 1, was captured before the
+square-commutes identity moved onto the slot action.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -127,6 +129,16 @@ DJ2_HALF_CONJUGATE_SHA256 = {
     "analyze": "ca87c1c563d2df4a7a8a830f09efb93b79ff3b1053666d7166d711d244d8a870",
 }
 
+# dj(2) with entry (0, 3) of R set to 1, as test_cli's test_verify_perturbed_matrix
+# builds it: verify exits 1 and names the failing entries
+PERTURBED_DJ2 = {
+    "dim": 2,
+    "field": {"kind": "ratfunc_q", "order": 1},
+    "q": "q",
+    "matrix": [["q", "0", "0", "1"], ["0", "q - 1", "1", "0"], ["0", "q", "0", "0"], ["0", "0", "0", "q"]],
+}
+PERTURBED_DJ2_VERIFY_SHA256 = "cb6a3523f8b59da0e703ea4f4c1a0c41ac2d8bea38a4ebf8098ae5aa0f709f68"
+
 # sha256 of json.dumps([g.to_rows() for g in hessian_group()])
 GROUP_ROWS_SHA256 = "9f1d8b9b46a5aa35da39efa5066b53e18d111ccf17aef003e222042f10cb4ff0"
 # sha256 of json.dumps of the classes as lists of indices into hessian_group()
@@ -176,6 +188,14 @@ def test_analyze_dense_cyclotomic_conjugate_digest(capsys, tmp_path):
 def test_non_integral_conjugate_digest(capsys, tmp_path, command):
     out = _document_stdout(capsys, tmp_path, command, DJ2_HALF_CONJUGATE)
     assert _sha256(out) == DJ2_HALF_CONJUGATE_SHA256[command]
+
+
+def test_failing_verify_digest(capsys, tmp_path):
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(PERTURBED_DJ2))
+    code = main(["verify", str(path)])
+    assert code == 1
+    assert _sha256(capsys.readouterr().out) == PERTURBED_DJ2_VERIFY_SHA256
 
 
 def test_group_elements_and_class_order():

@@ -6,7 +6,7 @@ import pytest
 from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field
 from heckesym.linalg import MatrixF, Subspace, first_minor, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
-from test_symmetry import _domains
+from test_symmetry import _dense_apply, _domains, kronecker
 
 F = FieldSpec("rational")
 
@@ -43,8 +43,8 @@ def test_subspace_dim_formula():
         V = Subspace.from_vectors([rand_matrix(rng, 1, amb).row(0) for _ in range(rng.randint(0, 5))], amb, F)
         s, i = U.sum(V), U.intersect(V)
         assert s.dim + i.dim == U.dim + V.dim
-        assert U.contains_subspace(i) and V.contains_subspace(i)
-        assert s.contains_subspace(U) and s.contains_subspace(V)
+        assert all(U.contains(row) and V.contains(row) for row in i.basis)
+        assert all(s.contains(row) for row in U.basis + V.basis)
 
 
 def test_intersect_with_ambient():
@@ -69,13 +69,13 @@ def test_kronecker_and_trace():
     q = GENERIC_Q.q()
     A = MatrixF.from_rows([[q, GENERIC_Q.zero()], [GENERIC_Q.one(), q]], GENERIC_Q)
     B = MatrixF.identity(2, GENERIC_Q)
-    K = A.kronecker(B)
+    K = kronecker(A, B)
     assert K.rows == 4 and K.trace() == 4 * q
-    assert A.kronecker(B).kronecker(A) == A.kronecker(B.kronecker(A))
+    assert kronecker(kronecker(A, B), A) == kronecker(A, kronecker(B, A))
 
 
 def _kronecker_reference(A, B):
-    """A (x) B entry by entry: the loops that MatrixF.kronecker replaced."""
+    """A (x) B entry by entry: the reference for the row-by-row kronecker of the tests."""
     n, m, p, q = A.rows, A.cols, B.rows, B.cols
     out = [A.domain.zero()] * (n * p * m * q)
     for i in range(n):
@@ -101,7 +101,7 @@ def test_kronecker_matches_entry_loops(case):
         for r2, c2 in shapes:
             A = MatrixF(r1, c1, [entry(rng) for _ in range(r1 * c1)], domain)
             B = MatrixF(r2, c2, [entry(rng) for _ in range(r2 * c2)], domain)
-            assert A.kronecker(B) == _kronecker_reference(A, B), (r1, c1, r2, c2)
+            assert kronecker(A, B) == _kronecker_reference(A, B), (r1, c1, r2, c2)
 
 
 def test_scale_multiplies_no_zero(monkeypatch):
@@ -135,19 +135,80 @@ def test_determinants():
     M = MatrixF.from_rows(
         [[a + b, c, ring.zero()], [ring.zero(), a + b, c], [c, ring.zero(), a + b]], ring
     )
-    expected = (a + b) ** 3 + c ** 3
-    assert M.det() == expected
-    assert M._det_cofactor() == expected
+    assert M.det() == (a + b) ** 3 + c ** 3
     # an integer ring matrix above order 6 against the field determinant
     rng = random.Random(15)
     ents = [rng.randint(-3, 3) for _ in range(49)]
     A_ring = MatrixF(7, 7, [ring.const(e) for e in ents], ring)
     A_field = MatrixF(7, 7, [F.scalar(e) for e in ents], F)
-    assert not A_field.det().is_zero()
+    assert not A_field.det().is_zero() and A_field.det() == _det_elimination(A_field)
     assert A_ring.det() == ring.const(A_field.det().rational())
     # field determinant with a swap
     A = MatrixF.from_rows([[F.zero(), F.one()], [F.one(), F.zero()]], F)
     assert A.det() == -F.one()
+
+
+def _det_elimination(M):
+    """det M by Gaussian elimination over a field (the reference for the cofactor expansion)."""
+    rows = [list(r) for r in M.row_list()]
+    n = M.rows
+    det = M.domain.one()
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if not rows[i][col].is_zero()), None)
+        if pivot_row is None:
+            return M.domain.zero()
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            det = -det
+        pivot = rows[col][col]
+        det = det * pivot
+        inv = pivot.inverse()
+        for i in range(col + 1, n):
+            factor = rows[i][col]
+            if not factor.is_zero():
+                factor = factor * inv
+                rows[i] = [x - factor * y if not y.is_zero() else x for x, y in zip(rows[i], rows[col])]
+    return det
+
+
+@pytest.mark.parametrize("field", [F, cyclotomic_field(3), GENERIC_Q], ids=["rational", "cyclotomic-3", "ratfunc_q"])
+def test_det_matches_elimination(field):
+    rng = random.Random("det:%s" % field.kind)
+    gen = field.q() if field.kind == "ratfunc_q" else field.e() if field.kind == "cyclotomic" else field.scalar(Fraction(1, 2))
+
+    def entry():
+        return field.scalar(rng.choice((0, 0, 1, -1, 2, 3))) + field.scalar(rng.randint(-1, 1)) * gen
+
+    assert MatrixF(0, 0, (), field).det() == field.one()
+    for n in range(1, 7):
+        for trial in range(4 if n < 5 else 2):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial % 2 and n > 1:
+                # singular: the last row is a combination of the first two
+                c = entry()
+                rows[-1] = [x + c * y for x, y in zip(rows[0], rows[n - 2])]
+            M = MatrixF.from_rows(rows, field)
+            expected = _det_elimination(M)
+            assert M.det() == expected, (n, trial)
+            assert expected.is_zero() == (M.rank() < n)
+            if trial % 2 and n > 1:
+                assert expected.is_zero()
+
+
+def test_apply_is_the_one_column_product(monkeypatch):
+    for name, domain, entry, zero, _vec_entry in _domains()[:4]:
+        rng = random.Random("apply:" + name)
+        for rows, cols in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            A = MatrixF(rows, cols, [entry(rng) for _ in range(rows * cols)], domain)
+            vec = tuple(entry(rng) for _ in range(cols))
+            products = []
+            real = MatrixF.__mul__
+            monkeypatch.setattr(MatrixF, "__mul__", lambda a, b: products.append((a, b)) or real(a, b))
+            assert A.apply(vec) == _dense_apply(A, vec, zero), (name, rows, cols)
+            monkeypatch.setattr(MatrixF, "__mul__", real)
+            assert products == [(A, MatrixF(cols, 1, vec, domain))]
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                A.apply(vec + (zero,))
 
 
 def test_det_matches_field_and_ring_on_random():
@@ -174,11 +235,11 @@ def test_subspace_contains_and_coordinates():
 
 def test_shape_errors():
     A = MatrixF.identity(2, F)
-    B = MatrixF.zeros(3, 2, F)
+    B = MatrixF(3, 2, [F.zero()] * 6, F)
     with pytest.raises(ValueError):
         A + B
     with pytest.raises(ValueError):
-        A * MatrixF.zeros(3, 3, F)
+        A * MatrixF(3, 3, [F.zero()] * 9, F)
     with pytest.raises(ValueError):
         B.trace()
     with pytest.raises(ValueError):
@@ -228,7 +289,7 @@ def test_intersect_matches_stacked_kernel(field):
             for V in spaces:
                 got = U.intersect(V)
                 assert got == _stacked_intersect(U, V), (amb, U, V)
-                assert U.contains_subspace(got) and V.contains_subspace(got)
+                assert all(U.contains(row) and V.contains(row) for row in got.basis)
                 assert got.dim + U.sum(V).dim == U.dim + V.dim
 
 

@@ -190,9 +190,9 @@ def test_projective_normalization():
     M = MatrixF.identity(3, field).scale(eps)
     g = ProjectiveElement(M)
     assert g.is_identity()
-    singular = MatrixF.zeros(3, 3, field)
+    singular = MatrixF(3, 3, [field.zero()] * 9, field)
     with pytest.raises(ValueError):
-        ProjectiveElement(singular + MatrixF.zeros(3, 3, field))
+        ProjectiveElement(singular + singular)
 
 
 def _normalize_reference(M):
