@@ -603,8 +603,8 @@ def pack(field: FieldSpec, xs) -> tuple:
         if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
             raise ValueError("mixed fields")
         vecs.append(x.num[0] if x.num else zero)
-    den = lcm(*[c.denominator for v in vecs for c in v])
-    return den, [[c.numerator * (den // c.denominator) for c in comp] for comp in zip(*vecs)]
+    den = lcm(*{c.denominator for v in vecs for c in v})
+    return den, [[v[j].numerator * (den // v[j].denominator) for v in vecs] for j in range(len(zero))]
 
 
 def unpack(field: FieldSpec, comps, den: int) -> tuple:
@@ -634,7 +634,7 @@ def pack_q(field: FieldSpec, xs) -> tuple:
         nums.append(x.num)
     if den is not unit:
         nums = [p if not p or x.den == den else _pmul(ctx, p, _pdivmod(ctx, den, x.den)[0]) for p, x in zip(nums, xs)]
-    c = lcm(*[f.denominator for p in nums + [den] for v in p for f in v])
+    c = lcm(*{f.denominator for p in nums + [den] for v in p for f in v})
     if c != 1:
         den = tuple(tuple(f * c for f in v) for v in den)
     return den, [[tuple([v[j].numerator * (c // v[j].denominator) for v in p]) if p else () for p in nums] for j in range(ctx.deg)]

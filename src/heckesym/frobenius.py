@@ -21,18 +21,21 @@ trace formulas with q-binomial values), and reconstructs R from f and the
 degree-2 relations via the projection P with R = q Id - (1+q) P.
 
 Every operator identity is stated as one matrix equality lhs = rhs and
-recorded by `_record_equal`, or as one action whose result must vanish;
-a failing one names the first nonzero entry of lhs - rhs as
-"entry (i,j) = ...".  No Kronecker power of a matrix is formed: the
-square-commutes identity compares (A (x) A) R with R (A (x) A) =
-((A^t (x) A^t) R^t)^t, each one slot action of A on R's row slots.  A row of
-rep(y_n) is one action of y_n under R^t (`_y_row`); f is the row at the first
-nonzero coordinate of t, scaled, and the rank-one action
-y_n u = [n-1]!_q f(u) t follows from t spanning upsilon(n) (`f_functional`),
-so f needs no N^n x N^n matrix.  `functional.kernel` compares f with the row
-at the last nonzero coordinate of t.  Pairing values and that comparison are
-proportionality tests (`linalg.first_minor`); a pairing is nonsingular when
-its rank is full.
+recorded by `_record_equal`, row by row up to the first difference, or as
+one action whose result must vanish; a failing one names the first nonzero
+entry of lhs - rhs as "entry (i,j) = ...".  A family of vectors is acted on
+at once, stacked with a trailing label slot (`linalg._stack`): each
+pairing, theta, theta_bar, each restriction to a subspace and each side of
+braid-top is one action, and psi is one solve with N right-hand sides.  No
+Kronecker power of a matrix is formed: the square-commutes identity compares
+(A (x) A) R with R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action
+of A on R's row slots.  A row of rep(y_n) is one action of y_n under R^t
+(`_y_row`); f is the row at the first nonzero coordinate of t, scaled, and
+the rank-one action y_n u = [n-1]!_q f(u) t follows from t spanning
+upsilon(n) (`f_functional`), so f needs no N^n x N^n matrix.
+`functional.kernel` compares f with the row at the last nonzero coordinate
+of t.  Pairing values and that comparison are proportionality tests
+(`linalg.first_minor`); a pairing is nonsingular when its rank is full.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from typing import List, Optional, Sequence, Tuple
 from .exactnum import FieldSpec, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import antisymmetrizer, coset_y, shift_element
-from .linalg import MatrixF, Subspace, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
+from .linalg import MatrixF, Subspace, _stack, _units, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _square_times, _vanishes, apply_power
+from .symmetry import HeckeSymmetry, _format_entry, _matrix_of, _square_times, _vanishes, apply_power, column_table
 
 __all__ = [
     "FrobeniusProfile",
@@ -120,45 +123,35 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
             "dim upsilon(%d) = %d != %d = dim upsilon(%d)" % (k, len(left), len(right), n - k)
         )
     piv = vec_pivot(t)
-    y = coset_y(n, k, n - k, sym.field)
-    rows = []
-    for u in left:
-        row = []
-        for w in right:
-            prod = sym.apply_hecke(y, n, kron_vec(u, w, sym.field)) if k not in (0, n) else kron_vec(u, w, sym.field)
-            row.append(_scalar_multiple_of_t(prod, t, piv))
-        rows.append(row)
-    B = MatrixF.from_rows(rows, sym.field)
+    # one action of y on the family of all u (x) w, the unit when k is 0 or n
+    terms = sym._hecke_terms(coset_y(n, k, n - k, sym.field), n) if k not in (0, n) else [((), None)]
+    m = len(left) * len(right)
+    products = sym._combine(terms, n, _stack((kron_vec(u, w, sym.field) for u in left for w in right), m, sym.field.zero()), m)
+    B = MatrixF(len(left), len(right), [_scalar_multiple_of_t(products[r::m], t, piv) for r in range(m)], sym.field)
     if B.rank() != B.rows:
         raise DegeneratePairing("beta_%d is singular" % k)
     return B
 
 
 def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
-    """The operators theta and theta_bar, with theta_bar theta = q^(n+1) Id."""
-    N = sym.N
-    field = sym.field
-    piv = vec_pivot(t)
-    fwd_word = cycle(n + 1, 1, n + 1).reduced_word()
-    bwd_word = cycle(1, n + 1, n + 1).reduced_word()
-    theta_cols = []
-    bar_cols = []
-    basis = MatrixF.identity(N, field).row_list()
-    for j, e in enumerate(basis):
-        img = sym.apply_perm_word(fwd_word, n + 1, kron_vec(e, t, field))
-        col = tuple(img[piv * N + b] for b in range(N))
-        if img != kron_vec(t, col, field):
-            raise DegeneratePairing("braiding does not send V (x) t into t (x) V")
-        theta_cols.append(col)
-        img = sym.apply_perm_word(bwd_word, n + 1, kron_vec(t, e, field))
-        colb = tuple(img[a * (N ** n) + piv] for a in range(N))
-        if img != kron_vec(colb, t, field):
-            raise DegeneratePairing("braiding does not send t (x) V into V (x) t")
-        bar_cols.append(colb)
-    theta = MatrixF.from_rows(theta_cols, field).transpose()
-    theta_bar = MatrixF.from_rows(bar_cols, field).transpose()
-    expected = MatrixF.identity(N, field).scale(sym.q ** (n + 1))
-    if theta_bar * theta != expected:
+    """The operators theta and theta_bar, with theta_bar theta = q^(n+1) Id.
+
+    Each is one action on a family over the basis e_j of V, stacked
+    (linalg._stack).  The images of the e_j t are t (x) theta, so theta is
+    their block at t's pivot; those of the t e_j (stacked: t (x) Id) are
+    theta_bar (x) t, so block a is t (x) row a of theta_bar.
+    """
+    N, field = sym.N, sym.field
+    piv, size = vec_pivot(t), N * len(t)
+    fwd = sym._combine([(cycle(n + 1, 1, n + 1).reduced_word(), None)], n + 1, _units(N, 0, N, t, field.zero()), N)
+    theta = MatrixF(N, N, fwd[piv * N * N : (piv + 1) * N * N], field)
+    if fwd != kron_vec(t, theta.entries, field):
+        raise DegeneratePairing("braiding does not send V (x) t into t (x) V")
+    bwd = sym._combine([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, kron_vec(t, MatrixF.identity(N, field).entries, field), N)
+    theta_bar = MatrixF.from_rows([bwd[a * size + piv * N : a * size + (piv + 1) * N] for a in range(N)], field)
+    if any(bwd[a * size : (a + 1) * size] != kron_vec(t, theta_bar.row(a), field) for a in range(N)):
+        raise DegeneratePairing("braiding does not send t (x) V into V (x) t")
+    if theta_bar * theta != MatrixF.identity(N, field).scale(sym.q ** (n + 1)):
         raise DegeneratePairing("theta_bar theta != q^(n+1) Id")
     return theta, theta_bar
 
@@ -170,24 +163,22 @@ def _front_slices(t: Sequence, N: int, n: int) -> List[tuple]:
 
 
 def psi_op(sym: HeckeSymmetry, n: int, t: Sequence) -> MatrixF:
-    """The unique psi with t = sum t_i (x) psi(x_i) when t = sum x_i (x) t_i."""
-    N = sym.N
-    field = sym.field
-    slices = _front_slices(t, N, n)
-    block = N ** (n - 1)
-    S = MatrixF.from_rows(
-        [[slices[i][w] for i in range(N)] for w in range(block)], field
-    )
-    if S.rank() != N:
+    """The unique psi with t = sum t_i (x) psi(x_i) when t = sum x_i (x) t_i.
+
+    With rows t_i in T and rows b_j in B, t = sum b_j (x) x_j, this reads
+    B = psi T.  psi is unique iff the t_i are independent, that is iff one
+    solve of T Y = Id succeeds, and then psi = B Y if any psi exists.
+    """
+    N, field, block = sym.N, sym.field, sym.N ** (n - 1)
+    T = MatrixF(N, block, t, field)
+    right = T.solve(MatrixF.identity(N, field))
+    if right is None:
         raise DegeneratePairing("front slices of t do not have full rank")
-    rows = []
-    for j in range(N):
-        rhs = tuple(t[w * N + j] for w in range(block))
-        sol = S.solve(rhs)
-        if sol is None:
-            raise DegeneratePairing("no twist operator matches the top tensor")
-        rows.append(sol)
-    return MatrixF.from_rows(rows, field)
+    back = MatrixF(block, N, t, field).transpose()
+    psi = back * right
+    if psi * T != back:
+        raise DegeneratePairing("no twist operator matches the top tensor")
+    return psi
 
 
 def phi_op(sym: HeckeSymmetry, n: int, beta1: MatrixF, beta_n1: MatrixF) -> MatrixF:
@@ -207,8 +198,7 @@ def _y_row(sym: HeckeSymmetry, n: int, k: int) -> tuple:
     in y_n depends only on the length of sigma.
     """
     field = sym.field
-    unit = [field.one() if j == k else field.zero() for j in range(sym.N ** n)]
-    return sym._transpose().apply_hecke(antisymmetrizer(n, field), n, unit)
+    return sym._transpose().apply_hecke(antisymmetrizer(n, field), n, _units(sym.N ** n, k, 1, (field.one(),), field.zero()))
 
 
 def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
@@ -258,21 +248,24 @@ class FrobeniusProfile:
 
     def nu_restricted(self, k: int) -> MatrixF:
         """phi^(x)k restricted to upsilon(k) (the Nakayama map in degree k)."""
-        return restrict_to_subspace(self.phi, self.sym.upsilon(k), k)
+        U = self.sym.upsilon(k)
+        return restrict_to_subspace(self.phi, k, U.basis, U.pivots())
 
 
-def restrict_to_subspace(A: MatrixF, U: Subspace, k: int) -> MatrixF:
-    """Matrix of A^(x)k on U's canonical basis; raises if U is not stable."""
-    cols = []
-    for row in U.basis:
-        img = apply_power(A, k, row)
-        coords = U.coordinates(img)
-        if coords is None:
-            raise ValueError("subspace is not stable under the operator")
-        cols.append(coords)
-    if not cols:
-        return MatrixF(0, 0, (), A.domain)
-    return MatrixF.from_rows(cols, A.domain).transpose()
+def restrict_to_subspace(A: MatrixF, k: int, basis: Sequence, pivots: Sequence[int]) -> MatrixF:
+    """Matrix C of A^(x)k on the span of the basis rows B (a subspace's canonical basis and its pivots), one action on them.
+
+    Each row is one at its pivot, where the others vanish, so C reads the images
+    at the pivots; the span is stable iff B^t C rebuilds them, else ValueError.
+    """
+    domain = A.domain
+    if not basis:
+        return MatrixF(0, 0, (), domain)
+    images = MatrixF(len(basis[0]), len(basis), apply_power(A, k, _stack(basis, len(basis), domain.zero()), domain.zero(), len(basis)), domain)
+    C = MatrixF.from_rows([images.row(p) for p in pivots], domain)
+    if MatrixF.from_rows(basis, domain).transpose() * C != images:
+        raise ValueError("subspace is not stable under the operator")
+    return C
 
 
 def analyze(sym: HeckeSymmetry, n_max: Optional[int] = None) -> FrobeniusProfile:
@@ -310,10 +303,7 @@ def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     xi_traces = {}
     for k in range(1, n + 1):
         U = sym.upsilon(k)
-        xi = restrict_to_subspace(xi_base, U, k)
-        eta = restrict_to_subspace(eta_base, U, k)
-        tr_xi = xi.trace()
-        tr_eta = eta.trace()
+        tr_xi, tr_eta = [restrict_to_subspace(A, k, U.basis, U.pivots()).trace() for A in (xi_base, eta_base)]
         sign = -1 if (k * n - k) % 2 else 1
         expected = field.scalar(sign) * q ** (k * (k + 1) // 2) * qbinom(n, k, field)
         xi_traces[k] = tr_xi
@@ -346,10 +336,19 @@ def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     return report, table
 
 
-def _record_equal(report: CheckReport, name: str, rule: str, lhs: MatrixF, rhs: MatrixF, detail: str = "") -> None:
-    """Records lhs == rhs with detail; a failure names the first nonzero entry of lhs - rhs instead."""
-    ok = lhs == rhs
-    report.record(name, rule, ok, detail if ok else _vanishes(lhs - rhs)[1])
+def _record_equal(report: CheckReport, name: str, rule: str, lhs, rhs, detail: str = "") -> None:
+    """Records lhs == rhs with detail; a failure names the first nonzero entry (i,j) of lhs - rhs instead.
+    lhs and rhs are matrices, or iterables of row tuples compared one at a time up to the first difference;
+    rows or row lengths that do not match raise ValueError, as shapes do."""
+    if isinstance(lhs, MatrixF):
+        lhs._check(rhs, True)
+        lhs, rhs = lhs.row_list(), rhs.row_list()
+    for i, (row, want) in enumerate(zip(lhs, rhs, strict=True)):
+        if row != want:
+            j = next(j for j, (x, y) in enumerate(zip(row, want, strict=True)) if x != y)
+            report.record(name, rule, False, "entry (%d,%d) = %s" % (i, j, _format_entry(row[j] - want[j])))
+            return
+    report.record(name, rule, True, detail)
 
 
 def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
@@ -375,20 +374,15 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         rule = "%s (x) %s commutes with R" % (name, name)
         lhs, rhs = _square_times(op, sym.R), _square_times(op.transpose(), Rt).transpose()
         _record_equal(report, "square-commutes.%s" % name, rule, lhs, rhs)
-    _record_equal(
-        report,
-        "top-scaling",
-        "theta^((x)n)(t) = q^(n(n+1)/2) t",
-        MatrixF.from_rows([apply_power(theta, n, profile.t)], field),
-        MatrixF.from_rows([vec_scale(q ** (n * (n + 1) // 2), profile.t)], field),
-    )
+    t = profile.t
+    _record_equal(report, "top-scaling", "theta^((x)n)(t) = q^(n(n+1)/2) t", [apply_power(theta, n, t)], [vec_scale(q ** (n * (n + 1) // 2), t)])
 
     # the Nakayama map in each degree matches the twisted braiding
     for k in range(1, n + 1):
         U = sym.upsilon(k)
         try:
-            lhs = restrict_to_subspace(theta * phi, U, k)
-            rhs = restrict_to_subspace(psi * theta_bar, U, k)
+            lhs = restrict_to_subspace(theta * phi, k, U.basis, U.pivots())
+            rhs = restrict_to_subspace(psi * theta_bar, k, U.basis, U.pivots())
             rule = "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)"
             _record_equal(report, "nakayama-braiding.k%d" % k, rule, lhs, rhs)
         except ValueError as exc:
@@ -404,27 +398,27 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         bk, bnk = profile.betas[k], profile.betas[n - k]
         _record_equal(report, "pairing-twist.k%d" % k, "beta_(n-k)(b,a) = beta_k(nu(a), b)", bnk, bk.transpose() * nu_k)
 
-    # braiding through the top component, degree up to 2; one row per basis vector
+    # braiding through the top component, degree up to 2; row u of each side is the image of the
+    # unit u of V^(x)k: the left side is one action on the stacked family u t, the right side t (x)
+    # column u of the matrix of theta^((x)k), read off one action; the rows are compared one at a time
     for k in range(1, min(2, n) + 1):
         rho = longest_rho(k, n)
-        word = rho.reduced_word()
-        units = MatrixF.identity(N ** k, field).row_list()
-        _record_equal(
-            report,
-            "braid-top.k%d" % k,
-            "T_rho(u t) = t theta^((x)k)(u)",
-            MatrixF.from_rows([sym.apply_perm_word(word, k + n, kron_vec(u, profile.t, field)) for u in units], field),
-            MatrixF.from_rows([kron_vec(profile.t, apply_power(theta, k, u), field) for u in units], field),
-        )
-        # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one
-        # action of y_shift - coeff T_(rho^-1) whose rows must vanish
+        m = N ** k
+        lhs = sym._combine([(rho.reduced_word(), None)], k + n, _units(m, 0, m, t, field.zero()), m)
+        powers = _matrix_of(column_table(theta), N, m, m, [(range(1, k + 1), None)], field)
+        rule = "T_rho(u t) = t theta^((x)k)(u)"
+        _record_equal(report, "braid-top.k%d" % k, rule, (lhs[u::m] for u in range(m)), (kron_vec(t, powers.col(u), field) for u in range(m)))
+        del lhs, powers  # the images go before the mirror's action
+        # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one action of
+        # y_shift - coeff T_(rho^-1) on the family t v, stacked as t (x) the stacked basis, whose rows must vanish
         y_shift = shift_element(coset_y(n, n - k, k, field), k)
         sign = -1 if (k * n - k) % 2 else 1
         coeff = field.scalar(sign) * q ** (-(k * (k + 1) // 2))
         terms = sym._hecke_terms(y_shift, k + n) + [(rho.inverse().reduced_word(), -coeff)]
-        defect = [sym._combine(terms, k + n, kron_vec(profile.t, v, field)) for v in sym.upsilon(k).basis]
+        basis = sym.upsilon(k).basis
+        defect = sym._combine(terms, k + n, kron_vec(t, _stack(basis, len(basis), field.zero()), field), len(basis))
         rule = "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u"
-        report.record("mirror-top.k%d" % k, rule, *_vanishes(MatrixF.from_rows(defect, field)))
+        report.record("mirror-top.k%d" % k, rule, *_vanishes(MatrixF(N ** (k + n), len(basis), defect, field).transpose()))
 
     # scalar-braiding degree gate (odd top degree, theta a multiple of psi)
     if n % 2 == 1 and n >= 3:
@@ -449,7 +443,6 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         report.skip("functional", "y_n u = [n-1]!_q f(u) t", profile.f_reason)
     else:
         f = profile.f
-        t = profile.t
         _record_equal(report, "functional.top-value", "f(t) = [n]_q", front_pairing(f, [t], field), MatrixF(1, 1, [qint(n, field)], field))
         # twisted cyclicity f(w v) = f(phi(v) w): entry (w, j) is f(w (x) e_j) on the left
         # and sum_i f(e_i (x) w) phi[i, j] on the right

@@ -16,7 +16,7 @@ duality, U cap W is the annihilator of ann(U) + ann(W).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactnum import FieldSpec
 from .multipoly import PolyRing
@@ -45,6 +45,27 @@ def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
                 if not y.is_zero():
                     out[base + j] = x * y
     return tuple(out)
+
+
+def _stack(rows: Iterable, m: int, zero) -> list:
+    """sum_j rows[j] (x) e_j over m rows: entry i * m + j is rows[j][i], each row written straight into its slice
+    (rows may be a generator).  symmetry._act carries this trailing label slot along: _tail only divides the length."""
+    out = []
+    for j, row in enumerate(rows):
+        if not out:
+            out = [zero] * (len(row) * m)
+        out[j::m] = row
+    return out
+
+
+def _units(dim: int, first: int, count: int, t: Sequence, zero) -> list:
+    """The family e_j (x) t, j = first..first+count-1 over the units of k^dim, stacked directly (_stack), t's entries shared."""
+    size = len(t) * count
+    out = [zero] * (dim * size)
+    for k in range(count):
+        start = (first + k) * size + k
+        out[start : start + size : count] = t
+    return out
 
 
 def vec_scale(c, u: Sequence):
@@ -275,32 +296,27 @@ class MatrixF:
         """Column space as a subspace of k^rows."""
         return Subspace.from_vectors([self.col(j) for j in range(self.cols)], self.rows, self.domain)
 
-    def solve(self, b: Sequence) -> Optional[tuple]:
-        """One solution of A x = b, or None if the system is inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("length mismatch")
-        aug = MatrixF.from_rows(
-            [self.row(i) + (b[i],) for i in range(self.rows)], self.domain
-        )
-        R, pivots = aug.rref()
-        if self.cols in pivots:
+    def solve(self, B: "MatrixF") -> Optional["MatrixF"]:
+        """One solution X of A X = B, free unknowns zero, or None if some column of B is inconsistent.
+        B holds one right-hand side per column, a vector being the one-column case; one rref of [A | B] serves all."""
+        if B.rows != self.rows or B.domain != self.domain:
+            raise ValueError("shape mismatch")
+        n, m = self.cols, B.cols
+        R, pivots = MatrixF(self.rows, n + m, [x for i in range(self.rows) for x in self.row(i) + B.row(i)], self.domain).rref()
+        if pivots and pivots[-1] >= n:
             return None
-        zero = self.domain.zero()
-        x = [zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R[r, self.cols]
-        return tuple(x)
+        solved = {pc: R.row(r)[n:] for r, pc in enumerate(pivots)}
+        zeros = (self.domain.zero(),) * m
+        return MatrixF(n, m, [x for j in range(n) for x in solved.get(j, zeros)], self.domain)
 
     def inverse(self) -> "MatrixF":
+        """A^-1, the solution of A X = Id; ZeroDivisionError if A is singular."""
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
-        n = self.rows
-        unit = MatrixF.identity(n, self.domain)
-        aug = MatrixF.from_rows([self.row(i) + unit.row(i) for i in range(n)], self.domain)
-        R, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
+        X = self.solve(MatrixF.identity(self.rows, self.domain))
+        if X is None:
             raise ZeroDivisionError("matrix is singular")
-        return MatrixF.from_rows([R.row(i)[n:] for i in range(n)], self.domain)
+        return X
 
     # -- determinants
 

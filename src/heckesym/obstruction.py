@@ -22,12 +22,14 @@ The cases share one pipeline.  Each writes its functional as a table of
 values on cubic monomials (indexed by `symmetry.tensor_index`), reads the
 values f(x_j (x) t_i) off it (`frobenius.front_pairing`), builds P through
 `frobenius.projection_from_dual` with the dual basis the case dictates,
-compares P with a table of combinations of the t_i (`_table_ok`), reads
-Id (x) P and P (x) Id off the t-coordinates of P's columns as contractions
-with the t_a (`restricted_maps`), cuts the restricted maps down to a pair of
-3-dimensional subspaces (`_pair_minors`) and finishes its report with
-`_finish`; only the case-specific algebra is written per case.  The checks
-on the restricted maps are matrix equalities recorded by
+compares P with the matrix of a table of combinations of the t_i
+(`_table_matrix`), reads Id (x) P and P (x) Id off the t-coordinates of P's
+columns, one solve or exact division for all nine (`_relation_coordinates`),
+as contractions with the t_a (`restricted_maps`), cuts the restricted maps
+down to a pair of 3-dimensional subspaces (`_pair_minors`) and finishes its
+report with `_finish`; only the case-specific algebra is written per case.
+The projection tables, the checks on the restricted maps and case 2's
+composite witness are matrix equalities recorded by
 `frobenius._record_equal`, so a failing one names an entry.
 
 Everything here is exact: symbolic steps are polynomial identities, numeric
@@ -189,12 +191,10 @@ def _projection(f: Sequence, relations: Sequence, domain, weights=None, order=(0
     return projection_from_dual(f, relations, MatrixF.from_rows(dual, domain))
 
 
-def _table_ok(P: MatrixF, table: dict, relations: Sequence, zero) -> bool:
-    """P(x_i x_j) = sum_k c_k t_k for every entry (i, j): (c_1, c_2, c_3) of the table."""
-    return all(
-        P.col(tensor_index((i, j), 3)) == vec_combination(coeffs, relations, zero)
-        for (i, j), coeffs in table.items()
-    )
+def _table_matrix(table: dict, relations: Sequence, domain) -> MatrixF:
+    """The matrix whose column x_i x_j is sum_k c_k t_k, for the entries (i, j): (c_1, c_2, c_3) of a table of all nine."""
+    C = MatrixF(3, 9, [table[w // 3 + 1, w % 3 + 1][k] for k in range(3) for w in range(9)], domain)
+    return MatrixF.from_rows(relations, domain).transpose() * C
 
 
 def _pair_minors(M: MatrixF, N: MatrixF, tx_pairs, xt_pairs, domain) -> Tuple[MatrixF, MatrixF]:
@@ -258,25 +258,23 @@ def restricted_maps(P: MatrixF, relations: Sequence) -> Tuple[MatrixF, MatrixF]:
 def _relation_coordinates(P: MatrixF, t_rows: List[tuple]) -> List[list]:
     """G[i][w], the coefficient of t_i in column w of P.
 
-    Over a field each column is one solve against the t_i.  Over a
-    polynomial ring the square coefficient of each t_i (its (i,i) slot)
-    gives the coordinate by exact division.  Either way every column is
-    rebuilt from its coordinates, so a column outside span(t) raises.
+    With T the matrix whose columns are the t_i, this is the X with T X = P.
+    Over a field it is one solve with P's nine columns as right-hand sides.
+    Over a polynomial ring the square coefficient of each t_i (its (i,i)
+    slot) gives the coordinate by exact division.  Either way P is rebuilt
+    as T X, so a column outside span(t) raises.
     """
     domain = P.domain
-    cols = [P.col(w) for w in range(9)]
+    T = MatrixF.from_rows(t_rows, domain).transpose()
     if isinstance(domain, FieldSpec):
-        A = MatrixF.from_rows(t_rows, domain).transpose()
-        coords = [A.solve(col) for col in cols]
-        if None in coords:
-            raise ValueError("vector left the expected subspace")
+        X = T.solve(P)
+    elif any(t_rows[i][4 * i].is_zero() for i in range(3)):
+        raise ValueError("relation tensor has no square term; cannot extract")
     else:
-        if any(t_rows[i][4 * i].is_zero() for i in range(3)):
-            raise ValueError("relation tensor has no square term; cannot extract")
-        coords = [[col[4 * i].exact_div(t_rows[i][4 * i]) for i in range(3)] for col in cols]
-    if any(vec_combination(g, t_rows, domain.zero()) != col for g, col in zip(coords, cols)):
+        X = MatrixF(3, 9, [P[4 * i, w].exact_div(t_rows[i][4 * i]) for i in range(3) for w in range(9)], domain)
+    if X is None or T * X != P:
         raise ValueError("vector left the expected subspace")
-    return [[g[i] for g in coords] for i in range(3)]
+    return [list(X.row(i)) for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +425,8 @@ def verify_case1() -> CaseReport:
         dn = (i + 1) % 3 + 1
         for pair, coeff in (((up, dn), apv), ((dn, up), bpv), ((i, i), cpv)):
             table[pair] = tuple(coeff if k == i else zero for k in (1, 2, 3))
-    checks.record(
-        "projection-table",
-        "P(x_(i+1) x_(i-1)) = a' t_i, P(x_(i-1) x_(i+1)) = b' t_i, P(x_i^2) = c' t_i",
-        _table_ok(P, table, rels, zero),
-    )
+    rule = "P(x_(i+1) x_(i-1)) = a' t_i, P(x_(i-1) x_(i+1)) = b' t_i, P(x_i^2) = c' t_i"
+    _record_equal(checks, "projection-table", rule, P, _table_matrix(table, rels, ring))
 
     # the three pairs of 3-dimensional subspaces and their composite maps
     M_full, N_full = restricted_maps(P, rels)
@@ -674,11 +669,8 @@ def verify_case2() -> CaseReport:
         (1, 2): (zero, zero, apv),
         (2, 1): (zero, zero, bpv),
     }
-    checks.record(
-        "projection-table",
-        "P kills x_1^2, x_2^2 and scales the mixed pairs by eps-twisted a', b', c'",
-        _table_ok(P, table, rels, zero),
-    )
+    rule = "P kills x_1^2, x_2^2 and scales the mixed pairs by eps-twisted a', b', c'"
+    _record_equal(checks, "projection-table", rule, P, _table_matrix(table, rels, ring))
 
     # restricted maps on the first pair of 3-dimensional subspaces
     M_full, N_full = restricted_maps(P, rels)
@@ -702,11 +694,8 @@ def verify_case2() -> CaseReport:
         cv ** 2 * apv * bpv,
         eps ** 2 * (bv * cv * apv ** 2 + cv * av * bpv ** 2),
     )
-    checks.record(
-        "composite-witness",
-        "(Id x P)(P x Id)(x_1 t_3) has the displayed three components",
-        C.col(0) == witness_col,
-    )
+    rule = "(Id x P)(P x Id)(x_1 t_3) has the displayed three components"
+    _record_equal(checks, "composite-witness", rule, MatrixF(3, 1, C.col(0), ring), MatrixF(3, 1, witness_col, ring))
     eq1 = bv * cv * apv ** 2 + cv * av * bpv ** 2
     eq2 = cv ** 2 * apv * bpv
     equations.append({"name": "offdiag-1", "expression": eq1.to_text() + " = 0"})
@@ -877,7 +866,7 @@ def verify_case3() -> CaseReport:
         (1, 2): (c ** 2, c ** 2, d * ap),
         (2, 1): (c ** 2, c ** 2, d * bp),
     }
-    checks.record("projection-table", "the nine scaled projection values match the display", _table_ok(P, table, rels, zero))
+    _record_equal(checks, "projection-table", "the nine scaled projection values match the display", P, _table_matrix(table, rels, ring))
 
     # restricted maps; N is M with a' and b' interchanged
     M, N = restricted_maps(P, rels)

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
-from .linalg import MatrixF, first_minor, vec_combination, vec_pivot, vec_scale
+from .frobenius import restrict_to_subspace
+from .linalg import MatrixF, first_minor, vec_pivot, vec_scale
 from .multipoly import MultiPoly, PolyRing
 from .report import CheckReport
 from .symmetry import apply_power, tensor_index
@@ -318,17 +319,14 @@ class _PointAction:
         self.points = inflection_points(field)
         self.where = {p: j for j, p in enumerate(self.points)}
         self.generators = hessian_generators(field)
+        self.columns = MatrixF.from_rows(self.points, field).transpose()
         self.perms = {name: self.perm(g) for name, g in self.generators.items()}
 
     def perm(self, g: ProjectiveElement) -> Optional[_Perm9]:
-        """Image indices of the points under g, or None if g does not permute them."""
-        out = []
-        for p in self.points:
-            j = self.where.get(transform_point(g, p))
-            if j is None:
-                return None
-            out.append(j)
-        return tuple(out)
+        """Image indices of the points under g, all nine from one product; None if g does not permute them."""
+        images = g.matrix * self.columns
+        out = tuple(self.where.get(_normalize_point(images.col(j))) for j in range(9))
+        return None if None in out else out
 
     def permuted(self) -> bool:
         return all(p is not None for p in self.perms.values())
@@ -569,20 +567,16 @@ def action_on_parameters(tau: ProjectiveElement) -> MatrixF:
     w1 = sum x_(i-1) x_i x_(i+1), w2 = sum x_(i+1) x_i x_(i-1), w3 = sum x_i^3.
 
     The parameter triple transforms by this matrix: (a:b:c) -> M (a,b,c).
+    The w have disjoint supports, so a coordinate of an image is its entry
+    at any slot of that w; the matrix is one action on the family of the
+    three (`frobenius.restrict_to_subspace`), which raises ValueError when the
+    span is not stable.
     """
     field = tau.matrix.domain
     zero, one = field.zero(), field.one()
     slots = cyclic_slots()
     basis = [tuple(one if k in w_slots else zero for k in range(27)) for w_slots in slots]
-    cols = []
-    for vec in basis:
-        img = apply_power(tau.matrix, 3, vec)
-        # read off the (w1, w2, w3) coordinates and verify stability
-        coords = [img[slots[r][0]] for r in range(3)]
-        if img != vec_combination(coords, basis, zero):
-            raise ValueError("the invariant 3-space is not stable under this operator")
-        cols.append(coords)
-    return MatrixF.from_rows(cols, field).transpose()
+    return restrict_to_subspace(tau.matrix, 3, basis, [w_slots[0] for w_slots in slots])
 
 
 def preserves_relations(theta: MatrixF, p: SklParameters) -> Tuple[bool, Optional[bool]]:

@@ -26,13 +26,16 @@ is that upsilon's dimension.
 
 Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, A (x) A on
 the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
-identity), the matrices of T_i, T_sigma and rep(h) column by column, the
-quadratic relation and the braid defect -- is one sum of c * A_word(v) over
-slot-local steps (_act).  A Scalar v is packed once into integer numerators
-over one denominator (integer polynomials in q at q = 2^B over ratfunc_q),
-steps on Python ints with the multiplication matrices of R's entries (packed
-once per symmetry) and is unpacked once.  A ring vector is the same layout
-with one component over denominator 1, on R's entries as elements of its ring.
+identity), the matrices of T_i, T_sigma and rep(h), the quadratic relation
+and the braid defect -- is one sum of c * A_word(v) over slot-local steps
+(_act).  A Scalar v is packed once into integer numerators over one
+denominator (integer polynomials in q at q = 2^B over ratfunc_q), steps on
+Python ints with the multiplication matrices of R's entries (packed once per
+symmetry) and is unpacked once.  A ring vector is the same layout with one
+component over denominator 1, on R's entries as elements of its ring.  A
+family of m vectors is acted on at once: stacked as sum_j v_j (x) e_j, with a
+trailing label slot of m coordinates (linalg._stack), it is one vector to _act,
+whose images come back stacked the same way, as the columns of a matrix.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -48,7 +51,7 @@ from typing import List, Sequence, Tuple
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, at_power_of_two, mul_matrices, pack, pack_q, unpack, unpack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
-from .linalg import MatrixF, Subspace, kron_vec
+from .linalg import MatrixF, Subspace, _units, kron_vec
 from .multipoly import MultiPoly
 from .permgroup import Perm
 
@@ -153,6 +156,8 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
     elements of vec's domain once, summed from zero, that domain's, with no
     product for a c of None.
     """
+    if not vec:
+        return ()
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
     if field is None:
@@ -197,12 +202,12 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
     return unpack(field, out, den * cden * D ** top)
 
 
-def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None) -> tuple:
-    """A^(x)k on a vector of V^(x)k, applied one slot at a time.
+def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1) -> tuple:
+    """A^(x)k on a vector of V^(x)k, or on m of them stacked (linalg._stack), one slot at a time.
 
     zero is that of the vector's domain (by default the domain of A).
     """
-    if A.rows != A.cols or len(vec) != A.rows ** k:
+    if A.rows != A.cols or len(vec) != A.rows ** k * m:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
     return _act(column_table(A), A.rows, [(range(1, k + 1), None)], vec, zero)
@@ -227,13 +232,10 @@ def _vanishes(M: MatrixF) -> Tuple[bool, str]:
 
 
 def _matrix_of(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> MatrixF:
-    """The dim x dim matrix of sum c * A_word; columns j..j+width-1 are read off its action on sum_k e_(j+k) (x) e_k."""
-    zero, one = domain.zero(), domain.one()
-    blocks = []
-    for j in range(0, dim, width):
-        vec = [zero] * (dim * width)
-        vec[j * width : (j + width) * width : width + 1] = [one] * width
-        blocks.append(_act(table, N, terms, vec, zero))
+    """The dim x dim matrix of sum c * A_word; columns j..j+width-1 are read off one action on the units
+    e_j..e_(j+width-1) (_units), so no dim x dim identity is allocated."""
+    zero = domain.zero()
+    blocks = [_act(table, N, terms, _units(dim, j, width, (domain.one(),), zero), zero) for j in range(0, dim, width)]
     return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
 
 
@@ -317,9 +319,10 @@ class HeckeSymmetry:
 
     # -- actions
 
-    def _combine(self, terms: Sequence, n: int, vec: Sequence) -> tuple:
-        """Sum of c * T_word(vec) over the (word, c) terms on V^(x)n, c None meaning 1."""
-        if len(vec) != self.N ** n:
+    def _combine(self, terms: Sequence, n: int, vec: Sequence, m: int = 1) -> tuple:
+        """Sum of c * T_word over the (word, c) terms on V^(x)n, c None meaning 1, on vec, or on the family
+        of m vectors stacked in vec (linalg._stack) by one action."""
+        if len(vec) != self.N ** n * m:
             raise ValueError("vector length mismatch")
         if any(not 1 <= i < n for word, _c in terms for i in word):
             raise ValueError("generator index out of range")

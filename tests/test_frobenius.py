@@ -18,8 +18,10 @@ from heckesym.frobenius import (
     pairing,
     profile_json_dict,
     projection_from_dual,
+    psi_op,
     reconstruct_from_f,
     restrict_to_subspace,
+    theta_pair,
     top_component,
     trace_table,
     verify_operator_identities,
@@ -29,9 +31,10 @@ from heckesym.heckealg import antisymmetrizer, coset_y, partial_y, shift_element
 from heckesym.linalg import MatrixF, first_minor, vec_combination, vec_is_zero, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import _cyclic_functional
-from heckesym.permgroup import Composition, longest_rho
+from heckesym.permgroup import Composition, cycle, longest_rho
 from heckesym.regular3 import SklParameters, skl_relations
-from heckesym.symmetry import HeckeSymmetry, _vanishes, dj_standard, flip, kron_vec
+from heckesym.symmetry import HeckeSymmetry, _vanishes, apply_power, dj_standard, flip, kron_vec
+from test_linalg import _solve_column_reference
 from test_symmetry import _conjugate, _domains, _perm_matrix_reference, _rational_q, kron_power, kronecker, perm_matrix_sum
 
 F = GENERIC_Q
@@ -164,6 +167,24 @@ def test_square_commutes_sides_match_kronecker_products(case, monkeypatch):
             assert sides["square-commutes.%s" % name] == (lhs, rhs), (case, name)
 
 
+def test_record_equal_compares_rows_and_checks_their_shape():
+    Q = FieldSpec("rational")
+    rows = [(Q.scalar(1), Q.scalar(2)), (Q.scalar(3), Q.scalar(4))]
+    report = frobenius.CheckReport("rows")
+    frobenius._record_equal(report, "same", "rule", iter(rows), iter(rows), "ok")
+    frobenius._record_equal(report, "differ", "rule", iter(rows), iter([rows[0], (Q.scalar(3), Q.scalar(9))]))
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [("same", "pass", "ok"), ("differ", "fail", "entry (1,1) = -5")]
+    # a shape mismatch raises on both paths instead of recording a pass or a bare StopIteration
+    for lhs, rhs in (
+        (rows, rows[:1]),
+        (rows, [rows[0], rows[1][:1]]),
+        (rows, [rows[0], rows[1] + (Q.zero(),)]),
+        (MatrixF.from_rows(rows, Q), MatrixF.from_rows(rows[:1], Q)),
+    ):
+        with pytest.raises(ValueError):
+            frobenius._record_equal(report, "shape", "rule", lhs, rhs)
+
+
 @pytest.mark.parametrize("case", ["dj2", "dj2-conj-generic"])
 def test_square_commutes_and_mirror_witnesses_match_dense_differences(case):
     prof = analyze(SQUARE_CASES[case]())
@@ -279,6 +300,114 @@ def test_functional_matches_dense_rep_of_y_n(case):
     assert f_functional(sym, n, vec_scale(two, t)) == vec_scale(two.inverse(), f)
 
 
+# ---------------------------------------------------------------------------
+# the per-vector loops the family actions replaced, kept as oracles
+
+
+def _theta_pair_reference(sym, n, t):
+    """theta and theta_bar column by column, two actions per basis vector of V."""
+    N, field = sym.N, sym.field
+    piv = vec_pivot(t)
+    fwd_word = cycle(n + 1, 1, n + 1).reduced_word()
+    bwd_word = cycle(1, n + 1, n + 1).reduced_word()
+    theta_cols, bar_cols = [], []
+    for e in MatrixF.identity(N, field).row_list():
+        img = sym.apply_perm_word(fwd_word, n + 1, kron_vec(e, t, field))
+        col = tuple(img[piv * N + b] for b in range(N))
+        assert img == kron_vec(t, col, field)
+        theta_cols.append(col)
+        img = sym.apply_perm_word(bwd_word, n + 1, kron_vec(t, e, field))
+        colb = tuple(img[a * N ** n + piv] for a in range(N))
+        assert img == kron_vec(colb, t, field)
+        bar_cols.append(colb)
+    return MatrixF.from_rows(theta_cols, field).transpose(), MatrixF.from_rows(bar_cols, field).transpose()
+
+
+def _pairing_reference(sym, k, n, t):
+    """beta_k entry by entry, one action per pair of basis vectors."""
+    y, piv = coset_y(n, k, n - k, sym.field), vec_pivot(t)
+    rows = []
+    for u in sym.upsilon(k).basis:
+        row = []
+        for w in sym.upsilon(n - k).basis:
+            prod = kron_vec(u, w, sym.field)
+            row.append(_scalar_multiple_of_t(sym.apply_hecke(y, n, prod) if k not in (0, n) else prod, t, piv))
+        rows.append(row)
+    return MatrixF.from_rows(rows, sym.field)
+
+
+def _psi_reference(sym, n, t):
+    """psi row by row, one solve per back slice against the front slices of t."""
+    N, field, block = sym.N, sym.field, sym.N ** (n - 1)
+    S = MatrixF(N, block, t, field).transpose()
+    assert S.rank() == N
+    return MatrixF.from_rows([_solve_column_reference(S, tuple(t[w * N + j] for w in range(block))) for j in range(N)], field)
+
+
+def _restrict_reference(A, U, k):
+    """A^(x)k on U's basis, one action and one coordinate read per basis vector."""
+    cols = []
+    for row in U.basis:
+        coords = U.coordinates(apply_power(A, k, row))
+        if coords is None:
+            raise ValueError("subspace is not stable under the operator")
+        cols.append(coords)
+    return MatrixF.from_rows(cols, A.domain).transpose() if cols else MatrixF(0, 0, (), A.domain)
+
+
+@pytest.mark.parametrize("case", sorted(F_ORACLE_CASES))
+def test_family_actions_match_one_action_per_vector(case):
+    sym = F_ORACLE_CASES[case]()
+    n, t = top_component(sym)
+    assert theta_pair(sym, n, t) == _theta_pair_reference(sym, n, t)
+    assert psi_op(sym, n, t) == _psi_reference(sym, n, t)
+    for k in range(n + 1):
+        assert pairing(sym, k, n, t) == _pairing_reference(sym, k, n, t), k
+    prof = analyze(sym)
+    unstable = 0
+    for A in (prof.theta, prof.phi, prof.psi * prof.theta_bar, _bump(prof.theta, 0, sym.N - 1)):
+        for k in range(n + 2):
+            U = sym.upsilon(k)
+            try:
+                want = _restrict_reference(A, U, k)
+            except ValueError:
+                unstable += 1
+                with pytest.raises(ValueError, match="^subspace is not stable under the operator$"):
+                    restrict_to_subspace(A, k, U.basis, U.pivots())
+                continue
+            assert restrict_to_subspace(A, k, U.basis, U.pivots()) == want, k
+    # every power of an operator keeps the upsilon spaces of the flip
+    assert unstable or case.startswith("flip")
+
+
+def test_family_actions_make_one_action_each(monkeypatch):
+    sym = dj_standard(3, cyclotomic_field(3, q_power=1))
+    prof = analyze(sym)
+    n, t = prof.n, prof.t
+    acts, rrefs, words = [], [], []
+    real_act, real_rref = symmetry._act, MatrixF.rref
+    monkeypatch.setattr(symmetry, "_act", lambda *args: acts.append(len(args[3])) or real_act(*args))
+    monkeypatch.setattr(MatrixF, "rref", lambda self: rrefs.append(self.rows) or real_rref(self))
+    monkeypatch.setattr(HeckeSymmetry, "apply_perm_word", lambda *args: words.append(args) or pytest.fail("one action per vector"))
+
+    def count(calls, fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(acts, theta_pair, sym, n, t) == 2
+    for k in range(n + 1):
+        assert count(acts, pairing, sym, k, n, t) <= 1
+    for k in range(1, n + 1):
+        assert count(acts, restrict_to_subspace, prof.theta, k, sym.upsilon(k).basis, sym.upsilon(k).pivots()) == 1
+    assert count(rrefs, psi_op, sym, n, t) == 1
+    # one action per family: 6 for square-commutes, 1 for top-scaling, 2 per degree of the
+    # Nakayama braiding (k = 1..3), 1 per pairing twist (k = 0..3), 2 per braid-top.k and 1 per
+    # mirror-top.k (k = 1, 2), and 1 row of rep(y_n) for functional.kernel
+    assert count(acts, verify_operator_identities, prof) == 6 + 1 + 2 * 3 + 4 + 3 * 2 + 1
+    assert words == []
+
+
 def test_functional_top_value_dj4():
     sym = dj_standard(4)
     t = sym.upsilon(4).basis[0]
@@ -392,9 +521,9 @@ def test_top_tensor_two_sided_decomposition(prof2, prof3):
             right = sym.upsilon(k).basis
             cols = [kron_vec(w, u, sym.field) for w in left for u in right]
             A = MatrixF.from_rows(cols, sym.field).transpose()
-            coords = A.solve(prof.t)
+            coords = A.solve(MatrixF(len(prof.t), 1, prof.t, sym.field))
             assert coords is not None
-            D = MatrixF(len(left), len(right), coords, sym.field)
+            D = MatrixF(len(left), len(right), coords.entries, sym.field)
             assert not D.det().is_zero()
 
 
@@ -411,9 +540,9 @@ def test_braiding_closed_forms(prof2, prof3):
             w_basis = sym.upsilon(n - k).basis
             cols = [kron_vec(u, w, field) for u in u_basis for w in w_basis]
             A = MatrixF.from_rows(cols, field).transpose()
-            coords = A.solve(prof.t)
+            coords = A.solve(MatrixF(len(prof.t), 1, prof.t, field))
             assert coords is not None
-            D = MatrixF(len(u_basis), len(w_basis), coords, field)
+            D = MatrixF(len(u_basis), len(w_basis), coords.entries, field)
             tilde_w = [
                 tuple(
                     sum((D[i, j] * w_basis[j][m] for j in range(len(w_basis))), field.zero())
@@ -580,14 +709,14 @@ def test_pairing_rejects_wrong_top_tensor(prof2):
 def test_restriction_helper(prof2):
     U = prof2.sym.upsilon(2)
     A = kron_power(prof2.theta, 2)
-    C = restrict_to_subspace(A, U, 1)
+    C = restrict_to_subspace(A, 1, U.basis, U.pivots())
     assert C.rows == 1 and C[0, 0] == q ** 3
-    assert restrict_to_subspace(prof2.theta, U, 2) == C
+    assert restrict_to_subspace(prof2.theta, 2, U.basis, U.pivots()) == C
     bad = MatrixF.from_rows([[F.one(), F.one()], [F.zero(), F.one()]], F)
     with pytest.raises(ValueError):
-        restrict_to_subspace(kron_power(bad, 2), U, 1)
+        restrict_to_subspace(kron_power(bad, 2), 1, U.basis, U.pivots())
     with pytest.raises(ValueError):
-        restrict_to_subspace(bad, U, 2)
+        restrict_to_subspace(bad, 2, U.basis, U.pivots())
 
 
 def _bump(M, i, j):

@@ -57,12 +57,67 @@ def test_intersect_with_ambient():
 
 def test_solve_and_inverse():
     A = MatrixF.from_rows([[F.scalar(2), F.scalar(1)], [F.scalar(1), F.scalar(1)]], F)
-    assert A.solve((F.scalar(3), F.scalar(2))) == (F.scalar(1), F.scalar(1))
+    assert A.solve(MatrixF(2, 1, (F.scalar(3), F.scalar(2)), F)).entries == (F.scalar(1), F.scalar(1))
     assert A * A.inverse() == MatrixF.identity(2, F)
     singular = MatrixF.from_rows([[F.scalar(1), F.scalar(1)], [F.scalar(1), F.scalar(1)]], F)
-    assert singular.solve((F.scalar(0), F.scalar(1))) is None
+    assert singular.solve(MatrixF(2, 1, (F.scalar(0), F.scalar(1)), F)) is None
     with pytest.raises(ZeroDivisionError):
         singular.inverse()
+
+
+def _solve_column_reference(A, b):
+    """One solution of A x = b, free unknowns zero, by a row reduction of [A | b] of its own, or None."""
+    R, pivots = MatrixF.from_rows([A.row(i) + (b[i],) for i in range(A.rows)], A.domain).rref()
+    if A.cols in pivots:
+        return None
+    x = [A.domain.zero()] * A.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r, A.cols]
+    return tuple(x)
+
+
+@pytest.mark.parametrize("field", [F, cyclotomic_field(3), GENERIC_Q], ids=lambda f: f.kind)
+def test_solve_matches_column_by_column_solves(field):
+    rng = random.Random("solve:" + field.kind)
+    entry = lambda: field.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * (field.q() if field.kind == "ratfunc_q" and rng.random() < 0.3 else field.one())
+    shapes = [(3, 3, 0), (3, 3, 1), (4, 2, 0), (2, 4, 0), (4, 4, 2), (1, 3, 0), (3, 1, 0)]
+    inconsistent = set()
+    for rows, cols, defect in shapes:
+        for trial in range(4):
+            A = MatrixF(rows, cols, [entry() for _ in range(rows * cols)], field)
+            if defect:
+                # a singular A: its last columns repeat combinations of the first ones
+                keep = MatrixF(rows, cols - defect, [A[i, j] for i in range(rows) for j in range(cols - defect)], field)
+                mix = MatrixF(cols - defect, defect, [entry() for _ in range((cols - defect) * defect)], field)
+                tail = keep * mix
+                A = MatrixF(rows, cols, [x for i in range(rows) for x in keep.row(i) + tail.row(i)], field)
+            width = rng.randint(1, 4)
+            # consistent right-hand sides, then one inconsistent column where A has a cokernel
+            B = A * MatrixF(cols, width, [entry() for _ in range(cols * width)], field)
+            if trial % 2 and A.rank() < rows:
+                B = B + MatrixF(rows, width, [entry() for _ in range(rows * width)], field)
+            cols_ref = [_solve_column_reference(A, B.col(j)) for j in range(width)]
+            X = A.solve(B)
+            inconsistent.add((None in cols_ref, A.rank() < cols))
+            if None in cols_ref:
+                assert X is None, (rows, cols, defect, trial)
+            else:
+                assert X == MatrixF(cols, width, [c[i] for i in range(cols) for c in cols_ref], field)
+                assert A * X == B
+    # inconsistent systems, and consistent ones with free unknowns, were both met
+    assert (True, True) in inconsistent and (False, True) in inconsistent and (False, False) in inconsistent
+    # the inverse is the solve against the identity
+    for n in (1, 2, 4):
+        A = MatrixF(n, n, [entry() for _ in range(n * n)], field)
+        if A.rank() == n:
+            assert A.inverse() == A.solve(MatrixF.identity(n, field))
+            assert A * A.inverse() == MatrixF.identity(n, field)
+    singular = MatrixF(2, 2, [field.one()] * 4, field)
+    assert singular.solve(MatrixF.identity(2, field)) is None
+    with pytest.raises(ZeroDivisionError):
+        singular.inverse()
+    with pytest.raises(ValueError):
+        singular.solve(MatrixF(3, 1, [field.one()] * 3, field))
 
 
 def test_kronecker_and_trace():

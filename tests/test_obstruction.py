@@ -212,8 +212,9 @@ def test_genuine_symmetry_composite_is_scalar_mod_top():
                 vec[j * 9 + pair] = rels[i][pair]
             basis27.append(vec)
     A = MF.from_rows(basis27, F9).transpose()
-    t_coords = A.solve(t)
+    t_coords = A.solve(MF(27, 1, t, F9))
     assert t_coords is not None
+    t_coords = t_coords.entries
     # every column of the defect is a multiple of the top-line coordinates
     for col in range(9):
         column = [D[r, col] for r in range(9)]
@@ -277,10 +278,10 @@ def test_case2_sample_is_smooth_elliptic():
 
 def _solve_in_basis_reference(vec, basis, t_rows, layout, domain):
     if isinstance(domain, FieldSpec):
-        sol = MatrixF.from_rows(basis, domain).transpose().solve(tuple(vec))
+        sol = MatrixF.from_rows(basis, domain).transpose().solve(MatrixF(len(vec), 1, vec, domain))
         if sol is None:
             raise ValueError("vector left the expected subspace")
-        return list(sol)
+        return list(sol.entries)
     coords = []
     for m in range(len(basis)):
         outer, i_rel = divmod(m, 3)
@@ -409,8 +410,29 @@ def test_restricted_map_checks_name_the_differing_entry(monkeypatch):
     assert checks["matrix-display"].detail.startswith("entry (2,2) = ")
 
 
+def test_projection_tables_and_composite_witness_name_an_entry(monkeypatch):
+    original = obstruction._projection
+
+    def moved(f, relations, domain, *args, **kwargs):
+        # t_1 added to column x_1 x_1 of P keeps P inside span(t), so the restricted maps exist
+        P = original(f, relations, domain, *args, **kwargs)
+        entries = list(P.entries)
+        for r in range(9):
+            entries[r * 9] = entries[r * 9] + relations[0][r]
+        return MatrixF(9, 9, entries, P.domain)
+
+    monkeypatch.setattr(obstruction, "_projection", moved)
+    for verify in (verify_case1, verify_case2, verify_case3):
+        checks = {c.name: c for c in verify().checks.checks}
+        # P - table is t_1 in column 0, and the first coordinate of t_1 is c
+        assert (checks["projection-table"].status, checks["projection-table"].detail) == ("fail", "entry (0,0) = c")
+        if verify is verify_case2:
+            witness = checks["composite-witness"]
+            assert (witness.status, witness.detail) == ("fail", "entry (0,0) = a*c*ap")
+
+
 def test_passing_restricted_map_checks_keep_their_details(case_reports):
     details = {c.name: c.detail for rep in case_reports.values() for c in rep.checks.checks}
     assert details["matrix-display"] == "first entry is c^3 scaled by d^(-1)"
-    for name in ("swap-relation", "pair1-matrices", "pair3-matrices", "pair-matrices", "equations-1-to-4"):
+    for name in ("swap-relation", "pair1-matrices", "pair3-matrices", "pair-matrices", "equations-1-to-4", "projection-table", "composite-witness"):
         assert details[name] == ""

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckesym.exactnum import FieldSpec, PoleError, cyclotomic_field, primitive_root
-from heckesym.linalg import MatrixF, first_minor
+from heckesym.linalg import MatrixF, first_minor, vec_combination
 from heckesym.multipoly import PolyRing
 from heckesym.regular3 import (
     ProjectiveElement,
@@ -18,6 +18,7 @@ from heckesym.regular3 import (
     conjugacy_classes,
     conjugacy_report,
     cube_difference_factorization,
+    cyclic_slots,
     generators_permute_inflections,
     hessian_field,
     hessian_generators,
@@ -242,6 +243,55 @@ def test_action_on_parameters():
     shear = MatrixF.from_rows([[one, one, zero], [zero, one, zero], [zero, zero, one]], field)
     with pytest.raises(ValueError):
         action_on_parameters(ProjectiveElement(shear))
+
+
+def _action_on_parameters_reference(tau):
+    """tau^(x)3 on w1, w2, w3, one action and one stability check per basis vector."""
+    field = tau.matrix.domain
+    zero, one = field.zero(), field.one()
+    slots = cyclic_slots()
+    basis = [tuple(one if k in w else zero for k in range(27)) for w in slots]
+    cols = []
+    for vec in basis:
+        img = apply_power(tau.matrix, 3, vec)
+        coords = [img[w[0]] for w in slots]
+        if img != vec_combination(coords, basis, zero):
+            raise ValueError("the invariant 3-space is not stable under this operator")
+        cols.append(coords)
+    return MatrixF.from_rows(cols, field).transpose()
+
+
+def test_action_on_parameters_matches_one_action_per_vector(group):
+    field = hessian_field()
+    rng = random.Random("parameters")
+    for g in rng.sample(group, 24):
+        assert action_on_parameters(g) == _action_on_parameters_reference(g)
+    # a random invertible matrix moves the w-span: both refuse it
+    moved = 0
+    for _ in range(6):
+        M = MatrixF(3, 3, [field.scalar(rng.randint(-2, 2)) for _ in range(9)], field)
+        if M.rank() == 3:
+            moved += 1
+            for action in (action_on_parameters, _action_on_parameters_reference):
+                with pytest.raises(ValueError):
+                    action(ProjectiveElement(M))
+    assert moved
+
+
+def _perm_reference(action, g):
+    """The indices of the images of the nine points, one point at a time, or None."""
+    out = tuple(action.where.get(transform_point(g, p)) for p in action.points)
+    return None if None in out else out
+
+
+def test_point_permutation_matches_one_point_at_a_time(group):
+    field = hessian_field()
+    action = _PointAction(field)
+    for g in group:
+        assert action.perm(g) == _perm_reference(action, g)
+    one, zero = field.one(), field.zero()
+    shear = ProjectiveElement(MatrixF.from_rows([[one, one, zero], [zero, one, zero], [zero, zero, one]], field))
+    assert action.perm(shear) is None and _perm_reference(action, shear) is None
 
 
 def test_preserves_relations_symbolic():

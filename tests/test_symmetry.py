@@ -11,7 +11,7 @@ from heckesym import symmetry
 from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
-from heckesym.linalg import MatrixF, Subspace, vec_is_zero, vec_scale
+from heckesym.linalg import MatrixF, Subspace, _stack, _units, vec_is_zero, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import SklParameters, _projection, skl_relations
 from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_element, longest_rho
@@ -540,6 +540,44 @@ def test_slot_actions_match_kronecker_reference(case):
     dense = (slot[1] * slot[0]).scale(two) + slot[2].scale(c) + MatrixF.identity(8, domain)
     vec = tuple(vec_entry(rng) for _ in range(8))
     assert _act(column_table(A), 2, [((2, 1), two), ((3,), c), ((), None)], vec, zero) == _dense_apply(dense, vec, zero)
+
+
+@pytest.mark.parametrize("case", _domains(), ids=lambda c: c[0])
+def test_stacked_family_action_matches_one_action_per_vector(case, monkeypatch):
+    # the per-vector loop every family action replaced, kept as the oracle
+    name, domain, entry, zero, vec_entry = case
+    rng = random.Random("family:" + name)
+    if name == "ratfunc_q":
+        # rows with different denominators share one denominator in the stacked vector
+        plain = vec_entry
+        vec_entry = lambda rng: plain(rng) / rng.choice((F.one(), q + 1, q, F.scalar(2), q * q - 3))
+    for N, w, n in ((2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 3), (2, 1, 1)):
+        m = N ** w
+        table = column_table(MatrixF(m, m, [entry(rng) for _ in range(m * m)], domain))
+        slots = range(1, n - w + 2)
+        for size in (1, 2, 5):
+            rows = [tuple(vec_entry(rng) for _ in range(N ** n)) for _ in range(size)]
+            words = [tuple(rng.choice(slots) for _ in range(rng.randint(0, 3))) for _ in range(2)]
+            for terms in ([(words[0], None)], [(words[0], None), (words[1], entry(rng))], []):
+                stacked = _act(table, N, terms, _stack(iter(rows), size, zero), zero)
+                assert [stacked[j::size] for j in range(size)] == [_act(table, N, terms, row, zero) for row in rows], (N, w, n, terms)
+    # an empty family is no action: it never reaches the slot arithmetic
+    monkeypatch.setattr(symmetry, "_tail", lambda *args: pytest.fail("an empty family reached _tail"))
+    assert _stack(iter(()), 0, zero) == []
+    assert _act(table, N, [((1,), None)], _stack([], 0, zero), zero) == ()
+
+
+@pytest.mark.parametrize("case", _domains()[:3], ids=lambda c: c[0])
+def test_unit_families_are_stacked_directly(case):
+    name, domain, _entry, zero, vec_entry = case
+    rng = random.Random("units:" + name)
+    t = tuple(vec_entry(rng) for _ in range(4))
+    for dim, first, count in ((3, 0, 3), (5, 2, 2), (4, 3, 1), (1, 0, 1)):
+        units = [tuple(domain.one() if i == j else zero for i in range(dim)) for j in range(first, first + count)]
+        family = _units(dim, first, count, t, zero)
+        assert family == _stack([kron_vec(e, t, domain) for e in units], count, zero), (dim, first, count)
+        # the family shares t's entries instead of multiplying them by one
+        assert all(any(x is y for y in t) for x in family if not x.is_zero())
 
 
 def test_slot_action_range_errors():
