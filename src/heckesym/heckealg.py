@@ -9,19 +9,29 @@ relation (T_i - q)(T_i + 1) = 0, so multiplication by a generator obeys
 
 The rule only ever introduces q and q - 1, so every element built here has
 its coefficients in Z[q].  An element stores them as integer tuples, low
-degree first, keyed by the index of sigma in S_n; sums and products run on
-these tuples, and the field is applied only at the boundary: `coefficient`
-and `field_terms` evaluate at `field.q()`, and `==` / `is_zero` decide in
-the field (a nonzero Z[q] difference may vanish at a root of unity).
+degree first, keyed by the index of sigma in S_n, and the field is applied
+only at the boundary: `coefficient` and `field_terms` evaluate at
+`field.q()`, and `==` / `is_zero` decide in the field (a nonzero Z[q]
+difference may vanish at a root of unity).
+
+Products run on packed integers (Kronecker substitution): a polynomial p is
+stored as p(2^B), so a sum or a product of polynomials is one big-int
+operation, and T_i maps h to h << B or to c + (h << B) - h.  B comes from
+the L1 norm, the sum of the absolute values of all coefficients: T_i at
+most triples it, so every coefficient of a * b is at most
+||a||_1 ||b||_1 3^(longest length in supp a), and B is two bits more than
+that bound, enough to read signed coefficients back.
 
 Per degree n, the first use builds and caches a table of S_n: the index of
 each sigma, the index of tau_i sigma with whether the length goes up, the
-lengths and the reduced words (smallest left descent first).  A product
-a * b is the sum over sigma in supp(a) of a_sigma T_sigma b, where T_sigma b
-is T_i applied to T_rho b with sigma = tau_i rho, so the partial products
-are shared along the reduced words.  Antisymmetrizers and their partial
-factorizations over Young subgroups follow the standard q-weighted signed
-sums.
+lengths and the reduced words (smallest left descent first).  One walk
+yields T_sigma b for a set of sigma, depth first along the reduced words,
+each from its parent's image T_rho b (sigma = tau_i rho) by one generator
+step.  A product a * b sums a_sigma T_sigma b over that walk; the identity
+suite checks T_sigma y_n = (-1)^len y_n for all of S_n on one walk from
+y_n.  Antisymmetrizers and their partial factorizations over Young
+subgroups follow the standard q-weighted signed sums, their supports read
+off the table.
 """
 
 from __future__ import annotations
@@ -30,17 +40,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar, qfact
-from .permgroup import (
-    MAX_ENUM_DEGREE,
-    Composition,
-    Perm,
-    coset_reps,
-    cycle,
-    shift,
-    transposition,
-    young_elements,
-)
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, _from_power_of_two, at_power_of_two, qfact
+from .permgroup import MAX_ENUM_DEGREE, Composition, Perm, cycle, shift, transposition
 from .report import CheckReport
 
 __all__ = [
@@ -60,10 +61,11 @@ ZPoly = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Z[q] as integer tuples, low degree first, no trailing zeros.  Results are
+# Z[q] as integer tuples, low degree first, no trailing zeros.  Sums are
 # built in a list and frozen once: no temporary tuples are made, and no tuple
 # is built from an iterator of unknown length, which CPython allocates at one
 # size and shrinks, so that its free lists of small tuples only ever grow.
+# Products pack the tuples at q = 2^bits (exactnum.at_power_of_two).
 
 
 def _freeze(r: List[int]) -> ZPoly:
@@ -87,35 +89,16 @@ def _pneg(a: ZPoly) -> ZPoly:
     return tuple([-x for x in a])
 
 
-def _addmul_into(acc: List[int], a: ZPoly, b: ZPoly) -> None:
-    """acc += a * b, in place, for a list of coefficients."""
-    need = len(a) + len(b) - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                acc[j] += x * y
+def _l1(terms: Dict[int, ZPoly]) -> int:
+    return sum([abs(x) for c in terms.values() for x in c])
 
 
-def _pmul(a: ZPoly, b: ZPoly) -> ZPoly:
-    if not a or not b:
-        return ()
-    r: List[int] = []
-    _addmul_into(r, a, b)
-    return tuple(r)
+def _packed(terms: Dict[int, ZPoly], bits: int) -> Dict[int, int]:
+    return {s: at_power_of_two(c, bits) for s, c in terms.items()}
 
 
-def _plus_qm1(c: ZPoly, h: ZPoly) -> ZPoly:
-    """c + (q - 1) h for nonzero h."""
-    r = list(c)
-    if len(r) <= len(h):
-        r.extend([0] * (len(h) + 1 - len(r)))
-    for k, x in enumerate(h):
-        if x:
-            r[k] -= x
-            r[k + 1] += x
-    return _freeze(r)
+def _unpacked(terms: Dict[int, int], bits: int) -> Dict[int, ZPoly]:
+    return {s: tuple(_from_power_of_two(v, bits)) for s, v in terms.items() if v}
 
 
 def _monomial(k: int, sign: int = 1) -> ZPoly:
@@ -208,8 +191,8 @@ class _Degree:
                 self.reduced[s] = (i,) + self.reduced[self.left[i][s]]
         self.perms = [Perm(w) for w in words]
 
-    def gen_mul(self, i: int, terms: Dict[int, ZPoly]) -> Dict[int, ZPoly]:
-        """T_i * h; tau_i pairs each sigma with tau_i sigma, handled once per pair."""
+    def gen_mul(self, i: int, terms: Dict[int, int], bits: int) -> Dict[int, int]:
+        """T_i * h on packed coefficients; tau_i pairs each sigma with tau_i sigma, handled once per pair."""
         left, up = self.left[i], self.up[i]
         get = terms.get
         out = {}
@@ -220,22 +203,21 @@ class _Degree:
                 if high is None:
                     out[t] = c
                 else:
-                    out[s] = (0,) + high
-                    v = _plus_qm1(c, high)
+                    out[s] = high << bits
+                    v = c + (high << bits) - high
                     if v:
                         out[t] = v
             elif t not in terms:
-                out[t] = (0,) + c
-                out[s] = _plus_qm1((), c)
+                out[t] = c << bits
+                out[s] = (c << bits) - c
         return out
 
-    def product(self, a: Dict[int, ZPoly], b: Dict[int, ZPoly]) -> Dict[int, ZPoly]:
-        """sum_(sigma in supp a) a_sigma T_sigma b, depth first along the reduced words."""
-        if not a or not b:
-            return {}
+    def walk(self, support, b: Dict[int, ZPoly], bits: int):
+        """(s, T_sigma_s b packed at 2^bits) for s in support and for the prefixes of their reduced
+        words, depth first along the reduced words: each image is one generator step from another."""
         first, left = self.first, self.left
         need = {0}
-        for s in a:
+        for s in support:
             while s not in need:
                 need.add(s)
                 s = left[first[s]][s]
@@ -243,27 +225,29 @@ class _Degree:
         for s in need:
             if s:
                 kids[left[first[s]][s]].append(s)
-        acc: Dict[int, List[int]] = {}
-        stack = [(0, 0, b)]
+        stack = [(0, 0, _packed(b, bits))]
         while stack:
             s, i, piece = stack.pop()
             if i:
-                piece = self.gen_mul(i, piece)
-            c = a.get(s)
-            if c is not None:
-                for t, v in piece.items():
-                    cur = acc.get(t)
-                    if cur is None:
-                        cur = acc[t] = []
-                    _addmul_into(cur, c, v)
+                piece = self.gen_mul(i, piece, bits)
+            yield s, piece
             for t in kids[s]:
                 stack.append((t, first[t], piece))
-        out = {}
-        for t, v in acc.items():
-            v = _freeze(v)
-            if v:
-                out[t] = v
-        return out
+
+    def product(self, a: Dict[int, ZPoly], b: Dict[int, ZPoly]) -> Dict[int, ZPoly]:
+        """sum_(sigma in supp a) a_sigma T_sigma b, on one walk."""
+        if not a or not b:
+            return {}
+        # T_i at most triples the L1 norm, so every coefficient is at most ||a||_1 ||b||_1 3^(longest len in supp a)
+        bits = (_l1(a) * _l1(b) * 3 ** max(map(self.length.__getitem__, a))).bit_length() + 2
+        coeffs = _packed(a, bits)
+        acc: Dict[int, int] = {}
+        for s, piece in self.walk(a, b, bits):
+            c = coeffs.get(s)
+            if c is not None:
+                for t, v in piece.items():
+                    acc[t] = acc.get(t, 0) + c * v
+        return _unpacked(acc, bits)
 
 
 _DEGREES: Dict[int, _Degree] = {}
@@ -359,7 +343,9 @@ class HeckeElement:
     def _times(self, poly: ZPoly) -> "HeckeElement":
         if not poly:
             return _make(self.n, self.field, {})
-        return _make(self.n, self.field, {s: _pmul(poly, c) for s, c in self.terms.items()})
+        bits = (sum(map(abs, poly)) * _l1(self.terms)).bit_length() + 2
+        p = at_power_of_two(poly, bits)
+        return _make(self.n, self.field, _unpacked({s: p * v for s, v in _packed(self.terms, bits).items()}, bits))
 
     def scale(self, c) -> "HeckeElement":
         """Multiple by an int or a Z[q]-valued scalar."""
@@ -429,21 +415,24 @@ def partial_y(n: int, comp: Composition, which: str, field: FieldSpec = GENERIC_
     """
     if comp.total != n:
         raise ValueError("composition must sum to %d" % n)
-    sub_len = comp.longest_length()
+    tab = _degree(n)
+    inside = set(comp.internal_generators())
+    support = range(len(tab.length))
     if which == "subgroup":
-        support = young_elements(n, comp)
-        offset = sub_len
-    elif which in ("left", "right"):
-        support = coset_reps(n, comp, which)
-        offset = n * (n - 1) // 2 - sub_len
+        support = [s for s in support if inside.issuperset(tab.reduced[s])]
+    elif which == "left":
+        words = list(tab.index)
+        for i in inside:
+            support = [s for s in support if words[s][i - 1] < words[s][i]]
+    elif which == "right":
+        # the inverses of the left ones: tau_i sigma is longer for every i inside
+        for i in inside:
+            support = [s for s in support if tab.up[i][s]]
     else:
         raise ValueError("which must be 'subgroup', 'left' or 'right'")
-    tab = _degree(n)
-    terms = {}
-    for p in support:
-        s = tab.index[p.word]
-        terms[s] = _signed(offset, tab.length[s])
-    return _make(n, field, terms)
+    sub_len = comp.longest_length()
+    offset = sub_len if which == "subgroup" else n * (n - 1) // 2 - sub_len
+    return _make(n, field, {s: _signed(offset, tab.length[s]) for s in sorted(support, key=tab.length.__getitem__)})
 
 
 def coset_y(n: int, k: int, l: int, field: FieldSpec = GENERIC_Q) -> HeckeElement:
@@ -485,20 +474,19 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
     report = CheckReport("hecke-identities")
 
     def eq(name, rule, lhs, rhs):
-        diff = lhs - rhs
-        if diff.is_zero():
+        if lhs == rhs:
             report.record(name, rule, True)
-        else:
-            witness = diff.field_terms()[0][0]
-            from .exprio import format_scalar
+            return
+        from .exprio import format_scalar
 
-            report.record(
-                name,
-                rule,
-                False,
-                "first differing term T%s: %s vs %s"
-                % (witness.word, format_scalar(lhs.coefficient(witness)), format_scalar(rhs.coefficient(witness))),
-            )
+        witness = (lhs - rhs).field_terms()[0][0]
+        report.record(
+            name,
+            rule,
+            False,
+            "first differing term T%s: %s vs %s"
+            % (witness.word, format_scalar(lhs.coefficient(witness)), format_scalar(rhs.coefficient(witness))),
+        )
 
     for n in range(1, n_max + 1):
         y = antisymmetrizer(n, field)
@@ -511,15 +499,20 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
             eq("gen-left.n%d.i%d" % (n, i), "T_i y_n = -y_n", Ti * y, -y)
             eq("gen-right.n%d.i%d" % (n, i), "y_n T_i = -y_n", y * Ti, -y)
 
-        for p, l in zip(tab.perms, tab.length):
+        # T_sigma y_n for every sigma on one walk from y_n; only the images that differ from +-y_n in Z[q]
+        # are kept, and those are decided in the field
+        bits = (_l1(y.terms) * 3 ** (n * (n - 1) // 2)).bit_length() + 2
+        signed = _packed(y.terms, bits), _packed((-y).terms, bits)
+        walk = tab.walk(range(len(tab.length)), y.terms, bits)
+        misses = {s: image for s, image in walk if image != signed[tab.length[s] % 2]}
+        for s, (p, l) in enumerate(zip(tab.perms, tab.length)):
             if l in (0, 1):
                 continue
-            eq(
-                "basis-left.n%d.%s" % (n, "".join(map(str, p.word))),
-                "T_sigma y_n = (-1)^len y_n",
-                basis_element(p, field) * y,
-                y.scale(-1 if l % 2 else 1),
-            )
+            name, rule = "basis-left.n%d.%s" % (n, "".join(map(str, p.word))), "T_sigma y_n = (-1)^len y_n"
+            if s in misses:
+                eq(name, rule, _make(n, field, _unpacked(misses[s], bits)), y.scale(-1 if l % 2 else 1))
+            else:
+                report.record(name, rule, True)
 
         for comp in _two_part_comps(n):
             tag = "%d,%d" % comp.parts

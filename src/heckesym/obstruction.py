@@ -45,11 +45,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, primitive_root
 from .exprio import format_scalar
 from .frobenius import _record_equal, front_pairing, projection_from_dual, reconstruct_from_f
-from .linalg import MatrixF, Subspace, vec_combination
+from .linalg import MatrixF, Subspace, _stack, vec_combination
 from .multipoly import MultiPoly, PolyRing
 from .regular3 import SklParameters, cyclic_slots, is_type_A, skl_relations, skl_tensor
 from .report import CheckReport
-from .symmetry import _format_entry, apply_power, braid_defect, check_braid, check_hecke, tensor_index
+from .symmetry import _format_entry, _vanishes, apply_power, braid_defect, check_braid, check_hecke, tensor_index
 
 __all__ = [
     "TernaryQuadratic",
@@ -784,10 +784,10 @@ def verify_case3() -> CaseReport:
     rels_s = skl_relations(SklParameters(a_s, a_s, c_s, ring_swap))
     theta_s = MatrixF.from_rows([[zs, lam_s, zs], [lam_s, zs, zs], [zs, zs, lam_s]], ring_swap)
     lam2 = lam_s * lam_s
-    swap_ok = all(
-        apply_power(theta_s, 2, rels_s[i]) == tuple(lam2 * x for x in rels_s[j]) for i, j in ((0, 1), (1, 0), (2, 2))
-    )
-    checks.record("relation-swap", "theta^(x)2 sends t_1, t_2, t_3 to lam^2 t_2, lam^2 t_1, lam^2 t_3", swap_ok)
+    # row j of the stacked images (linalg._stack) is theta^(x)2 (t_(j+1))
+    images = MatrixF(9, 3, apply_power(theta_s, 2, _stack(rels_s, 3, zs), m=3), ring_swap).transpose()
+    rule = "theta^(x)2 sends t_1, t_2, t_3 to lam^2 t_2, lam^2 t_1, lam^2 t_3"
+    _record_equal(checks, "relation-swap", rule, images, MatrixF.from_rows([rels_s[1], rels_s[0], rels_s[2]], ring_swap).scale(lam2))
 
     # the two linear systems and their solutions over d = 8a^3 + c^3
     ring = PolyRing(("a", "c", "ap", "bp", "cp", "cpp"))
@@ -833,23 +833,9 @@ def verify_case3() -> CaseReport:
     rels = skl_relations(SklParameters(a, a, c, ring))
     rel1 = a * (ap + bp) + c * cp
     rel2 = c * cpp - c * cp - 1
-    vals = front_pairing(gt, rels, ring)
-    norm_ok = (
-        vals[0, 1] == d
-        and vals[1, 0] == d
-        and vals[0, 2].is_zero()
-        and vals[2, 0].is_zero()
-        and vals[1, 2].is_zero()
-        and vals[2, 1].is_zero()
-        and vals[0, 0] == d * rel1
-        and vals[1, 1] == d * rel1
-        and vals[2, 2] == d * (rel1 + (c * cpp - c * cp))
-    )
-    checks.record(
-        "braiding-normalization",
-        "f(x_1 t_2) = f(x_2 t_1) = f(x_3 t_3) = q and the rest vanish, given the side relations",
-        norm_ok,
-    )
+    want = MatrixF.from_rows([[d * rel1, d, zero], [d, d * rel1, zero], [zero, zero, d * (rel1 + c * cpp - c * cp)]], ring)
+    rule = "f(x_1 t_2) = f(x_2 t_1) = f(x_3 t_3) = q and the rest vanish, given the side relations"
+    _record_equal(checks, "braiding-normalization", rule, front_pairing(gt, rels, ring), want)
     equations.append({"name": "side-relation-1", "expression": rel1.to_text() + " = 0"})
     equations.append({"name": "side-relation-2", "expression": rel2.to_text() + " = 0"})
 
@@ -1010,19 +996,13 @@ def verify_case4() -> CaseReport:
     rels = skl_relations(p_sym)
     factor = lam_v ** 2 * (1 + 2 * kap_v)
     krel_c = 2 * kap_v ** 2 + 2 * kap_v - 1
-    sq_ok = all(
-        (g - e).reduce_mod(krel_c, "kap").is_zero()
-        for j in (1, 2, 3)
-        for g, e in zip(
-            apply_power(theta, 2, rels[j - 1]),
-            vec_combination([factor * ringc.const(eps ** ((2 * i * j) % 3)) for i in (1, 2, 3)], rels, ringc.zero()),
-        )
-    )
-    checks.record(
-        "relation-action",
-        "theta^(x)2 (t_j) = lam^2 (1+2k) sum_i eps^(2ij) t_i modulo 2k^2+2k-1",
-        sq_ok,
-    )
+    stacked = MatrixF(9, 3, _stack(rels, 3, ringc.zero()), ringc)
+    # column j - 1 of the display is sum_i lam^2 (1+2k) eps^(2ij) t_i
+    coeffs = MatrixF.from_rows([[factor * ringc.const(eps ** ((2 * i * j) % 3)) for j in (1, 2, 3)] for i in (1, 2, 3)], ringc)
+    images = MatrixF(9, 3, apply_power(theta, 2, stacked.entries, m=3), ringc)
+    residues = MatrixF(9, 3, [x.reduce_mod(krel_c, "kap") for x in (images - stacked * coeffs).entries], ringc)
+    rule = "theta^(x)2 (t_j) = lam^2 (1+2k) sum_i eps^(2ij) t_i modulo 2k^2+2k-1"
+    checks.record("relation-action", rule, *_vanishes(residues.transpose()))
     tr_theta = theta.trace()
     checks.record(
         "trace-theta",

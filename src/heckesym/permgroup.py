@@ -1,5 +1,5 @@
 """Symmetric-group combinatorics: lengths, cycles, Young subgroups,
-distinguished coset representatives, shifts.
+the longest distinguished coset representative, shifts.
 
 Permutations use one-line notation with 1-based mathematical indices:
 word[i-1] = sigma(i).  Composition is (pi * sigma)(i) = pi(sigma(i)).
@@ -21,8 +21,6 @@ __all__ = [
     "longest_rho",
     "shift",
     "enumerate_perms",
-    "coset_reps",
-    "young_elements",
     "MAX_ENUM_DEGREE",
 ]
 
@@ -211,42 +209,3 @@ class Composition:
     def longest_length(self) -> int:
         """Length of the longest element of the Young subgroup."""
         return sum(p * (p - 1) // 2 for p in self.parts)
-
-
-def _sort_key(p: Perm):
-    return (p.length(), p.word)
-
-
-def coset_reps(n: int, comp: Composition, side: str = "left") -> List[Perm]:
-    """Distinguished coset representatives for S_n over the Young subgroup.
-
-    side="left" gives the minimal-length representatives of the left cosets
-    (permutations increasing on every block); side="right" gives their
-    inverses.  Both lists are sorted by (length, one-line word).
-    """
-    if comp.total != n:
-        raise ValueError("composition must sum to %d" % n)
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    inside = comp.internal_generators()
-    reps = [
-        p
-        for p in enumerate_perms(n)
-        if all(p.word[i - 1] < p.word[i] for i in inside)
-    ]
-    if side == "right":
-        reps = [p.inverse() for p in reps]
-    return sorted(reps, key=_sort_key)
-
-
-def young_elements(n: int, comp: Composition) -> List[Perm]:
-    """All elements of the Young subgroup, sorted by (length, word)."""
-    if comp.total != n:
-        raise ValueError("composition must sum to %d" % n)
-    bounds = comp.block_bounds()
-    out = [
-        p
-        for p in enumerate_perms(n)
-        if all(start <= p.word[i] <= end for start, end in bounds for i in range(start - 1, end))
-    ]
-    return sorted(out, key=_sort_key)

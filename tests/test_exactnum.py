@@ -24,7 +24,7 @@ from heckesym.exactnum import (
     qint,
     specialize,
 )
-from heckesym.permgroup import Composition, coset_reps, enumerate_perms
+from heckesym.permgroup import enumerate_perms
 
 F = GENERIC_Q
 q = F.q()
@@ -59,8 +59,9 @@ def test_qfact_vanishes_at_cube_root():
 def brute_qbinom(n, k):
     """Independent oracle: sum of q^len over block-increasing permutations."""
     out = F.zero()
-    for p in coset_reps(n, Composition((k, n - k)) if 0 < k < n else Composition((n,))):
-        out = out + q ** p.length()
+    for p in enumerate_perms(n):
+        if all(p.word[i - 1] < p.word[i] for i in range(1, n) if i != k):
+            out = out + q ** p.length()
     return out
 
 

@@ -14,7 +14,9 @@ constant-field slot actions moved onto packed integers; the dj(2) and dj(3)
 digests at q = -1 and the dj(3) digest at q = i were captured before f was
 read off one action of y_n under R^t; the failing verify report of a
 perturbed dj(2), with its witnesses and exit code 1, was captured before the
-square-commutes identity moved onto the slot action.  Every refactor must
+square-commutes identity moved onto the slot action; the identity digest at
+n = 6 was captured before Hecke products moved onto packed integers and the
+basis-left checks onto one walk.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -33,6 +35,7 @@ STDOUT_SHA256 = {
     ("identities", "--n", "3"): "eace9c40fe6878a11e702e93997fcf25c076cc16623ebb0f99f2ea9d2f0853c4",
     ("identities", "--n", "4"): "958c9165a7e1e270f4121bd68b3a1bc44f0004a4d579d82f5ff0cddb9f00293a",
     ("identities", "--n", "5"): "28ccc4020daa6a389ac2c69b7793c3b43344b6329bb7301be73eb0a1cc28f3a5",
+    ("identities", "--n", "6"): "8d596db062858afdcdb83814e9f4c186844a7682ac9efce125ca283041d688d8",
     ("hessian",): "7242ebb04c23c2e40475aed262584d54d7500f4cb1325bf16a5d99ddf00d8a61",
     ("hessian", "--report"): "2153ce78d9433436d13a4ff676e9aab2da67095a75ff9c955c2e54a99e318477",
     ("obstruct", "--case", "1"): "2f1dd3e6a1f81986ec1efe43225f4d2011617b6058a4bf328503e30329d3890d",

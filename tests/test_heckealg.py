@@ -9,6 +9,7 @@ import pytest
 from heckesym.exactnum import GENERIC_Q, cyclotomic_field, qfact
 from heckesym.heckealg import (
     HeckeElement,
+    _degree,
     antisymmetrizer,
     basis_element,
     embed,
@@ -299,3 +300,143 @@ def test_tables_are_built_on_first_use():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# ---------------------------------------------------------------------------
+# products on packed integers against the generator-rule oracle, at the edges of the bit width
+
+
+def _split(rng, total, parts):
+    """parts nonzero integers with random signs whose absolute values sum to total."""
+    cuts = sorted({rng.randrange(1, total) for _ in range(parts - 1)})
+    return [rng.choice((1, -1)) * (hi - lo) for lo, hi in zip([0] + cuts, cuts + [total])]
+
+
+def _element_of_norm(rng, n, norm, field):
+    """A random element of H_n whose coefficients' absolute values sum to norm, as (element, Perm-keyed Z[q] scalars)."""
+    coeffs = _split(rng, norm, rng.randint(1, 6)) if norm > 6 else [norm]
+    raw = {}
+    # distinct slots (sigma, power of q), so that no two coefficients cancel
+    for c, (p, k) in zip(coeffs, rng.sample([(p, k) for p in enumerate_perms(n) for k in range(6)], len(coeffs))):
+        raw[p] = raw.get(p, F.zero()) + F.scalar(c) * q ** k
+    return HeckeElement(n, field, raw), raw
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_packed_products_match_the_oracle_past_machine_words(field):
+    rng = random.Random(17)
+    # norms whose product passes 2^64, and pairs whose product sits just under a power of two
+    for na, nb in [(2**40 + 3, 2**33 - 5), (2**70 + 1, 7), (2**32 - 1, 2**32 + 1), (2**64 - 1, 1), (3, (2**65 - 1) // 3)]:
+        for n in (1, 2, 3, 4):
+            a, ra = _element_of_norm(rng, n, na, field)
+            b, rb = _element_of_norm(rng, n, nb, field)
+            want = _oracle_mul(*({p: _at(field, c) for p, c in r.items()} for r in (ra, rb)), n, field)
+            assert {p: c for p, _word, c in (a * b).field_terms()} == want
+            c = _random_zq(rng) * (2**66 + rng.randint(1, 9))
+            scaled = {p: _at(field, c) * _at(field, v) for p, v in rb.items()}
+            assert {p: x for p, _word, x in b.scale(c).field_terms()} == {p: x for p, x in scaled.items() if not x.is_zero()}
+
+
+def _index(p):
+    return _degree(p.degree).index[p.word]
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_packed_products_reach_the_bound_exactly(field):
+    # on the identity the bound ||a||_1 ||b||_1 is attained: a coefficient of -(2^k - 1) with k + 2 bits
+    e, w = Perm((1, 2, 3)), Perm((3, 1, 2))
+    for k in (63, 64, 65, 128):
+        top = 2**k - 1
+        for sign in (1, -1):
+            a = HeckeElement(3, field, {e: sign * (top // 3)})
+            b = HeckeElement(3, field, {w: 3 * q})
+            assert (a * b).terms == {_index(w): (0, 3 * sign * (top // 3))}
+            one = HeckeElement(3, field, {e: sign * top})
+            assert (one * basis_element(w, field)).terms == {_index(w): (sign * top,)}
+            assert basis_element(w, field).scale(sign * top).terms == {_index(w): (sign * top,)}
+    # T_w0^2 has coefficients up to 5 in H_4 and 13 in H_5: the 3^len factor of the bound is needed
+    for n in (4, 5):
+        w0 = Perm(tuple(range(n, 0, -1)))
+        for c in (2**64 - 1, -(2**65 - 1)):
+            want = _oracle_mul({w0: field.scalar(c)}, {w0: field.one()}, n, field)
+            assert {p: x for p, _word, x in (basis_element(w0, field).scale(c) * basis_element(w0, field)).field_terms()} == want
+
+
+# Phi_3(q) = 1 + q + q^2 vanishes at q = zeta_3
+PHI3 = 1 + q + q * q
+
+
+def _perturbed_antisymmetrizer(monkeypatch, extra):
+    """Makes verify_identities see y_n + extra T_(w_0) in place of every y_n."""
+    from heckesym import heckealg
+
+    original = heckealg.antisymmetrizer
+
+    def perturbed(n, field=F):
+        y = original(n, field)
+        w0 = Perm(tuple(range(n, 0, -1)))
+        return y + basis_element(w0, field).scale(extra)
+
+    monkeypatch.setattr(heckealg, "antisymmetrizer", perturbed)
+    return perturbed
+
+
+def test_basis_left_decides_a_zq_mismatch_in_the_field(monkeypatch):
+    y = _perturbed_antisymmetrizer(monkeypatch, PHI3)(3, ROOT3)
+    # T_sigma y differs from (-1)^len y in Z[q] by a multiple of Phi_3, which vanishes at zeta_3
+    sigma = Perm((2, 1, 3))
+    assert (basis_element(sigma, ROOT3) * y).terms != y.scale(-1).terms
+    assert basis_element(sigma, ROOT3) * y == y.scale(-1)
+    report = verify_identities(3, ROOT3)
+    basis_left = [c for c in report.checks if c.name.startswith("basis-left.")]
+    assert report.ok and [c.name for c in basis_left] == ["basis-left.n3.%s" % w for w in ("231", "312", "321")]
+    assert all(c.status == "pass" and c.detail == "" for c in basis_left)
+
+
+def test_basis_left_names_the_first_differing_term(monkeypatch):
+    _perturbed_antisymmetrizer(monkeypatch, PHI3)
+    report = verify_identities(3)
+    checks = {c.name: c for c in report.checks}
+    for w in ("231", "312", "321"):
+        check = checks["basis-left.n3.%s" % w]
+        assert check.status == "fail" and check.detail.startswith("first differing term T(")
+    # y_3 + Phi_3 T_321: T_321 y' = -y_3 + Phi_3 T_321 T_321, against -y' = -y_3 - Phi_3 T_321
+    assert checks["basis-left.n3.321"].detail.startswith("first differing term T(1, 2, 3): ")
+
+
+# ---------------------------------------------------------------------------
+# the supports of partial_y, read off the degree table, against the Perm filters they replaced
+
+
+def _oracle_coset_reps(n, comp, side):
+    inside = comp.internal_generators()
+    reps = [p for p in enumerate_perms(n) if all(p.word[i - 1] < p.word[i] for i in inside)]
+    if side == "right":
+        reps = [p.inverse() for p in reps]
+    return sorted(reps, key=lambda p: (p.length(), p.word))
+
+
+def _oracle_young_elements(n, comp):
+    bounds = comp.block_bounds()
+    out = [p for p in enumerate_perms(n) if all(start <= p.word[i] <= end for start, end in bounds for i in range(start - 1, end))]
+    return sorted(out, key=lambda p: (p.length(), p.word))
+
+
+def _compositions(n):
+    for mask in range(2 ** (n - 1)):
+        parts, run = [], 1
+        for i in range(n - 1):
+            if mask >> i & 1:
+                parts.append(run)
+                run = 0
+            run += 1
+        yield Composition(tuple(parts + [run]))
+
+
+def test_partial_y_supports_match_the_perm_filters():
+    for n in range(1, 7):
+        for comp in _compositions(n):
+            for which in ("subgroup", "left", "right"):
+                got = [p for p, _word, _c in partial_y(n, comp, which).field_terms()]
+                want = _oracle_young_elements(n, comp) if which == "subgroup" else _oracle_coset_reps(n, comp, which)
+                assert got == want, (n, comp, which)

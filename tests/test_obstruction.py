@@ -434,5 +434,50 @@ def test_projection_tables_and_composite_witness_name_an_entry(monkeypatch):
 def test_passing_restricted_map_checks_keep_their_details(case_reports):
     details = {c.name: c.detail for rep in case_reports.values() for c in rep.checks.checks}
     assert details["matrix-display"] == "first entry is c^3 scaled by d^(-1)"
-    for name in ("swap-relation", "pair1-matrices", "pair3-matrices", "pair-matrices", "equations-1-to-4", "projection-table", "composite-witness"):
+    for name in (
+        "swap-relation",
+        "pair1-matrices",
+        "pair3-matrices",
+        "pair-matrices",
+        "equations-1-to-4",
+        "projection-table",
+        "composite-witness",
+        "relation-swap",
+        "relation-action",
+        "braiding-normalization",
+    ):
         assert details[name] == ""
+
+
+def test_relation_checks_make_one_action_and_name_an_entry(monkeypatch):
+    original = obstruction.apply_power
+    calls = []
+
+    def bumped(A, k, vec, zero=None, m=1):
+        # coordinate 4 of the second stacked relation (entry 4 * m + 1) moves by 1
+        calls.append(m)
+        out = list(original(A, k, vec, zero, m))
+        if m == 3:
+            out[4 * 3 + 1] = out[4 * 3 + 1] + 1
+        return tuple(out)
+
+    monkeypatch.setattr(obstruction, "apply_power", bumped)
+    swap = next(c for c in verify_case3().checks.checks if c.name == "relation-swap")
+    assert calls == [3] and (swap.status, swap.detail) == ("fail", "entry (1,4) = 1")
+    calls.clear()
+    action = next(c for c in verify_case4().checks.checks if c.name == "relation-action")
+    assert calls.count(3) == 1 and (action.status, action.detail) == ("fail", "entry (1,4) = 1")
+
+
+def test_braiding_normalization_names_an_entry(monkeypatch):
+    original = obstruction.front_pairing
+
+    def moved(f, relations, domain):
+        vals = original(f, relations, domain)
+        entries = list(vals.entries)
+        entries[2] = entries[2] + 1
+        return MatrixF(3, 3, entries, vals.domain)
+
+    monkeypatch.setattr(obstruction, "front_pairing", moved)
+    check = next(c for c in verify_case3().checks.checks if c.name == "braiding-normalization")
+    assert (check.status, check.detail) == ("fail", "entry (0,2) = 1")

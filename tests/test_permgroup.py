@@ -1,9 +1,9 @@
 import pytest
 
+from heckesym.heckealg import partial_y
 from heckesym.permgroup import (
     Composition,
     Perm,
-    coset_reps,
     cycle,
     enumerate_perms,
     identity,
@@ -11,8 +11,17 @@ from heckesym.permgroup import (
     longest_rho,
     shift,
     transposition,
-    young_elements,
 )
+
+
+def coset_reps(n, comp, side="left"):
+    """The distinguished coset representatives, in the order of partial_y's sum over them."""
+    return [p for p, _word, _c in partial_y(n, comp, side).field_terms()]
+
+
+def young_elements(n, comp):
+    """The Young subgroup, in the order of partial_y's sum over it."""
+    return [p for p, _word, _c in partial_y(n, comp, "subgroup").field_terms()]
 
 
 def test_lengths():
