@@ -165,7 +165,7 @@ class _CycCtx:
             raise ZeroDivisionError("division by zero")
         d = self.deg
         if d == 1:
-            return (1 / a[0],)
+            return (_ONE / a[0],)
         # M x = den e_0 for the integer matrix M of den * a, by fraction-free
         # Gauss-Jordan: every diagonal entry ends as the last pivot
         den = lcm(*[x.denominator for x in a])

@@ -2,8 +2,17 @@
 
 A polynomial lives in a PolyRing that fixes an ordered tuple of variable
 names and a cyclotomic order for the coefficient field (1 = rationals).
-Terms map dense exponent tuples to coefficient vectors; zero coefficients
-are never stored, so equality is plain dictionary equality.
+Terms map dense exponent tuples to coefficient vectors over Q(zeta_m); zero
+coefficients are never stored, so equality is plain dictionary equality.
+
+An integral coefficient entry is always an int; a Fraction only holds a
+value that is not an integer.  Fractions come in through constants
+(PolyRing._coeff), the inverse of a leading coefficient (exact_div,
+reduce_mod) and products over Q(zeta_m) (_CycCtx.mul), and MultiPoly(ring,
+terms) turns their integral entries back into ints.  A polynomial records
+whether it may hold a Fraction, so sums and products of int polynomials skip
+that pass.  A product by one term is an injective shift of exponents: one
+pass, no merge and no zero test.
 
 Only what the computations need is provided: ring arithmetic, powers,
 substitution, evaluation, exact division and reduction modulo a divisor
@@ -14,14 +23,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Dict, Mapping, Tuple, Union
+from itertools import chain
+from operator import add, mul, neg
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .exactnum import FieldSpec, Scalar, _cycctx
 
 __all__ = ["PolyRing", "MultiPoly"]
 
 Expo = Tuple[int, ...]
+
+
+def _int(x):
+    """x, an int or a Fraction, as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _has_fraction(vecs) -> bool:
+    """Whether a Fraction occurs in the coefficient vectors vecs."""
+    return Fraction in map(type, chain.from_iterable(vecs))
+
+
+def _power(times, x, k: int):
+    """x^k for k >= 1, left to right from the top bit: one square per further bit."""
+    out = x
+    for bit in bin(k)[3:]:
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -36,15 +66,17 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         if self.order < 1:
             raise ValueError("cyclotomic order must be >= 1")
+        # the coefficient field's reduction tables, looked up once per ring
+        object.__setattr__(self, "_cyc", _cycctx(self.order))
 
     def _ctx(self):
-        return _cycctx(self.order)
+        return self._cyc
 
     def coeff_field(self) -> FieldSpec:
         return FieldSpec("rational") if self.order == 1 else FieldSpec("cyclotomic", self.order)
 
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return _poly(self, {}, False)
 
     def one(self) -> "MultiPoly":
         return self.const(1)
@@ -52,41 +84,42 @@ class PolyRing:
     def const(self, value) -> "MultiPoly":
         vec = self._coeff(value)
         if not any(vec):
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.variables): vec})
+            return _poly(self, {}, False)
+        return _poly(self, {(0,) * len(self.variables): vec}, _has_fraction((vec,)))
 
     def var(self, name: str) -> "MultiPoly":
         idx = self.variables.index(name)
         expo = tuple(1 if i == idx else 0 for i in range(len(self.variables)))
-        return MultiPoly(self, {expo: self._ctx().one})
+        return _poly(self, {expo: self._coeff(1)}, False)
 
     def vars(self) -> Tuple["MultiPoly", ...]:
         return tuple(self.var(v) for v in self.variables)
 
     def _coeff(self, value) -> tuple:
-        """Coerce an int/Fraction/constant Scalar to a coefficient vector."""
+        """Coerce an int/Fraction/constant Scalar to a coefficient vector, integral entries as ints."""
         ctx = self._ctx()
         if isinstance(value, Scalar):
             if value.field.kind == "ratfunc_q":
                 raise ValueError("coefficients must be constants, not rational functions")
+            vec = value.constant()
             if value.field.order != self.order:
                 if self.order % value.field.order:
                     raise ValueError("coefficient field does not embed into this ring")
-                return value.field._ctx().embed(value.constant(), ctx)
-            return value.constant()
-        f = Fraction(value)
-        return (f,) + (Fraction(0),) * (ctx.deg - 1)
+                vec = value.field._ctx().embed(vec, ctx)
+            return tuple(map(_int, vec))
+        return (value if value.__class__ is int else _int(Fraction(value)),) + (0,) * (ctx.deg - 1)
 
 
 class MultiPoly:
     """Element of a PolyRing; immutable once constructed."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_frac", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Dict[Expo, tuple]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+        terms = {e: tuple(map(_int, v)) for e, v in terms.items()}
+        _set_ring(self, ring)
+        _set_terms(self, terms)
+        _set_frac(self, _has_fraction(terms.values()))
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
@@ -109,11 +142,29 @@ class MultiPoly:
             return 0
         return max(e[idx] for e in self.terms)
 
+    def coefficients_in(self, names: Sequence[str], ring: PolyRing) -> Dict[Expo, "MultiPoly"]:
+        """self as a polynomial in the variables names over ring: each exponent
+        tuple of names maps to its coefficient, with exponents re-keyed by name
+        onto ring and coefficients embedded into ring's field.  No other
+        variable may occur outside ring."""
+        src, ctx, tgt = self.ring.variables, self.ring._ctx(), ring._ctx()
+        if ring.order % self.ring.order:
+            raise ValueError("coefficient field does not embed into the target ring")
+        outer = [src.index(n) for n in names]
+        inner = [src.index(n) if n in src and n not in names else None for n in ring.variables]
+        parts: Dict[Expo, dict] = {}
+        for e, vec in self.terms.items():
+            if sum(e) != sum(e[i] for i in outer + inner if i is not None):
+                raise ValueError("a variable occurs that the target ring lacks")
+            key = tuple([0 if i is None else e[i] for i in inner])
+            parts.setdefault(tuple([e[i] for i in outer]), {})[key] = vec if ctx is tgt else ctx.embed(vec, tgt)
+        return {k: MultiPoly(ring, t) for k, t in parts.items()}
+
     # -- coercion helpers
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
@@ -123,9 +174,10 @@ class MultiPoly:
     # -- ring operations
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not MultiPoly or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = dict(self.terms)
         for e, v in other.terms.items():
             cur = out.get(e)
@@ -137,12 +189,14 @@ class MultiPoly:
                     out[e] = s
                 else:
                     del out[e]
-        return MultiPoly(self.ring, out)
+        if self._frac or other._frac:
+            return MultiPoly(self.ring, out)
+        return _poly(self.ring, out, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: tuple(-x for x in v) for e, v in self.terms.items()})
+        return _poly(self.ring, {e: tuple(map(neg, v)) for e, v in self.terms.items()}, self._frac)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -154,26 +208,43 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ctx = self.ring._ctx()
+        if other.__class__ is not MultiPoly or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
+        ctx = ring._cyc
         fast = ctx.deg == 1
-        out: Dict[Expo, tuple] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                p = (v1[0] * v2[0],) if fast else ctx.mul(v1, v2)
-                cur = out.get(e)
-                if cur is None:
-                    out[e] = p
-                else:
-                    s = tuple(map(add, cur, p))
-                    if any(s):
-                        out[e] = s
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # one term: the exponent shift is injective and a product of
+            # nonzero coefficients is nonzero
+            ((e1, v1),) = a.items()
+            if fast:
+                c = v1[0]
+                out = {tuple(map(add, e1, e2)): (c * v2[0],) for e2, v2 in b.items()}
+            else:
+                out = {tuple(map(add, e1, e2)): ctx.mul(v1, v2) for e2, v2 in b.items()}
+        else:
+            out = {}
+            for e1, v1 in a.items():
+                for e2, v2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    p = (v1[0] * v2[0],) if fast else ctx.mul(v1, v2)
+                    cur = out.get(e)
+                    if cur is None:
+                        out[e] = p
                     else:
-                        del out[e]
-        return MultiPoly(self.ring, out)
+                        s = tuple(map(add, cur, p))
+                        if any(s):
+                            out[e] = s
+                        else:
+                            del out[e]
+        if fast and not (self._frac or other._frac):
+            return _poly(ring, out, False)
+        return MultiPoly(ring, out)
 
     __rmul__ = __mul__
 
@@ -182,27 +253,22 @@ class MultiPoly:
             return NotImplemented
         if exponent == 0:
             return self.ring.one()
-        # left to right from the top bit: one square per further bit
-        out = self
-        for bit in bin(exponent)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _power(mul, self, exponent)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.ring, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __bool__(self):
         return bool(self.terms)
@@ -229,8 +295,7 @@ class MultiPoly:
             qe = tuple(a - b for a, b in zip(re, de))
             if any(x < 0 for x in qe):
                 raise ArithmeticError("division is not exact")
-            qv = ctx.mul(rv, dv_inv)
-            qterm = MultiPoly(self.ring, {qe: qv})
+            qterm = MultiPoly(self.ring, {qe: ctx.mul(rv, dv_inv)})
             quot = quot + qterm
             rem = rem - qterm * divisor
         return quot
@@ -279,7 +344,7 @@ class MultiPoly:
         powers: Dict[Tuple[int, int], MultiPoly] = {}
         out = ring.zero()
         for e, vec in self.terms.items():
-            term = MultiPoly(ring, {tuple(0 if i in assigned else k for i, k in enumerate(e)): vec})
+            term = _poly(ring, {tuple(0 if i in assigned else k for i, k in enumerate(e)): vec}, self._frac)
             for i, value in values:
                 k = e[i]
                 if k:
@@ -291,35 +356,37 @@ class MultiPoly:
         return out
 
     def evaluate(self, assignments: Mapping[str, Union[Scalar, int, Fraction]]) -> Scalar:
-        """Evaluate at scalar values for every variable."""
-        sample = None
-        for v in assignments.values():
-            if isinstance(v, Scalar):
-                sample = v.field
-                break
-        field = sample if sample is not None else self.ring.coeff_field()
+        """Evaluate at scalar values for every variable, in the field of the
+        first Scalar value (else the ring's).  Over a constant field this runs
+        on coefficient vectors and builds one Scalar at the end."""
+        field = next((v.field for v in assignments.values() if isinstance(v, Scalar)), self.ring.coeff_field())
         if field.order % self.ring.order:
             raise ValueError("coefficients do not embed into the target field")
-        vals = []
         for name in self.ring.variables:
             if name not in assignments:
                 raise ValueError("no value for variable %r" % name)
-            v = assignments[name]
-            vals.append(v if isinstance(v, Scalar) else field.scalar(v))
-        src = self.ring._ctx()
-        tgt = field._ctx()
-        powers: Dict[Tuple[int, int], Scalar] = {}
-        out = field.zero()
+        src, tgt = self.ring._ctx(), field._ctx()
+        vals = [assignments[name] for name in self.ring.variables]
+        for v in vals:
+            if isinstance(v, Scalar) and v.field != field:
+                raise ValueError("mixed fields: %r vs %r" % (field, v.field))
+        if field.kind == "ratfunc_q":  # values that are not constants: Scalar arithmetic
+            vals = [v if isinstance(v, Scalar) else field.scalar(v) for v in vals]
+            lift, times, plus, out = field.from_cyc, mul, add, field.zero()
+        else:  # on coefficient vectors; tuple() returns a tuple as it is
+            vals = list(map(PolyRing((), field.order)._coeff, vals))
+            lift, times, plus, out = tuple, tgt.mul, lambda x, y: tuple(map(add, x, y)), tgt.zero
+        powers: Dict[Tuple[int, int], object] = {}
         for e, vec in self.terms.items():
-            term = field.from_cyc(src.embed(vec, tgt)) if field.order != self.ring.order else field.from_cyc(vec)
+            term = lift(vec if src is tgt else src.embed(vec, tgt))
             for i, k in enumerate(e):
                 if k:
                     pw = powers.get((i, k))
                     if pw is None:
-                        pw = powers[i, k] = vals[i] ** k
-                    term = term * pw
-            out = out + term
-        return out
+                        pw = powers[i, k] = _power(times, vals[i], k)
+                    term = times(term, pw)
+            out = plus(out, term)
+        return out if isinstance(out, Scalar) else field.from_cyc(out)
 
     # -- printing
 
@@ -351,3 +418,18 @@ class MultiPoly:
             else:
                 parts.append("%s*%s" % (_format_cyc(vec, need_atom=True), mono))
         return _join(parts)
+
+
+_new = object.__new__
+_set_ring = MultiPoly.ring.__set__
+_set_terms = MultiPoly.terms.__set__
+_set_frac = MultiPoly._frac.__set__
+
+
+def _poly(ring: PolyRing, terms: Dict[Expo, tuple], frac: bool) -> MultiPoly:
+    """MultiPoly(ring, terms) for terms already normal; frac False means no Fraction."""
+    p = _new(MultiPoly)
+    _set_ring(p, ring)
+    _set_terms(p, terms)
+    _set_frac(p, frac)
+    return p

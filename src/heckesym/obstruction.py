@@ -316,14 +316,10 @@ def _finish(case_id: int, description: str, parameters, equations, checks: Check
 
 def _sub_rational(poly: MultiPoly, name: str, num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """den^m * poly with the variable replaced by num/den (m its degree)."""
-    ring = poly.ring
-    idx = ring.variables.index(name)
     m = poly.degree_in(name)
-    factors = [num ** k * den ** (m - k) for k in range(m + 1)]
-    out = ring.zero()
-    for e, vec in poly.terms.items():
-        rest = tuple(0 if i == idx else x for i, x in enumerate(e))
-        out = out + MultiPoly(ring, {rest: vec}) * factors[e[idx]]
+    out = poly.ring.zero()
+    for (k,), part in poly.coefficients_in((name,), poly.ring).items():
+        out = out + part * (num ** k * den ** (m - k))
     return out
 
 
@@ -576,25 +572,13 @@ def verify_case1() -> CaseReport:
 
 def _extract_quadrics(F1p: MultiPoly, F2p: MultiPoly, F3p: MultiPoly, ring3: PolyRing):
     """Read (ap, bp, cp)-quadratic coefficients into the parameter-only ring."""
-    src = F1p.ring
-    idx = {name: src.variables.index(name) for name in ("ap", "bp", "cp")}
-    base_idx = [src.variables.index(n) for n in ("a", "b", "c")]
-    quad_expos = {
-        (2, 0, 0): 0,
-        (0, 2, 0): 1,
-        (0, 0, 2): 2,
-        (0, 1, 1): 3,
-        (1, 0, 1): 4,
-        (1, 1, 0): 5,
-    }
+    quad_expos = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
     out = []
     for poly in (F1p, F2p, F3p):
-        coeffs = [ring3.zero()] * 6
-        for e, vec in poly.terms.items():
-            pos = quad_expos[(e[idx["ap"]], e[idx["bp"]], e[idx["cp"]])]
-            base_expo = tuple(e[i] for i in base_idx)
-            coeffs[pos] = coeffs[pos] + MultiPoly(ring3, {base_expo: vec})
-        out.append(TernaryQuadratic(tuple(coeffs), ring3))
+        parts = poly.coefficients_in(("ap", "bp", "cp"), ring3)
+        if not set(parts) <= set(quad_expos):
+            raise ValueError("not quadratic in (ap, bp, cp)")
+        out.append(TernaryQuadratic(tuple(parts.get(e, ring3.zero()) for e in quad_expos), ring3))
     return out
 
 

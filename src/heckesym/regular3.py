@@ -130,15 +130,7 @@ def _into_ring(v, ring: PolyRing) -> MultiPoly:
         if v.ring is ring or v.ring == ring:
             return v
         # re-express on the bigger variable set
-        out = ring.zero()
-        field = v.ring.coeff_field()
-        for e, vec in v.terms.items():
-            term = ring.const(field.from_cyc(vec))
-            for name, k in zip(v.ring.variables, e):
-                if k:
-                    term = term * ring.var(name) ** k
-            out = out + term
-        return out
+        return v.coefficients_in((), ring).get((), ring.zero())
     return ring.const(v)
 
 

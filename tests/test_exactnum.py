@@ -400,6 +400,17 @@ def test_integer_inverse_matches_euclid(m):
         ctx.inv(ctx.zero)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_inverse_of_int_vector_is_exact(m):
+    # polynomial coefficients are ints where integral, and the inverse of
+    # such a vector must stay exact (on degree 1, 1 / 2 was a float)
+    ctx = _cycctx(m)
+    for a in ([2] + [0] * (ctx.deg - 1), [-3] + [1] * (ctx.deg - 1)):
+        got = ctx.inv(tuple(a))
+        assert all(type(c) is Fraction for c in got)
+        assert ctx.mul(tuple(a), got) == ctx.one
+
+
 def test_cyclotomic_inverse_reuses_phi(monkeypatch):
     ctx = _cycctx(12)
     assert ctx.phi == cyclotomic_polynomial(12)

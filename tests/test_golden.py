@@ -16,7 +16,9 @@ read off one action of y_n under R^t; the failing verify report of a
 perturbed dj(2), with its witnesses and exit code 1, was captured before the
 square-commutes identity moved onto the slot action; the identity digest at
 n = 6 was captured before Hecke products moved onto packed integers and the
-basis-left checks onto one walk.  Every refactor must
+basis-left checks onto one walk; the case-1 digest at the non-integral
+triple (1/2, 3, -2) was captured before integral polynomial coefficients
+became ints.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -44,6 +46,7 @@ STDOUT_SHA256 = {
     ("obstruct", "--case", "4"): "fc3a288f234f817c153b7c0e7cf66e053ff33b25cc60061cf13b95dc4ee66d4c",
     ("resultant", "--case1"): "1109c750519cd531f4c759c95df5c1ca8579389da2be368664734ba61a7bc865",
     ("obstruct", "--case", "1", "--params", "1,2,3"): "e8e170abbe80f8e11dbbb5c9544158651109726b46e00bf769f8813ee9ab194a",
+    ("obstruct", "--case", "1", "--params=1/2,3,-2"): "cf13cde2c0eb09edea417c66b49c241b2c0720c162f9b6031a7a0a04de92c469",
     ("obstruct", "--case", "3", "--params", "1,1,2"): "fdb72d1436536eeee974b5d06a29c73073dee0f354397ff9d4b43017456b8d5a",
     ("skl3", "--a", "1", "--b", "2", "--c", "3", "--check", "tensors"): "44ee640815b473be4dd1c80e94bf9e9714248617f420a379af2e84ceae92fa7f",
     ("analyze", "--builtin", "dj", "--dim", "2"): "aa8aa8d2aa284d789b5dad05735886bdcc9b298491419670960d76f69291eeb1",

@@ -121,6 +121,15 @@ def test_symmetric_image():
     assert ts == 6 * x1 * x2 * x3 + x1 ** 3 + x2 ** 3 + x3 ** 3
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_symmetric_image_of_symbolic_parameters(order):
+    # the parameters live in (a, b, c) and are re-expressed on the bigger ring
+    p, small = symbolic_parameters(order=order)
+    for ring in (PolyRing(small.variables + ("x1", "x2", "x3"), order), PolyRing(("x3", "c", "x1", "b", "x2", "a"), 3)):
+        a, b, c, x1, x2, x3 = (ring.var(n) for n in ("a", "b", "c", "x1", "x2", "x3"))
+        assert skl_symmetric_image(p, ring) == 3 * (a + b) * x1 * x2 * x3 + c * (x1 ** 3 + x2 ** 3 + x3 ** 3)
+
+
 def test_predicates():
     assert not is_regular(SklParameters.numeric(1, 1, 1))
     assert is_regular(SklParameters.numeric(1, 1, 0))
