@@ -13,14 +13,16 @@ coefficients live in a cyclotomic extension Q(zeta_m) of the rationals
 Canonical form is unique per value, so == is reliable and scalars hash.
 All values are immutable; operations are pure.
 
-Cyclotomic coefficient vectors are dense tuples of Fraction of length
-deg Phi_m.  Polynomials in q are tuples of such vectors, low degree first,
-with no trailing zeros (the zero polynomial is the empty tuple).  Constants
-of the rational and cyclotomic kinds skip the polynomial layer: their
-arithmetic runs on the coefficient vector, and a cyclotomic product on
-integer numerators over one denominator, reduced by x^j mod Phi_m.  pack
-and unpack move vectors of such constants to and from that integer layout,
-and an inverse solves with the integer multiplication matrix of a constant.
+Cyclotomic coefficient vectors are dense tuples of length deg Phi_m; an
+integral entry is an int, and a Fraction only holds a non-integer (every
+place a Fraction can arise turns integral entries back into ints).
+Polynomials in q are tuples of such vectors, low degree first, with no
+trailing zeros (the zero polynomial is the empty tuple).  Constants of the
+rational and cyclotomic kinds skip the polynomial layer: their arithmetic
+runs on the coefficient vector, and a cyclotomic product on integer
+numerators over one denominator, reduced by x^j mod Phi_m.  pack and unpack
+move vectors of such constants to and from that integer layout, and an
+inverse solves with the integer multiplication matrix of a constant.
 pack_q and unpack_q do the same for ratfunc_q vectors: integer polynomials
 in q over one polynomial denominator, and at most one gcd per coordinate.
 """
@@ -51,11 +53,24 @@ __all__ = [
     "mul_matrices",
 ]
 
-Cyc = Tuple[Fraction, ...]
+Cyc = Tuple[Union[int, Fraction], ...]
 QPoly = Tuple[Cyc, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _int(x):
+    """x, an int or a Fraction, as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ints(vec) -> tuple:
+    """The coefficient vector vec as a tuple, its integral entries as ints."""
+    return tuple(map(_int, vec)) if Fraction in map(type, vec) else tuple(vec)
+
+
+def _ratio(c: int, den: int):
+    """c / den for ints, an int when den divides c."""
+    quo, rem = divmod(c, den)
+    return Fraction(c, den) if rem else quo
 
 
 class PoleError(ZeroDivisionError):
@@ -103,8 +118,8 @@ class _CycCtx:
         self.m = m
         self.deg = d
         self.phi = phi
-        self.zero = (_ZERO,) * d
-        self.one = (_ONE,) + (_ZERO,) * (d - 1)
+        self.zero = (0,) * d
+        self.one = (1,) + (0,) * (d - 1)
         # x^j mod Phi_m for j = d .. 2d-2; integral because Phi_m is monic
         reds = []
         cur = [-c for c in phi[:d]]
@@ -121,20 +136,20 @@ class _CycCtx:
         """The residue class of x, a primitive m-th root of unity."""
         if self.deg == 1:
             # Phi_1 = x-1, Phi_2 = x+1
-            return (_ONE,) if self.m == 1 else (-_ONE,)
-        out = [_ZERO] * self.deg
-        out[1] = _ONE
+            return (1,) if self.m == 1 else (-1,)
+        out = [0] * self.deg
+        out[1] = 1
         return tuple(out)
 
     def mul(self, a: Cyc, b: Cyc) -> Cyc:
         d = self.deg
         if d == 1:
-            return (a[0] * b[0],)
+            return (_int(a[0] * b[0]),)
         # integer numerators over one common denominator per factor
         da = lcm(*[x.denominator for x in a])
         db = lcm(*[x.denominator for x in b])
-        ia = [x.numerator * (da // x.denominator) for x in a]
-        ib = [x.numerator * (db // x.denominator) for x in b]
+        ia = a if da == 1 else [x.numerator * (da // x.denominator) for x in a]
+        ib = b if db == 1 else [x.numerator * (db // x.denominator) for x in b]
         prod = [0] * (2 * d - 1)
         for i, ai in enumerate(ia):
             if ai:
@@ -149,7 +164,9 @@ class _CycCtx:
                     if r:
                         out[i] += c * r
         den = da * db
-        return tuple([Fraction(c, den) if c else _ZERO for c in out])
+        if den == 1:
+            return tuple(out)
+        return tuple([_ratio(c, den) if c else 0 for c in out])
 
     def mul_matrix(self, ints) -> list:
         """Rows of the integer matrix of multiplication by sum ints[j] x^j mod Phi_m."""
@@ -165,7 +182,7 @@ class _CycCtx:
             raise ZeroDivisionError("division by zero")
         d = self.deg
         if d == 1:
-            return (_ONE / a[0],)
+            return (_int(Fraction(a[0].denominator, a[0].numerator)),)
         # M x = den e_0 for the integer matrix M of den * a, by fraction-free
         # Gauss-Jordan: every diagonal entry ends as the last pivot
         den = lcm(*[x.denominator for x in a])
@@ -181,7 +198,7 @@ class _CycCtx:
                     f = aug[i][k]
                     aug[i] = [(piv[k] * x - f * y) // prev for x, y in zip(aug[i], piv)]
             prev = piv[k]
-        return tuple(Fraction(row[d], prev) for row in aug)
+        return tuple([_ratio(row[d], prev) for row in aug])
 
     def embed(self, a: Cyc, target: "_CycCtx") -> Cyc:
         """Image of a under zeta_m -> zeta_M^(M/m); requires m | M."""
@@ -199,7 +216,7 @@ class _CycCtx:
                 term = tuple(coeff * x for x in pw)
                 out = tuple(u + v for u, v in zip(out, term))
             pw = target.mul(pw, gen_step)
-        return out
+        return _ints(out)
 
 
 _CYC_CACHE: dict = {}
@@ -239,54 +256,57 @@ class FieldSpec:
             raise ValueError("rational field has order 1")
         if self.kind == "ratfunc_q" and self.qval is not None:
             raise ValueError("q is the formal variable of a ratfunc_q field")
-        if self.qval is not None and len(self.qval) != _cycctx(self.order).deg:
-            raise ValueError("bound q has wrong coefficient length")
+        # looked up once per field; not a dataclass field, so == and hash ignore it
+        object.__setattr__(self, "_cyc", _cycctx(self.order))
+        if self.qval is not None:
+            if len(self.qval) != self._cyc.deg:
+                raise ValueError("bound q has wrong coefficient length")
+            object.__setattr__(self, "qval", _ints(self.qval))
 
     # -- constructors for scalars of this field
 
     def _ctx(self) -> _CycCtx:
-        return _cycctx(self.order)
+        return self._cyc
 
     def zero(self) -> "Scalar":
-        return Scalar(self, (), (self._ctx().one,))
+        return _scalar(self, (), (self._cyc.one,))
 
     def one(self) -> "Scalar":
-        ctx = self._ctx()
-        return Scalar(self, (ctx.one,), (ctx.one,))
+        one = (self._cyc.one,)
+        return _scalar(self, one, one)
 
     def scalar(self, value: Union[int, Fraction]) -> "Scalar":
-        ctx = self._ctx()
-        f = Fraction(value)
-        if not f:
+        ctx = self._cyc
+        c = value if value.__class__ is int else _int(Fraction(value))
+        if not c:
             return self.zero()
-        num = ((f,) + (_ZERO,) * (ctx.deg - 1),)
-        return Scalar(self, num, (ctx.one,))
+        return _scalar(self, ((c,) + ctx.zero[1:],), (ctx.one,))
 
     def from_cyc(self, coeffs) -> "Scalar":
         """Scalar from a coefficient vector over Q(zeta_order)."""
-        ctx = self._ctx()
-        vec = tuple(Fraction(c) for c in coeffs)
+        ctx = self._cyc
+        vec = tuple([c if c.__class__ is int else _int(Fraction(c)) for c in coeffs])
         if len(vec) != ctx.deg:
             raise ValueError("coefficient vector must have length %d" % ctx.deg)
         if not any(vec):
             return self.zero()
-        return Scalar(self, (vec,), (ctx.one,))
+        return _scalar(self, (vec,), (ctx.one,))
 
     def q(self) -> "Scalar":
         """The parameter q: formal in ratfunc_q, else the bound value."""
-        ctx = self._ctx()
+        ctx = self._cyc
         if self.kind == "ratfunc_q":
-            return Scalar(self, (ctx.zero, ctx.one), (ctx.one,))
+            return _scalar(self, (ctx.zero, ctx.one), (ctx.one,))
         if self.qval is None:
             raise ValueError("q is not bound in this field")
         if not any(self.qval):
             raise ValueError("q must be nonzero")
-        return Scalar(self, (self.qval,), (ctx.one,))
+        return _scalar(self, (self.qval,), (ctx.one,))
 
     def e(self) -> "Scalar":
         """The primitive root of unity of the declared order."""
-        ctx = self._ctx()
-        return Scalar(self, (ctx.root(),), (ctx.one,))
+        ctx = self._cyc
+        return _scalar(self, (ctx.root(),), (ctx.one,))
 
     def with_q(self, q0: "Scalar") -> "FieldSpec":
         """Same field with q bound to the given constant."""
@@ -334,7 +354,7 @@ def _padd(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
     for i in range(n):
         x = a[i] if i < len(a) else ctx.zero
         y = b[i] if i < len(b) else ctx.zero
-        out.append(tuple(u + v for u, v in zip(x, y)))
+        out.append(_ints(tuple(map(add, x, y))))
     return _ptrim(out)
 
 
@@ -354,9 +374,8 @@ def _pmul(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
         if any(ai):
             for j, bj in enumerate(b):
                 if any(bj):
-                    t = ctx.mul(ai, bj)
-                    out[i + j] = tuple(u + v for u, v in zip(out[i + j], t))
-    return _ptrim(out)
+                    out[i + j] = tuple(map(add, out[i + j], ctx.mul(ai, bj)))
+    return _ptrim([_ints(v) for v in out])
 
 
 def _pdivmod(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
@@ -374,8 +393,7 @@ def _pdivmod(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
             qcoeffs[k] = c
             for j in range(dn):
                 if any(den[j]):
-                    t = ctx.mul(c, den[j])
-                    num_l[k + j] = tuple(u - v for u, v in zip(num_l[k + j], t))
+                    num_l[k + j] = _ints(tuple(map(sub, num_l[k + j], ctx.mul(c, den[j]))))
     return _ptrim(qcoeffs), _ptrim(num_l[: dn - 1])
 
 
@@ -413,15 +431,17 @@ def _pmonic_scale(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
 
 
 class Scalar:
-    """Immutable element of an exact field; see the module docstring."""
+    """Immutable element of an exact field; see the module docstring.
+
+    Scalar(field, num, den) takes num and den in canonical form, integral entries ints.
+    """
 
     __slots__ = ("field", "num", "den", "_hash")
 
     def __init__(self, field: FieldSpec, num: QPoly, den: QPoly):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_field(self, field)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *args):
         raise AttributeError("Scalar is immutable")
@@ -443,8 +463,8 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        ctx = self.field._ctx()
-        return self.num == (ctx.one,) and self.den == (ctx.one,)
+        one = (self.field._cyc.one,)
+        return self.num == one and self.den == one
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
@@ -453,14 +473,14 @@ class Scalar:
         """Coefficient vector of a constant scalar."""
         if not self.is_constant():
             raise ValueError("scalar is not constant in q")
-        return self.num[0] if self.num else self.field._ctx().zero
+        return self.num[0] if self.num else self.field._cyc.zero
 
     def rational(self) -> Fraction:
         """The value as a Fraction; requires a rational constant."""
         vec = self.constant()
         if any(vec[1:]):
             raise ValueError("scalar is not rational")
-        return vec[0]
+        return Fraction(vec[0])
 
     # -- arithmetic; constants of the rational and cyclotomic kinds skip
     # the polynomial layer and work on their coefficient vector
@@ -469,30 +489,30 @@ class Scalar:
         """self op b for a constant b of this field; op is operator.add or sub."""
         if not b:
             return self
-        va = self.num[0] if self.num else self.field._ctx().zero
-        vec = tuple(map(op, va, b[0]))
-        return Scalar(self.field, (vec,) if any(vec) else (), self.den)
+        va = self.num[0] if self.num else self.field._cyc.zero
+        vec = _ints(tuple(map(op, va, b[0])))
+        return _scalar(self.field, (vec,) if any(vec) else (), self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.field.kind != "ratfunc_q":
+        field = self.field
+        if field.kind != "ratfunc_q":
             return self._const_sum(other.num, add)
-        ctx = self.field._ctx()
+        ctx = field._cyc
         if self.den == other.den:
             num = _padd(ctx, self.num, other.num)
             den = self.den
         else:
             num = _padd(ctx, _pmul(ctx, self.num, other.den), _pmul(ctx, other.num, self.den))
             den = _pmul(ctx, self.den, other.den)
-        num, den = _pmonic_scale(ctx, num, den)
-        return Scalar(self.field, num, den)
+        return _scalar(field, *_pmonic_scale(ctx, num, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, _pneg(self.num), self.den)
+        return _scalar(self.field, _pneg(self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -517,26 +537,24 @@ class Scalar:
             if not b:
                 return other
             va, vb = a[0], b[0]
-            vec = (va[0] * vb[0],) if len(va) == 1 else field._ctx().mul(va, vb)
-            return Scalar(field, (vec,), self.den)
-        ctx = field._ctx()
+            vec = (_int(va[0] * vb[0]),) if len(va) == 1 else field._cyc.mul(va, vb)
+            return _scalar(field, (vec,), self.den)
+        ctx = field._cyc
         num = _pmul(ctx, self.num, other.num)
         if not num:
-            return self.field.zero()
-        den = _pmul(ctx, self.den, other.den)
-        num, den = _pmonic_scale(ctx, num, den)
-        return Scalar(self.field, num, den)
+            return field.zero()
+        return _scalar(field, *_pmonic_scale(ctx, num, _pmul(ctx, self.den, other.den)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        ctx = self.field._ctx()
-        if self.field.kind != "ratfunc_q":
-            return Scalar(self.field, (ctx.inv(self.num[0]),), self.den)
-        num, den = _pmonic_scale(ctx, self.den, self.num)
-        return Scalar(self.field, num, den)
+        field = self.field
+        ctx = field._cyc
+        if field.kind != "ratfunc_q":
+            return _scalar(field, (ctx.inv(self.num[0]),), self.den)
+        return _scalar(field, *_pmonic_scale(ctx, self.den, self.num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -576,11 +594,12 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.field, self.num, self.den))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __repr__(self):
         from .exprio import format_scalar
@@ -591,13 +610,28 @@ class Scalar:
         return bool(self.num)
 
 
+_new = object.__new__
+_set_field = Scalar.field.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _scalar(field: FieldSpec, num: QPoly, den: QPoly) -> Scalar:
+    """Scalar(field, num, den) without the call through __init__."""
+    x = _new(Scalar)
+    _set_field(x, field)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # packed vectors: integer numerators over one common denominator
 
 
 def pack(field: FieldSpec, xs) -> tuple:
     """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den; rational or cyclotomic xs."""
-    zero = field._ctx().zero
+    zero = field._cyc.zero
     vecs = []
     for x in xs:
         if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
@@ -609,11 +643,11 @@ def pack(field: FieldSpec, xs) -> tuple:
 
 def unpack(field: FieldSpec, comps, den: int) -> tuple:
     """The scalars sum_j comps[j][k] zeta^j / den; the inverse of pack."""
-    zero, one = field.zero(), field._ctx().one
-    return tuple(
-        Scalar(field, (tuple([Fraction(c, den) if c else _ZERO for c in ints]),), (one,)) if any(ints) else zero
+    zero, one = field.zero(), (field._cyc.one,)
+    return tuple([
+        _scalar(field, (tuple([_ratio(c, den) if c else 0 for c in ints]),), one) if any(ints) else zero
         for ints in zip(*comps)
-    )
+    ])
 
 
 def pack_q(field: FieldSpec, xs) -> tuple:
@@ -623,7 +657,7 @@ def pack_q(field: FieldSpec, xs) -> tuple:
     den is the lcm of the monic denominators times the integer lcm of the
     coefficient denominators, a QPoly, and 1 with no gcd for unit vectors.
     """
-    ctx = field._ctx()
+    ctx = field._cyc
     den = unit = (ctx.one,)
     nums = []
     for x in xs:
@@ -636,7 +670,7 @@ def pack_q(field: FieldSpec, xs) -> tuple:
         nums = [p if not p or x.den == den else _pmul(ctx, p, _pdivmod(ctx, den, x.den)[0]) for p, x in zip(nums, xs)]
     c = lcm(*{f.denominator for p in nums + [den] for v in p for f in v})
     if c != 1:
-        den = tuple(tuple(f * c for f in v) for v in den)
+        den = tuple(tuple([f.numerator * (c // f.denominator) for f in v]) for v in den)
     return den, [[tuple([v[j].numerator * (c // v[j].denominator) for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
 
 
@@ -648,7 +682,7 @@ def unpack_q(field: FieldSpec, comps, dens, bits: int) -> tuple:
     dens, each an integer c times a monic polynomial.  Over den = c or c q^k
     no gcd is taken; otherwise one per nonzero coordinate.
     """
-    ctx = field._ctx()
+    ctx = field._cyc
     den = (ctx.one,)
     for f in dens:
         den = _pmul(ctx, den, f)
@@ -660,11 +694,11 @@ def unpack_q(field: FieldSpec, comps, dens, bits: int) -> tuple:
             continue
         coeffs = list(zip_longest(*[_from_power_of_two(xs[idx], bits) for xs in comps], fillvalue=0))
         if k is None:
-            out[idx] = Scalar(field, *_pmonic_scale(ctx, tuple([tuple(map(Fraction, v)) for v in coeffs]), den))
+            out[idx] = _scalar(field, *_pmonic_scale(ctx, tuple(coeffs), den))
             continue
         low = next((i for i in range(k) if any(coeffs[i])), k)
-        num = tuple([tuple([Fraction(x, c) if x else _ZERO for x in v]) for v in coeffs[low:]])
-        out[idx] = Scalar(field, num, (ctx.zero,) * (k - low) + (ctx.one,))
+        num = tuple([tuple([_ratio(x, c) if x else 0 for x in v]) for v in coeffs[low:]])
+        out[idx] = _scalar(field, num, (ctx.zero,) * (k - low) + (ctx.one,))
     return tuple(out)
 
 
@@ -692,7 +726,7 @@ def mul_matrices(field: FieldSpec, xs) -> tuple:
 
     Over ratfunc_q, den is pack_q's and the entries are integer polynomials in q.
     """
-    ctx = field._ctx()
+    ctx = field._cyc
     if field.kind != "ratfunc_q":
         den, comps = pack(field, xs)
         return den, [ctx.mul_matrix(ints) for ints in zip(*comps)]
@@ -750,8 +784,8 @@ def specialize(x: Scalar, q0: Scalar) -> Scalar:
     if x.field.kind != "ratfunc_q":
         raise ValueError("specialize expects a ratfunc_q scalar")
     target = q0.field
-    src_ctx = x.field._ctx()
-    tgt_ctx = target._ctx()
+    src_ctx = x.field._cyc
+    tgt_ctx = target._cyc
 
     def eval_poly(p: QPoly) -> Scalar:
         out = target.zero()

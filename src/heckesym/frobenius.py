@@ -46,10 +46,10 @@ from typing import List, Optional, Sequence, Tuple
 from .exactnum import FieldSpec, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import antisymmetrizer, coset_y, shift_element
-from .linalg import MatrixF, Subspace, _stack, _units, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
+from .linalg import MatrixF, Subspace, _diagonal, _stack, _units, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _format_entry, _matrix_of, _square_times, _vanishes, apply_power, column_table
+from .symmetry import HeckeSymmetry, _format_entry, _square_times, _vanishes, apply_power
 
 __all__ = [
     "FrobeniusProfile",
@@ -138,7 +138,7 @@ def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, Matrix
 
     Each is one action on a family over the basis e_j of V, stacked
     (linalg._stack).  The images of the e_j t are t (x) theta, so theta is
-    their block at t's pivot; those of the t e_j (stacked: t (x) Id) are
+    their block at t's pivot; those of the t e_j (stacked by linalg._diagonal) are
     theta_bar (x) t, so block a is t (x) row a of theta_bar.
     """
     N, field = sym.N, sym.field
@@ -147,7 +147,7 @@ def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, Matrix
     theta = MatrixF(N, N, fwd[piv * N * N : (piv + 1) * N * N], field)
     if fwd != kron_vec(t, theta.entries, field):
         raise DegeneratePairing("braiding does not send V (x) t into t (x) V")
-    bwd = sym._combine([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, kron_vec(t, MatrixF.identity(N, field).entries, field), N)
+    bwd = sym._combine([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, _diagonal(t, N, field.zero()), N)
     theta_bar = MatrixF.from_rows([bwd[a * size + piv * N : a * size + (piv + 1) * N] for a in range(N)], field)
     if any(bwd[a * size : (a + 1) * size] != kron_vec(t, theta_bar.row(a), field) for a in range(N)):
         raise DegeneratePairing("braiding does not send t (x) V into V (x) t")
@@ -399,16 +399,18 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         _record_equal(report, "pairing-twist.k%d" % k, "beta_(n-k)(b,a) = beta_k(nu(a), b)", bnk, bk.transpose() * nu_k)
 
     # braiding through the top component, degree up to 2; row u of each side is the image of the
-    # unit u of V^(x)k: the left side is one action on the stacked family u t, the right side t (x)
-    # column u of the matrix of theta^((x)k), read off one action; the rows are compared one at a time
+    # unit u of V^(x)k: the left side is one action on the stacked family u t, the right side one
+    # action of theta on the last k slots of the stacked family t u (linalg._diagonal); the rows
+    # are compared one at a time
     for k in range(1, min(2, n) + 1):
         rho = longest_rho(k, n)
         m = N ** k
-        lhs = sym._combine([(rho.reduced_word(), None)], k + n, _units(m, 0, m, t, field.zero()), m)
-        powers = _matrix_of(column_table(theta), N, m, m, [(range(1, k + 1), None)], field)
+        zero = field.zero()
+        lhs = sym._combine([(rho.reduced_word(), None)], k + n, _units(m, 0, m, t, zero), m)
+        rhs = apply_power(theta, k, _diagonal(t, m, zero), zero, m, n)
         rule = "T_rho(u t) = t theta^((x)k)(u)"
-        _record_equal(report, "braid-top.k%d" % k, rule, (lhs[u::m] for u in range(m)), (kron_vec(t, powers.col(u), field) for u in range(m)))
-        del lhs, powers  # the images go before the mirror's action
+        _record_equal(report, "braid-top.k%d" % k, rule, (lhs[u::m] for u in range(m)), (rhs[u::m] for u in range(m)))
+        del lhs, rhs  # the images go before the mirror's action
         # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one action of
         # y_shift - coeff T_(rho^-1) on the family t v, stacked as t (x) the stacked basis, whose rows must vanish
         y_shift = shift_element(coset_y(n, n - k, k, field), k)

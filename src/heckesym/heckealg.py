@@ -36,7 +36,6 @@ off the table.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Tuple
 
@@ -113,8 +112,8 @@ def _zq(value) -> ZPoly:
     if isinstance(value, Scalar):
         ctx = value.field._ctx()
         if value.den == (ctx.one,) and (value.field.kind == "ratfunc_q" or len(value.num) <= 1):
-            if all(v[0].denominator == 1 and not any(v[1:]) for v in value.num):
-                return tuple([int(v[0]) for v in value.num])
+            if all(v[0].__class__ is int and not any(v[1:]) for v in value.num):
+                return tuple([v[0] for v in value.num])
     raise ValueError("coefficient %r is not in Z[q]" % (value,))
 
 
@@ -129,7 +128,7 @@ def _to_scalar(field: FieldSpec, poly: ZPoly) -> Scalar:
     ctx = field._ctx()
     if field.kind == "ratfunc_q":
         pad = ctx.zero[1:]
-        return Scalar(field, tuple([(Fraction(c),) + pad for c in poly]), (ctx.one,))
+        return Scalar(field, tuple([(c,) + pad for c in poly]), (ctx.one,))
     powers = _QPOWERS.setdefault(field, [ctx.one])
     if len(powers) < len(poly):
         qv = field.q().constant()
@@ -141,9 +140,7 @@ def _to_scalar(field: FieldSpec, poly: ZPoly) -> Scalar:
             for j, x in enumerate(pw):
                 if x:
                     vec[j] += c * x
-    if not any(vec):
-        return field.zero()
-    return Scalar(field, (tuple(vec),), (ctx.one,))
+    return field.from_cyc(vec)
 
 
 def _vanishes(field: FieldSpec, poly: ZPoly) -> bool:

@@ -6,10 +6,10 @@ Terms map dense exponent tuples to coefficient vectors over Q(zeta_m); zero
 coefficients are never stored, so equality is plain dictionary equality.
 
 An integral coefficient entry is always an int; a Fraction only holds a
-value that is not an integer.  Fractions come in through constants
-(PolyRing._coeff), the inverse of a leading coefficient (exact_div,
-reduce_mod) and products over Q(zeta_m) (_CycCtx.mul), and MultiPoly(ring,
-terms) turns their integral entries back into ints.  A polynomial records
+value that is not an integer, as in exactnum.  Fractions come in through
+constants (PolyRing._coeff) and the inverse of a leading coefficient
+(exact_div, reduce_mod), and MultiPoly(ring, terms) turns the integral
+entries of their sums and products back into ints.  A polynomial records
 whether it may hold a Fraction, so sums and products of int polynomials skip
 that pass.  A product by one term is an injective shift of exponents: one
 pass, no merge and no zero test.
@@ -27,16 +27,11 @@ from itertools import chain
 from operator import add, mul, neg
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
-from .exactnum import FieldSpec, Scalar, _cycctx
+from .exactnum import FieldSpec, Scalar, _cycctx, _int
 
 __all__ = ["PolyRing", "MultiPoly"]
 
 Expo = Tuple[int, ...]
-
-
-def _int(x):
-    """x, an int or a Fraction, as an int when it is integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _has_fraction(vecs) -> bool:
@@ -106,7 +101,7 @@ class PolyRing:
                 if self.order % value.field.order:
                     raise ValueError("coefficient field does not embed into this ring")
                 vec = value.field._ctx().embed(vec, ctx)
-            return tuple(map(_int, vec))
+            return vec
         return (value if value.__class__ is int else _int(Fraction(value)),) + (0,) * (ctx.deg - 1)
 
 
@@ -242,7 +237,7 @@ class MultiPoly:
                             out[e] = s
                         else:
                             del out[e]
-        if fast and not (self._frac or other._frac):
+        if not (self._frac or other._frac):
             return _poly(ring, out, False)
         return MultiPoly(ring, out)
 

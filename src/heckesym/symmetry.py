@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, at_power_of_two, mul_matrices, pack, pack_q, unpack, unpack_q
@@ -202,15 +201,16 @@ def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
     return unpack(field, out, den * cden * D ** top)
 
 
-def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1) -> tuple:
-    """A^(x)k on a vector of V^(x)k, or on m of them stacked (linalg._stack), one slot at a time.
+def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0) -> tuple:
+    """A^(x)k on a vector of V^(x)k, or on m of them stacked (linalg._stack), one slot at a time;
+    with skip > 0, Id^(x)skip (x) A^(x)k on vectors of V^(x)(skip+k).
 
     zero is that of the vector's domain (by default the domain of A).
     """
-    if A.rows != A.cols or len(vec) != A.rows ** k * m:
+    if A.rows != A.cols or len(vec) != A.rows ** (skip + k) * m:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
-    return _act(column_table(A), A.rows, [(range(1, k + 1), None)], vec, zero)
+    return _act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero)
 
 
 def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
@@ -576,7 +576,7 @@ def flip(N: int) -> HeckeSymmetry:
     Needs 1 <= N and N^2 <= TENSOR_DIM_CAP, checked before any allocation.
     """
     _check_catalog_dim(N)
-    field = FieldSpec("rational", qval=(Fraction(1),))
+    field = FieldSpec("rational", qval=(1,))
     zero, one = field.zero(), field.one()
     dim = N * N
     flat = [zero] * (dim * dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import random
@@ -12,10 +13,6 @@ from heckesym.exactnum import (
     PoleError,
     Scalar,
     _cycctx,
-    _padd,
-    _pmonic_scale,
-    _pmul,
-    _pneg,
     cyclotomic_field,
     cyclotomic_polynomial,
     primitive_root,
@@ -24,6 +21,7 @@ from heckesym.exactnum import (
     qint,
     specialize,
 )
+from heckesym.exprio import format_scalar
 from heckesym.permgroup import enumerate_perms
 
 F = GENERIC_Q
@@ -210,153 +208,25 @@ def test_field_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# the constant fast path against the polynomial-fraction path it replaced
-
-class _FractionLoopCtx:
-    """Arithmetic modulo Phi_m with the Fraction-loop product (reference only)."""
-
-    def __init__(self, m):
-        ctx = _cycctx(m)
-        self.deg, self.zero, self.one, self.inv = ctx.deg, ctx.zero, ctx.one, ctx.inv
-        phi = cyclotomic_polynomial(m)
-        d = self.deg
-        # x^j mod Phi_m for j = d .. 2d-2, built over Fraction
-        reds = []
-        cur = [Fraction(-phi[i], phi[d]) for i in range(d)]
-        reds.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [Fraction(0)] + cur[: d - 1]
-            top = cur[d - 1]
-            if top:
-                for i in range(d):
-                    nxt[i] += top * reds[0][i]
-            cur = nxt
-            reds.append(tuple(cur))
-        self.reductions = tuple(reds)
-
-    def mul(self, a, b):
-        d = self.deg
-        if d == 1:
-            return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:d]
-        for j in range(d, 2 * d - 1):
-            c = prod[j]
-            if c:
-                red = self.reductions[j - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return tuple(out)
+# the arithmetic on Fraction entries, as it ran before integral entries became
+# ints: the seeded oracle for every Scalar operation
 
 
-class _Reference:
-    """The Scalar operations as num/den pairs through _padd, _pmul and _pmonic_scale."""
-
-    def __init__(self, field):
-        self.ctx = _FractionLoopCtx(field.order)
-
-    def add(self, x, y):
-        c = self.ctx
-        if x[1] == y[1]:
-            num, den = _padd(c, x[0], y[0]), x[1]
-        else:
-            num = _padd(c, _pmul(c, x[0], y[1]), _pmul(c, y[0], x[1]))
-            den = _pmul(c, x[1], y[1])
-        return _pmonic_scale(c, num, den)
-
-    def neg(self, x):
-        return _pneg(x[0]), x[1]
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def mul(self, x, y):
-        c = self.ctx
-        num = _pmul(c, x[0], y[0])
-        if not num:
-            return (), (c.one,)
-        return _pmonic_scale(c, num, _pmul(c, x[1], y[1]))
-
-    def inverse(self, x):
-        return _pmonic_scale(self.ctx, x[1], x[0])
-
-    def div(self, x, y):
-        return self.mul(x, self.inverse(y))
-
-    def pow(self, x, k):
-        if k < 0:
-            x, k = self.inverse(x), -k
-        out = ((self.ctx.one,), (self.ctx.one,))
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
+def _is_normal(vec):
+    """Whether every integral entry of vec is an int and every other one a Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in vec)
 
 
-def _random_constant(field, rng):
-    deg = field._ctx().deg
-    vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else Fraction(0) for _ in range(deg)]
-    return field.from_cyc(vec)
-
-
-CONSTANT_FIELDS = [FieldSpec("rational")] + [cyclotomic_field(m) for m in (3, 4, 5, 8, 12)]
-
-
-@pytest.mark.parametrize("field", CONSTANT_FIELDS, ids=lambda f: "%s-%d" % (f.kind, f.order))
-def test_constant_fast_path_matches_fraction_reference(field):
-    rng = random.Random("fast-path:%d" % field.order)
-    ref = _Reference(field)
-    # an equal field that is not the same object takes the == branch of the field check
-    twin = FieldSpec(field.kind, field.order, field.qval)
-    assert twin is not field
-    for _ in range(60):
-        x, y = _random_constant(field, rng), _random_constant(field, rng)
-        xp, yp = (x.num, x.den), (y.num, y.den)
-        cases = [
-            (x + y, ref.add(xp, yp)),
-            (x - y, ref.sub(xp, yp)),
-            (-x, ref.neg(xp)),
-            (x * y, ref.mul(xp, yp)),
-            (x + (-x), ref.add(xp, ref.neg(xp))),
-            (x - x, ref.sub(xp, xp)),
-            (x ** 3, ref.pow(xp, 3)),
-            (x + 2, ref.add(xp, (field.scalar(2).num, field.scalar(2).den))),
-            (Scalar(twin, x.num, x.den) * y, ref.mul(xp, yp)),
-        ]
-        if y:
-            cases += [(x / y, ref.div(xp, yp)), (y.inverse(), ref.inverse(yp)), (y ** -2, ref.pow(yp, -2))]
-        for got, (num, den) in cases:
-            assert (got.num, got.den) == (num, den)
-            expected = Scalar(field, num, den)
-            assert got == expected and hash(got) == hash(expected)
-        assert (x - x).is_zero() and (x + (-x)).is_zero()
-        assert (x == y) == (xp == yp)
-        assert Scalar(twin, x.num, x.den) == x and hash(Scalar(twin, x.num, x.den)) == hash(x)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
-def test_integer_product_matches_fraction_loop(m):
-    rng = random.Random("cyc-mul:%d" % m)
-    ctx, old = _cycctx(m), _FractionLoopCtx(m)
-    for _ in range(40):
-        a, b = (
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.8 else Fraction(0) for _ in range(ctx.deg))
-            for _ in range(2)
-        )
-        assert ctx.mul(a, b) == old.mul(a, b)
-        assert all(type(c) is Fraction for c in ctx.mul(a, b))
-        if any(a):
-            assert ctx.mul(a, ctx.inv(a)) == ctx.one
+def _assert_normal(x):
+    for poly in (x.num, x.den):
+        for vec in poly:
+            assert _is_normal(vec), (x, vec)
 
 
 def _euclid_inverse(m, a):
     """Inverse modulo Phi_m by the extended Euclid over Fraction polynomials (reference only)."""
     d = _cycctx(m).deg
-    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(m)], list(a)
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(m)], [Fraction(c) for c in a]
     s0, s1 = [Fraction(0)], [Fraction(1)]
     while True:
         while r1 and not r1[-1]:
@@ -382,19 +252,286 @@ def _euclid_inverse(m, a):
         r0, r1 = r1, rem
 
 
+class _FractionLoopCtx:
+    """Arithmetic modulo Phi_m on Fraction entries: the Fraction-loop product and the Euclid inverse (reference only)."""
+
+    def __init__(self, m):
+        self.m = m
+        self.deg = d = _cycctx(m).deg
+        self.zero = (Fraction(0),) * d
+        self.one = (Fraction(1),) + self.zero[1:]
+        phi = cyclotomic_polynomial(m)
+        # x^j mod Phi_m for j = d .. 2d-2, built over Fraction
+        reds = []
+        cur = [Fraction(-phi[i], phi[d]) for i in range(d)]
+        reds.append(tuple(cur))
+        for _ in range(d - 2):
+            nxt = [Fraction(0)] + cur[: d - 1]
+            top = cur[d - 1]
+            if top:
+                for i in range(d):
+                    nxt[i] += top * reds[0][i]
+            cur = nxt
+            reds.append(tuple(cur))
+        self.reductions = tuple(reds)
+
+    def mul(self, a, b):
+        d = self.deg
+        if d == 1:
+            return (Fraction(a[0] * b[0]),)
+        prod = [Fraction(0)] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        prod[i + j] += ai * bj
+        out = prod[:d]
+        for j in range(d, 2 * d - 1):
+            c = prod[j]
+            if c:
+                red = self.reductions[j - d]
+                for i in range(d):
+                    out[i] += c * red[i]
+        return tuple(out)
+
+    def inv(self, a):
+        if not any(a):
+            raise ZeroDivisionError("division by zero")
+        return _euclid_inverse(self.m, a)
+
+
+class _Reference:
+    """The Scalar operations as (num, den) pairs of polynomials in q with Fraction entries, reduced by a
+    Euclidean gcd to a monic denominator, as exactnum computed them on Fractions (reference only)."""
+
+    def __init__(self, order):
+        self.ctx = _FractionLoopCtx(order)
+
+    @staticmethod
+    def trim(coeffs):
+        n = len(coeffs)
+        while n and not any(coeffs[n - 1]):
+            n -= 1
+        return tuple(coeffs[:n])
+
+    def padd(self, a, b):
+        zero = self.ctx.zero
+        n = max(len(a), len(b))
+        return self.trim([tuple(u + v for u, v in zip(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)) for i in range(n)])
+
+    def pmul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [self.ctx.zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = tuple(u + v for u, v in zip(out[i + j], self.ctx.mul(ai, bj)))
+        return self.trim(out)
+
+    def pdivmod(self, num, den):
+        ctx, num, dn = self.ctx, list(num), len(den)
+        if len(num) < dn:
+            return (), self.trim(num)
+        inv_lead = ctx.inv(den[-1])
+        quo = [ctx.zero] * (len(num) - dn + 1)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = ctx.mul(num[k + dn - 1], inv_lead)
+            for j in range(dn):
+                num[k + j] = tuple(u - v for u, v in zip(num[k + j], ctx.mul(c, den[j])))
+        return self.trim(quo), self.trim(num[: dn - 1])
+
+    def reduce(self, num, den):
+        """num/den with the gcd removed and a monic denominator."""
+        ctx = self.ctx
+        if not num:
+            return (), (ctx.one,)
+        a, b = num, den
+        while b:
+            a, b = b, self.pdivmod(a, b)[1]
+        if len(a) > 1:
+            num, den = self.pdivmod(num, a)[0], self.pdivmod(den, a)[0]
+        inv = ctx.inv(den[-1])
+        return tuple(ctx.mul(c, inv) for c in num), tuple(ctx.mul(c, inv) for c in den)
+
+    def const(self, value):
+        return self.reduce(((Fraction(value),) + self.ctx.zero[1:],), (self.ctx.one,))
+
+    def add(self, x, y):
+        if x[1] == y[1]:
+            return self.reduce(self.padd(x[0], y[0]), x[1])
+        return self.reduce(self.padd(self.pmul(x[0], y[1]), self.pmul(y[0], x[1])), self.pmul(x[1], y[1]))
+
+    def neg(self, x):
+        return tuple(tuple(-u for u in v) for v in x[0]), x[1]
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def mul(self, x, y):
+        return self.reduce(self.pmul(x[0], y[0]), self.pmul(x[1], y[1]))
+
+    def inverse(self, x):
+        return self.reduce(x[1], x[0])
+
+    def div(self, x, y):
+        return self.mul(x, self.inverse(y))
+
+    def pow(self, x, k):
+        if k < 0:
+            x, k = self.inverse(x), -k
+        out = ((self.ctx.one,), (self.ctx.one,))
+        for _ in range(k):
+            out = self.mul(out, x)
+        return out
+
+
+def _fractions(x):
+    """x's (num, den) with every entry a Fraction, as the oracle takes them."""
+    return tuple(tuple(tuple(map(Fraction, v)) for v in poly) for poly in (x.num, x.den))
+
+
+def _check_against_reference(field, got, want):
+    """got is the oracle's (num, den) in canonical form: same values, hash and text, integral entries ints."""
+    _assert_normal(got)
+    assert (got.num, got.den) == want
+    old = exactnum._scalar(field, *want)  # the Scalar as the Fraction-entry arithmetic built it
+    assert got == old and hash(got) == hash(old)
+    assert format_scalar(got) == format_scalar(old)
+
+
+def _random_constant(field, rng):
+    deg = field._ctx().deg
+    vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else Fraction(0) for _ in range(deg)]
+    return field.from_cyc(vec)
+
+
+CONSTANT_FIELDS = [FieldSpec("rational")] + [cyclotomic_field(m) for m in (3, 4, 5, 8, 12)]
+
+
+@pytest.mark.parametrize("field", CONSTANT_FIELDS, ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_constant_fast_path_matches_fraction_reference(field):
+    rng = random.Random("fast-path:%d" % field.order)
+    ref = _Reference(field.order)
+    # an equal field that is not the same object takes the == branch of the field check
+    twin = FieldSpec(field.kind, field.order, field.qval)
+    assert twin is not field
+    for _ in range(60):
+        x, y = _random_constant(field, rng), _random_constant(field, rng)
+        xp, yp = _fractions(x), _fractions(y)
+        cases = [
+            (x + y, ref.add(xp, yp)),
+            (x - y, ref.sub(xp, yp)),
+            (-x, ref.neg(xp)),
+            (x * y, ref.mul(xp, yp)),
+            (x + (-x), ref.add(xp, ref.neg(xp))),
+            (x - x, ref.sub(xp, xp)),
+            (x ** 3, ref.pow(xp, 3)),
+            (x + 2, ref.add(xp, ref.const(2))),
+            (Scalar(twin, x.num, x.den) * y, ref.mul(xp, yp)),
+        ]
+        if y:
+            cases += [(x / y, ref.div(xp, yp)), (y.inverse(), ref.inverse(yp)), (y ** -2, ref.pow(yp, -2))]
+        for got, want in cases:
+            _check_against_reference(field, got, want)
+        assert (x - x).is_zero() and (x + (-x)).is_zero()
+        assert (x == y) == (xp == yp)
+        assert Scalar(twin, x.num, x.den) == x and hash(Scalar(twin, x.num, x.den)) == hash(x)
+
+
+def _random_pair(ref, kind, rng):
+    """A canonical (num, den) with Fraction entries, integral and non-integral, polynomial in q for ratfunc_q."""
+    zero = ref.ctx.zero
+
+    def vec():
+        return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) if rng.random() < 0.7 else Fraction(0) for _ in zero)
+
+    if kind != "ratfunc_q":
+        return ref.reduce(ref.trim([vec()]), (ref.ctx.one,))
+    den = ref.trim([vec() for _ in range(rng.randint(1, 3))]) or (ref.ctx.one,)
+    return ref.reduce(ref.trim([vec() for _ in range(rng.randint(0, 3))]), den)
+
+
+ORACLE_FIELDS = [FieldSpec("rational")] + [FieldSpec(kind, m) for kind in ("cyclotomic", "ratfunc_q") for m in (1, 3, 4)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_scalar_arithmetic_matches_fraction_oracle(field):
+    rng = random.Random("fraction-oracle:%s:%d" % (field.kind, field.order))
+    ref = _Reference(field.order)
+    for _ in range(30):
+        xp, yp = _random_pair(ref, field.kind, rng), _random_pair(ref, field.kind, rng)
+        x, y = (Scalar(field, *(tuple(map(exactnum._ints, poly)) for poly in pair)) for pair in (xp, yp))
+        _assert_normal(x)
+        cases = [
+            (x + y, ref.add(xp, yp)),
+            (x - y, ref.sub(xp, yp)),
+            (-x, ref.neg(xp)),
+            (x * y, ref.mul(xp, yp)),
+            (3 * x - Fraction(1, 2), ref.sub(ref.mul(ref.const(3), xp), ref.const(Fraction(1, 2)))),
+            (x ** 2, ref.pow(xp, 2)),
+            (x ** 3, ref.pow(xp, 3)),
+        ]
+        if y:
+            cases += [(x / y, ref.div(xp, yp)), (y.inverse(), ref.inverse(yp)), (y ** -2, ref.pow(yp, -2))]
+        for got, want in cases:
+            _check_against_reference(field, got, want)
+
+
+def test_constructors_keep_integral_entries_as_ints():
+    C3 = cyclotomic_field(3)
+    for x in (C3.scalar(Fraction(4, 2)), C3.from_cyc([Fraction(6, 3), Fraction(1, 2)]), FieldSpec("rational").scalar(True)):
+        _assert_normal(x)
+    assert C3.scalar(Fraction(4, 2)) == C3.scalar(2) and hash(C3.scalar(Fraction(4, 2))) == hash(C3.scalar(2))
+    # a bound q given with Fraction entries is the same field, its q an int constant
+    minus_one = FieldSpec("rational", qval=(Fraction(-2, 2),))
+    assert minus_one == FieldSpec("rational", qval=(-1,)) and hash(minus_one) == hash(FieldSpec("rational", qval=(-1,)))
+    _assert_normal(minus_one.q())
+
+
+def test_field_spec_resolves_its_context_once(monkeypatch):
+    C12 = cyclotomic_field(12)
+    x = C12.e() + Fraction(1, 3)
+    # the cached context is not a field of the dataclass: == and hash see kind, order and qval only
+    assert [f.name for f in dataclasses.fields(FieldSpec)] == ["kind", "order", "qval"]
+    assert C12 == FieldSpec("cyclotomic", 12) and hash(C12) == hash(("cyclotomic", 12, None))
+
+    def refuse(m):
+        raise AssertionError("context of order %d looked up again" % m)
+
+    monkeypatch.setattr(exactnum, "_cycctx", refuse)
+    assert (x * x.inverse()).is_one() and (x - x).is_zero() and C12.zero() + C12.one() == 1
+    assert C12._ctx().deg == 4 and format_scalar(x) == "1/3 + e"
+
+
+def _random_normal_vector(rng, deg, density=0.8):
+    """A coefficient vector in normal form: integral entries ints, the others Fractions."""
+    return tuple(exactnum._int(Fraction(rng.randint(-9, 9), rng.randint(1, 7))) if rng.random() < density else 0 for _ in range(deg))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15])
+def test_integer_product_matches_fraction_loop(m):
+    rng = random.Random("cyc-mul:%d" % m)
+    ctx, old = _cycctx(m), _FractionLoopCtx(m)
+    for _ in range(40):
+        a, b = (_random_normal_vector(rng, ctx.deg) for _ in range(2))
+        assert ctx.mul(a, b) == old.mul(a, b)
+        assert _is_normal(ctx.mul(a, b))
+        if any(a):
+            assert ctx.mul(a, ctx.inv(a)) == ctx.one
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15])
 def test_integer_inverse_matches_euclid(m):
     rng = random.Random("cyc-inv:%d" % m)
     ctx = _cycctx(m)
     for trial in range(40):
         # sparse vectors too, so that the elimination has to swap rows
-        density = 0.8 if trial % 2 else 0.3
-        a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < density else Fraction(0) for _ in range(ctx.deg))
+        a = _random_normal_vector(rng, ctx.deg, 0.8 if trial % 2 else 0.3)
         if not any(a):
             continue
         got = ctx.inv(a)
         assert got == _euclid_inverse(m, a)
-        assert all(type(c) is Fraction for c in got)
+        assert _is_normal(got)
     assert ctx.inv(ctx.root()) == _euclid_inverse(m, ctx.root())
     with pytest.raises(ZeroDivisionError):
         ctx.inv(ctx.zero)
@@ -402,12 +539,11 @@ def test_integer_inverse_matches_euclid(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_inverse_of_int_vector_is_exact(m):
-    # polynomial coefficients are ints where integral, and the inverse of
-    # such a vector must stay exact (on degree 1, 1 / 2 was a float)
+    # the inverse of an int vector must stay exact (on degree 1, 1 / 2 is a float)
     ctx = _cycctx(m)
-    for a in ([2] + [0] * (ctx.deg - 1), [-3] + [1] * (ctx.deg - 1)):
+    for a in ([2] + [0] * (ctx.deg - 1), [-3] + [1] * (ctx.deg - 1), [-1] + [0] * (ctx.deg - 1)):
         got = ctx.inv(tuple(a))
-        assert all(type(c) is Fraction for c in got)
+        assert _is_normal(got)
         assert ctx.mul(tuple(a), got) == ctx.one
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckesym import frobenius, symmetry
-from heckesym.exactnum import FieldSpec, GENERIC_Q, cyclotomic_field, qfact, qint
+from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
     _scalar_multiple_of_t,
@@ -406,6 +406,38 @@ def test_family_actions_make_one_action_each(monkeypatch):
     # mirror-top.k (k = 1, 2), and 1 row of rep(y_n) for functional.kernel
     assert count(acts, verify_operator_identities, prof) == 6 + 1 + 2 * 3 + 4 + 3 * 2 + 1
     assert words == []
+
+
+def _scalars_in(obj, seen):
+    """Every Scalar reachable from obj through containers and heckesym objects (their slots and attributes)."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Scalar):
+        yield obj
+        return
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = list(obj.values())
+    elif type(obj).__module__.startswith("heckesym."):
+        slots = [getattr(obj, name) for klass in type(obj).__mro__ for name in getattr(klass, "__slots__", ()) if hasattr(obj, name)]
+        items = slots + list(getattr(obj, "__dict__", {}).values())
+    else:
+        return
+    for item in items:
+        yield from _scalars_in(item, seen)
+
+
+@pytest.mark.parametrize("sym", [dj_standard(3, cyclotomic_field(3, q_power=1)), dj_standard(2)], ids=["dj3-cyc3", "dj2-generic"])
+def test_profile_holds_no_integral_fraction(sym):
+    # an integral coefficient entry of a Scalar is an int; a Fraction only holds a non-integer
+    prof = analyze(sym)
+    scalars = list(_scalars_in(prof, set()))
+    assert len(scalars) > 30 and all(any(x is y for y in scalars) for x in prof.t + prof.psi.entries)
+    for x in scalars:
+        for vec in x.num + x.den:
+            assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in vec), (x, vec)
 
 
 def test_functional_top_value_dj4():

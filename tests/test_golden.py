@@ -18,7 +18,9 @@ square-commutes identity moved onto the slot action; the identity digest at
 n = 6 was captured before Hecke products moved onto packed integers and the
 basis-left checks onto one walk; the case-1 digest at the non-integral
 triple (1/2, 3, -2) was captured before integral polynomial coefficients
-became ints.  Every refactor must
+became ints; the seeded dense conjugates of dj(3) at q = 2 and of dj(2) over
+Q(zeta_3), whose theta, psi and t have non-integral entries, were captured
+before integral Scalar entries became ints.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -29,7 +31,10 @@ import json
 import pytest
 
 from heckesym.cli import main
+from heckesym.exactnum import FieldSpec
+from heckesym.linalg import MatrixF
 from heckesym.regular3 import conjugacy_classes, hessian_group
+from heckesym.symmetry import dj_standard
 
 STDOUT_SHA256 = {
     ("identities", "--n", "1"): "c90662c5a9de6cf15f8bb81f5ef5e7c21deda91bca45df947999ab8346d5269f",
@@ -135,6 +140,17 @@ DJ2_HALF_CONJUGATE_SHA256 = {
     "analyze": "ca87c1c563d2df4a7a8a830f09efb93b79ff3b1053666d7166d711d244d8a870",
 }
 
+# dense conjugates drawn as the benchmark draws them (entries of tau in -2, -1, 1, 2 and
+# det tau = +-1): R is integral, but theta, psi and t have non-integral entries
+SEEDED_CONJUGATES = {
+    "dj3-q2": (3, ("rational", 1, 2), [[-2, 1, -1], [2, -1, 2], [-1, 1, 2]]),
+    "dj2-cyc3": (2, ("cyclotomic", 3, "e"), [[1, -1], [-1, 2]]),
+}
+SEEDED_CONJUGATE_ANALYZE_SHA256 = {
+    "dj3-q2": "05e3b0c530cb40f738e8438c4f7c1c4cb973912f4b7e9d78a691aaedd35372f4",
+    "dj2-cyc3": "b35bdd26a730cfc2b2f6d8bba3d2292102e4cbae74fcfbb16ece949fb3444c71",
+}
+
 # dj(2) with entry (0, 3) of R set to 1, as test_cli's test_verify_perturbed_matrix
 # builds it: verify exits 1 and names the failing entries
 PERTURBED_DJ2 = {
@@ -194,6 +210,17 @@ def test_analyze_dense_cyclotomic_conjugate_digest(capsys, tmp_path):
 def test_non_integral_conjugate_digest(capsys, tmp_path, command):
     out = _document_stdout(capsys, tmp_path, command, DJ2_HALF_CONJUGATE)
     assert _sha256(out) == DJ2_HALF_CONJUGATE_SHA256[command]
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CONJUGATES))
+def test_seeded_conjugate_analyze_digest(capsys, tmp_path, name):
+    N, (kind, order, qval), tau = SEEDED_CONJUGATES[name]
+    field = FieldSpec(kind, order)
+    field = field.with_q(field.e() if qval == "e" else field.scalar(qval))
+    doc = dj_standard(N, field).conjugate(MatrixF.from_rows([[field.scalar(x) for x in row] for row in tau], field)).to_json_dict()
+    out = _document_stdout(capsys, tmp_path, "analyze", doc)
+    assert "/" in "".join(json.loads(out)["t"])
+    assert _sha256(out) == SEEDED_CONJUGATE_ANALYZE_SHA256[name]
 
 
 def test_failing_verify_digest(capsys, tmp_path):

@@ -11,7 +11,7 @@ from heckesym import symmetry
 from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
-from heckesym.linalg import MatrixF, Subspace, _stack, _units, vec_is_zero, vec_scale
+from heckesym.linalg import MatrixF, Subspace, _diagonal, _stack, _units, vec_is_zero, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import SklParameters, _projection, skl_relations
 from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_element, longest_rho
@@ -525,6 +525,12 @@ def test_slot_actions_match_kronecker_reference(case):
         for k in range(4):
             vec = tuple(vec_entry(rng) for _ in range(N ** k))
             assert apply_power(A, k, vec, zero) == _dense_apply(kron_power(A, k), vec, zero)
+        # Id^(x)skip (x) A^(x)k, on two vectors stacked
+        for skip, k in ((1, 1), (2, 1), (1, 2)):
+            dense = kronecker(kron_power(MatrixF.identity(N, domain), skip), kron_power(A, k))
+            rows = [tuple(vec_entry(rng) for _ in range(dense.cols)) for _ in range(2)]
+            got = apply_power(A, k, _stack(rows, 2, zero), zero, 2, skip)
+            assert [got[j::2] for j in range(2)] == [_dense_apply(dense, row, zero) for row in rows]
     # Id^a (x) A (x) Id^b with A on w slots
     for N, w, a, b in ((2, 1, 1, 1), (2, 2, 0, 1), (2, 2, 1, 0), (3, 1, 0, 2), (3, 2, 1, 0), (2, 1, 2, 0), (2, 3, 0, 0)):
         m = N ** w
@@ -577,6 +583,11 @@ def test_unit_families_are_stacked_directly(case):
         family = _units(dim, first, count, t, zero)
         assert family == _stack([kron_vec(e, t, domain) for e in units], count, zero), (dim, first, count)
         # the family shares t's entries instead of multiplying them by one
+        assert all(any(x is y for y in t) for x in family if not x.is_zero())
+    for m in (1, 2, 3):
+        units = [tuple(domain.one() if i == j else zero for i in range(m)) for j in range(m)]
+        family = _diagonal(t, m, zero)
+        assert family == _stack([kron_vec(t, e, domain) for e in units], m, zero), m
         assert all(any(x is y for y in t) for x in family if not x.is_zero())
 
 
