@@ -20,17 +20,22 @@ Polynomials in q are tuples of such vectors, low degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Constants of the
 rational and cyclotomic kinds skip the polynomial layer: their arithmetic
 runs on the coefficient vector, and a cyclotomic product on integer
-numerators over one denominator, reduced by x^j mod Phi_m.  pack and unpack
-move vectors of such constants to and from that integer layout, and an
-inverse solves with the integer multiplication matrix of a constant.
-pack_q and unpack_q do the same for ratfunc_q vectors: integer polynomials
-in q over one polynomial denominator, and at most one gcd per coordinate.
+numerators over one denominator, reduced by x^j mod Phi_m; an inverse solves
+with the integer multiplication matrix of a constant.  pack_q moves a vector
+of any kind to integer polynomials in q over one polynomial denominator (a
+constant is the degree-0 case), at_lanes puts m such vectors in the lanes of
+one int per coordinate, and unpack_q reads the lanes back with at most one
+gcd per coordinate; equal_packed compares two packed families with no Scalar
+built.  Digits are whole bytes wide (digit_bits), so they read back in one
+pass over an int's bytes.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import lcm
 from operator import add, sub
@@ -45,11 +50,12 @@ __all__ = [
     "qbinom",
     "specialize",
     "primitive_root",
-    "pack",
-    "unpack",
     "pack_q",
     "unpack_q",
+    "at_lanes",
+    "equal_packed",
     "at_power_of_two",
+    "digit_bits",
     "mul_matrices",
 ]
 
@@ -170,11 +176,12 @@ class _CycCtx:
 
     def mul_matrix(self, ints) -> list:
         """Rows of the integer matrix of multiplication by sum ints[j] x^j mod Phi_m."""
-        col, cols = list(ints), []
-        for _ in range(self.deg):
-            cols.append(col)
+        col = list(ints)
+        cols = [col]
+        for _ in range(self.deg - 1):
             top = col[-1]
             col = [c + top * r for c, r in zip([0] + col[:-1], self.reductions[0])]
+            cols.append(col)
         return [list(row) for row in zip(*cols)]
 
     def inv(self, a: Cyc) -> Cyc:
@@ -629,33 +636,13 @@ def _scalar(field: FieldSpec, num: QPoly, den: QPoly) -> Scalar:
 # packed vectors: integer numerators over one common denominator
 
 
-def pack(field: FieldSpec, xs) -> tuple:
-    """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den; rational or cyclotomic xs."""
-    zero = field._cyc.zero
-    vecs = []
-    for x in xs:
-        if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
-            raise ValueError("mixed fields")
-        vecs.append(x.num[0] if x.num else zero)
-    den = lcm(*{c.denominator for v in vecs for c in v})
-    return den, [[v[j].numerator * (den // v[j].denominator) for v in vecs] for j in range(len(zero))]
-
-
-def unpack(field: FieldSpec, comps, den: int) -> tuple:
-    """The scalars sum_j comps[j][k] zeta^j / den; the inverse of pack."""
-    zero, one = field.zero(), (field._cyc.one,)
-    return tuple([
-        _scalar(field, (tuple([_ratio(c, den) if c else 0 for c in ints]),), one) if any(ints) else zero
-        for ints in zip(*comps)
-    ])
-
-
 def pack_q(field: FieldSpec, xs) -> tuple:
-    """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den; ratfunc_q xs.
+    """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den.
 
     comps[j][k] is an integer polynomial in q (a tuple, low degree first);
     den is the lcm of the monic denominators times the integer lcm of the
     coefficient denominators, a QPoly, and 1 with no gcd for unit vectors.
+    A constant of the rational and cyclotomic kinds is the degree-0 case.
     """
     ctx = field._cyc
     den = unit = (ctx.one,)
@@ -669,37 +656,96 @@ def pack_q(field: FieldSpec, xs) -> tuple:
     if den is not unit:
         nums = [p if not p or x.den == den else _pmul(ctx, p, _pdivmod(ctx, den, x.den)[0]) for p, x in zip(nums, xs)]
     c = lcm(*{f.denominator for p in nums + [den] for v in p for f in v})
-    if c != 1:
-        den = tuple(tuple([f.numerator * (c // f.denominator) for f in v]) for v in den)
+    if c == 1:
+        return den, [[tuple([v[j] for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
+    den = tuple(tuple([f.numerator * (c // f.denominator) for f in v]) for v in den)
     return den, [[tuple([v[j].numerator * (c // v[j].denominator) for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
 
 
-def unpack_q(field: FieldSpec, comps, dens, bits: int) -> tuple:
-    """The scalars sum_j P_jk zeta^j / den in lowest terms; the inverse of pack_q.
+def at_lanes(comps, bits: int, m: int) -> list:
+    """The integer polynomials comps[i * m + l] (pack_q's) as one int per i: sum_l P_il(2^(m bits)) 2^(bits l).
 
-    comps[j][k] = P_jk(2^bits) (at_power_of_two) for integer polynomials whose
-    coefficients are below 2^(bits-1) in size, and den is the product of the
-    dens, each an integer c times a monic polynomial.  Over den = c or c q^k
-    no gcd is taken; otherwise one per nonzero coordinate.
+    Lane l of coordinate i holds the digits at positions l, l + m, l + 2m, ...
+    (digit_bits wide), so no two lanes share a digit.
+    """
+    step = m * bits
+    values = [(p[0] if len(p) == 1 else at_power_of_two(p, step)) if p else 0 for p in comps]
+    if m == 1:
+        return values
+    shifts = [bits * l for l in range(m)]
+    return [sum([x << s for x, s in zip(values[i : i + m], shifts) if x]) for i in range(0, len(values), m)]
+
+
+def _digit_count(comps, bits: int, m: int) -> int:
+    """Digits enough for every int of comps (at_lanes), in whole rounds of m lanes."""
+    top = max([x.bit_length() for xs in comps for x in xs], default=0) // bits + 1
+    return -(-top // m) * m
+
+
+def _numerators(rows: list, n: int, m: int) -> list:
+    """The numerators sum_j P_jil zeta^j (QPolys, () for zero) of the lanes of rows[j] (_digits, n per int),
+    stacked: entry i * m + l."""
+    out, empty = [], [()] * m
+    for i in range(0, len(rows[0]), n):
+        if not any([any(r[i : i + n]) for r in rows]):
+            out += empty
+            continue
+        for l in range(i, i + m):
+            lane = [r[l : i + n : m] for r in rows]
+            out.append(_ptrim(list(zip(*lane))) if any(map(any, lane)) else ())
+    return out
+
+
+def unpack_q(field: FieldSpec, comps, dens, bits: int, m: int = 1) -> tuple:
+    """The scalars of the lanes of comps (at_lanes), over the product of the dens, stacked and in lowest terms.
+
+    Every digit is below 2^(bits-1) in size, and each den is an integer c
+    times a monic polynomial.  Over den = c or c q^k no gcd is taken;
+    otherwise one per nonzero scalar.  When den and every numerator are
+    constant in q, the digits are the coefficient vectors themselves.
     """
     ctx = field._cyc
+    den = _product(ctx, dens)
+    zero, c = field.zero(), den[-1][0]
+    k = None if any(map(any, den[:-1])) else len(den) - 1
+    n = _digit_count(comps, bits, m)
+    rows = [_digits(xs, bits, n) for xs in comps]
+    if n == m and k == 0:
+        one = (ctx.one,)
+        return tuple([_scalar(field, (tuple([_ratio(x, c) if x else 0 for x in v]),), one) if any(v) else zero for v in zip(*rows)])
+    out = []
+    for num in _numerators(rows, n, m):
+        if not num:
+            out.append(zero)
+        elif k is None:
+            out.append(_scalar(field, *_pmonic_scale(ctx, num, den)))
+        else:
+            low = next((i for i in range(k) if any(num[i])), k)
+            num = tuple([tuple([_ratio(x, c) if x else 0 for x in v]) for v in num[low:]])
+            out.append(_scalar(field, num, (ctx.zero,) * (k - low) + (ctx.one,)))
+    return tuple(out)
+
+
+def _product(ctx: _CycCtx, dens) -> QPoly:
     den = (ctx.one,)
     for f in dens:
         den = _pmul(ctx, den, f)
-    zero, c = field.zero(), den[-1][0].numerator
-    k = None if any(map(any, den[:-1])) else len(den) - 1
-    out = [zero] * len(comps[0])
-    for idx, nonzero in enumerate(comps[0] if len(comps) == 1 else map(any, zip(*comps))):
-        if not nonzero:
-            continue
-        coeffs = list(zip_longest(*[_from_power_of_two(xs[idx], bits) for xs in comps], fillvalue=0))
-        if k is None:
-            out[idx] = _scalar(field, *_pmonic_scale(ctx, tuple(coeffs), den))
-            continue
-        low = next((i for i in range(k) if any(coeffs[i])), k)
-        num = tuple([tuple([_ratio(x, c) if x else 0 for x in v]) for v in coeffs[low:]])
-        out[idx] = _scalar(field, num, (ctx.zero,) * (k - low) + (ctx.one,))
-    return tuple(out)
+    return den
+
+
+def equal_packed(field: FieldSpec, a: tuple, b: tuple, m: int) -> bool:
+    """Whether two packed vectors (comps, dens, bits) of m lanes (at_lanes) hold the same scalars, with no Scalar
+    built: the digits, over one denominator, or else each lane's numerator times the other's denominator."""
+    ctx = field._cyc
+    (xa, da, ba), (xb, db, bb) = a, b
+    Da, Db = _product(ctx, da), _product(ctx, db)
+    if Da == Db and ba == bb:
+        return xa == xb
+    n = max(_digit_count(xa, ba, m), _digit_count(xb, bb, m))
+    ra, rb = [_digits(xs, ba, n) for xs in xa], [_digits(xs, bb, n) for xs in xb]
+    if Da == Db:
+        return ra == rb
+    return all(_pmul(ctx, p, Db) == _pmul(ctx, r, Da) for p, r in zip(_numerators(ra, n, m), _numerators(rb, n, m)))
 
 
 def at_power_of_two(p, bits: int) -> int:
@@ -710,30 +756,74 @@ def at_power_of_two(p, bits: int) -> int:
     return x
 
 
+def digit_bits(bound: int) -> int:
+    """The width of a signed digit of size at most bound, in whole bytes: 1, 2, 4 or 8, else a multiple of 8."""
+    b = bound.bit_length() + 1
+    return max(8, 1 << (b - 1).bit_length()) if b <= 64 else (b + 63) & ~63
+
+
+# struct codes of the digit widths a memoryview reads as signed ints, on a little-endian host
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+
+def _digits(xs, bits: int, n: int) -> list:
+    """The n signed digits of each x = sum_p d_p 2^(bits p) in xs, |d_p| < 2^(bits-1), low first, x after x.
+
+    bits is a multiple of 8 (digit_bits).  x plus 2^(bits-1) in every digit
+    has the digits plus 2^(bits-1), all nonnegative, and xor-ing that bias
+    back leaves each digit's two's complement: one pass over x's bytes.
+    """
+    width = bits >> 3
+    bias = _bias(width, n)
+    raw = b"".join([((x + bias) ^ bias).to_bytes(n * width, "little") for x in xs])
+    code = _SIGNED.get(width)
+    if code is None:
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    return memoryview(raw).cast(code).tolist()
+
+
+@lru_cache(maxsize=512)
+def _bias(width: int, n: int) -> int:
+    """2^(8 width - 1) in each of n digits of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _from_power_of_two(x: int, bits: int) -> list:
-    """The coefficients of the integer polynomial p with x = p(2^bits), each below 2^(bits-1) in size."""
-    out, full = [], 1 << bits
-    while x:
-        c = x & (full - 1)
-        c -= full if c >= full >> 1 else 0
-        out.append(c)
-        x = (x - c) >> bits
+    """The coefficients of the integer polynomial p with x = p(2^bits), each below 2^(bits-1) in size, with no
+    trailing zeros; bits a multiple of 8 (_digits)."""
+    if not x:
+        return []
+    width, n = bits >> 3, x.bit_length() // bits + 1
+    code, bias = _SIGNED.get(width), _bias(width, n)
+    out = memoryview(((x + bias) ^ bias).to_bytes(n * width, "little")).cast(code).tolist() if code else _digits((x,), bits, n)
+    while not out[-1]:
+        out.pop()
     return out
 
 
 def mul_matrices(field: FieldSpec, xs) -> tuple:
-    """(den, mats): mats[k] is the integer matrix of multiplication by den * xs[k] mod Phi_m.
+    """(den, mats): mats[k] is the matrix of multiplication by den * xs[k] mod Phi_m, for pack_q's den.
 
-    Over ratfunc_q, den is pack_q's and the entries are integer polynomials in q.
+    Its entries are integer polynomials in q with no trailing zeros, () for zero.
     """
     ctx = field._cyc
-    if field.kind != "ratfunc_q":
-        den, comps = pack(field, xs)
-        return den, [ctx.mul_matrix(ints) for ints in zip(*comps)]
     den, comps = pack_q(field, xs)
-    # the matrix of each coefficient of q, its entries gathered over the powers of q
-    per_power = [[ctx.mul_matrix(v) for v in zip_longest(*ints, fillvalue=0)] for ints in zip(*comps)]
-    return den, [[[tuple([M[a][b] for M in Ms]) for b in range(ctx.deg)] for a in range(ctx.deg)] for Ms in per_power]
+    span, mats = range(ctx.deg), []
+    for ints in zip(*comps):
+        # the matrix of each coefficient of q, its entries gathered over the powers of q
+        powers = [ctx.mul_matrix(v) for v in zip_longest(*ints, fillvalue=0)]
+        if len(powers) == 1:
+            mats.append([[(x,) if x else () for x in row] for row in powers[0]])
+        else:
+            mats.append([[_freeze([M[a][b] for M in powers]) for b in span] for a in span])
+    return den, mats
+
+
+def _freeze(r: list) -> tuple:
+    """The integer polynomial r, low degree first, as a tuple with no trailing zeros."""
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,12 @@ Every operator identity is stated as one matrix equality lhs = rhs and
 recorded by `_record_equal`, row by row up to the first difference, or as
 one action whose result must vanish; a failing one names the first nonzero
 entry of lhs - rhs as "entry (i,j) = ...".  A family of vectors is acted on
-at once, stacked with a trailing label slot (`linalg._stack`): each
-pairing, theta, theta_bar, each restriction to a subspace and each side of
-braid-top is one action, and psi is one solve with N right-hand sides.  No
+at once, stacked (`linalg._stack`) and passed with its size: each pairing,
+theta, theta_bar, each restriction to a subspace and each side of braid-top
+is one action, and psi is one solve with N right-hand sides.  The two sides
+of braid-top and the vanishing of mirror-top are decided on the packed
+actions' integers (`symmetry._packed_equal`, `_packed_vanishes`), with no
+Scalar built unless the check fails and needs its witness.  No
 Kronecker power of a matrix is formed: the square-commutes identity compares
 (A (x) A) R with R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action
 of A on R's row slots.  A row of rep(y_n) is one action of y_n under R^t
@@ -49,7 +52,7 @@ from .heckealg import antisymmetrizer, coset_y, shift_element
 from .linalg import MatrixF, Subspace, _diagonal, _stack, _units, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _format_entry, _square_times, _vanishes, apply_power
+from .symmetry import HeckeSymmetry, _format_entry, _packed_equal, _packed_power, _packed_vanishes, _square_times, _unpack, _vanishes, apply_power
 
 __all__ = [
     "FrobeniusProfile",
@@ -400,16 +403,20 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
 
     # braiding through the top component, degree up to 2; row u of each side is the image of the
     # unit u of V^(x)k: the left side is one action on the stacked family u t, the right side one
-    # action of theta on the last k slots of the stacked family t u (linalg._diagonal); the rows
-    # are compared one at a time
+    # action of theta on the last k slots of the stacked family t u (linalg._diagonal); both are
+    # compared packed, and unpacked row by row only for the witness of a failure
+    zero = field.zero()
     for k in range(1, min(2, n) + 1):
         rho = longest_rho(k, n)
         m = N ** k
-        zero = field.zero()
-        lhs = sym._combine([(rho.reduced_word(), None)], k + n, _units(m, 0, m, t, zero), m)
-        rhs = apply_power(theta, k, _diagonal(t, m, zero), zero, m, n)
-        rule = "T_rho(u t) = t theta^((x)k)(u)"
-        _record_equal(report, "braid-top.k%d" % k, rule, (lhs[u::m] for u in range(m)), (rhs[u::m] for u in range(m)))
+        lhs = sym._packed([(rho.reduced_word(), None)], k + n, _units(m, 0, m, t, zero), m)
+        rhs = _packed_power(theta, k, _diagonal(t, m, zero), zero, m, n)
+        name, rule = "braid-top.k%d" % k, "T_rho(u t) = t theta^((x)k)(u)"
+        if _packed_equal(lhs, rhs):
+            report.record(name, rule, True)
+        else:
+            lhs, rhs = _unpack(lhs), _unpack(rhs)
+            _record_equal(report, name, rule, (lhs[u::m] for u in range(m)), (rhs[u::m] for u in range(m)))
         del lhs, rhs  # the images go before the mirror's action
         # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one action of
         # y_shift - coeff T_(rho^-1) on the family t v, stacked as t (x) the stacked basis, whose rows must vanish
@@ -418,9 +425,10 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         coeff = field.scalar(sign) * q ** (-(k * (k + 1) // 2))
         terms = sym._hecke_terms(y_shift, k + n) + [(rho.inverse().reduced_word(), -coeff)]
         basis = sym.upsilon(k).basis
-        defect = sym._combine(terms, k + n, kron_vec(t, _stack(basis, len(basis), field.zero()), field), len(basis))
+        defect = sym._packed(terms, k + n, kron_vec(t, _stack(basis, len(basis), zero), field), len(basis))
         rule = "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u"
-        report.record("mirror-top.k%d" % k, rule, *_vanishes(MatrixF(N ** (k + n), len(basis), defect, field).transpose()))
+        matrix = lambda: MatrixF(N ** (k + n), len(basis), _unpack(defect), field).transpose()
+        report.record("mirror-top.k%d" % k, rule, *_packed_vanishes([defect], matrix))
 
     # scalar-braiding degree gate (odd top degree, theta a multiple of psi)
     if n % 2 == 1 and n >= 3:

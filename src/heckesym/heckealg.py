@@ -19,8 +19,9 @@ stored as p(2^B), so a sum or a product of polynomials is one big-int
 operation, and T_i maps h to h << B or to c + (h << B) - h.  B comes from
 the L1 norm, the sum of the absolute values of all coefficients: T_i at
 most triples it, so every coefficient of a * b is at most
-||a||_1 ||b||_1 3^(longest length in supp a), and B is two bits more than
-that bound, enough to read signed coefficients back.
+||a||_1 ||b||_1 3^(longest length in supp a), and B is one bit more than
+that bound, enough to read signed coefficients back, rounded up to whole
+bytes (exactnum.digit_bits), so they read back in one pass.
 
 Per degree n, the first use builds and caches a table of S_n: the index of
 each sigma, the index of tau_i sigma with whether the length goes up, the
@@ -39,7 +40,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar, _from_power_of_two, at_power_of_two, qfact
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, _freeze, _from_power_of_two, at_power_of_two, digit_bits, qfact
 from .permgroup import MAX_ENUM_DEGREE, Composition, Perm, cycle, shift, transposition
 from .report import CheckReport
 
@@ -61,16 +62,11 @@ ZPoly = Tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # Z[q] as integer tuples, low degree first, no trailing zeros.  Sums are
-# built in a list and frozen once: no temporary tuples are made, and no tuple
-# is built from an iterator of unknown length, which CPython allocates at one
-# size and shrinks, so that its free lists of small tuples only ever grow.
+# built in a list and frozen once (exactnum._freeze): no temporary tuples
+# are made, and no tuple is built from an iterator of unknown length, which
+# CPython allocates at one size and shrinks, so that its free lists of small
+# tuples only ever grow.
 # Products pack the tuples at q = 2^bits (exactnum.at_power_of_two).
-
-
-def _freeze(r: List[int]) -> ZPoly:
-    while r and not r[-1]:
-        r.pop()
-    return tuple(r)
 
 
 def _padd(a: ZPoly, b: ZPoly, sign: int = 1) -> ZPoly:
@@ -236,7 +232,7 @@ class _Degree:
         if not a or not b:
             return {}
         # T_i at most triples the L1 norm, so every coefficient is at most ||a||_1 ||b||_1 3^(longest len in supp a)
-        bits = (_l1(a) * _l1(b) * 3 ** max(map(self.length.__getitem__, a))).bit_length() + 2
+        bits = digit_bits(_l1(a) * _l1(b) * 3 ** max(map(self.length.__getitem__, a)))
         coeffs = _packed(a, bits)
         acc: Dict[int, int] = {}
         for s, piece in self.walk(a, b, bits):
@@ -340,7 +336,7 @@ class HeckeElement:
     def _times(self, poly: ZPoly) -> "HeckeElement":
         if not poly:
             return _make(self.n, self.field, {})
-        bits = (sum(map(abs, poly)) * _l1(self.terms)).bit_length() + 2
+        bits = digit_bits(sum(map(abs, poly)) * _l1(self.terms))
         p = at_power_of_two(poly, bits)
         return _make(self.n, self.field, _unpacked({s: p * v for s, v in _packed(self.terms, bits).items()}, bits))
 
@@ -498,7 +494,7 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
 
         # T_sigma y_n for every sigma on one walk from y_n; only the images that differ from +-y_n in Z[q]
         # are kept, and those are decided in the field
-        bits = (_l1(y.terms) * 3 ** (n * (n - 1) // 2)).bit_length() + 2
+        bits = digit_bits(_l1(y.terms) * 3 ** (n * (n - 1) // 2))
         signed = _packed(y.terms, bits), _packed((-y).terms, bits)
         walk = tab.walk(range(len(tab.length)), y.terms, bits)
         misses = {s: image for s, image in walk if image != signed[tab.length[s] % 2]}

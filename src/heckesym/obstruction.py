@@ -97,11 +97,14 @@ _SLOT = ((0, 5, 4), (5, 1, 3), (4, 3, 2))
 
 
 def _lin_mul(l1: Sequence, l2: Sequence, zero) -> tuple:
-    """Product of two linear forms (X, Y, Z coefficient triples)."""
+    """Product of two linear forms (X, Y, Z coefficient triples), one product per pair of nonzero coefficients."""
     out = [zero] * 6
     for u, x in enumerate(l1):
-        for v, y in enumerate(l2):
-            out[_SLOT[u][v]] += x * y
+        if not x.is_zero():
+            for v, y in enumerate(l2):
+                if not y.is_zero():
+                    slot = _SLOT[u][v]
+                    out[slot] = x * y if out[slot] is zero else out[slot] + x * y
     return tuple(out)
 
 

@@ -28,14 +28,16 @@ Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, A (x) A on
 the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
 identity), the matrices of T_i, T_sigma and rep(h), the quadratic relation
 and the braid defect -- is one sum of c * A_word(v) over slot-local steps
-(_act).  A Scalar v is packed once into integer numerators over one
-denominator (integer polynomials in q at q = 2^B over ratfunc_q), steps on
-Python ints with the multiplication matrices of R's entries (packed once per
-symmetry) and is unpacked once.  A ring vector is the same layout with one
-component over denominator 1, on R's entries as elements of its ring.  A
-family of m vectors is acted on at once: stacked as sum_j v_j (x) e_j, with a
-trailing label slot of m coordinates (linalg._stack), it is one vector to _act,
-whose images come back stacked the same way, as the columns of a matrix.
+(_act).  A family of m vectors stacked as sum_j v_j (x) e_j (linalg._stack)
+is acted on at once, its images stacked the same way, as the columns of a
+matrix; m = 1 is one vector.  A Scalar family is packed once into integer
+polynomials in q over one denominator, the m label coordinates of each tensor
+coordinate one Python int (lane l at 2^(B l), q at 2^(m B); a constant is the
+degree-0 case), steps on those ints with the multiplication matrices of R's
+entries (packed once per symmetry) and is unpacked once.  The checks that
+only ask whether a result vanishes or equals another read its ints
+(_packed_act) and unpack only to name a failure's witness.  A ring vector is
+one component over denominator 1, on R's entries as elements of its ring.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -45,9 +47,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import List, Sequence, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar, at_power_of_two, mul_matrices, pack, pack_q, unpack, unpack_q
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, equal_packed, mul_matrices, pack_q, unpack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Subspace, _units, kron_vec
@@ -102,21 +105,21 @@ def column_table(A: MatrixF) -> tuple:
 
     In both, cols[b][j] lists (a, i, coeff): column j sends component b to
     component a of row i, times coeff.  ring has one component, coeff A[i, j].
-    packed is None unless A is over a FieldSpec, else (field, D, cols, norm)
-    with coeff M[a][b] for the matrix M of D * A[i, j] (exactnum.mul_matrices);
-    over ratfunc_q, norm bounds the coefficient sum one step gathers per target.
+    packed is None unless A is over a FieldSpec, else (field, D, cols, norm,
+    at) with coeff M[a][b], an integer polynomial in q, for the matrix M of
+    D * A[i, j] (exactnum.mul_matrices); norm bounds the coefficient sum one
+    step gathers per target, and at caches cols at q = 2^step by step.
     """
-    ring = [[[(0, i, A[i, j]) for i in range(A.rows) if not A[i, j].is_zero()] for j in range(A.cols)]]
+    ring = [[[(0, i, x) for i, x in enumerate(A.entries[j :: A.cols]) if not x.is_zero()] for j in range(A.cols)]]
     field = A.domain
     if not isinstance(field, FieldSpec):
         return ring, None
     den, mats = mul_matrices(field, A.entries)
-    d = len(mats[0])
-    cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in range(d) if M[a][b]] for j in range(A.cols)] for b in range(d)]
-    gathered = {}
-    for a, i, p in (e for col in cols for entries in col for e in entries if field.kind == "ratfunc_q"):
-        gathered[a, i] = gathered.get((a, i), 0) + sum(map(abs, p))
-    return ring, (field, den, cols, max(gathered.values(), default=0))
+    span = range(len(mats[0]))
+    cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in span if M[a][b]] for j in range(A.cols)] for b in span]
+    # the coefficient sum gathered at component a of row i
+    norm = max([sum(map(abs, chain.from_iterable([p for M in mats[i * A.cols : (i + 1) * A.cols] for p in M[a]]))) for i in range(A.rows) for a in span])
+    return ring, (field, den, cols, norm, {})
 
 
 def _tail(first: int, width: int, N: int, length: int) -> int:
@@ -142,63 +145,89 @@ def _int_step(cols: Sequence, first: int, N: int, comps: list, zero) -> list:
     return outs
 
 
-def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero) -> tuple:
-    """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1.
+def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1) -> tuple:
+    """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1, on vec, a family of m vectors stacked
+    (linalg._stack) or one for m = 1; the values of _packed_act."""
+    return _unpack(_packed_act(table, N, terms, vec, zero, m))
+
+
+def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1) -> tuple:
+    """The action of _act, still packed: (field, comps, dens, bits, m).
 
     A is the operator of table (see column_table) on consecutive slots of
     V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
-    word[-2] on, and so on.  A Scalar vec is packed once (exactnum.pack or
-    pack_q), steps on integers and is unpacked once over one denominator; over
-    ratfunc_q the integers are integer polynomials at q = 2^B, B bounded by
-    vec, the c and norm so that every coefficient reads back.  Any other vec
-    is one component over denominator 1 on the ring table, its entries made
-    elements of vec's domain once, summed from zero, that domain's, with no
-    product for a c of None.
+    word[-2] on, and so on.  A Scalar vec is packed once (exactnum.pack_q),
+    the m label coordinates of each tensor coordinate one int (exactnum.at_lanes),
+    so a step visits len(vec) / m ints, and the sum is comps over the product
+    of the dens (exactnum.unpack_q).  bits bounds every digit of the sum: the
+    largest input coefficient times, summed over the terms, the largest row
+    sum of the term's matrix times norm^len(word).  Any other vec is one
+    component stepped whole on the ring table, its entries made elements of
+    vec's domain once, summed from zero, that domain's; field is None.  A term
+    with c None adds its image with no product.
     """
-    if not vec:
-        return ()
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
+    if not vec:
+        return None, [[]], (), 0, m
     if field is None:
         if packed is not None:
             ring = [[[(a, i, zero + c) for a, i, c in entries] for entries in col] for col in ring]
-        cols, comps, mats, start = ring, [list(vec)], [[[c]] for _w, c in terms], zero
+        cols, comps, mats, start, dens, bits = ring, [list(vec)], [None if c is None else [[c]] for _w, c in terms], zero, (), 0
     else:
-        start = 0
-        _field, D, cols, norm = packed
-        ratfunc = field.kind == "ratfunc_q"
+        _field, D, cols, norm, at = packed
+        unit, start = (field._cyc.one,), 0
         top = max([len(word) for word, _c in terms], default=0)
         # a word shorter than top gets D^(top - len(word)) in its coefficient
-        Ds = Scalar(field, D, (field._ctx().one,)) if ratfunc else D
-        coeffs = [field.one() if c is None else c for _w, c in terms]
-        if Ds != 1:
-            coeffs = [c * Ds ** (top - len(word)) for (word, _c), c in zip(terms, coeffs)]
-        cden, mats = mul_matrices(field, coeffs)
-        if ratfunc:
-            den, comps = pack_q(field, vec)
-            # each row of a term's matrix times norm^len(word) bounds its share of a coefficient
-            bound = sum(max(sum(sum(map(abs, p)) for p in row) for row in M) * norm ** len(word) for (word, _c), M in zip(terms, mats))
-            bits = (bound * max([abs(c) for ps in comps for p in ps for c in p], default=0)).bit_length() + 1
-            comps, *mats = [[[at_power_of_two(p, bits) if p else 0 for p in row] for row in M] for M in [comps] + mats]
-            cols = [[[(a, i, at_power_of_two(p, bits)) for a, i, p in entries] for entries in col] for col in cols]
-        else:
-            den, comps = pack(field, vec)
-    out = [[start] * len(vec) for _ in comps]
+        if D != unit:
+            Ds = _scalar(field, D, unit)
+            terms = [(w, c if len(w) == top else Ds ** (top - len(w)) if c is None else c * Ds ** (top - len(w))) for w, c in terms]
+        cden, mats = unit, [None] * len(terms)
+        if any(c is not None for _w, c in terms):
+            cden, mats = mul_matrices(field, [field.one() if c is None else c for _w, c in terms])
+        den, comps = pack_q(field, vec)
+        bound = sum((1 if M is None else max(sum(sum(map(abs, p)) for p in row) for row in M)) * norm ** len(w) for (w, _c), M in zip(terms, mats))
+        bits = digit_bits(bound * max([abs(c) for ps in comps for p in ps for c in p], default=0))
+        step = m * bits
+        comps = [at_lanes(ps, bits, m) for ps in comps]
+        mats = [M if M is None else [[at_power_of_two(p, step) for p in row] for row in M] for M in mats]
+        # constants of the rational and cyclotomic kinds read the same at every step
+        key = step if field.kind == "ratfunc_q" else 0
+        if key not in at:
+            at[key] = [[[(a, i, at_power_of_two(p, step)) for a, i, p in entries] for entries in col] for col in cols]
+        cols, dens = at[key], [den, cden] + [D] * top
+    out = [[start] * len(comps[0]) for _ in comps]
     for (word, _c), M in zip(terms, mats):
         y = comps
         for first in reversed(word):
             y = _int_step(cols, first, N, y, start)
-        for acc, row in zip(out, M):
-            for m, ys in zip(row, y):
-                if m is None or m:
+        for a, acc in enumerate(out):
+            for b, ys in enumerate(y):
+                c = (a == b) if M is None else M[a][b]
+                if c:
                     for k, x in enumerate(ys):
                         if x:
-                            acc[k] += x if m is None else m * x
-    if field is None:
-        return tuple(out[0])
-    if ratfunc:
-        return unpack_q(field, out, [den, cden] + [D] * top, bits)
-    return unpack(field, out, den * cden * D ** top)
+                            acc[k] += x if c is True else c * x
+    return field, out, dens, bits, m
+
+
+def _unpack(packed: tuple) -> tuple:
+    """The values of a _packed_act result, stacked as its vec was."""
+    field, comps, dens, bits, m = packed
+    return tuple(comps[0]) if field is None else unpack_q(field, comps, dens, bits, m)
+
+
+def _packed_vanishes(packs: Sequence, matrix) -> Tuple[bool, str]:
+    """_vanishes(matrix()) for the _packed_act results packs, decided on their ints over a field: matrix() is
+    built only on a failure, or over a ring."""
+    if all(p[0] is not None and not any(map(any, p[1])) for p in packs):
+        return True, ""
+    return _vanishes(matrix())
+
+
+def _packed_equal(a: tuple, b: tuple) -> bool:
+    """Whether two _packed_act results over one field, of one shape, hold the same values (exactnum.equal_packed)."""
+    return equal_packed(a[0], a[1:4], b[1:4], a[4])
 
 
 def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0) -> tuple:
@@ -207,15 +236,20 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: 
 
     zero is that of the vector's domain (by default the domain of A).
     """
+    return _unpack(_packed_power(A, k, vec, zero, m, skip))
+
+
+def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0) -> tuple:
+    """apply_power, still packed (_packed_act)."""
     if A.rows != A.cols or len(vec) != A.rows ** (skip + k) * m:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
-    return _act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero)
+    return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m)
 
 
 def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
     """(A (x) A) M, one action of A on the two row slots of M's row-major entries."""
-    return MatrixF(M.rows, M.cols, _act(column_table(A), A.rows, [((1, 2), None)], M.entries, A.domain.zero()), A.domain)
+    return MatrixF(M.rows, M.cols, _act(column_table(A), A.rows, [((1, 2), None)], M.entries, A.domain.zero(), M.cols), A.domain)
 
 
 def _format_entry(x) -> str:
@@ -231,40 +265,56 @@ def _vanishes(M: MatrixF) -> Tuple[bool, str]:
     return True, ""
 
 
-def _matrix_of(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> MatrixF:
-    """The dim x dim matrix of sum c * A_word; columns j..j+width-1 are read off one action on the units
-    e_j..e_(j+width-1) (_units), so no dim x dim identity is allocated."""
+def _unit_actions(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> list:
+    """The packed actions of sum c * A_word on the units e_j..e_(j+width-1) of k^dim (_units), one per j,
+    so no dim x dim identity is allocated."""
     zero = domain.zero()
-    blocks = [_act(table, N, terms, _units(dim, j, width, (domain.one(),), zero), zero) for j in range(0, dim, width)]
+    return [_packed_act(table, N, terms, _units(dim, j, width, (domain.one(),), zero), zero, width) for j in range(0, dim, width)]
+
+
+def _matrix_of(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain, blocks=None) -> MatrixF:
+    """The dim x dim matrix of sum c * A_word, columns j..j+width-1 from one action (or from blocks, _unit_actions')."""
+    blocks = [_unpack(b) for b in blocks or _unit_actions(table, N, dim, width, terms, domain)]
     return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
 
 
-def _hecke_defect(table: tuple, dim: int, q: Scalar, domain) -> MatrixF:
-    """(R - q Id)(R + Id) = R^2 + (1 - q) R - q Id on V (x) V, from one action of R."""
-    return _matrix_of(table, dim, dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], domain)
+def _vanishing(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> Tuple[bool, str]:
+    """_vanishes(_matrix_of(...)), decided on the packed actions."""
+    blocks = _unit_actions(table, N, dim, width, terms, domain)
+    return _packed_vanishes(blocks, lambda: _matrix_of(table, N, dim, width, terms, domain, blocks))
+
+
+def _hecke_args(table: tuple, dim: int, q: Scalar, domain) -> tuple:
+    """_matrix_of's arguments for (R - q Id)(R + Id) = R^2 + (1 - q) R - q Id on V (x) V, one action of R."""
+    return table, dim, dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], domain
 
 
 def check_hecke(R: MatrixF, q: Scalar) -> Tuple[bool, str]:
     """Exact test of (R - q Id)(R + Id) = 0; witness entry on failure."""
-    return _vanishes(_hecke_defect(column_table(R), R.rows, q, R.domain))
+    return _vanishing(*_hecke_args(column_table(R), R.rows, q, R.domain))
+
+
+def _braid_args(table: tuple, N: int, domain) -> tuple:
+    """_matrix_of's arguments for the braid defect T_1 T_2 T_1 - T_2 T_1 T_2 on V^(x)3, N columns per action."""
+    return table, N, N ** 3, N, [((1, 2, 1), None), ((2, 1, 2), -domain.one())], domain
 
 
 def braid_defect(R: MatrixF) -> MatrixF:
     """(R (x) I)(I (x) R)(R (x) I) - (I (x) R)(R (x) I)(I (x) R) on V^(x)3."""
-    N = math.isqrt(R.rows)
-    if N * N != R.rows:
-        raise ValueError("operator size is not a perfect square")
-    return _braid_defect(column_table(R), N, R.domain)
-
-
-def _braid_defect(table: tuple, N: int, domain) -> MatrixF:
-    """The braid defect T_1 T_2 T_1 - T_2 T_1 T_2 on V^(x)3, N columns per action."""
-    return _matrix_of(table, N, N ** 3, N, [((1, 2, 1), None), ((2, 1, 2), -domain.one())], domain)
+    return _matrix_of(*_braid_args(column_table(R), _side(R), R.domain))
 
 
 def check_braid(R: MatrixF) -> Tuple[bool, str]:
     """Exact test of the braid equation on V^(x)3; witness on failure."""
-    return _vanishes(braid_defect(R))
+    return _vanishing(*_braid_args(column_table(R), _side(R), R.domain))
+
+
+def _side(R: MatrixF) -> int:
+    """N for an operator R on V (x) V with dim V = N."""
+    N = math.isqrt(R.rows)
+    if N * N != R.rows:
+        raise ValueError("operator size is not a perfect square")
+    return N
 
 
 class HeckeSymmetry:
@@ -311,22 +361,26 @@ class HeckeSymmetry:
 
     def check_hecke(self) -> Tuple[bool, str]:
         """check_hecke(R, q) on the symmetry's cached column table of R."""
-        return _vanishes(_hecke_defect(self._column_table(), self.N ** 2, self.q, self.field))
+        return _vanishing(*_hecke_args(self._column_table(), self.N ** 2, self.q, self.field))
 
     def check_braid(self) -> Tuple[bool, str]:
         """check_braid(R) on the symmetry's cached column table of R."""
-        return _vanishes(_braid_defect(self._column_table(), self.N, self.field))
+        return _vanishing(*_braid_args(self._column_table(), self.N, self.field))
 
     # -- actions
 
     def _combine(self, terms: Sequence, n: int, vec: Sequence, m: int = 1) -> tuple:
         """Sum of c * T_word over the (word, c) terms on V^(x)n, c None meaning 1, on vec, or on the family
         of m vectors stacked in vec (linalg._stack) by one action."""
+        return _unpack(self._packed(terms, n, vec, m))
+
+    def _packed(self, terms: Sequence, n: int, vec: Sequence, m: int = 1) -> tuple:
+        """_combine, still packed (_packed_act)."""
         if len(vec) != self.N ** n * m:
             raise ValueError("vector length mismatch")
         if any(not 1 <= i < n for word, _c in terms for i in word):
             raise ValueError("generator index out of range")
-        return _act(self._column_table(), self.N, terms, vec, self.field.zero())
+        return _packed_act(self._column_table(), self.N, terms, vec, self.field.zero(), m)
 
     def apply_generator(self, i: int, n: int, vec: Sequence) -> tuple:
         """T_i acting on a vector of V^(x)n."""

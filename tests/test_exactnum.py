@@ -602,3 +602,36 @@ def test_power_squares_once_per_further_bit(monkeypatch):
     x ** 9
     x ** 1
     assert len(calls) == 4
+
+
+def _from_power_of_two_loop(x, bits):
+    """The digit decoder that shifted x once per digit (quadratic in the digit count), kept as the oracle."""
+    out, full = [], 1 << bits
+    while x:
+        c = x & (full - 1)
+        c -= full if c >= full >> 1 else 0
+        out.append(c)
+        x = (x - c) >> bits
+    return out
+
+
+def test_digit_decoding_matches_the_loop():
+    rng = random.Random("digits")
+    assert exactnum._from_power_of_two(0, 8) == [] == _from_power_of_two_loop(0, 8)
+    assert [exactnum.digit_bits(b) for b in (0, 1, 127, 128, 2 ** 15, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63)] == [8, 8, 8, 16, 32, 32, 64, 64, 128]
+    for trial in range(600):
+        # digits below 2^(size-1) in size; the width is digit_bits' or any whole number of bytes that holds them
+        size = rng.randint(2, 300)
+        bits = exactnum.digit_bits((1 << (size - 1)) - 1) if trial % 2 else 8 * rng.randint((size + 7) // 8, 40)
+        assert bits % 8 == 0 and bits >= size
+        half = 1 << (bits - 1)
+        top = (1 << (size - 1)) - 1
+        pool = (0, 1, -1, top, -top, -half if size == bits else -top)
+        digits = [rng.choice(pool) if rng.random() < 0.3 else rng.randint(-top, top) for _ in range(rng.randint(0, 200))]
+        x = exactnum.at_power_of_two(digits, bits)
+        while digits and not digits[-1]:
+            digits.pop()
+        assert exactnum._from_power_of_two(x, bits) == _from_power_of_two_loop(x, bits) == digits, (size, bits)
+        # the same digits read at a fixed count, with zeros above, several ints at once
+        n = len(digits) + rng.randint(1, 3)
+        assert exactnum._digits([x, -x, 0], bits, n) == [d for y in (x, -x, 0) for d in _from_power_of_two_loop(y, bits) + [0] * (n - len(_from_power_of_two_loop(y, bits)))]

@@ -385,8 +385,8 @@ def test_family_actions_make_one_action_each(monkeypatch):
     prof = analyze(sym)
     n, t = prof.n, prof.t
     acts, rrefs, words = [], [], []
-    real_act, real_rref = symmetry._act, MatrixF.rref
-    monkeypatch.setattr(symmetry, "_act", lambda *args: acts.append(len(args[3])) or real_act(*args))
+    real_act, real_rref = symmetry._packed_act, MatrixF.rref
+    monkeypatch.setattr(symmetry, "_packed_act", lambda *args: acts.append(len(args[3])) or real_act(*args))
     monkeypatch.setattr(MatrixF, "rref", lambda self: rrefs.append(self.rows) or real_rref(self))
     monkeypatch.setattr(HeckeSymmetry, "apply_perm_word", lambda *args: words.append(args) or pytest.fail("one action per vector"))
 
@@ -888,3 +888,74 @@ def test_kernel_check_reads_the_row_at_the_last_coordinate_of_t(case, monkeypatc
         monkeypatch.setattr(frobenius, "_y_row", lambda sym, n, k: real(sym, n, k) if k == piv else g)
         check = next(c for c in verify_operator_identities(prof).checks if c.name == "functional.kernel")
         assert check.status == "fail" and check.detail == "entry (0,%d) = %s" % (minor[0], format_scalar(minor[1])), (case, j)
+
+
+# The detail each packed verdict names for a perturbed theta, a perturbed top tensor t and a perturbed R
+# (each with one entry raised by one), captured when both sides of braid-top and mirror-top were Scalar
+# vectors and the Hecke and braid checks read the dense defect matrix; "" where the check still holds.
+FROZEN_WITNESSES = {
+    'dj2-generic': {
+        'theta/braid-top.k1': 'entry (1,2) = -1',
+        'theta/mirror-top.k1': '',
+        'theta/braid-top.k2': 'entry (1,4) = -q^2',
+        'theta/mirror-top.k2': '',
+        't/braid-top.k1': 'entry (0,3) = q^2 - q',
+        't/mirror-top.k1': 'entry (0,3) = 1/q',
+        't/braid-top.k2': 'entry (0,3) = q^4 - q^3 - q^2 + q',
+        't/mirror-top.k2': 'entry (0,7) = (-1)/q',
+        'R/check_hecke': 'entry (0,1) = q',
+        'R/check_braid': 'entry (0,1) = -q^2 + q',
+    },
+    'dj3-cyc3': {
+        'theta/braid-top.k1': 'entry (1,15) = -1',
+        'theta/mirror-top.k1': '',
+        'theta/braid-top.k2': 'entry (1,45) = -1',
+        'theta/mirror-top.k2': '',
+        't/braid-top.k1': 'entry (0,26) = 2 + e',
+        't/mirror-top.k1': 'entry (0,26) = 1 + e',
+        't/braid-top.k2': 'entry (0,26) = 3',
+        't/mirror-top.k2': 'entry (0,53) = -1',
+        'R/check_hecke': 'entry (0,1) = e',
+        'R/check_braid': 'entry (0,1) = 1 + 2*e',
+    },
+    'dj2-conj-rational': {
+        'theta/braid-top.k1': 'entry (1,0) = -1',
+        'theta/mirror-top.k1': '',
+        'theta/braid-top.k2': 'entry (1,2) = -4',
+        'theta/mirror-top.k2': '',
+        't/braid-top.k1': 'entry (0,0) = 1',
+        't/mirror-top.k1': 'entry (0,0) = 1/2',
+        't/braid-top.k2': 'entry (0,0) = 4',
+        't/mirror-top.k2': 'entry (0,0) = -1/2',
+        'R/check_hecke': 'entry (0,2) = 3',
+        'R/check_braid': 'entry (0,1) = -4',
+    },
+}
+
+WITNESS_SYMMETRIES = {
+    "dj2-generic": lambda: dj_standard(2),
+    "dj3-cyc3": lambda: dj_standard(3, cyclotomic_field(3, q_power=1)),
+    "dj2-conj-rational": lambda: _conjugate(2, _rational_q(2), 5),
+}
+
+
+def _raised(entries, k, field):
+    return tuple(x + field.one() if i == k else x for i, x in enumerate(entries))
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_WITNESSES))
+def test_packed_verdicts_name_the_frozen_witnesses(case):
+    sym = WITNESS_SYMMETRIES[case]()
+    prof, field = analyze(sym), sym.field
+    theta = MatrixF(sym.N, sym.N, _raised(prof.theta.entries, 1, field), field)
+    got = {}
+    for label, bad in (("theta", dataclasses.replace(prof, theta=theta)), ("t", dataclasses.replace(prof, t=_raised(prof.t, len(prof.t) - 1, field)))):
+        for c in verify_operator_identities(bad).checks:
+            if c.name.startswith(("braid-top", "mirror-top")):
+                got["%s/%s" % (label, c.name)] = c.detail if c.status == "fail" else ""
+    R = MatrixF(sym.R.rows, sym.R.cols, _raised(sym.R.entries, 1, field), field)
+    bad_sym = HeckeSymmetry(sym.N, sym.q, R, validate=False)
+    for name, ok_witness in (("check_hecke", symmetry.check_hecke(R, sym.q)), ("check_braid", symmetry.check_braid(R))):
+        assert ok_witness == getattr(bad_sym, name)() and not ok_witness[0], name
+        got["R/" + name] = ok_witness[1]
+    assert got == FROZEN_WITNESSES[case]

@@ -37,6 +37,38 @@ def case_reports():
     }
 
 
+def _lin_mul_reference(l1, l2, zero):
+    """Every pair of coefficients multiplied and added into a zero: the product before zero factors were skipped."""
+    out = [zero] * 6
+    for u, x in enumerate(l1):
+        for v, y in enumerate(l2):
+            out[obstruction._SLOT[u][v]] += x * y
+    return tuple(out)
+
+
+def test_linear_form_product_skips_zero_factors(monkeypatch):
+    from heckesym.multipoly import MultiPoly
+
+    ring = PolyRing(("a", "b"), order=3)
+    a, b = ring.vars()
+    z = ring.zero()
+    rng = random.Random("lin-mul")
+    pool = (z, z, ring.one(), a, b - 2 * a, a * b + ring.const(Fraction(1, 3)))
+    forms = [(z, z, z)] + [tuple(rng.choice(pool) for _ in range(3)) for _ in range(30)]
+    calls = []
+    real = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda self, other: calls.append(1) or real(self, other))
+    for l1 in forms:
+        for l2 in forms[:8]:
+            monkeypatch.setattr(MultiPoly, "__mul__", real)
+            want = _lin_mul_reference(l1, l2, z)
+            monkeypatch.setattr(MultiPoly, "__mul__", lambda self, other: calls.append(1) or real(self, other))
+            calls.clear()
+            got = obstruction._lin_mul(l1, l2, z)
+            assert got == want, (l1, l2)
+            assert len(calls) == sum(not x.is_zero() for x in l1) * sum(not y.is_zero() for y in l2)
+
+
 def test_sylvester_dets_degenerate():
     R = PolyRing(("u",))  # coefficient ring with no parameters needed
     one, zero = R.one(), R.zero()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from heckesym import symmetry
-from heckesym.exactnum import GENERIC_Q, FieldSpec, cyclotomic_field, primitive_root
+from heckesym.exactnum import GENERIC_Q, FieldSpec, Scalar, cyclotomic_field, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
 from heckesym.linalg import MatrixF, Subspace, _diagonal, _stack, _units, vec_is_zero, vec_scale
@@ -22,6 +22,10 @@ from heckesym.symmetry import (
     HeckeSymmetry,
     SymmetryError,
     _act,
+    _packed_act,
+    _packed_equal,
+    _packed_vanishes,
+    _unpack,
     _vanishes,
     braid_defect,
     apply_power,
@@ -548,7 +552,20 @@ def test_slot_actions_match_kronecker_reference(case):
     assert _act(column_table(A), 2, [((2, 1), two), ((3,), c), ((), None)], vec, zero) == _dense_apply(dense, vec, zero)
 
 
-@pytest.mark.parametrize("case", _domains(), ids=lambda c: c[0])
+def _lane_domains():
+    """More fields for the family actions, as in _domains: cyclotomic orders 4 and 12, and ratfunc_q over Q(zeta_3)."""
+    out = []
+    for field in (cyclotomic_field(4), cyclotomic_field(12), FieldSpec("ratfunc_q", 3)):
+        deg = len(field.one().num[0])
+        if field.kind == "ratfunc_q":
+            entry = lambda rng, f=field: rng.choice((0, 1, -1, 2)) * f.q() + rng.choice((0, 1, -1)) * f.e() + rng.choice((0, 3))
+        else:
+            entry = lambda rng, f=field, deg=deg: f.from_cyc([rng.choice((0, 0, 1, -1, 2)) for _ in range(deg)])
+        out.append(("%s%d" % (field.kind, field.order), field, entry, field.zero(), entry))
+    return out
+
+
+@pytest.mark.parametrize("case", _domains() + _lane_domains(), ids=lambda c: c[0])
 def test_stacked_family_action_matches_one_action_per_vector(case, monkeypatch):
     # the per-vector loop every family action replaced, kept as the oracle
     name, domain, entry, zero, vec_entry = case
@@ -565,8 +582,31 @@ def test_stacked_family_action_matches_one_action_per_vector(case, monkeypatch):
             rows = [tuple(vec_entry(rng) for _ in range(N ** n)) for _ in range(size)]
             words = [tuple(rng.choice(slots) for _ in range(rng.randint(0, 3))) for _ in range(2)]
             for terms in ([(words[0], None)], [(words[0], None), (words[1], entry(rng))], []):
-                stacked = _act(table, N, terms, _stack(iter(rows), size, zero), zero)
+                stacked = _act(table, N, terms, _stack(iter(rows), size, zero), zero, size)
                 assert [stacked[j::size] for j in range(size)] == [_act(table, N, terms, row, zero) for row in rows], (N, w, n, terms)
+    if isinstance(zero, Scalar):
+        # lanes: m label coordinates to an int, for every family size, with entries 10^30 next to +-1 and
+        # non-integral ones, and terms with c None, zero and nonzero; each step visits one int per tensor
+        # coordinate, never the stacked length
+        seen = []
+        step = symmetry._int_step
+        monkeypatch.setattr(symmetry, "_int_step", lambda cols, first, N, comps, z: seen.append(len(comps[0])) or step(cols, first, N, comps, z))
+        sizes = (10 ** 30, -(10 ** 30), 1, -1, Fraction(2, 3), Fraction(-1, 7))
+        lane_entry = lambda rng: vec_entry(rng) * domain.scalar(rng.choice(sizes))
+        A = MatrixF(2, 2, [entry(rng) * domain.scalar(rng.choice(sizes)) for _ in range(4)], domain)
+        c = domain.scalar(Fraction(-3, 5)) + entry(rng)
+        terms = [((1, 2, 3), None), ((2,), domain.zero()), ((3, 1), c), ((), None)]
+        # the bound is tight for the all-ones operator on a constant family: each of three steps doubles
+        # 5000, and the 16-bit image 40000 fills its lane
+        ones = column_table(MatrixF(2, 2, [domain.one()] * 4, domain))
+        for m in (1, 2, 9, 27):
+            rows = [tuple(lane_entry(rng) for _ in range(8)) for _ in range(m)]
+            seen.clear()
+            stacked = _act(column_table(A), 2, terms, _stack(rows, m, zero), zero, m)
+            assert seen and set(seen) == {8}, (m, seen)
+            assert [stacked[j::m] for j in range(m)] == [_act(column_table(A), 2, terms, row, zero) for row in rows], m
+            tight = _act(ones, 2, [((1, 2, 3), None)], [domain.scalar(5000)] * (8 * m), zero, m)
+            assert tight == (domain.scalar(40000),) * (8 * m), m
     # an empty family is no action: it never reaches the slot arithmetic
     monkeypatch.setattr(symmetry, "_tail", lambda *args: pytest.fail("an empty family reached _tail"))
     assert _stack(iter(()), 0, zero) == []
@@ -729,6 +769,37 @@ def test_packed_ratfunc_action_of_hecke_elements(case):
             got = _act(table, sym.N, terms, vec, zero)
             want = _act(generic, sym.N, terms, vec, zero)
             assert got == want and list(map(hash, got)) == list(map(hash, want)), (case, n)
+
+
+@pytest.mark.parametrize("field", [FieldSpec("rational"), cyclotomic_field(3), GENERIC_Q, FieldSpec("ratfunc_q", 3)], ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_packed_verdicts_match_scalar_comparison(field):
+    # A and B = A + E agree on families whose two slot-1 halves are equal, since E = [[c, -c], [d, -d]] kills
+    # them, but E gives B another denominator and so another lane width: the packed comparison of the two
+    # actions must say what the comparison of their Scalars says, and a vanishing one must read zero
+    rng = random.Random("verdicts:%s:%d" % (field.kind, field.order))
+    deg, zero, ratfunc = len(field.one().num[0]), field.zero(), field.kind == "ratfunc_q"
+
+    def entry():
+        c = field.from_cyc([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(deg)])
+        return c * field.q() + 1 if ratfunc and rng.random() < 0.5 else c
+
+    terms = [((1,), None), ((), entry())]
+    for trial in range(8):
+        A = MatrixF(2, 2, [entry() for _ in range(4)], field)
+        c, d = entry() or field.one(), (entry() or field.one()) / (field.q() + 1 if ratfunc else 3)
+        B = A + MatrixF(2, 2, [c, -c, d, -d], field)
+        for m in (1, 3):
+            halves = [[entry() for _ in range(4)] for _ in range(m)]
+            vec = _stack([h + h for h in halves], m, zero)
+            pa, pb = (_packed_act(column_table(X), 2, terms[: 1 + trial % 2], vec, zero, m) for X in (A, B))
+            assert _packed_equal(pa, pb) and _packed_equal(pb, pa), (trial, m)
+            zeros = _packed_act(column_table(A - B), 2, terms[:1], vec, zero, m)
+            assert _packed_vanishes([zeros], lambda: pytest.fail("a vanishing action unpacked")) == (True, "")
+            bad = list(vec)
+            bad[rng.randrange(len(bad))] += field.one()
+            pc = _packed_act(column_table(B), 2, terms[: 1 + trial % 2], bad, zero, m)
+            assert _packed_equal(pa, pc) == (_unpack(pa) == _unpack(pc)) is False, (trial, m)
+            assert _packed_vanishes([_packed_act(column_table(A - B), 2, terms[:1], bad, zero, m)], lambda: MatrixF(1, 1, [field.one()], field)) == (False, "entry (0,0) = 1")
 
 
 def test_unit_vectors_unpack_without_gcd(monkeypatch):
