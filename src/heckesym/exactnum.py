@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional, Tuple, Union
 
 __all__ = [
@@ -71,6 +71,16 @@ def _int(x):
 def _ints(vec) -> tuple:
     """The coefficient vector vec as a tuple, its integral entries as ints."""
     return tuple(map(_int, vec)) if Fraction in map(type, vec) else tuple(vec)
+
+
+def _power(times, x, k: int):
+    """x^k for k >= 1, left to right from the top bit: one square per further bit."""
+    out = x
+    for bit in bin(k)[3:]:
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, x)
+    return out
 
 
 def _ratio(c: int, den: int):
@@ -271,9 +281,6 @@ class FieldSpec:
             object.__setattr__(self, "qval", _ints(self.qval))
 
     # -- constructors for scalars of this field
-
-    def _ctx(self) -> _CycCtx:
-        return self._cyc
 
     def zero(self) -> "Scalar":
         return _scalar(self, (), (self._cyc.one,))
@@ -575,19 +582,11 @@ class Scalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
         if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
+            return _power(mul, self.inverse(), -exponent)
         if exponent == 0:
             return self.field.one()
-        # left to right from the top bit: one square per further bit
-        out = base
-        for bit in bin(exponent)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * base
-        return out
+        return _power(mul, self, exponent)
 
     # -- comparison and hashing
 
@@ -735,17 +734,26 @@ def _product(ctx: _CycCtx, dens) -> QPoly:
 
 def equal_packed(field: FieldSpec, a: tuple, b: tuple, m: int) -> bool:
     """Whether two packed vectors (comps, dens, bits) of m lanes (at_lanes) hold the same scalars, with no Scalar
-    built: the digits, over one denominator, or else each lane's numerator times the other's denominator."""
+    built: the ints, over one denominator and one digit width; else coordinate by coordinate up to the first
+    difference, the digits over one denominator, or each lane's numerator times the other's denominator."""
     ctx = field._cyc
     (xa, da, ba), (xb, db, bb) = a, b
     Da, Db = _product(ctx, da), _product(ctx, db)
     if Da == Db and ba == bb:
         return xa == xb
     n = max(_digit_count(xa, ba, m), _digit_count(xb, bb, m))
-    ra, rb = [_digits(xs, ba, n) for xs in xa], [_digits(xs, bb, n) for xs in xb]
-    if Da == Db:
-        return ra == rb
-    return all(_pmul(ctx, p, Db) == _pmul(ctx, r, Da) for p, r in zip(_numerators(ra, n, m), _numerators(rb, n, m)))
+    read_a, read_b = _digit_reader(ba, n), _digit_reader(bb, n)
+    for ia, ib in zip(zip(*xa), zip(*xb)):
+        if not (any(ia) or any(ib)):
+            continue
+        if Da == Db:
+            if read_a(ia) != read_b(ib):
+                return False
+        else:
+            ra, rb = [read_a((x,)) for x in ia], [read_b((x,)) for x in ib]
+            if any(_pmul(ctx, p, Db) != _pmul(ctx, r, Da) for p, r in zip(_numerators(ra, n, m), _numerators(rb, n, m))):
+                return False
+    return True
 
 
 def at_power_of_two(p, bits: int) -> int:
@@ -767,19 +775,27 @@ _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
 def _digits(xs, bits: int, n: int) -> list:
-    """The n signed digits of each x = sum_p d_p 2^(bits p) in xs, |d_p| < 2^(bits-1), low first, x after x.
+    """The n signed digits of each x = sum_p d_p 2^(bits p) in xs, |d_p| < 2^(bits-1), low first, x after x."""
+    return _digit_reader(bits, n)(xs)
+
+
+def _digit_reader(bits: int, n: int):
+    """_digits(-, bits, n) as a function of xs, for reading many xs at one width and digit count.
 
     bits is a multiple of 8 (digit_bits).  x plus 2^(bits-1) in every digit
     has the digits plus 2^(bits-1), all nonnegative, and xor-ing that bias
     back leaves each digit's two's complement: one pass over x's bytes.
     """
     width = bits >> 3
-    bias = _bias(width, n)
-    raw = b"".join([((x + bias) ^ bias).to_bytes(n * width, "little") for x in xs])
-    code = _SIGNED.get(width)
-    if code is None:
-        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
-    return memoryview(raw).cast(code).tolist()
+    bias, size, code = _bias(width, n), n * width, _SIGNED.get(width)
+
+    def read(xs) -> list:
+        raw = b"".join([((x + bias) ^ bias).to_bytes(size, "little") for x in xs])
+        if code is None:
+            return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+        return memoryview(raw).cast(code).tolist()
+
+    return read
 
 
 @lru_cache(maxsize=512)

@@ -244,7 +244,7 @@ def _format_qpoly(poly, need_atom: bool) -> str:
 
 def format_scalar(x: Scalar) -> str:
     """Round-trippable text for a scalar."""
-    ctx = x.field._ctx()
+    ctx = x.field._cyc
     if not x.num:
         return "0"
     if x.den == (ctx.one,):

@@ -381,11 +381,12 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     _record_equal(report, "top-scaling", "theta^((x)n)(t) = q^(n(n+1)/2) t", [apply_power(theta, n, t)], [vec_scale(q ** (n * (n + 1) // 2), t)])
 
     # the Nakayama map in each degree matches the twisted braiding
+    theta_phi, psi_theta_bar = theta * phi, psi * theta_bar
     for k in range(1, n + 1):
         U = sym.upsilon(k)
         try:
-            lhs = restrict_to_subspace(theta * phi, k, U.basis, U.pivots())
-            rhs = restrict_to_subspace(psi * theta_bar, k, U.basis, U.pivots())
+            lhs = restrict_to_subspace(theta_phi, k, U.basis, U.pivots())
+            rhs = restrict_to_subspace(psi_theta_bar, k, U.basis, U.pivots())
             rule = "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)"
             _record_equal(report, "nakayama-braiding.k%d" % k, rule, lhs, rhs)
         except ValueError as exc:

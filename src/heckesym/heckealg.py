@@ -106,7 +106,7 @@ def _zq(value) -> ZPoly:
     if isinstance(value, int):
         return (value,) if value else ()
     if isinstance(value, Scalar):
-        ctx = value.field._ctx()
+        ctx = value.field._cyc
         if value.den == (ctx.one,) and (value.field.kind == "ratfunc_q" or len(value.num) <= 1):
             if all(v[0].__class__ is int and not any(v[1:]) for v in value.num):
                 return tuple([v[0] for v in value.num])
@@ -121,7 +121,7 @@ def _to_scalar(field: FieldSpec, poly: ZPoly) -> Scalar:
     """The value of a Z[q] polynomial at field.q()."""
     if not poly:
         return field.zero()
-    ctx = field._ctx()
+    ctx = field._cyc
     if field.kind == "ratfunc_q":
         pad = ctx.zero[1:]
         return Scalar(field, tuple([(c,) + pad for c in poly]), (ctx.one,))

@@ -117,7 +117,7 @@ def vec_combination(coeffs: Sequence, vectors: Sequence[Sequence], zero) -> tupl
 class MatrixF:
     """Dense row-major matrix with exact entries over a fixed domain."""
 
-    __slots__ = ("rows", "cols", "entries", "domain")
+    __slots__ = ("rows", "cols", "entries", "domain", "_table")
 
     def __init__(self, rows: int, cols: int, entries: Sequence, domain: Domain):
         entries = tuple(entries)
@@ -127,6 +127,8 @@ class MatrixF:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "domain", domain)
+        # symmetry.column_table's tables, built on first use; == and hash ignore them
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, *args):
         raise AttributeError("MatrixF is immutable")

@@ -27,7 +27,7 @@ from itertools import chain
 from operator import add, mul, neg
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
-from .exactnum import FieldSpec, Scalar, _cycctx, _int
+from .exactnum import FieldSpec, Scalar, _cycctx, _int, _power
 
 __all__ = ["PolyRing", "MultiPoly"]
 
@@ -37,16 +37,6 @@ Expo = Tuple[int, ...]
 def _has_fraction(vecs) -> bool:
     """Whether a Fraction occurs in the coefficient vectors vecs."""
     return Fraction in map(type, chain.from_iterable(vecs))
-
-
-def _power(times, x, k: int):
-    """x^k for k >= 1, left to right from the top bit: one square per further bit."""
-    out = x
-    for bit in bin(k)[3:]:
-        out = times(out, out)
-        if bit == "1":
-            out = times(out, x)
-    return out
 
 
 @dataclass(frozen=True)
@@ -63,9 +53,6 @@ class PolyRing:
             raise ValueError("cyclotomic order must be >= 1")
         # the coefficient field's reduction tables, looked up once per ring
         object.__setattr__(self, "_cyc", _cycctx(self.order))
-
-    def _ctx(self):
-        return self._cyc
 
     def coeff_field(self) -> FieldSpec:
         return FieldSpec("rational") if self.order == 1 else FieldSpec("cyclotomic", self.order)
@@ -92,7 +79,7 @@ class PolyRing:
 
     def _coeff(self, value) -> tuple:
         """Coerce an int/Fraction/constant Scalar to a coefficient vector, integral entries as ints."""
-        ctx = self._ctx()
+        ctx = self._cyc
         if isinstance(value, Scalar):
             if value.field.kind == "ratfunc_q":
                 raise ValueError("coefficients must be constants, not rational functions")
@@ -100,7 +87,7 @@ class PolyRing:
             if value.field.order != self.order:
                 if self.order % value.field.order:
                     raise ValueError("coefficient field does not embed into this ring")
-                vec = value.field._ctx().embed(vec, ctx)
+                vec = value.field._cyc.embed(vec, ctx)
             return vec
         return (value if value.__class__ is int else _int(Fraction(value)),) + (0,) * (ctx.deg - 1)
 
@@ -142,7 +129,7 @@ class MultiPoly:
         tuple of names maps to its coefficient, with exponents re-keyed by name
         onto ring and coefficients embedded into ring's field.  No other
         variable may occur outside ring."""
-        src, ctx, tgt = self.ring.variables, self.ring._ctx(), ring._ctx()
+        src, ctx, tgt = self.ring.variables, self.ring._cyc, ring._cyc
         if ring.order % self.ring.order:
             raise ValueError("coefficient field does not embed into the target ring")
         outer = [src.index(n) for n in names]
@@ -280,7 +267,7 @@ class MultiPoly:
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        ctx = self.ring._ctx()
+        ctx = self.ring._cyc
         de, dv = divisor._lead()
         dv_inv = ctx.inv(dv)
         rem = self
@@ -315,7 +302,7 @@ class MultiPoly:
         lead = [(e, v) for e, v in divisor.terms.items() if e[idx] == d]
         if len(lead) != 1 or any(lead[0][0][i] for i in range(len(lead[0][0])) if i != idx):
             raise ValueError("divisor leading coefficient in %r is not constant" % name)
-        ctx = self.ring._ctx()
+        ctx = self.ring._cyc
         lead_inv = ctx.inv(lead[0][1])
         rem = self
         while rem.terms and rem.degree_in(name) >= d:
@@ -360,7 +347,7 @@ class MultiPoly:
         for name in self.ring.variables:
             if name not in assignments:
                 raise ValueError("no value for variable %r" % name)
-        src, tgt = self.ring._ctx(), field._ctx()
+        src, tgt = self.ring._cyc, field._cyc
         vals = [assignments[name] for name in self.ring.variables]
         for v in vals:
             if isinstance(v, Scalar) and v.field != field:

@@ -49,7 +49,7 @@ from .linalg import MatrixF, Subspace, _stack, vec_combination
 from .multipoly import MultiPoly, PolyRing
 from .regular3 import SklParameters, cyclic_slots, is_type_A, skl_relations, skl_tensor
 from .report import CheckReport
-from .symmetry import _format_entry, _vanishes, apply_power, braid_defect, check_braid, check_hecke, tensor_index
+from .symmetry import _vanishes, apply_power, braid_defect, check_braid, check_hecke, tensor_index
 
 __all__ = [
     "TernaryQuadratic",
@@ -66,9 +66,6 @@ __all__ = [
     "verify_case4",
 ]
 
-# coefficient order used throughout: X^2, Y^2, Z^2, YZ, ZX, XY
-MONOMIALS = ("X^2", "Y^2", "Z^2", "YZ", "ZX", "XY")
-
 
 @dataclass(frozen=True)
 class TernaryQuadratic:
@@ -80,16 +77,6 @@ class TernaryQuadratic:
     def __post_init__(self):
         if len(self.coeffs) != 6:
             raise ValueError("a ternary quadratic has six coefficients")
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def to_text(self) -> str:
-        bits = []
-        for name, c in zip(MONOMIALS, self.coeffs):
-            if not c.is_zero():
-                bits.append("(%s)*%s" % (_format_entry(c), name))
-        return " + ".join(bits) if bits else "0"
 
 
 # _SLOT[u][v] is the coefficient index of x_u x_v, with X, Y, Z = 0, 1, 2

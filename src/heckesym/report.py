@@ -51,10 +51,3 @@ class CheckReport:
 
     def failures(self) -> List[Check]:
         return [c for c in self.checks if c.status == FAIL]
-
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "checks": [c.to_dict() for c in self.checks],
-        }

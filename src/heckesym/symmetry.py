@@ -33,9 +33,10 @@ is acted on at once, its images stacked the same way, as the columns of a
 matrix; m = 1 is one vector.  A Scalar family is packed once into integer
 polynomials in q over one denominator, the m label coordinates of each tensor
 coordinate one Python int (lane l at 2^(B l), q at 2^(m B); a constant is the
-degree-0 case), steps on those ints with the multiplication matrices of R's
-entries (packed once per symmetry) and is unpacked once.  The checks that
-only ask whether a result vanishes or equals another read its ints
+degree-0 case), steps on those ints with the multiplication matrices of the
+operator's entries and is unpacked once.  An operator is packed once however
+many actions use it: column_table keeps its table on the MatrixF.  The checks
+that only ask whether a result vanishes or equals another read its ints
 (_packed_act) and unpack only to name a failure's witness.  A ring vector is
 one component over denominator 1, on R's entries as elements of its ring.
 
@@ -101,6 +102,15 @@ def index_word(idx: int, n: int, N: int) -> Tuple[int, ...]:
 
 
 def column_table(A: MatrixF) -> tuple:
+    """A's (ring, packed) tables (_build_table), kept on A, so an operator is packed once however many actions use it."""
+    table = A._table
+    if table is None:
+        table = _build_table(A)
+        object.__setattr__(A, "_table", table)
+    return table
+
+
+def _build_table(A: MatrixF) -> tuple:
     """The nonzero entries of each column of A, as (ring, packed) tables.
 
     In both, cols[b][j] lists (a, i, coeff): column j sends component b to
@@ -284,14 +294,11 @@ def _vanishing(table: tuple, N: int, dim: int, width: int, terms: Sequence, doma
     return _packed_vanishes(blocks, lambda: _matrix_of(table, N, dim, width, terms, domain, blocks))
 
 
-def _hecke_args(table: tuple, dim: int, q: Scalar, domain) -> tuple:
-    """_matrix_of's arguments for (R - q Id)(R + Id) = R^2 + (1 - q) R - q Id on V (x) V, one action of R."""
-    return table, dim, dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], domain
-
-
 def check_hecke(R: MatrixF, q: Scalar) -> Tuple[bool, str]:
-    """Exact test of (R - q Id)(R + Id) = 0; witness entry on failure."""
-    return _vanishing(*_hecke_args(column_table(R), R.rows, q, R.domain))
+    """Exact test of (R - q Id)(R + Id) = R^2 + (1 - q) R - q Id = 0 on V (x) V, one action of R; witness entry on
+    failure."""
+    dim = R.rows
+    return _vanishing(column_table(R), dim, dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], R.domain)
 
 
 def _braid_args(table: tuple, N: int, domain) -> tuple:
@@ -320,7 +327,7 @@ def _side(R: MatrixF) -> int:
 class HeckeSymmetry:
     """A validated Hecke symmetry with cached tensor-power machinery."""
 
-    __slots__ = ("N", "field", "q", "R", "_cols", "_upsilon", "_dual", "name", "__weakref__")
+    __slots__ = ("N", "field", "q", "R", "_upsilon", "_dual", "name", "__weakref__")
 
     def __init__(self, N: int, q: Scalar, R: MatrixF, name: str = "", validate: bool = True):
         if N < 1:
@@ -334,7 +341,6 @@ class HeckeSymmetry:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_cols", None)
         object.__setattr__(self, "_upsilon", {})
         object.__setattr__(self, "_dual", None)
         if validate:
@@ -351,21 +357,13 @@ class HeckeSymmetry:
     def __repr__(self):
         return "HeckeSymmetry(N=%d%s)" % (self.N, ", " + self.name if self.name else "")
 
-    def _column_table(self) -> tuple:
-        """column_table(R), built once per symmetry."""
-        cols = self._cols
-        if cols is None:
-            cols = column_table(self.R)
-            object.__setattr__(self, "_cols", cols)
-        return cols
-
     def check_hecke(self) -> Tuple[bool, str]:
-        """check_hecke(R, q) on the symmetry's cached column table of R."""
-        return _vanishing(*_hecke_args(self._column_table(), self.N ** 2, self.q, self.field))
+        """check_hecke(R, q)."""
+        return check_hecke(self.R, self.q)
 
     def check_braid(self) -> Tuple[bool, str]:
-        """check_braid(R) on the symmetry's cached column table of R."""
-        return _vanishing(*_braid_args(self._column_table(), self.N, self.field))
+        """check_braid(R)."""
+        return check_braid(self.R)
 
     # -- actions
 
@@ -380,7 +378,7 @@ class HeckeSymmetry:
             raise ValueError("vector length mismatch")
         if any(not 1 <= i < n for word, _c in terms for i in word):
             raise ValueError("generator index out of range")
-        return _packed_act(self._column_table(), self.N, terms, vec, self.field.zero(), m)
+        return _packed_act(column_table(self.R), self.N, terms, vec, self.field.zero(), m)
 
     def apply_generator(self, i: int, n: int, vec: Sequence) -> tuple:
         """T_i acting on a vector of V^(x)n."""
@@ -409,7 +407,7 @@ class HeckeSymmetry:
         dim = self.N ** n
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        return _matrix_of(self._column_table(), self.N, dim, 1, terms, self.field)
+        return _matrix_of(column_table(self.R), self.N, dim, 1, terms, self.field)
 
     def generator_matrix(self, i: int, n: int) -> MatrixF:
         """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""

@@ -226,19 +226,13 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("command", ["verify", "analyze"])
 def test_operator_is_packed_once_per_run(capsys, tmp_path, monkeypatch, command):
-    # the braid check reads the symmetry's cached column table of R; the
-    # transpose symmetry packs R^t, which differs from R for this conjugate
+    # both relation checks and every action of the symmetry read the table kept
+    # on R; the transpose symmetry packs R^t, which differs from R for this conjugate
     from heckesym import symmetry
     from test_golden import DJ3_CYC3_CONJUGATE
+    from test_symmetry import _count_table_builds
 
-    built = []
-    real = symmetry.column_table
-
-    def counting(A):
-        built.append(A)
-        return real(A)
-
-    monkeypatch.setattr(symmetry, "column_table", counting)
+    built = _count_table_builds(monkeypatch)
     path = tmp_path / "conj.json"
     path.write_text(json.dumps(DJ3_CYC3_CONJUGATE))
     assert main([command, str(path)]) == 0
@@ -246,6 +240,7 @@ def test_operator_is_packed_once_per_run(capsys, tmp_path, monkeypatch, command)
     R = symmetry.HeckeSymmetry.from_json_dict(DJ3_CYC3_CONJUGATE, validate=False).R
     assert R != R.transpose()
     assert sum(A == R for A in built) == 1
+    assert len(set(map(id, built))) == len(built)
 
 
 def test_benchmark_tracer_installs():

@@ -157,7 +157,7 @@ def _random_scalar(field, rng):
         num = sum((field.scalar(rng.randint(-3, 3)) * qq ** k for k in range(3)), field.zero())
         den = field.one() + field.scalar(rng.randint(0, 2)) * qq
         return num / den
-    deg = field._ctx().deg
+    deg = field._cyc.deg
     return field.from_cyc([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg)])
 
 
@@ -400,7 +400,7 @@ def _check_against_reference(field, got, want):
 
 
 def _random_constant(field, rng):
-    deg = field._ctx().deg
+    deg = field._cyc.deg
     vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else Fraction(0) for _ in range(deg)]
     return field.from_cyc(vec)
 
@@ -500,7 +500,7 @@ def test_field_spec_resolves_its_context_once(monkeypatch):
 
     monkeypatch.setattr(exactnum, "_cycctx", refuse)
     assert (x * x.inverse()).is_one() and (x - x).is_zero() and C12.zero() + C12.one() == 1
-    assert C12._ctx().deg == 4 and format_scalar(x) == "1/3 + e"
+    assert C12._cyc.deg == 4 and format_scalar(x) == "1/3 + e"
 
 
 def _random_normal_vector(rng, deg, density=0.8):
@@ -635,3 +635,88 @@ def test_digit_decoding_matches_the_loop():
         # the same digits read at a fixed count, with zeros above, several ints at once
         n = len(digits) + rng.randint(1, 3)
         assert exactnum._digits([x, -x, 0], bits, n) == [d for y in (x, -x, 0) for d in _from_power_of_two_loop(y, bits) + [0] * (n - len(_from_power_of_two_loop(y, bits)))]
+
+
+def _equal_packed_all_at_once(field, a, b, m):
+    """equal_packed as it decoded every digit of both sides into lists before comparing (the oracle)."""
+    ctx = field._cyc
+    (xa, da, ba), (xb, db, bb) = a, b
+    Da, Db = exactnum._product(ctx, da), exactnum._product(ctx, db)
+    if Da == Db and ba == bb:
+        return xa == xb
+    n = max(exactnum._digit_count(xa, ba, m), exactnum._digit_count(xb, bb, m))
+    ra, rb = [exactnum._digits(xs, ba, n) for xs in xa], [exactnum._digits(xs, bb, n) for xs in xb]
+    if Da == Db:
+        return ra == rb
+    return all(exactnum._pmul(ctx, p, Db) == exactnum._pmul(ctx, r, Da) for p, r in zip(exactnum._numerators(ra, n, m), exactnum._numerators(rb, n, m)))
+
+
+def _int_poly_mul(p, f):
+    """The product of two integer polynomials (tuples, low degree first)."""
+    if not p or not f:
+        return ()
+    out = [0] * (len(p) + len(f) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(f):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _packed_pair(comps, den, m, widths, factor=None):
+    """Two packed families (comps, dens, bits) of one value: comps (pack_q's) over den at the first width, and at
+    the second width, its numerators times the integer polynomial factor and factor added to its dens."""
+    deg = len(comps)
+    top = max([abs(c) for ps in comps for p in ps for c in _int_poly_mul(p, factor or (1,))], default=0)
+    ba, bb = (max(w, exactnum.digit_bits(top)) for w in widths)
+    a = ([exactnum.at_lanes(ps, ba, m) for ps in comps], [den], ba)
+    if factor is None:
+        return a, ([exactnum.at_lanes(ps, bb, m) for ps in comps], [den], bb)
+    # a constant factor scales the first coordinate of each coefficient vector
+    scaled = [[_int_poly_mul(p, factor) for p in ps] for ps in comps]
+    fden = tuple((c,) + (0,) * (deg - 1) for c in factor)
+    return a, ([exactnum.at_lanes(ps, bb, m) for ps in scaled], [den, fden], bb)
+
+
+@pytest.mark.parametrize("field", [FieldSpec("rational"), cyclotomic_field(3), GENERIC_Q, FieldSpec("ratfunc_q", 4)], ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_equal_packed_matches_the_all_at_once_decoder(field):
+    # the same family at two digit widths, or over another denominator, and with one coordinate changed
+    rng = random.Random("equal-packed:%s:%d" % (field.kind, field.order))
+    ratfunc = field.kind == "ratfunc_q"
+    for trial in range(24):
+        m = rng.choice((1, 2, 3, 5))
+        vec = [field.zero() if rng.random() < 0.3 else _random_scalar(field, rng) for _ in range(m * rng.randint(1, 12))]
+        den, comps = exactnum.pack_q(field, vec)
+        widths = rng.choice(((8, 16), (16, 8), (8, 64), (64, 128), (128, 192), (8, 8)))
+        factor = None if trial % 3 == 0 else (rng.choice((2, 3, -5)), 1) if ratfunc else (rng.choice((2, 3, -5)),)
+        a, b = _packed_pair(comps, den, m, widths, factor)
+        for x, y in ((a, b), (b, a)):
+            assert exactnum.equal_packed(field, x, y, m) is _equal_packed_all_at_once(field, x, y, m) is True, trial
+        k, j = rng.randrange(len(vec)), rng.randrange(len(comps))
+        bad = [list(ps) for ps in comps]
+        p = bad[j][k] or (0,)
+        bad[j][k] = (p[0] + rng.choice((1, -1)),) + p[1:]
+        c, d = _packed_pair(bad, den, m, widths, factor)
+        assert exactnum.equal_packed(field, a, d, m) is _equal_packed_all_at_once(field, a, d, m) is False, trial
+        assert exactnum.equal_packed(field, c, b, m) is _equal_packed_all_at_once(field, c, b, m) is False, trial
+
+
+@pytest.mark.parametrize("factor", [None, (3,)], ids=["other-width", "other-denominator"])
+def test_equal_packed_decodes_one_coordinate_at_a_time(factor):
+    # 200 coordinates of 5 lanes, each lane a polynomial of degree 24 with 60-bit coefficients: 125 digits
+    # and 8,000 bits per int at width 64, and 25,000 digits per side, whose lists the all-at-once decoder
+    # holds together (2.5 MB and more)
+    import tracemalloc
+
+    field, m = FieldSpec("rational"), 5
+    rng = random.Random("equal-packed-memory")
+    comps = [[tuple(rng.randint(-(2 ** 60), 2 ** 60) for _ in range(25)) for _ in range(200 * m)]]
+    a, b = _packed_pair(comps, ((1,),), m, (64, 128), factor)
+    peaks = []
+    for equal in (exactnum.equal_packed, _equal_packed_all_at_once):
+        tracemalloc.start()
+        try:
+            assert equal(field, a, b, m) is True
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 128 * 1024 < 10 * 128 * 1024 < peaks[1], peaks

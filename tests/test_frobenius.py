@@ -35,7 +35,7 @@ from heckesym.permgroup import Composition, cycle, longest_rho
 from heckesym.regular3 import SklParameters, skl_relations
 from heckesym.symmetry import HeckeSymmetry, _vanishes, apply_power, dj_standard, flip, kron_vec
 from test_linalg import _solve_column_reference
-from test_symmetry import _conjugate, _domains, _perm_matrix_reference, _rational_q, kron_power, kronecker, perm_matrix_sum
+from test_symmetry import _conjugate, _count_table_builds, _domains, _perm_matrix_reference, _rational_q, kron_power, kronecker, perm_matrix_sum
 
 F = GENERIC_Q
 q = F.q()
@@ -248,6 +248,18 @@ def test_rep_of_y_n_is_built_once_per_analyze(monkeypatch):
     assert calls == []
     kernel = next(c for c in ops.checks if c.name == "functional.kernel")
     assert kernel.status == "pass" and kernel.rule == "ker f = ker rep(y_n)"
+
+
+@pytest.mark.parametrize("case", ["dj2-conj-generic", "dj3-conj-q=2", "dj3-conj-cyc3"])
+def test_no_operator_is_packed_twice(case, monkeypatch):
+    # each operator is packed once however many actions and degrees use it, so the count does not grow with
+    # the top degree (2 for dj(2), 3 for dj(3)): the conjugation packs dj(N)'s R, tau and tau^-t; the profile
+    # packs R, R^t, theta, phi, psi, their transposes, and the products restricted to each upsilon(k):
+    # psi^-1 theta and psi theta_bar in trace_table, theta phi and psi theta_bar in nakayama-braiding
+    built = _count_table_builds(monkeypatch)
+    prof = analyze(SQUARE_CASES[case]())
+    assert verify_operator_identities(prof).ok and trace_table(prof)[0].ok
+    assert len(set(map(id, built))) == len(built) == 3 + 12
 
 
 def _multiparameter_conjugate():

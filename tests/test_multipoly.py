@@ -115,7 +115,7 @@ def _evaluate_reference(p, assignments):
     sample = next((v.field for v in assignments.values() if not isinstance(v, (int, Fraction))), None)
     field = sample or p.ring.coeff_field()
     vals = [v if not isinstance(v, (int, Fraction)) else field.scalar(v) for v in (assignments[n] for n in p.ring.variables)]
-    src, tgt = p.ring._ctx(), field._ctx()
+    src, tgt = p.ring._cyc, field._cyc
     out = field.zero()
     for e, vec in p.terms.items():
         term = field.from_cyc(src.embed(vec, tgt)) if field.order != p.ring.order else field.from_cyc(vec)
@@ -319,7 +319,7 @@ def _is_normal(p):
 def _oracle_vec(rng, ring, integral):
     """A nonzero coefficient vector of Fractions, integral or not."""
     while True:
-        vec = tuple(Fraction(rng.randint(-4, 4), 1 if integral else rng.randint(1, 3)) for _ in range(ring._ctx().deg))
+        vec = tuple(Fraction(rng.randint(-4, 4), 1 if integral else rng.randint(1, 3)) for _ in range(ring._cyc.deg))
         if any(vec):
             return vec
 
@@ -337,7 +337,7 @@ ORACLE_IDS = ["order%d-%s" % (ring.order, "Z" if integral else "Q") for ring, in
 @pytest.mark.parametrize("ring,integral", ORACLE_CASES, ids=ORACLE_IDS)
 def test_ring_operations_match_fraction_oracle(ring, integral):
     rng = random.Random("multipoly-oracle:%d:%s" % (ring.order, integral))
-    ctx = ring._ctx()
+    ctx = ring._cyc
     for trial in range(40):
         p, q = _oracle_poly(rng, ring, integral), _oracle_poly(rng, ring, integral)
         fp, fq = _fractions(p), _fractions(q)
@@ -355,7 +355,7 @@ def test_ring_operations_match_fraction_oracle(ring, integral):
 @pytest.mark.parametrize("ring,integral", ORACLE_CASES, ids=ORACLE_IDS)
 def test_division_matches_fraction_oracle(ring, integral):
     rng = random.Random("multipoly-div-oracle:%d:%s" % (ring.order, integral))
-    ctx = ring._ctx()
+    ctx = ring._cyc
     x = ring.var("x")
     for trial in range(20):
         d = _oracle_poly(rng, ring, integral, terms=3, top=1) + x
@@ -380,7 +380,7 @@ def test_division_matches_fraction_oracle(ring, integral):
 @pytest.mark.parametrize("ring,integral", ORACLE_CASES, ids=ORACLE_IDS)
 def test_substitute_and_evaluate_match_fraction_oracle(ring, integral):
     rng = random.Random("multipoly-sub-oracle:%d:%s" % (ring.order, integral))
-    ctx, field = ring._ctx(), ring.coeff_field()
+    ctx, field = ring._cyc, ring.coeff_field()
     for trial in range(20):
         p = _oracle_poly(rng, ring, integral)
         values = {i: _fractions(_oracle_poly(rng, ring, integral, terms=2, top=1)) for i in rng.sample(range(3), rng.randint(1, 3))}

@@ -756,7 +756,7 @@ RATFUNC_SYMMETRIES = {
 @pytest.mark.parametrize("case", sorted(RATFUNC_SYMMETRIES))
 def test_packed_ratfunc_action_of_hecke_elements(case):
     sym = RATFUNC_SYMMETRIES[case]()
-    table, F = sym._column_table(), sym.field
+    table, F = column_table(sym.R), sym.field
     generic, zero = (table[0], None), F.zero()
     rng = random.Random("ratfunc:" + case)
     for n, pool in zip((2, 3, 3), _ratfunc_pools(F)):
@@ -815,7 +815,7 @@ def test_unit_vectors_unpack_without_gcd(monkeypatch):
     monkeypatch.setattr(exactnum, "_pmonic_scale", lambda *a: calls.append(a) or real(*a))
     for terms in elements:
         for e in units:
-            _act(sym._column_table(), 3, terms, e, zero)
+            _act(column_table(sym.R), 3, terms, e, zero)
     assert calls == []
 
 
@@ -978,21 +978,27 @@ def test_no_kronecker_products(monkeypatch):
     assert shapes and (4, 4) not in shapes
 
 
-def test_packed_table_built_once_per_symmetry(monkeypatch):
+def _count_table_builds(monkeypatch) -> list:
+    """The list that every table build (symmetry._build_table) appends its matrix to, while monkeypatch holds."""
     built = []
-    real = symmetry.column_table
+    real = symmetry._build_table
 
     def counting(A):
         built.append(A)
         return real(A)
 
-    monkeypatch.setattr(symmetry, "column_table", counting)
+    monkeypatch.setattr(symmetry, "_build_table", counting)
+    return built
+
+
+def test_packed_table_built_once_per_symmetry(monkeypatch):
+    built = _count_table_builds(monkeypatch)
     sym = _conjugate(3, cyclotomic_field(3, q_power=1), 14)
     prof = analyze(sym)
     verify_operator_identities(prof)
     trace_table(prof)
     assert sum(A is sym.R for A in built) == 1
-    assert sym._column_table()[1] is not None
+    assert sym.R._table[1] is not None
     # no module-level state keeps the symmetry, or its tables, alive
     ref = weakref.ref(sym)
     del sym, prof
