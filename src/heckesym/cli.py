@@ -107,9 +107,9 @@ def _load_symmetry(args, validate: bool) -> tuple:
         dim = _at_least_one(args.dim, "--dim", 3 if name == "dj" else 2)
         if name == "dj":
             field = _field_from_args(args)
-            sym = dj_standard(dim, field)
+            sym = dj_standard(dim, field, validate)
         elif name == "flip":
-            sym = flip(dim)
+            sym = flip(dim, validate)
         else:
             raise InputError("unknown builtin %r (try dj or flip)" % name)
         src = "builtin:%s:dim=%d:field=%s:order=%d:q=%s" % (

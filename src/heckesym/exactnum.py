@@ -24,10 +24,11 @@ numerators over one denominator, reduced by x^j mod Phi_m; an inverse solves
 with the integer multiplication matrix of a constant.  pack_q moves a vector
 of any kind to integer polynomials in q over one polynomial denominator (a
 constant is the degree-0 case), at_lanes puts m such vectors in the lanes of
-one int per coordinate, and unpack_q reads the lanes back with at most one
-gcd per coordinate; equal_packed compares two packed families with no Scalar
-built.  Digits are whole bytes wide (digit_bits), so they read back in one
-pass over an int's bytes.
+one int per coordinate (Placed, units beside one vector t, straight from t),
+and unpack_q reads the lanes back with at most one gcd per coordinate;
+equal_packed compares two packed families with no Scalar built.  Digits are
+whole bytes wide (digit_bits), so they read back in one pass over an int's
+bytes.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "pack_q",
     "unpack_q",
     "at_lanes",
+    "Placed",
     "equal_packed",
     "at_power_of_two",
     "digit_bits",
@@ -673,6 +675,37 @@ def at_lanes(comps, bits: int, m: int) -> list:
         return values
     shifts = [bits * l for l in range(m)]
     return [sum([x << s for x, s in zip(values[i : i + m], shifts) if x]) for i in range(0, len(values), m)]
+
+
+class Placed:
+    """A family of m vectors kept as one vector t and its places: lane l is e_(first+l) (x) t over the units of
+    k^dim (dim defaults to m), or t (x) e_l with last; t None is the unit 1.  Its len is that of the family stacked
+    (linalg._stack); packed() and lanes() give what pack_q and at_lanes give for it, with no Scalar per coordinate."""
+
+    __slots__ = ("t", "size", "starts", "stride")
+
+    def __init__(self, t, m: int, first: int = 0, dim: Optional[int] = None, last: bool = False):
+        span = 1 if t is None else len(t)
+        self.t, self.stride = t, m if last else 1
+        self.size = span * (m if last or dim is None else dim)
+        self.starts = range(m) if last else range(first * span, (first + m) * span, span)
+
+    def __len__(self) -> int:
+        return self.size * len(self.starts)
+
+    def packed(self, field: FieldSpec) -> tuple:
+        """pack_q's (den, comps) of t; the unit 1 over 1 is read off."""
+        return pack_q(field, self.t) if self.t is not None else ((field._cyc.one,), [[(1,)]] + [[()]] * (field._cyc.deg - 1))
+
+    def lanes(self, ps, bits: int) -> list:
+        """The ints of one component of the family (at_lanes), from that of t (packed()'s comps[j]): t's ints at
+        q = 2^(m bits), lane l's shifted by bits l into its coordinates."""
+        out = [0] * self.size
+        for i, x in enumerate(at_lanes(ps, len(self.starts) * bits, 1)):
+            if x:
+                for l, s in enumerate(self.starts):
+                    out[s + self.stride * i] = x << (bits * l)
+        return out
 
 
 def _digit_count(comps, bits: int, m: int) -> int:

@@ -44,12 +44,13 @@ of t.  Pairing values and that comparison are proportionality tests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import FieldSpec, Scalar, qbinom, qfact, qint
+from .exactnum import FieldSpec, Placed, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import antisymmetrizer, coset_y, shift_element
-from .linalg import MatrixF, Subspace, _diagonal, _stack, _units, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
+from .linalg import MatrixF, Subspace, _stack, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, _format_entry, _packed_equal, _packed_power, _packed_vanishes, _square_times, _unpack, _vanishes, apply_power
@@ -139,18 +140,18 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
 def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
     """The operators theta and theta_bar, with theta_bar theta = q^(n+1) Id.
 
-    Each is one action on a family over the basis e_j of V, stacked
-    (linalg._stack).  The images of the e_j t are t (x) theta, so theta is
-    their block at t's pivot; those of the t e_j (stacked by linalg._diagonal) are
-    theta_bar (x) t, so block a is t (x) row a of theta_bar.
+    Each is one action on a family over the basis e_j of V, placed from t
+    (exactnum.Placed).  The images of the e_j t are t (x) theta, so theta is
+    their block at t's pivot; those of the t e_j are theta_bar (x) t, so
+    block a is t (x) row a of theta_bar.
     """
     N, field = sym.N, sym.field
     piv, size = vec_pivot(t), N * len(t)
-    fwd = sym._combine([(cycle(n + 1, 1, n + 1).reduced_word(), None)], n + 1, _units(N, 0, N, t, field.zero()), N)
+    fwd = sym._combine([(cycle(n + 1, 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N), N)
     theta = MatrixF(N, N, fwd[piv * N * N : (piv + 1) * N * N], field)
     if fwd != kron_vec(t, theta.entries, field):
         raise DegeneratePairing("braiding does not send V (x) t into t (x) V")
-    bwd = sym._combine([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, _diagonal(t, N, field.zero()), N)
+    bwd = sym._combine([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N, last=True), N)
     theta_bar = MatrixF.from_rows([bwd[a * size + piv * N : a * size + (piv + 1) * N] for a in range(N)], field)
     if any(bwd[a * size : (a + 1) * size] != kron_vec(t, theta_bar.row(a), field) for a in range(N)):
         raise DegeneratePairing("braiding does not send t (x) V into V (x) t")
@@ -200,8 +201,7 @@ def _y_row(sym: HeckeSymmetry, n: int, k: int) -> tuple:
     rep(T_sigma)^t is T_(sigma^-1) under R^t, and the coefficient of T_sigma
     in y_n depends only on the length of sigma.
     """
-    field = sym.field
-    return sym._transpose().apply_hecke(antisymmetrizer(n, field), n, _units(sym.N ** n, k, 1, (field.one(),), field.zero()))
+    return sym._transpose().apply_hecke(antisymmetrizer(n, sym.field), n, Placed(None, 1, k, sym.N ** n))
 
 
 def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
@@ -248,6 +248,11 @@ class FrobeniusProfile:
     @property
     def field(self) -> FieldSpec:
         return self.sym.field
+
+    @cached_property
+    def psi_theta_bar(self) -> MatrixF:
+        """psi theta_bar, formed once: the trace table's eta and the Nakayama braiding restrict the same operator."""
+        return self.psi * self.theta_bar
 
     def nu_restricted(self, k: int) -> MatrixF:
         """phi^(x)k restricted to upsilon(k) (the Nakayama map in degree k)."""
@@ -301,7 +306,7 @@ def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     field = sym.field
     report = CheckReport("trace-identities")
     xi_base = profile.psi.inverse() * profile.theta
-    eta_base = profile.psi * profile.theta_bar
+    eta_base = profile.psi_theta_bar
     table = []
     xi_traces = {}
     for k in range(1, n + 1):
@@ -381,7 +386,7 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     _record_equal(report, "top-scaling", "theta^((x)n)(t) = q^(n(n+1)/2) t", [apply_power(theta, n, t)], [vec_scale(q ** (n * (n + 1) // 2), t)])
 
     # the Nakayama map in each degree matches the twisted braiding
-    theta_phi, psi_theta_bar = theta * phi, psi * theta_bar
+    theta_phi, psi_theta_bar = theta * phi, profile.psi_theta_bar
     for k in range(1, n + 1):
         U = sym.upsilon(k)
         try:
@@ -403,15 +408,16 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         _record_equal(report, "pairing-twist.k%d" % k, "beta_(n-k)(b,a) = beta_k(nu(a), b)", bnk, bk.transpose() * nu_k)
 
     # braiding through the top component, degree up to 2; row u of each side is the image of the
-    # unit u of V^(x)k: the left side is one action on the stacked family u t, the right side one
-    # action of theta on the last k slots of the stacked family t u (linalg._diagonal); both are
-    # compared packed, and unpacked row by row only for the witness of a failure
+    # unit u of V^(x)k: the left side is one action on the family u t, the right side one action of theta
+    # on the last k slots of the family t u, both placed from t (exactnum.Placed), packed at the left side's
+    # digit width and compared on their ints; they are unpacked row by row only for the witness of a failure
     zero = field.zero()
     for k in range(1, min(2, n) + 1):
         rho = longest_rho(k, n)
         m = N ** k
-        lhs = sym._packed([(rho.reduced_word(), None)], k + n, _units(m, 0, m, t, zero), m)
-        rhs = _packed_power(theta, k, _diagonal(t, m, zero), zero, m, n)
+        lhs = sym._packed([(rho.reduced_word(), None)], k + n, Placed(t, m), m)
+        # the left side's digit bound, T_rho's, is the larger one on every input tried
+        rhs = _packed_power(theta, k, Placed(t, m, last=True), zero, m, n, lhs[3])
         name, rule = "braid-top.k%d" % k, "T_rho(u t) = t theta^((x)k)(u)"
         if _packed_equal(lhs, rhs):
             report.record(name, rule, True)

@@ -59,24 +59,6 @@ def _stack(rows: Iterable, m: int, zero) -> list:
     return out
 
 
-def _units(dim: int, first: int, count: int, t: Sequence, zero) -> list:
-    """The family e_j (x) t, j = first..first+count-1 over the units of k^dim, stacked directly (_stack), t's entries shared."""
-    size = len(t) * count
-    out = [zero] * (dim * size)
-    for k in range(count):
-        start = (first + k) * size + k
-        out[start : start + size : count] = t
-    return out
-
-
-def _diagonal(t: Sequence, m: int, zero) -> list:
-    """The family t (x) e_j, j < m, stacked directly (_stack): t's entries on the diagonal of the last two slots."""
-    out = [zero] * (len(t) * m * m)
-    for i, x in enumerate(t):
-        out[i * m * m : (i + 1) * m * m : m + 1] = [x] * m
-    return out
-
-
 def vec_scale(c, u: Sequence):
     return tuple(c * x for x in u)
 

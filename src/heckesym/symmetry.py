@@ -34,11 +34,16 @@ matrix; m = 1 is one vector.  A Scalar family is packed once into integer
 polynomials in q over one denominator, the m label coordinates of each tensor
 coordinate one Python int (lane l at 2^(B l), q at 2^(m B); a constant is the
 degree-0 case), steps on those ints with the multiplication matrices of the
-operator's entries and is unpacked once.  An operator is packed once however
-many actions use it: column_table keeps its table on the MatrixF.  The checks
-that only ask whether a result vanishes or equals another read its ints
-(_packed_act) and unpack only to name a failure's witness.  A ring vector is
-one component over denominator 1, on R's entries as elements of its ring.
+operator's entries and is unpacked once.  A family of units, or of units
+beside one vector t (exactnum.Placed), is packed from t alone, with no Scalar
+per coordinate: the quadratic relation, the braid defect and the dense
+matrices act on all their unit columns at once over a constant field, and on
+N^2 of them per action at generic q, where every coefficient int grows with
+the lanes.  An operator is packed once however many actions use it:
+column_table keeps its table on the MatrixF.  The checks that only ask
+whether a result vanishes or equals another read its ints (_packed_act) and
+unpack only to name a failure's witness.  A ring vector is one component over
+denominator 1, on R's entries as elements of its ring.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -51,10 +56,10 @@ import math
 from itertools import chain
 from typing import List, Sequence, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, equal_packed, mul_matrices, pack_q, unpack_q
+from .exactnum import FieldSpec, GENERIC_Q, Placed, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, equal_packed, mul_matrices, pack_q, unpack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
-from .linalg import MatrixF, Subspace, _units, kron_vec
+from .linalg import MatrixF, Subspace, kron_vec
 from .multipoly import MultiPoly
 from .permgroup import Perm
 
@@ -157,24 +162,24 @@ def _int_step(cols: Sequence, first: int, N: int, comps: list, zero) -> list:
 
 def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1) -> tuple:
     """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1, on vec, a family of m vectors stacked
-    (linalg._stack) or one for m = 1; the values of _packed_act."""
+    (linalg._stack, or an exactnum.Placed one) or one for m = 1; the values of _packed_act."""
     return _unpack(_packed_act(table, N, terms, vec, zero, m))
 
 
-def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1) -> tuple:
+def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1, floor: int = 0) -> tuple:
     """The action of _act, still packed: (field, comps, dens, bits, m).
 
     A is the operator of table (see column_table) on consecutive slots of
     V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
-    word[-2] on, and so on.  A Scalar vec is packed once (exactnum.pack_q),
-    the m label coordinates of each tensor coordinate one int (exactnum.at_lanes),
-    so a step visits len(vec) / m ints, and the sum is comps over the product
-    of the dens (exactnum.unpack_q).  bits bounds every digit of the sum: the
-    largest input coefficient times, summed over the terms, the largest row
-    sum of the term's matrix times norm^len(word).  Any other vec is one
-    component stepped whole on the ring table, its entries made elements of
-    vec's domain once, summed from zero, that domain's; field is None.  A term
-    with c None adds its image with no product.
+    word[-2] on, and so on.  A Scalar or Placed vec is packed once (_pack),
+    the m label coordinates of each tensor coordinate one int, so a step visits
+    len(vec) / m ints, and the sum is comps over the product of the dens
+    (exactnum.unpack_q).  bits bounds every digit of the sum, and is at least
+    floor: the largest input coefficient times, summed over the terms, the
+    largest row sum of the term's matrix times norm^len(word).  Any other vec
+    is one component stepped whole on the ring table, its entries made
+    elements of vec's domain once, summed from zero, that domain's; field is
+    None.  A term with c None adds its image with no product.
     """
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
@@ -195,11 +200,11 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
         cden, mats = unit, [None] * len(terms)
         if any(c is not None for _w, c in terms):
             cden, mats = mul_matrices(field, [field.one() if c is None else c for _w, c in terms])
-        den, comps = pack_q(field, vec)
+        den, peak, lanes = _pack(field, vec, m)
         bound = sum((1 if M is None else max(sum(sum(map(abs, p)) for p in row) for row in M)) * norm ** len(w) for (w, _c), M in zip(terms, mats))
-        bits = digit_bits(bound * max([abs(c) for ps in comps for p in ps for c in p], default=0))
+        bits = max(floor, digit_bits(bound * peak))
         step = m * bits
-        comps = [at_lanes(ps, bits, m) for ps in comps]
+        comps = lanes(bits)
         mats = [M if M is None else [[at_power_of_two(p, step) for p in row] for row in M] for M in mats]
         # constants of the rational and cyclotomic kinds read the same at every step
         key = step if field.kind == "ratfunc_q" else 0
@@ -219,6 +224,15 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
                         if x:
                             acc[k] += x if c is True else c * x
     return field, out, dens, bits, m
+
+
+def _pack(field: FieldSpec, vec, m: int) -> tuple:
+    """The pack step of _packed_act: (den, peak, lanes) for m Scalar vectors stacked (linalg._stack), or for a Placed
+    family, from its one vector; peak is the largest coefficient in size, lanes(bits) the ints at digit width bits."""
+    placed = isinstance(vec, Placed)
+    den, comps = vec.packed(field) if placed else pack_q(field, vec)
+    peak = max([abs(c) for ps in comps for p in ps for c in p], default=0)
+    return den, peak, lambda bits: [vec.lanes(ps, bits) if placed else at_lanes(ps, bits, m) for ps in comps]
 
 
 def _unpack(packed: tuple) -> tuple:
@@ -249,12 +263,12 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: 
     return _unpack(_packed_power(A, k, vec, zero, m, skip))
 
 
-def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0) -> tuple:
-    """apply_power, still packed (_packed_act)."""
+def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0, floor: int = 0) -> tuple:
+    """apply_power, still packed (_packed_act), its digits at least floor bits wide."""
     if A.rows != A.cols or len(vec) != A.rows ** (skip + k) * m:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
-    return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m)
+    return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m, floor)
 
 
 def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
@@ -275,35 +289,39 @@ def _vanishes(M: MatrixF) -> Tuple[bool, str]:
     return True, ""
 
 
-def _unit_actions(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> list:
-    """The packed actions of sum c * A_word on the units e_j..e_(j+width-1) of k^dim (_units), one per j,
-    so no dim x dim identity is allocated."""
+def _column_blocks(table: tuple, N: int, dim: int, terms: Sequence, domain) -> list:
+    """The packed actions of sum c * A_word on the placed units of k^dim: all dim columns in one action over a constant
+    field, N^2 per action at generic q, where q sits at 2^(width B); over a ring, one action on the identity."""
     zero = domain.zero()
-    return [_packed_act(table, N, terms, _units(dim, j, width, (domain.one(),), zero), zero, width) for j in range(0, dim, width)]
+    if not isinstance(domain, FieldSpec):
+        return [_packed_act(table, N, terms, MatrixF.identity(dim, domain).entries, zero, dim)]
+    width = min(dim, N * N) if domain.kind == "ratfunc_q" else dim
+    return [_packed_act(table, N, terms, Placed(None, width, j, dim), zero, width) for j in range(0, dim, width)]
 
 
-def _matrix_of(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain, blocks=None) -> MatrixF:
-    """The dim x dim matrix of sum c * A_word, columns j..j+width-1 from one action (or from blocks, _unit_actions')."""
-    blocks = [_unpack(b) for b in blocks or _unit_actions(table, N, dim, width, terms, domain)]
+def _matrix_of(table: tuple, N: int, dim: int, terms: Sequence, domain, blocks=None) -> MatrixF:
+    """The dim x dim matrix of sum c * A_word, from the column blocks of _column_blocks (or blocks, its result)."""
+    blocks = [_unpack(b) for b in blocks or _column_blocks(table, N, dim, terms, domain)]
+    width = len(blocks[0]) // dim
     return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
 
 
-def _vanishing(table: tuple, N: int, dim: int, width: int, terms: Sequence, domain) -> Tuple[bool, str]:
+def _vanishing(table: tuple, N: int, dim: int, terms: Sequence, domain) -> Tuple[bool, str]:
     """_vanishes(_matrix_of(...)), decided on the packed actions."""
-    blocks = _unit_actions(table, N, dim, width, terms, domain)
-    return _packed_vanishes(blocks, lambda: _matrix_of(table, N, dim, width, terms, domain, blocks))
+    blocks = _column_blocks(table, N, dim, terms, domain)
+    return _packed_vanishes(blocks, lambda: _matrix_of(table, N, dim, terms, domain, blocks))
 
 
 def check_hecke(R: MatrixF, q: Scalar) -> Tuple[bool, str]:
     """Exact test of (R - q Id)(R + Id) = R^2 + (1 - q) R - q Id = 0 on V (x) V, one action of R; witness entry on
     failure."""
     dim = R.rows
-    return _vanishing(column_table(R), dim, dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], R.domain)
+    return _vanishing(column_table(R), dim, dim, [((1, 1), None), ((1,), 1 - q), ((), -q)], R.domain)
 
 
 def _braid_args(table: tuple, N: int, domain) -> tuple:
-    """_matrix_of's arguments for the braid defect T_1 T_2 T_1 - T_2 T_1 T_2 on V^(x)3, N columns per action."""
-    return table, N, N ** 3, N, [((1, 2, 1), None), ((2, 1, 2), -domain.one())], domain
+    """_matrix_of's arguments for the braid defect T_1 T_2 T_1 - T_2 T_1 T_2 on V^(x)3."""
+    return table, N, N ** 3, [((1, 2, 1), None), ((2, 1, 2), -domain.one())], domain
 
 
 def braid_defect(R: MatrixF) -> MatrixF:
@@ -407,7 +425,7 @@ class HeckeSymmetry:
         dim = self.N ** n
         if dim > REP_DIM_CAP:
             raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        return _matrix_of(column_table(self.R), self.N, dim, 1, terms, self.field)
+        return _matrix_of(column_table(self.R), self.N, dim, terms, self.field)
 
     def generator_matrix(self, i: int, n: int) -> MatrixF:
         """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""
@@ -593,7 +611,7 @@ def _check_catalog_dim(N: int):
         raise SymmetryError("dimension %d exceeds the cap: N^2 must be at most %d" % (N, TENSOR_DIM_CAP))
 
 
-def dj_standard(N: int, field: FieldSpec = GENERIC_Q) -> HeckeSymmetry:
+def dj_standard(N: int, field: FieldSpec = GENERIC_Q, validate: bool = True) -> HeckeSymmetry:
     """The standard one-parameter deformation of the flip on k^N.
 
     e_i (x) e_i maps to q e_i (x) e_i; for i < j, e_i (x) e_j maps to
@@ -619,10 +637,10 @@ def dj_standard(N: int, field: FieldSpec = GENERIC_Q) -> HeckeSymmetry:
     flat = [zero] * (dim * dim)
     for (r, c), v in entries.items():
         flat[r * dim + c] = v
-    return HeckeSymmetry(N, q, MatrixF(dim, dim, flat, field), name="dj(%d)" % N)
+    return HeckeSymmetry(N, q, MatrixF(dim, dim, flat, field), name="dj(%d)" % N, validate=validate)
 
 
-def flip(N: int) -> HeckeSymmetry:
+def flip(N: int, validate: bool = True) -> HeckeSymmetry:
     """The plain flip of tensorands, an involutive symmetry with q = 1.
 
     Needs 1 <= N and N^2 <= TENSOR_DIM_CAP, checked before any allocation.
@@ -634,4 +652,4 @@ def flip(N: int) -> HeckeSymmetry:
     flat = [zero] * (dim * dim)
     for col, row in enumerate(_swapped_pairs(N)):
         flat[row * dim + col] = one
-    return HeckeSymmetry(N, field.q(), MatrixF(dim, dim, flat, field), name="flip(%d)" % N)
+    return HeckeSymmetry(N, field.q(), MatrixF(dim, dim, flat, field), name="flip(%d)" % N, validate=validate)

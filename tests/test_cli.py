@@ -243,6 +243,31 @@ def test_operator_is_packed_once_per_run(capsys, tmp_path, monkeypatch, command)
     assert len(set(map(id, built))) == len(built)
 
 
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (("analyze", "--builtin", "dj", "--dim", "3"), 1),
+        (("verify", "--builtin", "flip", "--dim", "2"), 1),
+        (("builtin", "--builtin", "dj", "--dim", "2"), 1),
+    ],
+)
+def test_builtin_relations_are_checked_once(capsys, monkeypatch, argv, checks):
+    # analyze and verify record both relation checks in their reports, so they build the built-in unvalidated;
+    # the builtin command has no report and validates
+    from heckesym import symmetry
+    from test_golden import STDOUT_SHA256, _sha256
+
+    calls = []
+    for name in ("check_hecke", "check_braid"):
+        real = getattr(symmetry, name)
+        monkeypatch.setattr(symmetry, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert sorted(calls) == ["check_braid", "check_hecke"] * checks
+    if argv in STDOUT_SHA256:
+        assert _sha256(out) == STDOUT_SHA256[argv]
+
+
 def test_benchmark_tracer_installs():
     # perfbench/tracer.py wraps package names (rep_matrix, perm_matrix, Subspace.intersect, ...)
     # by lookup; a renamed or deleted one fails install() with a KeyError

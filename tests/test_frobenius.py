@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym import frobenius, symmetry
+from heckesym import exactnum, frobenius, symmetry
 from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
@@ -255,11 +255,30 @@ def test_no_operator_is_packed_twice(case, monkeypatch):
     # each operator is packed once however many actions and degrees use it, so the count does not grow with
     # the top degree (2 for dj(2), 3 for dj(3)): the conjugation packs dj(N)'s R, tau and tau^-t; the profile
     # packs R, R^t, theta, phi, psi, their transposes, and the products restricted to each upsilon(k):
-    # psi^-1 theta and psi theta_bar in trace_table, theta phi and psi theta_bar in nakayama-braiding
+    # psi^-1 theta in trace_table, theta phi in nakayama-braiding, and psi theta_bar, formed once for both
     built = _count_table_builds(monkeypatch)
     prof = analyze(SQUARE_CASES[case]())
     assert verify_operator_identities(prof).ok and trace_table(prof)[0].ok
-    assert len(set(map(id, built))) == len(built) == 3 + 12
+    assert len(set(map(id, built))) == len(built) == 3 + 11
+
+
+@pytest.mark.parametrize("case", sorted(c for c in SQUARE_CASES if "conj" in c))
+def test_braid_top_compares_ints(case, monkeypatch):
+    # both sides of braid-top are packed at one digit width over one denominator, so equal_packed compares
+    # their ints and decodes no digit
+    calls, real = [], symmetry.equal_packed
+
+    def checked(field, a, b, m):
+        calls.append(a[2])
+        assert a[2] == b[2] and exactnum._product(field._cyc, a[1]) == exactnum._product(field._cyc, b[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(exactnum, "_digit_reader", lambda *args: pytest.fail("braid-top decoded digits"))
+            return real(field, a, b, m)
+
+    prof = analyze(SQUARE_CASES[case]())
+    monkeypatch.setattr(symmetry, "equal_packed", checked)
+    report = verify_operator_identities(prof)
+    assert report.ok and len(calls) == min(2, prof.n)
 
 
 def _multiparameter_conjugate():

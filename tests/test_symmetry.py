@@ -2,16 +2,17 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
 import pytest
 
 from heckesym import symmetry
-from heckesym.exactnum import GENERIC_Q, FieldSpec, Scalar, cyclotomic_field, primitive_root
+from heckesym.exactnum import GENERIC_Q, FieldSpec, Placed, Scalar, at_lanes, cyclotomic_field, pack_q, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
-from heckesym.linalg import MatrixF, Subspace, _diagonal, _stack, _units, vec_is_zero, vec_scale
+from heckesym.linalg import MatrixF, Subspace, _stack, vec_is_zero, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import SklParameters, _projection, skl_relations
 from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_element, longest_rho
@@ -613,22 +614,59 @@ def test_stacked_family_action_matches_one_action_per_vector(case, monkeypatch):
     assert _act(table, N, [((1,), None)], _stack([], 0, zero), zero) == ()
 
 
+def _units(dim, first, count, t, zero):
+    """The Scalar family e_j (x) t, j = first..first+count-1 over the units of k^dim, stacked directly, t's entries
+    shared: what the unit families were before exactnum.Placed, kept as the reference."""
+    size = len(t) * count
+    out = [zero] * (dim * size)
+    for k in range(count):
+        start = (first + k) * size + k
+        out[start : start + size : count] = t
+    return out
+
+
+def _diagonal(t, m, zero):
+    """The Scalar family t (x) e_j, j < m, stacked directly: t's entries on the diagonal of the last two slots."""
+    out = [zero] * (len(t) * m * m)
+    for i, x in enumerate(t):
+        out[i * m * m : (i + 1) * m * m : m + 1] = [x] * m
+    return out
+
+
+def _assert_placed_as_packed(placed, family, field, m):
+    """A Placed family packs as pack_q of its Scalar family: one denominator, one bound, and at each digit width the
+    same lane ints (at_lanes)."""
+    assert len(placed) == len(family)
+    den, comps = pack_q(field, family)
+    pden, pcomps = placed.packed(field)
+    assert pden == den
+    top = lambda comps: max([abs(c) for ps in comps for p in ps for c in p], default=0)
+    assert top(pcomps) == top(comps)
+    for bits in (8, 16, 64):
+        assert [placed.lanes(ps, bits) for ps in pcomps] == [at_lanes(ps, bits, m) for ps in comps], bits
+    assert symmetry._pack(field, placed, m)[0] == den
+
+
 @pytest.mark.parametrize("case", _domains()[:3], ids=lambda c: c[0])
 def test_unit_families_are_stacked_directly(case):
     name, domain, _entry, zero, vec_entry = case
     rng = random.Random("units:" + name)
     t = tuple(vec_entry(rng) for _ in range(4))
+    t = (domain.scalar(Fraction(1, 3)) * t[0],) + t[1:]
     for dim, first, count in ((3, 0, 3), (5, 2, 2), (4, 3, 1), (1, 0, 1)):
         units = [tuple(domain.one() if i == j else zero for i in range(dim)) for j in range(first, first + count)]
         family = _units(dim, first, count, t, zero)
         assert family == _stack([kron_vec(e, t, domain) for e in units], count, zero), (dim, first, count)
         # the family shares t's entries instead of multiplying them by one
         assert all(any(x is y for y in t) for x in family if not x.is_zero())
+        _assert_placed_as_packed(Placed(t, count, first, dim), family, domain, count)
+        _assert_placed_as_packed(Placed(None, count, first, dim), _units(dim, first, count, (domain.one(),), zero), domain, count)
     for m in (1, 2, 3):
         units = [tuple(domain.one() if i == j else zero for i in range(m)) for j in range(m)]
         family = _diagonal(t, m, zero)
         assert family == _stack([kron_vec(t, e, domain) for e in units], m, zero), m
         assert all(any(x is y for y in t) for x in family if not x.is_zero())
+        _assert_placed_as_packed(Placed(t, m, last=True), family, domain, m)
 
 
 def test_slot_action_range_errors():
@@ -897,6 +935,129 @@ def test_braid_defect_matches_kronecker_reference(case):
         assert not ok and witness.startswith("entry (")
     else:
         assert braid_defect(R).is_zero()
+
+
+def test_braid_defect_over_a_polynomial_ring():
+    # dj(2) with q a variable of Q[a] is a Hecke symmetry over that ring; its units are the identity's entries
+    ring = PolyRing(("a",))
+    a = ring.vars()[0]
+    R = dj_standard(2).R
+    image = {F.zero(): ring.zero(), F.one(): ring.one(), q: a, q - 1: a - ring.one()}
+    entries = [image[x] for x in R.entries]
+    for M in (MatrixF(4, 4, entries, ring), MatrixF(4, 4, entries[:1] + [entries[1] + a] + entries[2:], ring)):
+        dense = kron_braid_defect(M)
+        assert braid_defect(M) == dense
+        assert check_braid(M) == _vanishes(dense)
+        assert dense.is_zero() == (M.entries == tuple(entries))
+
+
+def _reference_blocks(table, N, dim, width, terms, domain):
+    """The packed actions of sum c * A_word on the units of k^dim, one per width columns, each on the Scalar family of
+    its units (_units): the path of the relation checks and dense matrices before the unit families were placed."""
+    zero = domain.zero()
+    return [_packed_act(table, N, terms, _units(dim, j, width, (domain.one(),), zero), zero, width) for j in range(0, dim, width)]
+
+
+def _reference_matrix(table, N, dim, width, terms, domain, blocks=None):
+    """The dim x dim matrix of sum c * A_word, read off _reference_blocks."""
+    blocks = [_unpack(b) for b in blocks or _reference_blocks(table, N, dim, width, terms, domain)]
+    return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
+
+
+def _reference_vanishing(table, N, dim, width, terms, domain):
+    blocks = _reference_blocks(table, N, dim, width, terms, domain)
+    return _packed_vanishes(blocks, lambda: _reference_matrix(table, N, dim, width, terms, domain, blocks))
+
+
+def _reference_hecke(R, q):
+    """check_hecke on the Scalar family of all N^2 units, one action (R on one slot of k^(N^2))."""
+    return _reference_vanishing(column_table(R), R.rows, R.rows, R.rows, [((1, 1), None), ((1,), 1 - q), ((), -q)], R.domain)
+
+
+def _reference_braid_args(R):
+    """_reference_matrix's arguments for the braid defect, N columns per action."""
+    N = math.isqrt(R.rows)
+    return column_table(R), N, N ** 3, N, [((1, 2, 1), None), ((2, 1, 2), -R.domain.one())], R.domain
+
+
+ORACLE_FIELDS = {
+    "q=2": _rational_q(2),
+    "q=3": _rational_q(3),
+    "cyc3": cyclotomic_field(3, q_power=1),
+    "cyc4": cyclotomic_field(4, q_power=1),
+    "generic": GENERIC_Q,
+    "generic-cyc3": FieldSpec("ratfunc_q", 3),
+}
+ORACLE_CASES = [(name, N, conj) for name in ORACLE_FIELDS for N in (2, 3, 4) for conj in (False, True) if not (conj and N == 4)]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "%s-dj%d%s" % (c[0], c[1], "-conj" if c[2] else ""))
+def test_placed_unit_actions_match_the_scalar_family_path(case):
+    name, N, conj = case
+    field = ORACLE_FIELDS[name]
+    sym = _conjugate(N, field, 20 + N) if conj else dj_standard(N, field)
+    rng = random.Random("oracle:%s:%d:%s" % case)
+    entries = list(sym.R.entries)
+    k = rng.randrange(len(entries))
+    entries[k] = entries[k] + field.scalar(rng.choice((1, -2, Fraction(1, 3))))
+    for R in (sym.R, MatrixF(sym.R.rows, sym.R.cols, entries, field)):
+        assert check_hecke(R, sym.q) == _reference_hecke(R, sym.q)
+        assert (check_hecke(R, sym.q)[0] and check_braid(R)[0]) == (R is sym.R)
+        assert check_braid(R) == _reference_vanishing(*_reference_braid_args(R))
+        assert braid_defect(R) == _reference_matrix(*_reference_braid_args(R))
+        other = HeckeSymmetry(N, sym.q, R, validate=False)
+        table, n = column_table(R), 3 if N < 4 else 2
+        h = antisymmetrizer(n, field) + generator(1, n, field).scale(field.scalar(2))
+        for M, terms in (
+            (other.generator_matrix(n - 1, n), [((n - 1,), None)]),
+            (other.perm_matrix(longest_element(n), n), [(longest_element(n).reduced_word(), None)]),
+            (other.rep_matrix(h, n), other._hecke_terms(h, n)),
+        ):
+            assert M == _reference_matrix(table, N, N ** n, 1, terms, field)
+    # the unit blocks of each width pack as their Scalar families do
+    for width in {N * N, N ** 3}:
+        for first in range(0, N ** 3, width):
+            _assert_placed_as_packed(Placed(None, width, first, N ** 3), _units(N ** 3, first, width, (field.one(),), field.zero()), field, width)
+
+
+@pytest.mark.parametrize(
+    "make, braid_actions",
+    [
+        (lambda: dj_standard(3), 3),
+        (lambda: dj_standard(4, FieldSpec("ratfunc_q", 3)), 4),
+        (lambda: dj_standard(4, _rational_q(2)), 1),
+        (lambda: _conjugate(3, cyclotomic_field(3, q_power=1), 14), 1),
+    ],
+)
+def test_relation_checks_make_one_action_per_block(make, braid_actions, monkeypatch):
+    # one action on all N^3 unit columns over a constant field, one per N^2 columns at generic q; the
+    # unit families are placed, so no Scalar family reaches pack_q
+    sym = make()
+    R, q = sym.R, sym.q
+    N = math.isqrt(R.rows)
+    acts, real = [], symmetry._packed_act
+    monkeypatch.setattr(symmetry, "_packed_act", lambda *args: acts.append((len(args[3]), args[5])) or real(*args))
+    monkeypatch.setattr(symmetry, "pack_q", lambda *args: pytest.fail("a relation check packed a Scalar family"))
+    assert check_braid(R) == (True, "")
+    width = N ** 3 // braid_actions
+    assert acts == [(N ** 3 * width, width)] * braid_actions
+    acts.clear()
+    assert check_hecke(R, q) == (True, "")
+    assert acts == [(N ** 4, N * N)]
+
+
+def test_braid_check_peak_memory():
+    # the placed unit lanes on N^3 = 1000 columns: flip(10) over Q in one action (2.9 MB measured), dj(10) at
+    # generic q in ten actions of 100 lanes (0.4 MB); the Scalar families of 10 columns peaked at 1.1 MB for each
+    for sym, bound in ((flip(10, validate=False), 4e6), (dj_standard(10, validate=False), 1e6)):
+        column_table(sym.R)
+        tracemalloc.start()
+        try:
+            assert check_braid(sym.R) == (True, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (sym, peak)
 
 
 def perm_matrix_sum(sym, h, n):
