@@ -407,13 +407,17 @@ def _attach_signed_values(argv: List[str]) -> List[str]:
     return out
 
 
+# build_parser(only) by command name, built on first use; no option has a mutable default, so reuse is safe
+_PARSERS: dict = {}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    # only the named command's parser is built; no reference to it outlives
-    # parsing, and collecting the young generation frees its reference
-    # cycles before the report runs
+    # only the named command's parser is built, once; collecting the young
+    # generation frees the reference cycles of parsing before the report runs
     argv = sys.argv[1:] if argv is None else argv
     only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(only).parse_args(_attach_signed_values(argv))
+    parser = _PARSERS.get(only) or _PARSERS.setdefault(only, build_parser(only))
+    args = parser.parse_args(_attach_signed_values(argv))
     gc.collect(0)
     t0 = time.monotonic()
     try:

@@ -513,6 +513,9 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a zero operand (the canonical zero is () over (one,)) makes no sum
+        if not self.num or not other.num:
+            return other if other.num else self
         field = self.field
         if field.kind != "ratfunc_q":
             return self._const_sum(other.num, add)
@@ -528,7 +531,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar(self.field, _pneg(self.num), self.den)
+        return _scalar(self.field, _pneg(self.num), self.den) if self.num else self
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -545,20 +548,17 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.num:
+            return self
+        if not other.num:
+            return other
         field = self.field
         if field.kind != "ratfunc_q":
-            a, b = self.num, other.num
-            if not a:
-                return self
-            if not b:
-                return other
-            va, vb = a[0], b[0]
+            va, vb = self.num[0], other.num[0]
             vec = (_int(va[0] * vb[0]),) if len(va) == 1 else field._cyc.mul(va, vb)
             return _scalar(field, (vec,), self.den)
         ctx = field._cyc
         num = _pmul(ctx, self.num, other.num)
-        if not num:
-            return field.zero()
         return _scalar(field, *_pmonic_scale(ctx, num, _pmul(ctx, self.den, other.den)))
 
     __rmul__ = __mul__

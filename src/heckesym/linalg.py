@@ -281,7 +281,9 @@ class MatrixF:
             v = [zero] * self.cols
             v[j] = one
             for r, pc in enumerate(pivots):
-                v[pc] = -R[r, j]
+                x = R[r, j]
+                if x:
+                    v[pc] = -x
             basis.append(tuple(v))
         return Subspace.from_vectors(basis, self.cols, self.domain)
 

@@ -18,11 +18,14 @@ and, for n >= 3,
 
     upsilon(n) = (upsilon(n-1) (x) V) cap (V^(x)(n-2) (x) upsilon(2)),
 
-a kernel in dim upsilon(n-1) * N unknowns; it uses no eigenspace splitting,
-so it holds for every q, q = -1 included.  By duality, (ker A)^perp =
-Im(A^t), so ideal_component(n) is the annihilator of upsilon(n) of the
-transpose symmetry R^t and lambda_dim(n) = dim V^(x)n - dim ideal_component(n)
-is that upsilon's dimension.
+a kernel in dim upsilon(n-1) * N unknowns whose rows are one product of
+upsilon(n-1)'s basis with the annihilators of upsilon(2); one product of that
+basis with the kernel's is upsilon(n)'s canonical basis (_extend).  It uses
+no eigenspace splitting, so it holds for every q, q = -1 included.  By
+duality, (ker A)^perp = Im(A^t), so ideal_component(n) = sum ker(T_i - q) is
+the annihilator of upsilon(n) of the transpose symmetry R^t and
+lambda_dim(n) = dim V^(x)n - dim ideal_component(n) is that upsilon's
+dimension (at q = -1 not the quotient by sum Im(T_i + 1); see lambda_dim).
 
 Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, A (x) A on
 the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
@@ -345,7 +348,7 @@ def _side(R: MatrixF) -> int:
 class HeckeSymmetry:
     """A validated Hecke symmetry with cached tensor-power machinery."""
 
-    __slots__ = ("N", "field", "q", "R", "_upsilon", "_dual", "name", "__weakref__")
+    __slots__ = ("N", "field", "q", "R", "_upsilon", "_ann", "_dual", "name", "__weakref__")
 
     def __init__(self, N: int, q: Scalar, R: MatrixF, name: str = "", validate: bool = True):
         if N < 1:
@@ -360,6 +363,7 @@ class HeckeSymmetry:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_upsilon", {})
+        object.__setattr__(self, "_ann", None)
         object.__setattr__(self, "_dual", None)
         if validate:
             ok, witness = self.check_hecke()
@@ -461,39 +465,62 @@ class HeckeSymmetry:
         if n <= 1:
             out = Subspace.full(self.N ** n, self.field)
         elif n == 2:
-            out = (self.R - MatrixF.identity(self.N ** 2, self.field).scale(self.q)).image()
+            # R - q Id: q is subtracted on the diagonal only
+            entries, step = list(self.R.entries), self.N ** 2 + 1
+            entries[::step] = [x - self.q for x in entries[::step]]
+            out = MatrixF(self.N ** 2, self.N ** 2, entries, self.field).image()
         else:
             out = self._extend(self.upsilon(n - 1), n)
         self._upsilon[n] = out
         return out
 
-    def _extend(self, prev: Subspace, n: int) -> Subspace:
-        """(prev (x) V) cap (V^(x)(n-2) (x) upsilon(2)) inside V^(x)n.
+    def _annihilator(self) -> MatrixF:
+        """ann(upsilon(2)) as the N x (a N) matrix Acat[s, (f, k)] = a_f[s N + k], kept: a_f = e_f - sum_r b_r[f] e_(p_r)
+        for each free column f, read off upsilon(2)'s RREF basis b_r (pivots p_r) with no elimination."""
+        got = self._ann
+        if got is None:
+            N, zero, ups = self.N, self.field.zero(), self.upsilon(2)
+            pivots = ups.pivots()
+            anns = [{f: self.field.one(), **{p: -b[f] for b, p in zip(ups.basis, pivots) if b[f]}} for f in range(N * N) if f not in pivots]
+            got = MatrixF(N, len(anns) * N, [a.get(s * N + k, zero) for s in range(N) for a in anns for k in range(N)], self.field)
+            object.__setattr__(self, "_ann", got)
+        return got
 
-        An element x = sum c_(j,k) b_j (x) e_k over the basis b_j of prev is the
-        N^(n-1) x N matrix B^t C, with C[j, k] = c_(j,k); it lies in the second
-        space iff a . x[w, :, :] = 0 for every prefix w of length n-2 and every
-        covector a annihilating upsilon(2), that is iff the entries of S_w A
-        vanish, with S_w[j, s] = b_j[w, s] and A[s, k] = a[s N + k].  So the C
-        form a kernel with dim(prev) * N columns, one row per entry.
+    def _extend(self, prev: Subspace, n: int) -> Subspace:
+        """(prev (x) V) cap (V^(x)(n-2) (x) upsilon(2)) inside V^(x)n: one constraint product, one kernel, one
+        solution product.
+
+        x = sum c_(j,k) b_j (x) e_k over prev's basis b_j is in the second space
+        iff sum_(s,k) a_f[s N + k] x[(w N + s) N + k] = 0 for each prefix w and
+        annihilator a_f, where c_(j,k) has the coefficient (Bw Acat)[(j, w),
+        (f, k)], Bw[(j, w), s] = b_j[w N + s] (_annihilator gives Acat).  The c
+        form the kernel of those rows, in RREF over (j, k), and the b_j are in
+        RREF with pivots pi_j, so the x = B^t C are upsilon(n)'s canonical
+        basis as they come: b_j (x) e_k alone is nonzero at pi_j N + k, where x
+        reads c_(j,k) (1 at c's pivot, 0 at the other c's pivots), and x's
+        first nonzero is at pi_j N + k for c's pivot (j, k).
         """
         N, field = self.N, self.field
         if prev.is_zero():
             return Subspace.zero(N ** n, field)
-        # cached: the recursion passed degree 2
-        anns = [MatrixF(N, N, a, field) for a in self.upsilon(2).annihilator().basis]
-        width = prev.dim * N
+        A = self._annihilator()
+        d, W, V, width = prev.dim, N ** (n - 2), N ** (n - 1), A.cols
+        P = (MatrixF(d * W, N, [x for b in prev.basis for x in b], field) * A).entries
         rows = []
-        for w in range(N ** (n - 2)):
-            S = MatrixF(prev.dim, N, [x for b in prev.basis for x in b[w * N : (w + 1) * N]], field)
-            for A in anns:
-                block = S * A
-                if not block.is_zero():
-                    rows.extend(block.entries)
-        combos = MatrixF(len(rows) // width, width, rows, field).kernel()
-        Bt = MatrixF(prev.dim, N ** (n - 1), [x for b in prev.basis for x in b], field).transpose()
-        vectors = [(Bt * MatrixF(prev.dim, N, c, field)).entries for c in combos.basis]
-        return Subspace.from_vectors(vectors, N ** n, field)
+        for w in range(W):
+            for f in range(w * width, (w + 1) * width, N):
+                # constraint (w, f): the (j, w) rows of P at the columns (f, k)
+                row = [x for j in range(f, len(P), W * width) for x in P[j : j + N]]
+                if any(row):
+                    rows += row
+        C = MatrixF(len(rows) // (d * N), d * N, rows, field).kernel().basis
+        if not C:
+            return Subspace.zero(N ** n, field)
+        # X[v, (i, k)] = x_i[v N + k], K = len(C) N per row
+        K = len(C) * N
+        Bt = MatrixF(V, d, [b[v] for v in range(V) for b in prev.basis], field)
+        X = (Bt * MatrixF(d, K, [x for j in range(0, d * N, N) for c in C for x in c[j : j + N]], field)).entries
+        return Subspace(N ** n, tuple(tuple(x for v in range(i, len(X), K) for x in X[v : v + N]) for i in range(0, K, N)), field)
 
     def _transpose(self) -> "HeckeSymmetry":
         """The symmetry R^t, cached and unvalidated (R^t satisfies whatever R does)."""
@@ -504,7 +531,7 @@ class HeckeSymmetry:
         return got
 
     def ideal_component(self, n: int) -> Subspace:
-        """Sum of the kernels of (T_i - q) on V^(x)n (n >= 2).
+        """Sum of the kernels of (T_i - q) on V^(x)n (n >= 2); at q = -1 this need not equal sum Im(T_i + 1).
 
         Since (ker A)^perp = Im(A^t), this is the annihilator of upsilon(n) of
         the transpose symmetry R^t.
@@ -514,10 +541,12 @@ class HeckeSymmetry:
         return self._transpose().upsilon(n).annihilator()
 
     def lambda_dim(self, n: int) -> int:
-        """dim of degree n of the quotient by the q-eigenspace relations.
+        """dim of degree n of the quotient of T(V) by sum ker(T_i - q), the q-eigenspace relations.
 
         The relations span ideal_component(n), whose codimension is the
-        dimension of upsilon(n) of the transpose symmetry R^t.
+        dimension of upsilon(n) of the transpose symmetry R^t.  At q = -1 the
+        quotient by sum Im(T_i + 1) can be larger: 3 against 1 for dj(2) and
+        6 against 3 for dj(3) in degree 2.
         """
         return self._transpose().upsilon(n).dim
 

@@ -325,6 +325,20 @@ def test_one_command_parser_parses_like_the_full_parser():
         assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
+def test_main_builds_each_command_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    runs = [["verify", "--builtin", "dj", "--dim", "2", "--pretty"], ["verify", "--builtin", "flip"], ["builtin", "--builtin", "dj", "--dim", "2"]]
+    for argv in runs + runs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == ["verify", "builtin"]
+    for argv in runs + [["verify", "--builtin", "flip", "--dim", "3"], ["builtin", "--builtin", "flip", "--timings"]]:
+        assert vars(cli._PARSERS[argv[0]].parse_args(argv)) == vars(build().parse_args(argv))
+
+
 def test_pretty_flag(capsys):
     code = main(["verify", "--builtin", "dj", "--dim", "2", "--pretty"])
     out = capsys.readouterr().out

@@ -176,6 +176,62 @@ def test_field_axioms_on_random_triples(field):
             assert (x ** -2) * x ** 2 == field.one()
 
 
+def _general_sum(x, y):
+    """x + y over a ratfunc_q field by the general path: the sum over a common denominator, then reduced."""
+    ctx = x.field._cyc
+    if x.den == y.den:
+        num, den = exactnum._padd(ctx, x.num, y.num), x.den
+    else:
+        num = exactnum._padd(ctx, exactnum._pmul(ctx, x.num, y.den), exactnum._pmul(ctx, y.num, x.den))
+        den = exactnum._pmul(ctx, x.den, y.den)
+    return Scalar(x.field, *exactnum._pmonic_scale(ctx, num, den))
+
+
+def _general_neg(x):
+    return Scalar(x.field, exactnum._pneg(x.num), x.den)
+
+
+def _general_product(x, y):
+    ctx = x.field._cyc
+    return Scalar(x.field, *exactnum._pmonic_scale(ctx, exactnum._pmul(ctx, x.num, y.num), exactnum._pmul(ctx, x.den, y.den)))
+
+
+def _random_ratfunc(field, rng):
+    """A canonical ratfunc_q value built by the polynomial helpers alone, not by the Scalar operators under test."""
+    ctx = field._cyc
+
+    def poly(terms):
+        return exactnum._ptrim([tuple(rng.randint(-3, 3) for _ in ctx.one) for _ in range(terms)])
+
+    return Scalar(field, *exactnum._pmonic_scale(ctx, poly(3), poly(2) or (ctx.one,)))
+
+
+@pytest.mark.parametrize("field", [GENERIC_Q, FieldSpec("ratfunc_q", 3)], ids=lambda f: "ratfunc_q-%d" % f.order)
+def test_zero_operands_match_the_general_path(field):
+    rng = random.Random("zero-operands:%d" % field.order)
+    one = (field._cyc.one,)
+    xs = [_random_ratfunc(field, rng) for _ in range(20)]
+    assert sum(map(bool, xs)) >= 15
+    for x in xs:
+        for z in (field.zero(), Scalar(field, (), one), _general_sum(x, _general_neg(x)), 0):
+            zs = field.scalar(0) if z == 0 else z
+            cases = [
+                (x + z, _general_sum(x, zs)),
+                (z + x, _general_sum(zs, x)),
+                (x - z, _general_sum(x, _general_neg(zs))),
+                (z - x, _general_sum(zs, _general_neg(x))),
+                (x * z, _general_product(x, zs)),
+                (z * x, _general_product(zs, x)),
+                (-zs, _general_neg(zs)),
+                (zs + zs, _general_sum(zs, zs)),
+                (zs - zs, _general_sum(zs, _general_neg(zs))),
+                (zs * zs, _general_product(zs, zs)),
+            ]
+            for got, want in cases:
+                assert (got.num, got.den) == (want.num, want.den)
+                assert hash(got) == hash(want) and format_scalar(got) == format_scalar(want)
+
+
 def test_canonical_form_is_stable():
     x = (q ** 2 - 1) / (q - 1)
     assert x == q + 1

@@ -417,8 +417,12 @@ def _extend_reference(sym, prev, n):
     return Subspace.from_vectors(vectors, N ** n, field)
 
 
-@pytest.mark.parametrize("case", ["dj2", "dj3", "dj3-q=2", "dj3-cyc3", "dj2-conj-generic", "dj3-conj-q=2", "dj3-conj-cyc3"])
+@pytest.mark.parametrize(
+    "case",
+    ["dj2", "dj3", "dj3-q=-1", "dj3-q=2", "dj3-cyc3", "dj3-cyc4", "dj2-conj-generic", "dj2-conj-cyc3", "dj3-conj-q=2", "dj3-conj-cyc3", "flip3"],
+)
 def test_extend_matches_entry_loops(case):
+    # == on the Subspaces compares their bases, so this also checks that _extend's basis is canonical as built
     sym = AGREEMENT_CASES[case]()
     N, field = sym.N, sym.field
     rng = random.Random("extend:" + case)
@@ -433,6 +437,63 @@ def test_extend_matches_entry_loops(case):
             prevs.append(Subspace.from_vectors(vectors, ambient, field))
         for prev in prevs:
             assert sym._extend(prev, n) == _extend_reference(sym, prev, n), (case, n, prev)
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_annihilator_read_off_the_rref_spans_the_annihilator(case):
+    sym = AGREEMENT_CASES[case]()
+    N, A = sym.N, sym._annihilator()
+    anns = [[A[s, f + k] for s in range(N) for k in range(N)] for f in range(0, A.cols, N)]
+    want = sym.upsilon(2).annihilator()
+    assert len(anns) == want.dim
+    assert Subspace.from_vectors(anns, N * N, sym.field) == want
+    assert sym._annihilator() is A
+
+
+def test_extend_makes_one_constraint_and_one_solution_product_per_degree(monkeypatch):
+    counts = {"mul": [], "kernel": 0, "annihilator": 0, "from_vectors outside kernel": 0}
+    depth = {"extend": 0, "kernel": 0}
+    mul, kernel, from_vectors, extend = MatrixF.__mul__, MatrixF.kernel, Subspace.from_vectors, HeckeSymmetry._extend
+    annihilator = Subspace.annihilator
+
+    def counted_mul(self, other):
+        if depth["extend"]:
+            counts["mul"][-1] += 1
+        return mul(self, other)
+
+    def counted_kernel(self):
+        counts["kernel"] += 1
+        depth["kernel"] += 1
+        try:
+            return kernel(self)
+        finally:
+            depth["kernel"] -= 1
+
+    def counted_from_vectors(vectors, ambient, domain):
+        if depth["extend"] and not depth["kernel"]:
+            counts["from_vectors outside kernel"] += 1
+        return from_vectors(vectors, ambient, domain)
+
+    def counted_annihilator(self):
+        counts["annihilator"] += 1
+        return annihilator(self)
+
+    def counted_extend(self, prev, n):
+        counts["mul"].append(0)
+        depth["extend"] += 1
+        try:
+            return extend(self, prev, n)
+        finally:
+            depth["extend"] -= 1
+
+    monkeypatch.setattr(MatrixF, "__mul__", counted_mul)
+    monkeypatch.setattr(MatrixF, "kernel", counted_kernel)
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(counted_from_vectors))
+    monkeypatch.setattr(Subspace, "annihilator", counted_annihilator)
+    monkeypatch.setattr(HeckeSymmetry, "_extend", counted_extend)
+    sym = dj_standard(4)
+    assert [sym.upsilon(n).dim for n in (2, 3, 4)] == [6, 4, 1]
+    assert counts == {"mul": [2, 2], "kernel": 2, "annihilator": 0, "from_vectors outside kernel": 0}
 
 
 def test_dimension_caps():
