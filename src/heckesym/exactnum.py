@@ -4,31 +4,38 @@ A scalar is a fraction num/den of polynomials in the parameter q whose
 coefficients live in a cyclotomic extension Q(zeta_m) of the rationals
 (m = 1 gives plain rationals).  Three field kinds are exposed:
 
-  rational    -- Q; num and den are constants, den normalized to 1
+  rational    -- Q; num and den are constants
   cyclotomic  -- Q(zeta_m), elements reduced modulo the m-th cyclotomic
-                 polynomial; num and den constants, den = 1
-  ratfunc_q   -- rational functions in a formal variable q over Q(zeta_m);
-                 kept reduced (gcd removed) with monic denominator
+                 polynomial; num and den constants
+  ratfunc_q   -- rational functions in a formal variable q over Q(zeta_m),
+                 kept reduced (gcd removed)
 
-Canonical form is unique per value, so == is reliable and scalars hash.
-All values are immutable; operations are pure.
+Every coefficient is an int: num and den are integer polynomials in q over
+Z[zeta_m], den being the monic denominator times the least positive integer
+c that makes both integral, so a constant is an integer vector over one
+integer c >= 1.  This canonical form is unique per value, so == is reliable
+and scalars hash.  All values are immutable; operations are pure.
 
-Cyclotomic coefficient vectors are dense tuples of length deg Phi_m; an
-integral entry is an int, and a Fraction only holds a non-integer (every
-place a Fraction can arise turns integral entries back into ints).
+Cyclotomic coefficient vectors are dense tuples of length deg Phi_m.
 Polynomials in q are tuples of such vectors, low degree first, with no
 trailing zeros (the zero polynomial is the empty tuple).  Constants of the
-rational and cyclotomic kinds skip the polynomial layer: their arithmetic
-runs on the coefficient vector, and a cyclotomic product on integer
-numerators over one denominator, reduced by x^j mod Phi_m; an inverse solves
-with the integer multiplication matrix of a constant.  pack_q moves a vector
-of any kind to integer polynomials in q over one polynomial denominator (a
-constant is the degree-0 case), at_lanes puts m such vectors in the lanes of
-one int per coordinate (Placed, units beside one vector t, straight from t),
-and unpack_q reads the lanes back with at most one gcd per coordinate;
-equal_packed compares two packed families with no Scalar built.  Digits are
-whole bytes wide (digit_bits), so they read back in one pass over an int's
-bytes.
+rational and cyclotomic kinds skip the polynomial layer: a product is one
+integer product reduced by x^j mod Phi_m and one gcd with c, a sum
+cross-multiplies only when the denominators differ, and an inverse solves
+with the integer multiplication matrix of a constant.  A ratfunc_q scalar
+is reduced by a primitive PRS gcd over Z[q] (integer-content-reduced
+pseudo-remainders over Z[zeta_m]), with no gcd when either side is a
+monomial c q^k.  constant(), rational() and fractions() give the values
+with Fraction entries over a monic denominator, the form exprio prints;
+_CycCtx.mul and inv take such vectors, for multipoly.
+
+pack_q moves a vector of any kind to integer polynomials in q over one
+polynomial denominator (a constant is the degree-0 case), at_lanes puts m
+such vectors in the lanes of one int per coordinate (Placed, units beside
+one vector t, straight from t), and unpack_q reads the lanes back with at
+most one gcd per coordinate; equal_packed compares two packed families with
+no Scalar built.  Digits are whole bytes wide (digit_bits), so they read
+back in one pass over an int's bytes.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from math import lcm
+from itertools import chain, zip_longest
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Optional, Tuple, Union
 
@@ -73,6 +80,14 @@ def _int(x):
 def _ints(vec) -> tuple:
     """The coefficient vector vec as a tuple, its integral entries as ints."""
     return tuple(map(_int, vec)) if Fraction in map(type, vec) else tuple(vec)
+
+
+def _split(vec) -> tuple:
+    """(ints, c) for a vector of ints and Fractions: the least c >= 1 and the integer vector ints with vec = ints / c."""
+    if all([x.__class__ is int for x in vec]):
+        return tuple(vec), 1
+    c = lcm(*[x.denominator for x in vec])
+    return tuple([x.numerator * (c // x.denominator) for x in vec]), c
 
 
 def _power(times, x, k: int):
@@ -128,7 +143,7 @@ def _zpoly_exact_div(num: list, den: list) -> list:
 class _CycCtx:
     """Reduction tables for arithmetic modulo Phi_m."""
 
-    __slots__ = ("m", "deg", "phi", "zero", "one", "reductions")
+    __slots__ = ("m", "deg", "phi", "zero", "one", "unit", "reductions")
 
     def __init__(self, m: int):
         phi = cyclotomic_polynomial(m)
@@ -138,6 +153,8 @@ class _CycCtx:
         self.phi = phi
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
+        # the polynomial 1: the denominator of every integral scalar
+        self.unit = (self.one,)
         # x^j mod Phi_m for j = d .. 2d-2; integral because Phi_m is monic
         reds = []
         cur = [-c for c in phi[:d]]
@@ -150,6 +167,10 @@ class _CycCtx:
             reds.append(tuple(cur))
         self.reductions = tuple(reds)
 
+    def den(self, c: int) -> QPoly:
+        """The constant denominator c."""
+        return self.unit if c == 1 else ((c,) + self.zero[1:],)
+
     def root(self) -> Cyc:
         """The residue class of x, a primitive m-th root of unity."""
         if self.deg == 1:
@@ -159,19 +180,15 @@ class _CycCtx:
         out[1] = 1
         return tuple(out)
 
-    def mul(self, a: Cyc, b: Cyc) -> Cyc:
+    def imul(self, a: Cyc, b: Cyc) -> Cyc:
+        """The product of two integer vectors mod Phi_m."""
         d = self.deg
         if d == 1:
-            return (_int(a[0] * b[0]),)
-        # integer numerators over one common denominator per factor
-        da = lcm(*[x.denominator for x in a])
-        db = lcm(*[x.denominator for x in b])
-        ia = a if da == 1 else [x.numerator * (da // x.denominator) for x in a]
-        ib = b if db == 1 else [x.numerator * (db // x.denominator) for x in b]
+            return (a[0] * b[0],)
         prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(ia):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(ib):
+                for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
         out = prod[:d]
@@ -181,10 +198,15 @@ class _CycCtx:
                 for i, r in enumerate(self.reductions[j - d]):
                     if r:
                         out[i] += c * r
-        den = da * db
-        if den == 1:
-            return tuple(out)
-        return tuple([_ratio(c, den) if c else 0 for c in out])
+        return tuple(out)
+
+    def mul(self, a: Cyc, b: Cyc) -> Cyc:
+        """The product of two vectors with int or Fraction entries, its integral entries ints."""
+        if self.deg == 1:
+            return (_int(a[0] * b[0]),)
+        (ia, da), (ib, db) = _split(a), _split(b)
+        out, den = self.imul(ia, ib), da * db
+        return out if den == 1 else tuple([_ratio(c, den) if c else 0 for c in out])
 
     def mul_matrix(self, ints) -> list:
         """Rows of the integer matrix of multiplication by sum ints[j] x^j mod Phi_m."""
@@ -196,17 +218,14 @@ class _CycCtx:
             cols.append(col)
         return [list(row) for row in zip(*cols)]
 
-    def inv(self, a: Cyc) -> Cyc:
-        if not any(a):
-            raise ZeroDivisionError("division by zero")
+    def iinv(self, a: Cyc) -> tuple:
+        """(r, p) for a nonzero integer vector a: the least int p > 0 and the integer vector r with a r = p."""
         d = self.deg
         if d == 1:
-            return (_int(Fraction(a[0].denominator, a[0].numerator)),)
-        # M x = den e_0 for the integer matrix M of den * a, by fraction-free
-        # Gauss-Jordan: every diagonal entry ends as the last pivot
-        den = lcm(*[x.denominator for x in a])
-        rows = self.mul_matrix([x.numerator * (den // x.denominator) for x in a])
-        aug = [row + [den if i == 0 else 0] for i, row in enumerate(rows)]
+            return ((1,), a[0]) if a[0] > 0 else ((-1,), -a[0])
+        # M x = e_0 for the integer matrix M of a, by fraction-free Gauss-Jordan:
+        # every diagonal entry ends as the last pivot p, and x = r / p
+        aug = [row + [int(i == 0)] for i, row in enumerate(self.mul_matrix(a))]
         prev = 1
         for k in range(d):
             p = next(i for i in range(k, d) if aug[i][k])
@@ -217,7 +236,17 @@ class _CycCtx:
                     f = aug[i][k]
                     aug[i] = [(piv[k] * x - f * y) // prev for x, y in zip(aug[i], piv)]
             prev = piv[k]
-        return tuple([_ratio(row[d], prev) for row in aug])
+        r = [row[d] for row in aug]
+        g = gcd(prev, *r) if prev > 0 else -gcd(prev, *r)
+        return tuple([x // g for x in r]), prev // g
+
+    def inv(self, a: Cyc) -> Cyc:
+        """The inverse of a nonzero vector with int or Fraction entries, its integral entries ints."""
+        if not any(a):
+            raise ZeroDivisionError("division by zero")
+        ints, c = _split(a)
+        r, p = self.iinv(ints)
+        return tuple([_ratio(x * c, p) for x in r])
 
     def embed(self, a: Cyc, target: "_CycCtx") -> Cyc:
         """Image of a under zeta_m -> zeta_M^(M/m); requires m | M."""
@@ -285,44 +314,48 @@ class FieldSpec:
     # -- constructors for scalars of this field
 
     def zero(self) -> "Scalar":
-        return _scalar(self, (), (self._cyc.one,))
+        return _scalar(self, (), self._cyc.unit)
 
     def one(self) -> "Scalar":
-        one = (self._cyc.one,)
-        return _scalar(self, one, one)
+        unit = self._cyc.unit
+        return _scalar(self, unit, unit)
 
     def scalar(self, value: Union[int, Fraction]) -> "Scalar":
         ctx = self._cyc
-        c = value if value.__class__ is int else _int(Fraction(value))
-        if not c:
+        if value.__class__ is not int:
+            value = Fraction(value)
+            if value.denominator != 1:
+                return _scalar(self, ((value.numerator,) + ctx.zero[1:],), ctx.den(value.denominator))
+            value = value.numerator
+        if not value:
             return self.zero()
-        return _scalar(self, ((c,) + ctx.zero[1:],), (ctx.one,))
+        return _scalar(self, ((value,) + ctx.zero[1:],), ctx.unit)
 
     def from_cyc(self, coeffs) -> "Scalar":
-        """Scalar from a coefficient vector over Q(zeta_order)."""
+        """Scalar from a coefficient vector over Q(zeta_order), its entries ints or Fractions."""
         ctx = self._cyc
-        vec = tuple([c if c.__class__ is int else _int(Fraction(c)) for c in coeffs])
+        vec, c = _split([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs])
         if len(vec) != ctx.deg:
             raise ValueError("coefficient vector must have length %d" % ctx.deg)
         if not any(vec):
             return self.zero()
-        return _scalar(self, (vec,), (ctx.one,))
+        return _scalar(self, (vec,), ctx.den(c))
 
     def q(self) -> "Scalar":
         """The parameter q: formal in ratfunc_q, else the bound value."""
         ctx = self._cyc
         if self.kind == "ratfunc_q":
-            return _scalar(self, (ctx.zero, ctx.one), (ctx.one,))
+            return _scalar(self, (ctx.zero, ctx.one), ctx.unit)
         if self.qval is None:
             raise ValueError("q is not bound in this field")
         if not any(self.qval):
             raise ValueError("q must be nonzero")
-        return _scalar(self, (self.qval,), (ctx.one,))
+        return self.from_cyc(self.qval)
 
     def e(self) -> "Scalar":
         """The primitive root of unity of the declared order."""
         ctx = self._cyc
-        return _scalar(self, (ctx.root(),), (ctx.one,))
+        return _scalar(self, (ctx.root(),), ctx.unit)
 
     def with_q(self, q0: "Scalar") -> "FieldSpec":
         """Same field with q bound to the given constant."""
@@ -345,12 +378,13 @@ def cyclotomic_field(order: int, q_power: Optional[int] = None) -> FieldSpec:
     root = ctx.root()
     val = ctx.one
     for _ in range(q_power % order):
-        val = ctx.mul(val, root)
+        val = ctx.imul(val, root)
     return FieldSpec("cyclotomic", order, val)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over a cyclotomic context (tuples, low degree first)
+# integer polynomials over Z[zeta_m] (tuples of coefficient vectors, low
+# degree first): the reduction to canonical form
 
 
 def _ptrim(coeffs: list) -> QPoly:
@@ -360,86 +394,139 @@ def _ptrim(coeffs: list) -> QPoly:
     return tuple(coeffs[:n])
 
 
-def _padd(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
-    if not a:
-        return b
-    if not b:
-        return a
+def _padd(a: QPoly, b: QPoly, op=add) -> QPoly:
+    """a + b, or a op b for op = operator.sub."""
     n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ctx.zero
-        y = b[i] if i < len(b) else ctx.zero
-        out.append(_ints(tuple(map(add, x, y))))
-    return _ptrim(out)
+    if len(a) < n:
+        a = a + ((0,) * len(b[0]),) * (n - len(a))
+    elif len(b) < n:
+        b = b + ((0,) * len(a[0]),) * (n - len(b))
+    return _ptrim([tuple(map(op, x, y)) for x, y in zip(a, b)])
 
 
 def _pneg(a: QPoly) -> QPoly:
-    return tuple(tuple(-u for u in c) for c in a)
+    return tuple(tuple([-u for u in c]) for c in a)
+
+
+def _pscale(ctx: _CycCtx, a: QPoly, c: Cyc) -> QPoly:
+    """c a for a nonzero integer vector c."""
+    return tuple([ctx.imul(c, v) if any(v) else v for v in a])
 
 
 def _pmul(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
     if not a or not b:
         return ()
-    if len(a) == 1 and a[0] == ctx.one:
+    unit = ctx.unit
+    if a == unit:
         return b
-    if len(b) == 1 and b[0] == ctx.one:
+    if b == unit:
         return a
     out = [ctx.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if any(ai):
             for j, bj in enumerate(b):
                 if any(bj):
-                    out[i + j] = tuple(map(add, out[i + j], ctx.mul(ai, bj)))
-    return _ptrim([_ints(v) for v in out])
+                    out[i + j] = tuple(map(add, out[i + j], ctx.imul(ai, bj)))
+    return _ptrim(out)
 
 
-def _pdivmod(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num_l = list(num)
-    dn = len(den)
-    if len(num_l) < dn:
-        return (), num
-    inv_lead = ctx.inv(den[-1])
-    qcoeffs = [ctx.zero] * (len(num_l) - dn + 1)
-    for k in range(len(qcoeffs) - 1, -1, -1):
-        c = ctx.mul(num_l[k + dn - 1], inv_lead)
+def _divided(a: QPoly, g: int) -> QPoly:
+    """a / g for an int g that divides every entry."""
+    return tuple(tuple([x // g for x in v]) for v in a)
+
+
+def _primitive(ctx: _CycCtx, a: QPoly) -> QPoly:
+    """a led by a positive integer (over Z[zeta_m], times r with lead r an integer) and over the gcd of its entries:
+    the monic a times the least integer that makes it integral."""
+    if any(a[-1][1:]):
+        a = _pscale(ctx, a, ctx.iinv(a[-1])[0])
+    g = gcd(*chain.from_iterable(a))
+    g = -g if a[-1][0] < 0 else g
+    return a if g == 1 else _divided(a, g)
+
+
+def _prem(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
+    """A nonzero integer times the remainder of a by b, for deg a >= deg b > 0: each step scales by b's leading
+    coefficient rather than divide by it."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        c = r.pop()
         if any(c):
-            qcoeffs[k] = c
-            for j in range(dn):
-                if any(den[j]):
-                    num_l[k + j] = _ints(tuple(map(sub, num_l[k + j], ctx.mul(c, den[j]))))
-    return _ptrim(qcoeffs), _ptrim(num_l[: dn - 1])
+            k = len(r) - db
+            r = [ctx.imul(lead, x) if any(x) else x for x in r]
+            for j in range(db):
+                if any(b[j]):
+                    r[k + j] = tuple(map(sub, r[k + j], ctx.imul(c, b[j])))
+    return _ptrim(r)
 
 
-def _pgcd(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
-    while b:
-        a, b = b, _pdivmod(ctx, a, b)[1]
-    if not a:
-        return ()
-    inv_lead = ctx.inv(a[-1])
-    return tuple(ctx.mul(c, inv_lead) for c in a)
+def _gcd(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
+    """A gcd over Q(zeta_m) of two integer polynomials of positive degree, up to a constant factor.
+
+    A primitive PRS (Brown, JACM 1971; Knuth, TAOCP vol. 2, 4.6.1): each
+    pseudo-remainder is made _primitive, which at order 1 removes its content
+    over Z[q] and over Z[zeta_m] first makes it lead with an integer, so the
+    remainders are the monic ones over Q(zeta_m) with least integer
+    denominators, and their coefficients do not grow from step to step.
+    The gcd returned is _primitive too.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    b = _primitive(ctx, b)
+    while len(b) > 1:
+        r = _prem(ctx, a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(ctx, r)
+    return ctx.unit
 
 
-def _pmonic_scale(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
-    """Reduce the fraction num/den: gcd removed, monic denominator."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return (), (ctx.one,)
-    if len(den) == 1 and den[0] == ctx.one:
-        return num, den
-    g = _pgcd(ctx, num, den)
-    if len(g) > 1:
-        num = _pdivmod(ctx, num, g)[0]
-        den = _pdivmod(ctx, den, g)[0]
-    lead = den[-1]
-    if lead != ctx.one:
-        inv = ctx.inv(lead)
-        num = tuple(ctx.mul(c, inv) for c in num)
-        den = tuple(ctx.mul(c, inv) for c in den)
-    return num, den
+def _exact_quo(ctx: _CycCtx, a: QPoly, g: QPoly) -> QPoly:
+    """a / g, for g with a rational integer p leading, when the quotient is integral: each step divides by p exactly."""
+    r, p, dg = list(a), g[-1][0], len(g) - 1
+    out = []
+    while len(r) > dg:
+        c = tuple([x // p for x in r.pop()])
+        out.append(c)
+        if any(c):
+            k = len(r) - dg
+            for j in range(dg):
+                if any(g[j]):
+                    r[k + j] = tuple(map(sub, r[k + j], ctx.imul(c, g[j])))
+    if any(map(any, r)):
+        raise ArithmeticError("non-exact polynomial division")
+    return tuple(reversed(out))
+
+
+def _normal(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
+    """num/den, coprime, scaled so that den leads with a positive integer and no integer > 1 divides every entry."""
+    if any(den[-1][1:]):
+        r = ctx.iinv(den[-1])[0]
+        num, den = _pscale(ctx, num, r), _pscale(ctx, den, r)
+    g = gcd(*chain.from_iterable(num), *chain.from_iterable(den))
+    g = -g if den[-1][0] < 0 else g
+    return (num, den) if g == 1 else (_divided(num, g), _divided(den, g))
+
+
+def _low(a: QPoly) -> int:
+    """The index of the lowest nonzero coefficient of a nonzero a."""
+    return next(i for i, v in enumerate(a) if any(v))
+
+
+def _reduce(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
+    """num/den for nonzero integer polynomials, in canonical form: the common power of q and the gcd removed, then
+    _normal.  After the power of q, a monomial on either side shares no factor with the other, so takes no gcd."""
+    i, j = _low(num), _low(den)
+    k = min(i, j)
+    if i < len(num) - 1 and j < len(den) - 1:
+        g = _gcd(ctx, num[k:], den[k:])
+        if len(g) > 1:
+            if ctx.deg > 1:
+                # over Z[zeta_m] the quotients are integral only times a power of g's leading integer
+                s = g[-1][0] ** (max(len(num), len(den)) - len(g) + 1)
+                num, den = [tuple(tuple([x * s for x in v]) for v in p) for p in (num, den)]
+            return _normal(ctx, _exact_quo(ctx, num[k:], g), _exact_quo(ctx, den[k:], g))
+    return _normal(ctx, num[k:], den[k:]) if k else _normal(ctx, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +536,9 @@ def _pmonic_scale(ctx: _CycCtx, num: QPoly, den: QPoly) -> tuple:
 class Scalar:
     """Immutable element of an exact field; see the module docstring.
 
-    Scalar(field, num, den) takes num and den in canonical form, integral entries ints.
+    Scalar(field, num, den) takes num and den in canonical form: int entries,
+    coprime, den leading with the least positive integer that makes both
+    integral (no integer > 1 divides every entry).
     """
 
     __slots__ = ("field", "num", "den", "_hash")
@@ -479,17 +568,25 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        one = (self.field._cyc.one,)
-        return self.num == one and self.den == one
+        unit = self.field._cyc.unit
+        return self.num == unit and self.den == unit
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
 
+    def fractions(self) -> tuple:
+        """(num, den) over a monic den, the entries ints or Fractions: the form exprio prints."""
+        c = self.den[-1][0]
+        if c == 1:
+            return self.num, self.den
+        over = lambda p: tuple(tuple([_ratio(x, c) if x else 0 for x in v]) for v in p)
+        return over(self.num), over(self.den)
+
     def constant(self) -> Cyc:
-        """Coefficient vector of a constant scalar."""
+        """Coefficient vector of a constant scalar, its entries ints or Fractions."""
         if not self.is_constant():
             raise ValueError("scalar is not constant in q")
-        return self.num[0] if self.num else self.field._cyc.zero
+        return self.fractions()[0][0] if self.num else self.field._cyc.zero
 
     def rational(self) -> Fraction:
         """The value as a Fraction; requires a rational constant."""
@@ -499,34 +596,10 @@ class Scalar:
         return Fraction(vec[0])
 
     # -- arithmetic; constants of the rational and cyclotomic kinds skip
-    # the polynomial layer and work on their coefficient vector
-
-    def _const_sum(self, b: QPoly, op) -> "Scalar":
-        """self op b for a constant b of this field; op is operator.add or sub."""
-        if not b:
-            return self
-        va = self.num[0] if self.num else self.field._cyc.zero
-        vec = _ints(tuple(map(op, va, b[0])))
-        return _scalar(self.field, (vec,) if any(vec) else (), self.den)
+    # the polynomial layer and work on their integer vector over c
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # a zero operand (the canonical zero is () over (one,)) makes no sum
-        if not self.num or not other.num:
-            return other if other.num else self
-        field = self.field
-        if field.kind != "ratfunc_q":
-            return self._const_sum(other.num, add)
-        ctx = field._cyc
-        if self.den == other.den:
-            num = _padd(ctx, self.num, other.num)
-            den = self.den
-        else:
-            num = _padd(ctx, _pmul(ctx, self.num, other.den), _pmul(ctx, other.num, self.den))
-            den = _pmul(ctx, self.den, other.den)
-        return _scalar(field, *_pmonic_scale(ctx, num, den))
+        return _sum(self, other, add)
 
     __radd__ = __add__
 
@@ -534,32 +607,29 @@ class Scalar:
         return _scalar(self.field, _pneg(self.num), self.den) if self.num else self
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.kind != "ratfunc_q":
-            return self._const_sum(other.num, sub)
-        return self + (-other)
+        return _sum(self, other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num:
             return self
         if not other.num:
             return other
-        field = self.field
-        if field.kind != "ratfunc_q":
-            va, vb = self.num[0], other.num[0]
-            vec = (_int(va[0] * vb[0]),) if len(va) == 1 else field._cyc.mul(va, vb)
-            return _scalar(field, (vec,), self.den)
         ctx = field._cyc
+        if field.kind != "ratfunc_q":
+            a, b = self.num[0], other.num[0]
+            return _const(field, (a[0] * b[0],) if len(a) == 1 else ctx.imul(a, b), self.den[0][0] * other.den[0][0])
         num = _pmul(ctx, self.num, other.num)
-        return _scalar(field, *_pmonic_scale(ctx, num, _pmul(ctx, self.den, other.den)))
+        if self.den == other.den == ctx.unit:
+            return _scalar(field, num, ctx.unit)
+        return _scalar(field, *_reduce(ctx, num, _pmul(ctx, self.den, other.den)))
 
     __rmul__ = __mul__
 
@@ -569,8 +639,10 @@ class Scalar:
         field = self.field
         ctx = field._cyc
         if field.kind != "ratfunc_q":
-            return _scalar(field, (ctx.inv(self.num[0]),), self.den)
-        return _scalar(field, *_pmonic_scale(ctx, self.den, self.num))
+            r, p = ctx.iinv(self.num[0])
+            c = self.den[0][0]
+            return _const(field, r if c == 1 else tuple([x * c for x in r]), p)
+        return _scalar(field, *_normal(ctx, self.den, self.num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -633,6 +705,56 @@ def _scalar(field: FieldSpec, num: QPoly, den: QPoly) -> Scalar:
     return x
 
 
+def _sum(self: Scalar, other, op) -> Scalar:
+    """self + other, or self op other for op = operator.sub."""
+    field = self.field
+    if other.__class__ is not Scalar or other.field is not field:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+    # a zero operand (the canonical zero is () over the unit) makes no sum
+    if not other.num:
+        return self
+    if not self.num:
+        return other if op is add else -other
+    if field.kind != "ratfunc_q":
+        a, b, c, e = self.num[0], other.num[0], self.den[0][0], other.den[0][0]
+        if c == e:
+            vec = tuple(map(op, a, b))
+        else:
+            vec = tuple([op(x * e, y * c) for x, y in zip(a, b)])
+            c *= e
+        return _const(field, vec, c) if any(vec) else field.zero()
+    ctx = field._cyc
+    if self.den == other.den:
+        num, den = _padd(self.num, other.num, op), self.den
+        if den == ctx.unit or not num:
+            return _scalar(field, num, den) if num else field.zero()
+    else:
+        num = _padd(_pmul(ctx, self.num, other.den), _pmul(ctx, other.num, self.den), op)
+        if not num:
+            return field.zero()
+        den = _pmul(ctx, self.den, other.den)
+    return _scalar(field, *_reduce(ctx, num, den))
+
+
+def _const(field: FieldSpec, vec: Cyc, c: int) -> Scalar:
+    """The constant vec / c, for a nonzero integer vector vec and an int c > 0, with their common factor removed."""
+    ctx = field._cyc
+    if c == 1:
+        den = ctx.unit
+    else:
+        g = gcd(c, *vec)
+        if g != 1:
+            vec, c = tuple([x // g for x in vec]), c // g
+        den = ctx.unit if c == 1 else ((c,) + ctx.zero[1:],)
+    x = _new(Scalar)
+    _set_field(x, field)
+    _set_num(x, (vec,))
+    _set_den(x, den)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # packed vectors: integer numerators over one common denominator
 
@@ -641,26 +763,34 @@ def pack_q(field: FieldSpec, xs) -> tuple:
     """(den, comps) with xs[k] = sum_j comps[j][k] zeta^j / den.
 
     comps[j][k] is an integer polynomial in q (a tuple, low degree first);
-    den is the lcm of the monic denominators times the integer lcm of the
-    coefficient denominators, a QPoly, and 1 with no gcd for unit vectors.
-    A constant of the rational and cyclotomic kinds is the degree-0 case.
+    den is a common multiple of the denominators of degree that of their lcm,
+    led by a positive integer (their lcm for constants), and the unit with no
+    gcd when every xs[k] is integral.  A constant of the rational and
+    cyclotomic kinds is the degree-0 case.
     """
     ctx = field._cyc
-    den = unit = (ctx.one,)
-    nums = []
+    den = unit = ctx.unit
     for x in xs:
         if not isinstance(x, Scalar) or (x.field is not field and x.field != field):
             raise ValueError("mixed fields")
-        if x.den != unit and x.den != den:
-            den = _pmul(ctx, den, _pdivmod(ctx, x.den, _pgcd(ctx, den, x.den))[0])
-        nums.append(x.num)
-    if den is not unit:
-        nums = [p if not p or x.den == den else _pmul(ctx, p, _pdivmod(ctx, den, x.den)[0]) for p, x in zip(nums, xs)]
-    c = lcm(*{f.denominator for p in nums + [den] for v in p for f in v})
-    if c == 1:
-        return den, [[tuple([v[j] for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
-    den = tuple(tuple([f.numerator * (c // f.denominator) for f in v]) for v in den)
-    return den, [[tuple([v[j].numerator * (c // v[j].denominator) for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
+    if field.kind != "ratfunc_q":
+        c = lcm(*{x.den[0][0] for x in xs})
+        den = ctx.den(c)
+        nums = [x.num if not x.num or x.den is den or x.den[0][0] == c else (tuple([e * (c // x.den[0][0]) for e in x.num[0]]),) for x in xs]
+    else:
+        for x in xs:
+            d = x.den
+            if d is not den and d != unit and d != den:
+                # den times d over their gcd (d's denominator in den / d)
+                den = _pmul(ctx, den, _reduce(ctx, den, d)[1])
+        nums = [x.num for x in xs]
+        if den is not unit:
+            factors = {den: None}
+            for x in xs:
+                if x.num and x.den not in factors:
+                    factors[x.den] = _exact_quo(ctx, den, x.den)
+            nums = [p if not p or factors[x.den] is None else _pmul(ctx, p, factors[x.den]) for p, x in zip(nums, xs)]
+    return den, [[tuple([v[j] for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
 
 
 def at_lanes(comps, bits: int, m: int) -> list:
@@ -731,31 +861,20 @@ def _numerators(rows: list, n: int, m: int) -> list:
 def unpack_q(field: FieldSpec, comps, dens, bits: int, m: int = 1) -> tuple:
     """The scalars of the lanes of comps (at_lanes), over the product of the dens, stacked and in lowest terms.
 
-    Every digit is below 2^(bits-1) in size, and each den is an integer c
-    times a monic polynomial.  Over den = c or c q^k no gcd is taken;
+    Every digit is below 2^(bits-1) in size, and each den is led by a
+    positive integer.  Over den = c or c q^k no gcd is taken (_reduce);
     otherwise one per nonzero scalar.  When den and every numerator are
     constant in q, the digits are the coefficient vectors themselves.
     """
     ctx = field._cyc
     den = _product(ctx, dens)
-    zero, c = field.zero(), den[-1][0]
-    k = None if any(map(any, den[:-1])) else len(den) - 1
+    zero = field.zero()
     n = _digit_count(comps, bits, m)
     rows = [_digits(xs, bits, n) for xs in comps]
-    if n == m and k == 0:
-        one = (ctx.one,)
-        return tuple([_scalar(field, (tuple([_ratio(x, c) if x else 0 for x in v]),), one) if any(v) else zero for v in zip(*rows)])
-    out = []
-    for num in _numerators(rows, n, m):
-        if not num:
-            out.append(zero)
-        elif k is None:
-            out.append(_scalar(field, *_pmonic_scale(ctx, num, den)))
-        else:
-            low = next((i for i in range(k) if any(num[i])), k)
-            num = tuple([tuple([_ratio(x, c) if x else 0 for x in v]) for v in num[low:]])
-            out.append(_scalar(field, num, (ctx.zero,) * (k - low) + (ctx.one,)))
-    return tuple(out)
+    if n == m and len(den) == 1:
+        c = den[0][0]
+        return tuple([_const(field, v, c) if any(v) else zero for v in zip(*rows)])
+    return tuple([_scalar(field, *_reduce(ctx, num, den)) if num else zero for num in _numerators(rows, n, m)])
 
 
 def _product(ctx: _CycCtx, dens) -> QPoly:

@@ -85,10 +85,12 @@ def _check_size(what: str, factors, pos: int) -> None:
     """
     num_deg = den_deg = bits = 0
     for value, k in factors:
-        entries = [c for poly in (value.num, value.den) for vec in poly for c in vec if c]
+        num, den = value.fractions()
+        entries = [c for poly in (num, den) for vec in poly for c in vec if c]
         if not entries:
             continue
-        num, den = (value.num, value.den) if k >= 0 else (value.den, value.num)
+        if k < 0:
+            num, den = den, num
         k = abs(k)
         num_deg += k * (len(num) - 1)
         den_deg += k * (len(den) - 1)
@@ -244,9 +246,9 @@ def _format_qpoly(poly, need_atom: bool) -> str:
 
 def format_scalar(x: Scalar) -> str:
     """Round-trippable text for a scalar."""
-    ctx = x.field._cyc
     if not x.num:
         return "0"
-    if x.den == (ctx.one,):
-        return _format_qpoly(x.num, need_atom=False)
-    return "%s/%s" % (_format_qpoly(x.num, need_atom=True), _format_qpoly(x.den, need_atom=True))
+    num, den = x.fractions()
+    if den == x.field._cyc.unit:
+        return _format_qpoly(num, need_atom=False)
+    return "%s/%s" % (_format_qpoly(num, need_atom=True), _format_qpoly(den, need_atom=True))

@@ -43,7 +43,7 @@ of t.  Pairing values and that comparison are proportionality tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -244,6 +244,8 @@ class FrobeniusProfile:
     psi: MatrixF
     f: Optional[tuple]
     f_reason: str = ""
+    # restricted()'s matrices by (operator, k)
+    _restrictions: dict = _field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> FieldSpec:
@@ -254,10 +256,23 @@ class FrobeniusProfile:
         """psi theta_bar, formed once: the trace table's eta and the Nakayama braiding restrict the same operator."""
         return self.psi * self.theta_bar
 
+    @cached_property
+    def psi_inv_theta(self) -> MatrixF:
+        """psi^-1 theta, formed once: the trace table's xi and the scalar-braiding gate's ratio."""
+        return self.psi.inverse() * self.theta
+
+    def restricted(self, op: MatrixF, k: int) -> MatrixF:
+        """op^(x)k restricted to upsilon(k) (restrict_to_subspace), made once per operator and degree."""
+        key = (op, k)
+        C = self._restrictions.get(key)
+        if C is None:
+            U = self.sym.upsilon(k)
+            C = self._restrictions[key] = restrict_to_subspace(op, k, U.basis, U.pivots())
+        return C
+
     def nu_restricted(self, k: int) -> MatrixF:
         """phi^(x)k restricted to upsilon(k) (the Nakayama map in degree k)."""
-        U = self.sym.upsilon(k)
-        return restrict_to_subspace(self.phi, k, U.basis, U.pivots())
+        return self.restricted(self.phi, k)
 
 
 def restrict_to_subspace(A: MatrixF, k: int, basis: Sequence, pivots: Sequence[int]) -> MatrixF:
@@ -305,13 +320,10 @@ def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     q = sym.q
     field = sym.field
     report = CheckReport("trace-identities")
-    xi_base = profile.psi.inverse() * profile.theta
-    eta_base = profile.psi_theta_bar
     table = []
     xi_traces = {}
     for k in range(1, n + 1):
-        U = sym.upsilon(k)
-        tr_xi, tr_eta = [restrict_to_subspace(A, k, U.basis, U.pivots()).trace() for A in (xi_base, eta_base)]
+        tr_xi, tr_eta = [profile.restricted(A, k).trace() for A in (profile.psi_inv_theta, profile.psi_theta_bar)]
         sign = -1 if (k * n - k) % 2 else 1
         expected = field.scalar(sign) * q ** (k * (k + 1) // 2) * qbinom(n, k, field)
         xi_traces[k] = tr_xi
@@ -386,12 +398,11 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     _record_equal(report, "top-scaling", "theta^((x)n)(t) = q^(n(n+1)/2) t", [apply_power(theta, n, t)], [vec_scale(q ** (n * (n + 1) // 2), t)])
 
     # the Nakayama map in each degree matches the twisted braiding
-    theta_phi, psi_theta_bar = theta * phi, profile.psi_theta_bar
+    theta_phi = theta * phi
     for k in range(1, n + 1):
-        U = sym.upsilon(k)
         try:
-            lhs = restrict_to_subspace(theta_phi, k, U.basis, U.pivots())
-            rhs = restrict_to_subspace(psi_theta_bar, k, U.basis, U.pivots())
+            lhs = profile.restricted(theta_phi, k)
+            rhs = profile.restricted(profile.psi_theta_bar, k)
             rule = "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)"
             _record_equal(report, "nakayama-braiding.k%d" % k, rule, lhs, rhs)
         except ValueError as exc:
@@ -439,7 +450,7 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
 
     # scalar-braiding degree gate (odd top degree, theta a multiple of psi)
     if n % 2 == 1 and n >= 3:
-        ratio = psi.inverse() * theta
+        ratio = profile.psi_inv_theta
         lam = ratio[0, 0]
         scalar = ratio == MatrixF.identity(N, field).scale(lam)
         if scalar:

@@ -271,21 +271,27 @@ class MatrixF:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
-        """Right null space {x : A x = 0} as a subspace of k^cols."""
-        R, pivots = self.rref()
+        """Right null space {x : A x = 0} as a subspace of k^cols, from one elimination.
+
+        A is row-reduced with its columns reversed, so the vector e_f - sum_r R[r, f] e_(p_r) of each free column f,
+        mapped back, has its other entries at pivot columns after f.  By increasing f these vectors are the
+        kernel's canonical RREF basis: each leads with 1 at f, where every other one is 0.
+        """
+        n = self.cols
+        R, pivots = MatrixF(self.rows, n, [x for i in range(self.rows) for x in reversed(self.row(i))], self.domain).rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
         zero, one = self.domain.zero(), self.domain.one()
         basis = []
-        for j in free:
-            v = [zero] * self.cols
-            v[j] = one
-            for r, pc in enumerate(pivots):
-                x = R[r, j]
-                if x:
-                    v[pc] = -x
-            basis.append(tuple(v))
-        return Subspace.from_vectors(basis, self.cols, self.domain)
+        for j in range(n - 1, -1, -1):
+            if j not in pivot_set:
+                v = [zero] * n
+                v[n - 1 - j] = one
+                for r, pc in enumerate(pivots):
+                    x = R[r, j]
+                    if x:
+                        v[n - 1 - pc] = -x
+                basis.append(tuple(v))
+        return Subspace(n, tuple(basis), self.domain)
 
     def image(self) -> "Subspace":
         """Column space as a subspace of k^rows."""

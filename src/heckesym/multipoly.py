@@ -6,10 +6,10 @@ Terms map dense exponent tuples to coefficient vectors over Q(zeta_m); zero
 coefficients are never stored, so equality is plain dictionary equality.
 
 An integral coefficient entry is always an int; a Fraction only holds a
-value that is not an integer, as in exactnum.  Fractions come in through
-constants (PolyRing._coeff) and the inverse of a leading coefficient
-(exact_div, reduce_mod), and MultiPoly(ring, terms) turns the integral
-entries of their sums and products back into ints.  A polynomial records
+value that is not an integer, as in Scalar.constant().  Fractions come in
+through constants (PolyRing._coeff) and the inverse of a leading
+coefficient (exact_div, reduce_mod), and MultiPoly(ring, terms) turns the
+integral entries of their sums and products back into ints.  A polynomial records
 whether it may hold a Fraction, so sums and products of int polynomials skip
 that pass.  A product by one term is an injective shift of exponents: one
 pass, no merge and no zero test.

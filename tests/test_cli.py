@@ -268,6 +268,26 @@ def test_builtin_relations_are_checked_once(capsys, monkeypatch, argv, checks):
         assert _sha256(out) == STDOUT_SHA256[argv]
 
 
+def test_analyze_restricts_each_operator_once_per_degree(capsys, monkeypatch):
+    # the trace table (xi, eta), the Nakayama braiding (theta phi, psi theta_bar) and the pairing twist (phi) restrict
+    # to upsilon(k), k = 1..3 (phi also k = 0): 16 pairs, of which eta and the Nakayama braiding's right side are one
+    # operator, and for dj(3) theta phi = psi theta_bar as matrices, so 10 restrictions are made, none twice; psi^-1
+    # theta is formed once for xi and the scalar-braiding gate
+    from heckesym import frobenius
+    from heckesym.linalg import MatrixF
+    from test_golden import STDOUT_SHA256, _sha256
+
+    calls, inverses = [], []
+    real, inverse = frobenius.restrict_to_subspace, MatrixF.inverse
+    monkeypatch.setattr(frobenius, "restrict_to_subspace", lambda A, k, *rest: calls.append((A, k)) or real(A, k, *rest))
+    monkeypatch.setattr(MatrixF, "inverse", lambda self: inverses.append(self) or inverse(self))
+    argv = ("analyze", "--builtin", "dj", "--dim", "3")
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out) == STDOUT_SHA256[argv]
+    assert len(calls) == 10 and len(set(calls)) == 10
+    assert len(inverses) == len(set(inverses))
+
+
 def test_benchmark_tracer_installs():
     # perfbench/tracer.py wraps package names (rep_matrix, perm_matrix, Subspace.intersect, ...)
     # by lookup; a renamed or deleted one fails install() with a KeyError

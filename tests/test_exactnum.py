@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import math
 import os
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from heckesym.exactnum import (
     qint,
     specialize,
 )
-from heckesym.exprio import format_scalar
+from heckesym.exprio import _format_qpoly, format_scalar
 from heckesym.permgroup import enumerate_perms
 
 F = GENERIC_Q
@@ -176,15 +177,21 @@ def test_field_axioms_on_random_triples(field):
             assert (x ** -2) * x ** 2 == field.one()
 
 
+def _canonical(field, num, den):
+    """The Scalar num/den for integer polynomials num and den != 0, reduced by exactnum._reduce."""
+    ctx = field._cyc
+    return Scalar(field, *exactnum._reduce(ctx, num, den)) if num else Scalar(field, (), ctx.unit)
+
+
 def _general_sum(x, y):
     """x + y over a ratfunc_q field by the general path: the sum over a common denominator, then reduced."""
     ctx = x.field._cyc
     if x.den == y.den:
-        num, den = exactnum._padd(ctx, x.num, y.num), x.den
+        num, den = exactnum._padd(x.num, y.num), x.den
     else:
-        num = exactnum._padd(ctx, exactnum._pmul(ctx, x.num, y.den), exactnum._pmul(ctx, y.num, x.den))
+        num = exactnum._padd(exactnum._pmul(ctx, x.num, y.den), exactnum._pmul(ctx, y.num, x.den))
         den = exactnum._pmul(ctx, x.den, y.den)
-    return Scalar(x.field, *exactnum._pmonic_scale(ctx, num, den))
+    return _canonical(x.field, num, den)
 
 
 def _general_neg(x):
@@ -193,7 +200,7 @@ def _general_neg(x):
 
 def _general_product(x, y):
     ctx = x.field._cyc
-    return Scalar(x.field, *exactnum._pmonic_scale(ctx, exactnum._pmul(ctx, x.num, y.num), exactnum._pmul(ctx, x.den, y.den)))
+    return _canonical(x.field, exactnum._pmul(ctx, x.num, y.num), exactnum._pmul(ctx, x.den, y.den))
 
 
 def _random_ratfunc(field, rng):
@@ -203,7 +210,7 @@ def _random_ratfunc(field, rng):
     def poly(terms):
         return exactnum._ptrim([tuple(rng.randint(-3, 3) for _ in ctx.one) for _ in range(terms)])
 
-    return Scalar(field, *exactnum._pmonic_scale(ctx, poly(3), poly(2) or (ctx.one,)))
+    return _canonical(field, poly(3), poly(2) or ctx.unit)
 
 
 @pytest.mark.parametrize("field", [GENERIC_Q, FieldSpec("ratfunc_q", 3)], ids=lambda f: "ratfunc_q-%d" % f.order)
@@ -271,12 +278,6 @@ def test_field_spec_validation():
 def _is_normal(vec):
     """Whether every integral entry of vec is an int and every other one a Fraction."""
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in vec)
-
-
-def _assert_normal(x):
-    for poly in (x.num, x.den):
-        for vec in poly:
-            assert _is_normal(vec), (x, vec)
 
 
 def _euclid_inverse(m, a):
@@ -396,16 +397,21 @@ class _Reference:
                 num[k + j] = tuple(u - v for u, v in zip(num[k + j], ctx.mul(c, den[j])))
         return self.trim(quo), self.trim(num[: dn - 1])
 
+    def gcd(self, a, b):
+        """The monic gcd by the Euclidean algorithm over Q(zeta_m)[q] (exactnum._pgcd as it was)."""
+        while b:
+            a, b = b, self.pdivmod(a, b)[1]
+        inv = self.ctx.inv(a[-1])
+        return tuple(self.ctx.mul(c, inv) for c in a)
+
     def reduce(self, num, den):
         """num/den with the gcd removed and a monic denominator."""
         ctx = self.ctx
         if not num:
             return (), (ctx.one,)
-        a, b = num, den
-        while b:
-            a, b = b, self.pdivmod(a, b)[1]
-        if len(a) > 1:
-            num, den = self.pdivmod(num, a)[0], self.pdivmod(den, a)[0]
+        g = self.gcd(num, den)
+        if len(g) > 1:
+            num, den = self.pdivmod(num, g)[0], self.pdivmod(den, g)[0]
         inv = ctx.inv(den[-1])
         return tuple(ctx.mul(c, inv) for c in num), tuple(ctx.mul(c, inv) for c in den)
 
@@ -442,17 +448,36 @@ class _Reference:
 
 
 def _fractions(x):
-    """x's (num, den) with every entry a Fraction, as the oracle takes them."""
-    return tuple(tuple(tuple(map(Fraction, v)) for v in poly) for poly in (x.num, x.den))
+    """x's value as the oracle's (num, den): Fraction entries over a monic den, every integer entry over the
+    integer that leads x.den."""
+    c = x.den[-1][0]
+    return tuple(tuple(tuple(Fraction(e, c) for e in v) for v in poly) for poly in (x.num, x.den))
+
+
+def _from_fractions(field, pair):
+    """The canonical Scalar of the oracle's (num, den): every entry times the lcm of the entries' denominators."""
+    c = math.lcm(*[Fraction(e).denominator for poly in pair for v in poly for e in v])
+    return Scalar(field, *(tuple(tuple(int(e * c) for e in v) for v in poly) for poly in pair))
+
+
+def _assert_canonical(x):
+    """Only ints, den led by a positive integer, and no integer > 1 dividing every entry: den is the least
+    integer multiple of the monic denominator that makes both sides integral."""
+    entries = [e for poly in (x.num, x.den) for v in poly for e in v]
+    assert all(type(e) is int for e in entries), (x, x.num, x.den)
+    assert x.den[-1][0] > 0 and not any(x.den[-1][1:]), (x, x.den)
+    assert math.gcd(*entries) == 1, (x, x.num, x.den)
 
 
 def _check_against_reference(field, got, want):
-    """got is the oracle's (num, den) in canonical form: same values, hash and text, integral entries ints."""
-    _assert_normal(got)
-    assert (got.num, got.den) == want
-    old = exactnum._scalar(field, *want)  # the Scalar as the Fraction-entry arithmetic built it
-    assert got == old and hash(got) == hash(old)
-    assert format_scalar(got) == format_scalar(old)
+    """got is canonical and holds the oracle's want (reduced over a monic denominator, so num and den are coprime):
+    same integers as the oracle's value scaled by the test, same hash, and the text the oracle's form prints."""
+    _assert_canonical(got)
+    assert _fractions(got) == want
+    old = _from_fractions(field, want)
+    assert (got.num, got.den) == (old.num, old.den) and got == old and hash(got) == hash(old)
+    text = "0" if not want[0] else _format_qpoly(want[0], False) if want[1] == (field._cyc.one,) else "%s/%s" % (_format_qpoly(want[0], True), _format_qpoly(want[1], True))
+    assert format_scalar(got) == text
 
 
 def _random_constant(field, rng):
@@ -516,8 +541,8 @@ def test_scalar_arithmetic_matches_fraction_oracle(field):
     ref = _Reference(field.order)
     for _ in range(30):
         xp, yp = _random_pair(ref, field.kind, rng), _random_pair(ref, field.kind, rng)
-        x, y = (Scalar(field, *(tuple(map(exactnum._ints, poly)) for poly in pair)) for pair in (xp, yp))
-        _assert_normal(x)
+        x, y = (_from_fractions(field, pair) for pair in (xp, yp))
+        _assert_canonical(x)
         cases = [
             (x + y, ref.add(xp, yp)),
             (x - y, ref.sub(xp, yp)),
@@ -533,15 +558,92 @@ def test_scalar_arithmetic_matches_fraction_oracle(field):
             _check_against_reference(field, got, want)
 
 
+def _random_value(ref, kind, rng, den_kind):
+    """A reduced (num, den) with Fraction entries: a constant, or for ratfunc_q a polynomial of degree up to 4 over
+    an integer, an integer times q^k, or a general polynomial denominator."""
+    zero = ref.ctx.zero
+
+    def vec(density=0.7):
+        return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5))) if rng.random() < density else Fraction(0) for _ in zero)
+
+    def integer():
+        return (Fraction(rng.randint(1, 12)),) + zero[1:]
+
+    num = ref.trim([vec() for _ in range(1 if kind != "ratfunc_q" else rng.randint(0, 5))])
+    if kind != "ratfunc_q" or den_kind == "integer":
+        den = (integer(),)
+    elif den_kind == "power":
+        den = (zero,) * rng.randint(0, 4) + (integer(),)
+    else:
+        den = ref.trim([vec() for _ in range(rng.randint(1, 4))]) or (integer(),)
+    return ref.reduce(num, den)
+
+
+INTEGER_ORACLE_CASES = [(FieldSpec("rational"), None)] + [(cyclotomic_field(m), None) for m in (3, 4, 5, 12)]
+INTEGER_ORACLE_CASES += [(FieldSpec("ratfunc_q", m), den) for m in (1, 3) for den in ("integer", "power", "general")]
+
+
+@pytest.mark.parametrize("field,den_kind", INTEGER_ORACLE_CASES, ids=lambda c: c if isinstance(c, str) or c is None else "%s-%d" % (c.kind, c.order))
+def test_integer_coefficient_arithmetic_matches_fraction_oracle(field, den_kind):
+    # the Fraction-entry arithmetic is the oracle of +, -, *, /, inverse and powers on the integer form; every result
+    # is canonical: only ints, the least integer multiplier, and no common factor
+    rng = random.Random("integer-oracle:%s:%d:%s" % (field.kind, field.order, den_kind))
+    ref = _Reference(field.order)
+    for _ in range(25):
+        xp, yp = (_random_value(ref, field.kind, rng, den_kind) for _ in range(2))
+        x, y = (_from_fractions(field, pair) for pair in (xp, yp))
+        for z, zp in ((x, xp), (y, yp)):
+            _check_against_reference(field, z, zp)
+        k = rng.randint(2, 4)
+        cases = [
+            (x + y, ref.add(xp, yp)),
+            (x - y, ref.sub(xp, yp)),
+            (x + x, ref.add(xp, xp)),
+            (x - x, ref.sub(xp, xp)),
+            (x * y, ref.mul(xp, yp)),
+            (x ** k, ref.pow(xp, k)),
+            (Fraction(-5, 6) * x + 7, ref.add(ref.mul(ref.const(Fraction(-5, 6)), xp), ref.const(7))),
+        ]
+        if y:
+            cases += [(x / y, ref.div(xp, yp)), (y.inverse(), ref.inverse(yp)), (y ** -k, ref.pow(yp, -k))]
+            # the common factors of a product and of a sum with y cancel again
+            cases += [(x * y / y, xp), ((x + y) * (x - y) / (x - y) if x != y else x + y, ref.add(xp, yp))]
+        for got, want in cases:
+            _check_against_reference(field, got, want)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_zq_gcd_matches_euclid(m):
+    # exactnum._gcd against the Euclidean gcd over Q(zeta_m)[q]: a planted common factor f of a = f g and b = f h,
+    # up to a constant; the gcd comes back led by a positive integer with no integer dividing every entry
+    rng = random.Random("zq-gcd:%d" % m)
+    ctx, ref = _cycctx(m), _Reference(m)
+
+    def poly(degree):
+        out = [tuple(rng.randint(-6, 6) for _ in ctx.one) for _ in range(degree + 1)]
+        out[-1] = out[-1] if any(out[-1]) else ctx.one
+        return tuple(out)
+
+    for trial in range(30):
+        f = poly(rng.randint(0, 3))
+        a = exactnum._pmul(ctx, f, poly(rng.randint(1, 4)))
+        b = exactnum._pmul(ctx, f, poly(rng.randint(1, 4)))
+        g = exactnum._gcd(ctx, a, b)
+        assert g[-1][0] > 0 and not any(g[-1][1:]) and math.gcd(*[e for v in g for e in v]) == 1, trial
+        to_fractions = lambda p: tuple(tuple(map(Fraction, v)) for v in p)
+        want = ref.gcd(to_fractions(a), to_fractions(b))
+        assert to_fractions(g) == tuple(ref.ctx.mul(v, (Fraction(g[-1][0]),) + ref.ctx.zero[1:]) for v in want), trial
+
+
 def test_constructors_keep_integral_entries_as_ints():
     C3 = cyclotomic_field(3)
     for x in (C3.scalar(Fraction(4, 2)), C3.from_cyc([Fraction(6, 3), Fraction(1, 2)]), FieldSpec("rational").scalar(True)):
-        _assert_normal(x)
+        _assert_canonical(x)
     assert C3.scalar(Fraction(4, 2)) == C3.scalar(2) and hash(C3.scalar(Fraction(4, 2))) == hash(C3.scalar(2))
     # a bound q given with Fraction entries is the same field, its q an int constant
     minus_one = FieldSpec("rational", qval=(Fraction(-2, 2),))
     assert minus_one == FieldSpec("rational", qval=(-1,)) and hash(minus_one) == hash(FieldSpec("rational", qval=(-1,)))
-    _assert_normal(minus_one.q())
+    _assert_canonical(minus_one.q())
 
 
 def test_field_spec_resolves_its_context_once(monkeypatch):

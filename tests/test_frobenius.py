@@ -255,11 +255,14 @@ def test_no_operator_is_packed_twice(case, monkeypatch):
     # each operator is packed once however many actions and degrees use it, so the count does not grow with
     # the top degree (2 for dj(2), 3 for dj(3)): the conjugation packs dj(N)'s R, tau and tau^-t; the profile
     # packs R, R^t, theta, phi, psi, their transposes, and the products restricted to each upsilon(k):
-    # psi^-1 theta in trace_table, theta phi in nakayama-braiding, and psi theta_bar, formed once for both
+    # psi^-1 theta in trace_table and psi theta_bar, formed once for trace_table and nakayama-braiding; theta phi,
+    # the other side of nakayama-braiding, equals psi theta_bar on these inputs, so its restrictions are
+    # psi theta_bar's (FrobeniusProfile.restricted) and it is never packed
     built = _count_table_builds(monkeypatch)
     prof = analyze(SQUARE_CASES[case]())
+    assert prof.theta * prof.phi == prof.psi_theta_bar
     assert verify_operator_identities(prof).ok and trace_table(prof)[0].ok
-    assert len(set(map(id, built))) == len(built) == 3 + 11
+    assert len(set(map(id, built))) == len(built) == 3 + 10
 
 
 @pytest.mark.parametrize("case", sorted(c for c in SQUARE_CASES if "conj" in c))
@@ -432,10 +435,12 @@ def test_family_actions_make_one_action_each(monkeypatch):
     for k in range(1, n + 1):
         assert count(acts, restrict_to_subspace, prof.theta, k, sym.upsilon(k).basis, sym.upsilon(k).pivots()) == 1
     assert count(rrefs, psi_op, sym, n, t) == 1
-    # one action per family: 6 for square-commutes, 1 for top-scaling, 2 per degree of the
-    # Nakayama braiding (k = 1..3), 1 per pairing twist (k = 0..3), 2 per braid-top.k and 1 per
-    # mirror-top.k (k = 1, 2), and 1 row of rep(y_n) for functional.kernel
-    assert count(acts, verify_operator_identities, prof) == 6 + 1 + 2 * 3 + 4 + 3 * 2 + 1
+    # one action per family: 6 for square-commutes, 1 for top-scaling, 1 per degree of the
+    # Nakayama braiding (k = 1..3: theta phi = psi theta_bar here, so both sides are one restriction), 1 per
+    # pairing twist (k = 0..3), 2 per braid-top.k and 1 per mirror-top.k (k = 1, 2), and 1 row of rep(y_n)
+    # for functional.kernel
+    assert prof.theta * prof.phi == prof.psi_theta_bar
+    assert count(acts, verify_operator_identities, prof) == 6 + 1 + 1 * 3 + 4 + 3 * 2 + 1
     assert words == []
 
 
@@ -460,15 +465,29 @@ def _scalars_in(obj, seen):
         yield from _scalars_in(item, seen)
 
 
+@pytest.mark.parametrize("case", ["dj3-conj-q=2", "dj3-conj-cyc3"])
+def test_constant_fields_build_no_fraction(case, monkeypatch):
+    # constants are integer vectors over one integer: the profile and the identity suite of a dense conjugate
+    # over Q at q = 2 and over Q(zeta_3) construct no Fraction (the control below shows that one would be seen)
+    sym = SQUARE_CASES[case]()
+    built, real = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or real(cls, *args, **kw))
+    assert (sym.field.one() / 3).constant()[0] == Fraction(1, 3) and built
+    built.clear()
+    assert verify_operator_identities(analyze(sym)).ok
+    assert built == []
+
+
 @pytest.mark.parametrize("sym", [dj_standard(3, cyclotomic_field(3, q_power=1)), dj_standard(2)], ids=["dj3-cyc3", "dj2-generic"])
 def test_profile_holds_no_integral_fraction(sym):
-    # an integral coefficient entry of a Scalar is an int; a Fraction only holds a non-integer
+    # every coefficient entry of a Scalar is an int, over a denominator led by a positive integer
     prof = analyze(sym)
     scalars = list(_scalars_in(prof, set()))
     assert len(scalars) > 30 and all(any(x is y for y in scalars) for x in prof.t + prof.psi.entries)
     for x in scalars:
+        assert x.den[-1][0] > 0 and not any(x.den[-1][1:]), x
         for vec in x.num + x.den:
-            assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in vec), (x, vec)
+            assert all(type(c) is int for c in vec), (x, vec)
 
 
 def test_functional_top_value_dj4():

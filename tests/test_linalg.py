@@ -35,6 +35,49 @@ def test_kernel_of_identity_is_zero():
     assert MatrixF.identity(4, F).kernel().dim == 0
 
 
+def _kernel_two_eliminations(A):
+    """The kernel as MatrixF.kernel built it before one elimination sufficed: e_f - sum_r R[r, f] e_(p_r) for each
+    free column f of A's RREF, row-reduced again by Subspace.from_vectors (the oracle)."""
+    R, pivots = A.rref()
+    zero, one = A.domain.zero(), A.domain.one()
+    basis = []
+    for j in (j for j in range(A.cols) if j not in pivots):
+        v = [zero] * A.cols
+        v[j] = one
+        for r, pc in enumerate(pivots):
+            if R[r, j]:
+                v[pc] = -R[r, j]
+        basis.append(tuple(v))
+    return Subspace.from_vectors(basis, A.cols, A.domain)
+
+
+@pytest.mark.parametrize("field", [F, cyclotomic_field(3), GENERIC_Q], ids=lambda f: "%s-%d" % (f.kind, f.order))
+def test_kernel_matches_two_eliminations(field, monkeypatch):
+    # sparse and low-rank matrices from 1 x 1 to 7 x 7: the same canonical basis, with one row reduction and no
+    # Subspace.from_vectors
+    rng = random.Random("kernel:%s:%d" % (field.kind, field.order))
+    small = lambda: rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 3)))
+    entry = {"rational": lambda: field.scalar(small()), "cyclotomic": lambda: small() * field.one() + small() * field.e()}.get(
+        field.kind, lambda: small() * field.q() + small()
+    )
+    cases = []
+    for _ in range(60):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        A = MatrixF(r, c, [entry() for _ in range(r * c)], field)
+        if rng.random() < 0.3 and r > 1:
+            # a repeated row lowers the rank
+            A = MatrixF.from_rows(A.row_list()[:-1] + [A.row(0)], field)
+        cases.append((A, _kernel_two_eliminations(A)))
+    calls = []
+    rref = MatrixF.rref
+    monkeypatch.setattr(MatrixF, "rref", lambda self: calls.append(1) or rref(self))
+    monkeypatch.setattr(Subspace, "from_vectors", lambda *a: pytest.fail("kernel row-reduced its basis again"))
+    for A, want in cases:
+        calls.clear()
+        assert A.kernel() == want, (A.rows, A.cols)
+        assert len(calls) == 1
+
+
 def test_subspace_dim_formula():
     rng = random.Random(12)
     for _ in range(25):

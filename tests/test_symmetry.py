@@ -910,8 +910,8 @@ def test_unit_vectors_unpack_without_gcd(monkeypatch):
     units = [[one if k == j else zero for k in range(27)] for j in range(27)]
     elements = [[(word, c) for _p, word, c in antisymmetrizer(3, F).field_terms()], [((1, 2, 1), None), ((2,), q - 1), ((), -q)]]
     calls = []
-    real = exactnum._pmonic_scale
-    monkeypatch.setattr(exactnum, "_pmonic_scale", lambda *a: calls.append(a) or real(*a))
+    real = exactnum._gcd
+    monkeypatch.setattr(exactnum, "_gcd", lambda *a: calls.append(a) or real(*a))
     for terms in elements:
         for e in units:
             _act(column_table(sym.R), 3, terms, e, zero)
