@@ -72,18 +72,15 @@ def _field_from_args(args) -> FieldSpec:
     kind = args.field or "ratfunc"
     if kind == "rational" and args.order is not None:
         raise InputError("--order does not apply to --field rational")
-    order = _at_least_one(args.order, "--order", 1)
+    try:
+        base = FieldSpec("ratfunc_q" if kind == "ratfunc" else kind, _at_least_one(args.order, "--order", 1))
+    except ValueError as exc:
+        raise InputError("bad --order: %s" % exc) from None
     qexpr = args.q
     if kind == "ratfunc":
         if qexpr not in (None, "q"):
             raise InputError("q is the formal variable of the generic field")
-        return FieldSpec("ratfunc_q", order)
-    if kind == "rational":
-        base = FieldSpec("rational")
-    elif kind == "cyclotomic":
-        base = FieldSpec("cyclotomic", order)
-    else:
-        raise InputError("unknown field kind %r" % kind)
+        return base
     if qexpr is None:
         qexpr = "e" if kind == "cyclotomic" else "1"
     try:

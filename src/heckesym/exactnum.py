@@ -30,12 +30,13 @@ with Fraction entries over a monic denominator, the form exprio prints;
 _CycCtx.mul and inv take such vectors, for multipoly.
 
 pack_q moves a vector of any kind to integer polynomials in q over one
-polynomial denominator (a constant is the degree-0 case), at_lanes puts m
-such vectors in the lanes of one int per coordinate (Placed, units beside
-one vector t, straight from t), and unpack_q reads the lanes back with at
-most one gcd per coordinate; equal_packed compares two packed families with
-no Scalar built.  Digits are whole bytes wide (digit_bits), so they read
-back in one pass over an int's bytes.
+polynomial denominator (a constant is the degree-0 case), and at_lanes puts
+m such vectors in the lanes of one int per coordinate (Placed, units beside
+one vector t, straight from t).  A slot action returns such ints over one
+denominator as a Packed family: values() reads the lanes back with at most
+one gcd per coordinate, while == and vanishes() decide on the ints with no
+Scalar built.  Digits are whole bytes wide (digit_bits), so they read back
+in one pass over an int's bytes.  Cyclotomic orders run from 1 to MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ __all__ = [
     "specialize",
     "primitive_root",
     "pack_q",
-    "unpack_q",
     "at_lanes",
     "Placed",
-    "equal_packed",
+    "Packed",
+    "MAX_ORDER",
     "at_power_of_two",
     "digit_bits",
     "mul_matrices",
@@ -118,26 +119,12 @@ def cyclotomic_polynomial(m: int) -> Tuple[int, ...]:
     """Integer coefficients of Phi_m, low degree first, monic."""
     if m < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    # start from x^m - 1 and strip Phi_d for each proper divisor d
-    poly = [-1] + [0] * (m - 1) + [1]
+    # start from x^m - 1 and strip Phi_d for each proper divisor d, as polynomials over Z = Z[zeta_1]
+    poly = ((-1,),) + ((0,),) * (m - 1) + ((1,),)
     for d in range(1, m):
         if m % d == 0:
-            poly = _zpoly_exact_div(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _zpoly_exact_div(num: list, den: list) -> list:
-    """Exact division of integer polynomials, low degree first."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] // den[-1]
-        out[k] = c
-        for j, dj in enumerate(den):
-            num[k + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+            poly = _exact_quo(_cycctx(1), poly, tuple((c,) for c in cyclotomic_polynomial(d)))
+    return tuple(c for c, in poly)
 
 
 class _CycCtx:
@@ -268,11 +255,17 @@ class _CycCtx:
 
 
 _CYC_CACHE: dict = {}
+# the largest cyclotomic order: the tables and every product grow with deg Phi_m, so an order read from the command
+# line or a document is bounded; the catalog, the obstruction cases and the Hessian group use orders up to 12
+MAX_ORDER = 256
 
 
 def _cycctx(m: int) -> _CycCtx:
+    """The reduction tables of order m, built once; an order outside 1..MAX_ORDER is refused before any is built."""
     ctx = _CYC_CACHE.get(m)
     if ctx is None:
+        if not 1 <= m <= MAX_ORDER:
+            raise ValueError("cyclotomic order must be from 1 to %d" % MAX_ORDER)
         ctx = _CYC_CACHE[m] = _CycCtx(m)
     return ctx
 
@@ -286,7 +279,8 @@ class FieldSpec:
     """Which exact field a computation runs over.
 
     kind   -- "rational", "cyclotomic" or "ratfunc_q"
-    order  -- cyclotomic order m of the coefficient field (1 for plain Q)
+    order  -- cyclotomic order m of the coefficient field (1 for plain Q),
+              from 1 to MAX_ORDER
     qval   -- for non-generic kinds, the value bound to the symbol q,
               as a coefficient vector over Q(zeta_order); None if unbound
     """
@@ -298,13 +292,11 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in ("rational", "cyclotomic", "ratfunc_q"):
             raise ValueError("unknown field kind %r" % (self.kind,))
-        if self.order < 1:
-            raise ValueError("cyclotomic order must be >= 1")
         if self.kind == "rational" and self.order != 1:
             raise ValueError("rational field has order 1")
         if self.kind == "ratfunc_q" and self.qval is not None:
             raise ValueError("q is the formal variable of a ratfunc_q field")
-        # looked up once per field; not a dataclass field, so == and hash ignore it
+        # looked up once per field, the order checked first; not a dataclass field, so == and hash ignore it
         object.__setattr__(self, "_cyc", _cycctx(self.order))
         if self.qval is not None:
             if len(self.qval) != self._cyc.deg:
@@ -435,16 +427,6 @@ def _divided(a: QPoly, g: int) -> QPoly:
     return tuple(tuple([x // g for x in v]) for v in a)
 
 
-def _primitive(ctx: _CycCtx, a: QPoly) -> QPoly:
-    """a led by a positive integer (over Z[zeta_m], times r with lead r an integer) and over the gcd of its entries:
-    the monic a times the least integer that makes it integral."""
-    if any(a[-1][1:]):
-        a = _pscale(ctx, a, ctx.iinv(a[-1])[0])
-    g = gcd(*chain.from_iterable(a))
-    g = -g if a[-1][0] < 0 else g
-    return a if g == 1 else _divided(a, g)
-
-
 def _prem(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
     """A nonzero integer times the remainder of a by b, for deg a >= deg b > 0: each step scales by b's leading
     coefficient rather than divide by it."""
@@ -464,20 +446,20 @@ def _gcd(ctx: _CycCtx, a: QPoly, b: QPoly) -> QPoly:
     """A gcd over Q(zeta_m) of two integer polynomials of positive degree, up to a constant factor.
 
     A primitive PRS (Brown, JACM 1971; Knuth, TAOCP vol. 2, 4.6.1): each
-    pseudo-remainder is made _primitive, which at order 1 removes its content
-    over Z[q] and over Z[zeta_m] first makes it lead with an integer, so the
-    remainders are the monic ones over Q(zeta_m) with least integer
-    denominators, and their coefficients do not grow from step to step.
-    The gcd returned is _primitive too.
+    pseudo-remainder is made primitive (the denominator _normal makes of it),
+    which at order 1 removes its content over Z[q] and over Z[zeta_m] first
+    makes it lead with an integer, so the remainders are the monic ones over
+    Q(zeta_m) with least integer denominators, and their coefficients do not
+    grow from step to step.  The gcd returned is primitive too.
     """
     if len(a) < len(b):
         a, b = b, a
-    b = _primitive(ctx, b)
+    b = _normal(ctx, (), b)[1]
     while len(b) > 1:
         r = _prem(ctx, a, b)
         if not r:
             return b
-        a, b = b, _primitive(ctx, r)
+        a, b = b, _normal(ctx, (), r)[1]
     return ctx.unit
 
 
@@ -858,54 +840,59 @@ def _numerators(rows: list, n: int, m: int) -> list:
     return out
 
 
-def unpack_q(field: FieldSpec, comps, dens, bits: int, m: int = 1) -> tuple:
-    """The scalars of the lanes of comps (at_lanes), over the product of the dens, stacked and in lowest terms.
+class Packed:
+    """The result of a slot action (symmetry._packed_act): the ints comps[j] of m lanes (at_lanes) over the one
+    denominator den, led by a positive integer, every digit below 2^(bits-1) in size.  field None is a ring family:
+    comps is one component holding its values, den None and bits 0."""
 
-    Every digit is below 2^(bits-1) in size, and each den is led by a
-    positive integer.  Over den = c or c q^k no gcd is taken (_reduce);
-    otherwise one per nonzero scalar.  When den and every numerator are
-    constant in q, the digits are the coefficient vectors themselves.
-    """
-    ctx = field._cyc
-    den = _product(ctx, dens)
-    zero = field.zero()
-    n = _digit_count(comps, bits, m)
-    rows = [_digits(xs, bits, n) for xs in comps]
-    if n == m and len(den) == 1:
-        c = den[0][0]
-        return tuple([_const(field, v, c) if any(v) else zero for v in zip(*rows)])
-    return tuple([_scalar(field, *_reduce(ctx, num, den)) if num else zero for num in _numerators(rows, n, m)])
+    __slots__ = ("field", "comps", "den", "bits", "m")
 
+    def __init__(self, field: Optional[FieldSpec], comps: list, den: Optional[QPoly], bits: int, m: int):
+        self.field, self.comps, self.den, self.bits, self.m = field, comps, den, bits, m
 
-def _product(ctx: _CycCtx, dens) -> QPoly:
-    den = (ctx.one,)
-    for f in dens:
-        den = _pmul(ctx, den, f)
-    return den
+    def values(self) -> tuple:
+        """The values of the lanes, stacked and in lowest terms.
 
+        Over den = c or c q^k no gcd is taken (_reduce); otherwise one per
+        nonzero scalar.  When den and every numerator are constant in q, the
+        digits are the coefficient vectors themselves.
+        """
+        field, den = self.field, self.den
+        if field is None:
+            return tuple(self.comps[0])
+        zero = field.zero()
+        n = _digit_count(self.comps, self.bits, self.m)
+        rows = [_digits(xs, self.bits, n) for xs in self.comps]
+        if n == self.m and len(den) == 1:
+            c = den[0][0]
+            return tuple([_const(field, v, c) if any(v) else zero for v in zip(*rows)])
+        return tuple([_scalar(field, *_reduce(field._cyc, num, den)) if num else zero for num in _numerators(rows, n, self.m)])
 
-def equal_packed(field: FieldSpec, a: tuple, b: tuple, m: int) -> bool:
-    """Whether two packed vectors (comps, dens, bits) of m lanes (at_lanes) hold the same scalars, with no Scalar
-    built: the ints, over one denominator and one digit width; else coordinate by coordinate up to the first
-    difference, the digits over one denominator, or each lane's numerator times the other's denominator."""
-    ctx = field._cyc
-    (xa, da, ba), (xb, db, bb) = a, b
-    Da, Db = _product(ctx, da), _product(ctx, db)
-    if Da == Db and ba == bb:
-        return xa == xb
-    n = max(_digit_count(xa, ba, m), _digit_count(xb, bb, m))
-    read_a, read_b = _digit_reader(ba, n), _digit_reader(bb, n)
-    for ia, ib in zip(zip(*xa), zip(*xb)):
-        if not (any(ia) or any(ib)):
-            continue
-        if Da == Db:
-            if read_a(ia) != read_b(ib):
-                return False
-        else:
-            ra, rb = [read_a((x,)) for x in ia], [read_b((x,)) for x in ib]
-            if any(_pmul(ctx, p, Db) != _pmul(ctx, r, Da) for p, r in zip(_numerators(ra, n, m), _numerators(rb, n, m))):
-                return False
-    return True
+    def vanishes(self) -> bool:
+        """Whether every value is zero, read off the ints of a field family."""
+        return all([x.is_zero() for x in self.comps[0]]) if self.field is None else not any(map(any, self.comps))
+
+    def __eq__(self, other: "Packed") -> bool:
+        """Whether two families of one field and shape hold the same values, with no Scalar built: the ints, over one
+        denominator and one digit width; else coordinate by coordinate up to the first difference, the digits over
+        one denominator, or each lane's numerator times the other's denominator."""
+        (xa, Da, ba), (xb, Db, bb), m = (self.comps, self.den, self.bits), (other.comps, other.den, other.bits), self.m
+        if Da == Db and ba == bb:
+            return xa == xb
+        ctx = self.field._cyc
+        n = max(_digit_count(xa, ba, m), _digit_count(xb, bb, m))
+        read_a, read_b = _digit_reader(ba, n), _digit_reader(bb, n)
+        for ia, ib in zip(zip(*xa), zip(*xb)):
+            if not (any(ia) or any(ib)):
+                continue
+            if Da == Db:
+                if read_a(ia) != read_b(ib):
+                    return False
+            else:
+                ra, rb = [read_a((x,)) for x in ia], [read_b((x,)) for x in ib]
+                if any(_pmul(ctx, p, Db) != _pmul(ctx, r, Da) for p, r in zip(_numerators(ra, n, m), _numerators(rb, n, m))):
+                    return False
+        return True
 
 
 def at_power_of_two(p, bits: int) -> int:

@@ -56,7 +56,11 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:
+                # Python refuses to convert a decimal literal past its int-conversion digit limit
+                raise ExprError("integer literal of %d digits is too long" % (j - i), i) from None
             i = j
             continue
         if ch.isalpha():

@@ -28,7 +28,7 @@ at once, stacked (`linalg._stack`) and passed with its size: each pairing,
 theta, theta_bar, each restriction to a subspace and each side of braid-top
 is one action, and psi is one solve with N right-hand sides.  The two sides
 of braid-top and the vanishing of mirror-top are decided on the packed
-actions' integers (`symmetry._packed_equal`, `_packed_vanishes`), with no
+actions' integers (`exactnum.Packed`'s == and `vanishes`), with no
 Scalar built unless the check fails and needs its witness.  No
 Kronecker power of a matrix is formed: the square-commutes identity compares
 (A (x) A) R with R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action
@@ -53,7 +53,7 @@ from .heckealg import antisymmetrizer, coset_y, shift_element
 from .linalg import MatrixF, Subspace, _stack, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import cycle, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _format_entry, _packed_equal, _packed_power, _packed_vanishes, _square_times, _unpack, _vanishes, apply_power
+from .symmetry import HeckeSymmetry, _format_entry, _packed_power, _packed_vanishes, _square_times, _vanishes, apply_power
 
 __all__ = [
     "FrobeniusProfile",
@@ -130,7 +130,7 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
     # one action of y on the family of all u (x) w, the unit when k is 0 or n
     terms = sym._hecke_terms(coset_y(n, k, n - k, sym.field), n) if k not in (0, n) else [((), None)]
     m = len(left) * len(right)
-    products = sym._combine(terms, n, _stack((kron_vec(u, w, sym.field) for u in left for w in right), m, sym.field.zero()), m)
+    products = sym._packed(terms, n, _stack((kron_vec(u, w, sym.field) for u in left for w in right), m, sym.field.zero()), m).values()
     B = MatrixF(len(left), len(right), [_scalar_multiple_of_t(products[r::m], t, piv) for r in range(m)], sym.field)
     if B.rank() != B.rows:
         raise DegeneratePairing("beta_%d is singular" % k)
@@ -147,11 +147,11 @@ def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, Matrix
     """
     N, field = sym.N, sym.field
     piv, size = vec_pivot(t), N * len(t)
-    fwd = sym._combine([(cycle(n + 1, 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N), N)
+    fwd = sym._packed([(cycle(n + 1, 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N), N).values()
     theta = MatrixF(N, N, fwd[piv * N * N : (piv + 1) * N * N], field)
     if fwd != kron_vec(t, theta.entries, field):
         raise DegeneratePairing("braiding does not send V (x) t into t (x) V")
-    bwd = sym._combine([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N, last=True), N)
+    bwd = sym._packed([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N, last=True), N).values()
     theta_bar = MatrixF.from_rows([bwd[a * size + piv * N : a * size + (piv + 1) * N] for a in range(N)], field)
     if any(bwd[a * size : (a + 1) * size] != kron_vec(t, theta_bar.row(a), field) for a in range(N)):
         raise DegeneratePairing("braiding does not send t (x) V into V (x) t")
@@ -428,12 +428,12 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         m = N ** k
         lhs = sym._packed([(rho.reduced_word(), None)], k + n, Placed(t, m), m)
         # the left side's digit bound, T_rho's, is the larger one on every input tried
-        rhs = _packed_power(theta, k, Placed(t, m, last=True), zero, m, n, lhs[3])
+        rhs = _packed_power(theta, k, Placed(t, m, last=True), zero, m, n, lhs.bits)
         name, rule = "braid-top.k%d" % k, "T_rho(u t) = t theta^((x)k)(u)"
-        if _packed_equal(lhs, rhs):
+        if lhs == rhs:
             report.record(name, rule, True)
         else:
-            lhs, rhs = _unpack(lhs), _unpack(rhs)
+            lhs, rhs = lhs.values(), rhs.values()
             _record_equal(report, name, rule, (lhs[u::m] for u in range(m)), (rhs[u::m] for u in range(m)))
         del lhs, rhs  # the images go before the mirror's action
         # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one action of
@@ -445,7 +445,7 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         basis = sym.upsilon(k).basis
         defect = sym._packed(terms, k + n, kron_vec(t, _stack(basis, len(basis), zero), field), len(basis))
         rule = "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u"
-        matrix = lambda: MatrixF(N ** (k + n), len(basis), _unpack(defect), field).transpose()
+        matrix = lambda: MatrixF(N ** (k + n), len(basis), defect.values(), field).transpose()
         report.record("mirror-top.k%d" % k, rule, *_packed_vanishes([defect], matrix))
 
     # scalar-braiding degree gate (odd top degree, theta a multiple of psi)

@@ -49,7 +49,7 @@ def kron_vec(a: Sequence, b: Sequence, domain) -> tuple:
 
 def _stack(rows: Iterable, m: int, zero) -> list:
     """sum_j rows[j] (x) e_j over m rows: entry i * m + j is rows[j][i], each row written straight into its slice
-    (rows may be a generator).  symmetry._act takes the family with m and packs each tensor coordinate's m entries
+    (rows may be a generator).  symmetry._packed_act takes the family with m and packs each tensor coordinate's m entries
     into one int."""
     out = []
     for j, row in enumerate(rows):

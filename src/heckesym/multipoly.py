@@ -49,9 +49,7 @@ class PolyRing:
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        if self.order < 1:
-            raise ValueError("cyclotomic order must be >= 1")
-        # the coefficient field's reduction tables, looked up once per ring
+        # the coefficient field's reduction tables, looked up once per ring; _cycctx refuses an order out of range
         object.__setattr__(self, "_cyc", _cycctx(self.order))
 
     def coeff_field(self) -> FieldSpec:

@@ -240,7 +240,7 @@ class ProjectiveElement:
 
 def _normalize(M: MatrixF) -> MatrixF:
     """M scaled so that its first nonzero entry is 1."""
-    if M.det().is_zero():
+    if M.rank() < 3:
         raise ValueError("projective element must be invertible")
     return MatrixF(3, 3, _normalize_point(M.entries), M.domain)
 

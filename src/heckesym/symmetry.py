@@ -31,22 +31,23 @@ Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, A (x) A on
 the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
 identity), the matrices of T_i, T_sigma and rep(h), the quadratic relation
 and the braid defect -- is one sum of c * A_word(v) over slot-local steps
-(_act).  A family of m vectors stacked as sum_j v_j (x) e_j (linalg._stack)
-is acted on at once, its images stacked the same way, as the columns of a
-matrix; m = 1 is one vector.  A Scalar family is packed once into integer
-polynomials in q over one denominator, the m label coordinates of each tensor
-coordinate one Python int (lane l at 2^(B l), q at 2^(m B); a constant is the
-degree-0 case), steps on those ints with the multiplication matrices of the
-operator's entries and is unpacked once.  A family of units, or of units
+(_packed_act), whose result is one exactnum.Packed family.  A family of m
+vectors stacked as sum_j v_j (x) e_j (linalg._stack) is acted on at once, its
+images stacked the same way, as the columns of a matrix; m = 1 is one vector.
+A Scalar family is packed once into integer polynomials in q over one
+denominator, the m label coordinates of each tensor coordinate one Python int
+(lane l at 2^(B l), q at 2^(m B); a constant is the degree-0 case), steps on
+those ints with the multiplication matrices of the operator's entries and is
+read back once (Packed.values).  A family of units, or of units
 beside one vector t (exactnum.Placed), is packed from t alone, with no Scalar
 per coordinate: the quadratic relation, the braid defect and the dense
 matrices act on all their unit columns at once over a constant field, and on
 N^2 of them per action at generic q, where every coefficient int grows with
 the lanes.  An operator is packed once however many actions use it:
 column_table keeps its table on the MatrixF.  The checks that only ask
-whether a result vanishes or equals another read its ints (_packed_act) and
-unpack only to name a failure's witness.  A ring vector is one component over
-denominator 1, on R's entries as elements of its ring.
+whether a result vanishes or equals another read its ints (Packed.vanishes,
+==) and read its values only to name a failure's witness.  A ring vector is
+one component, on R's entries as elements of its ring.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -59,7 +60,7 @@ import math
 from itertools import chain
 from typing import List, Sequence, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Placed, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, equal_packed, mul_matrices, pack_q, unpack_q
+from .exactnum import FieldSpec, GENERIC_Q, Packed, Placed, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, mul_matrices, pack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Subspace, kron_vec
@@ -163,42 +164,38 @@ def _int_step(cols: Sequence, first: int, N: int, comps: list, zero) -> list:
     return outs
 
 
-def _act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1) -> tuple:
+def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1, floor: int = 0) -> Packed:
     """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1, on vec, a family of m vectors stacked
-    (linalg._stack, or an exactnum.Placed one) or one for m = 1; the values of _packed_act."""
-    return _unpack(_packed_act(table, N, terms, vec, zero, m))
-
-
-def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1, floor: int = 0) -> tuple:
-    """The action of _act, still packed: (field, comps, dens, bits, m).
+    (linalg._stack, or an exactnum.Placed one) or one for m = 1, as an exactnum.Packed family.
 
     A is the operator of table (see column_table) on consecutive slots of
     V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
     word[-2] on, and so on.  A Scalar or Placed vec is packed once (_pack),
     the m label coordinates of each tensor coordinate one int, so a step visits
-    len(vec) / m ints, and the sum is comps over the product of the dens
-    (exactnum.unpack_q).  bits bounds every digit of the sum, and is at least
-    floor: the largest input coefficient times, summed over the terms, the
-    largest row sum of the term's matrix times norm^len(word).  Any other vec
-    is one component stepped whole on the ring table, its entries made
-    elements of vec's domain once, summed from zero, that domain's; field is
-    None.  A term with c None adds its image with no product.
+    len(vec) / m ints, and the sum is comps over one denominator, the product
+    of the input's, the terms' and D^top multiplied out at the end.  bits
+    bounds every digit of the sum, and is at least floor: the largest input
+    coefficient times, summed over the terms, the largest row sum of the
+    term's matrix times norm^len(word).  Any other vec is one component
+    stepped whole on the ring table, its entries made elements of vec's
+    domain once, summed from zero, that domain's; field is None.  A term with
+    c None adds its image with no product.
     """
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
     if not vec:
-        return None, [[]], (), 0, m
+        return Packed(None, [[]], None, 0, m)
     if field is None:
         if packed is not None:
             ring = [[[(a, i, zero + c) for a, i, c in entries] for entries in col] for col in ring]
-        cols, comps, mats, start, dens, bits = ring, [list(vec)], [None if c is None else [[c]] for _w, c in terms], zero, (), 0
+        cols, comps, mats, start, den, bits = ring, [list(vec)], [None if c is None else [[c]] for _w, c in terms], zero, None, 0
     else:
         _field, D, cols, norm, at = packed
         unit, start = (field._cyc.one,), 0
         top = max([len(word) for word, _c in terms], default=0)
+        Ds = _scalar(field, D, unit)
         # a word shorter than top gets D^(top - len(word)) in its coefficient
         if D != unit:
-            Ds = _scalar(field, D, unit)
             terms = [(w, c if len(w) == top else Ds ** (top - len(w)) if c is None else c * Ds ** (top - len(w))) for w, c in terms]
         cden, mats = unit, [None] * len(terms)
         if any(c is not None for _w, c in terms):
@@ -213,7 +210,7 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
         key = step if field.kind == "ratfunc_q" else 0
         if key not in at:
             at[key] = [[[(a, i, at_power_of_two(p, step)) for a, i, p in entries] for entries in col] for col in cols]
-        cols, dens = at[key], [den, cden] + [D] * top
+        cols, den = at[key], (_scalar(field, den, unit) * _scalar(field, cden, unit) * Ds ** top).num
     out = [[start] * len(comps[0]) for _ in comps]
     for (word, _c), M in zip(terms, mats):
         y = comps
@@ -226,7 +223,7 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
                     for k, x in enumerate(ys):
                         if x:
                             acc[k] += x if c is True else c * x
-    return field, out, dens, bits, m
+    return Packed(field, out, den, bits, m)
 
 
 def _pack(field: FieldSpec, vec, m: int) -> tuple:
@@ -238,23 +235,12 @@ def _pack(field: FieldSpec, vec, m: int) -> tuple:
     return den, peak, lambda bits: [vec.lanes(ps, bits) if placed else at_lanes(ps, bits, m) for ps in comps]
 
 
-def _unpack(packed: tuple) -> tuple:
-    """The values of a _packed_act result, stacked as its vec was."""
-    field, comps, dens, bits, m = packed
-    return tuple(comps[0]) if field is None else unpack_q(field, comps, dens, bits, m)
-
-
 def _packed_vanishes(packs: Sequence, matrix) -> Tuple[bool, str]:
-    """_vanishes(matrix()) for the _packed_act results packs, decided on their ints over a field: matrix() is
-    built only on a failure, or over a ring."""
-    if all(p[0] is not None and not any(map(any, p[1])) for p in packs):
+    """_vanishes(matrix()) for the _packed_act results packs, decided by Packed.vanishes: matrix() is built only
+    on a failure."""
+    if all([p.vanishes() for p in packs]):
         return True, ""
     return _vanishes(matrix())
-
-
-def _packed_equal(a: tuple, b: tuple) -> bool:
-    """Whether two _packed_act results over one field, of one shape, hold the same values (exactnum.equal_packed)."""
-    return equal_packed(a[0], a[1:4], b[1:4], a[4])
 
 
 def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0) -> tuple:
@@ -263,10 +249,10 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: 
 
     zero is that of the vector's domain (by default the domain of A).
     """
-    return _unpack(_packed_power(A, k, vec, zero, m, skip))
+    return _packed_power(A, k, vec, zero, m, skip).values()
 
 
-def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0, floor: int = 0) -> tuple:
+def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0, floor: int = 0) -> Packed:
     """apply_power, still packed (_packed_act), its digits at least floor bits wide."""
     if A.rows != A.cols or len(vec) != A.rows ** (skip + k) * m:
         raise ValueError("vector length mismatch")
@@ -276,7 +262,7 @@ def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip
 
 def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
     """(A (x) A) M, one action of A on the two row slots of M's row-major entries."""
-    return MatrixF(M.rows, M.cols, _act(column_table(A), A.rows, [((1, 2), None)], M.entries, A.domain.zero(), M.cols), A.domain)
+    return MatrixF(M.rows, M.cols, _packed_act(column_table(A), A.rows, [((1, 2), None)], M.entries, A.domain.zero(), M.cols).values(), A.domain)
 
 
 def _format_entry(x) -> str:
@@ -304,7 +290,7 @@ def _column_blocks(table: tuple, N: int, dim: int, terms: Sequence, domain) -> l
 
 def _matrix_of(table: tuple, N: int, dim: int, terms: Sequence, domain, blocks=None) -> MatrixF:
     """The dim x dim matrix of sum c * A_word, from the column blocks of _column_blocks (or blocks, its result)."""
-    blocks = [_unpack(b) for b in blocks or _column_blocks(table, N, dim, terms, domain)]
+    blocks = [b.values() for b in blocks or _column_blocks(table, N, dim, terms, domain)]
     width = len(blocks[0]) // dim
     return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
 
@@ -389,13 +375,9 @@ class HeckeSymmetry:
 
     # -- actions
 
-    def _combine(self, terms: Sequence, n: int, vec: Sequence, m: int = 1) -> tuple:
+    def _packed(self, terms: Sequence, n: int, vec: Sequence, m: int = 1) -> Packed:
         """Sum of c * T_word over the (word, c) terms on V^(x)n, c None meaning 1, on vec, or on the family
-        of m vectors stacked in vec (linalg._stack) by one action."""
-        return _unpack(self._packed(terms, n, vec, m))
-
-    def _packed(self, terms: Sequence, n: int, vec: Sequence, m: int = 1) -> tuple:
-        """_combine, still packed (_packed_act)."""
+        of m vectors stacked in vec (linalg._stack), by one action (_packed_act)."""
         if len(vec) != self.N ** n * m:
             raise ValueError("vector length mismatch")
         if any(not 1 <= i < n for word, _c in terms for i in word):
@@ -404,15 +386,15 @@ class HeckeSymmetry:
 
     def apply_generator(self, i: int, n: int, vec: Sequence) -> tuple:
         """T_i acting on a vector of V^(x)n."""
-        return self._combine([((i,), None)], n, vec)
+        return self._packed([((i,), None)], n, vec).values()
 
     def apply_perm_word(self, word: Sequence[int], n: int, vec: Sequence) -> tuple:
         """T_sigma acting on a vector, sigma given by a reduced word."""
-        return self._combine([(tuple(word), None)], n, vec)
+        return self._packed([(tuple(word), None)], n, vec).values()
 
     def apply_hecke(self, h: HeckeElement, n: int, vec: Sequence) -> tuple:
         """A Hecke algebra element acting on a vector of V^(x)n."""
-        return self._combine(self._hecke_terms(h, n), n, vec)
+        return self._packed(self._hecke_terms(h, n), n, vec).values()
 
     def _hecke_terms(self, h: HeckeElement, n: int) -> list:
         """The (word, c) terms of h, refused when h has a higher degree than n or another field."""
@@ -611,6 +593,7 @@ class HeckeSymmetry:
             matrix = doc["matrix"]
         except (KeyError, TypeError) as exc:
             raise SymmetryError("malformed document: missing %s" % exc) from None
+        _check_catalog_dim(N)
         base = FieldSpec(fkind, forder)
         qval = parse_scalar(qstr, base)
         field = base if fkind == "ratfunc_q" else base.with_q(qval)
@@ -634,6 +617,7 @@ def _swapped_pairs(N: int) -> List[int]:
 
 
 def _check_catalog_dim(N: int):
+    """Refuses N < 1 and N^2 > TENSOR_DIM_CAP, for the catalog and for documents, before any allocation."""
     if N < 1:
         raise SymmetryError("dimension must be >= 1")
     if N * N > TENSOR_DIM_CAP:

@@ -228,7 +228,7 @@ def test_module_entry_point():
 def test_operator_is_packed_once_per_run(capsys, tmp_path, monkeypatch, command):
     # both relation checks and every action of the symmetry read the table kept
     # on R; the transpose symmetry packs R^t, which differs from R for this conjugate
-    from heckesym import symmetry
+    from heckesym import exactnum, symmetry
     from test_golden import DJ3_CYC3_CONJUGATE
     from test_symmetry import _count_table_builds
 
@@ -254,7 +254,7 @@ def test_operator_is_packed_once_per_run(capsys, tmp_path, monkeypatch, command)
 def test_builtin_relations_are_checked_once(capsys, monkeypatch, argv, checks):
     # analyze and verify record both relation checks in their reports, so they build the built-in unvalidated;
     # the builtin command has no report and validates
-    from heckesym import symmetry
+    from heckesym import exactnum, symmetry
     from test_golden import STDOUT_SHA256, _sha256
 
     calls = []
@@ -417,6 +417,67 @@ def test_oversize_product_in_document_exits_2(tmp_path, capsys, entry):
     assert captured.out == ""
     assert captured.err.startswith("error: bad operator document: product ")
     assert captured.err.count("\n") == 1
+
+
+def _flip_document(N):
+    """The flip of k^N as an operator document, written out entry by entry: the catalog refuses N^2 > 256."""
+    matrix = [["0"] * (N * N) for _ in range(N * N)]
+    for i in range(N):
+        for j in range(N):
+            matrix[j * N + i][i * N + j] = "1"
+    return {"dim": N, "field": {"kind": "rational", "order": 1}, "q": "1", "matrix": matrix}
+
+
+def _dj2_document(**changes):
+    doc = {"dim": 2, "field": {"kind": "cyclotomic", "order": 3}, "q": "e", "matrix": [["0"] * 4 for _ in range(4)]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("q", "bad --q expression: integer literal of 5000 digits is too long (at position 0)"),
+        ("order", "bad --order: cyclotomic order must be from 1 to 256"),
+        ("document-entry", "bad operator document: integer literal of 5000 digits is too long (at position 0)"),
+        ("document-order", "bad operator document: cyclotomic order must be from 1 to 256"),
+        ("flip17", "bad operator document: dimension 17 exceeds the cap: N^2 must be at most 256"),
+    ],
+)
+def test_oversize_inputs_exit_2_before_any_large_allocation(tmp_path, capsys, monkeypatch, case, message):
+    import tracemalloc
+
+    from heckesym import exactnum, symmetry
+
+    argv = {
+        "q": ["verify", "--builtin", "dj", "--dim", "2", "--field", "rational", "--q", "7" * 5000],
+        "order": ["verify", "--builtin", "dj", "--dim", "2", "--order", "100000"],
+    }.get(case)
+    if argv is None:
+        doc = {
+            "document-entry": _dj2_document(matrix=[["7" * 5000] * 4] * 4),
+            "document-order": _dj2_document(field={"kind": "cyclotomic", "order": 100000}),
+            "flip17": _flip_document(17),
+        }[case]
+        path = tmp_path / (case + ".json")
+        path.write_text(json.dumps(doc))
+        argv = ["verify", str(path)]
+        if case != "document-entry":
+            monkeypatch.setattr(symmetry, "parse_scalar", lambda *args: pytest.fail("an entry was parsed"))
+    if "order" in case:
+        monkeypatch.setattr(exactnum, "_CycCtx", lambda m: pytest.fail("order %d built its tables" % m))
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+    # reading and decoding the flip(17) document peaks near 1.6 MB; validating it took hundreds
+    assert peak < 8 * 1024 * 1024, peak
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 from heckesym import exactnum
 from heckesym.exactnum import (
+    MAX_ORDER,
     FieldSpec,
     GENERIC_Q,
     PoleError,
@@ -23,6 +24,7 @@ from heckesym.exactnum import (
     specialize,
 )
 from heckesym.exprio import _format_qpoly, format_scalar
+from heckesym.multipoly import PolyRing
 from heckesym.permgroup import enumerate_perms
 
 F = GENERIC_Q
@@ -717,6 +719,25 @@ def test_cyclotomic_inverse_reuses_phi(monkeypatch):
     assert ctx.mul(a, ctx.inv(a)) == ctx.one
 
 
+def test_cyclotomic_polynomials_multiply_to_x_to_the_m_minus_one():
+    # prod_(d | m) Phi_d = x^m - 1 determines every Phi_m from the smaller ones
+    for m in range(1, 60):
+        prod = (1,)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _int_poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == (-1,) + (0,) * (m - 1) + (1,), m
+
+
+def test_cyclotomic_order_is_bounded_before_any_table(monkeypatch):
+    assert FieldSpec("cyclotomic", MAX_ORDER).order == MAX_ORDER
+    monkeypatch.setattr(exactnum, "_CycCtx", lambda m: pytest.fail("order %d built its tables" % m))
+    for make in (lambda m: FieldSpec("cyclotomic", m), lambda m: FieldSpec("ratfunc_q", m), lambda m: PolyRing(("a",), m)):
+        for m in (0, MAX_ORDER + 1, 100000):
+            with pytest.raises(ValueError, match="cyclotomic order must be from 1 to %d" % MAX_ORDER):
+                make(m)
+
+
 def test_tracer_can_wrap_every_scalar_op():
     # perfbench/tracer.py replaces Scalar.__dict__[op] for each op of SCALAR_OPS
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -795,11 +816,10 @@ def test_digit_decoding_matches_the_loop():
         assert exactnum._digits([x, -x, 0], bits, n) == [d for y in (x, -x, 0) for d in _from_power_of_two_loop(y, bits) + [0] * (n - len(_from_power_of_two_loop(y, bits)))]
 
 
-def _equal_packed_all_at_once(field, a, b, m):
-    """equal_packed as it decoded every digit of both sides into lists before comparing (the oracle)."""
-    ctx = field._cyc
-    (xa, da, ba), (xb, db, bb) = a, b
-    Da, Db = exactnum._product(ctx, da), exactnum._product(ctx, db)
+def _equal_packed_all_at_once(a, b):
+    """Packed.__eq__ as it decoded every digit of both sides into lists before comparing (the oracle)."""
+    ctx, m = a.field._cyc, a.m
+    (xa, Da, ba), (xb, Db, bb) = (a.comps, a.den, a.bits), (b.comps, b.den, b.bits)
     if Da == Db and ba == bb:
         return xa == xb
     n = max(exactnum._digit_count(xa, ba, m), exactnum._digit_count(xb, bb, m))
@@ -820,19 +840,19 @@ def _int_poly_mul(p, f):
     return tuple(out)
 
 
-def _packed_pair(comps, den, m, widths, factor=None):
-    """Two packed families (comps, dens, bits) of one value: comps (pack_q's) over den at the first width, and at
-    the second width, its numerators times the integer polynomial factor and factor added to its dens."""
+def _packed_pair(field, comps, den, m, widths, factor=None):
+    """Two Packed families of one value: comps (pack_q's) over den at the first width, and at the second width, its
+    numerators times the integer polynomial factor over den times factor."""
     deg = len(comps)
     top = max([abs(c) for ps in comps for p in ps for c in _int_poly_mul(p, factor or (1,))], default=0)
     ba, bb = (max(w, exactnum.digit_bits(top)) for w in widths)
-    a = ([exactnum.at_lanes(ps, ba, m) for ps in comps], [den], ba)
+    a = exactnum.Packed(field, [exactnum.at_lanes(ps, ba, m) for ps in comps], den, ba, m)
     if factor is None:
-        return a, ([exactnum.at_lanes(ps, bb, m) for ps in comps], [den], bb)
+        return a, exactnum.Packed(field, [exactnum.at_lanes(ps, bb, m) for ps in comps], den, bb, m)
     # a constant factor scales the first coordinate of each coefficient vector
     scaled = [[_int_poly_mul(p, factor) for p in ps] for ps in comps]
     fden = tuple((c,) + (0,) * (deg - 1) for c in factor)
-    return a, ([exactnum.at_lanes(ps, bb, m) for ps in scaled], [den, fden], bb)
+    return a, exactnum.Packed(field, [exactnum.at_lanes(ps, bb, m) for ps in scaled], exactnum._pmul(field._cyc, den, fden), bb, m)
 
 
 @pytest.mark.parametrize("field", [FieldSpec("rational"), cyclotomic_field(3), GENERIC_Q, FieldSpec("ratfunc_q", 4)], ids=lambda f: "%s-%d" % (f.kind, f.order))
@@ -846,16 +866,16 @@ def test_equal_packed_matches_the_all_at_once_decoder(field):
         den, comps = exactnum.pack_q(field, vec)
         widths = rng.choice(((8, 16), (16, 8), (8, 64), (64, 128), (128, 192), (8, 8)))
         factor = None if trial % 3 == 0 else (rng.choice((2, 3, -5)), 1) if ratfunc else (rng.choice((2, 3, -5)),)
-        a, b = _packed_pair(comps, den, m, widths, factor)
+        a, b = _packed_pair(field, comps, den, m, widths, factor)
         for x, y in ((a, b), (b, a)):
-            assert exactnum.equal_packed(field, x, y, m) is _equal_packed_all_at_once(field, x, y, m) is True, trial
+            assert (x == y) is _equal_packed_all_at_once(x, y) is True, trial
         k, j = rng.randrange(len(vec)), rng.randrange(len(comps))
         bad = [list(ps) for ps in comps]
         p = bad[j][k] or (0,)
         bad[j][k] = (p[0] + rng.choice((1, -1)),) + p[1:]
-        c, d = _packed_pair(bad, den, m, widths, factor)
-        assert exactnum.equal_packed(field, a, d, m) is _equal_packed_all_at_once(field, a, d, m) is False, trial
-        assert exactnum.equal_packed(field, c, b, m) is _equal_packed_all_at_once(field, c, b, m) is False, trial
+        c, d = _packed_pair(field, bad, den, m, widths, factor)
+        assert (a == d) is _equal_packed_all_at_once(a, d) is False, trial
+        assert (c == b) is _equal_packed_all_at_once(c, b) is False, trial
 
 
 @pytest.mark.parametrize("factor", [None, (3,)], ids=["other-width", "other-denominator"])
@@ -868,12 +888,12 @@ def test_equal_packed_decodes_one_coordinate_at_a_time(factor):
     field, m = FieldSpec("rational"), 5
     rng = random.Random("equal-packed-memory")
     comps = [[tuple(rng.randint(-(2 ** 60), 2 ** 60) for _ in range(25)) for _ in range(200 * m)]]
-    a, b = _packed_pair(comps, ((1,),), m, (64, 128), factor)
+    a, b = _packed_pair(field, comps, ((1,),), m, (64, 128), factor)
     peaks = []
-    for equal in (exactnum.equal_packed, _equal_packed_all_at_once):
+    for equal in (exactnum.Packed.__eq__, _equal_packed_all_at_once):
         tracemalloc.start()
         try:
-            assert equal(field, a, b, m) is True
+            assert equal(a, b) is True
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

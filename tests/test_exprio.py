@@ -58,6 +58,13 @@ def test_errors_carry_positions():
         parse_scalar("zz", F)
 
 
+def test_overlong_integer_literal_carries_its_position():
+    # past Python's int-conversion digit limit a literal is an ExprError, not a bare ValueError
+    with pytest.raises(ExprError, match="integer literal of 5000 digits") as exc:
+        parse_scalar("q + " + "7" * 5000, F)
+    assert exc.value.pos == 4
+
+
 def test_exponent_bound():
     # only a value just above the bound: an extreme one would be evaluated at the parent
     text = "q^%d" % (MAX_EXPONENT + 1)

@@ -267,19 +267,19 @@ def test_no_operator_is_packed_twice(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(c for c in SQUARE_CASES if "conj" in c))
 def test_braid_top_compares_ints(case, monkeypatch):
-    # both sides of braid-top are packed at one digit width over one denominator, so equal_packed compares
+    # both sides of braid-top are packed at one digit width over one denominator, so Packed.__eq__ compares
     # their ints and decodes no digit
-    calls, real = [], symmetry.equal_packed
+    calls, real = [], exactnum.Packed.__eq__
 
-    def checked(field, a, b, m):
-        calls.append(a[2])
-        assert a[2] == b[2] and exactnum._product(field._cyc, a[1]) == exactnum._product(field._cyc, b[1])
+    def checked(a, b):
+        calls.append(a.bits)
+        assert a.bits == b.bits and a.den == b.den
         with monkeypatch.context() as patch:
             patch.setattr(exactnum, "_digit_reader", lambda *args: pytest.fail("braid-top decoded digits"))
-            return real(field, a, b, m)
+            return real(a, b)
 
     prof = analyze(SQUARE_CASES[case]())
-    monkeypatch.setattr(symmetry, "equal_packed", checked)
+    monkeypatch.setattr(exactnum.Packed, "__eq__", checked)
     report = verify_operator_identities(prof)
     assert report.ok and len(calls) == min(2, prof.n)
 

@@ -24,7 +24,7 @@ from heckesym.obstruction import (
     verify_case4,
 )
 from heckesym.regular3 import SklParameters, is_type_A, skl_relations
-from heckesym.symmetry import _act, braid_defect, column_table, dj_standard, kron_vec, tensor_index
+from heckesym.symmetry import _packed_act, braid_defect, column_table, dj_standard, kron_vec, tensor_index
 
 
 @pytest.fixture(scope="module")
@@ -337,8 +337,8 @@ def _restricted_maps_reference(P, relations):
     cols = column_table(P)
     xt_basis = [kron_vec(x[j], t_rows[i], domain) for j in range(3) for i in range(3)]
     tx_basis = [kron_vec(t_rows[a], x[b], domain) for b in range(3) for a in range(3)]
-    m_cols = [_solve_in_basis_reference(_act(cols, 3, [((2,), None)], v, zero), xt_basis, t_rows, "xt", domain) for v in tx_basis]
-    n_cols = [_solve_in_basis_reference(_act(cols, 3, [((1,), None)], v, zero), tx_basis, t_rows, "tx", domain) for v in xt_basis]
+    m_cols = [_solve_in_basis_reference(_packed_act(cols, 3, [((2,), None)], v, zero).values(), xt_basis, t_rows, "xt", domain) for v in tx_basis]
+    n_cols = [_solve_in_basis_reference(_packed_act(cols, 3, [((1,), None)], v, zero).values(), tx_basis, t_rows, "tx", domain) for v in xt_basis]
     return MatrixF.from_rows(m_cols, domain).transpose(), MatrixF.from_rows(n_cols, domain).transpose()
 
 

@@ -22,11 +22,8 @@ from heckesym.symmetry import (
     TENSOR_DIM_CAP,
     HeckeSymmetry,
     SymmetryError,
-    _act,
     _packed_act,
-    _packed_equal,
     _packed_vanishes,
-    _unpack,
     _vanishes,
     braid_defect,
     apply_power,
@@ -604,14 +601,14 @@ def test_slot_actions_match_kronecker_reference(case):
         I = MatrixF.identity(N, domain)
         dense = kronecker(kronecker(kron_power(I, a), A), kron_power(I, b))
         vec = tuple(vec_entry(rng) for _ in range(dense.cols))
-        assert _act(column_table(A), N, [((a + 1,), None)], vec, zero) == _dense_apply(dense, vec, zero)
+        assert _packed_act(column_table(A), N, [((a + 1,), None)], vec, zero).values() == _dense_apply(dense, vec, zero)
     # a sum of words with coefficients on V^(x)3: 2 A_2 A_1 + c A_3 + Id
     A, I = MatrixF(2, 2, [entry(rng) for _ in range(4)], domain), MatrixF.identity(2, domain)
     slot = [kronecker(kronecker(kron_power(I, i), A), kron_power(I, 2 - i)) for i in range(3)]
     two, c = domain.one() + domain.one(), entry(rng)
     dense = (slot[1] * slot[0]).scale(two) + slot[2].scale(c) + MatrixF.identity(8, domain)
     vec = tuple(vec_entry(rng) for _ in range(8))
-    assert _act(column_table(A), 2, [((2, 1), two), ((3,), c), ((), None)], vec, zero) == _dense_apply(dense, vec, zero)
+    assert _packed_act(column_table(A), 2, [((2, 1), two), ((3,), c), ((), None)], vec, zero).values() == _dense_apply(dense, vec, zero)
 
 
 def _lane_domains():
@@ -644,8 +641,8 @@ def test_stacked_family_action_matches_one_action_per_vector(case, monkeypatch):
             rows = [tuple(vec_entry(rng) for _ in range(N ** n)) for _ in range(size)]
             words = [tuple(rng.choice(slots) for _ in range(rng.randint(0, 3))) for _ in range(2)]
             for terms in ([(words[0], None)], [(words[0], None), (words[1], entry(rng))], []):
-                stacked = _act(table, N, terms, _stack(iter(rows), size, zero), zero, size)
-                assert [stacked[j::size] for j in range(size)] == [_act(table, N, terms, row, zero) for row in rows], (N, w, n, terms)
+                stacked = _packed_act(table, N, terms, _stack(iter(rows), size, zero), zero, size).values()
+                assert [stacked[j::size] for j in range(size)] == [_packed_act(table, N, terms, row, zero).values() for row in rows], (N, w, n, terms)
     if isinstance(zero, Scalar):
         # lanes: m label coordinates to an int, for every family size, with entries 10^30 next to +-1 and
         # non-integral ones, and terms with c None, zero and nonzero; each step visits one int per tensor
@@ -664,15 +661,15 @@ def test_stacked_family_action_matches_one_action_per_vector(case, monkeypatch):
         for m in (1, 2, 9, 27):
             rows = [tuple(lane_entry(rng) for _ in range(8)) for _ in range(m)]
             seen.clear()
-            stacked = _act(column_table(A), 2, terms, _stack(rows, m, zero), zero, m)
+            stacked = _packed_act(column_table(A), 2, terms, _stack(rows, m, zero), zero, m).values()
             assert seen and set(seen) == {8}, (m, seen)
-            assert [stacked[j::m] for j in range(m)] == [_act(column_table(A), 2, terms, row, zero) for row in rows], m
-            tight = _act(ones, 2, [((1, 2, 3), None)], [domain.scalar(5000)] * (8 * m), zero, m)
+            assert [stacked[j::m] for j in range(m)] == [_packed_act(column_table(A), 2, terms, row, zero).values() for row in rows], m
+            tight = _packed_act(ones, 2, [((1, 2, 3), None)], [domain.scalar(5000)] * (8 * m), zero, m).values()
             assert tight == (domain.scalar(40000),) * (8 * m), m
     # an empty family is no action: it never reaches the slot arithmetic
     monkeypatch.setattr(symmetry, "_tail", lambda *args: pytest.fail("an empty family reached _tail"))
     assert _stack(iter(()), 0, zero) == []
-    assert _act(table, N, [((1,), None)], _stack([], 0, zero), zero) == ()
+    assert _packed_act(table, N, [((1,), None)], _stack([], 0, zero), zero).values() == ()
 
 
 def _units(dim, first, count, t, zero):
@@ -733,10 +730,10 @@ def test_unit_families_are_stacked_directly(case):
 def test_slot_action_range_errors():
     A = MatrixF.identity(4, F)
     vec = (F.one(),) * 8
-    _act(column_table(A), 2, [((2,), None)], vec, F.zero())
+    _packed_act(column_table(A), 2, [((2,), None)], vec, F.zero()).values()
     for first in (0, 3):
         with pytest.raises(ValueError):
-            _act(column_table(A), 2, [((first,), None)], vec, F.zero())
+            _packed_act(column_table(A), 2, [((first,), None)], vec, F.zero()).values()
     with pytest.raises(ValueError):
         apply_power(MatrixF.identity(2, F), 2, vec)
 
@@ -758,7 +755,7 @@ def test_ring_action_makes_no_constants(monkeypatch):
     real = PolyRing.const
     monkeypatch.setattr(PolyRing, "const", lambda self, value: calls.append(value) or real(self, value))
     got = [apply_power(theta, 2, t) for t in rels]
-    got_sum = [_act(column_table(theta), 3, terms, t, z) for t in rels]
+    got_sum = [_packed_act(column_table(theta), 3, terms, t, z).values() for t in rels]
     assert calls == []
     assert got == expected and got_sum == expected_sum
     assert got == [tuple(lam * lam * x for x in rels[j]) for j in (1, 0, 2)]
@@ -831,17 +828,17 @@ def test_packed_action_matches_generic_branch(field):
                 c = entry(0)
                 terms = list(zip(words, (None, entry(0), entry(0.5)))) + [(words[1], c), (words[1], -c)]
                 for ts in (terms, terms[:1], terms[-2:], []):
-                    got = _act(table, N, ts, vec, zero)
-                    want = _act(generic, N, ts, vec, zero)
+                    got = _packed_act(table, N, ts, vec, zero).values()
+                    want = _packed_act(generic, N, ts, vec, zero).values()
                     assert got == want, (N, w, n, ts)
                     assert list(map(hash, got)) == list(map(hash, want))
                     assert len(got) == N ** n and all(x.field is field for x in got)
                 # the last two terms cancel
-                assert all(x.is_zero() for x in _act(table, N, terms[-2:], vec, zero))
+                assert all(x.is_zero() for x in _packed_act(table, N, terms[-2:], vec, zero).values())
                 if ratfunc and w == 1 and trial:
                     A = MatrixF(N, N, [entry(0.3) for _ in range(N * N)], field)
                     power = [(range(1, n + 1), None)]
-                    assert apply_power(A, n, vec) == _act((column_table(A)[0], None), N, power, vec, zero)
+                    assert apply_power(A, n, vec) == _packed_act((column_table(A)[0], None), N, power, vec, zero).values()
 
 
 RATFUNC_SYMMETRIES = {
@@ -865,8 +862,8 @@ def test_packed_ratfunc_action_of_hecke_elements(case):
         extra = [((n - 1,), (q - 1) / (q + 1)), ((), q ** -2), ((1, n - 1), q / (q + 1) ** 2)]
         for terms in ([(word, c) for _p, word, c in antisymmetrizer(n, F).field_terms()], extra):
             vec = [zero if rng.random() < 0.3 else (rng.randint(-3, 3) * q + rng.randint(-3, 3)) / rng.choice(dens) for _ in range(sym.N ** n)]
-            got = _act(table, sym.N, terms, vec, zero)
-            want = _act(generic, sym.N, terms, vec, zero)
+            got = _packed_act(table, sym.N, terms, vec, zero).values()
+            want = _packed_act(generic, sym.N, terms, vec, zero).values()
             assert got == want and list(map(hash, got)) == list(map(hash, want)), (case, n)
 
 
@@ -891,14 +888,34 @@ def test_packed_verdicts_match_scalar_comparison(field):
             halves = [[entry() for _ in range(4)] for _ in range(m)]
             vec = _stack([h + h for h in halves], m, zero)
             pa, pb = (_packed_act(column_table(X), 2, terms[: 1 + trial % 2], vec, zero, m) for X in (A, B))
-            assert _packed_equal(pa, pb) and _packed_equal(pb, pa), (trial, m)
+            assert pa == pb and pb == pa, (trial, m)
             zeros = _packed_act(column_table(A - B), 2, terms[:1], vec, zero, m)
             assert _packed_vanishes([zeros], lambda: pytest.fail("a vanishing action unpacked")) == (True, "")
             bad = list(vec)
             bad[rng.randrange(len(bad))] += field.one()
             pc = _packed_act(column_table(B), 2, terms[: 1 + trial % 2], bad, zero, m)
-            assert _packed_equal(pa, pc) == (_unpack(pa) == _unpack(pc)) is False, (trial, m)
+            assert (pa == pc) == (pa.values() == pc.values()) is False, (trial, m)
             assert _packed_vanishes([_packed_act(column_table(A - B), 2, terms[:1], bad, zero, m)], lambda: MatrixF(1, 1, [field.one()], field)) == (False, "entry (0,0) = 1")
+
+
+@pytest.mark.parametrize("shift", ["0", "a"])
+def test_packed_vanishes_decides_ring_families(shift):
+    # theta^2 - lam^2 Id + shift on the units of Q[a, lam]^2, theta = lam times the swap: a MultiPoly family,
+    # which Packed.vanishes decides on its values as _vanishes does, building the matrix only for a witness
+    ring = PolyRing(("a", "lam"))
+    a, lam = ring.vars()
+    z = ring.zero()
+    theta = MatrixF.from_rows([[z, lam], [lam, z]], ring)
+    c = (a if shift == "a" else z) - lam * lam
+    pack = _packed_act(column_table(theta), 2, [((1, 1), None), ((), c)], MatrixF.identity(2, ring).entries, z, 2)
+    values = MatrixF(2, 2, pack.values(), ring)
+    assert pack.field is None and all(isinstance(x, type(z)) for x in values.entries)
+    want = _vanishes(values)
+    assert want == ((True, "") if shift == "0" else (False, "entry (0,0) = a"))
+    assert pack.vanishes() is want[0]
+    built = []
+    assert _packed_vanishes([pack], lambda: built.append(1) or values) == want
+    assert len(built) == (not want[0])
 
 
 def test_unit_vectors_unpack_without_gcd(monkeypatch):
@@ -914,7 +931,7 @@ def test_unit_vectors_unpack_without_gcd(monkeypatch):
     monkeypatch.setattr(exactnum, "_gcd", lambda *a: calls.append(a) or real(*a))
     for terms in elements:
         for e in units:
-            _act(column_table(sym.R), 3, terms, e, zero)
+            _packed_act(column_table(sym.R), 3, terms, e, zero).values()
     assert calls == []
 
 
@@ -924,10 +941,10 @@ def test_packed_action_keeps_the_validations():
     vec = (rat.one(),) * 8
     for first in (0, 3):
         with pytest.raises(ValueError):
-            _act(A, 2, [((first,), None)], vec, rat.zero())
+            _packed_act(A, 2, [((first,), None)], vec, rat.zero()).values()
     C3 = cyclotomic_field(3)
     with pytest.raises(ValueError):
-        _act(A, 2, [((1,), None)], (C3.one(),) * 8, rat.zero())
+        _packed_act(A, 2, [((1,), None)], (C3.one(),) * 8, rat.zero()).values()
     with pytest.raises(ValueError):
         apply_power(MatrixF.identity(2, rat), 3, (C3.one(),) * 8)
     # the same over ratfunc_q: a vector or a coefficient from another field
@@ -935,7 +952,7 @@ def test_packed_action_keeps_the_validations():
     Fq3 = FieldSpec("ratfunc_q", 3)
     for vec, terms in (((Fq3.one(),) * 8, [((1,), None)]), ((C3.one(),) * 8, [((1,), None)]), ((F.one(),) * 8, [((1,), Fq3.q())])):
         with pytest.raises(ValueError):
-            _act(A, 2, terms, vec, F.zero())
+            _packed_act(A, 2, terms, vec, F.zero()).values()
     sym = dj_standard(2, rat)
     for call in (
         lambda: sym.apply_generator(2, 2, (rat.one(),) * 4),
@@ -1021,7 +1038,7 @@ def _reference_blocks(table, N, dim, width, terms, domain):
 
 def _reference_matrix(table, N, dim, width, terms, domain, blocks=None):
     """The dim x dim matrix of sum c * A_word, read off _reference_blocks."""
-    blocks = [_unpack(b) for b in blocks or _reference_blocks(table, N, dim, width, terms, domain)]
+    blocks = [b.values() for b in blocks or _reference_blocks(table, N, dim, width, terms, domain)]
     return MatrixF(dim, dim, [x for i in range(dim) for b in blocks for x in b[i * width : (i + 1) * width]], domain)
 
 
