@@ -24,13 +24,23 @@ that bound, enough to read signed coefficients back, rounded up to whole
 bytes (exactnum.digit_bits), so they read back in one pass.
 
 Per degree n, the first use builds and caches a table of S_n: the index of
-each sigma, the index of tau_i sigma with whether the length goes up, the
-lengths and the reduced words (smallest left descent first).  One walk
-yields T_sigma b for a set of sigma, depth first along the reduced words,
-each from its parent's image T_rho b (sigma = tau_i rho) by one generator
-step.  A product a * b sums a_sigma T_sigma b over that walk; the identity
-suite checks T_sigma y_n = (-1)^len y_n for all of S_n on one walk from
-y_n.  Antisymmetrizers and their partial factorizations over Young
+each sigma and of sigma^-1, the index of tau_i sigma with whether the
+length goes up, the lengths and the reduced words (smallest left descent
+first).  One walk yields T_sigma b for a set of sigma, depth first along
+the reduced words, each from its parent's image T_rho b (sigma = tau_i rho)
+by one generator step.  A product a * b sums a_sigma T_sigma b over that
+walk.  When supp b is the smaller, it walks b instead, through the
+anti-involution T_sigma -> T_(sigma^-1) (the reduced words reversed):
+a * b = (b* a*)*.  That is exact, and the bound keeps its width, since
+len(sigma^-1) = len(sigma).
+
+The identity suite makes one walk from y_n per degree, at the width of
+y_n * y_n.  Each image T_sigma y_n is compared with (-1)^len y_n on packed
+ints; equal ints are equal polynomials, since their difference is within
+the width.  The same images sum to y_n^2 = sum c_sigma T_sigma y_n: those
+equal to +-y_n add c_sigma up as one Z[q] multiple of y_n, the rest are
+added in as a product adds them.  The sum is the packed y_n * y_n, int for
+int.  Antisymmetrizers and their partial factorizations over Young
 subgroups follow the standard q-weighted signed sums, their supports read
 off the table.
 """
@@ -153,10 +163,11 @@ class _Degree:
 
     left[i][s] is the index of tau_i * sigma_s and up[i][s] says whether
     that raises the length; first[s] is the first letter of the reduced
-    word of sigma_s (its smallest left descent, 0 for the identity).
+    word of sigma_s (its smallest left descent, 0 for the identity);
+    inv[s] is the index of sigma_s^-1.
     """
 
-    __slots__ = ("index", "left", "up", "length", "first", "reduced", "perms")
+    __slots__ = ("index", "left", "up", "length", "first", "reduced", "perms", "inv")
 
     def __init__(self, n: int):
         if n > MAX_ENUM_DEGREE:
@@ -183,6 +194,7 @@ class _Degree:
             if i:
                 self.reduced[s] = (i,) + self.reduced[self.left[i][s]]
         self.perms = [Perm(w) for w in words]
+        self.inv = [self.index[p.inverse().word] for p in self.perms]
 
     def gen_mul(self, i: int, terms: Dict[int, int], bits: int) -> Dict[int, int]:
         """T_i * h on packed coefficients; tau_i pairs each sigma with tau_i sigma, handled once per pair."""
@@ -228,19 +240,26 @@ class _Degree:
                 stack.append((t, first[t], piece))
 
     def product(self, a: Dict[int, ZPoly], b: Dict[int, ZPoly]) -> Dict[int, ZPoly]:
-        """sum_(sigma in supp a) a_sigma T_sigma b, on one walk."""
+        """sum_(sigma in supp a) a_sigma T_sigma b, on one walk over the smaller support: a * b = (b* a*)*."""
         if not a or not b:
             return {}
+        if len(b) < len(a):
+            inv = self.inv
+            ab = self.product({inv[s]: c for s, c in b.items()}, {inv[s]: c for s, c in a.items()})
+            return {inv[s]: c for s, c in ab.items()}
         # T_i at most triples the L1 norm, so every coefficient is at most ||a||_1 ||b||_1 3^(longest len in supp a)
         bits = digit_bits(_l1(a) * _l1(b) * 3 ** max(map(self.length.__getitem__, a)))
-        coeffs = _packed(a, bits)
-        acc: Dict[int, int] = {}
-        for s, piece in self.walk(a, b, bits):
-            c = coeffs.get(s)
-            if c is not None:
-                for t, v in piece.items():
-                    acc[t] = acc.get(t, 0) + c * v
-        return _unpacked(acc, bits)
+        return _unpacked(_add_pieces({}, _packed(a, bits), self.walk(a, b, bits)), bits)
+
+
+def _add_pieces(acc: Dict[int, int], coeffs: Dict[int, int], pieces) -> Dict[int, int]:
+    """acc plus coeffs[s] * piece for the (s, piece) in pieces with s in coeffs, all packed alike."""
+    for s, piece in pieces:
+        c = coeffs.get(s)
+        if c is not None:
+            for t, v in piece.items():
+                acc[t] = acc.get(t, 0) + c * v
+    return acc
 
 
 _DEGREES: Dict[int, _Degree] = {}
@@ -461,7 +480,11 @@ def _two_part_comps(n: int) -> List[Composition]:
 
 
 def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckReport:
-    """Exact identity suite for the antisymmetrizers, degrees up to n_max."""
+    """Exact identity suite for the antisymmetrizers, degrees up to n_max.
+
+    Per degree, one walk from y_n yields every T_sigma y_n: square, gen-left
+    and basis-left read it (see the module docstring), the other checks
+    multiply."""
     if n_max > 6:
         raise ValueError("identity suite is desk scale: n_max <= 6")
     report = CheckReport("hecke-identities")
@@ -485,27 +508,36 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
         y = antisymmetrizer(n, field)
         tab = _degree(n)
 
-        eq("square.n%d" % n, "y_n^2 = [n]!_q y_n", y * y, y.scale(qfact(n)))
+        # one walk from y_n at the width of y_n * y_n; only the images T_sigma y_n that differ from
+        # (-1)^len y_n in Z[q] are kept, and those are decided in the field
+        bits = digit_bits(_l1(y.terms) ** 2 * 3 ** (n * (n - 1) // 2))
+        coeffs = _packed(y.terms, bits)
+        signed = coeffs, {s: -v for s, v in coeffs.items()}
+        hits, misses = 0, {}
+        for s, image in tab.walk(range(len(tab.length)), y.terms, bits):
+            odd = tab.length[s] % 2
+            if image == signed[odd]:
+                c = coeffs.get(s, 0)
+                hits += -c if odd else c
+            else:
+                misses[s] = image
+        # y_n^2 = hits y_n + the other c_sigma T_sigma y_n
+        square = _add_pieces({t: hits * v for t, v in coeffs.items()}, coeffs, misses.items())
+        eq("square.n%d" % n, "y_n^2 = [n]!_q y_n", _make(n, field, _unpacked(square, bits)), y.scale(qfact(n)))
 
-        for i in range(1, n):
-            Ti = generator(i, n, field)
-            eq("gen-left.n%d.i%d" % (n, i), "T_i y_n = -y_n", Ti * y, -y)
-            eq("gen-right.n%d.i%d" % (n, i), "y_n T_i = -y_n", y * Ti, -y)
-
-        # T_sigma y_n for every sigma on one walk from y_n; only the images that differ from +-y_n in Z[q]
-        # are kept, and those are decided in the field
-        bits = digit_bits(_l1(y.terms) * 3 ** (n * (n - 1) // 2))
-        signed = _packed(y.terms, bits), _packed((-y).terms, bits)
-        walk = tab.walk(range(len(tab.length)), y.terms, bits)
-        misses = {s: image for s, image in walk if image != signed[tab.length[s] % 2]}
-        for s, (p, l) in enumerate(zip(tab.perms, tab.length)):
-            if l in (0, 1):
-                continue
-            name, rule = "basis-left.n%d.%s" % (n, "".join(map(str, p.word))), "T_sigma y_n = (-1)^len y_n"
+        def left(name, rule, s):
             if s in misses:
-                eq(name, rule, _make(n, field, _unpacked(misses[s], bits)), y.scale(-1 if l % 2 else 1))
+                eq(name, rule, _make(n, field, _unpacked(misses[s], bits)), y.scale(-1 if tab.length[s] % 2 else 1))
             else:
                 report.record(name, rule, True)
+
+        for i in range(1, n):
+            left("gen-left.n%d.i%d" % (n, i), "T_i y_n = -y_n", tab.left[i][0])
+            eq("gen-right.n%d.i%d" % (n, i), "y_n T_i = -y_n", y * generator(i, n, field), -y)
+
+        for s, (p, l) in enumerate(zip(tab.perms, tab.length)):
+            if l > 1:
+                left("basis-left.n%d.%s" % (n, "".join(map(str, p.word))), "T_sigma y_n = (-1)^len y_n", s)
 
         for comp in _two_part_comps(n):
             tag = "%d,%d" % comp.parts

@@ -440,3 +440,129 @@ def test_partial_y_supports_match_the_perm_filters():
                 got = [p for p, _word, _c in partial_y(n, comp, which).field_terms()]
                 want = _oracle_young_elements(n, comp) if which == "subgroup" else _oracle_coset_reps(n, comp, which)
                 assert got == want, (n, comp, which)
+
+
+# ---------------------------------------------------------------------------
+# the identity suite's one walk from y_n against the general product, and products that walk the smaller factor
+
+
+def _recorded(lhs, rhs):
+    """(status, detail) of the suite's comparison of lhs with rhs, computed from the elements themselves."""
+    from heckesym.exprio import format_scalar
+
+    if lhs == rhs:
+        return "pass", ""
+    w = (lhs - rhs).field_terms()[0][0]
+    return "fail", "first differing term T%s: %s vs %s" % (w.word, format_scalar(lhs.coefficient(w)), format_scalar(rhs.coefficient(w)))
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+@pytest.mark.parametrize("extra", [None, PHI3, 2 - q], ids=["exact", "plus-phi3", "plus-2-q"])
+def test_checks_read_off_the_walk_match_the_product_oracle(field, extra, monkeypatch):
+    # y_n + Phi_3 T_w0 is y_n at zeta_3 but not in Z[q]; y_n + (2 - q) T_w0 is not y_n in either field
+    make_y = antisymmetrizer if extra is None else _perturbed_antisymmetrizer(monkeypatch, extra)
+    n_max = 6 if extra is None else 5
+    checks = {c.name: (c.status, c.detail) for c in verify_identities(n_max, field).checks}
+    for n in range(1, n_max + 1):
+        y = make_y(n, field)
+        assert checks["square.n%d" % n] == _recorded(y * y, y.scale(qfact(n)))
+        for i in range(1, n):
+            assert checks["gen-left.n%d.i%d" % (n, i)] == _recorded(generator(i, n, field) * y, -y)
+        if n <= 4:
+            for p in enumerate_perms(n):
+                if p.length() > 1:
+                    want = _recorded(basis_element(p, field) * y, y.scale(-1 if p.length() % 2 else 1))
+                    assert checks["basis-left.n%d.%s" % (n, "".join(map(str, p.word)))] == want
+    if extra is None:
+        assert all(status == "pass" for status, _detail in checks.values())
+    elif extra == PHI3 and field is ROOT3:
+        assert all(status == "pass" for name, (status, _d) in checks.items() if name.startswith(("square.", "gen-left.", "basis-left.")))
+    else:
+        assert all(checks["square.n%d" % n][0] == "fail" for n in range(2, n_max + 1))
+
+
+def _count_walks(monkeypatch):
+    """Records (support, root, order of the group) of every walk, and counts generator steps."""
+    from heckesym.heckealg import _Degree
+
+    walks, steps = [], [0]
+    walk, gen_mul = _Degree.walk, _Degree.gen_mul
+
+    def counted_walk(self, support, b, bits):
+        support = list(support)
+        walks.append((support, dict(b), len(self.length)))
+        return walk(self, support, b, bits)
+
+    def counted_gen_mul(self, i, terms, bits):
+        steps[0] += 1
+        return gen_mul(self, i, terms, bits)
+
+    monkeypatch.setattr(_Degree, "walk", counted_walk)
+    monkeypatch.setattr(_Degree, "gen_mul", counted_gen_mul)
+    return walks, steps
+
+
+def _raw_product(ra, rb, n, field):
+    """a * b, its oracle, for Perm-keyed GENERIC_Q Z[q] scalars."""
+    a, b = HeckeElement(n, field, ra), HeckeElement(n, field, rb)
+    want = _oracle_mul(*({p: _at(field, c) for p, c in r.items()} for r in (ra, rb)), n, field)
+    return a, b, want
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_product_walks_the_smaller_factor(field, monkeypatch):
+    walks, _steps = _count_walks(monkeypatch)
+    rng = random.Random(26)
+    pairs = []
+    for n in range(1, 6):
+        perms = list(enumerate_perms(n))
+        for sizes in [(5, 2), (8, 1), (3, 3), (1, 1), (2, 5), (1, 8)]:
+            for _ in range(2):
+                pairs.append([n] + [{p: _random_zq(rng) for p in rng.sample(perms, min(s, len(perms)))} for s in sizes])
+    # the pairs at the edge of the bit width, as given and with a second term on the left, so that the right is walked
+    e, w, s1 = Perm((1, 2, 3)), Perm((3, 1, 2)), Perm((2, 1, 3))
+    for k in (63, 64, 65, 128):
+        top = 2**k - 1
+        for sign in (1, -1):
+            for ra, rb in [({e: F.scalar(sign * (top // 3))}, {w: 3 * q}), ({e: F.scalar(sign * top)}, {w: F.one()})]:
+                pairs += [[3, ra, rb], [3, {**ra, s1: F.one()}, rb]]
+    for n in (4, 5):
+        w0 = Perm(tuple(range(n, 0, -1)))
+        for c in (2**64 - 1, -(2**65 - 1)):
+            pairs += [[n, {w0: F.scalar(c)}, {w0: F.one()}], [n, {w0: F.scalar(c), Perm(tuple(range(1, n + 1))): q}, {w0: F.one()}]]
+    shapes = set()
+    for n, ra, rb in pairs:
+        for x, y in ((ra, rb), (rb, ra)):
+            a, b, want = _raw_product(x, y, n, field)
+            del walks[:]
+            assert {p: c for p, _word, c in (a * b).field_terms()} == want
+            assert [len(support) for support, _root, _order in walks] == [min(len(a.terms), len(b.terms))]
+            shapes.add((len(b.terms) > len(a.terms)) - (len(b.terms) < len(a.terms)))
+    assert shapes == {-1, 0, 1}
+
+
+def test_inverse_table_is_a_length_preserving_involution():
+    for n in range(1, 7):
+        tab = _degree(n)
+        assert [tab.perms[t] for t in tab.inv] == [p.inverse() for p in tab.perms]
+        assert [tab.inv[t] for t in tab.inv] == list(range(len(tab.perms)))
+        assert [tab.length[t] for t in tab.inv] == tab.length
+
+
+def test_identity_suite_walks_once_from_each_antisymmetrizer(monkeypatch):
+    walks, steps = _count_walks(monkeypatch)
+    assert verify_identities(6).ok
+    # multiplying y_n * y_n and T_i over all of S_n took 8,290 generator steps here
+    assert steps[0] <= 1400, steps[0]
+    # y_1 is the unit, which other products walk from
+    for n in range(2, 7):
+        y = antisymmetrizer(n).terms
+        # walks from y_n that make a generator step (products by the unit walk only the identity): one walk over
+        # S_n feeds square, gen-left and basis-left; the rest are gen-right's y_n T_i = (T_i y_n*)*, y_n* = y_n
+        from_y = sorted((support for support, root, order in walks if (root, order) == (y, len(y)) and support != [0]), key=len)
+        assert [sorted(support) for support in from_y] == [[_index(transposition(i, n))] for i in range(1, n)] + [list(range(len(y)))]
+    y = antisymmetrizer(5)
+    for i in range(1, 5):
+        steps[0] = 0
+        assert y * generator(i, 5) == -y
+        assert steps[0] <= 2, (i, steps[0])
