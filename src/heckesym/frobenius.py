@@ -24,21 +24,21 @@ Every operator identity is stated as one matrix equality lhs = rhs and
 recorded by `_record_equal`, row by row up to the first difference, or as
 one action whose result must vanish; a failing one names the first nonzero
 entry of lhs - rhs as "entry (i,j) = ...".  A family of vectors is acted on
-at once, stacked (`linalg._stack`) and passed with its size: each pairing,
-theta, theta_bar, each restriction to a subspace and each side of braid-top
-is one action, and psi is one solve with N right-hand sides.  The two sides
-of braid-top and the vanishing of mirror-top are decided on the packed
-actions' integers (`exactnum.Packed`'s == and `vanishes`), with no
-Scalar built unless the check fails and needs its witness.  No
-Kronecker power of a matrix is formed: the square-commutes identity compares
-(A (x) A) R with R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action
-of A on R's row slots.  A row of rep(y_n) is one action of y_n under R^t
-(`_y_row`); f is the row at the first nonzero coordinate of t, scaled, and
-the rank-one action y_n u = [n-1]!_q f(u) t follows from t spanning
-upsilon(n) (`f_functional`), so f needs no N^n x N^n matrix.
+at once, stacked (`linalg._stack`) and passed with its size: theta,
+theta_bar, each restriction to a subspace and each side of braid-top is one
+action, and psi is one solve with N right-hand sides.  The two sides of
+braid-top and the vanishing of mirror-top are decided on the packed
+actions' integers (`exactnum.Packed`'s == and `vanishes`).  No Kronecker
+power of a matrix is formed: square-commutes compares (A (x) A) R with
+R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action of A on R's row
+slots.  The pairings and f are read off one row of rep(h) (`_row`): row p
+is h with its words reversed acting on e_p under R^t.  beta_k reads the row
+of y_(n/k,n-k) at t's pivot; f the row of y_n = y_(n/n-1,1) ... y_(2/1,1)
+(`_y_row`), n(n+1)/2 - 1 words where y_n has n!.  Away from q = -1 the
+images lie on the line of t by the coset argument in `pairing`; at q = -1
+each beta_k, 0 < k < n, keeps one action on the family of all u (x) w.
 `functional.kernel` compares f with the row at the last nonzero coordinate
-of t.  Pairing values and that comparison are proportionality tests
-(`linalg.first_minor`); a pairing is nonsingular when its rank is full.
+of t (`linalg.first_minor`); a pairing is nonsingular when its rank is full.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import FieldSpec, Placed, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
-from .heckealg import antisymmetrizer, coset_y, shift_element
+from .heckealg import coset_y, partial_y, shift_element, unit
 from .linalg import MatrixF, Subspace, _stack, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
-from .permgroup import cycle, longest_rho
+from .permgroup import Composition, cycle, longest_rho
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, _format_entry, _packed_power, _packed_vanishes, _square_times, _vanishes, apply_power
 
@@ -109,30 +109,49 @@ def top_component(sym: HeckeSymmetry, n_max: Optional[int] = None) -> Tuple[int,
     )
 
 
-def _scalar_multiple_of_t(v: Sequence, t: Sequence, pivot: int) -> Scalar:
-    """The scalar c with v = c t, t nonzero at pivot; raises if v is not a multiple of t."""
-    if first_minor(v, t) is not None:
-        raise DegeneratePairing("vector is not a multiple of the top tensor")
-    return v[pivot] / t[pivot]
+def _top_pivot(sym: HeckeSymmetry, n: int, t: Sequence) -> int:
+    """The first nonzero coordinate of t, refused unless t spans upsilon(n)."""
+    U = sym.upsilon(n)
+    if U.dim != 1 or not U.contains(t):
+        raise DegeneratePairing("t does not span upsilon(%d)" % n)
+    return vec_pivot(t)
+
+
+def _row(sym: HeckeSymmetry, factors: Sequence, n: int, k: int) -> tuple:
+    """Row k of rep(h_1 ... h_m) on V^(x)n (the empty product is the unit), given the reverses h_i* (T_sigma ->
+    T_(sigma^-1)) of the factors: rep(h)^t is rep(h_m* ... h_1*) under R^t, so h_1* acts on e_k first."""
+    dual, row = sym._transpose(), Placed(None, 1, k, sym.N ** n)
+    for h in factors or [unit(n, sym.field)]:
+        row = dual.apply_hecke(h, n, row)
+    return row
 
 
 def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
-    """Matrix of beta_k on the canonical bases of upsilon(k) x upsilon(n-k)."""
+    """Matrix of beta_k on the canonical bases U, W of upsilon(k) x upsilon(n-k), t spanning upsilon(n).
+
+    beta_k(u, w) t[piv] is coordinate piv of y_(n/k,n-k)(u (x) w): u (x) w against row piv of rep(y_(n/k,n-k))
+    (`_row`; reversed, coset_y(n, k, n-k) sums over the right coset representatives with the same coefficients).
+    As the N^k x N^(n-k) matrix M_k, beta_k = U M_k W^t / t[piv], M_k W^t the front pairing of the row with W.
+
+    That z = y_(n/k,n-k)(u (x) w) lies on the line of t needs no check away from q = -1.  z = sum c_d T_d(u (x) w)
+    over the minimal left coset representatives d of S_(k,n-k), with c_(s_i d) = -c_d / q.  Deodhar's lemma pairs d
+    with s_i d, and T_i z sums to -z over each pair; where s_i d = d s_j instead, T_j(u (x) w) = -(u (x) w).  So
+    T_i z = -z identically in q.  For q != -1, T_i is diagonalizable, ker(T_i + 1) = Im(T_i - q), and z lies in
+    upsilon(n) = span(t).  At q = -1, for 0 < k < n, one action on the family of all u (x) w checks that its
+    images are t (x) beta_k.
+    """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    left = sym.upsilon(k).basis
-    right = sym.upsilon(n - k).basis
-    if len(left) != len(right):
-        raise DegeneratePairing(
-            "dim upsilon(%d) = %d != %d = dim upsilon(%d)" % (k, len(left), len(right), n - k)
-        )
-    piv = vec_pivot(t)
-    # one action of y on the family of all u (x) w, the unit when k is 0 or n
-    terms = sym._hecke_terms(coset_y(n, k, n - k, sym.field), n) if k not in (0, n) else [((), None)]
-    m = len(left) * len(right)
-    products = sym._packed(terms, n, _stack((kron_vec(u, w, sym.field) for u in left for w in right), m, sym.field.zero()), m).values()
-    B = MatrixF(len(left), len(right), [_scalar_multiple_of_t(products[r::m], t, piv) for r in range(m)], sym.field)
-    if B.rank() != B.rows:
+    field, piv = sym.field, _top_pivot(sym, n, t)
+    left, right = sym.upsilon(k).basis, sym.upsilon(n - k).basis
+    reverse = [partial_y(n, Composition((k, n - k)), "right", field)] if 0 < k < n else []
+    B = (MatrixF.from_rows(left, field) * front_pairing(_row(sym, reverse, n, piv), right, field)).scale(t[piv].inverse())
+    if reverse and (sym.q + 1).is_zero():
+        m = B.rows * B.cols
+        family = _stack((kron_vec(u, w, field) for u in left for w in right), m, field.zero())
+        if sym._packed(sym._hecke_terms(coset_y(n, k, n - k, field), n), n, family, m).values() != kron_vec(t, B.entries, field):
+            raise DegeneratePairing("beta_%d does not pair into the line of t" % k)
+    if B.rows != B.cols or B.rank() != B.rows:
         raise DegeneratePairing("beta_%d is singular" % k)
     return B
 
@@ -158,12 +177,6 @@ def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, Matrix
     if theta_bar * theta != MatrixF.identity(N, field).scale(sym.q ** (n + 1)):
         raise DegeneratePairing("theta_bar theta != q^(n+1) Id")
     return theta, theta_bar
-
-
-def _front_slices(t: Sequence, N: int, n: int) -> List[tuple]:
-    """t_i with t = sum e_i (x) t_i."""
-    block = N ** (n - 1)
-    return [tuple(t[i * block : (i + 1) * block]) for i in range(N)]
 
 
 def psi_op(sym: HeckeSymmetry, n: int, t: Sequence) -> MatrixF:
@@ -196,31 +209,23 @@ def phi_op(sym: HeckeSymmetry, n: int, beta1: MatrixF, beta_n1: MatrixF) -> Matr
 
 
 def _y_row(sym: HeckeSymmetry, n: int, k: int) -> tuple:
-    """Row k of rep(y_n) on V^(x)n: y_n acting on e_k under R^t.
-
-    rep(T_sigma)^t is T_(sigma^-1) under R^t, and the coefficient of T_sigma
-    in y_n depends only on the length of sigma.
-    """
-    return sym._transpose().apply_hecke(antisymmetrizer(n, sym.field), n, Placed(None, 1, k, sym.N ** n))
+    """Row k of rep(y_n) on V^(x)n (`_row`), from y_n = y_(n/n-1,1) ... y_(3/2,1) y_(2/1,1): n(n+1)/2 - 1 words,
+    where antisymmetrizer(n) has n!."""
+    return _row(sym, [partial_y(j, Composition((j - 1, 1)), "right", sym.field) for j in range(n, 1, -1)], n, k)
 
 
 def f_functional(sym: HeckeSymmetry, n: int, t: Sequence) -> tuple:
-    """The covector f with y_n u = [n-1]!_q f(u) t; needs [n-1]!_q != 0.
+    """The covector f with y_n u = [n-1]!_q f(u) t, t spanning upsilon(n); needs [n-1]!_q != 0.
 
-    y_n acts with rank one onto the line of t once t spans upsilon(n):
-    T_i y_n = -y_n puts Im y_n inside ker(T_i + 1) = Im(T_i - q) once q != -1,
-    and [n-1]!_q != 0 forces q != -1 for n >= 3 ([2]_q = 1 + q divides it);
-    y_2 = q - T_1 has image upsilon(2) at every q.  So rep(y_n) = t g^T, and
-    row piv of rep(y_n), piv the first nonzero coordinate of t, is t[piv] g.
+    y_n acts with rank one onto the line of t: T_i y_n = -y_n puts Im y_n inside ker(T_i + 1) = Im(T_i - q) once
+    q != -1 (as for `pairing`), and [n-1]!_q != 0 forces q != -1 for n >= 3 ([2]_q = 1 + q divides it);
+    y_2 = q - T_1 has image upsilon(2) at every q.  So rep(y_n) = t g^T, and row piv of rep(y_n) (`_y_row`), piv
+    the first nonzero coordinate of t, is t[piv] g.
     """
-    field = sym.field
-    norm = qfact(n - 1, field)
+    norm = qfact(n - 1, sym.field)
     if norm.is_zero():
         raise QFactorialVanishes("[%d]!_q = 0 in this field" % (n - 1))
-    U = sym.upsilon(n)
-    if U.dim != 1 or not U.contains(t):
-        raise DegeneratePairing("y_n action is not rank one onto the top line")
-    piv = vec_pivot(t)
+    piv = _top_pivot(sym, n, t)
     return vec_scale((norm * t[piv]).inverse(), _y_row(sym, n, piv))
 
 
@@ -270,10 +275,6 @@ class FrobeniusProfile:
             C = self._restrictions[key] = restrict_to_subspace(op, k, U.basis, U.pivots())
         return C
 
-    def nu_restricted(self, k: int) -> MatrixF:
-        """phi^(x)k restricted to upsilon(k) (the Nakayama map in degree k)."""
-        return self.restricted(self.phi, k)
-
 
 def restrict_to_subspace(A: MatrixF, k: int, basis: Sequence, pivots: Sequence[int]) -> MatrixF:
     """Matrix C of A^(x)k on the span of the basis rows B (a subspace's canonical basis and its pivots), one action on them.
@@ -299,7 +300,7 @@ def analyze(sym: HeckeSymmetry, n_max: Optional[int] = None) -> FrobeniusProfile
     betas = [pairing(sym, k, n, t) for k in range(n + 1)]
     theta, theta_bar = theta_pair(sym, n, t)
     psi = psi_op(sym, n, t)
-    phi = phi_op(sym, n, betas[1], betas[n - 1]) if n >= 1 else MatrixF.identity(sym.N, sym.field)
+    phi = phi_op(sym, n, betas[1], betas[n - 1])
     try:
         f = f_functional(sym, n, t)
         f_reason = ""
@@ -315,10 +316,7 @@ def analyze(sym: HeckeSymmetry, n_max: Optional[int] = None) -> FrobeniusProfile
 
 def trace_table(profile: FrobeniusProfile) -> Tuple[CheckReport, List[dict]]:
     """Traces of the twisted braiding powers against the q-binomial formula."""
-    sym = profile.sym
-    n = profile.n
-    q = sym.q
-    field = sym.field
+    n, q, field = profile.n, profile.sym.q, profile.field
     report = CheckReport("trace-identities")
     table = []
     xi_traces = {}
@@ -371,6 +369,15 @@ def _record_equal(report: CheckReport, name: str, rule: str, lhs, rhs, detail: s
     report.record(name, rule, True, detail)
 
 
+def _record_restricted(report: CheckReport, name: str, rule: str, sides) -> None:
+    """Records lhs == rhs for (lhs, rhs) = sides(), or the failure of a restriction that sides() makes."""
+    try:
+        lhs, rhs = sides()
+    except ValueError as exc:
+        return report.record(name, "subspace stability", False, str(exc))
+    _record_equal(report, name, rule, lhs, rhs)
+
+
 def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     """The operator identity suite for theta, theta_bar, phi, psi and f."""
     sym = profile.sym
@@ -400,23 +407,14 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     # the Nakayama map in each degree matches the twisted braiding
     theta_phi = theta * phi
     for k in range(1, n + 1):
-        try:
-            lhs = profile.restricted(theta_phi, k)
-            rhs = profile.restricted(profile.psi_theta_bar, k)
-            rule = "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)"
-            _record_equal(report, "nakayama-braiding.k%d" % k, rule, lhs, rhs)
-        except ValueError as exc:
-            report.record("nakayama-braiding.k%d" % k, "subspace stability", False, str(exc))
+        rule = "theta^((x)k) nu = (psi theta_bar)^((x)k) on upsilon(k)"
+        _record_restricted(report, "nakayama-braiding.k%d" % k, rule, lambda: (profile.restricted(theta_phi, k), profile.restricted(profile.psi_theta_bar, k)))
 
-    # pairing twist: beta_(n-k)(b, a) = beta_k(nu(a), b), that is beta_(n-k) = beta_k^T nu_k
-    for k in range(0, n + 1):
-        try:
-            nu_k = profile.nu_restricted(k)
-        except ValueError as exc:
-            report.record("pairing-twist.k%d" % k, "subspace stability", False, str(exc))
-            continue
-        bk, bnk = profile.betas[k], profile.betas[n - k]
-        _record_equal(report, "pairing-twist.k%d" % k, "beta_(n-k)(b,a) = beta_k(nu(a), b)", bnk, bk.transpose() * nu_k)
+    # pairing twist: beta_(n-k)(b, a) = beta_k(nu(a), b), that is beta_(n-k) = beta_k^T nu_k, nu_k the Nakayama map
+    # phi^(x)k restricted to upsilon(k)
+    for k in range(n + 1):
+        rule = "beta_(n-k)(b,a) = beta_k(nu(a), b)"
+        _record_restricted(report, "pairing-twist.k%d" % k, rule, lambda: (profile.betas[n - k], profile.betas[k].transpose() * profile.restricted(phi, k)))
 
     # braiding through the top component, degree up to 2; row u of each side is the image of the
     # unit u of V^(x)k: the left side is one action on the family u t, the right side one action of theta
@@ -452,13 +450,11 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     if n % 2 == 1 and n >= 3:
         ratio = profile.psi_inv_theta
         lam = ratio[0, 0]
-        scalar = ratio == MatrixF.identity(N, field).scale(lam)
-        if scalar:
-            m = (n - 1) // 2
+        if ratio == MatrixF.identity(N, field).scale(lam):
             report.record(
                 "scalar-braiding-gate",
                 "theta = lam psi forces lam = q^(m+1), n = 2m+1",
-                lam == q ** (m + 1),
+                lam == q ** ((n + 1) // 2),
                 "lam = %s" % format_scalar(lam),
             )
         else:
@@ -482,10 +478,10 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             MatrixF(block, N, f, field),
             MatrixF(N, block, f, field).transpose() * phi,
         )
-        # theta reproduced from f, psi and the slices of t: column v is
+        # theta reproduced from f, psi and the slices t_i of t = sum e_i (x) t_i: column v is
         # (-1)^(n-1) q sum_i f(v (x) t_i) psi(x_i)
         sign = -1 if (n - 1) % 2 else 1
-        values = front_pairing(f, _front_slices(t, N, n), field)
+        values = front_pairing(f, MatrixF(N, block, t, field).row_list(), field)
         _record_equal(
             report,
             "functional.braiding-formula",

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from heckesym import exactnum, frobenius, symmetry
 from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, qfact, qint
 from heckesym.frobenius import (
     DegeneratePairing,
-    _scalar_multiple_of_t,
     NoTopComponent,
     QFactorialVanishes,
     analyze,
@@ -98,9 +98,9 @@ def test_pairing_refuses_a_singular_beta(prof2, monkeypatch):
     # nonsingularity is a rank question: the suite takes no determinant
     monkeypatch.setattr(MatrixF, "det", lambda self: pytest.fail("determinant taken"))
     verify_operator_identities(analyze(sym))
-    # every pairing value zero, then every value one: both betas are singular
+    # a row of rep(y_(2/1,1)) all zero, then all one: both betas are singular
     for value in (F.zero(), F.one()):
-        monkeypatch.setattr(frobenius, "_scalar_multiple_of_t", lambda v, t, pivot: value)
+        monkeypatch.setattr(frobenius, "_row", lambda sym, factors, n, k: (value,) * sym.N ** n)
         with pytest.raises(DegeneratePairing, match="^beta_1 is singular$"):
             pairing(sym, 1, n, t)
 
@@ -290,6 +290,16 @@ def _multiparameter_conjugate():
     return _multiparameter_dj2(field, field.scalar(3)).conjugate(tau)
 
 
+def _bilinear_at_minus_one():
+    """R = s^2 Id - s E for the bilinear form B = [[1, -1, 0], [2, 1, 0], [0, 0, 1]], E = vec(B^-1) vec(B)^t, at
+    s = zeta_4: q = s^2 = -1, E^2 = tr(B^t B^-1) E = 0 = (s + 1/s) E, and R is not semisimple."""
+    field = cyclotomic_field(4, q_power=2)
+    s = field.e()
+    B = MatrixF.from_rows([[field.scalar(x) for x in row] for row in ((1, -1, 0), (2, 1, 0), (0, 0, 1))], field)
+    E = MatrixF(9, 1, B.inverse().entries, field) * MatrixF(1, 9, B.entries, field)
+    return HeckeSymmetry(3, field.q(), MatrixF.identity(9, field).scale(field.q()) - E.scale(s))
+
+
 # the dense rep(y_n) oracle; R is not symmetric on the conjugates, so acting
 # through R instead of R^t changes f there
 F_ORACLE_CASES = {
@@ -307,6 +317,9 @@ F_ORACLE_CASES.update(
         "flip2": lambda: flip(2),
         "flip3": lambda: flip(3),
         "dj2-q=-1": lambda: dj_standard(2, _rational_q(-1)),
+        "dj3-q=-1": lambda: dj_standard(3, _rational_q(-1)),
+        "dj3-conj-q=-1": lambda: _conjugate(3, _rational_q(-1), 15),
+        "bilinear-q=-1": _bilinear_at_minus_one,
         "dj2-conj-generic": lambda: _conjugate(2, GENERIC_Q, 11),
         "dj2-conj-cyc3": lambda: _conjugate(2, cyclotomic_field(3, q_power=1), 12),
         "dj3-conj-q=2": lambda: _conjugate(3, _rational_q(2), 13),
@@ -321,13 +334,17 @@ def test_functional_matches_dense_rep_of_y_n(case):
     sym = F_ORACLE_CASES[case]()
     field = sym.field
     n, t = top_component(sym)
-    f = f_functional(sym, n, t)
     Y = perm_matrix_sum(sym, antisymmetrizer(n, field), n)
-    norm = qfact(n - 1, field)
     piv = next(i for i, x in enumerate(t) if not x.is_zero())
-    assert f == vec_scale(norm.inverse(), Y.row(piv))
     for k in {0, piv, len(t) - 1} | {j for j, x in enumerate(t) if not x.is_zero()}:
         assert frobenius._y_row(sym, n, k) == Y.row(k), (case, k)
+    norm = qfact(n - 1, field)
+    if norm.is_zero():
+        with pytest.raises(QFactorialVanishes):
+            f_functional(sym, n, t)
+        return
+    f = f_functional(sym, n, t)
+    assert f == vec_scale(norm.inverse(), Y.row(piv))
     assert Y == MatrixF(len(t), 1, t, field) * MatrixF(1, len(f), f, field).scale(norm)
     # a rescaled top tensor rescales f inversely
     two = field.scalar(2)
@@ -357,8 +374,28 @@ def _theta_pair_reference(sym, n, t):
     return MatrixF.from_rows(theta_cols, field).transpose(), MatrixF.from_rows(bar_cols, field).transpose()
 
 
+def _scalar_multiple_of_t(v, t, pivot):
+    """The scalar c with v = c t, t nonzero at pivot; raises if v is not a multiple of t."""
+    if first_minor(v, t) is not None:
+        raise DegeneratePairing("vector is not a multiple of the top tensor")
+    return v[pivot] / t[pivot]
+
+
+@pytest.mark.parametrize("field", [GENERIC_Q, cyclotomic_field(3)], ids=["ratfunc_q", "cyclotomic-3"])
+def test_scalar_multiple_of_t_compares_the_nonzero_coordinates(field):
+    zero, one = field.zero(), field.one()
+    c = field.scalar(3) if field.kind != "ratfunc_q" else field.q() + 1
+    t = (zero, one, field.scalar(-2), zero)
+    v = vec_scale(c, t)
+    assert _scalar_multiple_of_t(v, t, 1) == c
+    # v differs from c t only where t is zero, or only where v is zero
+    for w in (v[:3] + (one,), v[:2] + (zero,) + v[3:]):
+        with pytest.raises(DegeneratePairing):
+            _scalar_multiple_of_t(w, t, 1)
+
+
 def _pairing_reference(sym, k, n, t):
-    """beta_k entry by entry, one action per pair of basis vectors."""
+    """beta_k entry by entry, one action per pair of basis vectors, each image checked to lie on the line of t."""
     y, piv = coset_y(n, k, n - k, sym.field), vec_pivot(t)
     rows = []
     for u in sym.upsilon(k).basis:
@@ -437,11 +474,85 @@ def test_family_actions_make_one_action_each(monkeypatch):
     assert count(rrefs, psi_op, sym, n, t) == 1
     # one action per family: 6 for square-commutes, 1 for top-scaling, 1 per degree of the
     # Nakayama braiding (k = 1..3: theta phi = psi theta_bar here, so both sides are one restriction), 1 per
-    # pairing twist (k = 0..3), 2 per braid-top.k and 1 per mirror-top.k (k = 1, 2), and 1 row of rep(y_n)
-    # for functional.kernel
+    # pairing twist (k = 0..3), 2 per braid-top.k and 1 per mirror-top.k (k = 1, 2), and 1 per factor
+    # y_(3/2,1), y_(2/1,1) of y_3 for the row of rep(y_n) that functional.kernel reads
     assert prof.theta * prof.phi == prof.psi_theta_bar
-    assert count(acts, verify_operator_identities, prof) == 6 + 1 + 1 * 3 + 4 + 3 * 2 + 1
+    assert count(acts, verify_operator_identities, prof) == 6 + 1 + 1 * 3 + 4 + 3 * 2 + 2
     assert words == []
+
+
+# dj(4) at q = zeta_3 needs upsilon(5) past the cap; there [1]!_q [3]!_q = 0 while q != -1, so only the coset argument
+# of `pairing` puts the images y_(4/k,4-k)(u (x) w) on the line of t, and the reference checks each one
+PAST_CAP_PAIRING_CASES = {
+    "dj4-cyc3": lambda: dj_standard(4, cyclotomic_field(3, q_power=1)),
+    "dj4-conj-cyc3": lambda: _conjugate(4, cyclotomic_field(3, q_power=1), 17),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_CAP_PAIRING_CASES))
+def test_pairings_match_one_action_per_pair_past_the_cap(case, monkeypatch):
+    monkeypatch.setattr(symmetry, "TENSOR_DIM_CAP", 4 ** 5)
+    sym = PAST_CAP_PAIRING_CASES[case]()
+    n, t = top_component(sym)
+    assert n == 4 and (qfact(1, sym.field) * qfact(3, sym.field)).is_zero() and not (sym.q + 1).is_zero()
+    for k in range(n + 1):
+        assert pairing(sym, k, n, t) == _pairing_reference(sym, k, n, t), k
+
+
+def _recorded_actions(monkeypatch):
+    """(words, vector length, m) of every HeckeSymmetry._packed call, R's and R^t's."""
+    calls, real = [], HeckeSymmetry._packed
+    monkeypatch.setattr(HeckeSymmetry, "_packed", lambda self, terms, n, vec, m=1: calls.append((len(terms), len(vec), m)) or real(self, terms, n, vec, m))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["dj3-cyc3", "dj3-conj-q=2", "multiparameter-dj2-conj"])
+def test_pairings_and_rows_act_on_one_vector_away_from_minus_one(case, monkeypatch):
+    sym = F_ORACLE_CASES[case]()
+    n, t = top_component(sym)
+    calls = _recorded_actions(monkeypatch)
+    for k in range(n + 1):
+        pairing(sym, k, n, t)
+    frobenius._y_row(sym, n, vec_pivot(t))
+    # one action per pairing and one per factor y_(j/j-1,1) of y_n
+    assert len(calls) == 2 * n and all(size == sym.N ** n and m == 1 for _words, size, m in calls)
+    # y_n = y_(n/n-1,1) ... y_(2/1,1) has n(n+1)/2 - 1 words, where antisymmetrizer(n) has n!
+    for degree in range(2, 6):
+        calls.clear()
+        frobenius._y_row(sym, degree, 0)
+        assert sum(words for words, _size, _m in calls) == degree * (degree + 1) // 2 - 1, degree
+
+
+@pytest.mark.parametrize("case", ["dj3-q=-1", "dj3-conj-q=-1", "bilinear-q=-1"])
+def test_pairings_at_minus_one_check_one_stacked_family(case, monkeypatch):
+    sym = F_ORACLE_CASES[case]()
+    n, t = top_component(sym)
+    calls = _recorded_actions(monkeypatch)
+    for k in range(n + 1):
+        calls.clear()
+        pairing(sym, k, n, t)
+        stacked = [m for _words, _size, m in calls if m > 1]
+        assert stacked == ([sym.upsilon(k).dim * sym.upsilon(n - k).dim] if 0 < k < n else []), k
+    # a stacked image off the line of t is refused with one line
+    real = HeckeSymmetry._packed
+
+    def moved(self, terms, n, vec, m=1):
+        out = real(self, terms, n, vec, m)
+        return out if m == 1 else types.SimpleNamespace(values=lambda: _raised(out.values(), 0, sym.field))
+
+    monkeypatch.setattr(HeckeSymmetry, "_packed", moved)
+    with pytest.raises(DegeneratePairing, match="^beta_1 does not pair into the line of t$"):
+        pairing(sym, 1, n, t)
+
+
+def test_dj5_profile_past_the_cap(monkeypatch):
+    monkeypatch.setattr(symmetry, "TENSOR_DIM_CAP", 5 ** 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(frobenius, "_stack", lambda *args: pytest.fail("stacked family built"))
+        prof = analyze(dj_standard(5))
+    assert prof.dims == [1, 5, 10, 10, 5, 1, 0]
+    assert [B.rank() for B in prof.betas] == [B.rows for B in prof.betas] == prof.dims[:6]
+    assert [c.name for c in verify_operator_identities(prof).checks if c.status == "fail"] == []
 
 
 def _scalars_in(obj, seen):
@@ -584,7 +695,7 @@ def test_opposite_swaps_operators(prof3):
 def test_nakayama_restriction_consistency(prof3):
     # nu in degree k is phi^(x)k restricted to upsilon(k); beta-twist identity
     for k in range(prof3.n + 1):
-        nu = prof3.nu_restricted(k)
+        nu = prof3.restricted(prof3.phi, k)
         bk, bnk = prof3.betas[k], prof3.betas[prof3.n - k]
         d = bk.rows
         for i in range(d):
@@ -744,7 +855,7 @@ def test_pairing_products_match_loops(case):
 def test_pairing_products_match_loops_on_a_profile_and_case1(prof3):
     prof = prof3
     t_rows = prof.sym.upsilon(2).basis
-    slices = frobenius._front_slices(prof.t, 3, prof.n)
+    slices = MatrixF(3, 9, prof.t, F).row_list()
     for vectors in (t_rows, slices):
         assert front_pairing(prof.f, vectors, F) == _front_pairing_reference(prof.f, vectors, F)
     C = front_pairing(prof.f, t_rows, F).inverse()
@@ -852,19 +963,6 @@ def test_failing_identities_name_an_entry(prof2):
             "functional.kernel"} <= failed
     # passing reports keep an empty detail
     assert all(c.detail == "" for c in verify_operator_identities(prof2).checks if c.status == "pass")
-
-
-@pytest.mark.parametrize("field", [GENERIC_Q, cyclotomic_field(3)], ids=["ratfunc_q", "cyclotomic-3"])
-def test_scalar_multiple_of_t_compares_the_nonzero_coordinates(field):
-    zero, one = field.zero(), field.one()
-    c = field.scalar(3) if field.kind != "ratfunc_q" else field.q() + 1
-    t = (zero, one, field.scalar(-2), zero)
-    v = vec_scale(c, t)
-    assert _scalar_multiple_of_t(v, t, 1) == c
-    # v differs from c t only where t is zero, or only where v is zero
-    for w in (v[:3] + (one,), v[:2] + (zero,) + v[3:]):
-        with pytest.raises(DegeneratePairing):
-            _scalar_multiple_of_t(w, t, 1)
 
 
 def _dense_kernel_check(f, g, field):

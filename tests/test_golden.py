@@ -20,7 +20,9 @@ basis-left checks onto one walk; the case-1 digest at the non-integral
 triple (1/2, 3, -2) was captured before integral polynomial coefficients
 became ints; the seeded dense conjugates of dj(3) at q = 2 and of dj(2) over
 Q(zeta_3), whose theta, psi and t have non-integral entries, were captured
-before integral Scalar entries became ints.  Every refactor must
+before integral Scalar entries became ints; the rank-2 bilinear-form
+symmetry at q = -1 was captured before the pairings were read off one row
+of a transposed action.  Every refactor must
 keep these bytes.  `--timings` writes only to stderr, so stdout keeps them
 with it too.
 """
@@ -151,6 +153,27 @@ SEEDED_CONJUGATE_ANALYZE_SHA256 = {
     "dj2-cyc3": "b35bdd26a730cfc2b2f6d8bba3d2292102e4cbae74fcfbb16ece949fb3444c71",
 }
 
+# the rank-2 symmetry R = s^2 Id - s E of the bilinear form B = [[1, -1, 0], [2, 1, 0], [0, 0, 1]], E = vec(B^-1) vec(B)^t,
+# at s = zeta_4 (q = -1, tr(B^t B^-1) = 0 = s + 1/s), as `to_json_dict` emits it: R is not semisimple, and this is
+# not dj, so the pairings' q = -1 membership check runs on it
+BILINEAR_Q_MINUS_ONE = {
+    "dim": 3,
+    "field": {"kind": "cyclotomic", "order": 4},
+    "q": "-1",
+    "matrix": [
+        ["-1 - 1/3*e", "1/3*e", "0", "-2/3*e", "-1/3*e", "0", "0", "0", "-1/3*e"],
+        ["-1/3*e", "-1 + 1/3*e", "0", "-2/3*e", "-1/3*e", "0", "0", "0", "-1/3*e"],
+        ["0", "0", "-1", "0", "0", "0", "0", "0", "0"],
+        ["2/3*e", "-2/3*e", "0", "-1 + 4/3*e", "2/3*e", "0", "0", "0", "2/3*e"],
+        ["-1/3*e", "1/3*e", "0", "-2/3*e", "-1 - 1/3*e", "0", "0", "0", "-1/3*e"],
+        ["0", "0", "0", "0", "0", "-1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "-1", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "0", "-1", "0"],
+        ["-e", "e", "0", "-2*e", "-e", "0", "0", "0", "-1 - e"],
+    ],
+}
+BILINEAR_Q_MINUS_ONE_ANALYZE_SHA256 = "f365e5690993bb86c15e60b4ef85136511a2b0625c9ba55b35187c4e57d11ec7"
+
 # dj(2) with entry (0, 3) of R set to 1, as test_cli's test_verify_perturbed_matrix
 # builds it: verify exits 1 and names the failing entries
 PERTURBED_DJ2 = {
@@ -221,6 +244,14 @@ def test_seeded_conjugate_analyze_digest(capsys, tmp_path, name):
     out = _document_stdout(capsys, tmp_path, "analyze", doc)
     assert "/" in "".join(json.loads(out)["t"])
     assert _sha256(out) == SEEDED_CONJUGATE_ANALYZE_SHA256[name]
+
+
+def test_bilinear_form_at_minus_one_digest(capsys, tmp_path):
+    out = _document_stdout(capsys, tmp_path, "analyze", BILINEAR_Q_MINUS_ONE)
+    doc = json.loads(out)
+    assert (doc["dim"], doc["field"], doc["n"], doc["dims"]) == (3, {"kind": "cyclotomic", "order": 4}, 2, [1, 3, 1, 0])
+    assert doc["f"] is not None and doc["ok"]
+    assert _sha256(out) == BILINEAR_Q_MINUS_ONE_ANALYZE_SHA256
 
 
 def test_failing_verify_digest(capsys, tmp_path):
