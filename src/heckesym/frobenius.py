@@ -23,13 +23,17 @@ degree-2 relations via the projection P with R = q Id - (1+q) P.
 Every operator identity is stated as one matrix equality lhs = rhs and
 recorded by `_record_equal`, row by row up to the first difference, or as
 one action whose result must vanish; a failing one names the first nonzero
-entry of lhs - rhs as "entry (i,j) = ...".  A family of vectors is acted on
-at once, stacked (`linalg._stack`) and passed with its size: theta,
-theta_bar, each restriction to a subspace and each side of braid-top is one
-action, and psi is one solve with N right-hand sides.  The two sides of
-braid-top and the vanishing of mirror-top are decided on the packed
-actions' integers (`exactnum.Packed`'s == and `vanishes`).  No Kronecker
-power of a matrix is formed: square-commutes compares (A (x) A) R with
+entry of lhs - rhs as "entry (i,j) = ...".  A family of vectors is acted
+on at once, stacked (`linalg._stack`) and passed with its size: each
+restriction to a subspace is one action, and psi is one solve with N
+right-hand sides.  The braidings through t are two actions each
+(`_top_sides`): the braiding on the family u t (t u for theta_bar), placed
+from t (`exactnum.Placed`), and the operator on the other family.  theta
+and theta_bar are read off N^2 values of the first action and braid-top
+reuses the same pair for theta^(x)k, k = 1, 2; the two sides, and the
+vanishing of mirror-top, are decided on the packed actions' integers
+(`exactnum.Packed`'s == and `vanishes`).  No Kronecker power of a matrix
+is formed: square-commutes compares (A (x) A) R with
 R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action of A on R's row
 slots.  The pairings and f are read off one row of rep(h) (`_row`): row p
 is h with its words reversed acting on e_p under R^t.  beta_k reads the row
@@ -47,13 +51,13 @@ from dataclasses import dataclass, field as _field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import FieldSpec, Placed, Scalar, qbinom, qfact, qint
+from .exactnum import FieldSpec, Packed, Placed, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import coset_y, partial_y, shift_element, unit
 from .linalg import MatrixF, Subspace, _stack, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
-from .permgroup import Composition, cycle, longest_rho
+from .permgroup import Composition, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _format_entry, _packed_power, _packed_vanishes, _square_times, _vanishes, apply_power
+from .symmetry import HeckeSymmetry, _format_entry, _packed_act, _packed_vanishes, _square_times, _vanishes, apply_power, column_table
 
 __all__ = [
     "FrobeniusProfile",
@@ -156,25 +160,31 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
     return B
 
 
-def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
-    """The operators theta and theta_bar, with theta_bar theta = q^(n+1) Id.
+def _top_sides(sym: HeckeSymmetry, k: int, n: int, t: Sequence, bar: bool = False) -> tuple:
+    """The packed sides of T_rho(u t) = t theta^(x)k(u), rho = longest_rho(k, n), over the units u of V^(x)k, or
+    with bar of T_(rho^-1)(t u) = theta_bar^(x)k(u) t: the left side, and the right side as a function of the
+    operator, on the other family placed from t (exactnum.Placed), packed at least at the left side's digit width
+    (T_rho's bound is the larger one on every input tried), so that Packed.__eq__ compares ints."""
+    m, rho = sym.N ** k, longest_rho(k, n)
+    lhs = sym._packed([((rho.inverse() if bar else rho).reduced_word(), None)], k + n, Placed(t, m, last=bar), m)
+    slots, bits = (range(1, k + 1) if bar else range(n + 1, n + k + 1)), lhs.bits
+    return lhs, lambda op: _packed_act(column_table(op), sym.N, [(slots, None)], Placed(t, m, last=not bar), sym.field.zero(), m, bits)
 
-    Each is one action on a family over the basis e_j of V, placed from t
-    (exactnum.Placed).  The images of the e_j t are t (x) theta, so theta is
-    their block at t's pivot; those of the t e_j are theta_bar (x) t, so
-    block a is t (x) row a of theta_bar.
-    """
-    N, field = sym.N, sym.field
-    piv, size = vec_pivot(t), N * len(t)
-    fwd = sym._packed([(cycle(n + 1, 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N), N).values()
-    theta = MatrixF(N, N, fwd[piv * N * N : (piv + 1) * N * N], field)
-    if fwd != kron_vec(t, theta.entries, field):
-        raise DegeneratePairing("braiding does not send V (x) t into t (x) V")
-    bwd = sym._packed([(cycle(1, n + 1, n + 1).reduced_word(), None)], n + 1, Placed(t, N, last=True), N).values()
-    theta_bar = MatrixF.from_rows([bwd[a * size + piv * N : a * size + (piv + 1) * N] for a in range(N)], field)
-    if any(bwd[a * size : (a + 1) * size] != kron_vec(t, theta_bar.row(a), field) for a in range(N)):
-        raise DegeneratePairing("braiding does not send t (x) V into V (x) t")
-    if theta_bar * theta != MatrixF.identity(N, field).scale(sym.q ** (n + 1)):
+
+def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
+    """The operators theta and theta_bar, with theta_bar theta = q^(n+1) Id, each read off N^2 values of a braiding
+    through t (`_top_sides`, k = 1): the images of the e_j t are t (x) theta(e_j), so theta is their coordinates
+    piv N + c, piv t's pivot; those of the t e_j are theta_bar(e_j) (x) t, read at a N^n + piv.  Each braiding must
+    equal the action of the operator read off it, compared on the packed ints as in braid-top."""
+    N, piv, ops = sym.N, vec_pivot(t), []
+    for bar, at in ((False, range(piv * N, (piv + 1) * N)), (True, range(piv, N ** (n + 1), N ** n))):
+        lhs, rhs = _top_sides(sym, 1, n, t, bar)
+        op = MatrixF(N, N, Packed(lhs.field, [[xs[i] for i in at] for xs in lhs.comps], lhs.den, lhs.bits, N).values(), sym.field)
+        if lhs != rhs(op):
+            raise DegeneratePairing("braiding does not send t (x) V into V (x) t" if bar else "braiding does not send V (x) t into t (x) V")
+        ops.append(op)
+    theta, theta_bar = ops
+    if theta_bar * theta != MatrixF.identity(N, sym.field).scale(sym.q ** (n + 1)):
         raise DegeneratePairing("theta_bar theta != q^(n+1) Id")
     return theta, theta_bar
 
@@ -416,17 +426,13 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
         rule = "beta_(n-k)(b,a) = beta_k(nu(a), b)"
         _record_restricted(report, "pairing-twist.k%d" % k, rule, lambda: (profile.betas[n - k], profile.betas[k].transpose() * profile.restricted(phi, k)))
 
-    # braiding through the top component, degree up to 2; row u of each side is the image of the
-    # unit u of V^(x)k: the left side is one action on the family u t, the right side one action of theta
-    # on the last k slots of the family t u, both placed from t (exactnum.Placed), packed at the left side's
-    # digit width and compared on their ints; they are unpacked row by row only for the witness of a failure
+    # braiding through the top component, degree up to 2 (_top_sides); row u of each side is the image of the
+    # unit u of V^(x)k, compared on the packed ints and unpacked row by row only for the witness of a failure
     zero = field.zero()
     for k in range(1, min(2, n) + 1):
-        rho = longest_rho(k, n)
-        m = N ** k
-        lhs = sym._packed([(rho.reduced_word(), None)], k + n, Placed(t, m), m)
-        # the left side's digit bound, T_rho's, is the larger one on every input tried
-        rhs = _packed_power(theta, k, Placed(t, m, last=True), zero, m, n, lhs.bits)
+        rho, m = longest_rho(k, n), N ** k
+        lhs, side = _top_sides(sym, k, n, t)
+        rhs = side(theta)
         name, rule = "braid-top.k%d" % k, "T_rho(u t) = t theta^((x)k)(u)"
         if lhs == rhs:
             report.record(name, rule, True)

@@ -81,11 +81,9 @@ __all__ = [
     "column_table",
     "apply_power",
     "TENSOR_DIM_CAP",
-    "REP_DIM_CAP",
 ]
 
 TENSOR_DIM_CAP = 256
-REP_DIM_CAP = 20000
 
 
 class SymmetryError(ValueError):
@@ -249,15 +247,10 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: 
 
     zero is that of the vector's domain (by default the domain of A).
     """
-    return _packed_power(A, k, vec, zero, m, skip).values()
-
-
-def _packed_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0, floor: int = 0) -> Packed:
-    """apply_power, still packed (_packed_act), its digits at least floor bits wide."""
     if A.rows != A.cols or len(vec) != A.rows ** (skip + k) * m:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
-    return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m, floor)
+    return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m).values()
 
 
 def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
@@ -405,13 +398,11 @@ class HeckeSymmetry:
         return [(word, c) for _p, word, c in h.field_terms()]
 
     def _rep(self, terms: Sequence, n: int) -> MatrixF:
-        """Matrix of sum c * T_word on V^(x)n, read off the action column by column; the cap is checked first."""
+        """Matrix of sum c * T_word on V^(x)n, read off the action column by column; the cap (_bound) is checked first."""
         if any(not 1 <= i < n for word, _c in terms for i in word):
             raise ValueError("generator index out of range")
-        dim = self.N ** n
-        if dim > REP_DIM_CAP:
-            raise SymmetryError("tensor dimension %d exceeds the cap %d" % (dim, REP_DIM_CAP))
-        return _matrix_of(column_table(self.R), self.N, dim, terms, self.field)
+        self._bound(n)
+        return _matrix_of(column_table(self.R), self.N, self.N ** n, terms, self.field)
 
     def generator_matrix(self, i: int, n: int) -> MatrixF:
         """Matrix of T_i = Id^(i-1) (x) R (x) Id^(n-i-1) on V^(x)n."""

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -254,7 +255,8 @@ def test_rep_of_y_n_is_built_once_per_analyze(monkeypatch):
 def test_no_operator_is_packed_twice(case, monkeypatch):
     # each operator is packed once however many actions and degrees use it, so the count does not grow with
     # the top degree (2 for dj(2), 3 for dj(3)): the conjugation packs dj(N)'s R, tau and tau^-t; the profile
-    # packs R, R^t, theta, phi, psi, their transposes, and the products restricted to each upsilon(k):
+    # packs R, R^t, theta, theta_bar (theta_pair's check), phi, psi, the transposes of theta, phi and psi, and
+    # the products restricted to each upsilon(k):
     # psi^-1 theta in trace_table and psi theta_bar, formed once for trace_table and nakayama-braiding; theta phi,
     # the other side of nakayama-braiding, equals psi theta_bar on these inputs, so its restrictions are
     # psi theta_bar's (FrobeniusProfile.restricted) and it is never packed
@@ -262,13 +264,13 @@ def test_no_operator_is_packed_twice(case, monkeypatch):
     prof = analyze(SQUARE_CASES[case]())
     assert prof.theta * prof.phi == prof.psi_theta_bar
     assert verify_operator_identities(prof).ok and trace_table(prof)[0].ok
-    assert len(set(map(id, built))) == len(built) == 3 + 10
+    assert len(set(map(id, built))) == len(built) == 3 + 11
 
 
 @pytest.mark.parametrize("case", sorted(c for c in SQUARE_CASES if "conj" in c))
 def test_braid_top_compares_ints(case, monkeypatch):
-    # both sides of braid-top are packed at one digit width over one denominator, so Packed.__eq__ compares
-    # their ints and decodes no digit
+    # both sides of theta_pair's two checks and of braid-top are packed at one digit width over one denominator,
+    # so Packed.__eq__ compares their ints and decodes no digit
     calls, real = [], exactnum.Packed.__eq__
 
     def checked(a, b):
@@ -278,10 +280,12 @@ def test_braid_top_compares_ints(case, monkeypatch):
             patch.setattr(exactnum, "_digit_reader", lambda *args: pytest.fail("braid-top decoded digits"))
             return real(a, b)
 
-    prof = analyze(SQUARE_CASES[case]())
+    sym = SQUARE_CASES[case]()
     monkeypatch.setattr(exactnum.Packed, "__eq__", checked)
+    prof = analyze(sym)
+    assert len(calls) == 2
     report = verify_operator_identities(prof)
-    assert report.ok and len(calls) == min(2, prof.n)
+    assert report.ok and len(calls) == 2 + min(2, prof.n)
 
 
 def _multiparameter_conjugate():
@@ -457,7 +461,8 @@ def test_family_actions_make_one_action_each(monkeypatch):
     n, t = prof.n, prof.t
     acts, rrefs, words = [], [], []
     real_act, real_rref = symmetry._packed_act, MatrixF.rref
-    monkeypatch.setattr(symmetry, "_packed_act", lambda *args: acts.append(len(args[3])) or real_act(*args))
+    for module in (symmetry, frobenius):
+        monkeypatch.setattr(module, "_packed_act", lambda *args: acts.append(len(args[3])) or real_act(*args))
     monkeypatch.setattr(MatrixF, "rref", lambda self: rrefs.append(self.rows) or real_rref(self))
     monkeypatch.setattr(HeckeSymmetry, "apply_perm_word", lambda *args: words.append(args) or pytest.fail("one action per vector"))
 
@@ -466,7 +471,8 @@ def test_family_actions_make_one_action_each(monkeypatch):
         fn(*args)
         return len(calls)
 
-    assert count(acts, theta_pair, sym, n, t) == 2
+    # theta and theta_bar: one braiding and one action of the operator read off it each
+    assert count(acts, theta_pair, sym, n, t) == 4
     for k in range(n + 1):
         assert count(acts, pairing, sym, k, n, t) <= 1
     for k in range(1, n + 1):
@@ -497,6 +503,7 @@ def test_pairings_match_one_action_per_pair_past_the_cap(case, monkeypatch):
     assert n == 4 and (qfact(1, sym.field) * qfact(3, sym.field)).is_zero() and not (sym.q + 1).is_zero()
     for k in range(n + 1):
         assert pairing(sym, k, n, t) == _pairing_reference(sym, k, n, t), k
+    assert theta_pair(sym, n, t) == _theta_pair_reference(sym, n, t)
 
 
 def _recorded_actions(monkeypatch):
@@ -547,12 +554,25 @@ def test_pairings_at_minus_one_check_one_stacked_family(case, monkeypatch):
 
 def test_dj5_profile_past_the_cap(monkeypatch):
     monkeypatch.setattr(symmetry, "TENSOR_DIM_CAP", 5 ** 6)
+    # no family longer than V^(x)n is unpacked: theta_pair reads N^2 values off each braiding on V^(x)(n+1)
+    unpacked, values = [], exactnum.Packed.values
     with monkeypatch.context() as patch:
         patch.setattr(frobenius, "_stack", lambda *args: pytest.fail("stacked family built"))
+        patch.setattr(exactnum.Packed, "values", lambda self: unpacked.append(len(out := values(self))) or out)
         prof = analyze(dj_standard(5))
     assert prof.dims == [1, 5, 10, 10, 5, 1, 0]
+    assert max(unpacked) <= 5 ** 5
     assert [B.rank() for B in prof.betas] == [B.rows for B in prof.betas] == prof.dims[:6]
     assert [c.name for c in verify_operator_identities(prof).checks if c.status == "fail"] == []
+    # a warm theta_pair holds its two packed families, not their 2 N^(n+2) Scalars
+    theta_pair(prof.sym, prof.n, prof.t)
+    tracemalloc.start()
+    try:
+        assert theta_pair(prof.sym, prof.n, prof.t) == (prof.theta, prof.theta_bar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
 
 
 def _scalars_in(obj, seen):

@@ -18,7 +18,6 @@ from heckesym.obstruction import SklParameters, _projection, skl_relations
 from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_element, longest_rho
 from heckesym.regular3 import hessian_generators, skl_tensor
 from heckesym.symmetry import (
-    REP_DIM_CAP,
     TENSOR_DIM_CAP,
     HeckeSymmetry,
     SymmetryError,
@@ -1191,13 +1190,13 @@ def test_dense_matrices_match_kronecker_references(case, monkeypatch):
     # over the cap each one is refused before any matrix is allocated
     monkeypatch.setattr(symmetry, "_matrix_of", lambda *args: pytest.fail("matrix built over the cap"))
     monkeypatch.setattr(symmetry, "MatrixF", None)
-    n = next(n for n in range(2, 40) if N ** n > REP_DIM_CAP)
+    n = next(n for n in range(2, 40) if N ** n > TENSOR_DIM_CAP)
     for call in (
         lambda: sym.generator_matrix(1, n),
         lambda: sym.perm_matrix(longest_element(3), n),
         lambda: sym.rep_matrix(antisymmetrizer(2, field), n),
     ):
-        with pytest.raises(SymmetryError, match="exceeds the cap %d" % REP_DIM_CAP):
+        with pytest.raises(SymmetryError, match="^tensor dimension %d exceeds the cap$" % N ** n):
             call()
 
 
