@@ -31,8 +31,8 @@ _CycCtx.mul and inv take such vectors, for multipoly.
 
 pack_q moves a vector of any kind to integer polynomials in q over one
 polynomial denominator (a constant is the degree-0 case), and at_lanes puts
-m such vectors in the lanes of one int per coordinate (Placed, units beside
-one vector t, straight from t).  A slot action returns such ints over one
+m such vectors in the lanes of one int per coordinate (linalg.Placed packs
+a family from its two factors).  A slot action returns such ints over one
 denominator as a Packed family: values() reads the lanes back with at most
 one gcd per coordinate, while == and vanishes() decide on the ints with no
 Scalar built.  Digits are whole bytes wide (digit_bits), so they read back
@@ -61,7 +61,6 @@ __all__ = [
     "primitive_root",
     "pack_q",
     "at_lanes",
-    "Placed",
     "Packed",
     "MAX_ORDER",
     "at_power_of_two",
@@ -775,49 +774,19 @@ def pack_q(field: FieldSpec, xs) -> tuple:
     return den, [[tuple([v[j] for v in p]) if p else () for p in nums] for j in range(ctx.deg)]
 
 
-def at_lanes(comps, bits: int, m: int) -> list:
-    """The integer polynomials comps[i * m + l] (pack_q's) as one int per i: sum_l P_il(2^(m bits)) 2^(bits l).
+def at_lanes(comps, bits: int, m: int, step: int = 0) -> list:
+    """The integer polynomials comps[i * m + l] (pack_q's) as one int per i: sum_l P_il(2^step) 2^(bits l), step
+    m bits by default.
 
     Lane l of coordinate i holds the digits at positions l, l + m, l + 2m, ...
     (digit_bits wide), so no two lanes share a digit.
     """
-    step = m * bits
+    step = step or m * bits
     values = [(p[0] if len(p) == 1 else at_power_of_two(p, step)) if p else 0 for p in comps]
     if m == 1:
         return values
     shifts = [bits * l for l in range(m)]
     return [sum([x << s for x, s in zip(values[i : i + m], shifts) if x]) for i in range(0, len(values), m)]
-
-
-class Placed:
-    """A family of m vectors kept as one vector t and its places: lane l is e_(first+l) (x) t over the units of
-    k^dim (dim defaults to m), or t (x) e_l with last; t None is the unit 1.  Its len is that of the family stacked
-    (linalg._stack); packed() and lanes() give what pack_q and at_lanes give for it, with no Scalar per coordinate."""
-
-    __slots__ = ("t", "size", "starts", "stride")
-
-    def __init__(self, t, m: int, first: int = 0, dim: Optional[int] = None, last: bool = False):
-        span = 1 if t is None else len(t)
-        self.t, self.stride = t, m if last else 1
-        self.size = span * (m if last or dim is None else dim)
-        self.starts = range(m) if last else range(first * span, (first + m) * span, span)
-
-    def __len__(self) -> int:
-        return self.size * len(self.starts)
-
-    def packed(self, field: FieldSpec) -> tuple:
-        """pack_q's (den, comps) of t; the unit 1 over 1 is read off."""
-        return pack_q(field, self.t) if self.t is not None else ((field._cyc.one,), [[(1,)]] + [[()]] * (field._cyc.deg - 1))
-
-    def lanes(self, ps, bits: int) -> list:
-        """The ints of one component of the family (at_lanes), from that of t (packed()'s comps[j]): t's ints at
-        q = 2^(m bits), lane l's shifted by bits l into its coordinates."""
-        out = [0] * self.size
-        for i, x in enumerate(at_lanes(ps, len(self.starts) * bits, 1)):
-            if x:
-                for l, s in enumerate(self.starts):
-                    out[s + self.stride * i] = x << (bits * l)
-        return out
 
 
 def _digit_count(comps, bits: int, m: int) -> int:

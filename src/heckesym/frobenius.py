@@ -24,25 +24,25 @@ Every operator identity is stated as one matrix equality lhs = rhs and
 recorded by `_record_equal`, row by row up to the first difference, or as
 one action whose result must vanish; a failing one names the first nonzero
 entry of lhs - rhs as "entry (i,j) = ...".  A family of vectors is acted
-on at once, stacked (`linalg._stack`) and passed with its size: each
-restriction to a subspace is one action, and psi is one solve with N
-right-hand sides.  The braidings through t are two actions each
-(`_top_sides`): the braiding on the family u t (t u for theta_bar), placed
-from t (`exactnum.Placed`), and the operator on the other family.  theta
-and theta_bar are read off N^2 values of the first action and braid-top
-reuses the same pair for theta^(x)k, k = 1, 2; the two sides, and the
-vanishing of mirror-top, are decided on the packed actions' integers
-(`exactnum.Packed`'s == and `vanishes`).  No Kronecker power of a matrix
-is formed: square-commutes compares (A (x) A) R with
-R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action of A on R's row
-slots.  The pairings and f are read off one row of rep(h) (`_row`): row p
-is h with its words reversed acting on e_p under R^t.  beta_k reads the row
-of y_(n/k,n-k) at t's pivot; f the row of y_n = y_(n/n-1,1) ... y_(2/1,1)
-(`_y_row`), n(n+1)/2 - 1 words where y_n has n!.  Away from q = -1 the
-images lie on the line of t by the coset argument in `pairing`; at q = -1
-each beta_k, 0 < k < n, keeps one action on the family of all u (x) w.
-`functional.kernel` compares f with the row at the last nonzero coordinate
-of t (`linalg.first_minor`); a pairing is nonsingular when its rank is full.
+on at once, stacked (`linalg._stack`) or placed from two factors
+(`linalg.Placed`), with no Kronecker product formed: each restriction to a
+subspace is one action, and psi is one solve with N right-hand sides.  The
+braidings through t are two actions each (`_top_sides`): the braiding on
+the units beside t, and the operator on the other such family.  theta and
+theta_bar are read off N^2 values of the first, braid-top reuses the pair
+for theta^(x)k, k = 1, 2, and mirror-top acts on t beside the basis of
+upsilon(k); the sides, and the vanishing, are decided on the packed ints
+(`exactnum.Packed`'s == and `vanishes`).  square-commutes compares
+(A (x) A) R with R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action
+of A on R's row slots.  The pairings and f are read off one row of rep(h)
+(`_row`): row p is h with its words reversed acting on e_p under R^t.
+beta_k reads the row of y_(n/k,n-k) at t's pivot; f the row of
+y_n = y_(n/n-1,1) ... y_(2/1,1) (`_y_row`), n(n+1)/2 - 1 words where y_n
+has n!.  Away from q = -1 the images lie on the line of t by the coset
+argument in `pairing`; at q = -1 each beta_k, 0 < k < n, keeps one action on
+the family of all u (x) w, placed from the two bases.  `functional.kernel`
+compares f with the row at the last nonzero coordinate of t
+(`linalg.first_minor`); a pairing is nonsingular when its rank is full.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from dataclasses import dataclass, field as _field
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .exactnum import FieldSpec, Packed, Placed, Scalar, qbinom, qfact, qint
+from .exactnum import FieldSpec, Packed, Scalar, qbinom, qfact, qint
 from .exprio import format_scalar
 from .heckealg import coset_y, partial_y, shift_element, unit
-from .linalg import MatrixF, Subspace, _stack, first_minor, kron_vec, vec_is_zero, vec_pivot, vec_scale
+from .linalg import MatrixF, Placed, Subspace, _stack, first_minor, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import Composition, longest_rho
 from .report import CheckReport
 from .symmetry import HeckeSymmetry, _format_entry, _packed_act, _packed_vanishes, _square_times, _vanishes, apply_power, column_table
@@ -124,7 +124,7 @@ def _top_pivot(sym: HeckeSymmetry, n: int, t: Sequence) -> int:
 def _row(sym: HeckeSymmetry, factors: Sequence, n: int, k: int) -> tuple:
     """Row k of rep(h_1 ... h_m) on V^(x)n (the empty product is the unit), given the reverses h_i* (T_sigma ->
     T_(sigma^-1)) of the factors: rep(h)^t is rep(h_m* ... h_1*) under R^t, so h_1* acts on e_k first."""
-    dual, row = sym._transpose(), Placed(None, 1, k, sym.N ** n)
+    dual, row = sym._transpose(), Placed(range(k, k + 1), dim=sym.N ** n)
     for h in factors or [unit(n, sym.field)]:
         row = dual.apply_hecke(h, n, row)
     return row
@@ -152,8 +152,8 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
     B = (MatrixF.from_rows(left, field) * front_pairing(_row(sym, reverse, n, piv), right, field)).scale(t[piv].inverse())
     if reverse and (sym.q + 1).is_zero():
         m = B.rows * B.cols
-        family = _stack((kron_vec(u, w, field) for u in left for w in right), m, field.zero())
-        if sym._packed(sym._hecke_terms(coset_y(n, k, n - k, field), n), n, family, m).values() != kron_vec(t, B.entries, field):
+        images = sym._packed(sym._hecke_terms(coset_y(n, k, n - k, field), n), n, Placed(left, right), m).values()
+        if MatrixF(len(t), m, images, field) != MatrixF(len(t), 1, t, field) * MatrixF(1, m, B.entries, field):
             raise DegeneratePairing("beta_%d does not pair into the line of t" % k)
     if B.rows != B.cols or B.rank() != B.rows:
         raise DegeneratePairing("beta_%d is singular" % k)
@@ -163,12 +163,13 @@ def pairing(sym: HeckeSymmetry, k: int, n: int, t: Sequence) -> MatrixF:
 def _top_sides(sym: HeckeSymmetry, k: int, n: int, t: Sequence, bar: bool = False) -> tuple:
     """The packed sides of T_rho(u t) = t theta^(x)k(u), rho = longest_rho(k, n), over the units u of V^(x)k, or
     with bar of T_(rho^-1)(t u) = theta_bar^(x)k(u) t: the left side, and the right side as a function of the
-    operator, on the other family placed from t (exactnum.Placed), packed at least at the left side's digit width
+    operator, on the other family placed from t (linalg.Placed), packed at least at the left side's digit width
     (T_rho's bound is the larger one on every input tried), so that Packed.__eq__ compares ints."""
     m, rho = sym.N ** k, longest_rho(k, n)
-    lhs = sym._packed([((rho.inverse() if bar else rho).reduced_word(), None)], k + n, Placed(t, m, last=bar), m)
+    families = (Placed(range(m), [t]), Placed([t], range(m)))
+    lhs = sym._packed([((rho.inverse() if bar else rho).reduced_word(), None)], k + n, families[bar], m)
     slots, bits = (range(1, k + 1) if bar else range(n + 1, n + k + 1)), lhs.bits
-    return lhs, lambda op: _packed_act(column_table(op), sym.N, [(slots, None)], Placed(t, m, last=not bar), sym.field.zero(), m, bits)
+    return lhs, lambda op: _packed_act(column_table(op), sym.N, [(slots, None)], families[not bar], sym.field.zero(), m, bits)
 
 
 def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
@@ -428,7 +429,6 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
 
     # braiding through the top component, degree up to 2 (_top_sides); row u of each side is the image of the
     # unit u of V^(x)k, compared on the packed ints and unpacked row by row only for the witness of a failure
-    zero = field.zero()
     for k in range(1, min(2, n) + 1):
         rho, m = longest_rho(k, n), N ** k
         lhs, side = _top_sides(sym, k, n, t)
@@ -441,13 +441,11 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
             _record_equal(report, name, rule, (lhs[u::m] for u in range(m)), (rhs[u::m] for u in range(m)))
         del lhs, rhs  # the images go before the mirror's action
         # the mirror: shifted partial antisymmetrizer on upsilon(n) (x) upsilon(k), as one action of
-        # y_shift - coeff T_(rho^-1) on the family t v, stacked as t (x) the stacked basis, whose rows must vanish
-        y_shift = shift_element(coset_y(n, n - k, k, field), k)
-        sign = -1 if (k * n - k) % 2 else 1
-        coeff = field.scalar(sign) * q ** (-(k * (k + 1) // 2))
-        terms = sym._hecke_terms(y_shift, k + n) + [(rho.inverse().reduced_word(), -coeff)]
+        # y_shift - coeff T_(rho^-1) on the family t v, placed from t and upsilon(k)'s basis, whose rows must vanish
+        coeff = field.scalar(-1 if (k * n - k) % 2 else 1) * q ** (-(k * (k + 1) // 2))
+        terms = sym._hecke_terms(shift_element(coset_y(n, n - k, k, field), k), k + n) + [(rho.inverse().reduced_word(), -coeff)]
         basis = sym.upsilon(k).basis
-        defect = sym._packed(terms, k + n, kron_vec(t, _stack(basis, len(basis), zero), field), len(basis))
+        defect = sym._packed(terms, k + n, Placed([t], basis), len(basis))
         rule = "shifted y_(n/n-k,k) u = (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1) u"
         matrix = lambda: MatrixF(N ** (k + n), len(basis), defect.values(), field).transpose()
         report.record("mirror-top.k%d" % k, rule, *_packed_vanishes([defect], matrix))

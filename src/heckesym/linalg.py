@@ -4,10 +4,10 @@ MatrixF carries its domain (a FieldSpec for field scalars, a PolyRing for
 polynomial entries).  Row reduction, kernels, images, subspace sums and
 intersections need a field; products and determinants also work over
 polynomial rings.  No Kronecker power of a matrix is formed: `kron_vec` is
-the one Kronecker product, of two vectors.  `det` is the Laplace expansion
-memoized over column subsets on every domain, exponential in n, so it is
-for the small matrices whose determinant value is used; nonsingularity is a
-`rank` question.
+the one Kronecker product, of two vectors, and `Placed` keeps a family of
+them as its two factors for a slot action.  `det` is the Laplace expansion
+memoized over column subsets on every domain, exponential in n, for the
+small matrices whose value is used; nonsingularity is a `rank` question.
 
 Subspaces of k^D are stored as the nonzero rows of a reduced row echelon
 form, so equal subspaces have identical bases and == is structural.  By
@@ -16,12 +16,14 @@ duality, U cap W is the annihilator of ann(U) + ann(W).
 
 from __future__ import annotations
 
+from itertools import product, zip_longest
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .exactnum import FieldSpec
+from .exactnum import FieldSpec, _pmul, at_lanes, pack_q
 from .multipoly import PolyRing
 
-__all__ = ["MatrixF", "Subspace", "kron_vec", "vec_scale", "vec_is_zero", "vec_pivot", "vec_combination", "first_minor"]
+__all__ = ["MatrixF", "Subspace", "Placed", "kron_vec", "vec_scale", "vec_is_zero", "vec_pivot", "vec_combination", "first_minor"]
 
 Domain = Union[FieldSpec, PolyRing]
 
@@ -57,6 +59,58 @@ def _stack(rows: Iterable, m: int, zero) -> list:
             out = [zero] * (len(row) * m)
         out[j::m] = row
     return out
+
+
+class Placed:
+    """The family of the vectors left[a] (x) right[b], lane a len(right) + b, kept as its two factors: the family
+    _stack makes of their kron_vec products, with no Scalar per coordinate, such as t (x) a basis of upsilon(k)
+    or t (x) e_j.  A factor is a list of vectors or a range of units e_j of k^d, the identity basis: d is dim for
+    the left (its stop by default) and the stop for the right, whose default range(1) is the unit 1."""
+
+    __slots__ = ("factors", "dims")
+
+    def __init__(self, left, right=range(1), dim: Optional[int] = None):
+        self.factors = left, right
+        self.dims = [dim or left.stop if isinstance(left, range) else len(left[0]), right.stop if isinstance(right, range) else len(right[0])]
+
+    def __len__(self) -> int:
+        return self.dims[0] * self.dims[1] * len(self.factors[0]) * len(self.factors[1])
+
+    def pack(self, field: FieldSpec) -> tuple:
+        """(den, peak, lanes) for the family stacked, as symmetry._packed_act packs a Scalar family: a denominator, a
+        bound on the coefficients and lanes(bits), the ints at digit width bits (at_lanes).  Each factor is packed
+        once (pack_q); units shift the other factor's ints into place, and of two factors of vectors the int at
+        (i, j) is the left's at i, through their multiplication matrix, times the right's at j, den the product of
+        theirs and peak the left's largest mul_matrices row sum times the right's largest coefficient."""
+        (left, right), (dl, dr), ctx, mr = self.factors, self.dims, field._cyc, len(self.factors[1])
+        packs = [None if isinstance(f, range) else pack_q(field, [v[i] for i in range(d) for v in f]) for f, d in zip(self.factors, self.dims)]
+        tops = [1 if p is None else max([abs(c) for ps in p[1] for x in ps for c in x], default=0) for p in packs]
+        if None not in packs:
+            # a row sum of each left entry's multiplication matrix (exactnum.mul_matrices), over the powers of q
+            rows = lambda x: zip(*[[sum(map(abs, row)) for row in ctx.mul_matrix(v)] for v in zip_longest(*x, fillvalue=0)])
+            tops[0] = max([sum(r) for x in zip(*packs[0][1]) if any(x) for r in rows(x)], default=0)
+
+        def lanes(bits: int) -> list:
+            L, R = [p and [at_lanes(ps, w, len(f), len(left) * mr * bits) for ps in p[1]] for f, p, w in zip(self.factors, packs, (mr * bits, bits))]
+            R = R or [[1 << (bits * (j - right.start)) if j in right else 0 for j in range(dr)]] + [[0] * dr] * (ctx.deg - 1)
+            out = [[0] * (dl * dr) for _ in range(ctx.deg)]
+            if L is None:
+                # e_i (x) y for the consecutive rows i of left: y's ints shifted into lane i - left.start
+                for c, ys in enumerate(R):
+                    out[c][left.start * dr : left.stop * dr] = [y << (mr * bits * a) for a in range(len(left)) for y in ys]
+            elif isinstance(right, range):
+                # x (x) e_j for the units j of right: x's ints shifted into lane j - right.start
+                for j, (c, xs) in product(right, enumerate(L)):
+                    out[c][j::dr] = [x << (bits * (j - right.start)) for x in xs]
+            else:
+                nonzero = [(j, ys) for j, ys in enumerate(zip(*R)) if any(ys)]
+                for i, xs in enumerate(zip(*L)):
+                    rows = list(enumerate(ctx.mul_matrix(xs))) if any(xs) else ()
+                    for (j, ys), (c, row) in product(nonzero if rows else (), rows):
+                        out[c][i * dr + j] = sum(map(mul, row, ys))
+            return out
+
+        return _pmul(ctx, *[ctx.unit if p is None else p[0] for p in packs]), tops[0] * tops[1], lanes
 
 
 def vec_scale(c, u: Sequence):

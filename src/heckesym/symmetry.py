@@ -31,23 +31,21 @@ Every action on V^(x)n -- T_i, Hecke words and elements, A^(x)k, A (x) A on
 the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
 identity), the matrices of T_i, T_sigma and rep(h), the quadratic relation
 and the braid defect -- is one sum of c * A_word(v) over slot-local steps
-(_packed_act), whose result is one exactnum.Packed family.  A family of m
-vectors stacked as sum_j v_j (x) e_j (linalg._stack) is acted on at once, its
-images stacked the same way, as the columns of a matrix; m = 1 is one vector.
-A Scalar family is packed once into integer polynomials in q over one
-denominator, the m label coordinates of each tensor coordinate one Python int
-(lane l at 2^(B l), q at 2^(m B); a constant is the degree-0 case), steps on
-those ints with the multiplication matrices of the operator's entries and is
-read back once (Packed.values).  A family of units, or of units
-beside one vector t (exactnum.Placed), is packed from t alone, with no Scalar
-per coordinate: the quadratic relation, the braid defect and the dense
-matrices act on all their unit columns at once over a constant field, and on
-N^2 of them per action at generic q, where every coefficient int grows with
-the lanes.  An operator is packed once however many actions use it:
-column_table keeps its table on the MatrixF.  The checks that only ask
-whether a result vanishes or equals another read its ints (Packed.vanishes,
-==) and read its values only to name a failure's witness.  A ring vector is
-one component, on R's entries as elements of its ring.
+(_packed_act), whose result is one exactnum.Packed family.  Its words, read
+right to left, form a tree of suffixes walked depth first, as
+heckealg._Degree.walk walks reduced words: each distinct suffix is one step
+from its parent's image, each term's image is added when the walk reaches
+its word, and only the parent images of pending siblings are held.  A
+family of m vectors, stacked (linalg._stack) or placed from two factors
+(linalg.Placed: units, t (x) e_j, t (x) a basis, u (x) w), is acted on at
+once, its images stacked the same way; m = 1 is one vector.  It is packed
+once into integer polynomials in q over one denominator, the m lanes of a
+tensor coordinate one int (lane l at 2^(B l), q at 2^(m B)), a placed family
+from its factors with no Scalar per coordinate, and stepped with the
+multiplication matrices of the operator's entries, kept on the MatrixF
+(column_table).  Checks that ask whether a result vanishes or equals another
+read its ints (Packed.vanishes, ==), and its values only to name a witness.
+A ring vector is one component, on R's entries as elements of its ring.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -57,13 +55,13 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, product
 from typing import List, Sequence, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Packed, Placed, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, mul_matrices, pack_q
+from .exactnum import FieldSpec, GENERIC_Q, Packed, Scalar, _scalar, at_lanes, at_power_of_two, digit_bits, mul_matrices, pack_q
 from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
-from .linalg import MatrixF, Subspace, kron_vec
+from .linalg import MatrixF, Placed, Subspace, kron_vec
 from .multipoly import MultiPoly
 from .permgroup import Perm
 
@@ -164,20 +162,21 @@ def _int_step(cols: Sequence, first: int, N: int, comps: list, zero) -> list:
 
 def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: int = 1, floor: int = 0) -> Packed:
     """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1, on vec, a family of m vectors stacked
-    (linalg._stack, or an exactnum.Placed one) or one for m = 1, as an exactnum.Packed family.
+    (linalg._stack) or placed (linalg.Placed), or one for m = 1, as an exactnum.Packed family.
 
     A is the operator of table (see column_table) on consecutive slots of
     V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
-    word[-2] on, and so on.  A Scalar or Placed vec is packed once (_pack),
-    the m label coordinates of each tensor coordinate one int, so a step visits
-    len(vec) / m ints, and the sum is comps over one denominator, the product
-    of the input's, the terms' and D^top multiplied out at the end.  bits
-    bounds every digit of the sum, and is at least floor: the largest input
-    coefficient times, summed over the terms, the largest row sum of the
-    term's matrix times norm^len(word).  Any other vec is one component
-    stepped whole on the ring table, its entries made elements of vec's
-    domain once, summed from zero, that domain's; field is None.  A term with
-    c None adds its image with no product.
+    word[-2] on, and so on.  One walk, depth first over the tree of the words'
+    suffixes, steps each distinct suffix once from its parent's image,
+    holding only the parent images of pending siblings, and adds each term's
+    image when it reaches the term's word; a single term with c None is its
+    image, with no sum.  A Scalar or Placed vec is packed once, the m
+    lanes of each tensor coordinate one int, and the sum is comps over one
+    denominator, the product of the input's, the terms' and D^top.  bits
+    bounds every digit of the sum, and is at least floor: the input's peak
+    times, summed over the terms, the largest row sum of the term's matrix
+    times norm^len(word).  Any other vec is one component stepped whole on the
+    ring table, its entries made elements of vec's domain once; field is None.
     """
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
@@ -198,7 +197,11 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
         cden, mats = unit, [None] * len(terms)
         if any(c is not None for _w, c in terms):
             cden, mats = mul_matrices(field, [field.one() if c is None else c for _w, c in terms])
-        den, peak, lanes = _pack(field, vec, m)
+        if isinstance(vec, Placed):
+            den, peak, lanes = vec.pack(field)
+        else:
+            den, ints = pack_q(field, vec)
+            peak, lanes = max([abs(c) for ps in ints for p in ps for c in p], default=0), lambda bits: [at_lanes(ps, bits, m) for ps in ints]
         bound = sum((1 if M is None else max(sum(sum(map(abs, p)) for p in row) for row in M)) * norm ** len(w) for (w, _c), M in zip(terms, mats))
         bits = max(floor, digit_bits(bound * peak))
         step = m * bits
@@ -209,28 +212,28 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
         if key not in at:
             at[key] = [[[(a, i, at_power_of_two(p, step)) for a, i, p in entries] for entries in col] for col in cols]
         cols, den = at[key], (_scalar(field, den, unit) * _scalar(field, cden, unit) * Ds ** top).num
-    out = [[start] * len(comps[0]) for _ in comps]
-    for (word, _c), M in zip(terms, mats):
-        y = comps
-        for first in reversed(word):
-            y = _int_step(cols, first, N, y, start)
-        for a, acc in enumerate(out):
-            for b, ys in enumerate(y):
-                c = (a == b) if M is None else M[a][b]
+    kids, ends = {}, {}
+    for i, word in enumerate([tuple(w) for w, _c in terms]):
+        ends.setdefault(word, []).append(i)
+        for j in range(len(word)):
+            kids.setdefault(word[j + 1 :], {})[word[j:]] = None
+    # a single term with c None is its image: no sum is formed
+    out = [[start] * len(comps[0]) for _ in comps] if len(terms) != 1 or mats[0] is not None else None
+    stack = [((), comps)]
+    while stack:
+        w, y = stack.pop()
+        y = _int_step(cols, w[0], N, y, start) if w else y
+        for i in ends.get(w, ()):
+            if out is None:
+                return Packed(field, y, den, bits, m)
+            for (a, acc), (b, ys) in product(enumerate(out), enumerate(y)):
+                c = (a == b) if mats[i] is None else mats[i][a][b]
                 if c:
                     for k, x in enumerate(ys):
                         if x:
                             acc[k] += x if c is True else c * x
+        stack += [(kid, y) for kid in kids.get(w, ())]
     return Packed(field, out, den, bits, m)
-
-
-def _pack(field: FieldSpec, vec, m: int) -> tuple:
-    """The pack step of _packed_act: (den, peak, lanes) for m Scalar vectors stacked (linalg._stack), or for a Placed
-    family, from its one vector; peak is the largest coefficient in size, lanes(bits) the ints at digit width bits."""
-    placed = isinstance(vec, Placed)
-    den, comps = vec.packed(field) if placed else pack_q(field, vec)
-    peak = max([abs(c) for ps in comps for p in ps for c in p], default=0)
-    return den, peak, lambda bits: [vec.lanes(ps, bits) if placed else at_lanes(ps, bits, m) for ps in comps]
 
 
 def _packed_vanishes(packs: Sequence, matrix) -> Tuple[bool, str]:
@@ -278,7 +281,7 @@ def _column_blocks(table: tuple, N: int, dim: int, terms: Sequence, domain) -> l
     if not isinstance(domain, FieldSpec):
         return [_packed_act(table, N, terms, MatrixF.identity(dim, domain).entries, zero, dim)]
     width = min(dim, N * N) if domain.kind == "ratfunc_q" else dim
-    return [_packed_act(table, N, terms, Placed(None, width, j, dim), zero, width) for j in range(0, dim, width)]
+    return [_packed_act(table, N, terms, Placed(range(j, j + width), dim=dim), zero, width) for j in range(0, dim, width)]
 
 
 def _matrix_of(table: tuple, N: int, dim: int, terms: Sequence, domain, blocks=None) -> MatrixF:

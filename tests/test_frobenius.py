@@ -29,7 +29,8 @@ from heckesym.frobenius import (
 )
 from heckesym.exprio import format_scalar
 from heckesym.heckealg import antisymmetrizer, coset_y, partial_y, shift_element
-from heckesym.linalg import MatrixF, first_minor, vec_combination, vec_is_zero, vec_pivot, vec_scale
+from heckesym import linalg
+from heckesym.linalg import MatrixF, Placed, _stack, first_minor, vec_combination, vec_is_zero, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import _cyclic_functional
 from heckesym.permgroup import Composition, cycle, longest_rho
@@ -552,6 +553,94 @@ def test_pairings_at_minus_one_check_one_stacked_family(case, monkeypatch):
         pairing(sym, 1, n, t)
 
 
+def _mirror_terms(sym, k, n):
+    """The terms of mirror-top.k: y_(n/n-k,k) shifted by k, less (-1)^(kn-k) q^(-k(k+1)/2) T_(rho^-1)."""
+    field = sym.field
+    coeff = field.scalar(-1 if (k * n - k) % 2 else 1) * sym.q ** (-(k * (k + 1) // 2))
+    return sym._hecke_terms(shift_element(coset_y(n, n - k, k, field), k), k + n) + [(longest_rho(k, n).inverse().reduced_word(), -coeff)]
+
+
+PLACED_CASES = {
+    "dj2": lambda: dj_standard(2),
+    "dj3": lambda: dj_standard(3),
+    "dj4": lambda: dj_standard(4),
+    "dj2-conj-cyc3": lambda: _conjugate(2, cyclotomic_field(3, q_power=1), 12),
+    "dj3-conj-q=2": lambda: _conjugate(3, _rational_q(2), 13),
+    "dj3-conj-cyc3": lambda: _conjugate(3, cyclotomic_field(3, q_power=1), 14),
+    "dj3-q=-1": lambda: dj_standard(3, _rational_q(-1)),
+    "bilinear-q=-1": _bilinear_at_minus_one,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLACED_CASES))
+def test_placed_families_match_their_kronecker_families(case, monkeypatch):
+    # mirror-top's t (x) the basis of upsilon(k), and the pairing's family of all u (x) w, against the Scalar families
+    # that linalg.Placed replaced: the same values, and == agrees with them
+    monkeypatch.setattr(symmetry, "TENSOR_DIM_CAP", 4 ** 5)
+    sym = PLACED_CASES[case]()
+    n, t = top_component(sym)
+    field, zero = sym.field, sym.field.zero()
+    families = []
+    for k in range(1, min(2, n) + 1):
+        basis = sym.upsilon(k).basis
+        families.append((k + n, _mirror_terms(sym, k, n), [t], basis, kron_vec(t, _stack(basis, len(basis), zero), field)))
+    for k in range(1, n):
+        left, right = sym.upsilon(k).basis, sym.upsilon(n - k).basis
+        families.append((n, sym._hecke_terms(coset_y(n, k, n - k, field), n), left, right, _stack([kron_vec(u, w, field) for u in left for w in right], len(left) * len(right), zero)))
+    for degree, terms, left, right, family in families:
+        m = len(left) * len(right)
+        assert len(Placed(left, right)) == len(family)
+        assert sym._packed([((), None)], degree, Placed(left, right), m).values() == tuple(family)
+        got, want = sym._packed(terms, degree, Placed(left, right), m), sym._packed(terms, degree, family, m)
+        assert got.values() == want.values() and got == want, (case, degree)
+        moved = sym._packed(terms, degree, Placed([_raised(left[0], len(left[0]) - 1, field), *left[1:]], right), m)
+        assert (moved == want) == (moved.values() == want.values()), (case, degree)
+
+
+def _mirror_steps(monkeypatch, prof, trace=False):
+    """{k: _int_step calls} of each mirror-top.k action in verify_operator_identities(prof), the one action on a
+    family placed from t and a basis, {k: tracemalloc peak} of each when trace is set, and the suite's report."""
+    steps, peaks, real, step = {}, {}, HeckeSymmetry._packed, symmetry._int_step
+    counted = []
+    monkeypatch.setattr(symmetry, "_int_step", lambda *args: counted.append(1) or step(*args))
+
+    def packed(self, terms, n, vec, m=1):
+        if not (isinstance(vec, Placed) and vec.factors[0] == [prof.t] and not isinstance(vec.factors[1], range)):
+            return real(self, terms, n, vec, m)
+        counted.clear()
+        if trace:
+            tracemalloc.start()
+        try:
+            out = real(self, terms, n, vec, m)
+            out.vanishes()
+            peaks[n - prof.n] = tracemalloc.get_traced_memory()[1] if trace else None
+        finally:
+            tracemalloc.stop()
+        steps[n - prof.n] = len(counted)
+        return out
+
+    monkeypatch.setattr(HeckeSymmetry, "_packed", packed)
+    report = verify_operator_identities(prof)
+    assert [c.status for c in report.checks if c.name.startswith("mirror-top")] == ["pass"] * len(steps)
+    return steps, peaks, report
+
+
+def test_mirror_top_steps_once_per_suffix(monkeypatch):
+    # the coset representatives of y_(n/n-k,k) are suffixes of each other and of rho^-1: dj(3) steps 3 times for
+    # k = 1 and 6 for k = 2, where one walk per word stepped 6 and 9 times
+    assert _mirror_steps(monkeypatch, analyze(dj_standard(3)))[0] == {1: 3, 2: 6}
+
+
+@pytest.mark.parametrize("case", ["dj3", "dj3-conj-cyc3", "bilinear-q=-1"])
+def test_profile_and_identity_suite_form_no_kronecker_product(case, monkeypatch):
+    sym = {"dj3": lambda: dj_standard(3), "dj3-conj-cyc3": PLACED_CASES["dj3-conj-cyc3"], "bilinear-q=-1": _bilinear_at_minus_one}[case]()
+    calls, real = [], linalg.kron_vec
+    for module in (linalg, symmetry):
+        monkeypatch.setattr(module, "kron_vec", lambda *args: calls.append(len(args[0]) * len(args[1])) or real(*args))
+    report = verify_operator_identities(analyze(sym))
+    assert calls == [] and [c.name for c in report.checks if c.status == "fail"] == []
+
+
 def test_dj5_profile_past_the_cap(monkeypatch):
     monkeypatch.setattr(symmetry, "TENSOR_DIM_CAP", 5 ** 6)
     # no family longer than V^(x)n is unpacked: theta_pair reads N^2 values off each braiding on V^(x)(n+1)
@@ -563,7 +652,11 @@ def test_dj5_profile_past_the_cap(monkeypatch):
     assert prof.dims == [1, 5, 10, 10, 5, 1, 0]
     assert max(unpacked) <= 5 ** 5
     assert [B.rank() for B in prof.betas] == [B.rows for B in prof.betas] == prof.dims[:6]
-    assert [c.name for c in verify_operator_identities(prof).checks if c.status == "fail"] == []
+    # mirror-top.k2 makes 13 steps, where one walk per word made 40, and acts on t and the 10 basis vectors of
+    # upsilon(2) placed, not on their 781,250 Scalars: its warm action peaked at 26.4 MB with them, 13.0 MB without
+    steps, peaks, report = _mirror_steps(monkeypatch, prof, trace=True)
+    assert [c.name for c in report.checks if c.status == "fail"] == []
+    assert steps == {1: 5, 2: 13} and peaks[2] < 20 * 2 ** 20, (steps, peaks)
     # a warm theta_pair holds its two packed families, not their 2 N^(n+2) Scalars
     theta_pair(prof.sym, prof.n, prof.t)
     tracemalloc.start()

@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from heckesym import symmetry
-from heckesym.exactnum import GENERIC_Q, FieldSpec, Placed, Scalar, at_lanes, cyclotomic_field, pack_q, primitive_root
+from heckesym.exactnum import GENERIC_Q, FieldSpec, Scalar, at_lanes, cyclotomic_field, pack_q, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
-from heckesym.linalg import MatrixF, Subspace, _stack, vec_is_zero, vec_scale
+from heckesym.linalg import MatrixF, Placed, Subspace, _stack, vec_is_zero, vec_scale
 from heckesym.multipoly import PolyRing
 from heckesym.obstruction import SklParameters, _projection, skl_relations
 from heckesym.permgroup import Composition, Perm, enumerate_perms, longest_element, longest_rho
@@ -695,13 +695,11 @@ def _assert_placed_as_packed(placed, family, field, m):
     same lane ints (at_lanes)."""
     assert len(placed) == len(family)
     den, comps = pack_q(field, family)
-    pden, pcomps = placed.packed(field)
+    pden, peak, lanes = placed.pack(field)
     assert pden == den
-    top = lambda comps: max([abs(c) for ps in comps for p in ps for c in p], default=0)
-    assert top(pcomps) == top(comps)
+    assert peak == max([abs(c) for ps in comps for p in ps for c in p], default=0)
     for bits in (8, 16, 64):
-        assert [placed.lanes(ps, bits) for ps in pcomps] == [at_lanes(ps, bits, m) for ps in comps], bits
-    assert symmetry._pack(field, placed, m)[0] == den
+        assert lanes(bits) == [at_lanes(ps, bits, m) for ps in comps], bits
 
 
 @pytest.mark.parametrize("case", _domains()[:3], ids=lambda c: c[0])
@@ -716,14 +714,74 @@ def test_unit_families_are_stacked_directly(case):
         assert family == _stack([kron_vec(e, t, domain) for e in units], count, zero), (dim, first, count)
         # the family shares t's entries instead of multiplying them by one
         assert all(any(x is y for y in t) for x in family if not x.is_zero())
-        _assert_placed_as_packed(Placed(t, count, first, dim), family, domain, count)
-        _assert_placed_as_packed(Placed(None, count, first, dim), _units(dim, first, count, (domain.one(),), zero), domain, count)
+        _assert_placed_as_packed(Placed(range(first, first + count), [t], dim), family, domain, count)
+        _assert_placed_as_packed(Placed(range(first, first + count), dim=dim), _units(dim, first, count, (domain.one(),), zero), domain, count)
     for m in (1, 2, 3):
         units = [tuple(domain.one() if i == j else zero for i in range(m)) for j in range(m)]
         family = _diagonal(t, m, zero)
         assert family == _stack([kron_vec(t, e, domain) for e in units], m, zero), m
         assert all(any(x is y for y in t) for x in family if not x.is_zero())
-        _assert_placed_as_packed(Placed(t, m, last=True), family, domain, m)
+        _assert_placed_as_packed(Placed([t], range(m)), family, domain, m)
+
+
+def _per_word_reference(table, N, terms, vec, zero, m):
+    """sum c * A_word(vec) with each word stepped from vec letter by letter, one single-step action per letter, and
+    the terms summed in their domain: the per-word loop that the walk over shared suffixes replaced, kept as the
+    oracle."""
+    start = _packed_act(table, N, [((), None)], vec, zero, m).values()
+    out = [zero] * len(start)
+    for word, c in terms:
+        image = start
+        for letter in reversed(word):
+            image = _packed_act(table, N, [((letter,), None)], image, zero, m).values()
+        out = [x + (y if c is None else c * y) for x, y in zip(out, image)]
+    return tuple(out)
+
+
+def _walk_domains():
+    """Operators over Q, Q(zeta_3), Q(q) and Q[a, b] from _domains, and Q(zeta_4) from _lane_domains; int
+    coefficients on the ring, whose actions take them, and integral Scalars on the fields."""
+    cases = _domains()[:4] + _lane_domains()[:1]
+    return [(name, domain, entry, zero, vec, (lambda rng: rng.choice((2, -1))) if name == "polyring" else (lambda rng, d=domain: d.scalar(rng.choice((2, -1))))) for name, domain, entry, zero, vec in cases]
+
+
+@pytest.mark.parametrize("case", _walk_domains(), ids=lambda c: c[0])
+def test_walk_matches_the_per_word_loop(case, monkeypatch):
+    name, domain, entry, zero, vec_entry, integer = case
+    rng = random.Random("walk:" + name)
+    steps, step = [], symmetry._int_step
+    monkeypatch.setattr(symmetry, "_int_step", lambda *args: steps.append(args[1]) or step(*args))
+    for N, w, n in ((2, 1, 4), (3, 1, 3), (2, 2, 4)):
+        table = column_table(MatrixF(N ** w, N ** w, [entry(rng) for _ in range(N ** (2 * w))], domain))
+        slots = range(1, n - w + 2)
+        base = [tuple(rng.choice(slots) for _ in range(rng.randint(1, 3))) for _ in range(3)]
+        # the empty word, repeated words, the base words' suffixes and words extending them on the left
+        pool = [()] + base + [b[1:] for b in base] + [(rng.choice(slots),) + b for b in base]
+        for size in (1, 3):
+            vec = _stack([tuple(vec_entry(rng) for _ in range(N ** n)) for _ in range(size)], size, zero)
+            for _ in range(3):
+                words = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+                terms = [(wd, rng.choice((None, entry(rng), integer(rng)))) for wd in words]
+                steps.clear()
+                got = _packed_act(table, N, terms, vec, zero, size)
+                # one step per distinct suffix, however many words share it
+                assert len(steps) == len({wd[j:] for wd in words for j in range(len(wd))}), (name, terms)
+                steps.clear()
+                assert got.values() == _per_word_reference(table, N, terms, vec, zero, size), (name, N, w, terms)
+                # == agrees with the values, on the same terms in another order and with one term fewer
+                for other in (terms[::-1], terms[:-1]):
+                    theirs = _packed_act(table, N, other, vec, zero, size)
+                    assert (got == theirs) == (got.values() == theirs.values()), (name, other)
+                assert got == _packed_act(table, N, terms[::-1], vec, zero, size)
+
+
+@pytest.mark.parametrize("make", [lambda: dj_standard(2), lambda: dj_standard(3), lambda: dj_standard(3, cyclotomic_field(3, q_power=1)), lambda: flip(3)], ids=["dj2", "dj3", "dj3-cyc3", "flip3"])
+def test_quadratic_relation_steps_twice(make, monkeypatch):
+    # R^2 + (1 - q) R - q Id: the words (1, 1) and (1,) share their one-letter suffix, so the action makes two steps
+    sym, steps, step = make(), [], symmetry._int_step
+    monkeypatch.setattr(symmetry, "_int_step", lambda *args: steps.append(args[1]) or step(*args))
+    assert check_hecke(sym.R, sym.q) == (True, "")
+    assert steps == [1, 1]
 
 
 def test_slot_action_range_errors():
@@ -1094,7 +1152,7 @@ def test_placed_unit_actions_match_the_scalar_family_path(case):
     # the unit blocks of each width pack as their Scalar families do
     for width in {N * N, N ** 3}:
         for first in range(0, N ** 3, width):
-            _assert_placed_as_packed(Placed(None, width, first, N ** 3), _units(N ** 3, first, width, (field.one(),), field.zero()), field, width)
+            _assert_placed_as_packed(Placed(range(first, first + width), dim=N ** 3), _units(N ** 3, first, width, (field.one(),), field.zero()), field, width)
 
 
 @pytest.mark.parametrize(
