@@ -31,18 +31,18 @@ braidings through t are two actions each (`_top_sides`): the braiding on
 the units beside t, and the operator on the other such family.  theta and
 theta_bar are read off N^2 values of the first, braid-top reuses the pair
 for theta^(x)k, k = 1, 2, and mirror-top acts on t beside the basis of
-upsilon(k); the sides, and the vanishing, are decided on the packed ints
-(`exactnum.Packed`'s == and `vanishes`).  square-commutes compares
-(A (x) A) R with R (A (x) A) = ((A^t (x) A^t) R^t)^t, each one slot action
-of A on R's row slots.  The pairings and f are read off one row of rep(h)
+upsilon(k).  square-commutes acts with A on R's two row slots, and with R
+on the columns of A (x) A, placed from A's (`_square_sides`).  The sides,
+and the vanishing, are decided on the packed ints (`exactnum.Packed`'s ==
+and `vanishes`).  The pairings and f are read off one row of rep(h)
 (`_row`): row p is h with its words reversed acting on e_p under R^t.
-beta_k reads the row of y_(n/k,n-k) at t's pivot; f the row of
-y_n = y_(n/n-1,1) ... y_(2/1,1) (`_y_row`), n(n+1)/2 - 1 words where y_n
-has n!.  Away from q = -1 the images lie on the line of t by the coset
-argument in `pairing`; at q = -1 each beta_k, 0 < k < n, keeps one action on
-the family of all u (x) w, placed from the two bases.  `functional.kernel`
-compares f with the row at the last nonzero coordinate of t
-(`linalg.first_minor`); a pairing is nonsingular when its rank is full.
+beta_k reads the row of y_(n/k,n-k) at t's pivot; f the row of y_n =
+y_(n/n-1,1) ... y_(2/1,1) (`_y_row`), n(n+1)/2 - 1 words where y_n has n!.
+Away from q = -1 the images lie on the line of t by the coset argument in
+`pairing`; at q = -1 each beta_k, 0 < k < n, keeps one action on the family
+of all u (x) w, placed from the two bases.  `functional.kernel` compares f
+with the row at t's last nonzero coordinate (`linalg.first_minor`).  A
+pairing is nonsingular when its rank is full.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .heckealg import coset_y, partial_y, shift_element, unit
 from .linalg import MatrixF, Placed, Subspace, _stack, first_minor, vec_is_zero, vec_pivot, vec_scale
 from .permgroup import Composition, longest_rho
 from .report import CheckReport
-from .symmetry import HeckeSymmetry, _format_entry, _packed_act, _packed_vanishes, _square_times, _vanishes, apply_power, column_table
+from .symmetry import HeckeSymmetry, _format_entry, _packed_act, _packed_vanishes, _vanishes, apply_power, column_table
 
 __all__ = [
     "FrobeniusProfile",
@@ -170,6 +170,14 @@ def _top_sides(sym: HeckeSymmetry, k: int, n: int, t: Sequence, bar: bool = Fals
     lhs = sym._packed([((rho.inverse() if bar else rho).reduced_word(), None)], k + n, families[bar], m)
     slots, bits = (range(1, k + 1) if bar else range(n + 1, n + k + 1)), lhs.bits
     return lhs, lambda op: _packed_act(column_table(op), sym.N, [(slots, None)], families[not bar], sym.field.zero(), m, bits)
+
+
+def _square_sides(sym: HeckeSymmetry, op: MatrixF) -> Tuple[Packed, Packed]:
+    """(op (x) op) R and R (op (x) op), packed with the columns as lanes: op on R's two row slots, and R on slot 1 of
+    the columns op e_a (x) op e_b of op (x) op (lane a N + b), placed from op's, at the first's width as in _top_sides."""
+    R, cols = sym.R, [op.col(j) for j in range(op.cols)]
+    lhs = _packed_act(column_table(op), sym.N, [((1, 2), None)], R.entries, sym.field.zero(), R.cols)
+    return lhs, _packed_act(column_table(R), sym.N, [((1,), None)], Placed(cols, cols), sym.field.zero(), R.cols, lhs.bits)
 
 
 def theta_pair(sym: HeckeSymmetry, n: int, t: Sequence) -> Tuple[MatrixF, MatrixF]:
@@ -406,12 +414,11 @@ def verify_operator_identities(profile: FrobeniusProfile) -> CheckReport:
     _record_equal(report, "twist-relation", "psi = q^(-n-1) phi theta^2", psi, twisted)
     inverse = theta.inverse().scale(q ** (n + 1))
     _record_equal(report, "theta-bar-inverse", "theta_bar = q^(n+1) theta^(-1)", theta_bar, inverse)
-    # (op (x) op) R against R (op (x) op) = ((op^t (x) op^t) R^t)^t, each one action of op on two row slots
-    Rt = sym._transpose().R
+    # (op (x) op) R against R (op (x) op) on the packed ints (_square_sides), unpacked only for a failure's witness
     for name, op in (("theta", theta), ("phi", phi), ("psi", psi)):
-        rule = "%s (x) %s commutes with R" % (name, name)
-        lhs, rhs = _square_times(op, sym.R), _square_times(op.transpose(), Rt).transpose()
-        _record_equal(report, "square-commutes.%s" % name, rule, lhs, rhs)
+        lhs, rhs = _square_sides(sym, op)
+        ok, witness = (True, "") if lhs == rhs else _vanishes(MatrixF(N * N, N * N, lhs.values(), field) - MatrixF(N * N, N * N, rhs.values(), field))
+        report.record("square-commutes.%s" % name, "%s (x) %s commutes with R" % (name, name), ok, witness)
     t = profile.t
     _record_equal(report, "top-scaling", "theta^((x)n)(t) = q^(n(n+1)/2) t", [apply_power(theta, n, t)], [vec_scale(q ** (n * (n + 1) // 2), t)])
 

@@ -35,17 +35,18 @@ and the braid defect -- is one sum of c * A_word(v) over slot-local steps
 right to left, form a tree of suffixes walked depth first, as
 heckealg._Degree.walk walks reduced words: each distinct suffix is one step
 from its parent's image, each term's image is added when the walk reaches
-its word, and only the parent images of pending siblings are held.  A
+its word, and only the parent images of pending siblings are held; one word
+with no coefficient is a chain, stepped letter by letter with no tree.  A
 family of m vectors, stacked (linalg._stack) or placed from two factors
 (linalg.Placed: units, t (x) e_j, t (x) a basis, u (x) w), is acted on at
 once, its images stacked the same way; m = 1 is one vector.  It is packed
 once into integer polynomials in q over one denominator, the m lanes of a
 tensor coordinate one int (lane l at 2^(B l), q at 2^(m B)), a placed family
 from its factors with no Scalar per coordinate, and stepped with the
-multiplication matrices of the operator's entries, kept on the MatrixF
-(column_table).  Checks that ask whether a result vanishes or equals another
-read its ints (Packed.vanishes, ==), and its values only to name a witness.
-A ring vector is one component, on R's entries as elements of its ring.
+multiplication matrices of the operator's nonzero entries (zeros are never
+packed), kept on the MatrixF (column_table).  Checks that ask whether a
+result vanishes or equals another read its ints (Packed.vanishes, ==), and
+its values only to name a witness.  A ring vector is one component.
 
 Tensor basis indexing is lexicographic: the word (i_1,...,i_n) over 1..N
 sits at position sum (i_k - 1) N^(n-k).
@@ -123,18 +124,24 @@ def _build_table(A: MatrixF) -> tuple:
     packed is None unless A is over a FieldSpec, else (field, D, cols, norm,
     at) with coeff M[a][b], an integer polynomial in q, for the matrix M of
     D * A[i, j] (exactnum.mul_matrices); norm bounds the coefficient sum one
-    step gathers per target, and at caches cols at q = 2^step by step.
+    step gathers per target, and at caches cols at q = 2^step by step.  Only
+    the nonzero entries are packed: a zero has denominator 1 and adds nothing
+    to a column or to a row's sum, so D, cols and norm are those of all.
     """
     ring = [[[(0, i, x) for i, x in enumerate(A.entries[j :: A.cols]) if not x.is_zero()] for j in range(A.cols)]]
     field = A.domain
     if not isinstance(field, FieldSpec):
         return ring, None
-    den, mats = mul_matrices(field, A.entries)
-    span = range(len(mats[0]))
-    cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in span if M[a][b]] for j in range(A.cols)] for b in span]
-    # the coefficient sum gathered at component a of row i
-    norm = max([sum(map(abs, chain.from_iterable([p for M in mats[i * A.cols : (i + 1) * A.cols] for p in M[a]]))) for i in range(A.rows) for a in span])
-    return ring, (field, den, cols, norm, {})
+    entries = [(j, i, x) for j, col in enumerate(ring[0]) for _a, i, x in col]
+    den, mats = mul_matrices(field, [x for _j, _i, x in entries])
+    span, sums = range(field._cyc.deg), {}
+    cols = [[[] for _ in range(A.cols)] for _ in span]
+    for (j, i, _x), M in zip(entries, mats):
+        for b in span:
+            cols[b][j] += [(a, i, M[a][b]) for a in span if M[a][b]]
+            # the coefficient sum gathered at component b of row i
+            sums[i, b] = sums.get((i, b), 0) + sum(map(abs, chain.from_iterable(M[b])))
+    return ring, (field, den, cols, max(sums.values(), default=0), {})
 
 
 def _tail(first: int, width: int, N: int, length: int) -> int:
@@ -164,19 +171,16 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
     """Sum of c * A_word(vec) over the (word, c) terms, c None meaning 1, on vec, a family of m vectors stacked
     (linalg._stack) or placed (linalg.Placed), or one for m = 1, as an exactnum.Packed family.
 
-    A is the operator of table (see column_table) on consecutive slots of
-    V^(x)n with dim V = N; A_word applies it from slot word[-1] on, then from
-    word[-2] on, and so on.  One walk, depth first over the tree of the words'
-    suffixes, steps each distinct suffix once from its parent's image,
-    holding only the parent images of pending siblings, and adds each term's
-    image when it reaches the term's word; a single term with c None is its
-    image, with no sum.  A Scalar or Placed vec is packed once, the m
-    lanes of each tensor coordinate one int, and the sum is comps over one
-    denominator, the product of the input's, the terms' and D^top.  bits
-    bounds every digit of the sum, and is at least floor: the input's peak
-    times, summed over the terms, the largest row sum of the term's matrix
-    times norm^len(word).  Any other vec is one component stepped whole on the
-    ring table, its entries made elements of vec's domain once; field is None.
+    A is the operator of table (see column_table) on consecutive slots of V^(x)n with dim V = N; A_word applies it
+    from slot word[-1] on, then from word[-2] on, and so on.  One walk, depth first over the tree of the words'
+    suffixes, steps each distinct suffix once from its parent's image, holding only the parent images of pending
+    siblings, and adds each term's image when it reaches the term's word; a coefficient +-2^e on the ints (+-q^e at
+    q = 2^step, or +-1) is added as a shift and a sign.  A single term with c None is a chain: its letters are
+    stepped right to left, with no tree, and its image is the result.  A Scalar or Placed vec is packed once, the m
+    lanes of each tensor coordinate one int, and the sum is comps over one denominator, the product of the input's,
+    the terms' and D^top.  bits bounds every digit of the sum, and is at least floor: the input's peak times, summed
+    over the terms, the largest row sum of the term's matrix times norm^len(word).  Any other vec is one component
+    stepped whole on the ring table, its entries made elements of vec's domain once; field is None.
     """
     ring, packed = table
     field = packed[0] if packed is not None and isinstance(zero, Scalar) else None
@@ -212,26 +216,30 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
         if key not in at:
             at[key] = [[[(a, i, at_power_of_two(p, step)) for a, i, p in entries] for entries in col] for col in cols]
         cols, den = at[key], (_scalar(field, den, unit) * _scalar(field, cden, unit) * Ds ** top).num
+    if len(terms) == 1 and mats[0] is None:
+        for letter in reversed(terms[0][0]):
+            comps = _int_step(cols, letter, N, comps, start)
+        return Packed(field, comps, den, bits, m)
     kids, ends = {}, {}
     for i, word in enumerate([tuple(w) for w, _c in terms]):
         ends.setdefault(word, []).append(i)
         for j in range(len(word)):
             kids.setdefault(word[j + 1 :], {})[word[j:]] = None
-    # a single term with c None is its image: no sum is formed
-    out = [[start] * len(comps[0]) for _ in comps] if len(terms) != 1 or mats[0] is not None else None
+    out = [[start] * len(comps[0]) for _ in comps]
     stack = [((), comps)]
     while stack:
         w, y = stack.pop()
         y = _int_step(cols, w[0], N, y, start) if w else y
         for i in ends.get(w, ()):
-            if out is None:
-                return Packed(field, y, den, bits, m)
             for (a, acc), (b, ys) in product(enumerate(out), enumerate(y)):
                 c = (a == b) if mats[i] is None else mats[i][a][b]
+                # c = +-2^e (+-q^e at q = 2^step, or +-1) adds a shift with a sign, with no product
+                e = abs(c).bit_length() - 1 if field is not None else -1
+                sign = (1 if c > 0 else -1) if e >= 0 and abs(c) == 1 << e else 0
                 if c:
                     for k, x in enumerate(ys):
                         if x:
-                            acc[k] += x if c is True else c * x
+                            acc[k] += x if c is True else c * x if not sign else x << e if sign > 0 else -(x << e)
         stack += [(kid, y) for kid in kids.get(w, ())]
     return Packed(field, out, den, bits, m)
 

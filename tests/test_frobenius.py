@@ -148,25 +148,27 @@ SQUARE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SQUARE_CASES))
 def test_square_commutes_sides_match_kronecker_products(case, monkeypatch):
+    # the suite compares the packed sides of _square_sides, which unpack to the dense products; lanes are columns
     prof = analyze(SQUARE_CASES[case]())
     R, field = prof.sym.R, prof.field
-    sides = {}
-    real = frobenius._record_equal
-
-    def recording(report, name, rule, lhs, rhs, detail=""):
-        sides[name] = lhs, rhs
-        real(report, name, rule, lhs, rhs, detail)
-
-    monkeypatch.setattr(frobenius, "_record_equal", recording)
-    assert verify_operator_identities(prof).ok
+    sides, real = {}, frobenius._square_sides
+    monkeypatch.setattr(frobenius, "_square_sides", lambda sym, op: sides.setdefault(id(op), real(sym, op)))
+    # a passing suite builds no N^2 x N^2 matrix: the sides are unpacked only for a failure's witness
+    shapes, init = [], MatrixF.__init__
+    with monkeypatch.context() as patch:
+        patch.setattr(MatrixF, "__init__", lambda self, rows, cols, *rest: shapes.append((rows, cols)) or init(self, rows, cols, *rest))
+        assert verify_operator_identities(prof).ok
+    assert shapes and (R.rows, R.cols) not in shapes, case
     rng = random.Random("square:" + case)
     dense = MatrixF(prof.sym.N, prof.sym.N, [field.scalar(rng.choice((0, 1, -1, 2, 3))) for _ in range(prof.sym.N ** 2)], field)
     for name, op in (("theta", prof.theta), ("phi", prof.phi), ("psi", prof.psi), ("dense", dense)):
         square = kronecker(op, op)
-        lhs, rhs = symmetry._square_times(op, R), symmetry._square_times(op.transpose(), R.transpose()).transpose()
-        assert (lhs, rhs) == (square * R, R * square), (case, name)
-        if name != "dense":
-            assert sides["square-commutes.%s" % name] == (lhs, rhs), (case, name)
+        lhs, rhs = sides[id(op)] if name != "dense" else real(prof.sym, op)
+        assert (lhs.m, rhs.m) == (R.cols, R.cols) and rhs.bits >= lhs.bits, (case, name)
+        assert [MatrixF(R.rows, R.cols, side.values(), field) for side in (lhs, rhs)] == [square * R, R * square], (case, name)
+        assert (lhs == rhs) == (square * R == R * square), (case, name)
+        # the conjugation's product, one action of the operator on R's row slots, is the left side
+        assert symmetry._square_times(op, R) == square * R, (case, name)
 
 
 def test_record_equal_compares_rows_and_checks_their_shape():
@@ -265,20 +267,20 @@ def test_no_operator_is_packed_twice(case, monkeypatch):
     prof = analyze(SQUARE_CASES[case]())
     assert prof.theta * prof.phi == prof.psi_theta_bar
     assert verify_operator_identities(prof).ok and trace_table(prof)[0].ok
-    assert len(set(map(id, built))) == len(built) == 3 + 11
+    assert len(set(map(id, built))) == len(built) == 3 + 8
 
 
 @pytest.mark.parametrize("case", sorted(c for c in SQUARE_CASES if "conj" in c))
 def test_braid_top_compares_ints(case, monkeypatch):
-    # both sides of theta_pair's two checks and of braid-top are packed at one digit width over one denominator,
-    # so Packed.__eq__ compares their ints and decodes no digit
+    # both sides of theta_pair's two checks, of square-commutes' three and of braid-top are packed at one digit
+    # width over one denominator, so Packed.__eq__ compares their ints and decodes no digit
     calls, real = [], exactnum.Packed.__eq__
 
     def checked(a, b):
         calls.append(a.bits)
         assert a.bits == b.bits and a.den == b.den
         with monkeypatch.context() as patch:
-            patch.setattr(exactnum, "_digit_reader", lambda *args: pytest.fail("braid-top decoded digits"))
+            patch.setattr(exactnum, "_digit_reader", lambda *args: pytest.fail("a comparison decoded digits"))
             return real(a, b)
 
     sym = SQUARE_CASES[case]()
@@ -286,7 +288,7 @@ def test_braid_top_compares_ints(case, monkeypatch):
     prof = analyze(sym)
     assert len(calls) == 2
     report = verify_operator_identities(prof)
-    assert report.ok and len(calls) == 2 + min(2, prof.n)
+    assert report.ok and len(calls) == 2 + 3 + min(2, prof.n)
 
 
 def _multiparameter_conjugate():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym import symmetry
+from heckesym import exactnum, symmetry
 from heckesym.exactnum import GENERIC_Q, FieldSpec, Scalar, at_lanes, cyclotomic_field, pack_q, primitive_root
 from heckesym.frobenius import analyze, trace_table, verify_operator_identities
 from heckesym.heckealg import antisymmetrizer, basis_element, generator, partial_y, unit
@@ -740,14 +740,20 @@ def _per_word_reference(table, N, terms, vec, zero, m):
 
 def _walk_domains():
     """Operators over Q, Q(zeta_3), Q(q) and Q[a, b] from _domains, and Q(zeta_4) from _lane_domains; int
-    coefficients on the ring, whose actions take them, and integral Scalars on the fields."""
+    coefficients on the ring, whose actions take them, and on the fields the monomials +-1, +-2 times +-x^e, x = q,
+    zeta or 2, which a field action adds as a shift and a sign (+-q^e at q = 2^step, +-2^e), or as products."""
     cases = _domains()[:4] + _lane_domains()[:1]
-    return [(name, domain, entry, zero, vec, (lambda rng: rng.choice((2, -1))) if name == "polyring" else (lambda rng, d=domain: d.scalar(rng.choice((2, -1))))) for name, domain, entry, zero, vec in cases]
+    return [(name, domain, entry, zero, vec, (lambda rng: rng.choice((2, -1))) if name == "polyring" else (lambda rng, d=domain: _monomial(rng, d))) for name, domain, entry, zero, vec in cases]
+
+
+def _monomial(rng, field):
+    x = field.q() if field.kind == "ratfunc_q" else field.e() if field.kind == "cyclotomic" else field.scalar(2)
+    return field.scalar(rng.choice((1, -1, 2, -2))) * x ** rng.randint(0, 3)
 
 
 @pytest.mark.parametrize("case", _walk_domains(), ids=lambda c: c[0])
 def test_walk_matches_the_per_word_loop(case, monkeypatch):
-    name, domain, entry, zero, vec_entry, integer = case
+    name, domain, entry, zero, vec_entry, monomial = case
     rng = random.Random("walk:" + name)
     steps, step = [], symmetry._int_step
     monkeypatch.setattr(symmetry, "_int_step", lambda *args: steps.append(args[1]) or step(*args))
@@ -761,7 +767,7 @@ def test_walk_matches_the_per_word_loop(case, monkeypatch):
             vec = _stack([tuple(vec_entry(rng) for _ in range(N ** n)) for _ in range(size)], size, zero)
             for _ in range(3):
                 words = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
-                terms = [(wd, rng.choice((None, entry(rng), integer(rng)))) for wd in words]
+                terms = [(wd, rng.choice((None, entry(rng), monomial(rng)))) for wd in words]
                 steps.clear()
                 got = _packed_act(table, N, terms, vec, zero, size)
                 # one step per distinct suffix, however many words share it
@@ -773,6 +779,78 @@ def test_walk_matches_the_per_word_loop(case, monkeypatch):
                     theirs = _packed_act(table, N, other, vec, zero, size)
                     assert (got == theirs) == (got.values() == theirs.values()), (name, other)
                 assert got == _packed_act(table, N, terms[::-1], vec, zero, size)
+
+
+def _one_term_families(rng, N, n, vec_entry, zero):
+    """(m, family) pairs on V^(x)n: one vector, three stacked, unit blocks and two vectors beside units."""
+    size = N ** n
+    t = tuple(vec_entry(rng) for _ in range(size // N))
+    return [
+        (1, tuple(vec_entry(rng) for _ in range(size))),
+        (3, _stack([tuple(vec_entry(rng) for _ in range(size)) for _ in range(3)], 3, zero)),
+        (2, Placed(range(1, 3), dim=size)),
+        (2 * N, Placed([t, tuple(vec_entry(rng) for _ in t)], range(N))),
+    ]
+
+
+@pytest.mark.parametrize("case", _walk_domains(), ids=lambda c: c[0])
+def test_one_term_chain_matches_the_per_word_loop(case, monkeypatch):
+    # a single term with c None is stepped letter by letter with no tree: len(word) steps, the reference's image
+    name, domain, entry, zero, vec_entry, _coeff = case
+    rng = random.Random("chain:" + name)
+    steps, step = [], symmetry._int_step
+    monkeypatch.setattr(symmetry, "_int_step", lambda *args: steps.append(args[1]) or step(*args))
+    for N, n in ((2, 3), (3, 2)):
+        table = column_table(MatrixF(N, N, [entry(rng) for _ in range(N * N)], domain))
+        for m, vec in _one_term_families(rng, N, n, vec_entry, zero):
+            if isinstance(vec, Placed) and not isinstance(domain, FieldSpec):
+                continue
+            stacked = _packed_act(table, N, [((), None)], vec, zero, m).values()
+            for word in ((), (1,), (n, n), (1, n, 1, 1), tuple(rng.randint(1, n) for _ in range(5))):
+                steps.clear()
+                got = _packed_act(table, N, [(word, None)], vec, zero, m)
+                assert steps == list(reversed(word)), (name, word)
+                assert got.values() == _per_word_reference(table, N, [(word, None)], stacked, zero, m), (name, N, m, word)
+
+
+def _all_entries_table(A):
+    """The packed table of A built from every entry, zeros included: what _build_table did before it skipped zero
+    entries, kept as the oracle (field, D, cols, norm)."""
+    field = A.domain
+    den, mats = exactnum.mul_matrices(field, A.entries)
+    span = range(len(mats[0]))
+    cols = [[[(a, i, M[a][b]) for i, M in enumerate(mats[j :: A.cols]) for a in span if M[a][b]] for j in range(A.cols)] for b in span]
+    norm = max(sum(abs(c) for M in mats[i * A.cols : (i + 1) * A.cols] for p in M[a] for c in p) for i in range(A.rows) for a in span)
+    return field, den, cols, norm
+
+
+def _table_cases():
+    """Operators over Q, Q(zeta_3), Q(zeta_4) and Q(q): dj(2..5), flips, seeded dense conjugates, one nonzero entry."""
+    cases = {"dj%d" % N: lambda N=N: dj_standard(N, validate=False).R for N in range(2, 6)}
+    cases.update({"flip%d" % N: lambda N=N: flip(N).R for N in (2, 3)})
+    for name, field in (("q=2", _rational_q(2)), ("cyc3", cyclotomic_field(3, q_power=1)), ("cyc4", cyclotomic_field(4, q_power=1)), ("generic", GENERIC_Q)):
+        cases["conj-" + name] = lambda field=field: _conjugate(2, field, 21).R
+        single = [field.zero()] * 9
+        single[5] = field.q() / (field.q() + field.scalar(3)) if field.kind == "ratfunc_q" else field.scalar(Fraction(-5, 3))
+        cases["single-" + name] = lambda single=single, field=field: MatrixF(3, 3, single, field)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_table_cases()))
+def test_table_from_nonzero_entries_matches_all_entries(case):
+    A = _table_cases()[case]()
+    _ring, (field, den, cols, norm, at) = symmetry._build_table(A)
+    assert (field, den, cols, norm) == _all_entries_table(A) and at == {}, case
+
+
+def test_dj5_table_packs_only_nonzero_entries(monkeypatch):
+    R, packed = dj_standard(5, validate=False).R, []
+    real = symmetry.mul_matrices
+    monkeypatch.setattr(symmetry, "mul_matrices", lambda field, xs: packed.append(list(xs)) or real(field, xs))
+    symmetry._build_table(R)
+    # column by column, as the table lists them
+    nonzero = [x for j in range(R.cols) for x in R.entries[j :: R.cols] if not x.is_zero()]
+    assert len(packed) == 1 and len(R.entries) == 625 and packed[0] == nonzero and len(nonzero) < 625 // 10
 
 
 @pytest.mark.parametrize("make", [lambda: dj_standard(2), lambda: dj_standard(3), lambda: dj_standard(3, cyclotomic_field(3, q_power=1)), lambda: flip(3)], ids=["dj2", "dj3", "dj3-cyc3", "flip3"])
