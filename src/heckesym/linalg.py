@@ -8,6 +8,9 @@ the one Kronecker product, of two vectors, and `Placed` keeps a family of
 them as its two factors for a slot action.  `det` is the Laplace expansion
 memoized over column subsets on every domain, exponential in n, for the
 small matrices whose value is used; nonsingularity is a `rank` question.
+Over a field a product entry and a cofactor sum are chains of x + a * b;
+over a PolyRing each is one `PolyRing.dot` of its nonzero pairs, summed in
+a single term table, and a lone product is taken as it is.
 
 Subspaces of k^D are stored as the nonzero rows of a reduced row echelon
 form, so equal subspaces have identical bases and == is structural.  By
@@ -21,7 +24,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactnum import FieldSpec, _pmul, at_lanes, pack_q
-from .multipoly import PolyRing
+from .multipoly import MultiPoly, PolyRing
 
 __all__ = ["MatrixF", "Subspace", "Placed", "kron_vec", "vec_scale", "vec_is_zero", "vec_pivot", "vec_combination", "first_minor"]
 
@@ -140,7 +143,9 @@ def first_minor(u: Sequence, v: Sequence) -> Optional[tuple]:
 
 
 def vec_combination(coeffs: Sequence, vectors: Sequence[Sequence], zero) -> tuple:
-    """sum_i c_i v_i, skipping zero coefficients and zero entries."""
+    """sum_i c_i v_i, skipping zero coefficients and zero entries; over a PolyRing one dot per entry."""
+    if isinstance(zero, MultiPoly):
+        return tuple([zero.ring.dot(zip(coeffs, entries)) for entries in zip(*vectors)])
     out = [zero] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if not c.is_zero():
@@ -228,8 +233,13 @@ class MatrixF:
         self._check(other, False)
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        zero = self.domain.zero()
-        n, m, p = self.rows, self.cols, other.cols
+        n, m, p, zero = self.rows, self.cols, other.cols, self.domain.zero()
+        if not _is_field(self.domain):
+            brows, acc = [[(j, b) for j, b in enumerate(other.row(k)) if not b.is_zero()] for k in range(m)], [[] for _ in range(n * p)]
+            for ik, a in enumerate(self.entries):
+                for j, b in brows[ik % m] if not a.is_zero() else ():
+                    acc[ik // m * p + j].append((a, b))
+            return MatrixF(n, p, [self.domain.dot(ps) if len(ps) > 1 else ps[0][0] * ps[0][1] if ps else zero for ps in acc], self.domain)
         out = [zero] * (n * p)
         for i in range(n):
             arow = self.entries[i * m : (i + 1) * m]
@@ -379,7 +389,7 @@ class MatrixF:
         """Laplace expansion along the rows, memoized over column subsets (sparse friendly)."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        zero = self.domain.zero()
+        zero, field = self.domain.zero(), _is_field(self.domain)
         memo = {(): self.domain.one()}
 
         def minor(cols: Tuple[int, ...]):
@@ -387,6 +397,9 @@ class MatrixF:
             got = memo.get(cols)
             if got is None:
                 row = self.rows - len(cols)
+                if not field:  # over a PolyRing the cofactor sum is one dot
+                    got = memo[cols] = self.domain.dot((-a if idx % 2 else a, minor(cols[:idx] + cols[idx + 1 :])) for idx, a in enumerate([self[row, c] for c in cols]) if not a.is_zero())
+                    return got
                 got = zero
                 for idx, col in enumerate(cols):
                     a = self[row, col]

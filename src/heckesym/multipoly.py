@@ -2,17 +2,26 @@
 
 A polynomial lives in a PolyRing that fixes an ordered tuple of variable
 names and a cyclotomic order for the coefficient field (1 = rationals).
-Terms map dense exponent tuples to coefficient vectors over Q(zeta_m); zero
+Terms map packed monomials to coefficient vectors over Q(zeta_m); zero
 coefficients are never stored, so equality is plain dictionary equality.
+
+A monomial is one int key (Monagan and Pearce, CASC 2007): each of n
+variables has a field of w = max(8, 30 // n) bits, the first variable in
+the highest, so up to three variables fit a single-digit int.  A field's
+top bit is a guard: every exponent stays below 2^(w-1), a product that
+would reach it raises ValueError, and no field carries into the next.  So
+a product of monomials adds keys, max(keys) is the lexicographic lead,
+exact_div's exponentwise test is one subtraction under the guard bits, and
+a variable's exponent is a shift and a mask.  `terms` is the tuple view.
+PolyRing.dot(pairs) is sum x y accumulated in one term table (Yan, JSC 26,
+1998), with no intermediate sum or product; a product is one pair, and one
+term times a polynomial an injective shift with no merge and no zero test.
 
 An integral coefficient entry is always an int; a Fraction only holds a
 value that is not an integer, as in Scalar.constant().  Fractions come in
-through constants (PolyRing._coeff) and the inverse of a leading
-coefficient (exact_div, reduce_mod), and MultiPoly(ring, terms) turns the
-integral entries of their sums and products back into ints.  A polynomial records
-whether it may hold a Fraction, so sums and products of int polynomials skip
-that pass.  A product by one term is an injective shift of exponents: one
-pass, no merge and no zero test.
+through constants and the inverse of a leading coefficient (exact_div,
+reduce_mod); a polynomial records whether it may hold one, and only then
+are the integral entries of its sums and products made ints again.
 
 Only what the computations need is provided: ring arithmetic, powers,
 substitution, evaluation, exact division and reduction modulo a divisor
@@ -23,20 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
-from operator import add, mul, neg
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from operator import add, mul, neg, or_
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .exactnum import FieldSpec, Scalar, _cycctx, _int, _power
 
 __all__ = ["PolyRing", "MultiPoly"]
 
 Expo = Tuple[int, ...]
-
-
-def _has_fraction(vecs) -> bool:
-    """Whether a Fraction occurs in the coefficient vectors vecs."""
-    return Fraction in map(type, chain.from_iterable(vecs))
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,11 @@ class PolyRing:
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        # the coefficient field's reduction tables, looked up once per ring; _cycctx refuses an order out of range
-        object.__setattr__(self, "_cyc", _cycctx(self.order))
+        n, w = len(self.variables), max(8, 30 // max(len(self.variables), 1))
+        shifts = tuple(w * (n - 1 - i) for i in range(n))
+        # field tables (_cycctx refuses an order out of range), each variable's shift, a field's mask, the guard bits
+        for attr, value in (("_cyc", _cycctx(self.order)), ("_shifts", shifts), ("_mask", (1 << w) - 1), ("_guard", sum(1 << (s + w - 1) for s in shifts))):
+            object.__setattr__(self, attr, value)
 
     def coeff_field(self) -> FieldSpec:
         return FieldSpec("rational") if self.order == 1 else FieldSpec("cyclotomic", self.order)
@@ -63,17 +71,47 @@ class PolyRing:
 
     def const(self, value) -> "MultiPoly":
         vec = self._coeff(value)
-        if not any(vec):
-            return _poly(self, {}, False)
-        return _poly(self, {(0,) * len(self.variables): vec}, _has_fraction((vec,)))
+        return _poly(self, {0: vec} if any(vec) else {}, Fraction in map(type, vec))
 
     def var(self, name: str) -> "MultiPoly":
-        idx = self.variables.index(name)
-        expo = tuple(1 if i == idx else 0 for i in range(len(self.variables)))
-        return _poly(self, {expo: self._coeff(1)}, False)
+        return _poly(self, {1 << self._shifts[self.variables.index(name)]: self._coeff(1)}, False)
 
     def vars(self) -> Tuple["MultiPoly", ...]:
         return tuple(self.var(v) for v in self.variables)
+
+    def _pack(self, expo: Expo) -> int:
+        """The key of an exponent tuple; ValueError for an exponent that is negative or past the cap."""
+        if len(expo) != len(self._shifts) or min(expo, default=0) < 0 or max(expo, default=0) > self._mask >> 1:
+            raise ValueError("exponents %r do not fit the fields of %r" % (tuple(expo), self))
+        return sum(k << s for k, s in zip(expo, self._shifts))
+
+    def _unpack(self, key: int) -> Expo:
+        return tuple([(key >> s) & self._mask for s in self._shifts])
+
+    def dot(self, pairs: Iterable[Tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+        """sum x y over the pairs (x, y) of polynomials of this ring, accumulated in one term table."""
+        ctx, out, frac = self._cyc, {}, False
+        fast = ctx.deg == 1
+        for x, y in pairs:
+            if (x.ring is not self or y.ring is not self) and not x.ring == y.ring == self:
+                raise ValueError("mixed polynomial rings")
+            a, b = x._t, y._t
+            if not (a and b):
+                continue
+            frac = frac or x._frac or y._frac
+            get = out.get
+            if fast:
+                for e1, (c,) in a.items():
+                    for e2, (v,) in b.items():
+                        e = e1 + e2
+                        out[e] = get(e, 0) + c * v
+            else:
+                for e1, v1 in a.items():
+                    for e2, v2 in b.items():
+                        e, p = e1 + e2, ctx.mul(v1, v2)
+                        cur = get(e)
+                        out[e] = p if cur is None else tuple(map(add, cur, p))
+        return _poly(self, {e: (c,) for e, c in out.items() if c} if fast else {e: v for e, v in out.items() if any(v)}, frac, None, True)
 
     def _coeff(self, value) -> tuple:
         """Coerce an int/Fraction/constant Scalar to a coefficient vector, integral entries as ints."""
@@ -91,36 +129,35 @@ class PolyRing:
 
 
 class MultiPoly:
-    """Element of a PolyRing; immutable once constructed."""
+    """Element of a PolyRing; immutable once constructed.  _t maps packed monomials to coefficient vectors."""
 
-    __slots__ = ("ring", "terms", "_frac", "_hash")
+    __slots__ = ("ring", "_t", "_frac", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Dict[Expo, tuple]):
-        terms = {e: tuple(map(_int, v)) for e, v in terms.items()}
-        _set_ring(self, ring)
-        _set_terms(self, terms)
-        _set_frac(self, _has_fraction(terms.values()))
+        _poly(ring, {ring._pack(e): v for e, v in terms.items()}, True, self)
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
 
     # -- basics
 
+    @property
+    def terms(self) -> Dict[Expo, tuple]:
+        """The terms keyed by exponent tuples, a new dict."""
+        unpack = self.ring._unpack
+        return {unpack(e): v for e, v in self._t.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def coefficient(self, expo: Expo) -> Scalar:
-        vec = self.terms.get(tuple(expo))
-        field = self.ring.coeff_field()
-        if vec is None:
-            return field.zero()
-        return field.from_cyc(vec)
+        vec, field = self._t.get(self.ring._pack(tuple(expo))), self.ring.coeff_field()
+        return field.zero() if vec is None else field.from_cyc(vec)
 
     def degree_in(self, name: str) -> int:
-        idx = self.ring.variables.index(name)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
+        ring = self.ring
+        s = ring._shifts[ring.variables.index(name)]
+        return max([(e >> s) & ring._mask for e in self._t], default=0)
 
     def coefficients_in(self, names: Sequence[str], ring: PolyRing) -> Dict[Expo, "MultiPoly"]:
         """self as a polynomial in the variables names over ring: each exponent
@@ -158,8 +195,8 @@ class MultiPoly:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        out = dict(self.terms)
-        for e, v in other.terms.items():
+        out = dict(self._t)
+        for e, v in other._t.items():
             cur = out.get(e)
             if cur is None:
                 out[e] = v
@@ -169,14 +206,12 @@ class MultiPoly:
                     out[e] = s
                 else:
                     del out[e]
-        if self._frac or other._frac:
-            return MultiPoly(self.ring, out)
-        return _poly(self.ring, out, False)
+        return _poly(self.ring, out, self._frac or other._frac)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.ring, {e: tuple(map(neg, v)) for e, v in self.terms.items()}, self._frac)
+        return _poly(self.ring, {e: tuple(map(neg, v)) for e, v in self._t.items()}, self._frac)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -192,39 +227,15 @@ class MultiPoly:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        ring = self.ring
-        ctx = ring._cyc
-        fast = ctx.deg == 1
-        a, b = self.terms, other.terms
+        a, b = self._t, other._t
         if len(b) == 1:
             a, b = b, a
-        if len(a) == 1:
-            # one term: the exponent shift is injective and a product of
-            # nonzero coefficients is nonzero
-            ((e1, v1),) = a.items()
-            if fast:
-                c = v1[0]
-                out = {tuple(map(add, e1, e2)): (c * v2[0],) for e2, v2 in b.items()}
-            else:
-                out = {tuple(map(add, e1, e2)): ctx.mul(v1, v2) for e2, v2 in b.items()}
-        else:
-            out = {}
-            for e1, v1 in a.items():
-                for e2, v2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    p = (v1[0] * v2[0],) if fast else ctx.mul(v1, v2)
-                    cur = out.get(e)
-                    if cur is None:
-                        out[e] = p
-                    else:
-                        s = tuple(map(add, cur, p))
-                        if any(s):
-                            out[e] = s
-                        else:
-                            del out[e]
-        if not (self._frac or other._frac):
-            return _poly(ring, out, False)
-        return MultiPoly(ring, out)
+        if len(a) != 1:
+            return self.ring.dot(((self, other),))
+        # one term: the shift is injective and a product of nonzero coefficients nonzero
+        ((e1, v1),), ctx = a.items(), self.ring._cyc
+        t = {e1 + e2: (v1[0] * v,) for e2, (v,) in b.items()} if ctx.deg == 1 else {e1 + e2: ctx.mul(v1, v2) for e2, v2 in b.items()}
+        return _poly(self.ring, t, self._frac or other._frac, None, True)
 
     __rmul__ = __mul__
 
@@ -240,45 +251,40 @@ class MultiPoly:
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self._t == other._t
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.ring, frozenset(self.terms.items())))
+            h = hash((self.ring, frozenset(self._t.items())))
             object.__setattr__(self, "_hash", h)
             return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     # -- division
-
-    def _lead(self) -> Tuple[Expo, tuple]:
-        """Leading term in lexicographic order on the declared variables."""
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """The quotient self / divisor; raises ArithmeticError if not exact."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        ctx = self.ring._cyc
-        de, dv = divisor._lead()
-        dv_inv = ctx.inv(dv)
-        rem = self
-        quot = self.ring.zero()
-        while rem.terms:
-            re, rv = rem._lead()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
+        ring, ctx, guard = self.ring, self.ring._cyc, self.ring._guard
+        # the lexicographic leads are the largest keys
+        de = max(divisor._t)
+        dv_inv, rem, quot = ctx.inv(divisor._t[de]), self, {}
+        while rem._t:
+            re = max(rem._t)
+            # re - de field by field: a field's guard bit survives exactly when that field does not borrow
+            qe = (re | guard) - de
+            if qe & guard != guard:
                 raise ArithmeticError("division is not exact")
-            qterm = MultiPoly(self.ring, {qe: ctx.mul(rv, dv_inv)})
-            quot = quot + qterm
-            rem = rem - qterm * divisor
-        return quot
+            # the leads' keys fall, so each quotient term is new
+            quot[qe ^ guard] = qv = ctx.mul(rem._t[re], dv_inv)
+            rem = rem - _poly(ring, {qe ^ guard: qv}, True) * divisor
+        return _poly(ring, quot, True)
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -293,47 +299,37 @@ class MultiPoly:
         The divisor must have a nonzero constant leading coefficient in that
         variable, so the division is well defined over the coefficient field.
         """
-        idx = self.ring.variables.index(name)
-        d = divisor.degree_in(name)
+        ring, ctx, d = self.ring, self.ring._cyc, divisor.degree_in(name)
+        s, mask = ring._shifts[ring.variables.index(name)], ring._mask
         if d == 0:
             raise ValueError("divisor is constant in %r" % name)
-        lead = [(e, v) for e, v in divisor.terms.items() if e[idx] == d]
-        if len(lead) != 1 or any(lead[0][0][i] for i in range(len(lead[0][0])) if i != idx):
+        lead = [(e, v) for e, v in divisor._t.items() if (e >> s) & mask == d]
+        if len(lead) != 1 or lead[0][0] != d << s:
             raise ValueError("divisor leading coefficient in %r is not constant" % name)
-        ctx = self.ring._cyc
-        lead_inv = ctx.inv(lead[0][1])
-        rem = self
-        while rem.terms and rem.degree_in(name) >= d:
-            k = rem.degree_in(name)
+        lead_inv, rem = ctx.inv(lead[0][1]), self
+        while rem._t and (k := rem.degree_in(name)) >= d:
             # factor = (coefficient of name^k) * name^(k-d) / lead
-            factor_terms = {}
-            for e, v in rem.terms.items():
-                if e[idx] == k:
-                    fe = tuple(x - (d if i == idx else 0) for i, x in enumerate(e))
-                    factor_terms[fe] = ctx.mul(v, lead_inv)
-            rem = rem - MultiPoly(self.ring, factor_terms) * divisor
+            factor = {e - (d << s): ctx.mul(v, lead_inv) for e, v in rem._t.items() if (e >> s) & mask == k}
+            rem = rem - _poly(ring, factor, True) * divisor
         return rem
 
     # -- substitution and evaluation
 
     def substitute(self, assignments: Mapping[str, Union["MultiPoly", Scalar, int, Fraction]]) -> "MultiPoly":
-        """Replace variables by ring elements, all at once; unmentioned variables stay."""
-        ring = self.ring
-        values = [(i, self._coerce(assignments[v])) for i, v in enumerate(ring.variables) if v in assignments]
-        assigned = {i for i, _ in values}
-        powers: Dict[Tuple[int, int], MultiPoly] = {}
-        out = ring.zero()
-        for e, vec in self.terms.items():
-            term = _poly(ring, {tuple(0 if i in assigned else k for i, k in enumerate(e)): vec}, self._frac)
-            for i, value in values:
-                k = e[i]
-                if k:
-                    pw = powers.get((i, k))
-                    if pw is None:
-                        pw = powers[i, k] = value ** k
-                    term = term * pw
-            out = out + term
-        return out
+        """Replace variables by ring elements, all at once; unmentioned variables stay.  Each term is its monomial in
+        the kept variables times the product of the values' powers, formed once per distinct assigned part; one dot
+        sums them."""
+        ring, mask = self.ring, self.ring._mask
+        values = [(s, self._coerce(assignments[v])) for s, v in zip(ring._shifts, ring.variables) if v in assignments]
+        drop, images = sum(mask << s for s, _v in values), {0: ring.one()}
+
+        def pair(e: int, vec: tuple) -> tuple:
+            k = e & drop
+            if k not in images:
+                images[k] = reduce(mul, [v ** ((k >> s) & mask) for s, v in values if (k >> s) & mask])
+            return _poly(ring, {e ^ k: vec}, self._frac), images[k]
+
+        return ring.dot(pair(e, vec) for e, vec in self._t.items())
 
     def evaluate(self, assignments: Mapping[str, Union[Scalar, int, Fraction]]) -> Scalar:
         """Evaluate at scalar values for every variable, in the field of the
@@ -357,9 +353,9 @@ class MultiPoly:
             vals = list(map(PolyRing((), field.order)._coeff, vals))
             lift, times, plus, out = tuple, tgt.mul, lambda x, y: tuple(map(add, x, y)), tgt.zero
         powers: Dict[Tuple[int, int], object] = {}
-        for e, vec in self.terms.items():
+        for e, vec in self._t.items():
             term = lift(vec if src is tgt else src.embed(vec, tgt))
-            for i, k in enumerate(e):
+            for i, k in enumerate(self.ring._unpack(e)):
                 if k:
                     pw = powers.get((i, k))
                     if pw is None:
@@ -377,39 +373,34 @@ class MultiPoly:
         """Human-readable, deterministic (graded-lex ordered) text form."""
         from .exprio import _format_cyc, _join
 
-        parts = []
-        for e in sorted(self.terms, key=lambda ex: (-sum(ex), tuple(-x for x in ex))):
-            vec = self.terms[e]
-            mono = "*".join(
-                ("%s^%d" % (v, k) if k > 1 else v)
-                for v, k in zip(self.ring.variables, e)
-                if k
-            )
+        parts, terms = [], self.terms
+        for e in sorted(terms, key=lambda ex: (-sum(ex), tuple(-x for x in ex))):
+            vec = terms[e]
+            mono = "*".join(("%s^%d" % (v, k) if k > 1 else v) for v, k in zip(self.ring.variables, e) if k)
             plain = not any(vec[1:])
             if not mono:
                 parts.append(_format_cyc(vec, need_atom=False))
-            elif plain and vec[0] == 1:
-                parts.append(mono)
-            elif plain and vec[0] == -1:
-                parts.append("-" + mono)
-            elif plain:
-                head = _format_cyc(vec, need_atom=False)
-                parts.append("%s*%s" % (head, mono))
+            elif plain and vec[0] in (1, -1):
+                parts.append(("-" if vec[0] == -1 else "") + mono)
             else:
-                parts.append("%s*%s" % (_format_cyc(vec, need_atom=True), mono))
+                parts.append("%s*%s" % (_format_cyc(vec, need_atom=not plain), mono))
         return _join(parts)
 
 
-_new = object.__new__
-_set_ring = MultiPoly.ring.__set__
-_set_terms = MultiPoly.terms.__set__
-_set_frac = MultiPoly._frac.__set__
+_new, _set_ring, _set_t, _set_frac = object.__new__, MultiPoly.ring.__set__, MultiPoly._t.__set__, MultiPoly._frac.__set__
 
 
-def _poly(ring: PolyRing, terms: Dict[Expo, tuple], frac: bool) -> MultiPoly:
-    """MultiPoly(ring, terms) for terms already normal; frac False means no Fraction."""
-    p = _new(MultiPoly)
+def _poly(ring: PolyRing, t: Dict[int, tuple], frac: bool, p=None, product=False) -> MultiPoly:
+    """The polynomial (p, if given, else a new one) of the packed terms t, none zero; frac True means t may hold a
+    Fraction, whose integral entries are made ints.  ValueError if a product's key (a sum of keys) has a guard bit."""
+    if product and reduce(or_, t, 0) & ring._guard:
+        raise ValueError("an exponent of a product is past the cap %d of %r" % (ring._mask >> 1, ring))
+    if frac:
+        t = {e: tuple(map(_int, v)) for e, v in t.items()}
+        frac = Fraction in map(type, chain.from_iterable(t.values()))
+    if p is None:
+        p = _new(MultiPoly)
     _set_ring(p, ring)
-    _set_terms(p, terms)
+    _set_t(p, t)
     _set_frac(p, frac)
     return p

@@ -125,16 +125,15 @@ def sylvester_dets(
     return det_for(0, 1, 2), det_for(1, 2, 0), det_for(2, 0, 1)
 
 
-def sylvester_resultant(
-    F1: TernaryQuadratic, F2: TernaryQuadratic, F3: TernaryQuadratic
-):
+def sylvester_resultant(F1: TernaryQuadratic, F2: TernaryQuadratic, F3: TernaryQuadratic, dets=None):
     """The resultant of three ternary quadratics, as a 6x6 determinant.
 
     Columns are the coefficient vectors of F1, F2, F3, D1, D2, D3 on the
     monomials X^2, Y^2, Z^2, YZ, ZX, XY; the determinant vanishes exactly
-    when the system has a nonzero projective solution.
+    when the system has a nonzero projective solution.  dets, if given, is
+    sylvester_dets(F1, F2, F3), already formed.
     """
-    D1, D2, D3 = sylvester_dets(F1, F2, F3)
+    D1, D2, D3 = dets or sylvester_dets(F1, F2, F3)
     cols = [F1.coeffs, F2.coeffs, F3.coeffs, D1.coeffs, D2.coeffs, D3.coeffs]
     entries = [cols[j][i] for i in range(6) for j in range(6)]
     M = MatrixF(6, 6, entries, F1.domain)
@@ -485,7 +484,7 @@ def verify_case1() -> CaseReport:
         "the extracted quadrics match the stated system",
         built[0].coeffs == Fq1.coeffs and built[1].coeffs == Fq2.coeffs and built[2].coeffs == Fq3.coeffs,
     )
-    D1, D2, D3 = sylvester_dets(Fq1, Fq2, Fq3)
+    D1, D2, D3 = dets = sylvester_dets(Fq1, Fq2, Fq3)
     disp_D1 = TernaryQuadratic(
         (
             2 * a * b * c * (b ** 3 - c ** 3),
@@ -524,7 +523,7 @@ def verify_case1() -> CaseReport:
         "D1, D2, D3 match their displayed expansions",
         D1.coeffs == disp_D1.coeffs and D2.coeffs == disp_D2.coeffs and D3.coeffs == disp_D3.coeffs,
     )
-    res = sylvester_resultant(Fq1, Fq2, Fq3)
+    res = sylvester_resultant(Fq1, Fq2, Fq3, dets)
     target = (a * b * c) ** 2 * type_a_poly ** 2
     checks.record(
         "resultant-identity",

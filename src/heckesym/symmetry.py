@@ -264,11 +264,6 @@ def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: 
     return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m).values()
 
 
-def _square_times(A: MatrixF, M: MatrixF) -> MatrixF:
-    """(A (x) A) M, one action of A on the two row slots of M's row-major entries."""
-    return MatrixF(M.rows, M.cols, _packed_act(column_table(A), A.rows, [((1, 2), None)], M.entries, A.domain.zero(), M.cols).values(), A.domain)
-
-
 def _format_entry(x) -> str:
     """Text of a scalar or of a polynomial entry."""
     return x.to_text() if isinstance(x, MultiPoly) else format_scalar(x)
@@ -566,13 +561,14 @@ class HeckeSymmetry:
         return HeckeSymmetry(N, self.q, MatrixF(N * N, N * N, entries, self.field), name=self.name + ".op")
 
     def conjugate(self, tau: MatrixF) -> "HeckeSymmetry":
-        """(tau (x) tau) R (tau^-1 (x) tau^-1)."""
+        """(tau (x) tau) R (tau^-1 (x) tau^-1): R from slot 1 on the columns of tau^-1 (x) tau^-1, placed from tau^-1's
+        (as frobenius._square_sides), then tau on the two slots of each column, two actions with the columns as lanes."""
         if tau.rows != self.N or tau.cols != self.N:
             raise ValueError("conjugating operator must be N x N")
-        # X (tau^-1 (x) tau^-1) = ((tau^-t (x) tau^-t) X^t)^t for X = (tau (x) tau) R
-        left = _square_times(tau, self.R)
-        R = _square_times(tau.inverse().transpose(), left.transpose()).transpose()
-        return HeckeSymmetry(self.N, self.q, R, name=self.name + ".conj")
+        N, zero, inv = self.N, self.field.zero(), tau.inverse()
+        right = _packed_act(column_table(self.R), N, [((1,), None)], Placed(*[[inv.col(j) for j in range(N)]] * 2), zero, N * N)
+        R = _packed_act(column_table(tau), N, [((1, 2), None)], right.values(), zero, N * N).values()
+        return HeckeSymmetry(N, self.q, MatrixF(N * N, N * N, R, self.field), name=self.name + ".conj")
 
     # -- JSON document
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field
+from heckesym.exactnum import FieldSpec, GENERIC_Q, Scalar, cyclotomic_field, primitive_root
 from heckesym.linalg import MatrixF, Subspace, first_minor, vec_pivot, vec_scale
 from heckesym.multipoly import PolyRing
 from test_symmetry import _dense_apply, _domains, kronecker
@@ -411,3 +411,63 @@ def test_first_minor_and_pivot():
     a, b = ring.vars()
     assert first_minor((a * b, a * a, ring.zero()), (b, a, ring.zero())) is None
     assert first_minor((a * b, a * a, ring.one()), (b, a, ring.zero())) == (2, b)
+
+
+# -- the polynomial-ring paths against the loops they replaced: each product entry and each cofactor sum was a
+# chain of out + a * b, one intermediate polynomial per link
+
+
+def _pairwise_product(A, B):
+    """A B entry by entry as out + a * b, skipping zero factors."""
+    zero = A.domain.zero()
+    out = [zero] * (A.rows * B.cols)
+    for i in range(A.rows):
+        for k in range(A.cols):
+            a = A[i, k]
+            if not a.is_zero():
+                for j in range(B.cols):
+                    if not B[k, j].is_zero():
+                        out[i * B.cols + j] = out[i * B.cols + j] + a * B[k, j]
+    return MatrixF(A.rows, B.cols, out, A.domain)
+
+
+def _cofactor_det(A):
+    """det A by the memoized Laplace expansion with the cofactor sum as a chain of +- a * minor."""
+    memo = {(): A.domain.one()}
+
+    def minor(cols):
+        if cols not in memo:
+            row, got = A.rows - len(cols), A.domain.zero()
+            for idx, col in enumerate(cols):
+                if not A[row, col].is_zero():
+                    term = A[row, col] * minor(cols[:idx] + cols[idx + 1 :])
+                    got = got - term if idx % 2 else got + term
+            memo[cols] = got
+        return memo[cols]
+
+    return minor(tuple(range(A.rows)))
+
+
+def _sparse_poly_matrix(rng, rows, cols, ring):
+    """Entries mostly zero, a whole zero row at times, and terms that cancel in products (x - y against x + y)."""
+    x, y, z = ring.vars()
+    pool = [ring.zero()] * 4 + [x, -x, x + y, x - y, y * z + Fraction(1, 2), ring.const(Fraction(-2, 3)), ring.const(primitive_root(3, cyclotomic_field(3))) * z if ring.order == 3 else 3 * z * z]
+    zero_row = rng.randrange(rows + 1)
+    return MatrixF(rows, cols, [ring.zero() if i == zero_row else rng.choice(pool) for i in range(rows) for _ in range(cols)], ring)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_ring_products_and_dets_match_the_pairwise_loops(order):
+    ring = PolyRing(("x", "y", "z"), order)
+    rng = random.Random("ring-matrix:%d" % order)
+    for _ in range(30):
+        n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A, B = _sparse_poly_matrix(rng, n, m, ring), _sparse_poly_matrix(rng, m, p, ring)
+        assert A * B == _pairwise_product(A, B)
+        S = _sparse_poly_matrix(rng, n, n, ring)
+        assert S.det() == _cofactor_det(S)
+    # an entry whose products cancel is the zero polynomial, stored with no terms
+    x, y, _z = ring.vars()
+    C = MatrixF(1, 2, [x - y, x + y], ring) * MatrixF(2, 1, [x + y, -(x - y)], ring)
+    assert C[0, 0].is_zero() and not C[0, 0].terms
+    assert MatrixF(2, 2, [x + y, x - y, x - y, x + y], ring).det() == 4 * x * y

@@ -443,3 +443,136 @@ def test_evaluate_rejects_mixed_fields():
     C3 = cyclotomic_field(3)
     with pytest.raises(ValueError):
         (a * b + c).evaluate({"a": C3.scalar(2), "b": FieldSpec("rational").scalar(1), "c": 0})
+
+
+# -- the packed layout: one int key per monomial, each variable in its own field, the first variable highest
+
+
+PACKED_RINGS = [PolyRing(("x", "y", "z"), order) for order in (1, 3)]
+PACKED_IDS = ["order%d" % ring.order for ring in PACKED_RINGS]
+
+
+def _ref_dot(ctx, pairs):
+    out = {}
+    for x, y in pairs:
+        out = _ref_add(out, _ref_mul(ctx, x, y))
+    return out
+
+
+def _ref_coefficients_in(p, names, ring):
+    """coefficients_in on the tuple terms: the exponents of names outside, the rest re-keyed by name onto ring."""
+    src = p.ring.variables
+    parts = {}
+    for e, v in p.terms.items():
+        outer = tuple(e[src.index(n)] for n in names)
+        inner = tuple(e[src.index(n)] if n in src and n not in names else 0 for n in ring.variables)
+        parts.setdefault(outer, {})[inner] = tuple(map(Fraction, v))
+    return parts
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS, ids=PACKED_IDS)
+def test_packed_keys_follow_the_tuple_order(ring):
+    rng = random.Random("packed-keys:%d" % ring.order)
+    expos = [tuple(rng.randint(0, 9) for _ in ring.variables) for _ in range(60)]
+    keys = [ring._pack(e) for e in expos]
+    assert [ring._unpack(k) for k in keys] == expos
+    # lex order on tuples is int order on keys, and a product of monomials adds keys
+    assert sorted(expos) == [ring._unpack(k) for k in sorted(keys)]
+    for e1, e2 in zip(expos, expos[1:]):
+        assert ring._pack(tuple(map(sum, zip(e1, e2)))) == ring._pack(e1) + ring._pack(e2)
+    p = _oracle_poly(rng, ring, False, terms=6, top=4)
+    assert p._t == {ring._pack(e): v for e, v in p.terms.items()}
+    assert max(p._t) == ring._pack(max(p.terms))
+    for i, name in enumerate(ring.variables):
+        assert p.degree_in(name) == max(e[i] for e in p.terms)
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS, ids=PACKED_IDS)
+@pytest.mark.parametrize("integral", [True, False], ids=["Z", "Q"])
+def test_packed_arithmetic_matches_fraction_oracle(ring, integral):
+    rng = random.Random("packed-oracle:%d:%s" % (ring.order, integral))
+    ctx = ring._cyc
+    for trial in range(30):
+        p, q = _oracle_poly(rng, ring, integral, terms=5), _oracle_poly(rng, ring, integral, terms=5)
+        fp, fq = _fractions(p), _fractions(q)
+        assert (p * q).terms == _ref_mul(ctx, fp, fq) and (p + q).terms == _ref_add(fp, fq)
+        # dot with pairs that cancel: p q - p q leaves the other pairs, and a zero factor adds nothing
+        pairs = [(p, q), (q, p * p), (-p, q), (ring.zero(), q), (q, q)]
+        got = ring.dot(pairs)
+        assert got.terms == _ref_dot(ctx, [(_fractions(x), _fractions(y)) for x, y in pairs]) and _is_normal(got)
+        assert ring.dot([(p, q), (p, -q)]).is_zero() and not ring.dot([]).terms
+        # a Fraction coefficient whose products sum to an integer becomes an int
+        half = ring.const(Fraction(1, 2))
+        assert _is_normal(ring.dot([(half, p), (half, p)])) and ring.dot([(half, p), (half, p)]) == p
+        exact = p * q
+        assert exact.exact_div(q).terms == _ref_exact_div(ctx, _fractions(exact), fq)
+        m = MultiPoly(ring, {(3, 0, 0): _oracle_vec(rng, ring, integral)}) + _oracle_poly(rng, ring, integral, top=2).substitute({"x": 0})
+        assert exact.reduce_mod(m, "x").terms == _ref_reduce_mod(ctx, _fractions(exact), _fractions(m), 0)
+        values = {i: _fractions(_oracle_poly(rng, ring, integral, terms=2, top=1)) for i in rng.sample(range(3), rng.randint(1, 2))}
+        got = p.substitute({ring.variables[i]: MultiPoly(ring, v) for i, v in values.items()})
+        assert got.terms == _ref_substitute(ctx, fp, values, 3) and _is_normal(got)
+        point = {n: Fraction(rng.randint(-3, 3), 1 if integral else rng.randint(1, 3)) for n in ring.variables}
+        assert p.evaluate(point) == _evaluate_reference(p, point)
+        names = rng.sample(ring.variables, rng.randint(0, 2))
+        target = PolyRing(tuple(n for n in ("z", "w", "x", "y") if n not in names), ring.order)
+        got = p.coefficients_in(names, target)
+        assert {k: _fractions(v) for k, v in got.items()} == _ref_coefficients_in(p, names, target)
+        # the text form reads the tuple view: the same for the same terms in any insertion order
+        shuffled = list(p.terms.items())
+        rng.shuffle(shuffled)
+        assert MultiPoly(ring, dict(shuffled)).to_text() == p.to_text()
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS, ids=PACKED_IDS)
+def test_exact_div_fails_on_one_field(ring):
+    # the lead of the divisor passes the dividend's in one variable only: the guard bit of that field borrows,
+    # and the field above it (which a plain subtraction would borrow from) does not hide it
+    x, y, z = ring.vars()
+    for i, name in enumerate(ring.variables):
+        others = [v for j, v in enumerate((x, y, z)) if j != i]
+        big, small = ring.var(name), others[0] ** 3 * others[1] ** 2
+        dividend, divisor = big * small ** 2, big ** 2 * small
+        with pytest.raises(ArithmeticError):
+            dividend.exact_div(divisor)
+        with pytest.raises(ArithmeticError):
+            _ref_exact_div(ring._cyc, _fractions(dividend), _fractions(divisor))
+        assert (divisor * small).exact_div(divisor) == small
+
+
+@pytest.mark.parametrize("ring", PACKED_RINGS, ids=PACKED_IDS)
+def test_text_form_reads_graded_lex_order_off_packed_keys(ring):
+    # the text sorts by total degree, then lexicographically, whatever the int order of the keys
+    pad = (0,) * (ring._cyc.deg - 1)
+    terms = {(0, 0, 0): (Fraction(1, 2),) + pad, (0, 1, 0): (-1,) + pad, (2, 0, 1): (3,) + pad, (0, 0, 4): (1,) + pad, (1, 0, 0): (2,) + pad}
+    assert MultiPoly(ring, terms).to_text() == "z^4 + 3*x^2*z + 2*x - y + 1/2"
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_exponent_past_the_field_raises_and_never_carries(n):
+    ring = PolyRing(tuple("v%d" % i for i in range(n)))
+    cap = ring._mask >> 1
+    assert cap == (1 << (max(8, 30 // n) - 1)) - 1
+    last, first = ring.var(ring.variables[-1]), ring.var(ring.variables[0])
+    top = last ** cap
+    assert top.terms == {(0,) * (n - 1) + (cap,): (1,)} and top.degree_in(ring.variables[0]) == (cap if n == 1 else 0)
+    # past the cap: a product, a power, a dot and a constructor all refuse, and no term lands in the next field
+    for past in (lambda: top * last, lambda: last ** (cap + 1), lambda: ring.dot([(first, first), (top, last + 1)]),
+                 lambda: MultiPoly(ring, {(0,) * (n - 1) + (cap + 1,): (1,)}), lambda: top.coefficient((0,) * (n - 1) + (cap + 1,))):
+        with pytest.raises(ValueError):
+            past()
+    with pytest.raises(ValueError):
+        MultiPoly(ring, {(0,) * (n - 1) + (-1,): (1,)})
+    # the cap is per variable: a total degree past it is fine while every exponent fits
+    if n > 1:
+        wide = ring.dot([(top, first ** cap)])
+        assert wide.terms == {(cap,) + (0,) * (n - 2) + (cap,): (1,)}
+        assert wide.exact_div(top) == first ** cap and wide.degree_in(ring.variables[-1]) == cap
+
+
+def test_dot_rejects_mixed_rings():
+    other = PolyRing(("a", "b", "c"), 3)
+    with pytest.raises(ValueError):
+        R.dot([(a, other.var("a"))])
+    # an equal ring built again has the same fields
+    again = PolyRing(("a", "b", "c"))
+    assert R.dot([(a, again.var("b")), (b, c)]) == a * b + b * c

@@ -140,6 +140,15 @@ def test_sylvester_dets_match_the_three_split_reference():
     assert sylvester_dets(F1, F2, F3) == _sylvester_dets_reference(F1, F2, F3)
 
 
+def test_verify_case1_forms_the_auxiliary_quadrics_once(monkeypatch):
+    # the auxiliary-quadrics check and the resultant share one sylvester_dets
+    calls, real = [], obstruction.sylvester_dets
+    monkeypatch.setattr(obstruction, "sylvester_dets", lambda *forms: calls.append(forms) or real(*forms))
+    report = verify_case1()
+    assert report.ok and len(calls) == 1
+    assert report.resultant == sylvester_resultant(*case1_system()) and len(calls) == 2
+
+
 def test_resultant_vanishes_for_dependent_system():
     F1, F2, _ = case1_system()
     ring = F1.domain

@@ -342,6 +342,22 @@ def _conjugate(N, field, seed):
     return sym.conjugate(_unimodular(random.Random(seed), N, field))
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_conjugate_matches_kronecker_products(N):
+    # R from slot 1 on the columns of tau^-1 (x) tau^-1, then tau on each column's two slots: (tau (x) tau) R (tau^-1 (x) tau^-1)
+    rng = random.Random("conjugate:%d" % N)
+    for field in (GENERIC_Q, _rational_q(2), _rational_q(-1), cyclotomic_field(3, q_power=1), cyclotomic_field(4, q_power=1)):
+        sym = dj_standard(N, field)
+        for tau in (_unimodular(rng, N, field), MatrixF.identity(N, field).scale(field.scalar(2)), _upper(rng, N, field)):
+            want = kronecker(tau, tau) * sym.R * kron_power(tau.inverse(), 2)
+            assert sym.conjugate(tau).R == want, (N, field, tau)
+
+
+def _upper(rng, N, field):
+    """An upper triangular N x N matrix with diagonal 1, 2, ..., so det tau = N! and tau^-1 has fractions."""
+    return MatrixF(N, N, [field.scalar(i + 1 if i == j else rng.choice((0, 1, -1)) if j > i else 0) for i in range(N) for j in range(N)], field)
+
+
 AGREEMENT_CASES = {
     "dj2": lambda: dj_standard(2),
     "dj3": lambda: dj_standard(3),
