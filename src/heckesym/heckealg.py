@@ -7,21 +7,24 @@ relation (T_i - q)(T_i + 1) = 0, so multiplication by a generator obeys
     T_i * T_sigma = T_(tau_i sigma)                       if the length goes up,
     T_i * T_sigma = (q-1) T_sigma + q T_(tau_i sigma)     otherwise.
 
-The rule only ever introduces q and q - 1, so every element built here has
-its coefficients in Z[q].  An element stores them as integer tuples, low
-degree first, keyed by the index of sigma in S_n, and the field is applied
-only at the boundary: `coefficient` and `field_terms` evaluate at
-`field.q()`, and `==` / `is_zero` decide in the field (a nonzero Z[q]
-difference may vanish at a root of unity).
+The rule only ever introduces q and q - 1, so every coefficient lies in
+Z[q].  An element stores each packed (Kronecker substitution), as p(2^bits)
+keyed by the index of sigma in S_n: a sum or product of coefficients is one
+big-int operation, and T_i maps c to c << bits or to (c << bits) - c.  It
+carries a bound l1 on its L1 norm, the sum of the absolute values of all
+its coefficients: a sum adds the bounds, a multiple by p multiplies by
+||p||_1, and T_i at most triples the norm, so ||a b||_1 <= ||a||_1 ||b||_1
+3^(longest length in supp a).  Any width of at least digit_bits(l1) (whole
+bytes, exactnum) reads the signed digits back.  Elements are built at the
+home width max(64, digit_bits(l1)); 64 bits hold every element of the
+identity suite up to degree 6, y_n * y_n included.
 
-Products run on packed integers (Kronecker substitution): a polynomial p is
-stored as p(2^B), so a sum or a product of polynomials is one big-int
-operation, and T_i maps h to h << B or to c + (h << B) - h.  B comes from
-the L1 norm, the sum of the absolute values of all coefficients: T_i at
-most triples it, so every coefficient of a * b is at most
-||a||_1 ||b||_1 3^(longest length in supp a), and B is one bit more than
-that bound, enough to read signed coefficients back, rounded up to whole
-bytes (exactnum.digit_bits), so they read back in one pass.
+An operation runs at the widest of its operands' widths and the width of
+its result's bound, so only a narrower operand is repacked (read back into
+Z[q] and packed again).  Equal ints at one width are equal polynomials;
+where they differ and q is a constant, == and is_zero decide in the field,
+since a nonzero Z[q] difference may vanish at a root of unity.  Only that,
+`coefficient` and `field_terms` (so hash and repr) unpack.
 
 Per degree n, the first use builds and caches a table of S_n: the index of
 each sigma and of sigma^-1, the index of tau_i sigma with whether the
@@ -31,18 +34,15 @@ the reduced words, each from its parent's image T_rho b (sigma = tau_i rho)
 by one generator step.  A product a * b sums a_sigma T_sigma b over that
 walk.  When supp b is the smaller, it walks b instead, through the
 anti-involution T_sigma -> T_(sigma^-1) (the reduced words reversed):
-a * b = (b* a*)*.  That is exact, and the bound keeps its width, since
-len(sigma^-1) = len(sigma).
+a * b = (b* a*)*, and the bound is the same, as len(sigma^-1) = len(sigma).
 
 The identity suite makes one walk from y_n per degree, at the width of
-y_n * y_n.  Each image T_sigma y_n is compared with (-1)^len y_n on packed
-ints; equal ints are equal polynomials, since their difference is within
-the width.  The same images sum to y_n^2 = sum c_sigma T_sigma y_n: those
-equal to +-y_n add c_sigma up as one Z[q] multiple of y_n, the rest are
-added in as a product adds them.  The sum is the packed y_n * y_n, int for
-int.  Antisymmetrizers and their partial factorizations over Young
-subgroups follow the standard q-weighted signed sums, their supports read
-off the table.
+y_n * y_n, and compares each image T_sigma y_n with (-1)^len y_n.  The
+same images sum to y_n^2 = sum c_sigma T_sigma y_n: those equal to +-y_n
+add c_sigma up as one multiple of y_n, the rest are added in as a product
+adds them, int for int.  Antisymmetrizers and their partial factorizations
+over Young subgroups are the standard q-weighted signed sums, their
+supports read off the table; partial_y caches its elements.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from .exactnum import FieldSpec, GENERIC_Q, Scalar, _freeze, _from_power_of_two, at_power_of_two, digit_bits, qfact
+from .exactnum import FieldSpec, GENERIC_Q, Scalar, _from_power_of_two, at_power_of_two, digit_bits, qfact
 from .permgroup import MAX_ENUM_DEGREE, Composition, Perm, cycle, shift, transposition
 from .report import CheckReport
 
@@ -69,41 +69,12 @@ __all__ = [
 
 ZPoly = Tuple[int, ...]
 
-
-# ---------------------------------------------------------------------------
-# Z[q] as integer tuples, low degree first, no trailing zeros.  Sums are
-# built in a list and frozen once (exactnum._freeze): no temporary tuples
-# are made, and no tuple is built from an iterator of unknown length, which
-# CPython allocates at one size and shrinks, so that its free lists of small
-# tuples only ever grow.
-# Products pack the tuples at q = 2^bits (exactnum.at_power_of_two).
+# the narrowest width an element is packed at (module docstring)
+HOME_BITS = 64
 
 
-def _padd(a: ZPoly, b: ZPoly, sign: int = 1) -> ZPoly:
-    """a + sign * b for sign = 1 or -1."""
-    r = list(a)
-    if len(r) < len(b):
-        r.extend([0] * (len(b) - len(r)))
-    for k, x in enumerate(b):
-        if x:
-            r[k] += x if sign > 0 else -x
-    return _freeze(r)
-
-
-def _pneg(a: ZPoly) -> ZPoly:
-    return tuple([-x for x in a])
-
-
-def _l1(terms: Dict[int, ZPoly]) -> int:
-    return sum([abs(x) for c in terms.values() for x in c])
-
-
-def _packed(terms: Dict[int, ZPoly], bits: int) -> Dict[int, int]:
-    return {s: at_power_of_two(c, bits) for s, c in terms.items()}
-
-
-def _unpacked(terms: Dict[int, int], bits: int) -> Dict[int, ZPoly]:
-    return {s: tuple(_from_power_of_two(v, bits)) for s, v in terms.items() if v}
+def _width(l1: int) -> int:
+    return max(HOME_BITS, digit_bits(l1))
 
 
 def _monomial(k: int, sign: int = 1) -> ZPoly:
@@ -127,8 +98,8 @@ def _zq(value) -> ZPoly:
 _QPOWERS: Dict[FieldSpec, list] = {}
 
 
-def _to_scalar(field: FieldSpec, poly: ZPoly) -> Scalar:
-    """The value of a Z[q] polynomial at field.q()."""
+def _to_scalar(field: FieldSpec, poly) -> Scalar:
+    """The value of a Z[q] polynomial (low degree first) at field.q()."""
     if not poly:
         return field.zero()
     ctx = field._cyc
@@ -147,11 +118,6 @@ def _to_scalar(field: FieldSpec, poly: ZPoly) -> Scalar:
                 if x:
                     vec[j] += c * x
     return field.from_cyc(vec)
-
-
-def _vanishes(field: FieldSpec, poly: ZPoly) -> bool:
-    """Whether a Z[q] polynomial is zero in the field."""
-    return not poly or (field.kind != "ratfunc_q" and _to_scalar(field, poly).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +183,9 @@ class _Degree:
                 out[s] = (c << bits) - c
         return out
 
-    def walk(self, support, b: Dict[int, ZPoly], bits: int):
-        """(s, T_sigma_s b packed at 2^bits) for s in support and for the prefixes of their reduced
-        words, depth first along the reduced words: each image is one generator step from another."""
+    def walk(self, support, b: Dict[int, int], bits: int):
+        """(s, T_sigma_s b) for s in support and for the prefixes of their reduced words, b packed at 2^bits,
+        depth first along the reduced words: each image is one generator step from another."""
         first, left = self.first, self.left
         need = {0}
         for s in support:
@@ -230,7 +196,7 @@ class _Degree:
         for s in need:
             if s:
                 kids[left[first[s]][s]].append(s)
-        stack = [(0, 0, _packed(b, bits))]
+        stack = [(0, 0, b)]
         while stack:
             s, i, piece = stack.pop()
             if i:
@@ -239,27 +205,24 @@ class _Degree:
             for t in kids[s]:
                 stack.append((t, first[t], piece))
 
-    def product(self, a: Dict[int, ZPoly], b: Dict[int, ZPoly]) -> Dict[int, ZPoly]:
-        """sum_(sigma in supp a) a_sigma T_sigma b, on one walk over the smaller support: a * b = (b* a*)*."""
-        if not a or not b:
-            return {}
+    def product(self, a: Dict[int, int], b: Dict[int, int], bits: int) -> Dict[int, int]:
+        """sum_(sigma in supp a) a_sigma T_sigma b, packed at 2^bits, on one walk over the smaller support:
+        a * b = (b* a*)*."""
         if len(b) < len(a):
             inv = self.inv
-            ab = self.product({inv[s]: c for s, c in b.items()}, {inv[s]: c for s, c in a.items()})
+            ab = self.product({inv[s]: c for s, c in b.items()}, {inv[s]: c for s, c in a.items()}, bits)
             return {inv[s]: c for s, c in ab.items()}
-        # T_i at most triples the L1 norm, so every coefficient is at most ||a||_1 ||b||_1 3^(longest len in supp a)
-        bits = digit_bits(_l1(a) * _l1(b) * 3 ** max(map(self.length.__getitem__, a)))
-        return _unpacked(_add_pieces({}, _packed(a, bits), self.walk(a, b, bits)), bits)
+        return _add_pieces({}, a, self.walk(a, b, bits))
 
 
 def _add_pieces(acc: Dict[int, int], coeffs: Dict[int, int], pieces) -> Dict[int, int]:
-    """acc plus coeffs[s] * piece for the (s, piece) in pieces with s in coeffs, all packed alike."""
+    """acc plus coeffs[s] * piece for the (s, piece) in pieces with s in coeffs, all packed alike, zeros left out."""
     for s, piece in pieces:
         c = coeffs.get(s)
         if c is not None:
             for t, v in piece.items():
                 acc[t] = acc.get(t, 0) + c * v
-    return acc
+    return {t: v for t, v in acc.items() if v}
 
 
 _DEGREES: Dict[int, _Degree] = {}
@@ -276,35 +239,38 @@ def _degree(n: int) -> _Degree:
 # elements
 
 
-def _make(n: int, field: FieldSpec, terms: Dict[int, ZPoly]) -> "HeckeElement":
+def _make(n: int, field: FieldSpec, terms: Dict[int, int], bits: int, l1: int) -> "HeckeElement":
     h = object.__new__(HeckeElement)
     object.__setattr__(h, "n", n)
     object.__setattr__(h, "field", field)
     object.__setattr__(h, "terms", terms)
+    object.__setattr__(h, "bits", bits)
+    object.__setattr__(h, "l1", l1)
     return h
 
 
 class HeckeElement:
     """A finite sum of Z[q] multiples of standard basis elements of H_n(q).
 
-    `terms` maps the index of sigma in S_n to its coefficient as an integer
-    tuple; the constructor takes {Perm: int or Z[q]-valued scalar}.
+    `terms` maps the index of sigma in S_n to its nonzero coefficient p as
+    p(2^bits), and l1 bounds the L1 norm (see the module docstring); the
+    constructor takes {Perm: int or Z[q]-valued scalar}.
     """
 
-    __slots__ = ("n", "field", "terms")
+    __slots__ = ("n", "field", "terms", "bits", "l1")
 
-    def __init__(self, n: int, field: FieldSpec, terms: Dict[Perm, object]):
+    def __new__(cls, n: int, field: FieldSpec, terms: Dict[Perm, object]):
         index = _degree(n).index
-        out = {}
+        polys = {}
         for p, c in terms.items():
             poly = _zq(c)
             if p.degree != n:
                 raise ValueError("basis element of degree %d in H_%d" % (p.degree, n))
             if poly:
-                out[index[p.word]] = poly
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", out)
+                polys[index[p.word]] = poly
+        l1 = sum([abs(x) for c in polys.values() for x in c])
+        bits = _width(l1)
+        return _make(n, field, {s: at_power_of_two(c, bits) for s, c in polys.items()}, bits, l1)
 
     def __setattr__(self, *args):
         raise AttributeError("HeckeElement is immutable")
@@ -313,51 +279,55 @@ class HeckeElement:
         if self.n != other.n or self.field != other.field:
             raise ValueError("mixed ambient degree or field")
 
+    def _at(self, bits: int) -> Dict[int, int]:
+        """terms packed at 2^bits, for bits at least self.bits."""
+        if bits == self.bits:
+            return self.terms
+        return {s: at_power_of_two(_from_power_of_two(v, self.bits), bits) for s, v in self.terms.items()}
+
     def coefficient(self, p: Perm) -> Scalar:
         s = _degree(self.n).index.get(p.word)
-        return _to_scalar(self.field, self.terms.get(s, ()))
+        return _to_scalar(self.field, _from_power_of_two(self.terms.get(s, 0), self.bits))
 
     def field_terms(self) -> List[Tuple[Perm, Tuple[int, ...], Scalar]]:
         """(sigma, reduced word of sigma, coefficient in the field), zeros left out."""
         tab = _degree(self.n)
         out = []
-        for s, poly in self.terms.items():
-            c = _to_scalar(self.field, poly)
+        for s, v in self.terms.items():
+            c = _to_scalar(self.field, _from_power_of_two(v, self.bits))
             if not c.is_zero():
                 out.append((tab.perms[s], tab.reduced[s], c))
         return out
 
     def is_zero(self) -> bool:
-        return all(_vanishes(self.field, c) for c in self.terms.values())
+        return not self.terms or (self.field.kind != "ratfunc_q" and not self.field_terms())
 
     # -- linear structure
 
-    def _plus(self, other: "HeckeElement", sign: int) -> "HeckeElement":
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            v = _padd(out.get(s, ()), c, sign)
+        l1 = self.l1 + other.l1
+        bits = max(self.bits, other.bits, digit_bits(l1))
+        out = dict(self._at(bits))
+        for s, c in other._at(bits).items():
+            v = out.get(s, 0) + c
             if v:
                 out[s] = v
             else:
                 del out[s]
-        return _make(self.n, self.field, out)
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        return self._plus(other, 1)
+        return _make(self.n, self.field, out, bits, l1)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self._plus(other, -1)
+        return self + -other
 
     def __neg__(self) -> "HeckeElement":
-        return _make(self.n, self.field, {s: _pneg(c) for s, c in self.terms.items()})
+        return _make(self.n, self.field, {s: -v for s, v in self.terms.items()}, self.bits, self.l1)
 
     def _times(self, poly: ZPoly) -> "HeckeElement":
-        if not poly:
-            return _make(self.n, self.field, {})
-        bits = digit_bits(sum(map(abs, poly)) * _l1(self.terms))
+        l1 = sum(map(abs, poly)) * self.l1
+        bits = max(self.bits, digit_bits(l1))
         p = at_power_of_two(poly, bits)
-        return _make(self.n, self.field, _unpacked({s: p * v for s, v in _packed(self.terms, bits).items()}, bits))
+        return _make(self.n, self.field, {s: p * v for s, v in self._at(bits).items()} if p else {}, bits, l1)
 
     def scale(self, c) -> "HeckeElement":
         """Multiple by an int or a Z[q]-valued scalar."""
@@ -367,12 +337,17 @@ class HeckeElement:
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         self._check_compatible(other)
-        return _make(self.n, self.field, _degree(self.n).product(self.terms, other.terms))
+        tab = _degree(self.n)
+        walked = self.terms if len(self.terms) <= len(other.terms) else other.terms
+        l1 = self.l1 * other.l1 * 3 ** max(map(tab.length.__getitem__, walked), default=0)
+        bits = max(self.bits, other.bits, digit_bits(l1))
+        return _make(self.n, self.field, tab.product(self._at(bits), other._at(bits), bits), bits, l1)
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElement) or self.n != other.n or self.field != other.field:
             return False
-        return self.terms == other.terms or (self - other).is_zero()
+        bits = max(self.bits, other.bits)
+        return self._at(bits) == other._at(bits) or (self - other).is_zero()
 
     def __hash__(self):
         key = frozenset((p.word, c) for p, _w, c in self.field_terms())
@@ -391,30 +366,33 @@ class HeckeElement:
 
 
 def basis_element(p: Perm, field: FieldSpec = GENERIC_Q) -> HeckeElement:
-    return _make(p.degree, field, {_degree(p.degree).index[p.word]: (1,)})
+    return _make(p.degree, field, {_degree(p.degree).index[p.word]: 1}, HOME_BITS, 1)
 
 
 def unit(n: int, field: FieldSpec = GENERIC_Q) -> HeckeElement:
     _degree(n)
-    return _make(n, field, {0: (1,)})
+    return _make(n, field, {0: 1}, HOME_BITS, 1)
 
 
 def generator(i: int, n: int, field: FieldSpec = GENERIC_Q) -> HeckeElement:
     return basis_element(transposition(i, n), field)
 
 
-def _signed(offset: int, length: int) -> ZPoly:
-    """(-1)^length q^(offset - length)."""
-    return _monomial(offset - length, -1 if length % 2 else 1)
+def _signed(n: int, field: FieldSpec, offset: int, support) -> HeckeElement:
+    """sum over sigma in support of (-1)^len q^(offset - len) T_sigma, at the home width."""
+    bits, length = _width(len(support)), _degree(n).length
+    return _make(n, field, {s: (-1 if length[s] % 2 else 1) << (offset - length[s]) * bits for s in support}, bits, len(support))
 
 
 def antisymmetrizer(n: int, field: FieldSpec = GENERIC_Q) -> HeckeElement:
     """y_n = sum over S_n of (-1)^len q^(maxlen - len) T_sigma."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    tab = _degree(n)
-    maxlen = n * (n - 1) // 2
-    return _make(n, field, {s: _signed(maxlen, l) for s, l in enumerate(tab.length)})
+    return _signed(n, field, n * (n - 1) // 2, range(len(_degree(n).length)))
+
+
+# the elements partial_y returns, immutable and shared, keyed by (n, comp.parts, which, field)
+_PARTIAL: Dict[tuple, HeckeElement] = {}
 
 
 def partial_y(n: int, comp: Composition, which: str, field: FieldSpec = GENERIC_Q) -> HeckeElement:
@@ -427,24 +405,28 @@ def partial_y(n: int, comp: Composition, which: str, field: FieldSpec = GENERIC_
     """
     if comp.total != n:
         raise ValueError("composition must sum to %d" % n)
-    tab = _degree(n)
-    inside = set(comp.internal_generators())
-    support = range(len(tab.length))
-    if which == "subgroup":
-        support = [s for s in support if inside.issuperset(tab.reduced[s])]
-    elif which == "left":
-        words = list(tab.index)
-        for i in inside:
-            support = [s for s in support if words[s][i - 1] < words[s][i]]
-    elif which == "right":
-        # the inverses of the left ones: tau_i sigma is longer for every i inside
-        for i in inside:
-            support = [s for s in support if tab.up[i][s]]
-    else:
-        raise ValueError("which must be 'subgroup', 'left' or 'right'")
-    sub_len = comp.longest_length()
-    offset = sub_len if which == "subgroup" else n * (n - 1) // 2 - sub_len
-    return _make(n, field, {s: _signed(offset, tab.length[s]) for s in sorted(support, key=tab.length.__getitem__)})
+    key = (n, comp.parts, which, field)
+    h = _PARTIAL.get(key)
+    if h is None:
+        tab = _degree(n)
+        inside = set(comp.internal_generators())
+        support = range(len(tab.length))
+        if which == "subgroup":
+            support = [s for s in support if inside.issuperset(tab.reduced[s])]
+        elif which == "left":
+            words = list(tab.index)
+            for i in inside:
+                support = [s for s in support if words[s][i - 1] < words[s][i]]
+        elif which == "right":
+            # the inverses of the left ones: tau_i sigma is longer for every i inside
+            for i in inside:
+                support = [s for s in support if tab.up[i][s]]
+        else:
+            raise ValueError("which must be 'subgroup', 'left' or 'right'")
+        sub_len = comp.longest_length()
+        offset = sub_len if which == "subgroup" else n * (n - 1) // 2 - sub_len
+        h = _PARTIAL[key] = _signed(n, field, offset, sorted(support, key=tab.length.__getitem__))
+    return h
 
 
 def coset_y(n: int, k: int, l: int, field: FieldSpec = GENERIC_Q) -> HeckeElement:
@@ -461,7 +443,7 @@ def shift_element(h: HeckeElement, k: int, m: int = 0) -> HeckeElement:
     n = h.n + k + m
     src = _degree(h.n).perms
     index = _degree(n).index
-    return _make(n, h.field, {index[shift(src[s], k, m).word]: c for s, c in h.terms.items()})
+    return _make(n, h.field, {index[shift(src[s], k, m).word]: v for s, v in h.terms.items()}, h.bits, h.l1)
 
 
 def embed(h: HeckeElement, n: int) -> HeckeElement:
@@ -510,11 +492,12 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
 
         # one walk from y_n at the width of y_n * y_n; only the images T_sigma y_n that differ from
         # (-1)^len y_n in Z[q] are kept, and those are decided in the field
-        bits = digit_bits(_l1(y.terms) ** 2 * 3 ** (n * (n - 1) // 2))
-        coeffs = _packed(y.terms, bits)
+        l1 = y.l1 ** 2 * 3 ** (n * (n - 1) // 2)
+        bits = _width(l1)
+        coeffs = y._at(bits)
         signed = coeffs, {s: -v for s, v in coeffs.items()}
         hits, misses = 0, {}
-        for s, image in tab.walk(range(len(tab.length)), y.terms, bits):
+        for s, image in tab.walk(range(len(tab.length)), coeffs, bits):
             odd = tab.length[s] % 2
             if image == signed[odd]:
                 c = coeffs.get(s, 0)
@@ -523,11 +506,11 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
                 misses[s] = image
         # y_n^2 = hits y_n + the other c_sigma T_sigma y_n
         square = _add_pieces({t: hits * v for t, v in coeffs.items()}, coeffs, misses.items())
-        eq("square.n%d" % n, "y_n^2 = [n]!_q y_n", _make(n, field, _unpacked(square, bits)), y.scale(qfact(n)))
+        eq("square.n%d" % n, "y_n^2 = [n]!_q y_n", _make(n, field, square, bits, l1), y.scale(qfact(n)))
 
         def left(name, rule, s):
             if s in misses:
-                eq(name, rule, _make(n, field, _unpacked(misses[s], bits)), y.scale(-1 if tab.length[s] % 2 else 1))
+                eq(name, rule, _make(n, field, misses[s], bits, l1), y.scale(-1 if tab.length[s] % 2 else 1))
             else:
                 report.record(name, rule, True)
 
@@ -585,8 +568,7 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
 
         # inductive formulas via the one-row coset space
         if n >= 2:
-            left = _make(n, field, {})
-            right = _make(n, field, {})
+            left = right = _make(n, field, {}, HOME_BITS, 0)
             y_prev = embed(antisymmetrizer(n - 1, field), n)
             for i in range(1, n + 1):
                 coeff = _monomial(i - 1, -1 if (n - i) % 2 else 1)

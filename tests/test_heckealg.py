@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import GENERIC_Q, cyclotomic_field, qfact
+from heckesym.exactnum import GENERIC_Q, RATIONAL, _from_power_of_two, at_power_of_two, cyclotomic_field, digit_bits, qfact
 from heckesym.heckealg import (
     HeckeElement,
     _degree,
@@ -23,6 +23,11 @@ from heckesym.permgroup import Composition, Perm, cycle, enumerate_perms, transp
 
 F = GENERIC_Q
 q = F.q()
+
+
+def _zq_terms(h):
+    """h's coefficients as Z[q] tuples, low degree first, read back from its packed ints."""
+    return {s: tuple(_from_power_of_two(v, h.bits)) for s, v in h.terms.items()}
 
 
 def test_generator_square():
@@ -262,7 +267,7 @@ def test_square_scales_by_the_q_factorial(field):
     for n in range(7):
         assert qfact(n) == sum((c * q ** k for k, c in enumerate(_qfact(n))), F.zero())
         y = antisymmetrizer(n, field)
-        assert y.scale(qfact(n)).terms == y._times(_qfact(n)).terms
+        assert _zq_terms(y.scale(qfact(n))) == _zq_terms(y._times(_qfact(n)))
         if n <= 4:
             assert y * y == y.scale(qfact(n))
     report = verify_identities(4, field)
@@ -284,7 +289,7 @@ def test_equality_is_decided_in_the_field():
     # [3]_q = 1 + q + q^2 is nonzero in Z[q] and vanishes at q = zeta_3
     three = 1 + q + q * q
     h = basis_element(Perm((2, 1, 3)), ROOT3).scale(three)
-    assert h.terms and h.is_zero() and h.field_terms() == []
+    assert _zq_terms(h) == {_index(Perm((2, 1, 3))): (1, 1, 1)} and h.is_zero() and h.field_terms() == []
     assert h == unit(3, ROOT3).scale(0)
     assert hash(h) == hash(unit(3, ROOT3).scale(0))
     assert not basis_element(Perm((2, 1, 3))).scale(three).is_zero()
@@ -350,10 +355,10 @@ def test_packed_products_reach_the_bound_exactly(field):
         for sign in (1, -1):
             a = HeckeElement(3, field, {e: sign * (top // 3)})
             b = HeckeElement(3, field, {w: 3 * q})
-            assert (a * b).terms == {_index(w): (0, 3 * sign * (top // 3))}
+            assert _zq_terms(a * b) == {_index(w): (0, 3 * sign * (top // 3))}
             one = HeckeElement(3, field, {e: sign * top})
-            assert (one * basis_element(w, field)).terms == {_index(w): (sign * top,)}
-            assert basis_element(w, field).scale(sign * top).terms == {_index(w): (sign * top,)}
+            assert _zq_terms(one * basis_element(w, field)) == {_index(w): (sign * top,)}
+            assert _zq_terms(basis_element(w, field).scale(sign * top)) == {_index(w): (sign * top,)}
     # T_w0^2 has coefficients up to 5 in H_4 and 13 in H_5: the 3^len factor of the bound is needed
     for n in (4, 5):
         w0 = Perm(tuple(range(n, 0, -1)))
@@ -385,7 +390,7 @@ def test_basis_left_decides_a_zq_mismatch_in_the_field(monkeypatch):
     y = _perturbed_antisymmetrizer(monkeypatch, PHI3)(3, ROOT3)
     # T_sigma y differs from (-1)^len y in Z[q] by a multiple of Phi_3, which vanishes at zeta_3
     sigma = Perm((2, 1, 3))
-    assert (basis_element(sigma, ROOT3) * y).terms != y.scale(-1).terms
+    assert _zq_terms(basis_element(sigma, ROOT3) * y) != _zq_terms(y.scale(-1))
     assert basis_element(sigma, ROOT3) * y == y.scale(-1)
     report = verify_identities(3, ROOT3)
     basis_left = [c for c in report.checks if c.name.startswith("basis-left.")]
@@ -433,13 +438,20 @@ def _compositions(n):
         yield Composition(tuple(parts + [run]))
 
 
-def test_partial_y_supports_match_the_perm_filters():
+def test_partial_y_supports_match_the_perm_filters(monkeypatch):
+    from heckesym import heckealg
+
+    monkeypatch.setattr(heckealg, "_PARTIAL", {})
     for n in range(1, 7):
         for comp in _compositions(n):
             for which in ("subgroup", "left", "right"):
-                got = [p for p, _word, _c in partial_y(n, comp, which).field_terms()]
-                want = _oracle_young_elements(n, comp) if which == "subgroup" else _oracle_coset_reps(n, comp, which)
-                assert got == want, (n, comp, which)
+                perms = _oracle_young_elements(n, comp) if which == "subgroup" else _oracle_coset_reps(n, comp, which)
+                sub_len = comp.longest_length()
+                offset = sub_len if which == "subgroup" else n * (n - 1) // 2 - sub_len
+                want = [(p, (-1) ** p.length() * q ** (offset - p.length())) for p in perms]
+                # built from the degree table, then read from the cache
+                first, second = partial_y(n, comp, which), partial_y(n, comp, which)
+                assert second is first and [(p, c) for p, _word, c in first.field_terms()] == want, (n, comp, which)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +568,7 @@ def test_identity_suite_walks_once_from_each_antisymmetrizer(monkeypatch):
     assert steps[0] <= 1400, steps[0]
     # y_1 is the unit, which other products walk from
     for n in range(2, 7):
+        # the roots are packed ints: up to degree 6 the suite walks at y_n's own home width
         y = antisymmetrizer(n).terms
         # walks from y_n that make a generator step (products by the unit walk only the identity): one walk over
         # S_n feeds square, gen-left and basis-left; the rest are gen-right's y_n T_i = (T_i y_n*)*, y_n* = y_n
@@ -566,3 +579,150 @@ def test_identity_suite_walks_once_from_each_antisymmetrizer(monkeypatch):
         steps[0] = 0
         assert y * generator(i, 5) == -y
         assert steps[0] <= 2, (i, steps[0])
+
+
+# ---------------------------------------------------------------------------
+# packed elements against the tuple arithmetic they replaced: Z[q] tuples added coefficient by coefficient, and a
+# product packed at the width of its own L1 bound for one walk, then unpacked
+
+Q2 = RATIONAL.with_q(RATIONAL.scalar(2))
+FIELDS = pytest.mark.parametrize("field", [F, Q2, ROOT3], ids=["generic", "q=2", "zeta3"])
+# past one and two machine words, so that operands of different widths mix
+BIG = [2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**65 - 3, 2**65, 2**128]
+
+
+def _padd(a, b, sign=1):
+    r = list(a) + [0] * (len(b) - len(a))
+    for k, x in enumerate(b):
+        r[k] += sign * x
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
+def _pmul(a, b):
+    r = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            r[i + j] += x * y
+    return tuple(r)
+
+
+def _tuple_sum(a, b, sign=1):
+    out = dict(a)
+    for s, c in b.items():
+        v = _padd(out.get(s, ()), c, sign)
+        if v:
+            out[s] = v
+        else:
+            del out[s]
+    return out
+
+
+def _l1(terms):
+    return sum(abs(x) for c in terms.values() for x in c)
+
+
+def _tuple_product(tab, a, b):
+    if not a or not b:
+        return {}
+    if len(b) < len(a):
+        inv = tab.inv
+        ab = _tuple_product(tab, {inv[s]: c for s, c in b.items()}, {inv[s]: c for s, c in a.items()})
+        return {inv[s]: c for s, c in ab.items()}
+    bits = digit_bits(_l1(a) * _l1(b) * 3 ** max(tab.length[s] for s in a))
+    acc = {}
+    for s, piece in tab.walk(a, {t: at_power_of_two(c, bits) for t, c in b.items()}, bits):
+        if s in a:
+            c = at_power_of_two(a[s], bits)
+            for t, v in piece.items():
+                acc[t] = acc.get(t, 0) + c * v
+    return {t: tuple(_from_power_of_two(v, bits)) for t, v in acc.items() if v}
+
+
+def _value(field, poly):
+    out = field.zero()
+    for c in reversed(poly):
+        out = out * field.q() + field.scalar(c)
+    return out
+
+
+def _random_poly(rng, big):
+    while True:
+        poly = _padd([rng.choice((0, rng.randint(-3, 3), rng.choice((1, -1)) * rng.choice(BIG) if big else 2)) for _ in range(rng.randint(1, 4))], ())
+        if poly:
+            return poly
+
+
+def _qpoly(poly):
+    return sum((F.scalar(c) * q**k for k, c in enumerate(poly)), F.zero())
+
+
+def _element(n, field, terms):
+    perms = _degree(n).perms
+    return HeckeElement(n, field, {perms[s]: _qpoly(c) for s, c in terms.items()})
+
+
+def _holds(h, terms):
+    """h holds exactly these Z[q] terms, at a width that its L1 bound fits and no narrower than the home width."""
+    assert _zq_terms(h) == terms and all(h.terms.values())
+    assert h.l1 >= _l1(terms) and h.bits >= max(64, digit_bits(h.l1))
+
+
+@FIELDS
+def test_packed_elements_match_the_tuple_arithmetic(field):
+    rng = random.Random(32)
+    vanishing = (1, 1, 1) if field is ROOT3 else (-2, 1) if field is Q2 else (1, 1)
+    widths = set()
+    for n in range(1, 5):
+        tab, order = _degree(n), len(_degree(n).perms)
+        pairs = []
+        for _ in range(12):
+            A, B = ({s: _random_poly(rng, big) for s in rng.sample(range(order), min(rng.randint(0, 4), order))} for big in (rng.random() < 0.6, rng.random() < 0.3))
+            if rng.random() < 0.4:
+                # B differs from A in Z[q] by a multiple of a polynomial that vanishes at this field's q (none at generic q)
+                B = _tuple_sum(A, {rng.randrange(order): _pmul(vanishing, _random_poly(rng, True))})
+            pairs.append((A, B))
+        # two operands at the home width whose sum needs a wider one
+        pairs.append(({0: (2**63 - 1,)}, {0: (2**63 - 1,)}))
+        if n > 1:
+            # c (T_1 + 1) and T_1 - q: every coefficient of their product cancels
+            c, s1 = _random_poly(rng, True), tab.left[1][0]
+            pairs.append(({0: c, s1: c}, {0: (0, -1), s1: (1,)}))
+        for A, B in pairs:
+            a, b = _element(n, field, A), _element(n, field, B)
+            _holds(a, A)
+            _holds(b, B)
+            widths.add((a.bits, b.bits))
+            for got, want in [(a + b, _tuple_sum(A, B)), (a - b, _tuple_sum(A, B, -1)), (-a, {s: _pmul(c, (-1,)) for s, c in A.items()}), (a * b, _tuple_product(tab, A, B)), (b * a, _tuple_product(tab, B, A))]:
+                _holds(got, want)
+            p = _random_poly(rng, rng.random() < 0.5) if rng.random() < 0.9 else ()
+            _holds(a._times(p), {s: _pmul(p, c) for s, c in A.items()} if p else {})
+            _holds(a.scale(_qpoly(p)), {s: _pmul(p, c) for s, c in A.items()} if p else {})
+            equal = all(_value(field, c).is_zero() for c in _tuple_sum(A, B, -1).values())
+            assert (a == b) is equal and (b == a) is equal and (a - b).is_zero() is equal
+            assert a.is_zero() is all(_value(field, c).is_zero() for c in A.values())
+            if equal:
+                assert hash(a) == hash(b)
+            k, m = rng.randint(0, 2), rng.randint(0, 1)
+            shifted = {_degree(n + k + m).index[tuple(range(1, k + 1)) + tuple(x + k for x in tab.perms[s].word) + tuple(range(n + k + 1, n + k + m + 1))]: c for s, c in A.items()}
+            _holds(shift_element(a, k, m), shifted)
+            _holds(embed(a, n + m), {_degree(n + m).index[tab.perms[s].word + tuple(range(n + 1, n + m + 1))]: c for s, c in A.items()})
+    assert {64} < {bits for pair in widths for bits in pair} and any(x != y for x, y in widths)
+
+
+def test_home_width_elements_are_never_unpacked(monkeypatch):
+    from heckesym import heckealg
+
+    y, g = antisymmetrizer(5), generator(2, 5)
+    square = y.scale(qfact(5))
+
+    def refuse(*args):
+        raise AssertionError("unpacked at %r" % (args,))
+
+    monkeypatch.setattr(heckealg, "_from_power_of_two", refuse)
+    # the benchmark's tracer counts len(h.terms) on each traced product, so that must read no coefficient
+    elements = [y * g, g * y, y * y, y + g, y - g, -y, y._times((0, 1)), shift_element(y, 1), square]
+    assert [len(h.terms) for h in elements] == [120, 120, 120, 120, 120, 120, 120, 120, 120]
+    assert all(h.bits == 64 for h in elements)
+    assert y * g == -y and g * y == -y and y * y == square and "__mul__" in vars(HeckeElement)
