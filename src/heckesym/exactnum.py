@@ -917,9 +917,7 @@ def _from_power_of_two(x: int, bits: int) -> list:
     trailing zeros; bits a multiple of 8 (_digits)."""
     if not x:
         return []
-    width, n = bits >> 3, x.bit_length() // bits + 1
-    code, bias = _SIGNED.get(width), _bias(width, n)
-    out = memoryview(((x + bias) ^ bias).to_bytes(n * width, "little")).cast(code).tolist() if code else _digits((x,), bits, n)
+    out = _digits((x,), bits, x.bit_length() // bits + 1)
     while not out[-1]:
         out.pop()
     return out

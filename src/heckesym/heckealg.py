@@ -26,15 +26,18 @@ where they differ and q is a constant, == and is_zero decide in the field,
 since a nonzero Z[q] difference may vanish at a root of unity.  Only that,
 `coefficient` and `field_terms` (so hash and repr) unpack.
 
-Per degree n, the first use builds and caches a table of S_n: the index of
-each sigma and of sigma^-1, the index of tau_i sigma with whether the
-length goes up, the lengths and the reduced words (smallest left descent
-first).  One walk yields T_sigma b for a set of sigma, depth first along
-the reduced words, each from its parent's image T_rho b (sigma = tau_i rho)
-by one generator step.  A product a * b sums a_sigma T_sigma b over that
-walk.  When supp b is the smaller, it walks b instead, through the
-anti-involution T_sigma -> T_(sigma^-1) (the reduced words reversed):
-a * b = (b* a*)*, and the bound is the same, as len(sigma^-1) = len(sigma).
+Per degree n, the first use builds and caches a table of S_n in
+lexicographic one-line order, all by index: the words, tau_i sigma with
+whether the length goes up, the first letter of each reduced word (its
+smallest left descent), the reduced words, their lengths and sigma^-1.  A
+Perm appears only at the API boundary: the constructor, `coefficient` and
+`field_terms`.  One walk (`permgroup.walk_words`) goes depth first along the
+reduced words, sigma one step from tau_i sigma, i its first letter.  Its
+step builds a reduced word (prepends i), a shift (tau_(k+i) on the index in
+the target degree's table) or T_sigma b (T_i on packed coefficients), and a
+product a * b sums a_sigma T_sigma b over it, or walks b when supp b is the
+smaller, through the anti-involution T_sigma -> T_(sigma^-1): a * b =
+(b* a*)*, with the same bound, as len(sigma^-1) = len(sigma).
 
 The identity suite makes one walk from y_n per degree, at the width of
 y_n * y_n, and compares each image T_sigma y_n with (-1)^len y_n.  The
@@ -51,7 +54,7 @@ from itertools import permutations
 from typing import Dict, List, Tuple
 
 from .exactnum import FieldSpec, GENERIC_Q, Scalar, _from_power_of_two, at_power_of_two, digit_bits, qfact
-from .permgroup import MAX_ENUM_DEGREE, Composition, Perm, cycle, shift, transposition
+from .permgroup import MAX_ENUM_DEGREE, Composition, Perm, cycle, transposition, walk_words
 from .report import CheckReport
 
 __all__ = [
@@ -94,30 +97,16 @@ def _zq(value) -> ZPoly:
     raise ValueError("coefficient %r is not in Z[q]" % (value,))
 
 
-# powers of the bound q, per field with q bound to a constant
-_QPOWERS: Dict[FieldSpec, list] = {}
-
-
 def _to_scalar(field: FieldSpec, poly) -> Scalar:
-    """The value of a Z[q] polynomial (low degree first) at field.q()."""
-    if not poly:
-        return field.zero()
+    """The value of a Z[q] polynomial (low degree first) at field.q(), by Horner's rule unless over ratfunc_q."""
     ctx = field._cyc
     if field.kind == "ratfunc_q":
         pad = ctx.zero[1:]
-        return Scalar(field, tuple([(c,) + pad for c in poly]), (ctx.one,))
-    powers = _QPOWERS.setdefault(field, [ctx.one])
-    if len(powers) < len(poly):
-        qv = field.q().constant()
-        while len(powers) < len(poly):
-            powers.append(ctx.mul(powers[-1], qv))
-    vec = list(ctx.zero)
-    for c, pw in zip(poly, powers):
-        if c:
-            for j, x in enumerate(pw):
-                if x:
-                    vec[j] += c * x
-    return field.from_cyc(vec)
+        return Scalar(field, tuple([(c,) + pad for c in poly]), (ctx.one,)) if poly else field.zero()
+    out, q = field.zero(), field.q()
+    for c in reversed(poly):
+        out = out * q + c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +116,20 @@ def _to_scalar(field: FieldSpec, poly) -> Scalar:
 class _Degree:
     """S_n in lexicographic one-line order, with its generator action.
 
+    words[s] is the one-line word of sigma_s and index maps it back to s;
     left[i][s] is the index of tau_i * sigma_s and up[i][s] says whether
     that raises the length; first[s] is the first letter of the reduced
-    word of sigma_s (its smallest left descent, 0 for the identity);
-    inv[s] is the index of sigma_s^-1.
+    word of sigma_s (its smallest left descent, 0 for the identity), and
+    reduced[s] that word, of length length[s]; inv[s] is the index of
+    sigma_s^-1.
     """
 
-    __slots__ = ("index", "left", "up", "length", "first", "reduced", "perms", "inv")
+    __slots__ = ("words", "index", "left", "up", "first", "reduced", "length", "inv")
 
     def __init__(self, n: int):
         if n > MAX_ENUM_DEGREE:
             raise ValueError("degree %d exceeds the enumeration bound %d" % (n, MAX_ENUM_DEGREE))
-        words = list(permutations(range(1, n + 1)))
+        self.words = words = list(permutations(range(1, n + 1)))
         self.index = {w: s for s, w in enumerate(words)}
         self.left: List[List[int]] = [[]]
         self.up: List[List[bool]] = [[]]
@@ -152,15 +143,10 @@ class _Degree:
                 up_i.append(a < b)
             self.left.append(left_i)
             self.up.append(up_i)
-        self.length = [sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b]) for w in words]
-        self.first = [next((i for i in range(1, n) if not self.up[i][s]), 0) for s in range(len(words))]
-        self.reduced: List[Tuple[int, ...]] = [()] * len(words)
-        for s in sorted(range(len(words)), key=self.length.__getitem__):
-            i = self.first[s]
-            if i:
-                self.reduced[s] = (i,) + self.reduced[self.left[i][s]]
-        self.perms = [Perm(w) for w in words]
-        self.inv = [self.index[p.inverse().word] for p in self.perms]
+        self.first = first = [next((i for i in range(1, n) if not self.up[i][s]), 0) for s in range(len(words))]
+        self.reduced = [word for _s, word in sorted(self.walk(range(len(words)), lambda s, word: (first[s],) + word, ()))]
+        self.length = [len(word) for word in self.reduced]
+        self.inv = [self.index[tuple([i for _v, i in sorted(zip(w, range(1, n + 1)))])] for w in words]
 
     def gen_mul(self, i: int, terms: Dict[int, int], bits: int) -> Dict[int, int]:
         """T_i * h on packed coefficients; tau_i pairs each sigma with tau_i sigma, handled once per pair."""
@@ -183,27 +169,10 @@ class _Degree:
                 out[s] = (c << bits) - c
         return out
 
-    def walk(self, support, b: Dict[int, int], bits: int):
-        """(s, T_sigma_s b) for s in support and for the prefixes of their reduced words, b packed at 2^bits,
-        depth first along the reduced words: each image is one generator step from another."""
+    def walk(self, support, step, start):
+        """permgroup.walk_words over support along the reduced words: sigma_s's image is step(s, that of tau_i sigma_s), i = first[s]."""
         first, left = self.first, self.left
-        need = {0}
-        for s in support:
-            while s not in need:
-                need.add(s)
-                s = left[first[s]][s]
-        kids: Dict[int, List[int]] = {s: [] for s in need}
-        for s in need:
-            if s:
-                kids[left[first[s]][s]].append(s)
-        stack = [(0, 0, b)]
-        while stack:
-            s, i, piece = stack.pop()
-            if i:
-                piece = self.gen_mul(i, piece, bits)
-            yield s, piece
-            for t in kids[s]:
-                stack.append((t, first[t], piece))
+        return walk_words(support, lambda s: left[first[s]][s], step, start, 0)
 
     def product(self, a: Dict[int, int], b: Dict[int, int], bits: int) -> Dict[int, int]:
         """sum_(sigma in supp a) a_sigma T_sigma b, packed at 2^bits, on one walk over the smaller support:
@@ -212,7 +181,8 @@ class _Degree:
             inv = self.inv
             ab = self.product({inv[s]: c for s, c in b.items()}, {inv[s]: c for s, c in a.items()}, bits)
             return {inv[s]: c for s, c in ab.items()}
-        return _add_pieces({}, a, self.walk(a, b, bits))
+        first, gen_mul = self.first, self.gen_mul
+        return _add_pieces({}, a, self.walk(a, lambda s, piece: gen_mul(first[s], piece, bits), b))
 
 
 def _add_pieces(acc: Dict[int, int], coeffs: Dict[int, int], pieces) -> Dict[int, int]:
@@ -292,12 +262,8 @@ class HeckeElement:
     def field_terms(self) -> List[Tuple[Perm, Tuple[int, ...], Scalar]]:
         """(sigma, reduced word of sigma, coefficient in the field), zeros left out."""
         tab = _degree(self.n)
-        out = []
-        for s, v in self.terms.items():
-            c = _to_scalar(self.field, _from_power_of_two(v, self.bits))
-            if not c.is_zero():
-                out.append((tab.perms[s], tab.reduced[s], c))
-        return out
+        values = [(s, _to_scalar(self.field, _from_power_of_two(v, self.bits))) for s, v in self.terms.items()]
+        return [(Perm(tab.words[s]), tab.reduced[s], c) for s, c in values if not c.is_zero()]
 
     def is_zero(self) -> bool:
         return not self.terms or (self.field.kind != "ratfunc_q" and not self.field_terms())
@@ -414,9 +380,8 @@ def partial_y(n: int, comp: Composition, which: str, field: FieldSpec = GENERIC_
         if which == "subgroup":
             support = [s for s in support if inside.issuperset(tab.reduced[s])]
         elif which == "left":
-            words = list(tab.index)
             for i in inside:
-                support = [s for s in support if words[s][i - 1] < words[s][i]]
+                support = [s for s in support if tab.words[s][i - 1] < tab.words[s][i]]
         elif which == "right":
             # the inverses of the left ones: tau_i sigma is longer for every i inside
             for i in inside:
@@ -439,11 +404,13 @@ def coset_y(n: int, k: int, l: int, field: FieldSpec = GENERIC_Q) -> HeckeElemen
 
 
 def shift_element(h: HeckeElement, k: int, m: int = 0) -> HeckeElement:
-    """Image of h under T_i -> T_(k+i), with m further fixed points on top."""
-    n = h.n + k + m
-    src = _degree(h.n).perms
-    index = _degree(n).index
-    return _make(n, h.field, {index[shift(src[s], k, m).word]: v for s, v in h.terms.items()}, h.bits, h.l1)
+    """Image of h under T_i -> T_(k+i), with m further fixed points on top: supp h walked along its reduced
+    words, each letter i stepped as tau_(k+i) on the index in the table of S_(n+k+m)."""
+    if k < 0 or m < 0:
+        raise ValueError("shift amounts must be nonnegative")
+    tab, left = _degree(h.n), _degree(h.n + k + m).left
+    image = dict(tab.walk(h.terms, lambda s, t: left[tab.first[s] + k][t], 0))
+    return _make(h.n + k + m, h.field, {image[s]: v for s, v in h.terms.items()}, h.bits, h.l1)
 
 
 def embed(h: HeckeElement, n: int) -> HeckeElement:
@@ -497,7 +464,7 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
         coeffs = y._at(bits)
         signed = coeffs, {s: -v for s, v in coeffs.items()}
         hits, misses = 0, {}
-        for s, image in tab.walk(range(len(tab.length)), coeffs, bits):
+        for s, image in tab.walk(range(len(tab.length)), lambda s, piece: tab.gen_mul(tab.first[s], piece, bits), coeffs):
             odd = tab.length[s] % 2
             if image == signed[odd]:
                 c = coeffs.get(s, 0)
@@ -518,9 +485,9 @@ def verify_identities(n_max: int = 5, field: FieldSpec = GENERIC_Q) -> CheckRepo
             left("gen-left.n%d.i%d" % (n, i), "T_i y_n = -y_n", tab.left[i][0])
             eq("gen-right.n%d.i%d" % (n, i), "y_n T_i = -y_n", y * generator(i, n, field), -y)
 
-        for s, (p, l) in enumerate(zip(tab.perms, tab.length)):
+        for s, (word, l) in enumerate(zip(tab.words, tab.length)):
             if l > 1:
-                left("basis-left.n%d.%s" % (n, "".join(map(str, p.word))), "T_sigma y_n = (-1)^len y_n", s)
+                left("basis-left.n%d.%s" % (n, "".join(map(str, word))), "T_sigma y_n = (-1)^len y_n", s)
 
         for comp in _two_part_comps(n):
             tag = "%d,%d" % comp.parts

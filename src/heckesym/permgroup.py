@@ -1,5 +1,7 @@
 """Symmetric-group combinatorics: lengths, cycles, Young subgroups,
-the longest distinguished coset representative, shifts.
+the longest distinguished coset representative, shifts, and walk_words,
+the one depth-first walk along words (reduced words in heckealg, the
+suffixes of a slot action's words in symmetry._packed_act).
 
 Permutations use one-line notation with 1-based mathematical indices:
 word[i-1] = sigma(i).  Composition is (pi * sigma)(i) = pi(sigma(i)).
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _itertools_perms
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 __all__ = [
     "Perm",
@@ -21,6 +23,7 @@ __all__ = [
     "longest_rho",
     "shift",
     "enumerate_perms",
+    "walk_words",
     "MAX_ENUM_DEGREE",
 ]
 
@@ -173,6 +176,29 @@ def enumerate_perms(n: int) -> Iterator[Perm]:
         raise ValueError("degree %d exceeds the enumeration bound %d" % (n, MAX_ENUM_DEGREE))
     for w in _itertools_perms(range(1, n + 1)):
         yield Perm(w)
+
+
+def walk_words(nodes: Iterable, parent: Callable, step: Callable, start, root=()) -> Iterator[tuple]:
+    """(node, image) for root, the nodes and all their ancestors under parent, each distinct node once, depth first.
+
+    root's image is start and any other node's is step(node, its parent's image), so each image is one step from
+    another; only the parent images of pending siblings are held.  A word's parent is the word with its first
+    letter dropped, a permutation's that of its reduced word.
+    """
+    kids = {root: []}
+    for node in nodes:
+        while node not in kids:
+            kids[node] = []
+            node = parent(node)
+    for node in list(kids)[1:]:
+        kids[parent(node)].append(node)
+    yield root, start
+    stack = [(child, start) for child in kids[root]]
+    while stack:
+        node, image = stack.pop()
+        image = step(node, image)
+        yield node, image
+        stack += [(child, image) for child in kids[node]]
 
 
 @dataclass(frozen=True)

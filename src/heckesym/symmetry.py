@@ -32,11 +32,11 @@ the row slots of an N^2 x N^2 matrix (conjugation, the square-commutes
 identity), the matrices of T_i, T_sigma and rep(h), the quadratic relation
 and the braid defect -- is one sum of c * A_word(v) over slot-local steps
 (_packed_act), whose result is one exactnum.Packed family.  Its words, read
-right to left, form a tree of suffixes walked depth first, as
-heckealg._Degree.walk walks reduced words: each distinct suffix is one step
-from its parent's image, each term's image is added when the walk reaches
-its word, and only the parent images of pending siblings are held; one word
-with no coefficient is a chain, stepped letter by letter with no tree.  A
+right to left, are walked by `permgroup.walk_words` over their suffixes, a
+word's parent the word with its first letter dropped: each distinct suffix
+is one step from its parent's image, each term's image is added when the
+walk reaches its word, and only the parent images of pending siblings are
+held; one word with no coefficient is a chain, stepped letter by letter.  A
 family of m vectors, stacked (linalg._stack) or placed from two factors
 (linalg.Placed: units, t (x) e_j, t (x) a basis, u (x) w), is acted on at
 once, its images stacked the same way; m = 1 is one vector.  It is packed
@@ -64,7 +64,7 @@ from .exprio import format_scalar, parse_scalar
 from .heckealg import HeckeElement, coset_y
 from .linalg import MatrixF, Placed, Subspace, kron_vec
 from .multipoly import MultiPoly
-from .permgroup import Perm
+from .permgroup import Perm, walk_words
 
 __all__ = [
     "HeckeSymmetry",
@@ -172,9 +172,9 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
     (linalg._stack) or placed (linalg.Placed), or one for m = 1, as an exactnum.Packed family.
 
     A is the operator of table (see column_table) on consecutive slots of V^(x)n with dim V = N; A_word applies it
-    from slot word[-1] on, then from word[-2] on, and so on.  One walk, depth first over the tree of the words'
-    suffixes, steps each distinct suffix once from its parent's image, holding only the parent images of pending
-    siblings, and adds each term's image when it reaches the term's word; a coefficient +-2^e on the ints (+-q^e at
+    from slot word[-1] on, then from word[-2] on, and so on.  One walk over the words' suffixes
+    (`permgroup.walk_words`, a word's parent w[1:]) steps each distinct suffix once from its parent's image and adds
+    each term's image when it reaches the term's word; a coefficient +-2^e on the ints (+-q^e at
     q = 2^step, or +-1) is added as a shift and a sign.  A single term with c None is a chain: its letters are
     stepped right to left, with no tree, and its image is the result.  A Scalar or Placed vec is packed once, the m
     lanes of each tensor coordinate one int, and the sum is comps over one denominator, the product of the input's,
@@ -220,16 +220,11 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
         for letter in reversed(terms[0][0]):
             comps = _int_step(cols, letter, N, comps, start)
         return Packed(field, comps, den, bits, m)
-    kids, ends = {}, {}
-    for i, word in enumerate([tuple(w) for w, _c in terms]):
-        ends.setdefault(word, []).append(i)
-        for j in range(len(word)):
-            kids.setdefault(word[j + 1 :], {})[word[j:]] = None
+    ends = {}
+    for i, (w, _c) in enumerate(terms):
+        ends.setdefault(tuple(w), []).append(i)
     out = [[start] * len(comps[0]) for _ in comps]
-    stack = [((), comps)]
-    while stack:
-        w, y = stack.pop()
-        y = _int_step(cols, w[0], N, y, start) if w else y
+    for w, y in walk_words(ends, lambda w: w[1:], lambda w, y: _int_step(cols, w[0], N, y, start), comps):
         for i in ends.get(w, ()):
             for (a, acc), (b, ys) in product(enumerate(out), enumerate(y)):
                 c = (a == b) if mats[i] is None else mats[i][a][b]
@@ -240,7 +235,6 @@ def _packed_act(table: tuple, N: int, terms: Sequence, vec: Sequence, zero, m: i
                     for k, x in enumerate(ys):
                         if x:
                             acc[k] += x if c is True else c * x if not sign else x << e if sign > 0 else -(x << e)
-        stack += [(kid, y) for kid in kids.get(w, ())]
     return Packed(field, out, den, bits, m)
 
 
@@ -252,16 +246,15 @@ def _packed_vanishes(packs: Sequence, matrix) -> Tuple[bool, str]:
     return _vanishes(matrix())
 
 
-def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1, skip: int = 0) -> tuple:
-    """A^(x)k on a vector of V^(x)k, or on m of them stacked (linalg._stack), one slot at a time;
-    with skip > 0, Id^(x)skip (x) A^(x)k on vectors of V^(x)(skip+k).
+def apply_power(A: MatrixF, k: int, vec: Sequence, zero=None, m: int = 1) -> tuple:
+    """A^(x)k on a vector of V^(x)k, or on m of them stacked (linalg._stack), one slot at a time.
 
     zero is that of the vector's domain (by default the domain of A).
     """
-    if A.rows != A.cols or len(vec) != A.rows ** (skip + k) * m:
+    if A.rows != A.cols or len(vec) != A.rows ** k * m:
         raise ValueError("vector length mismatch")
     zero = A.domain.zero() if zero is None else zero
-    return _packed_act(column_table(A), A.rows, [(range(skip + 1, skip + k + 1), None)], vec, zero, m).values()
+    return _packed_act(column_table(A), A.rows, [(range(1, k + 1), None)], vec, zero, m).values()
 
 
 def _format_entry(x) -> str:

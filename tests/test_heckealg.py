@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckesym.exactnum import GENERIC_Q, RATIONAL, _from_power_of_two, at_power_of_two, cyclotomic_field, digit_bits, qfact
+from heckesym.exactnum import GENERIC_Q, RATIONAL, _from_power_of_two, at_power_of_two, cyclotomic_field, digit_bits, qfact, specialize
 from heckesym.heckealg import (
     HeckeElement,
     _degree,
@@ -19,7 +19,7 @@ from heckesym.heckealg import (
     unit,
     verify_identities,
 )
-from heckesym.permgroup import Composition, Perm, cycle, enumerate_perms, transposition
+from heckesym.permgroup import Composition, Perm, cycle, enumerate_perms, shift, transposition
 
 F = GENERIC_Q
 q = F.q()
@@ -494,16 +494,20 @@ def test_checks_read_off_the_walk_match_the_product_oracle(field, extra, monkeyp
 
 
 def _count_walks(monkeypatch):
-    """Records (support, root, order of the group) of every walk, and counts generator steps."""
+    """Records (support, root, order of the group) of every product walk, and counts generator steps.
+
+    A product walk starts from packed terms; shift_element walks from an index and the reduced-word table from the
+    empty word, and neither is recorded."""
     from heckesym.heckealg import _Degree
 
     walks, steps = [], [0]
     walk, gen_mul = _Degree.walk, _Degree.gen_mul
 
-    def counted_walk(self, support, b, bits):
+    def counted_walk(self, support, step, start):
         support = list(support)
-        walks.append((support, dict(b), len(self.length)))
-        return walk(self, support, b, bits)
+        if isinstance(start, dict):
+            walks.append((support, dict(start), len(self.length)))
+        return walk(self, support, step, start)
 
     def counted_gen_mul(self, i, terms, bits):
         steps[0] += 1
@@ -556,8 +560,7 @@ def test_product_walks_the_smaller_factor(field, monkeypatch):
 def test_inverse_table_is_a_length_preserving_involution():
     for n in range(1, 7):
         tab = _degree(n)
-        assert [tab.perms[t] for t in tab.inv] == [p.inverse() for p in tab.perms]
-        assert [tab.inv[t] for t in tab.inv] == list(range(len(tab.perms)))
+        assert [tab.inv[t] for t in tab.inv] == list(range(len(tab.words)))
         assert [tab.length[t] for t in tab.inv] == tab.length
 
 
@@ -632,7 +635,7 @@ def _tuple_product(tab, a, b):
         return {inv[s]: c for s, c in ab.items()}
     bits = digit_bits(_l1(a) * _l1(b) * 3 ** max(tab.length[s] for s in a))
     acc = {}
-    for s, piece in tab.walk(a, {t: at_power_of_two(c, bits) for t, c in b.items()}, bits):
+    for s, piece in tab.walk(a, lambda s, piece: tab.gen_mul(tab.first[s], piece, bits), {t: at_power_of_two(c, bits) for t, c in b.items()}):
         if s in a:
             c = at_power_of_two(a[s], bits)
             for t, v in piece.items():
@@ -659,8 +662,8 @@ def _qpoly(poly):
 
 
 def _element(n, field, terms):
-    perms = _degree(n).perms
-    return HeckeElement(n, field, {perms[s]: _qpoly(c) for s, c in terms.items()})
+    words = _degree(n).words
+    return HeckeElement(n, field, {Perm(words[s]): _qpoly(c) for s, c in terms.items()})
 
 
 def _holds(h, terms):
@@ -675,7 +678,7 @@ def test_packed_elements_match_the_tuple_arithmetic(field):
     vanishing = (1, 1, 1) if field is ROOT3 else (-2, 1) if field is Q2 else (1, 1)
     widths = set()
     for n in range(1, 5):
-        tab, order = _degree(n), len(_degree(n).perms)
+        tab, order = _degree(n), len(_degree(n).words)
         pairs = []
         for _ in range(12):
             A, B = ({s: _random_poly(rng, big) for s in rng.sample(range(order), min(rng.randint(0, 4), order))} for big in (rng.random() < 0.6, rng.random() < 0.3))
@@ -705,9 +708,9 @@ def test_packed_elements_match_the_tuple_arithmetic(field):
             if equal:
                 assert hash(a) == hash(b)
             k, m = rng.randint(0, 2), rng.randint(0, 1)
-            shifted = {_degree(n + k + m).index[tuple(range(1, k + 1)) + tuple(x + k for x in tab.perms[s].word) + tuple(range(n + k + 1, n + k + m + 1))]: c for s, c in A.items()}
+            shifted = {_degree(n + k + m).index[tuple(range(1, k + 1)) + tuple(x + k for x in tab.words[s]) + tuple(range(n + k + 1, n + k + m + 1))]: c for s, c in A.items()}
             _holds(shift_element(a, k, m), shifted)
-            _holds(embed(a, n + m), {_degree(n + m).index[tab.perms[s].word + tuple(range(n + 1, n + m + 1))]: c for s, c in A.items()})
+            _holds(embed(a, n + m), {_degree(n + m).index[tab.words[s] + tuple(range(n + 1, n + m + 1))]: c for s, c in A.items()})
     assert {64} < {bits for pair in widths for bits in pair} and any(x != y for x, y in widths)
 
 
@@ -726,3 +729,72 @@ def test_home_width_elements_are_never_unpacked(monkeypatch):
     assert [len(h.terms) for h in elements] == [120, 120, 120, 120, 120, 120, 120, 120, 120]
     assert all(h.bits == 64 for h in elements)
     assert y * g == -y and g * y == -y and y * y == square and "__mul__" in vars(HeckeElement)
+
+
+# ---------------------------------------------------------------------------
+# the index tables, shifts and field values against Perm, permgroup.shift and exactnum.specialize
+
+
+def test_degree_tables_match_perm():
+    for n in range(7):
+        tab, perms = _degree(n), list(enumerate_perms(n))
+        assert [Perm(w) for w in tab.words] == perms
+        assert [tab.index[w] for w in tab.words] == list(range(len(perms)))
+        assert [tab.words[t] for t in tab.inv] == [p.inverse().word for p in perms]
+        assert tab.length == [p.length() for p in perms]
+        assert tab.reduced == [p.reduced_word() for p in perms]
+        assert tab.first == [(p.reduced_word() or (0,))[0] for p in perms]
+
+
+@pytest.mark.parametrize("field", [F, ROOT3], ids=["generic", "zeta3"])
+def test_shift_and_embed_match_permgroup_shift(field):
+    rng = random.Random(35)
+    for n in range(6):
+        perms = list(enumerate_perms(n))
+        for _ in range(4):
+            raw = {p: _random_zq(rng) for p in rng.sample(perms, rng.randint(1, min(6, len(perms))))}
+            h = HeckeElement(n, field, raw)
+            # every pair k, m <= 2 whose target degree is enumerable (n + k + m <= 8)
+            for k in range(3):
+                for m in range(min(3, 9 - n - k)):
+                    got, want = shift_element(h, k, m), HeckeElement(n + k + m, field, {shift(p, k, m): c for p, c in raw.items()})
+                    assert (got.n, _zq_terms(got), got.bits, got.l1) == (n + k + m, _zq_terms(want), h.bits, h.l1)
+                    assert got == want
+            for m in range(3):
+                got, want = embed(h, n + m), HeckeElement(n + m, field, {shift(p, 0, m): c for p, c in raw.items()})
+                assert (got.n, _zq_terms(got)) == (n + m, _zq_terms(want))
+    with pytest.raises(ValueError):
+        shift_element(unit(2), -1)
+    with pytest.raises(ValueError):
+        shift_element(unit(2), 0, -1)
+
+
+SPECIAL = [
+    (RATIONAL.with_q(RATIONAL.scalar(2)), q - 2),
+    (RATIONAL.with_q(RATIONAL.scalar(-1)), q + 1),
+    (cyclotomic_field(3, q_power=1), PHI3),
+    (cyclotomic_field(4, q_power=1), q * q + 1),
+]
+
+
+@pytest.mark.parametrize("field, vanishing", SPECIAL, ids=["q=2", "q=-1", "zeta3", "zeta4"])
+def test_field_values_match_specialize(field, vanishing):
+    # each Z[q] coefficient read in the field against exactnum.specialize of the generic element's coefficient;
+    # some are multiples of a polynomial that vanishes at this q, so field_terms must leave them out
+    rng = random.Random(36)
+    dropped = 0
+    for n in range(1, 5):
+        perms = list(enumerate_perms(n))
+        for _ in range(6):
+            raw = {}
+            for p in rng.sample(perms, min(5, len(perms))):
+                c = _random_zq(rng) + (F.scalar(rng.choice(BIG)) * q ** rng.randint(0, 3) if rng.random() < 0.3 else 0)
+                raw[p] = c * vanishing if rng.random() < 0.3 else c
+            generic, h = HeckeElement(n, F, raw), HeckeElement(n, field, raw)
+            want = {p: specialize(generic.coefficient(p), field.q()) for p in perms}
+            assert {p: h.coefficient(p) for p in perms} == want
+            terms = h.field_terms()
+            assert {p: (word, c) for p, word, c in terms} == {p: (p.reduced_word(), c) for p, c in want.items() if not c.is_zero()}
+            assert len(terms) == len({p for p, _w, _c in terms})
+            dropped += len(raw) - len(terms)
+    assert dropped > 0

@@ -1,3 +1,6 @@
+import random
+from functools import reduce
+
 import pytest
 
 from heckesym.heckealg import partial_y
@@ -11,6 +14,7 @@ from heckesym.permgroup import (
     longest_rho,
     shift,
     transposition,
+    walk_words,
 )
 
 
@@ -160,3 +164,79 @@ def test_perm_validation():
         Perm((1, 1, 2))
     with pytest.raises(ValueError):
         Composition((2, 0))
+
+
+# ---------------------------------------------------------------------------
+# the one depth-first walk against folding each node's path from the root
+
+
+def _walked(nodes, parent, step, start, root=()):
+    """walk_words' (node, image) pairs as a dict, each node asserted to come once, and the number of steps taken."""
+    steps = [0]
+
+    def counted(node, image):
+        steps[0] += 1
+        return step(node, image)
+
+    pairs = list(walk_words(nodes, parent, counted, start, root))
+    out = dict(pairs)
+    assert len(out) == len(pairs), "a node was yielded twice"
+    return out, steps[0]
+
+
+def test_walk_words_matches_folding_each_word_from_the_root():
+    rng = random.Random(33)
+    n = 5
+    for _ in range(40):
+        words = [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))) for _ in range(rng.randint(0, 8))]
+        # repeats, a word and its suffixes, and the empty word
+        words += rng.sample(words, min(2, len(words))) + [()]
+        if words[0]:
+            words += [words[0][j:] for j in range(len(words[0]))]
+        rng.shuffle(words)
+        suffixes = {w[j:] for w in words for j in range(len(w) + 1)}
+        # the image of w = (i1, ..., iL) is tau_i1 ... tau_iL, one letter applied per step, and the word spelled back
+        got, steps = _walked(words, lambda w: w[1:], lambda w, p: transposition(w[0], n) * p, identity(n))
+        assert set(got) == suffixes and steps == len(suffixes) - 1
+        assert all(got[w] == reduce(lambda p, i: transposition(i, n) * p, reversed(w), identity(n)) for w in suffixes)
+        spelled, _steps = _walked(words, lambda w: w[1:], lambda w, s: (w[0],) + s, ())
+        assert spelled == {w: w for w in suffixes}
+
+
+def test_walk_words_matches_folding_parent_pointers_from_the_root():
+    rng = random.Random(34)
+    for size in (1, 2, 10, 60):
+        # a random tree on 0..size-1 rooted at 0: each node's parent is an earlier node
+        parent = [0] + [rng.randrange(i) for i in range(1, size)]
+        for _ in range(5):
+            nodes = [rng.randrange(size) for _ in range(rng.randint(0, size))]
+            closure = {0}
+            for v in nodes:
+                while v not in closure:
+                    closure.add(v)
+                    v = parent[v]
+            got, steps = _walked(nodes, parent.__getitem__, lambda v, path: path + (v,), (0,), 0)
+            assert set(got) == closure and steps == len(closure) - 1
+            for v in closure:
+                path = [v]
+                while path[-1]:
+                    path.append(parent[path[-1]])
+                assert got[v] == (0,) + tuple(reversed(path[:-1]))
+
+
+def test_walk_words_holds_only_pending_siblings():
+    # a chain of 200 letters under a root with one other child: a parent's image is dropped once its kids are stacked
+    held, live = [0], [0]
+
+    class Image:
+        def __init__(self):
+            live[0] += 1
+            held[0] = max(held[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    words = [(1,) * 200, (2,)]
+    for _node, image in walk_words(words, lambda w: w[1:], lambda w, image: Image(), Image()):
+        del image
+    assert held[0] <= 3, held[0]
